@@ -75,7 +75,6 @@ pub mod api;
 pub mod blast;
 pub mod config;
 pub mod control;
-pub mod demux;
 pub mod engine;
 pub mod error;
 pub mod harness;

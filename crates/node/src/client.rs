@@ -43,17 +43,10 @@ use blast_udp::channel::{Channel, UdpChannel, MAX_DATAGRAM};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
 use blast_udp::driver::Driver;
 use blast_udp::fcs::FcsChannel;
-use blast_udp::handshake::{self, Request};
+use blast_udp::handshake::{self, retry_interval, Request, MAX_TRANSFER_BYTES};
 use blast_udp::peer::TransferReport;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::{Datagram, DatagramBuilder};
-
-/// Handshake pacing: re-request at the protocol's retransmission
-/// interval, capped so a long data-phase timeout does not slow the
-/// handshake down.
-fn retry_interval(cfg: &ProtocolConfig) -> Duration {
-    cfg.timeout.initial().min(Duration::from_millis(200))
-}
 
 /// Default patience for handshakes, control queries and whole copies.
 const DEFAULT_PATIENCE: Duration = Duration::from_secs(30);
@@ -109,16 +102,10 @@ pub struct Client<C: Channel = UdpChannel> {
 }
 
 impl Client<UdpChannel> {
-    /// Connect to `node` from an ephemeral local port.  The local
-    /// socket matches the node's address family (a v4 socket cannot
-    /// reach a v6 node, nor vice versa).
+    /// Connect to `node` from an ephemeral local port of the node's
+    /// address family.
     pub fn connect(node: SocketAddr) -> io::Result<Self> {
-        let local: SocketAddr = if node.is_ipv4() {
-            "0.0.0.0:0".parse().expect("literal addr")
-        } else {
-            "[::]:0".parse().expect("literal addr")
-        };
-        let channel = UdpChannel::connect(local, node)?;
+        let channel = UdpChannel::connect_to(node)?;
         let local = channel.local_addr().ok();
         let mut client = Client::over(channel);
         client.local = local;
@@ -256,18 +243,14 @@ impl<C: Channel> Client<C> {
         let out = driver.run(&mut engine)?;
         drop(driver);
         let fcs_drops = self.channel.fcs_drops - drops_before;
-        match out.completion.result {
-            Ok(_) => Ok(TransferReport {
-                data: Vec::new(),
-                elapsed: out.elapsed,
-                stats: out.completion.stats,
-                pacing: engine.pacing_snapshot(),
-                datagrams_sent: out.datagrams_sent + reply.datagrams_sent,
-                datagrams_received: out.datagrams_received,
-                malformed: out.malformed + fcs_drops,
-            }),
-            Err(e) => Err(io::Error::other(format!("push failed: {e}"))),
-        }
+        TransferReport::from_drive(
+            "push",
+            out,
+            reply.datagrams_sent,
+            fcs_drops,
+            engine.pacing_snapshot(),
+            Vec::new(),
+        )
     }
 
     /// Fetch the named blob `name` from the node.  The blob's size
@@ -287,6 +270,18 @@ impl<C: Channel> Client<C> {
             self.patience,
         )?;
 
+        // The echoed length becomes an eager allocation: bound it before
+        // trusting a 24-byte datagram with a terabyte, as the node does
+        // for announced pushes.
+        if reply.echoed.len > MAX_TRANSFER_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "pull refused: announced length {} exceeds the {MAX_TRANSFER_BYTES}-byte transfer bound",
+                    reply.echoed.len
+                ),
+            ));
+        }
         let mut engine = BlastReceiver::new(transfer_id, reply.echoed.len, &self.cfg);
         // The linger window is a quiet window (traffic restarts it):
         // make it comfortably longer than the node's
@@ -308,18 +303,14 @@ impl<C: Channel> Client<C> {
         let out = driver.run(&mut engine)?;
         drop(driver);
         let fcs_drops = self.channel.fcs_drops - drops_before;
-        match out.completion.result {
-            Ok(_) => Ok(TransferReport {
-                data: engine.into_data(),
-                elapsed: out.elapsed,
-                stats: out.completion.stats,
-                pacing: None,
-                datagrams_sent: out.datagrams_sent + reply.datagrams_sent,
-                datagrams_received: out.datagrams_received,
-                malformed: out.malformed + fcs_drops,
-            }),
-            Err(e) => Err(io::Error::other(format!("pull failed: {e}"))),
-        }
+        TransferReport::from_drive(
+            "pull",
+            out,
+            reply.datagrams_sent,
+            fcs_drops,
+            None,
+            engine.into_data(),
+        )
     }
 
     /// Ask the node for a live metrics snapshot (the `Stats` control

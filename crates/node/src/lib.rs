@@ -8,12 +8,14 @@
 //! * [`server`] — the node: [`NodeBuilder`] binds one address as an
 //!   `SO_REUSEPORT` socket group and spawns one reactor thread per
 //!   shard — each a non-blocking `std::net::UdpSocket` event loop with
-//!   its own timer wheel keyed by `(session, TimerToken)`, session
-//!   table fed by the `blast-udp` pre-allocation handshake, buffer
-//!   pool, and a `blast_core::Demux` routing datagrams to per-session
-//!   sans-I/O engines (any of the four retransmission strategies, in
-//!   either direction); the [`NodeHandle`] merges per-shard metrics on
-//!   read;
+//!   its own buffer pool and exactly one table and one timer wheel: the
+//!   table, keyed `Inbound(id) | Outbound(id)`, holds the sessions the
+//!   `blast-udp` pre-allocation handshake opened and the third-party
+//!   copies the node drives as a client, each entry owning its
+//!   sans-I/O engine (any of the four retransmission strategies, in
+//!   either direction); the wheel is keyed by `(entry, TimerToken)`;
+//!   and every engine call goes through the one `blast_udp::pump`; the
+//!   [`NodeHandle`] merges per-shard metrics on read;
 //! * [`store`] — the named-blob catalogue the node serves, behind the
 //!   object-safe [`Store`] trait (the `blast-vkernel` file-server
 //!   semantics at the page level), with the sharded in-memory

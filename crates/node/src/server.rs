@@ -3,29 +3,37 @@
 //!
 //! The paper's engines move one transfer at a time; a node multiplexes
 //! many.  Each reactor shard is a thread that owns one non-blocking
-//! `UdpSocket` and runs the classic cycle:
+//! `UdpSocket`, one table of the transfers it is driving and one
+//! [`TimerWheel`], and runs the classic cycle:
 //!
-//! 1. fire due timers from a [`TimerWheel`] keyed by
-//!    `(transfer_id, TimerToken)` — each session's engine timers plus
-//!    two node-owned timers per session (linger-reap and give-up);
-//! 2. drain the socket, routing `Request` packets to the handshake
-//!    logic and everything else through the [`Demux`] to the owning
-//!    engine;
-//! 3. execute whatever actions the engines emitted (transmissions go
-//!    out `send_to` the session's peer, wrapped in the FCS trailer);
+//! 1. fire due timers from the wheel, keyed by `(Key, TimerToken)` —
+//!    each entry's engine timers plus the node-owned ones (give-up,
+//!    reap, and a copy's outbound-handshake retry);
+//! 2. drain the socket, routing `Request`, `Stats` and `Copy` packets
+//!    to the control logic and everything else to the engine of the
+//!    `Inbound` entry that owns the transfer id; then poll the
+//!    channels of the `Outbound` entries (third-party copies
+//!    this node drives as a client);
+//! 3. flush whatever the engines staged;
 //! 4. if nothing happened, park briefly — `std` has no selector, and
 //!    at the timescales the paper measures (1.35 ms of processor time
 //!    *per packet*) sub-millisecond parking is invisible.
+//!
+//! Every engine call on either kind of entry goes through the one
+//! shared [`pump`]: set the clock, call the engine, apply its actions.
+//! The two kinds differ only in where a transmission goes — the shard
+//! socket toward the session's peer, or the copy's own connected
+//! [`FcsChannel`] — and in what completion means.
 //!
 //! [`NodeBuilder`] scales that cycle across cores: with `shards(n)` it
 //! binds `n` `SO_REUSEPORT` sockets on one address and the kernel's
 //! 4-tuple hash pins every remote endpoint — hence every session — to
 //! exactly one shard.  Shards share nothing on the packet path: each
-//! has its own [`NetIo`] backend, timer wheel, session table, buffer
-//! pool, and a plain (unlocked) [`NodeMetrics`] accumulator that it
-//! publishes into a shared snapshot slot once per tick; the
-//! [`NodeHandle`] merges those snapshots on read.  Only the blob store
-//! is shared, and it is touched only at session boundaries.
+//! has its own [`NetIo`] backend, timer wheel, table, buffer pool, and
+//! a plain (unlocked) [`NodeMetrics`] accumulator that it publishes
+//! into a shared snapshot slot once per tick; the [`NodeHandle`] merges
+//! those snapshots on read.  Only the blob store is shared, and it is
+//! touched only at session boundaries.
 //!
 //! Sessions are created by the `Request` pre-allocation handshake from
 //! `blast-udp`: a push request allocates a [`BlastReceiver`] for the
@@ -35,7 +43,7 @@
 //! the client asked for.  Finished engines linger briefly — a finished
 //! receiver must keep re-acking duplicates or a lost final ack strands
 //! its peer (§3.2.2's tail problem) — and are then reaped from the
-//! demux table.
+//! table.
 
 use std::collections::HashMap;
 use std::io;
@@ -44,18 +52,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use blast_core::api::{Action, CompletionInfo, TimerToken};
+use blast_core::api::{CompletionInfo, TimerToken};
 use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::config::ProtocolConfig;
-use blast_core::demux::Demux;
 use blast_core::multiblast::MultiBlastSender;
 use blast_core::pool::BufferPool;
 use blast_core::{AdaptiveTimeout, Engine, PacingConfig};
 use blast_telemetry::{EventKind, Recorder, Telemetry};
+use blast_udp::channel::{Channel, UdpChannel};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
-use blast_udp::fcs;
-use blast_udp::handshake::{Direction, Request};
+use blast_udp::fcs::{self, FcsChannel};
+use blast_udp::handshake::{retry_interval, Direction, Request, MAX_TRANSFER_BYTES};
 use blast_udp::netio::NetIo;
+use blast_udp::pump::{self, Input};
 use blast_udp::sockopt;
 use blast_udp::timers::TimerWheel;
 use blast_wire::checksum::crc32;
@@ -65,14 +74,13 @@ use blast_wire::packet::{Datagram, DatagramBuilder};
 use crate::metrics::{NodeMetrics, SessionReport, ShardReport};
 use crate::store::{shared_store, SharedStore};
 
-/// Reap a finished session's engine after the linger period.
+/// Remove an entry from the table: a finished session after its linger
+/// window, a terminal copy after its status grace window.
 const REAP: TimerToken = TimerToken(u64::MAX);
-/// Abandon a session whose peer went silent.
+/// Abandon an entry whose peer went silent.
 const GIVE_UP: TimerToken = TimerToken(u64::MAX - 1);
 /// Retransmit the outbound handshake of a third-party copy.
 const COPY_HS: TimerToken = TimerToken(u64::MAX - 2);
-/// Forget a terminal copy job once its status grace window passes.
-const COPY_REAP: TimerToken = TimerToken(u64::MAX - 3);
 
 /// How long a terminal copy keeps answering status queries before it is
 /// reaped — the control-plane twin of the data-plane linger window: the
@@ -139,119 +147,162 @@ impl Default for NodeConfig {
             linger: Duration::from_millis(250),
             session_timeout: Duration::from_secs(30),
             max_sessions: 1024,
-            max_transfer_bytes: 256 * 1024 * 1024,
+            max_transfer_bytes: MAX_TRANSFER_BYTES,
         }
     }
 }
 
-/// Node-side state for one transfer (the engine itself lives in the
-/// demux table under the same id).
-#[derive(Debug)]
-struct Session {
-    peer: SocketAddr,
-    direction: Direction,
-    name: String,
-    /// The echo datagram, re-sent verbatim for duplicate requests.
-    echo: Vec<u8>,
-    started: Instant,
-    finished: bool,
+/// Names one transfer a shard is driving, in its table and its timer
+/// wheel.  Both kinds of id are chosen by clients, independently, so
+/// the kind is part of the key: a copy id may equal a live session's
+/// transfer id without either seeing the other's datagrams or timers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Key {
+    /// A session a client opened toward this node, by transfer id.
+    Inbound(u32),
+    /// A third-party copy this node drives toward another node, by
+    /// copy id — which is also the transfer id of the outbound leg, so
+    /// the client's id-uniqueness discipline extends to the remote
+    /// node.
+    Outbound(u32),
 }
 
-/// One third-party copy in flight: the node acts as a *client* toward
-/// another node, reusing the same engine machinery its own clients use,
-/// driven from this shard's reactor loop (no blocking thread per copy).
-///
-/// The outbound leg runs over its own connected ephemeral-port socket
-/// rather than the shard's `SO_REUSEPORT` socket: replies from the
-/// remote node must come back to *this* shard, and the kernel's 4-tuple
-/// hash over the shared address would happily deliver them to a
-/// sibling.  A dedicated socket makes the 4-tuple unique, at the cost
-/// of the reactor polling it each tick (bounded by the 1 ms tick cap
-/// while copies are active); the engine's pace/RTO timers still ride
-/// the shard's exact timer machinery.
-struct CopyJob {
-    /// The client-chosen copy id — also the transfer id of the
-    /// outbound leg, so the client's id-uniqueness discipline extends
-    /// to the remote node.
-    copy_id: u32,
-    mode: CopyMode,
-    name: String,
-    state: CopyState,
-    /// One of [`errcode`]'s codes once `state` is `Failed`.
-    error: u8,
-    bytes_total: u64,
-    /// CRC-32 of the moved blob: computed up front for pushes, on
-    /// completion for pulls.
-    crc32: u32,
-    /// Payload bytes per data packet, for the running-progress
-    /// estimate.
-    packet_payload: u64,
-    /// The outbound engine; `None` while handshaking and after the
-    /// copy settles.
-    engine: Option<Box<dyn Engine>>,
-    /// The copy's own connected socket; `None` for copies that failed
-    /// at submit time.
-    socket: Option<UdpSocket>,
-    /// The source blob, held from submit until the handshake echo
-    /// promotes it into a sender engine (push mode only).
-    blob: Option<std::sync::Arc<[u8]>>,
-    /// The framed handshake datagram, re-sent verbatim on `COPY_HS`.
-    request_frame: Vec<u8>,
-    started: Instant,
-    retry_interval: Duration,
-}
-
-/// The status a [`CopyJob`] reports: exact when terminal, estimated
-/// from engine counters while the data phase runs.
-fn copy_status(job: &CopyJob) -> CopyStatus {
-    let bytes_done = match job.state {
-        CopyState::Done => job.bytes_total,
-        CopyState::Running => job
-            .engine
-            .as_ref()
-            .map(|e| {
-                let st = e.stats();
-                let pkts = match job.mode {
-                    CopyMode::Push => st
-                        .data_packets_sent
-                        .saturating_sub(st.data_packets_retransmitted),
-                    CopyMode::Pull => st.data_packets_received,
-                };
-                (pkts * job.packet_payload).min(job.bytes_total)
-            })
-            .unwrap_or(0),
-        _ => 0,
-    };
-    CopyStatus {
-        state: job.state,
-        error: job.error,
-        bytes_done,
-        bytes_total: job.bytes_total,
-        crc32: job.crc32,
+impl Key {
+    fn id(self) -> u32 {
+        match self {
+            Key::Inbound(id) | Key::Outbound(id) => id,
+        }
     }
 }
 
-/// Bind and connect the dedicated outbound socket for one copy.
-fn copy_socket(remote: SocketAddr) -> io::Result<UdpSocket> {
-    let local: SocketAddr = if remote.is_ipv4() {
-        "0.0.0.0:0".parse().expect("literal addr")
-    } else {
-        "[::]:0".parse().expect("literal addr")
-    };
-    let socket = UdpSocket::bind(local)?;
-    socket.connect(remote)?;
-    socket.set_nonblocking(true)?;
-    sockopt::grow_buffers(&socket);
-    Ok(socket)
+/// One transfer in a shard's table.
+struct Entry {
+    /// The transfer's engine.  An outbound leg has none while it
+    /// handshakes and after it settles; a session always has one.
+    engine: Option<Box<dyn Engine>>,
+    name: String,
+    started: Instant,
+    link: Link,
 }
 
-/// One reactor shard: a socket, an event loop, and the sessions the
-/// kernel's 4-tuple hash routed to it.
+/// Where an entry's datagrams go, and what the node tracks about the
+/// far end.
+enum Link {
+    Inbound(Session),
+    Outbound(Box<CopyLeg>),
+    /// A copy that ended (or was refused at submit): nothing is left
+    /// but the status it answers queries with until it is reaped —
+    /// `Failed` with the real error code, not an amnesiac `Unknown`.
+    Settled(CopyStatus),
+}
+
+/// The peer side of a session: datagrams leave through the shard
+/// socket, addressed to `peer`.
+struct Session {
+    peer: SocketAddr,
+    direction: Direction,
+    /// The echo datagram, re-sent verbatim for duplicate requests.
+    echo: Vec<u8>,
+    finished: bool,
+}
+
+/// One third-party copy: the node acts as a *client* toward another
+/// node, over the same FCS-framed channel, handshake and engines its
+/// own clients use, driven from this shard's reactor loop (no blocking
+/// thread per copy).
 ///
-/// This is the pre-sharding `NodeServer`, unchanged in behaviour; a
-/// single-shard node *is* one of these.  Construct it through
+/// The leg runs over its own connected ephemeral-port channel rather
+/// than the shard's `SO_REUSEPORT` socket: replies from the remote node
+/// must come back to *this* shard, and the kernel's 4-tuple hash over
+/// the shared address would happily deliver them to a sibling.  A
+/// dedicated socket makes the 4-tuple unique, at the cost of the
+/// reactor polling it each tick (bounded by the 1 ms tick cap while
+/// copies are in the table); the engine's pace/RTO timers ride the
+/// shard's one wheel.
+struct CopyLeg {
+    mode: CopyMode,
+    /// What a query is told, but for `bytes_done`, which is estimated
+    /// on demand while the data phase runs.  The CRC-32 is computed up
+    /// front for pushes, on completion for pulls.
+    status: CopyStatus,
+    /// Payload bytes per data packet, for that estimate.
+    packet_payload: u64,
+    channel: FcsChannel<UdpChannel>,
+    /// The source blob, held from submit until the handshake echo
+    /// promotes it into a sender engine (push mode only).
+    blob: Option<Arc<[u8]>>,
+    /// The handshake datagram, re-sent verbatim on `COPY_HS`.
+    request: Vec<u8>,
+}
+
+impl Entry {
+    fn session(&self) -> Option<&Session> {
+        match &self.link {
+            Link::Inbound(session) => Some(session),
+            _ => None,
+        }
+    }
+
+    /// The status a copy reports (`None` for a session): exact when
+    /// terminal, estimated from engine counters while the data phase
+    /// runs.
+    fn copy_status(&self) -> Option<CopyStatus> {
+        let leg = match &self.link {
+            Link::Inbound(_) => return None,
+            Link::Settled(status) => return Some(*status),
+            Link::Outbound(leg) => leg,
+        };
+        // No engine yet: still handshaking, nothing moved.
+        let bytes_done = self.engine.as_ref().map_or(0, |engine| {
+            let st = engine.stats();
+            let pkts = match leg.mode {
+                CopyMode::Push => st
+                    .data_packets_sent
+                    .saturating_sub(st.data_packets_retransmitted),
+                CopyMode::Pull => st.data_packets_received,
+            };
+            (pkts * leg.packet_payload).min(leg.status.bytes_total)
+        });
+        Some(CopyStatus {
+            bytes_done,
+            ..leg.status
+        })
+    }
+}
+
+/// A status with nothing to report but a state and an error code.
+fn bare_status(state: CopyState, error: u8) -> CopyStatus {
+    CopyStatus {
+        state,
+        error,
+        bytes_done: 0,
+        bytes_total: 0,
+        crc32: 0,
+    }
+}
+
+/// One reactor shard: a socket, an event loop, and the table of
+/// transfers the kernel's 4-tuple hash (sessions) and orchestrating
+/// clients (copies) routed to it.
+///
+/// A single-shard node *is* one of these.  Construct it through
 /// [`NodeBuilder`].
 pub struct NodeServer {
+    shard: Shard,
+    shutdown: Arc<AtomicBool>,
+    /// Every transfer this shard is driving, sessions and copies alike.
+    table: HashMap<Key, Entry>,
+    /// How many of the table's entries are sessions (the rest are
+    /// copies): the two kinds are admitted against
+    /// [`NodeConfig::max_sessions`] separately.
+    inbound: usize,
+}
+
+/// Everything on a shard that a table entry acts on — the socket, the
+/// wheel, the store, the metrics.  Kept apart from the table so an
+/// entry can be borrowed from the table and handed to these methods
+/// without a second lookup.
+struct Shard {
     socket: UdpSocket,
     /// The syscall backend: batched `recvmmsg` drains and `sendmmsg`
     /// bursts with event-driven idle waits where available, the
@@ -264,43 +315,28 @@ pub struct NodeServer {
     /// integer increment.
     local: NodeMetrics,
     /// The published snapshot the owning [`NodeHandle`] reads.  Written
-    /// by [`publish_metrics`](NodeServer::publish_metrics) at most once
-    /// per tick — never from the per-datagram path.
+    /// by [`publish_metrics`](Shard::publish_metrics) at most once per
+    /// tick — never from the per-datagram path.
     slot: Arc<Mutex<NodeMetrics>>,
-    shutdown: Arc<AtomicBool>,
-    demux: Demux,
-    sessions: HashMap<u32, Session>,
-    timers: TimerWheel<(u32, TimerToken)>,
-    /// Outbound third-party copies this shard is driving, by copy id.
-    copies: HashMap<u32, CopyJob>,
-    /// Timers for the copies' engines plus the node-owned `COPY_HS`,
-    /// `GIVE_UP` and `COPY_REAP` tokens.  A separate wheel: copy ids
-    /// are client-chosen and may collide with local session ids.
-    copy_timers: TimerWheel<(u32, TimerToken)>,
-    /// Reused id scratch for the per-tick copy-socket poll.
-    copy_scratch: Vec<u32>,
+    /// Engine timers of every entry, plus the node-owned [`REAP`],
+    /// [`GIVE_UP`] and [`COPY_HS`] tokens.
+    timers: TimerWheel<(Key, TimerToken)>,
     /// Epoch for the engines' sans-I/O clock ([`Engine::set_now`]):
-    /// every engine in the session table shares this zero point, so the
+    /// every engine in the table shares this zero point, so the
     /// adaptive RTO's round-trip samples are plain differences.
     epoch: Instant,
-    /// Reused datagram receive buffer (one per shard, not one per tick).
-    recv_buf: Vec<u8>,
     /// Reused FCS framing scratch for outgoing datagrams.
     frame_buf: Vec<u8>,
-    /// Reused engine-action sink: taken for the duration of an engine
-    /// call, drained by [`execute`](NodeServer::execute), put back.
-    scratch: Vec<Action>,
     /// Session-event count (accepts, finishes, rejects) at the last
     /// publish: any change republishes immediately so waiters see
     /// session state without polling lag.
     published_events: u64,
     last_publish: Instant,
     /// The shard's flight recorder, when the node was built with
-    /// telemetry.  Handed to every session engine on admission.
+    /// telemetry.  Handed to every engine on admission.
     recorder: Option<Recorder>,
     /// Every shard's snapshot slot (own included), so a `Stats` query
-    /// landing on this shard can answer for the whole node.  Empty on
-    /// single-reactor shims, where `local` is the whole node.
+    /// landing on this shard can answer for the whole node.
     peer_slots: Vec<Arc<Mutex<NodeMetrics>>>,
 }
 
@@ -334,33 +370,26 @@ impl NodeServer {
         local.netio_backend = io.backend().name().to_string();
         local.netio_offload = io.offload().name().to_string();
         let slot = Arc::new(Mutex::new(local.clone()));
+        let peer_slots = vec![Arc::clone(&slot)];
         Ok(NodeServer {
-            socket,
-            io,
-            config,
-            store,
-            local,
-            slot,
+            shard: Shard {
+                socket,
+                io,
+                config,
+                store,
+                local,
+                slot,
+                timers: TimerWheel::new(),
+                epoch: Instant::now(),
+                frame_buf: Vec::new(),
+                published_events: 0,
+                last_publish: Instant::now(),
+                recorder: None,
+                peer_slots,
+            },
             shutdown,
-            demux: Demux::new(),
-            sessions: HashMap::new(),
-            timers: TimerWheel::new(),
-            copies: HashMap::new(),
-            copy_timers: TimerWheel::new(),
-            copy_scratch: Vec::new(),
-            epoch: Instant::now(),
-            // Sized for the largest per-datagram view the backend can
-            // pop: a GRO-coalesced read's segments never exceed one
-            // framed datagram, but a 64 KB buffer keeps the shard
-            // correct even if a peer sends jumbo datagrams, at the cost
-            // of one buffer per shard.
-            recv_buf: vec![0u8; 64 * 1024],
-            frame_buf: Vec::new(),
-            scratch: Vec::new(),
-            published_events: 0,
-            last_publish: Instant::now(),
-            recorder: None,
-            peer_slots: Vec::new(),
+            table: HashMap::new(),
+            inbound: 0,
         })
     }
 
@@ -369,129 +398,393 @@ impl NodeServer {
     /// stamps and the backend's wall-clock `record` stamps land on one
     /// consistent node-wide timeline.
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.epoch = recorder.epoch();
-        self.io.set_recorder(recorder.clone());
-        self.recorder = Some(recorder);
+        self.shard.epoch = recorder.epoch();
+        self.shard.io.set_recorder(recorder.clone());
+        self.shard.recorder = Some(recorder);
     }
 
     /// The bound address clients should talk to.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-
-    /// The blob store this node serves.
-    pub fn store(&self) -> SharedStore {
-        Arc::clone(&self.store)
-    }
-
-    /// A snapshot of this shard's metrics.
-    pub fn metrics(&self) -> NodeMetrics {
-        self.local.clone()
-    }
-
-    /// The flag that stops [`run`](NodeServer::run) when set.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        self.shard.socket.local_addr()
     }
 
     /// The snapshot slot a [`NodeHandle`] merges on read.
     fn metrics_slot(&self) -> Arc<Mutex<NodeMetrics>> {
-        Arc::clone(&self.slot)
+        Arc::clone(&self.shard.slot)
     }
 
     /// Run the event loop until the shutdown flag is set.
     pub fn run(&mut self) -> io::Result<()> {
-        let result = self.run_inner();
+        // One receive buffer for the shard's lifetime, sized for the
+        // largest per-datagram view the backend can pop: a
+        // GRO-coalesced read's segments never exceed one framed
+        // datagram, but 64 KB keeps the shard correct even if a peer
+        // sends jumbo datagrams.
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut result = Ok(());
+        while result.is_ok() && !self.shutdown.load(Ordering::Relaxed) {
+            result = self.tick(&mut buf);
+        }
         // Whatever happened, leave the final state visible to the
         // handle before the thread exits.
-        self.publish_now();
+        self.shard.publish_now();
         result
     }
 
-    fn run_inner(&mut self) -> io::Result<()> {
-        while !self.shutdown.load(Ordering::Relaxed) {
-            self.tick()?;
-        }
-        Ok(())
-    }
-
-    /// Run until `n` sessions have finished (completed or failed) and
-    /// every engine has been reaped — the "serve a fixed workload then
-    /// report" mode the examples and CI smoke test use.
-    pub fn run_sessions(&mut self, n: u64) -> io::Result<()> {
-        loop {
-            self.tick()?;
-            if self.sessions.is_empty()
-                && self.local.sessions_completed + self.local.sessions_failed >= n
-            {
-                break;
-            }
-            if self.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-        self.publish_now();
-        Ok(())
-    }
-
-    /// One reactor cycle: timers, then a socket drain, then a flush of
-    /// everything the engines queued, then (if idle) an event-driven
-    /// wait — epoll + timerfd wakes on the first datagram or at the
-    /// next timer deadline, whichever comes first (the portable
-    /// fallback degrades to a bounded sleep).
-    fn tick(&mut self) -> io::Result<()> {
+    /// One reactor cycle: timers, then a socket drain and a poll of the
+    /// copy channels, then a flush of everything the engines queued,
+    /// then (if idle) an event-driven wait — epoll + timerfd wakes on
+    /// the first datagram or at the next timer deadline, whichever
+    /// comes first (the portable fallback degrades to a bounded sleep).
+    fn tick(&mut self, buf: &mut [u8]) -> io::Result<()> {
         let now = Instant::now();
         let mut timers_fired = 0u64;
-        while let Some((id, token)) = self.timers.pop_due(now) {
+        while let Some((key, token)) = self.shard.timers.pop_due(now) {
             timers_fired += 1;
-            self.on_timer(id, token)?;
+            self.on_timer(key, token)?;
         }
-        while let Some((id, token)) = self.copy_timers.pop_due(now) {
-            timers_fired += 1;
-            self.on_copy_timer(id, token)?;
-        }
-        let drained = self.drain_socket()?;
-        let copied = self.poll_copies()?;
+        let drained = self.drain_socket(buf)? + self.poll_copies(buf)?;
         // Only ticks that did work are traced — idle wakeups would
         // drown the ring without saying anything.
-        if drained + copied > 0 || timers_fired > 0 {
-            if let Some(rec) = &self.recorder {
-                rec.record(
-                    0,
-                    EventKind::ShardTick,
-                    (drained + copied) as u64,
-                    timers_fired,
-                );
+        if drained > 0 || timers_fired > 0 {
+            if let Some(rec) = &self.shard.recorder {
+                rec.record(0, EventKind::ShardTick, drained as u64, timers_fired);
             }
         }
+        let shard = &mut self.shard;
         // Everything staged this tick goes out before any wait: one
         // sendmmsg carries the coalesced acks/bursts of all sessions.
-        self.io.flush(&self.socket)?;
-        self.sync_io_stats();
-        self.publish_metrics();
-        if drained == 0 && copied == 0 {
-            let next = match (
-                self.timers.next_deadline(),
-                self.copy_timers.next_deadline(),
-            ) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let mut park = next
+        shard.io.flush(&shard.socket)?;
+        shard.sync_io_stats();
+        shard.publish_metrics();
+        if drained == 0 {
+            let mut park = shard
+                .timers
+                .next_deadline()
                 .map(|d| d.saturating_duration_since(Instant::now()))
                 .unwrap_or(Duration::from_millis(5))
                 .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(10));
-            if !self.copies.is_empty() {
-                // Copy sockets are polled, not in the event wait: cap
+            if self.table.len() > self.inbound {
+                // Copy channels are polled, not in the event wait: cap
                 // the park so an incoming ack on an outbound leg waits
                 // at most a millisecond.
                 park = park.min(Duration::from_millis(1));
             }
-            self.io.wait(park)?;
+            shard.io.wait(park)?;
         }
         Ok(())
     }
 
+    /// Receive until the socket is dry (or a batch limit, so timers are
+    /// never starved by a firehose).  Returns datagrams processed.
+    fn drain_socket(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut drained = 0;
+        while drained < 128 {
+            // Pop from the last recvmmsg batch; refill with one kernel
+            // crossing when it runs dry.
+            let Some((n, peer)) = self.shard.io.pop_into(buf) else {
+                if self.shard.io.fill(&self.shard.socket)? == 0 {
+                    break;
+                }
+                continue;
+            };
+            let Some(peer) = peer else { continue };
+            drained += 1;
+            self.shard.local.datagrams_received += 1;
+            let Some(body) = fcs::unframe(&buf[..n]) else {
+                self.shard.local.fcs_drops += 1;
+                continue;
+            };
+            self.on_datagram(&buf[..body], peer)?;
+        }
+        Ok(drained)
+    }
+
+    /// Drain the channel of every live copy.  Returns datagrams
+    /// handled.
+    fn poll_copies(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.table.len() == self.inbound {
+            return Ok(0);
+        }
+        let mut handled = 0;
+        for (&key, entry) in &mut self.table {
+            if matches!(entry.link, Link::Outbound(_)) {
+                handled += self.shard.drain_copy(key, entry, buf)?;
+            }
+        }
+        Ok(handled)
+    }
+
+    fn on_datagram(&mut self, raw: &[u8], peer: SocketAddr) -> io::Result<()> {
+        let Ok(dgram) = Datagram::parse(raw) else {
+            self.shard.local.malformed += 1;
+            return Ok(());
+        };
+        match dgram.kind {
+            PacketKind::Request => return self.on_request(&dgram, raw, peer),
+            PacketKind::Stats => return self.shard.on_stats(&dgram, peer),
+            PacketKind::Copy => return self.on_copy(&dgram, peer),
+            _ => {}
+        }
+        let key = Key::Inbound(dgram.transfer_id);
+        match self.table.get_mut(&key) {
+            // Only the session's peer may drive its engine.
+            Some(entry) if entry.session().is_some_and(|s| s.peer == peer) => {
+                self.shard.pump(key, entry, Input::Datagram(&dgram))?;
+                // Traffic for a finished session means the peer has not
+                // heard our final ack yet: postpone the reap so the
+                // engine stays to re-answer (the linger quiet window).
+                if entry.session().is_some_and(|s| s.finished) {
+                    self.shard.timers.arm((key, REAP), self.shard.config.linger);
+                }
+            }
+            _ => self.shard.local.unroutable += 1,
+        }
+        Ok(())
+    }
+
+    fn on_request(&mut self, dgram: &Datagram<'_>, raw: &[u8], peer: SocketAddr) -> io::Result<()> {
+        let id = dgram.transfer_id;
+        let key = Key::Inbound(id);
+        let shard = &mut self.shard;
+        let Some(mut request) = Request::decode(dgram.payload) else {
+            shard.local.malformed += 1;
+            return Ok(());
+        };
+        if let Some(session) = self.table.get(&key).and_then(Entry::session) {
+            if session.peer == peer {
+                // Duplicate request: our echo was lost; re-send it.
+                return shard.send_framed(peer, &session.echo);
+            }
+            // Someone else's id: refuse rather than cross wires.
+            shard.local.collisions += 1;
+            return shard.send_cancel(id, peer);
+        }
+        if self.inbound >= shard.config.max_sessions {
+            shard.local.rejected_busy += 1;
+            return shard.send_cancel(id, peer);
+        }
+        // The announced length becomes an eager allocation: bound it
+        // before trusting a 24-byte datagram with a terabyte.
+        if request.direction == Direction::Push && request.len > shard.config.max_transfer_bytes {
+            shard.local.rejected_oversize += 1;
+            return shard.send_cancel(id, peer);
+        }
+
+        let mut engine_cfg = shard.config.protocol.clone();
+        request.apply_to(&mut engine_cfg);
+        let (mut engine, echo): (Box<dyn Engine>, Vec<u8>) = match request.direction {
+            // Pre-allocate the whole receive buffer from the announced
+            // length — the paper's premise — and echo the request
+            // verbatim.
+            Direction::Push => (
+                Box::new(BlastReceiver::new(id, request.len, &engine_cfg)),
+                raw.to_vec(),
+            ),
+            Direction::Pull => {
+                let Some(blob) = shard.store.get(&request.name) else {
+                    shard.local.pull_misses += 1;
+                    return shard.send_cancel(id, peer);
+                };
+                // Fill the length in before echoing: the echo is the
+                // client's size announcement.
+                request.len = blob.len();
+                let echo = request.build_datagram(id);
+                if request.multiblast_chunk > 0 {
+                    (Box::new(MultiBlastSender::new(id, blob, &engine_cfg)), echo)
+                } else {
+                    (Box::new(BlastSender::new(id, blob, &engine_cfg)), echo)
+                }
+            }
+        };
+
+        shard.local.sessions_accepted += 1;
+        match request.direction {
+            Direction::Push => shard.local.pushes += 1,
+            Direction::Pull => shard.local.pulls += 1,
+        }
+        // Echo before starting the engine so that, in order-preserving
+        // conditions, the size announcement precedes round-0 data.
+        shard.send_framed(peer, &echo)?;
+        if let Some(rec) = &shard.recorder {
+            engine.set_recorder(rec.clone());
+            let pull = u64::from(request.direction == Direction::Pull);
+            rec.record(id, EventKind::SessionAdmit, pull, request.len as u64);
+        }
+        shard
+            .timers
+            .arm((key, GIVE_UP), shard.config.session_timeout);
+        self.inbound += 1;
+        let entry = self.table.entry(key).or_insert(Entry {
+            engine: Some(engine),
+            name: request.name,
+            started: Instant::now(),
+            link: Link::Inbound(Session {
+                peer,
+                direction: request.direction,
+                echo,
+                finished: false,
+            }),
+        });
+        shard.pump(key, entry, Input::Start)
+    }
+
+    fn on_timer(&mut self, key: Key, token: TimerToken) -> io::Result<()> {
+        if token == REAP {
+            self.reap(key);
+            return Ok(());
+        }
+        let Some(entry) = self.table.get_mut(&key) else {
+            return Ok(());
+        };
+        match (token, &entry.link) {
+            (GIVE_UP, Link::Inbound(_)) => {
+                // The hard bound on session lifetime: fail an engine
+                // that never completed (a no-op on a finished one), and
+                // evict even a finished one whose peer keeps the linger
+                // window open forever.
+                if let Some(engine) = &entry.engine {
+                    let info = CompletionInfo::failure(
+                        blast_core::CoreError::BadState {
+                            what: "session timed out",
+                        },
+                        engine.stats(),
+                    );
+                    self.shard.finish_session(key.id(), entry, &info);
+                }
+                self.reap(key);
+            }
+            // The session-lifetime bound doubles as the copy's: an
+            // outbound leg that has not settled by then is abandoned.
+            (GIVE_UP, _) => {
+                let error = match &entry.engine {
+                    None => errcode::HANDSHAKE_TIMEOUT,
+                    Some(_) => errcode::TRANSFER_FAILED,
+                };
+                self.shard.end_copy(key, entry, Err(error));
+            }
+            (COPY_HS, _) => self.shard.retry_copy_handshake(key, entry),
+            _ => return self.shard.pump(key, entry, Input::Timer(token)),
+        }
+        Ok(())
+    }
+
+    fn reap(&mut self, key: Key) {
+        if self.table.remove(&key).is_some() {
+            if let Key::Inbound(_) = key {
+                self.inbound -= 1;
+            }
+        }
+        self.shard.timers.forget_where(|&(owner, _)| owner == key);
+    }
+
+    /// Dispatch one `Copy` control datagram from an orchestrating
+    /// client: submit a copy, answer a status query, or digest a blob.
+    fn on_copy(&mut self, dgram: &Datagram<'_>, peer: SocketAddr) -> io::Result<()> {
+        let Some(msg) = CopyMsg::decode(dgram.payload) else {
+            self.shard.local.malformed += 1;
+            return Ok(());
+        };
+        let id = dgram.transfer_id;
+        let nonce = dgram.seq;
+        let reply = match msg {
+            CopyMsg::Submit(submit) => CopyMsg::Status(self.on_copy_submit(id, submit)),
+            // An unknown id decodes to a terminal `Unknown` status:
+            // never submitted, or already past the grace window.
+            CopyMsg::Query => CopyMsg::Status(
+                self.copy_status(id)
+                    .unwrap_or(bare_status(CopyState::Unknown, errcode::NONE)),
+            ),
+            CopyMsg::Digest { name } => {
+                let blob = self.shard.store.get(&name);
+                CopyMsg::DigestReply(BlobDigest {
+                    found: blob.is_some(),
+                    len: blob.as_ref().map_or(0, |b| b.len() as u64),
+                    crc32: blob.as_ref().map_or(0, |b| crc32(b)),
+                })
+            }
+            // Replies are node-to-client; one arriving *at* a node is
+            // noise from a confused or malicious peer.
+            CopyMsg::Status(_) | CopyMsg::DigestReply(_) => {
+                self.shard.local.unroutable += 1;
+                return Ok(());
+            }
+        };
+        // Echo the request nonce in `seq`.
+        let payload = reply.encode();
+        let mut buf = vec![0u8; blast_wire::HEADER_LEN + payload.len()];
+        let n = DatagramBuilder::new(id)
+            .build_copy(&mut buf, nonce, &payload)
+            .expect("copy reply fits");
+        self.shard.send_framed(peer, &buf[..n])
+    }
+
+    /// The current status of copy `id`, if the table knows it.
+    fn copy_status(&self, id: u32) -> Option<CopyStatus> {
+        self.table.get(&Key::Outbound(id))?.copy_status()
+    }
+
+    /// Admit (or refuse) a copy order and return the status to report.
+    /// Idempotent: a duplicate submit for a known id — the client
+    /// retransmitting because our reply was lost — just re-reports the
+    /// current status.
+    fn on_copy_submit(&mut self, id: u32, submit: CopySubmit) -> CopyStatus {
+        if let Some(status) = self.copy_status(id) {
+            return status;
+        }
+        let shard = &mut self.shard;
+        if self.table.len() - self.inbound >= shard.config.max_sessions {
+            shard.local.rejected_busy += 1;
+            return bare_status(CopyState::Failed, errcode::BUSY);
+        }
+        shard.local.copies_requested += 1;
+        if let Some(rec) = &shard.recorder {
+            rec.record(
+                id,
+                EventKind::CopyAdmit,
+                u64::from(submit.mode == CopyMode::Pull),
+                u64::from(submit.remote.port()),
+            );
+            if submit.epoch_ns != 0 {
+                // The client shipped its trace epoch: anchor this
+                // recorder's timeline to it so one Perfetto view lines
+                // the hosts up.  Both epochs land as unix nanoseconds.
+                let now_unix = std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map(|d| d.as_nanos() as u64)
+                    .unwrap_or(0);
+                let mine = now_unix.saturating_sub(shard.epoch.elapsed().as_nanos() as u64);
+                rec.record(id, EventKind::ClockAnchor, submit.epoch_ns, mine);
+            }
+        }
+        let key = Key::Outbound(id);
+        let link = match shard.open_copy(id, &submit) {
+            Ok(leg) => {
+                let retry = retry_interval(&shard.config.protocol);
+                shard.timers.arm((key, COPY_HS), retry);
+                shard
+                    .timers
+                    .arm((key, GIVE_UP), shard.config.session_timeout);
+                Link::Outbound(Box::new(leg))
+            }
+            Err(error) => {
+                let status = bare_status(CopyState::Handshaking, errcode::NONE);
+                shard.settle(key, status, Err(error))
+            }
+        };
+        let entry = Entry {
+            engine: None,
+            name: submit.name,
+            started: Instant::now(),
+            link,
+        };
+        let status = entry.copy_status().expect("a copy's entry");
+        self.table.insert(key, entry);
+        status
+    }
+}
+
+impl Shard {
     /// Mirror the backend's syscall counters into the shard
     /// accumulator.  The backend is the authority on what actually
     /// reached the kernel: `datagrams_sent` counts flushed submissions
@@ -537,250 +830,114 @@ impl NodeServer {
         self.last_publish = Instant::now();
     }
 
-    /// Receive until the socket is dry (or a batch limit, so timers are
-    /// never starved by a firehose).  Returns datagrams processed.
-    fn drain_socket(&mut self) -> io::Result<usize> {
-        // Take/put-back so the shard recycles one receive buffer for
-        // its whole lifetime (`on_datagram` needs `&mut self`).
-        let mut buf = std::mem::take(&mut self.recv_buf);
-        let result = self.drain_socket_into(&mut buf);
-        self.recv_buf = buf;
-        result
+    /// Frame one datagram into the shard's reused scratch and stage it
+    /// into the backend's batch: a whole engine burst goes out in one
+    /// sendmmsg when the queue fills or the tick flushes.  Loss-like
+    /// submission failures (peer's ICMP unreachable, full send buffer)
+    /// are counted as drops inside the backend — the protocols recover
+    /// by retransmission, so they are not server failures — and
+    /// `datagrams_sent` is mirrored from the backend in
+    /// [`sync_io_stats`](Shard::sync_io_stats): only datagrams that
+    /// actually flushed count.
+    fn send_framed(&mut self, peer: SocketAddr, datagram: &[u8]) -> io::Result<()> {
+        fcs::frame_into(datagram, &mut self.frame_buf);
+        self.io.queue_to(&self.socket, &self.frame_buf, Some(peer))
     }
 
-    fn drain_socket_into(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut drained = 0;
-        while drained < 128 {
-            // Pop from the last recvmmsg batch; refill with one kernel
-            // crossing when it runs dry.
-            let Some((n, peer)) = self.io.pop_into(buf) else {
-                if self.io.fill(&self.socket)? == 0 {
-                    break;
-                }
-                continue;
-            };
-            let Some(peer) = peer else { continue };
-            drained += 1;
-            self.local.datagrams_received += 1;
-            let Some(body) = fcs::unframe(&buf[..n]) else {
-                self.local.fcs_drops += 1;
-                continue;
-            };
-            self.on_datagram(&buf[..body], peer)?;
-        }
-        Ok(drained)
+    fn send_cancel(&mut self, id: u32, peer: SocketAddr) -> io::Result<()> {
+        let mut buf = [0u8; blast_wire::HEADER_LEN];
+        let n = DatagramBuilder::new(id)
+            .build_cancel(&mut buf)
+            .expect("cancel fits");
+        self.send_framed(peer, &buf[..n])
     }
 
-    fn on_datagram(&mut self, raw: &[u8], peer: SocketAddr) -> io::Result<()> {
-        let Ok(dgram) = Datagram::parse(raw) else {
-            self.local.malformed += 1;
+    /// Build the outbound leg of a copy order and put its first
+    /// handshake datagram on the wire, or say (as an [`errcode`]) what
+    /// stops the copy at submit time.
+    fn open_copy(&self, id: u32, submit: &CopySubmit) -> Result<CopyLeg, u8> {
+        let protocol = &self.config.protocol;
+        let mut status = bare_status(CopyState::Handshaking, errcode::NONE);
+        let (request, blob) = match submit.mode {
+            CopyMode::Push => {
+                let blob = self.store.get(&submit.name).ok_or(errcode::NOT_FOUND)?;
+                status.bytes_total = blob.len() as u64;
+                status.crc32 = crc32(&blob);
+                let request = Request::push(blob.len(), protocol, false).with_name(&submit.name);
+                (request, Some(blob))
+            }
+            CopyMode::Pull => (Request::pull(&submit.name, protocol), None),
+        };
+        let request = request.build_datagram(id);
+        let channel = UdpChannel::connect_to(submit.remote).and_then(|channel| {
+            let mut channel = FcsChannel::new(channel);
+            channel.send(&request)?;
+            Ok(channel)
+        });
+        Ok(CopyLeg {
+            mode: submit.mode,
+            status,
+            packet_payload: protocol.packet_payload as u64,
+            channel: channel.map_err(|_| errcode::TRANSFER_FAILED)?,
+            blob,
+            request,
+        })
+    }
+
+    /// Run one engine call for `entry` through the shared pump:
+    /// transmissions go to the session's peer through the shard socket
+    /// (flushed once per tick) or out the copy's own channel (flushed
+    /// per call, as `Client` does), timers ride the one wheel under
+    /// `key`, and completion finishes the session or settles the copy.
+    fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<()> {
+        let Some(engine) = entry.engine.as_deref_mut() else {
             return Ok(());
         };
-        if dgram.kind == PacketKind::Request {
-            return self.on_request(&dgram, raw, peer);
-        }
-        if dgram.kind == PacketKind::Stats {
-            return self.on_stats(&dgram, peer);
-        }
-        if dgram.kind == PacketKind::Copy {
-            return self.on_copy(&dgram, peer);
-        }
-        let id = dgram.transfer_id;
-        match self.sessions.get(&id) {
-            // Only the session's peer may drive its engine.
-            Some(s) if s.peer == peer => {
-                let now = self.epoch.elapsed();
-                let mut sink = std::mem::take(&mut self.scratch);
-                if let Some(engine) = self.demux.get_mut(id) {
-                    engine.set_now(now);
-                    engine.on_datagram(&dgram, &mut sink);
-                }
-                let executed = self.execute(id, &mut sink);
-                sink.clear();
-                self.scratch = sink;
-                executed?;
-                // Traffic for a finished session means the peer has not
-                // heard our final ack yet: postpone the reap so the
-                // engine stays to re-answer (the linger quiet window).
-                if self.sessions.get(&id).is_some_and(|s| s.finished) {
-                    self.timers.arm((id, REAP), self.config.linger);
-                }
-                Ok(())
+        let now = self.epoch.elapsed();
+        let timer_key = |token| (key, token);
+        let done = match &mut entry.link {
+            Link::Inbound(session) => {
+                let (io, socket, frame) = (&mut self.io, &self.socket, &mut self.frame_buf);
+                let peer = Some(session.peer);
+                pump::step(engine, now, input, &mut self.timers, timer_key, |bytes| {
+                    fcs::frame_into(bytes, frame);
+                    io.queue_to(socket, frame, peer)
+                })?
             }
-            _ => {
-                self.local.unroutable += 1;
-                Ok(())
-            }
-        }
-    }
-
-    fn on_request(&mut self, dgram: &Datagram<'_>, raw: &[u8], peer: SocketAddr) -> io::Result<()> {
-        let id = dgram.transfer_id;
-        let Some(request) = Request::decode(dgram.payload) else {
-            self.local.malformed += 1;
-            return Ok(());
-        };
-        if let Some(session) = self.sessions.get(&id) {
-            if session.peer == peer {
-                // Duplicate request: our echo was lost; re-send it.
-                let echo = session.echo.clone();
-                self.send_framed(peer, &echo)?;
-            } else {
-                // Someone else's id: refuse rather than cross wires.
-                self.local.collisions += 1;
-                self.send_cancel(id, peer)?;
-            }
-            return Ok(());
-        }
-        if self.sessions.len() >= self.config.max_sessions {
-            self.local.rejected_busy += 1;
-            return self.send_cancel(id, peer);
-        }
-        // The announced length becomes an eager allocation: bound it
-        // before trusting a 24-byte datagram with a terabyte.
-        if request.direction == Direction::Push && request.len > self.config.max_transfer_bytes {
-            self.local.rejected_oversize += 1;
-            return self.send_cancel(id, peer);
-        }
-
-        let mut engine_cfg = self.config.protocol.clone();
-        request.apply_to(&mut engine_cfg);
-        let (engine, echo, announced): (Box<dyn Engine>, Vec<u8>, usize) = match request.direction {
-            Direction::Push => {
-                // Pre-allocate the whole receive buffer from the
-                // announced length — the paper's premise — and echo the
-                // request verbatim.
-                let engine = BlastReceiver::new(id, request.len, &engine_cfg);
-                (Box::new(engine), raw.to_vec(), request.len)
-            }
-            Direction::Pull => {
-                let blob = self.store.get(&request.name);
-                let Some(blob) = blob else {
-                    self.local.pull_misses += 1;
-                    return self.send_cancel(id, peer);
-                };
-                // Fill the length in before echoing: the echo is the
-                // client's size announcement.
-                let mut advertised = request.clone();
-                advertised.len = blob.len();
-                let echo = advertised.build_datagram(id);
-                let announced = blob.len();
-                let engine: Box<dyn Engine> = if request.multiblast_chunk > 0 {
-                    Box::new(MultiBlastSender::new(id, blob, &engine_cfg))
-                } else {
-                    Box::new(BlastSender::new(id, blob, &engine_cfg))
-                };
-                (engine, echo, announced)
-            }
-        };
-
-        self.local.sessions_accepted += 1;
-        match request.direction {
-            Direction::Push => self.local.pushes += 1,
-            Direction::Pull => self.local.pulls += 1,
-        }
-        self.sessions.insert(
-            id,
-            Session {
-                peer,
-                direction: request.direction,
-                name: request.name.clone(),
-                echo: echo.clone(),
-                started: Instant::now(),
-                finished: false,
-            },
-        );
-        // Echo before starting the engine so that, in order-preserving
-        // conditions, the size announcement precedes round-0 data.
-        self.send_framed(peer, &echo)?;
-        let mut engine = engine;
-        if let Some(rec) = &self.recorder {
-            engine.set_recorder(rec.clone());
-            let direction = match request.direction {
-                Direction::Push => 0,
-                Direction::Pull => 1,
-            };
-            rec.record(id, EventKind::SessionAdmit, direction, announced as u64);
-        }
-        engine.set_now(self.epoch.elapsed());
-        let mut sink = std::mem::take(&mut self.scratch);
-        self.demux.register(engine, &mut sink);
-        self.timers.arm((id, GIVE_UP), self.config.session_timeout);
-        let executed = self.execute(id, &mut sink);
-        sink.clear();
-        self.scratch = sink;
-        executed
-    }
-
-    fn on_timer(&mut self, id: u32, token: TimerToken) -> io::Result<()> {
-        match token {
-            REAP => {
-                self.reap(id);
-                Ok(())
-            }
-            GIVE_UP => {
-                // The hard bound on session lifetime: fail an engine
-                // that never completed, and evict even a finished one
-                // whose peer keeps the linger window open forever.
-                let timed_out = self.sessions.get(&id).is_some_and(|s| !s.finished);
-                if timed_out {
-                    let info = self.demux.get(id).map(|e| {
-                        CompletionInfo::failure(
-                            blast_core::CoreError::BadState {
-                                what: "session timed out",
-                            },
-                            e.stats(),
-                        )
-                    });
-                    if let Some(info) = info {
-                        self.finish_session(id, &info);
+            Link::Settled(_) => return Ok(()),
+            Link::Outbound(leg) => {
+                let (channel, timers) = (&mut leg.channel, &mut self.timers);
+                let sent = pump::step(engine, now, input, timers, timer_key, |bytes| {
+                    channel.stage(bytes)
+                })
+                .and_then(|done| channel.flush().map(|()| done));
+                match sent {
+                    Ok(done) => done,
+                    // An I/O error on a copy's own channel (say, an
+                    // unroutable destination) fails that copy, never
+                    // the shard.
+                    Err(_) => {
+                        self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
+                        return Ok(());
                     }
                 }
-                self.reap(id);
-                Ok(())
             }
-            _ => {
-                let now = self.epoch.elapsed();
-                let mut sink = std::mem::take(&mut self.scratch);
-                if let Some(engine) = self.demux.get_mut(id) {
-                    engine.set_now(now);
-                    engine.on_timer(token, &mut sink);
-                }
-                let executed = self.execute(id, &mut sink);
-                sink.clear();
-                self.scratch = sink;
-                executed
-            }
-        }
-    }
-
-    /// Apply one session's engine actions to the world (draining
-    /// `actions`, whose capacity the caller reuses).
-    fn execute(&mut self, id: u32, actions: &mut Vec<Action>) -> io::Result<()> {
-        let Some(peer) = self.sessions.get(&id).map(|s| s.peer) else {
-            actions.clear();
-            return Ok(());
         };
-        let mut completion = None;
-        for action in actions.drain(..) {
-            match action {
-                Action::Transmit(bytes) => self.send_framed(peer, &bytes)?,
-                Action::SetTimer { token, after } => self.timers.arm((id, token), after),
-                Action::CancelTimer { token } => self.timers.cancel((id, token)),
-                Action::Complete(info) => completion = Some(*info),
+        match (done, &entry.link) {
+            (Some(info), Link::Inbound(_)) => {
+                self.finish_session(key.id(), entry, &info);
+                // Keep the engine routable through the linger window,
+                // then sweep it (completed-engine reaping).
+                self.timers.arm((key, REAP), self.config.linger);
             }
-        }
-        if let Some(info) = completion {
-            self.finish_session(id, &info);
-            // Keep the engine routable through the linger window, then
-            // sweep it (completed-engine reaping).
-            self.timers.arm((id, REAP), self.config.linger);
+            (Some(info), _) => self.finish_copy(key, entry, &info),
+            (None, _) => {}
         }
         Ok(())
     }
 
-    fn finish_session(&mut self, id: u32, info: &CompletionInfo) {
-        let Some(session) = self.sessions.get_mut(&id) else {
+    fn finish_session(&mut self, id: u32, entry: &mut Entry, info: &CompletionInfo) {
+        let Link::Inbound(session) = &mut entry.link else {
             return;
         };
         if session.finished {
@@ -790,22 +947,23 @@ impl NodeServer {
         // GIVE_UP stays armed: it now bounds the linger phase.
         let ok = info.is_success();
         let bytes = *info.result.as_ref().unwrap_or(&0);
+        let engine = entry.engine.as_deref();
         // A completed push becomes a named blob other clients can pull.
-        if ok && session.direction == Direction::Push && !session.name.is_empty() {
-            if let Some(data) = self.demux.get(id).and_then(Engine::received_data) {
-                self.store.put(&session.name, data.to_vec().into());
+        if ok && session.direction == Direction::Push && !entry.name.is_empty() {
+            if let Some(data) = engine.and_then(Engine::received_data) {
+                self.store.put(&entry.name, data.to_vec().into());
             }
         }
         let report = SessionReport {
             transfer_id: id,
             direction: session.direction,
-            name: session.name.clone(),
+            name: entry.name.clone(),
             bytes,
-            elapsed: session.started.elapsed(),
+            elapsed: entry.started.elapsed(),
             stats: info.stats,
             // The AIMD burst trajectory, for paced sender engines: how
             // far the burst grew (or shrank) by the end of the session.
-            pacing: self.demux.get(id).and_then(Engine::pacing_snapshot),
+            pacing: engine.and_then(Engine::pacing_snapshot),
             ok,
         };
         self.local.record(report);
@@ -827,17 +985,11 @@ impl NodeServer {
         self.publish_now();
         let mut merged = NodeMetrics::default();
         let mut shard_lines = String::new();
-        if self.peer_slots.is_empty() {
-            merged.merge_from(&self.local);
-            shard_lines.push_str(&ShardReport::from_metrics(0, &self.local).summary());
+        for (i, slot) in self.peer_slots.iter().enumerate() {
+            let m = slot.lock().expect("metrics slot");
+            merged.merge_from(&m);
+            shard_lines.push_str(&ShardReport::from_metrics(i, &m).summary());
             shard_lines.push('\n');
-        } else {
-            for (i, slot) in self.peer_slots.iter().enumerate() {
-                let m = slot.lock().expect("metrics slot");
-                merged.merge_from(&m);
-                shard_lines.push_str(&ShardReport::from_metrics(i, &m).summary());
-                shard_lines.push('\n');
-            }
         }
         let mut text = merged.summary();
         text.push('\n');
@@ -860,481 +1012,164 @@ impl NodeServer {
         Ok(())
     }
 
-    fn reap(&mut self, id: u32) {
-        self.demux.remove(id);
-        self.sessions.remove(&id);
-        self.timers.forget_where(|&(session, _)| session == id);
-    }
-
-    fn send_framed(&mut self, peer: SocketAddr, datagram: &[u8]) -> io::Result<()> {
-        // Frame into the shard's reused scratch, then stage into the
-        // backend's batch: a whole engine burst goes out in one
-        // sendmmsg when the queue fills or the tick flushes.  Loss-like
-        // submission failures (peer's ICMP unreachable, full send
-        // buffer) are counted as drops inside the backend — the
-        // protocols recover by retransmission, so they are not server
-        // failures.
-        let mut framed = std::mem::take(&mut self.frame_buf);
-        fcs::frame_into(datagram, &mut framed);
-        let queued = self.io.queue_to(&self.socket, &framed, Some(peer));
-        self.frame_buf = framed;
-        queued
-        // `datagrams_sent` is mirrored from the backend in
-        // `sync_io_stats`: only datagrams that actually flushed count.
-    }
-
-    fn send_cancel(&mut self, id: u32, peer: SocketAddr) -> io::Result<()> {
-        let mut buf = [0u8; blast_wire::HEADER_LEN];
-        let n = DatagramBuilder::new(id)
-            .build_cancel(&mut buf)
-            .expect("cancel fits");
-        self.send_framed(peer, &buf[..n])
-    }
-
-    /// Dispatch one `Copy` control datagram from an orchestrating
-    /// client: submit a copy, answer a status query, or digest a blob.
-    fn on_copy(&mut self, dgram: &Datagram<'_>, peer: SocketAddr) -> io::Result<()> {
-        let Some(msg) = CopyMsg::decode(dgram.payload) else {
-            self.local.malformed += 1;
-            return Ok(());
-        };
-        let id = dgram.transfer_id;
-        let nonce = dgram.seq;
-        match msg {
-            CopyMsg::Submit(submit) => self.on_copy_submit(id, nonce, submit, peer),
-            CopyMsg::Query => {
-                // An unknown id decodes to a terminal `Unknown` status:
-                // never submitted, or already past the grace window.
-                let status = self.copies.get(&id).map(copy_status).unwrap_or(CopyStatus {
-                    state: CopyState::Unknown,
-                    error: errcode::NONE,
-                    bytes_done: 0,
-                    bytes_total: 0,
-                    crc32: 0,
-                });
-                self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer)
-            }
-            CopyMsg::Digest { name } => {
-                let digest = match self.store.get(&name) {
-                    Some(blob) => BlobDigest {
-                        found: true,
-                        len: blob.len() as u64,
-                        crc32: crc32(&blob),
-                    },
-                    None => BlobDigest {
-                        found: false,
-                        len: 0,
-                        crc32: 0,
-                    },
-                };
-                self.send_copy_msg(id, nonce, &CopyMsg::DigestReply(digest), peer)
-            }
-            // Replies are node-to-client; one arriving *at* a node is
-            // noise from a confused or malicious peer.
-            CopyMsg::Status(_) | CopyMsg::DigestReply(_) => {
-                self.local.unroutable += 1;
-                Ok(())
-            }
-        }
-    }
-
-    /// Admit (or refuse) a copy order.  Idempotent: a duplicate submit
-    /// for a known id — the client retransmitting because our reply was
-    /// lost — just re-reports the current status.
-    fn on_copy_submit(
-        &mut self,
-        id: u32,
-        nonce: u32,
-        submit: CopySubmit,
-        peer: SocketAddr,
-    ) -> io::Result<()> {
-        if let Some(job) = self.copies.get(&id) {
-            let status = copy_status(job);
-            return self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer);
-        }
-        if self.copies.len() >= self.config.max_sessions {
-            self.local.rejected_busy += 1;
-            let status = CopyStatus {
-                state: CopyState::Failed,
-                error: errcode::BUSY,
-                bytes_done: 0,
-                bytes_total: 0,
-                crc32: 0,
-            };
-            return self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer);
-        }
-        self.local.copies_requested += 1;
-        if let Some(rec) = &self.recorder {
-            let direction = match submit.mode {
-                CopyMode::Push => 0,
-                CopyMode::Pull => 1,
-            };
-            rec.record(
-                id,
-                EventKind::CopyAdmit,
-                direction,
-                u64::from(submit.remote.port()),
-            );
-            if submit.epoch_ns != 0 {
-                // The client shipped its trace epoch: anchor this
-                // recorder's timeline to it so one Perfetto view lines
-                // the hosts up.  Both epochs land as unix nanoseconds.
-                let now_unix = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(0);
-                let mine = now_unix.saturating_sub(self.epoch.elapsed().as_nanos() as u64);
-                rec.record(id, EventKind::ClockAnchor, submit.epoch_ns, mine);
-            }
-        }
-        let mut job = CopyJob {
-            copy_id: id,
-            mode: submit.mode,
-            name: submit.name.clone(),
-            state: CopyState::Handshaking,
-            error: errcode::NONE,
-            bytes_total: 0,
-            crc32: 0,
-            packet_payload: self.config.protocol.packet_payload as u64,
-            engine: None,
-            socket: None,
-            blob: None,
-            request_frame: Vec::new(),
-            started: Instant::now(),
-            // The client-side handshake cadence: the data-phase RTO,
-            // capped so a long timeout does not slow the handshake.
-            retry_interval: self
-                .config
-                .protocol
-                .timeout
-                .initial()
-                .min(Duration::from_millis(200)),
-        };
-        let request = match submit.mode {
-            CopyMode::Push => {
-                let Some(blob) = self.store.get(&submit.name) else {
-                    return self.refuse_copy(job, nonce, errcode::NOT_FOUND, peer);
-                };
-                job.bytes_total = blob.len() as u64;
-                job.crc32 = crc32(&blob);
-                let req =
-                    Request::push(blob.len(), &self.config.protocol, false).with_name(&submit.name);
-                job.blob = Some(blob);
-                req
-            }
-            CopyMode::Pull => Request::pull(&submit.name, &self.config.protocol),
-        };
-        let socket = match copy_socket(submit.remote) {
-            Ok(socket) => socket,
-            Err(_) => return self.refuse_copy(job, nonce, errcode::TRANSFER_FAILED, peer),
-        };
-        job.request_frame = fcs::frame(&request.build_datagram(id));
-        let _ = socket.send(&job.request_frame);
-        job.socket = Some(socket);
-        self.copy_timers.arm((id, COPY_HS), job.retry_interval);
-        // The session-lifetime bound doubles as the copy's: an outbound
-        // leg that has not settled by then is abandoned.
-        self.copy_timers
-            .arm((id, GIVE_UP), self.config.session_timeout);
-        let status = copy_status(&job);
-        self.copies.insert(id, job);
-        self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer)
-    }
-
-    /// Register a copy that failed at submit time as a terminal job —
-    /// queries during the grace window see `Failed` with the real error
-    /// code, not an amnesiac `Unknown` — and report it to the client.
-    fn refuse_copy(
-        &mut self,
-        mut job: CopyJob,
-        nonce: u32,
-        error: u8,
-        peer: SocketAddr,
-    ) -> io::Result<()> {
-        job.state = CopyState::Failed;
-        job.error = error;
-        self.local.copies_failed += 1;
-        if let Some(rec) = &self.recorder {
-            rec.record(job.copy_id, EventKind::CopyDone, 0, 0);
-        }
-        self.copy_timers.arm((job.copy_id, COPY_REAP), COPY_GRACE);
-        let status = copy_status(&job);
-        let id = job.copy_id;
-        self.copies.insert(id, job);
-        self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer)
-    }
-
-    /// Stage one `Copy` reply toward the orchestrating client, echoing
-    /// its request nonce in `seq`.
-    fn send_copy_msg(
-        &mut self,
-        id: u32,
-        nonce: u32,
-        msg: &CopyMsg,
-        peer: SocketAddr,
-    ) -> io::Result<()> {
-        let payload = msg.encode();
-        let mut buf = vec![0u8; blast_wire::HEADER_LEN + payload.len()];
-        let n = DatagramBuilder::new(id)
-            .build_copy(&mut buf, nonce, &payload)
-            .expect("copy reply fits");
-        self.send_framed(peer, &buf[..n])
-    }
-
-    /// Drain every copy's dedicated socket.  Returns datagrams handled.
-    fn poll_copies(&mut self) -> io::Result<usize> {
-        if self.copies.is_empty() {
-            return Ok(0);
-        }
-        let mut ids = std::mem::take(&mut self.copy_scratch);
-        ids.clear();
-        ids.extend(self.copies.keys().copied());
-        let mut buf = std::mem::take(&mut self.recv_buf);
-        let mut handled = 0usize;
-        for &id in &ids {
-            // Take the job out of the table for the duration of the
-            // drain so its engine can borrow `self` mutably.
-            let Some(mut job) = self.copies.remove(&id) else {
-                continue;
-            };
-            loop {
-                let n = {
-                    let Some(socket) = &job.socket else { break };
-                    match socket.recv(&mut buf) {
-                        Ok(n) => n,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        // A connected UDP socket surfaces ICMP
-                        // unreachable as ConnectionRefused: the remote
-                        // is not up (yet).  The handshake/RTO
-                        // retransmissions keep probing.
-                        Err(_) => break,
-                    }
-                };
-                handled += 1;
-                match fcs::unframe(&buf[..n]) {
-                    Some(body) => self.on_copy_frame(&mut job, &buf[..body])?,
-                    None => self.local.fcs_drops += 1,
+    /// Pull everything waiting on one copy's channel.  Returns
+    /// datagrams handled.
+    fn drain_copy(&mut self, key: Key, entry: &mut Entry, buf: &mut [u8]) -> io::Result<usize> {
+        let mut handled = 0;
+        // A datagram can end the copy, and with it the channel.
+        while let Link::Outbound(leg) = &mut entry.link {
+            let drops = leg.channel.fcs_drops;
+            let got = leg.channel.recv_timeout(buf, Duration::ZERO);
+            self.local.fcs_drops += leg.channel.fcs_drops - drops;
+            match got {
+                Ok(Some(n)) => {
+                    handled += 1;
+                    self.on_copy_datagram(key, entry, &buf[..n])?;
                 }
+                Ok(None) => break,
+                Err(_) => self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED)),
             }
-            self.copies.insert(id, job);
         }
-        self.recv_buf = buf;
-        self.copy_scratch = ids;
         Ok(handled)
     }
 
-    /// One verified frame off a copy's socket: the handshake echo while
-    /// handshaking, engine traffic while running.
-    fn on_copy_frame(&mut self, job: &mut CopyJob, raw: &[u8]) -> io::Result<()> {
+    /// One verified datagram off a copy's channel: the handshake echo
+    /// while handshaking, engine traffic while running.
+    fn on_copy_datagram(&mut self, key: Key, entry: &mut Entry, raw: &[u8]) -> io::Result<()> {
         let Ok(dgram) = Datagram::parse(raw) else {
             self.local.malformed += 1;
             return Ok(());
         };
-        if dgram.transfer_id != job.copy_id {
+        let Link::Outbound(leg) = &entry.link else {
+            return Ok(());
+        };
+        if dgram.transfer_id != key.id() {
             return Ok(());
         }
-        match job.state {
-            CopyState::Handshaking => match dgram.kind {
-                PacketKind::Request => match Request::decode(dgram.payload) {
-                    Some(echoed) => self.promote_copy(job, &echoed),
-                    None => Ok(()),
-                },
-                // The remote refused the handshake — for a pull, it
-                // does not have the blob.
-                PacketKind::Cancel => {
-                    self.fail_copy(job, errcode::NOT_FOUND);
-                    Ok(())
-                }
-                // Data racing ahead of a lost echo: the remote's
-                // retransmission machinery re-elicits everything once
-                // our handshake retry lands.
-                _ => Ok(()),
+        match (leg.status.state, dgram.kind) {
+            (CopyState::Handshaking, PacketKind::Request) => match Request::decode(dgram.payload) {
+                Some(echoed) => self.promote_copy(key, entry, &echoed),
+                None => Ok(()),
             },
-            CopyState::Running => {
-                if dgram.kind == PacketKind::Request {
-                    // Duplicate echo; the engine must never see
-                    // handshake traffic.
-                    return Ok(());
-                }
-                let now = self.epoch.elapsed();
-                let mut sink = std::mem::take(&mut self.scratch);
-                if let Some(engine) = job.engine.as_mut() {
-                    engine.set_now(now);
-                    engine.on_datagram(&dgram, &mut sink);
-                }
-                let executed = self.execute_copy(job, &mut sink);
-                sink.clear();
-                self.scratch = sink;
-                executed
+            // The remote refused the handshake — for a pull, it does
+            // not have the blob.
+            (CopyState::Handshaking, PacketKind::Cancel) => {
+                self.end_copy(key, entry, Err(errcode::NOT_FOUND));
+                Ok(())
             }
-            // Terminal: stragglers are the remote's linger machinery.
+            // A duplicate echo: the engine must never see handshake
+            // traffic.
+            (CopyState::Running, PacketKind::Request) => Ok(()),
+            (CopyState::Running, _) => self.pump(key, entry, Input::Datagram(&dgram)),
+            // Data racing ahead of a lost echo: the remote's
+            // retransmission machinery re-elicits everything once our
+            // handshake retry lands.
             _ => Ok(()),
         }
     }
 
     /// The handshake echo arrived: build the outbound engine and start
     /// the data phase.
-    fn promote_copy(&mut self, job: &mut CopyJob, echoed: &Request) -> io::Result<()> {
+    fn promote_copy(&mut self, key: Key, entry: &mut Entry, echoed: &Request) -> io::Result<()> {
+        let Link::Outbound(leg) = &mut entry.link else {
+            return Ok(());
+        };
         let mut cfg = self.config.protocol.clone();
         echoed.apply_to(&mut cfg);
-        job.packet_payload = cfg.packet_payload as u64;
-        let mut engine: Box<dyn Engine> = match job.mode {
-            CopyMode::Push => {
-                let Some(blob) = job.blob.take() else {
-                    self.fail_copy(job, errcode::TRANSFER_FAILED);
-                    return Ok(());
-                };
-                Box::new(BlastSender::new(job.copy_id, blob, &cfg))
+        leg.packet_payload = cfg.packet_payload as u64;
+        let id = key.id();
+        let mut engine: Box<dyn Engine> = match (leg.mode, leg.blob.take()) {
+            (CopyMode::Push, Some(blob)) => Box::new(BlastSender::new(id, blob, &cfg)),
+            // The echo is the size announcement; bound the eager
+            // allocation exactly as the push handshake does.
+            (CopyMode::Pull, _) if echoed.len <= self.config.max_transfer_bytes => {
+                leg.status.bytes_total = echoed.len as u64;
+                Box::new(BlastReceiver::new(id, echoed.len, &cfg))
             }
-            CopyMode::Pull => {
-                // The echo is the size announcement; bound the eager
-                // allocation exactly as the push handshake does.
-                if echoed.len > self.config.max_transfer_bytes {
-                    self.fail_copy(job, errcode::TRANSFER_FAILED);
-                    return Ok(());
-                }
-                job.bytes_total = echoed.len as u64;
-                Box::new(BlastReceiver::new(job.copy_id, echoed.len, &cfg))
+            _ => {
+                self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
+                return Ok(());
             }
         };
         if let Some(rec) = &self.recorder {
             engine.set_recorder(rec.clone());
         }
-        engine.set_now(self.epoch.elapsed());
-        self.copy_timers.cancel((job.copy_id, COPY_HS));
-        job.state = CopyState::Running;
-        let mut sink = std::mem::take(&mut self.scratch);
-        engine.start(&mut sink);
-        job.engine = Some(engine);
-        let executed = self.execute_copy(job, &mut sink);
-        sink.clear();
-        self.scratch = sink;
-        executed
+        self.timers.cancel((key, COPY_HS));
+        leg.status.state = CopyState::Running;
+        entry.engine = Some(engine);
+        self.pump(key, entry, Input::Start)
     }
 
-    /// Apply one copy engine's actions: transmissions go out the copy's
-    /// own socket, timers ride the copy wheel, completion settles.
-    fn execute_copy(&mut self, job: &mut CopyJob, actions: &mut Vec<Action>) -> io::Result<()> {
-        let mut completion = None;
-        for action in actions.drain(..) {
-            match action {
-                Action::Transmit(bytes) => {
-                    let mut framed = std::mem::take(&mut self.frame_buf);
-                    fcs::frame_into(&bytes, &mut framed);
-                    // Loss-like submission failures are recovered by
-                    // retransmission, same as the session path.
-                    if let Some(socket) = &job.socket {
-                        let _ = socket.send(&framed);
-                    }
-                    self.frame_buf = framed;
-                }
-                Action::SetTimer { token, after } => {
-                    self.copy_timers.arm((job.copy_id, token), after)
-                }
-                Action::CancelTimer { token } => self.copy_timers.cancel((job.copy_id, token)),
-                Action::Complete(info) => completion = Some(*info),
-            }
+    /// `COPY_HS` fired: the echo has not arrived, ask again.  (The
+    /// copy's `GIVE_UP` bounds how long this goes on.)
+    fn retry_copy_handshake(&mut self, key: Key, entry: &mut Entry) {
+        let Link::Outbound(leg) = &mut entry.link else {
+            return;
+        };
+        if leg.status.state != CopyState::Handshaking {
+            return;
         }
-        if let Some(info) = completion {
-            self.settle_copy(job, &info);
+        if leg.channel.send(&leg.request).is_err() {
+            return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
         }
-        Ok(())
+        self.local.copy_handshake_retx += 1;
+        self.timers
+            .arm((key, COPY_HS), retry_interval(&self.config.protocol));
     }
 
     /// The outbound engine completed: store pulled bytes, fix the
-    /// digest, book the metrics, and enter the status grace window.
-    fn settle_copy(&mut self, job: &mut CopyJob, info: &CompletionInfo) {
-        if job.state.is_terminal() {
+    /// digest, and end the copy.
+    fn finish_copy(&mut self, key: Key, entry: &mut Entry, info: &CompletionInfo) {
+        let Link::Outbound(leg) = &mut entry.link else {
             return;
+        };
+        let Ok(bytes) = info.result else {
+            return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
+        };
+        if leg.mode == CopyMode::Pull {
+            if let Some(data) = entry.engine.as_deref().and_then(Engine::received_data) {
+                leg.status.crc32 = crc32(data);
+                leg.status.bytes_total = data.len() as u64;
+                if !entry.name.is_empty() {
+                    self.store.put(&entry.name, data.to_vec().into());
+                }
+            }
         }
-        match &info.result {
+        self.end_copy(key, entry, Ok(bytes as u64));
+    }
+
+    /// End a live copy — `Ok` with the bytes it moved, `Err` with an
+    /// [`errcode`] — releasing its engine, channel and blob.  A no-op
+    /// on a copy that already ended.
+    fn end_copy(&mut self, key: Key, entry: &mut Entry, outcome: Result<u64, u8>) {
+        if let Link::Outbound(leg) = &entry.link {
+            entry.link = self.settle(key, leg.status, outcome);
+            entry.engine = None;
+        }
+    }
+
+    /// Book a copy's terminal state and open its status grace window.
+    fn settle(&mut self, key: Key, mut status: CopyStatus, outcome: Result<u64, u8>) -> Link {
+        match outcome {
             Ok(bytes) => {
-                if job.mode == CopyMode::Pull {
-                    if let Some(data) = job.engine.as_deref().and_then(Engine::received_data) {
-                        job.crc32 = crc32(data);
-                        job.bytes_total = data.len() as u64;
-                        if !job.name.is_empty() {
-                            self.store.put(&job.name, data.to_vec().into());
-                        }
-                    }
-                }
-                job.state = CopyState::Done;
+                status.state = CopyState::Done;
+                status.bytes_done = status.bytes_total;
                 self.local.copies_completed += 1;
-                self.local.copy_bytes_moved += *bytes as u64;
-                if let Some(rec) = &self.recorder {
-                    rec.record(job.copy_id, EventKind::CopyDone, 1, *bytes as u64);
-                }
-                job.engine = None;
-                self.copy_timers.forget_where(|&(id, _)| id == job.copy_id);
-                self.copy_timers.arm((job.copy_id, COPY_REAP), COPY_GRACE);
+                self.local.copy_bytes_moved += bytes;
             }
-            Err(_) => self.fail_copy(job, errcode::TRANSFER_FAILED),
+            Err(error) => {
+                status.state = CopyState::Failed;
+                status.error = error;
+                self.local.copies_failed += 1;
+            }
         }
-    }
-
-    /// Fail a copy outside normal engine completion (handshake timeout,
-    /// refused handshake, lifetime bound).
-    fn fail_copy(&mut self, job: &mut CopyJob, error: u8) {
-        if job.state.is_terminal() {
-            return;
-        }
-        job.state = CopyState::Failed;
-        job.error = error;
-        job.engine = None;
-        self.local.copies_failed += 1;
         if let Some(rec) = &self.recorder {
-            rec.record(job.copy_id, EventKind::CopyDone, 0, 0);
+            let ok = u64::from(outcome.is_ok());
+            rec.record(key.id(), EventKind::CopyDone, ok, outcome.unwrap_or(0));
         }
-        self.copy_timers.forget_where(|&(id, _)| id == job.copy_id);
-        self.copy_timers.arm((job.copy_id, COPY_REAP), COPY_GRACE);
-    }
-
-    fn on_copy_timer(&mut self, id: u32, token: TimerToken) -> io::Result<()> {
-        if token == COPY_REAP {
-            self.copies.remove(&id);
-            self.copy_timers.forget_where(|&(cid, _)| cid == id);
-            return Ok(());
-        }
-        let Some(mut job) = self.copies.remove(&id) else {
-            return Ok(());
-        };
-        let executed = match token {
-            COPY_HS => {
-                if job.state == CopyState::Handshaking {
-                    if job.started.elapsed() >= self.config.session_timeout {
-                        self.fail_copy(&mut job, errcode::HANDSHAKE_TIMEOUT);
-                    } else {
-                        if let Some(socket) = &job.socket {
-                            let _ = socket.send(&job.request_frame);
-                        }
-                        self.local.copy_handshake_retx += 1;
-                        self.copy_timers.arm((id, COPY_HS), job.retry_interval);
-                    }
-                }
-                Ok(())
-            }
-            GIVE_UP => {
-                if !job.state.is_terminal() {
-                    self.fail_copy(&mut job, errcode::TRANSFER_FAILED);
-                }
-                Ok(())
-            }
-            _ => {
-                let now = self.epoch.elapsed();
-                let mut sink = std::mem::take(&mut self.scratch);
-                if let Some(engine) = job.engine.as_mut() {
-                    engine.set_now(now);
-                    engine.on_timer(token, &mut sink);
-                }
-                let executed = self.execute_copy(&mut job, &mut sink);
-                sink.clear();
-                self.scratch = sink;
-                executed
-            }
-        };
-        self.copies.insert(id, job);
-        executed
+        self.timers.forget_where(|&(owner, _)| owner == key);
+        self.timers.arm((key, REAP), COPY_GRACE);
+        Link::Settled(status)
     }
 }
 
@@ -1512,7 +1347,7 @@ impl NodeBuilder {
         // the snapshot slots (so a `Stats` query answers for the whole
         // node) and gets its recorder, then moves onto its thread.
         for (shard, mut server) in servers.into_iter().enumerate() {
-            server.peer_slots = slots.clone();
+            server.shard.peer_slots = slots.clone();
             if let Some(tel) = &telemetry {
                 server.attach_recorder(tel.recorder(shard));
             }
@@ -1670,23 +1505,17 @@ impl NodeHandle {
 
     /// Stop every shard's event loop, join the threads, and return the
     /// final merged metrics.
-    pub fn shutdown(self) -> io::Result<NodeMetrics> {
+    pub fn shutdown(mut self) -> io::Result<NodeMetrics> {
         self.shutdown.store(true, Ordering::Relaxed);
         let mut first_err = None;
-        for thread in self.threads {
+        for thread in std::mem::take(&mut self.threads) {
             if let Err(e) = thread.join().expect("node shard thread panicked") {
                 first_err.get_or_insert(e);
             }
         }
         match first_err {
             Some(e) => Err(e),
-            None => {
-                let mut merged = NodeMetrics::default();
-                for slot in &self.slots {
-                    merged.merge_from(&slot.lock().expect("metrics slot"));
-                }
-                Ok(merged)
-            }
+            None => Ok(self.metrics()),
         }
     }
 }
@@ -1850,6 +1679,55 @@ mod tests {
             "no blob from a failed push"
         );
         node.shutdown().unwrap();
+    }
+
+    /// Conservation: once a push, a pull, a completed copy and a
+    /// refused copy have all been reaped, the shard holds nothing — its
+    /// one table and its one wheel are both empty.
+    #[test]
+    fn table_and_wheel_drain_to_empty() {
+        let remote = test_builder().start().unwrap();
+        let remote_addr = remote.addr();
+        let mut config = NodeConfig::default();
+        config.protocol.timeout = Duration::from_millis(15).into();
+        let socket = UdpSocket::bind(config.bind).unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut server =
+            NodeServer::with_socket(config, shared_store(), socket, shutdown, false).unwrap();
+        let addr = server.local_addr().unwrap();
+
+        let workload = std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap().config(client_cfg());
+            client.push("blob", &payload(40_000)).unwrap();
+            assert_eq!(client.pull("blob").unwrap().data, payload(40_000));
+            assert!(client.copy_to("blob", remote_addr).unwrap().verified);
+            let refused = client.copy_to("missing", remote_addr).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::NotFound);
+        });
+        // Drive the reactor by hand until the workload is done and
+        // everything it created has been reaped: sessions leave after
+        // `linger`, copies after `COPY_GRACE`.
+        let started = Instant::now();
+        let mut buf = vec![0u8; 64 * 1024];
+        while !(workload.is_finished() && server.table.is_empty()) {
+            server.tick(&mut buf).unwrap();
+            assert!(
+                started.elapsed() < COPY_GRACE * 4,
+                "leaked: {} entries, {} timers",
+                server.table.len(),
+                server.shard.timers.len()
+            );
+        }
+        workload.join().unwrap();
+        assert_eq!(server.inbound, 0);
+        assert!(
+            server.shard.timers.is_empty(),
+            "a reaped entry left a timer"
+        );
+        let m = &server.shard.local;
+        assert_eq!((m.sessions_completed, m.sessions_failed), (2, 0));
+        assert_eq!((m.copies_completed, m.copies_failed), (1, 1));
+        remote.shutdown().unwrap();
     }
 
     #[test]

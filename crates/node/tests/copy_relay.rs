@@ -162,3 +162,82 @@ fn copy_of_missing_blob_reports_not_found() {
     assert_eq!(ma.copies_failed, 1);
     b.shutdown().unwrap();
 }
+
+#[test]
+fn copy_toward_a_dead_port_fails_with_handshake_timeout() {
+    let session_timeout = Duration::from_millis(400);
+    let a = NodeBuilder::new()
+        .timeout(Duration::from_millis(20))
+        .session_timeout(session_timeout)
+        .start()
+        .expect("start node");
+    a.store().put("blob", blob(10_000).into());
+    // A port nobody listens on: bound once so it is ours, then closed.
+    let dead = std::net::UdpSocket::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+
+    let mut client = Client::connect(a.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20));
+    let started = std::time::Instant::now();
+    let err = client.copy_to("blob", dead).unwrap_err();
+    let elapsed = started.elapsed();
+    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+    assert!(err.to_string().contains("handshake timeout"), "{err}");
+    assert!(
+        elapsed >= session_timeout / 2 && elapsed < session_timeout * 3,
+        "the node's session timeout bounds the handshake: {elapsed:?}"
+    );
+
+    let ma = a.shutdown().unwrap();
+    assert_eq!(ma.copies_failed, 1);
+    assert!(ma.copy_handshake_retx > 0, "the handshake was retried");
+}
+
+#[test]
+fn copy_id_may_equal_a_live_inbound_transfer_id() {
+    let a = node();
+    let b = node();
+    let data = blob(1_500_000);
+    a.store().put("big", data.clone().into());
+
+    // Session 7 on A: a pull.  Its entry stays in A's table from the
+    // accept until `linger` after it finishes, so it is live when the
+    // copy below — also id 7, on the same (only) shard — is submitted.
+    let addr = a.addr();
+    let puller = std::thread::spawn(move || {
+        Client::connect(addr)
+            .unwrap()
+            .timeout(Duration::from_millis(20))
+            .transfer_ids_from(7)
+            .pull("big")
+            .unwrap()
+    });
+    while a.metrics().sessions_accepted == 0 {
+        std::thread::yield_now();
+    }
+    let report = Client::connect(a.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20))
+        .transfer_ids_from(7)
+        .copy_to("big", b.addr())
+        .unwrap();
+    assert_eq!(report.copy_id, 7);
+    assert_eq!(report.state, CopyState::Done);
+    assert!(report.verified);
+
+    assert_eq!(puller.join().unwrap().data, data, "session 7 byte-exact");
+    let replica = Client::connect(b.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20))
+        .pull("big")
+        .unwrap();
+    assert_eq!(replica.data, data, "copy 7 byte-exact");
+
+    let ma = a.shutdown().unwrap();
+    assert_eq!((ma.sessions_completed, ma.sessions_failed), (1, 0));
+    assert_eq!((ma.copies_completed, ma.copies_failed), (1, 0));
+    b.shutdown().unwrap();
+}

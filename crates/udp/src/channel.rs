@@ -1,7 +1,7 @@
 //! Datagram channels.
 
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::time::Duration;
 
 use blast_telemetry::Recorder;
@@ -92,6 +92,17 @@ impl UdpChannel {
         crate::sockopt::grow_buffers(&socket);
         socket.connect(remote)?;
         Ok(Self::from_socket(socket))
+    }
+
+    /// Connect to `remote` from an ephemeral local port of its address
+    /// family (a v4 socket cannot reach a v6 peer, nor vice versa).
+    pub fn connect_to(remote: SocketAddr) -> io::Result<Self> {
+        let local: SocketAddr = if remote.is_ipv4() {
+            (Ipv4Addr::UNSPECIFIED, 0).into()
+        } else {
+            (Ipv6Addr::UNSPECIFIED, 0).into()
+        };
+        Self::connect(local, remote)
     }
 
     /// Wrap an already-connected socket.

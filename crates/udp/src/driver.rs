@@ -8,13 +8,14 @@
 use std::io;
 use std::time::{Duration, Instant};
 
-use blast_core::api::{Action, CompletionInfo, TimerToken};
+use blast_core::api::{CompletionInfo, TimerToken};
 use blast_core::engine::Engine;
 use blast_core::PacingConfig;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::Datagram;
 
 use crate::channel::{Channel, MAX_DATAGRAM};
+use crate::pump::{self, Input};
 use crate::timers::TimerWheel;
 
 /// How long a finished receiver keeps answering duplicate packets, so
@@ -134,15 +135,6 @@ impl<C: Channel> Driver<C> {
     /// Run `engine` to completion.
     pub fn run(&mut self, engine: &mut dyn Engine) -> io::Result<DriveOutcome> {
         let start = Instant::now();
-        let mut sent = 0u64;
-        let mut received = 0u64;
-        let mut malformed = 0u64;
-        let mut timers: TimerWheel<TimerToken> = TimerWheel::new();
-
-        // One scratch vector serves every engine call for the whole
-        // run: `execute` drains it, so the packet loop reuses its
-        // capacity instead of allocating a sink per datagram.
-        let mut actions: Vec<Action> = Vec::new();
         // With a recorder attached, the engine's clock runs from the
         // recorder's epoch instead of the run start, so `record_at`
         // timestamps merge cleanly with the backend's `record` ones.
@@ -154,49 +146,36 @@ impl<C: Channel> Driver<C> {
             }
             None => start,
         };
-        engine.set_now(clock.elapsed());
-        engine.start(&mut actions);
-        self.execute(&mut actions, &mut sent, &mut timers)?;
-
+        let mut run = Run {
+            clock,
+            timers: TimerWheel::new(),
+            sent: 0,
+            malformed: 0,
+            completion: None,
+            finished_at: None,
+            quiet_since: None,
+            linger_window: self.linger_for,
+        };
+        let mut received = 0u64;
         let mut buf = vec![0u8; MAX_DATAGRAM];
-        let mut completion: Option<CompletionInfo> = None;
-        let mut finished_at: Option<Instant> = None;
-        // The linger quiet-clock: set at completion, restarted by any
-        // incoming traffic (kept separate from `finished_at`, which
-        // feeds the elapsed-time measurement).
-        let mut quiet_since: Option<Instant> = None;
-        // Picked at completion: the clean-run short window when the
-        // transfer saw no loss, the full window otherwise.
-        let mut linger_window = self.linger_for;
+        self.step(engine, &mut run, Input::Start)?;
 
         loop {
             let now = Instant::now();
             if now.duration_since(start) > self.deadline {
                 break;
             }
-            if let Some(t) = quiet_since {
-                if !self.linger || now.duration_since(t) > linger_window {
+            if let Some(t) = run.quiet_since {
+                if !self.linger || now.duration_since(t) > run.linger_window {
                     break;
                 }
             }
 
             // Fire due timers.
-            while let Some(token) = timers.pop_due(now) {
-                engine.set_now(now.duration_since(clock));
-                engine.on_timer(token, &mut actions);
-                let done = self.execute(&mut actions, &mut sent, &mut timers)?;
-                if let Some(info) = done {
-                    if let Some(short) = self.clean_linger_for {
-                        if info.stats.retransmission_rounds == 0 && malformed == 0 {
-                            linger_window = short;
-                        }
-                    }
-                    completion = Some(info);
-                    finished_at = Some(Instant::now());
-                    quiet_since = finished_at;
-                }
+            while let Some(token) = run.timers.pop_due(now) {
+                self.step(engine, &mut run, Input::Timer(token))?;
             }
-            if finished_at.is_some() && !self.linger {
+            if run.finished_at.is_some() && !self.linger {
                 break;
             }
 
@@ -208,7 +187,8 @@ impl<C: Channel> Driver<C> {
             // scheduler-tick round-up nor the yield-spin that used to
             // paper over it; the portable fallback degrades to a coarse
             // `SO_RCVTIMEO` wait with the shared floor.
-            let mut until_timer = timers
+            let mut until_timer = run
+                .timers
                 .next_deadline()
                 .map(|when| when.saturating_duration_since(now))
                 .unwrap_or(Duration::from_millis(20))
@@ -216,49 +196,35 @@ impl<C: Channel> Driver<C> {
             // While lingering, don't oversleep the quiet window: with
             // no timers pending the default 20 ms wait would stretch a
             // shorter (clean-run) window to the wait granularity.
-            if let Some(t) = quiet_since {
-                let remaining = linger_window.saturating_sub(now.duration_since(t));
+            if let Some(t) = run.quiet_since {
+                let remaining = run.linger_window.saturating_sub(now.duration_since(t));
                 until_timer = until_timer.min(remaining.max(PacingConfig::MIN_WAIT));
             }
-            match self.channel.recv_timeout(&mut buf, until_timer)? {
-                None => continue,
-                Some(n) => {
-                    received += 1;
-                    // Any traffic during linger means the peer is still
-                    // working (our final ack may be lost): restart the
-                    // quiet window so we stay to answer.
-                    if let Some(t) = quiet_since.as_mut() {
-                        *t = Instant::now();
-                    }
-                    let Ok(dgram) = Datagram::parse(&buf[..n]) else {
-                        malformed += 1; // checksum turned corruption into loss
-                        continue;
-                    };
-                    if dgram.kind == PacketKind::Request {
-                        if let Some(reply) = &self.request_reply {
-                            self.channel.send(reply)?;
-                            sent += 1;
-                        }
-                        continue;
-                    }
-                    engine.set_now(clock.elapsed());
-                    engine.on_datagram(&dgram, &mut actions);
-                    let done = self.execute(&mut actions, &mut sent, &mut timers)?;
-                    if let Some(info) = done {
-                        if let Some(short) = self.clean_linger_for {
-                            if info.stats.retransmission_rounds == 0 && malformed == 0 {
-                                linger_window = short;
-                            }
-                        }
-                        completion = Some(info);
-                        finished_at = Some(Instant::now());
-                        quiet_since = finished_at;
-                    }
-                }
+            let Some(n) = self.channel.recv_timeout(&mut buf, until_timer)? else {
+                continue;
+            };
+            received += 1;
+            // Any traffic during linger means the peer is still
+            // working (our final ack may be lost): restart the
+            // quiet window so we stay to answer.
+            if let Some(t) = run.quiet_since.as_mut() {
+                *t = Instant::now();
             }
+            let Ok(dgram) = Datagram::parse(&buf[..n]) else {
+                run.malformed += 1; // checksum turned corruption into loss
+                continue;
+            };
+            if dgram.kind == PacketKind::Request {
+                if let Some(reply) = &self.request_reply {
+                    self.channel.send(reply)?;
+                    run.sent += 1;
+                }
+                continue;
+            }
+            self.step(engine, &mut run, Input::Datagram(&dgram))?;
         }
 
-        let completion = completion.unwrap_or_else(|| {
+        let completion = run.completion.unwrap_or_else(|| {
             CompletionInfo::failure(
                 blast_core::CoreError::BadState {
                     what: "driver deadline exceeded",
@@ -268,43 +234,67 @@ impl<C: Channel> Driver<C> {
         });
         Ok(DriveOutcome {
             completion,
-            elapsed: finished_at
+            elapsed: run
+                .finished_at
                 .unwrap_or_else(Instant::now)
                 .duration_since(start),
-            datagrams_sent: sent,
+            datagrams_sent: run.sent,
             datagrams_received: received,
-            malformed,
+            malformed: run.malformed,
         })
     }
 
-    /// Drain and execute `actions`, leaving the vector's capacity for
-    /// the caller to reuse on the next engine call.
+    /// One engine call through the shared [`pump`](crate::pump).
     ///
     /// Transmissions are *staged* and flushed once at the end: a paced
     /// burst (one engine call's worth of packets) becomes a single
     /// `sendmmsg` submission on the batched backend instead of one
     /// kernel crossing per datagram.
-    fn execute(
-        &mut self,
-        actions: &mut Vec<Action>,
-        sent: &mut u64,
-        timers: &mut TimerWheel<TimerToken>,
-    ) -> io::Result<Option<CompletionInfo>> {
-        let mut done = None;
-        for action in actions.drain(..) {
-            match action {
-                Action::Transmit(bytes) => {
-                    self.channel.stage(&bytes)?;
-                    *sent += 1;
-                }
-                Action::SetTimer { token, after } => timers.arm(token, after),
-                Action::CancelTimer { token } => timers.cancel(token),
-                Action::Complete(info) => done = Some(*info),
-            }
-        }
+    fn step(&mut self, engine: &mut dyn Engine, run: &mut Run, input: Input<'_>) -> io::Result<()> {
+        let (channel, sent) = (&mut self.channel, &mut run.sent);
+        let done = pump::step(
+            engine,
+            run.clock.elapsed(),
+            input,
+            &mut run.timers,
+            |token| token,
+            |bytes| {
+                channel.stage(bytes)?;
+                *sent += 1;
+                Ok(())
+            },
+        )?;
         self.channel.flush()?;
-        Ok(done)
+        if let Some(info) = done {
+            // The clean-run short window when the transfer saw no
+            // loss, the full window otherwise.
+            if let Some(short) = self.clean_linger_for {
+                if info.stats.retransmission_rounds == 0 && run.malformed == 0 {
+                    run.linger_window = short;
+                }
+            }
+            run.completion = Some(info);
+            run.finished_at = Some(Instant::now());
+            run.quiet_since = run.finished_at;
+        }
+        Ok(())
     }
+}
+
+/// The state of one [`Driver::run`].
+struct Run {
+    /// Zero point of the engine's `set_now` clock.
+    clock: Instant,
+    timers: TimerWheel<TimerToken>,
+    sent: u64,
+    malformed: u64,
+    completion: Option<CompletionInfo>,
+    /// When the engine completed (feeds the elapsed-time measurement).
+    finished_at: Option<Instant>,
+    /// The linger quiet-clock: set at completion, restarted by any
+    /// incoming traffic.
+    quiet_since: Option<Instant>,
+    linger_window: Duration,
 }
 
 #[cfg(test)]

@@ -33,11 +33,26 @@ use blast_wire::packet::{Datagram, DatagramBuilder};
 
 use crate::channel::{Channel, MAX_DATAGRAM};
 
-/// Shortest well-formed request payload (the legacy fixed fields).
-pub const MIN_REQUEST_LEN: usize = 17;
+/// Shortest well-formed request payload: every field but the name.
+pub const MIN_REQUEST_LEN: usize = 20;
+
+/// Largest transfer either side of a handshake will pre-allocate for
+/// unless configured otherwise.  The announced length becomes an eager
+/// allocation (the paper's premise), so whoever reads it off the wire —
+/// a node accepting a push, a client or copy leg reading a pull's echo
+/// — must bound it first: one 24-byte datagram could otherwise demand a
+/// terabyte.
+pub const MAX_TRANSFER_BYTES: usize = 256 * 1024 * 1024;
 
 /// Longest blob name a request can carry.
 pub const MAX_NAME_LEN: usize = 255;
+
+/// How often an initiator re-sends its request: the data phase's
+/// retransmission interval, capped so a long data-phase timeout does
+/// not slow the handshake down.
+pub fn retry_interval(cfg: &ProtocolConfig) -> Duration {
+    cfg.timeout.initial().min(Duration::from_millis(200))
+}
 
 /// Which way the data phase flows, relative to the request's sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -122,11 +137,10 @@ impl Request {
 
     /// Encode the request payload (`len` u64 | `packet_payload` u32 |
     /// strategy u8 | `multiblast_chunk` u32 | direction u8 | name-len
-    /// u16 | name bytes).  Decoders also accept the legacy 17-byte
-    /// prefix alone.
+    /// u16 | name bytes).
     pub fn encode(&self) -> Vec<u8> {
         debug_assert!(self.name.len() <= MAX_NAME_LEN, "blob name too long");
-        let mut p = Vec::with_capacity(MIN_REQUEST_LEN + 3 + self.name.len());
+        let mut p = Vec::with_capacity(MIN_REQUEST_LEN + self.name.len());
         p.extend_from_slice(&(self.len as u64).to_be_bytes());
         p.extend_from_slice(&(self.packet_payload as u32).to_be_bytes());
         p.push(strategy_to_u8(self.strategy));
@@ -152,25 +166,16 @@ impl Request {
         }
         let strategy = strategy_from_u8(p[12]);
         let multiblast_chunk = u32::from_be_bytes(p[13..17].try_into().ok()?);
-        let (direction, name) = if p.len() == MIN_REQUEST_LEN {
-            // Legacy fixed-field request.
-            (Direction::Push, String::new())
-        } else {
-            if p.len() < MIN_REQUEST_LEN + 3 {
-                return None;
-            }
-            let direction = match p[17] {
-                0 => Direction::Push,
-                1 => Direction::Pull,
-                _ => return None,
-            };
-            let name_len = u16::from_be_bytes(p[18..20].try_into().ok()?) as usize;
-            if name_len > MAX_NAME_LEN || p.len() != MIN_REQUEST_LEN + 3 + name_len {
-                return None;
-            }
-            let name = std::str::from_utf8(&p[20..]).ok()?.to_string();
-            (direction, name)
+        let direction = match p[17] {
+            0 => Direction::Push,
+            1 => Direction::Pull,
+            _ => return None,
         };
+        let name_len = u16::from_be_bytes(p[18..20].try_into().ok()?) as usize;
+        if name_len > MAX_NAME_LEN || p.len() != MIN_REQUEST_LEN + name_len {
+            return None;
+        }
+        let name = std::str::from_utf8(&p[20..]).ok()?.to_string();
         Some(Request {
             len,
             packet_payload,
@@ -326,15 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fixed_fields_decode_as_anonymous_push() {
-        let full = sample().encode();
-        let r = Request::decode(&full[..MIN_REQUEST_LEN]).unwrap();
-        assert_eq!(r.direction, Direction::Push);
-        assert!(r.name.is_empty());
-        assert_eq!(r.len, 123_456);
-    }
-
-    #[test]
     fn decode_rejects_garbage() {
         assert!(Request::decode(&[]).is_none());
         assert!(Request::decode(&[0; 12]).is_none());
@@ -350,9 +346,11 @@ mod tests {
         let mut bad = sample().encode();
         bad[18..20].copy_from_slice(&999u16.to_be_bytes());
         assert!(Request::decode(&bad).is_none());
-        // Truncated extension.
+        // Truncated before the name: mid length-prefix, and the 17
+        // transfer-parameter bytes alone (no direction, no name).
         let good = sample().encode();
-        assert!(Request::decode(&good[..MIN_REQUEST_LEN + 2]).is_none());
+        assert!(Request::decode(&good[..MIN_REQUEST_LEN - 1]).is_none());
+        assert!(Request::decode(&good[..17]).is_none());
         // Non-UTF-8 name.
         let mut bad = sample().encode();
         let end = bad.len();

@@ -14,7 +14,10 @@
 //!   reorder, corrupt — in the spirit of smoltcp's `--drop-chance` /
 //!   `--corrupt-chance` knobs), because loopback UDP is *too* reliable
 //!   to exercise retransmission;
-//! * [`driver`] — a blocking event loop that runs one engine over a
+//! * [`pump`] — the one engine-call sequence every driver shares: set
+//!   the clock, call the engine, apply its actions to a transmit sink
+//!   and a keyed timer wheel, report completion;
+//! * [`driver`] — a blocking event loop that pumps one engine over a
 //!   channel with real (wall-clock) timers;
 //! * [`timers`] — the generation-stamped timer wheel behind that loop
 //!   (and behind the multi-session `blast-node` server);
@@ -77,6 +80,7 @@ pub mod gso;
 pub mod handshake;
 pub mod netio;
 pub mod peer;
+pub mod pump;
 pub mod sockopt;
 pub mod timers;
 

@@ -384,7 +384,9 @@ impl NetIo {
     /// batch per kernel crossing and pops from it on subsequent calls;
     /// waits block on epoll + timerfd at the exact deadline.  Portable
     /// mode is a classic `SO_RCVTIMEO` receive with the
-    /// [`PacingConfig::MIN_WAIT`] floor.
+    /// [`PacingConfig::MIN_WAIT`] floor.  A zero `timeout` polls: it
+    /// returns what is already queued, or `Ok(None)`, without blocking
+    /// on either backend.
     pub fn recv(
         &mut self,
         socket: &UdpSocket,
@@ -587,10 +589,22 @@ impl PortableIo {
         // `SO_RCVTIMEO` as the last resort: `Some(ZERO)` is an error to
         // `std`, and the floor keeps paced senders' inter-burst gaps
         // from being rounded up into scheduler noise more than the
-        // kernel already insists on.
-        let t = timeout.max(PacingConfig::MIN_WAIT);
-        socket.set_read_timeout(Some(t))?;
-        match socket.recv(buf) {
+        // kernel already insists on.  A zero timeout is a poll (the
+        // node's reactor asks each copy channel once per tick), which
+        // `SO_RCVTIMEO` cannot express — the kernel rounds any value up
+        // to a scheduler tick — so the socket goes non-blocking for
+        // that one call instead.
+        let poll = timeout.is_zero();
+        if poll {
+            socket.set_nonblocking(true)?;
+        } else {
+            socket.set_read_timeout(Some(timeout.max(PacingConfig::MIN_WAIT)))?;
+        }
+        let got = socket.recv(buf);
+        if poll {
+            socket.set_nonblocking(false)?;
+        }
+        match got {
             Ok(n) => {
                 stats.datagrams_received += 1;
                 stats.recv_batches += 1;
@@ -1590,6 +1604,28 @@ mod tests {
         let rx = NetIo::portable(false);
         assert_eq!(tx.backend(), BackendKind::Portable);
         roundtrip(tx, rx, &a, &b);
+    }
+
+    #[test]
+    fn portable_zero_timeout_recv_is_a_poll() {
+        let (a, b) = pair();
+        let mut tx = NetIo::portable(false);
+        let mut rx = NetIo::portable(false);
+        let mut buf = [0u8; 16];
+        // `SO_RCVTIMEO` would round each of these up to a scheduler
+        // tick (1–4 ms): a hundred polls must cost far less than that.
+        let start = std::time::Instant::now();
+        for _ in 0..100 {
+            assert_eq!(rx.recv(&b, &mut buf, Duration::ZERO).unwrap(), None);
+        }
+        assert!(start.elapsed() < Duration::from_millis(50));
+        tx.queue(&a, b"ready").unwrap();
+        assert_eq!(rx.recv(&b, &mut buf, Duration::ZERO).unwrap(), Some(5));
+        // The socket is back in blocking mode for timed receives.
+        let t = Duration::from_millis(20);
+        let start = std::time::Instant::now();
+        assert_eq!(rx.recv(&b, &mut buf, t).unwrap(), None);
+        assert!(start.elapsed() >= t / 2);
     }
 
     #[cfg(netio_batched)]

@@ -29,7 +29,7 @@ use blast_wire::header::PacketKind;
 use blast_wire::packet::Datagram;
 
 use crate::channel::{Channel, MAX_DATAGRAM};
-use crate::driver::Driver;
+use crate::driver::{DriveOutcome, Driver};
 use crate::fcs::FcsChannel;
 use crate::handshake::{self, Request};
 
@@ -55,6 +55,33 @@ pub struct TransferReport {
 }
 
 impl TransferReport {
+    /// The report of one driven data phase, or an error naming `what`
+    /// failed.  `handshake_sent` counts the datagrams the handshake
+    /// put on the wire before the driver took over; `fcs_drops` the
+    /// frames the channel's FCS check discarded during the run (they
+    /// never reached the driver, so they join its malformed count).
+    pub fn from_drive(
+        what: &str,
+        out: DriveOutcome,
+        handshake_sent: u64,
+        fcs_drops: u64,
+        pacing: Option<blast_core::PacerSnapshot>,
+        data: Vec<u8>,
+    ) -> io::Result<Self> {
+        match out.completion.result {
+            Ok(_) => Ok(TransferReport {
+                data,
+                elapsed: out.elapsed,
+                stats: out.completion.stats,
+                pacing,
+                datagrams_sent: out.datagrams_sent + handshake_sent,
+                datagrams_received: out.datagrams_received,
+                malformed: out.malformed + fcs_drops,
+            }),
+            Err(e) => Err(io::Error::other(format!("{what} failed: {e}"))),
+        }
+    }
+
     /// Effective goodput in megabits per second.
     pub fn goodput_mbps(&self, bytes: usize) -> f64 {
         let secs = self.elapsed.as_secs_f64();
@@ -104,10 +131,9 @@ fn send_impl<C: Channel>(
         &mut channel,
         transfer_id,
         &request,
-        cfg.timeout.initial().min(Duration::from_millis(200)),
+        handshake::retry_interval(cfg),
         Duration::from_secs(30),
     )?;
-    let handshake_sent = reply.datagrams_sent;
 
     // Data phase.
     let mut engine: Box<dyn Engine> = if multiblast {
@@ -122,18 +148,14 @@ fn send_impl<C: Channel>(
     let mut driver = Driver::new(channel);
     let out = driver.run(engine.as_mut())?;
     let fcs_drops = driver.into_channel().fcs_drops;
-    match out.completion.result {
-        Ok(_) => Ok(TransferReport {
-            data: Vec::new(),
-            elapsed: out.elapsed,
-            stats: out.completion.stats,
-            pacing: engine.pacing_snapshot(),
-            datagrams_sent: out.datagrams_sent + handshake_sent,
-            datagrams_received: out.datagrams_received,
-            malformed: out.malformed + fcs_drops,
-        }),
-        Err(e) => Err(io::Error::other(format!("transfer failed: {e}"))),
-    }
+    TransferReport::from_drive(
+        "transfer",
+        out,
+        reply.datagrams_sent,
+        fcs_drops,
+        engine.pacing_snapshot(),
+        Vec::new(),
+    )
 }
 
 /// Wait for a transfer on `channel` and receive it to completion.
@@ -178,18 +200,8 @@ pub fn recv_data<C: Channel>(channel: C, cfg: &ProtocolConfig) -> io::Result<Tra
     driver.request_reply = Some(echo);
     let out = driver.run(&mut engine)?;
     let fcs_drops = driver.into_channel().fcs_drops;
-    match out.completion.result {
-        Ok(_) => Ok(TransferReport {
-            data: engine.into_data(),
-            elapsed: out.elapsed,
-            stats: out.completion.stats,
-            pacing: None,
-            datagrams_sent: out.datagrams_sent + 1,
-            datagrams_received: out.datagrams_received,
-            malformed: out.malformed + fcs_drops,
-        }),
-        Err(e) => Err(io::Error::other(format!("receive failed: {e}"))),
-    }
+    // The one datagram sent before the driver took over is the echo.
+    TransferReport::from_drive("receive", out, 1, fcs_drops, None, engine.into_data())
 }
 
 #[cfg(test)]
