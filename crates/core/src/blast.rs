@@ -52,7 +52,7 @@ use crate::control::{Pacer, PacerSnapshot, RttEstimator, PACE_TIMER};
 use crate::engine::{Engine, Finish};
 use crate::error::CoreError;
 use crate::pool::{BufferPool, PooledBuf};
-use crate::rxbuf::RxBuffer;
+use crate::rxbuf::{Geometry, RxBuffer};
 use crate::txdata::TxData;
 
 /// The retransmission timer a blast sender uses (pacing uses
@@ -874,8 +874,58 @@ impl Engine for BlastReceiver {
         self.recorder = Some(recorder);
     }
 
-    fn received_data(&self) -> Option<&[u8]> {
-        Some(self.rx.data())
+    fn retire(&mut self) -> Option<(Vec<u8>, FinishedReceiver)> {
+        let finished = FinishedReceiver {
+            transfer_id: self.transfer_id,
+            builder: self.builder,
+            geometry: self.rx.geometry(),
+        };
+        Some((self.rx.take_data()?, finished))
+    }
+}
+
+/// What a completed [`BlastReceiver`] leaves behind when its buffer
+/// moves on ([`Engine::retire`]): the transfer's geometry, which is all
+/// it takes to keep answering the one thing a finished receiver still
+/// answers — a duplicate of a round's reliable packet, re-sent by a
+/// sender whose copy of the final acknowledgement was lost (§3.2.2's
+/// tail problem).  A few words, `Copy`, no buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct FinishedReceiver {
+    transfer_id: u32,
+    builder: DatagramBuilder,
+    geometry: Geometry,
+}
+
+impl FinishedReceiver {
+    /// Length of the status report [`reack`](Self::reack) writes.
+    pub const STATUS_LEN: usize = blast_wire::HEADER_LEN + 5;
+
+    /// The transfer this stands in for.
+    pub fn transfer_id(&self) -> u32 {
+        self.transfer_id
+    }
+
+    /// If `dgram` is one the finished receiver would have answered — a
+    /// data packet of this transfer, flagged as its round's last, that
+    /// matches the transfer's geometry — write the final (positive)
+    /// status report into `out` and return its length.  Everything
+    /// else, `Cancel` included, gets no reply.
+    pub fn reack(&self, dgram: &Datagram<'_>, out: &mut [u8; Self::STATUS_LEN]) -> Option<usize> {
+        if dgram.kind != PacketKind::Data
+            || dgram.transfer_id != self.transfer_id
+            || !dgram.is_last()
+        {
+            return None;
+        }
+        self.geometry
+            .check(dgram.seq, dgram.offset as usize, dgram.payload.len())
+            .ok()?;
+        let total = self.geometry.total_packets();
+        let acked = total - 1;
+        self.builder
+            .build_ack(out, total, &AckPayload::Positive { acked })
+            .ok()
     }
 }
 
@@ -1185,6 +1235,75 @@ mod tests {
         assert_eq!(d.ack, Some(AckPayload::Positive { acked: 2 }));
         feed(&mut s, &acks[0]);
         assert!(s.is_finished());
+    }
+
+    /// The stand-in a retired receiver leaves behind answers exactly
+    /// what the finished receiver itself answers, byte for byte, and
+    /// nothing else.
+    #[test]
+    fn retired_receiver_reacks_like_the_finished_engine() {
+        // Three full packets and a runt, so the tail has its own length.
+        let cfg = config(RetxStrategy::Selective);
+        let payload = data(3 * 1024 + 100);
+        let mut s = BlastSender::new(7, payload.clone(), &cfg);
+        let mut r = BlastReceiver::new(7, payload.len(), &cfg);
+        assert!(r.retire().is_none(), "nothing to retire before completion");
+        let mut actions = Vec::new();
+        s.start(&mut actions);
+        let pkts = transmits(&actions);
+        deliver_except(&mut r, &pkts, &[]);
+        assert!(r.is_finished());
+
+        // A data packet flagged as its round's last, as `id` sends it.
+        let last = |id: u32, seq: u32, total: u32, offset: u32, bytes: &[u8]| {
+            let mut buf = vec![0u8; 2048];
+            let n = DatagramBuilder::new(id)
+                .build_data(&mut buf, seq, total, offset, bytes, 1, true)
+                .unwrap();
+            buf.truncate(n);
+            buf
+        };
+        let tail = &payload[3 * 1024..];
+        let mut probes = pkts.clone();
+        // The tail with a wrong offset, a wrong length, a sequence
+        // beyond the buffer; a mid-sequence packet flagged last; a
+        // cancel; a status report.
+        probes.push(last(7, 3, 4, 2048, tail));
+        probes.push(last(7, 3, 4, 3072, &tail[..50]));
+        probes.push(last(7, 4, 8, 4096, tail));
+        probes.push(last(7, 1, 4, 1024, &payload[1024..2048]));
+        let mut buf = vec![0u8; 64];
+        let n = DatagramBuilder::new(7).build_cancel(&mut buf).unwrap();
+        probes.push(buf[..n].to_vec());
+        let n = DatagramBuilder::new(7)
+            .build_ack(&mut buf, 4, &AckPayload::NackFull)
+            .unwrap();
+        probes.push(buf[..n].to_vec());
+        let foreign = last(8, 3, 4, 3072, tail);
+
+        let engine_says: Vec<_> = probes.iter().map(|p| transmits(&feed(&mut r, p))).collect();
+        let (bytes, finished) = r.retire().expect("a completed receiver retires");
+        assert_eq!(bytes, &payload[..]);
+        assert_eq!(finished.transfer_id(), 7);
+        let mut out = [0u8; FinishedReceiver::STATUS_LEN];
+        let mut answered = 0;
+        for (p, want) in probes.iter().zip(&engine_says) {
+            let got = finished.reack(&Datagram::parse(p).unwrap(), &mut out);
+            let got: Vec<Vec<u8>> = got.map(|n| out[..n].to_vec()).into_iter().collect();
+            assert_eq!(&got, want, "probe {:?}", Datagram::parse(p).unwrap());
+            answered += got.len();
+        }
+        assert_eq!(
+            answered, 2,
+            "the tail, and the mid-sequence packet flagged last"
+        );
+        let d = Datagram::parse(&out).unwrap();
+        assert_eq!(d.ack, Some(AckPayload::Positive { acked: 3 }));
+        // Drivers filter ids before an engine; the stand-in checks its own.
+        assert_eq!(
+            finished.reack(&Datagram::parse(&foreign).unwrap(), &mut out),
+            None
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use blast_wire::packet::Datagram;
 
 use crate::api::{ActionSink, EngineStats, TimerToken};
+use crate::blast::FinishedReceiver;
 
 /// A sans-I/O protocol engine (one end of one transfer).
 ///
@@ -86,14 +87,17 @@ pub trait Engine: Send {
     /// the handle — engines without hooks stay untouched.
     fn set_recorder(&mut self, _recorder: blast_telemetry::Recorder) {}
 
-    /// Borrow the receive buffer, for engines that own one.
+    /// Dismantle a receiver whose transfer completed: move its buffer
+    /// out and return, beside it, the [`FinishedReceiver`] that keeps
+    /// re-acknowledging in the engine's place.
     ///
-    /// Lets a driver extract a completed transfer's payload through the
-    /// trait object — e.g. a server storing a pushed blob while the
-    /// engine stays registered to re-acknowledge duplicate packets.
-    /// Holes are zero-filled until [`is_finished`](Engine::is_finished).
-    /// Senders return `None` (the default).
-    fn received_data(&self) -> Option<&[u8]> {
+    /// Lets a driver that owns the engine only as a trait object commit
+    /// a received blob without copying it, and release the buffer while
+    /// the transfer id still has to be answered for — e.g. the
+    /// `blast-node` server through its linger window.  The engine must
+    /// be dropped afterwards.  `None` (the default) from senders, from
+    /// receivers without a stand-in, and before successful completion.
+    fn retire(&mut self) -> Option<(Vec<u8>, FinishedReceiver)> {
         None
     }
 }

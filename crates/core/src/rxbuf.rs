@@ -13,6 +13,44 @@ use blast_wire::ack::Bitmap;
 
 use crate::error::{CoreError, CoreResult};
 
+/// How a transfer's bytes divide into packets: what every data packet
+/// is checked against before it may touch the buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Geometry {
+    bytes: usize,
+    packet_payload: usize,
+}
+
+impl Geometry {
+    /// Total number of packets (`D` in the paper); a zero-byte transfer
+    /// still has one, empty.
+    pub fn total_packets(&self) -> u32 {
+        self.bytes.div_ceil(self.packet_payload).max(1) as u32
+    }
+
+    /// Expected payload length of packet `seq`.
+    pub fn expected_len(&self, seq: u32) -> usize {
+        let start = seq as usize * self.packet_payload;
+        self.bytes.saturating_sub(start).min(self.packet_payload)
+    }
+
+    /// Whether a packet `seq` carrying `len` bytes for byte `offset`
+    /// belongs to this transfer: a sequence number inside it, at the
+    /// offset and of the length that number implies.
+    pub fn check(&self, seq: u32, offset: usize, len: usize) -> CoreResult<()> {
+        let what = if seq >= self.total_packets() {
+            "sequence beyond buffer"
+        } else if offset != seq as usize * self.packet_payload {
+            "offset does not match sequence"
+        } else if len != self.expected_len(seq) {
+            "payload length mismatch"
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::GeometryMismatch { what })
+    }
+}
+
 /// A pre-allocated receive buffer with per-packet arrival tracking.
 #[derive(Debug, Clone)]
 pub struct RxBuffer {
@@ -20,7 +58,7 @@ pub struct RxBuffer {
     received: Vec<bool>,
     received_count: u32,
     total: u32,
-    packet_payload: usize,
+    geometry: Geometry,
 }
 
 impl RxBuffer {
@@ -31,23 +69,28 @@ impl RxBuffer {
     /// Panics if `packet_payload` is zero.
     pub fn new(bytes: usize, packet_payload: usize) -> Self {
         assert!(packet_payload > 0, "packet_payload must be positive");
-        let total = if bytes == 0 {
-            1
-        } else {
-            bytes.div_ceil(packet_payload) as u32
+        let geometry = Geometry {
+            bytes,
+            packet_payload,
         };
+        let total = geometry.total_packets();
         RxBuffer {
             buf: vec![0; bytes],
             received: vec![false; total as usize],
             received_count: 0,
             total,
-            packet_payload,
+            geometry,
         }
     }
 
     /// Total number of packets expected (`D` in the paper).
     pub fn total_packets(&self) -> u32 {
         self.total
+    }
+
+    /// The transfer's division into packets.
+    pub fn geometry(&self) -> Geometry {
+        self.geometry
     }
 
     /// Number of distinct packets received so far.
@@ -77,11 +120,7 @@ impl RxBuffer {
 
     /// Expected payload length of packet `seq`.
     pub fn expected_len(&self, seq: u32) -> usize {
-        let start = seq as usize * self.packet_payload;
-        self.buf
-            .len()
-            .saturating_sub(start)
-            .min(self.packet_payload)
+        self.geometry.expected_len(seq)
     }
 
     /// Place the payload of packet `seq` at byte `offset`.
@@ -94,21 +133,7 @@ impl RxBuffer {
     /// a mismatched packet belongs to some other (or corrupt) transfer
     /// and must not scribble over the caller's memory.
     pub fn place(&mut self, seq: u32, offset: usize, payload: &[u8]) -> CoreResult<bool> {
-        if seq >= self.total {
-            return Err(CoreError::GeometryMismatch {
-                what: "sequence beyond buffer",
-            });
-        }
-        if offset != seq as usize * self.packet_payload {
-            return Err(CoreError::GeometryMismatch {
-                what: "offset does not match sequence",
-            });
-        }
-        if payload.len() != self.expected_len(seq) {
-            return Err(CoreError::GeometryMismatch {
-                what: "payload length mismatch",
-            });
-        }
+        self.geometry.check(seq, offset, payload.len())?;
         if self.received[seq as usize] {
             return Ok(false);
         }
@@ -154,6 +179,13 @@ impl RxBuffer {
     /// Consume the buffer, returning the received data.
     pub fn into_data(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Move the data of a complete transfer out (`None` while packets
+    /// are missing).  What stays behind still knows every packet as
+    /// received, so late duplicates are recognised and never placed.
+    pub fn take_data(&mut self) -> Option<Vec<u8>> {
+        self.is_complete().then(|| std::mem::take(&mut self.buf))
     }
 }
 

@@ -317,10 +317,6 @@ impl Engine for SawReceiver {
     fn transfer_id(&self) -> u32 {
         self.transfer_id
     }
-
-    fn received_data(&self) -> Option<&[u8]> {
-        Some(self.rx.data())
-    }
 }
 
 #[cfg(test)]

@@ -30,21 +30,46 @@
 //! node do not collide (the node keys sessions by transfer id alone).
 //! Pin the counter with [`transfer_ids_from`](Client::transfer_ids_from)
 //! when a test asserts specific ids.
+//!
+//! ## After the last byte
+//!
+//! Every operation returns when its engine completes; none waits out a
+//! timer.  A push has nothing left to do by then — the sender completes
+//! on hearing the node's final acknowledgement.  A pull does: the
+//! client's own final acknowledgement may be lost, and the node then
+//! retransmits its tail until someone re-acknowledges.  The client
+//! keeps that duty without blocking for it: the finished receiver's
+//! [`FinishedReceiver`](blast_core::blast::FinishedReceiver) goes into
+//! the channel's [`TimeWait`] record, for a few retransmission
+//! intervals, and is answered from whichever receive loop the client
+//! runs next — the next handshake, transfer or control query.  Only a
+//! pull that itself saw loss stays and listens first.  The record has
+//! [`MAX_RECORDS`](blast_udp::timewait::MAX_RECORDS) places and none
+//! is given up early, so one client finishes at most that many pulls
+//! per window (2 560 a second by default): a pull that finds every
+//! place taken starts by waiting — answering — for the oldest to
+//! expire.  What this does not cover: a client that goes idle, or is
+//! dropped, right after a pull whose acknowledgement was lost answers
+//! nothing — the pulled bytes are complete and correct either way, but
+//! the node keeps retransmitting until its retry budget or session
+//! timeout and books that session as failed.
 
 use std::io;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::config::ProtocolConfig;
-use blast_core::{AdaptiveTimeout, PacingConfig, RetxStrategy};
+use blast_core::{AdaptiveTimeout, Engine, PacingConfig, RetxStrategy};
 use blast_telemetry::Recorder;
 use blast_udp::channel::{Channel, UdpChannel, MAX_DATAGRAM};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
-use blast_udp::driver::Driver;
+use blast_udp::driver::{DriveOutcome, Driver};
 use blast_udp::fcs::FcsChannel;
 use blast_udp::handshake::{self, retry_interval, Request, MAX_TRANSFER_BYTES};
 use blast_udp::peer::TransferReport;
+use blast_udp::timewait::TimeWait;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::{Datagram, DatagramBuilder};
 
@@ -92,7 +117,7 @@ pub struct CopyReport {
 /// one handle.  See the [module docs](self) for the usual flow.
 #[derive(Debug)]
 pub struct Client<C: Channel = UdpChannel> {
-    channel: FcsChannel<C>,
+    channel: TimeWait<FcsChannel<C>>,
     cfg: ProtocolConfig,
     patience: Duration,
     recorder: Option<Recorder>,
@@ -130,7 +155,7 @@ impl<C: Channel> Client<C> {
         let cfg = default_config();
         cfg.pool.warm(POOL_WARM);
         Client {
-            channel: FcsChannel::new(channel),
+            channel: TimeWait::new(FcsChannel::new(channel)),
             cfg,
             patience: DEFAULT_PATIENCE,
             recorder: None,
@@ -234,15 +259,8 @@ impl<C: Channel> Client<C> {
             self.patience,
         )?;
 
-        let mut engine = BlastSender::new(transfer_id, data.to_vec().into(), &self.cfg);
-        let drops_before = self.channel.fcs_drops;
-        let mut driver = Driver::new(&mut self.channel);
-        if let Some(rec) = &self.recorder {
-            driver = driver.with_recorder(rec.clone());
-        }
-        let out = driver.run(&mut engine)?;
-        drop(driver);
-        let fcs_drops = self.channel.fcs_drops - drops_before;
+        let mut engine = BlastSender::new(transfer_id, Arc::from(data), &self.cfg);
+        let (out, fcs_drops) = self.drive(&mut engine)?;
         TransferReport::from_drive(
             "push",
             out,
@@ -253,13 +271,36 @@ impl<C: Channel> Client<C> {
         )
     }
 
+    /// Run `engine` over the client's channel until it completes —
+    /// no lingering; see the [module docs](self#after-the-last-byte).
+    /// Also returns the frames the FCS check dropped meanwhile.
+    fn drive(&mut self, engine: &mut dyn Engine) -> io::Result<(DriveOutcome, u64)> {
+        let drops_before = self.channel.inner().fcs_drops;
+        let mut driver = Driver::new(&mut self.channel);
+        if let Some(rec) = &self.recorder {
+            driver = driver.with_recorder(rec.clone());
+        }
+        let out = driver.run(engine)?;
+        Ok((out, self.channel.inner().fcs_drops - drops_before))
+    }
+
     /// Fetch the named blob `name` from the node.  The blob's size
     /// comes back in the handshake echo; the receive buffer is
     /// pre-allocated from it before the data phase (the paper's
     /// premise).
     ///
+    /// Returns when the last byte is in: after a clean run the duty to
+    /// re-acknowledge a lost final ack passes to the channel's
+    /// time-wait record and is discharged during the client's *next*
+    /// operation (see the [module docs](self#after-the-last-byte)); a
+    /// run that saw loss first listens until the node has been quiet
+    /// for four retransmission intervals (at least 100 ms).  Starts by
+    /// reserving the record's place, which waits only if this client
+    /// has finished 256 other pulls within the last such window.
+    ///
     /// Errors with `NotFound` if the node does not have the blob.
     pub fn pull(&mut self, name: &str) -> io::Result<TransferReport> {
+        self.channel.reserve()?;
         let transfer_id = self.alloc_id();
         let request = Request::pull(name, &self.cfg);
         let reply = handshake::initiate(
@@ -283,34 +324,26 @@ impl<C: Channel> Client<C> {
             ));
         }
         let mut engine = BlastReceiver::new(transfer_id, reply.echoed.len, &self.cfg);
-        // The linger window is a quiet window (traffic restarts it):
-        // make it comfortably longer than the node's
-        // tail-retransmission interval so the driver stays for as many
-        // re-ack rounds as the node needs.  Paying that full window on
-        // every clean pull would cap relayed-copy throughput (each
-        // relay leg is one pull + one push), so loss-free runs exit on
-        // a much shorter clean window instead.
-        let linger = (self.cfg.timeout.initial() * 4).max(Duration::from_millis(100));
-        let clean = (self.cfg.timeout.initial() / 4)
-            .clamp(Duration::from_millis(5), Duration::from_millis(25));
-        let drops_before = self.channel.fcs_drops;
-        let mut driver = Driver::new(&mut self.channel)
-            .with_linger_for(linger)
-            .with_clean_linger_for(clean);
-        if let Some(rec) = &self.recorder {
-            driver = driver.with_recorder(rec.clone());
+        let (out, fcs_drops) = self.drive(&mut engine)?;
+        let mut data = Vec::new();
+        if let Some((bytes, finished)) = engine.retire() {
+            data = bytes;
+            // Comfortably longer than the node's tail-retransmission
+            // interval, so the record outlives several re-ack rounds.
+            let window = (self.cfg.timeout.initial() * 4).max(Duration::from_millis(100));
+            self.channel.hold(finished, window);
+            // Loss as a receiver sees it: a hole it reported, a packet
+            // it got twice, a frame that failed its checks.  The link
+            // that dropped those may drop the final ack as well.
+            let stats = &out.completion.stats;
+            let clean = stats.nacks_sent == 0
+                && stats.duplicate_packets_received == 0
+                && out.malformed + fcs_drops == 0;
+            if !clean {
+                self.channel.linger(window, self.patience)?;
+            }
         }
-        let out = driver.run(&mut engine)?;
-        drop(driver);
-        let fcs_drops = self.channel.fcs_drops - drops_before;
-        TransferReport::from_drive(
-            "pull",
-            out,
-            reply.datagrams_sent,
-            fcs_drops,
-            None,
-            engine.into_data(),
-        )
+        TransferReport::from_drive("pull", out, reply.datagrams_sent, fcs_drops, None, data)
     }
 
     /// Ask the node for a live metrics snapshot (the `Stats` control

@@ -47,6 +47,9 @@
 //! let pulled = client.pull("blob").unwrap();
 //! assert_eq!(pulled.data, data);
 //!
+//! // `pull` returns with the last byte, one datagram before the node
+//! // hears the final ack: drain before counting.
+//! assert!(node.wait_idle(Duration::from_secs(5)));
 //! let metrics = node.shutdown().unwrap();
 //! assert_eq!(metrics.sessions_completed, 2);
 //! ```

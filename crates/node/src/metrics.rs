@@ -133,7 +133,9 @@ pub struct NodeMetrics {
     pub retx_rounds: RetxHistogram,
     /// The most recent finished-session reports, oldest first, capped
     /// at [`MAX_REPORTS`] so a long-lived node stays O(1) in memory —
-    /// only the [`OnlineStats`] accumulators see every session.
+    /// only the [`OnlineStats`] accumulators see every session.  (In a
+    /// shard's own accumulator: the reports not yet
+    /// [published](NodeMetrics::publish_into).)
     pub reports: std::collections::VecDeque<SessionReport>,
 }
 
@@ -227,26 +229,30 @@ impl NodeMetrics {
         self.session_goodput_mbps.merge(&other.session_goodput_mbps);
         self.retx_rounds.0.merge(&other.retx_rounds.0);
         for report in &other.reports {
-            if self.reports.len() == MAX_REPORTS {
-                self.reports.pop_front();
-            }
-            self.reports.push_back(report.clone());
+            self.keep(report.clone());
         }
+    }
+
+    /// Append `report`, evicting the oldest at the [`MAX_REPORTS`] cap.
+    fn keep(&mut self, report: SessionReport) {
+        if self.reports.len() == MAX_REPORTS {
+            self.reports.pop_front();
+        }
+        self.reports.push_back(report);
     }
 
     /// Publish this accumulator into `dst`, reusing `dst`'s
     /// allocations.
     ///
     /// A reactor shard calls this once per tick to refresh its shared
-    /// snapshot slot.  In steady state (same backend string, histogram
-    /// geometry, and report set) the copy performs zero allocations —
-    /// only a new finished session, which may grow `dst.reports`,
-    /// allocates, and session completion is off the packet hot path by
-    /// definition.
-    pub fn publish_into(&self, dst: &mut NodeMetrics) {
-        let reports_stale = dst.reports.len() != self.reports.len()
-            || dst.sessions_completed != self.sessions_completed
-            || dst.sessions_failed != self.sessions_failed;
+    /// snapshot slot.  Counters and distributions are copied; the
+    /// reports recorded since the last publish *move* — `dst` retains
+    /// them (it already holds the earlier ones), this accumulator keeps
+    /// only what it has yet to publish.  So the snapshot is the one
+    /// place a shard's [`MAX_REPORTS`] reports live, and a publish
+    /// allocates nothing, whether or not sessions finished, however
+    /// many reports are retained.
+    pub fn publish_into(&mut self, dst: &mut NodeMetrics) {
         dst.sessions_accepted = self.sessions_accepted;
         dst.sessions_completed = self.sessions_completed;
         dst.sessions_failed = self.sessions_failed;
@@ -279,9 +285,8 @@ impl NodeMetrics {
         dst.session_secs = self.session_secs;
         dst.session_goodput_mbps = self.session_goodput_mbps;
         dst.retx_rounds.0.clone_from(&self.retx_rounds.0);
-        if reports_stale {
-            dst.reports.clear();
-            dst.reports.extend(self.reports.iter().cloned());
+        for report in self.reports.drain(..) {
+            dst.keep(report);
         }
     }
 
@@ -309,10 +314,7 @@ impl NodeMetrics {
         } else {
             self.sessions_failed += 1;
         }
-        if self.reports.len() == MAX_REPORTS {
-            self.reports.pop_front();
-        }
-        self.reports.push_back(report);
+        self.keep(report);
     }
 
     /// Sessions currently unaccounted for (accepted but not yet
@@ -546,6 +548,33 @@ mod tests {
     }
 
     #[test]
+    fn default_accumulators_report_true_minima() {
+        let mut m = NodeMetrics::default();
+        m.sessions_accepted = 2;
+        for (burst, ms) in [(96, 30), (512, 10)] {
+            let mut r = report(true, Direction::Pull, 1000, ms);
+            r.pacing = Some(PacerSnapshot {
+                initial_burst: 32,
+                burst,
+                min_burst_seen: 16,
+                mean_burst: f64::from(burst),
+                clean_rounds: 3,
+                loss_events: 0,
+                rate_bps: 0.0,
+                min_rtt_us: 0.0,
+                rate_samples: 0,
+                app_limited_samples: 0,
+                in_recovery: false,
+            });
+            m.record(r);
+        }
+        assert_eq!(m.burst_final.min(), 96.0, "{}", m.summary());
+        assert_eq!(m.burst_final.max(), 512.0);
+        assert_eq!(m.session_secs.min(), 0.010);
+        assert_eq!(m.rate_mbps.min(), f64::INFINITY, "no sample yet");
+    }
+
+    #[test]
     fn goodput_math() {
         let r = report(true, Direction::Push, 1_000_000, 1000);
         assert!((r.goodput_mbps() - 8.0).abs() < 1e-9);
@@ -636,10 +665,10 @@ mod tests {
         assert_eq!(merged.io.gro_segments, 16);
 
         let mut slot = NodeMetrics::default();
+        assert!(a.summary().contains("offload gso+gro"), "{}", a.summary());
         a.publish_into(&mut slot);
         assert_eq!(slot.netio_offload, "gso+gro");
         assert_eq!(slot.io.gso_segments, 40);
-        assert!(a.summary().contains("offload gso+gro"), "{}", a.summary());
     }
 
     #[test]
@@ -685,6 +714,40 @@ mod tests {
         local.publish_into(&mut slot);
         assert_eq!(slot.datagrams_received, 12);
         assert_eq!(slot.reports.len(), 1);
+    }
+
+    /// Publishing hands the slot exactly the reports recorded since
+    /// the last publish: the slot ends up holding the most recent
+    /// [`MAX_REPORTS`] ever recorded, in order — below the cap, across
+    /// it, and when more than a slot-full finish between two publishes
+    /// — and the accumulator keeps none back.
+    #[test]
+    fn publish_into_moves_fresh_reports_to_the_slot() {
+        let mut local = NodeMetrics::default();
+        let mut slot = NodeMetrics::default();
+        let mut next = 0u32;
+        for batch in [1usize, 3, MAX_REPORTS - 5, 1, 2, 7, MAX_REPORTS + 3, 1, 0] {
+            for _ in 0..batch {
+                let mut r = report(next % 7 != 0, Direction::Push, 100, 1);
+                r.transfer_id = next;
+                r.name = format!("blob-{next}");
+                local.record(r);
+                next += 1;
+            }
+            local.publish_into(&mut slot);
+            assert!(local.reports.is_empty());
+            let want: Vec<u32> = (next.saturating_sub(MAX_REPORTS as u32)..next).collect();
+            let got: Vec<u32> = slot.reports.iter().map(|r| r.transfer_id).collect();
+            assert_eq!(got, want, "after a batch of {batch}");
+            assert!(slot
+                .reports
+                .iter()
+                .all(|r| r.name == format!("blob-{}", r.transfer_id)));
+            assert_eq!(
+                slot.sessions_completed + slot.sessions_failed,
+                u64::from(next)
+            );
+        }
     }
 
     #[test]

@@ -40,12 +40,15 @@
 //! announced length before any data arrives (the paper's premise), a
 //! pull request looks the named blob up in the
 //! [`Store`](crate::store::Store) and blasts it back with the strategy
-//! the client asked for.  Finished engines linger briefly — a finished
-//! receiver must keep re-acking duplicates or a lost final ack strands
-//! its peer (§3.2.2's tail problem) — and are then reaped from the
-//! table.
+//! the client asked for.  A session leaves the table when nothing is
+//! left to answer for: a sender (pull) completes on *hearing* the final
+//! ack, so it is reaped on the spot; a receiver (push) completes one
+//! datagram before its peer does — a lost final ack strands the peer
+//! (§3.2.2's tail problem) — so it commits its blob, gives its buffer
+//! up, and lingers as a few words that re-acknowledge duplicates until
+//! the peer has been quiet for [`NodeConfig::linger`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,7 +56,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use blast_core::api::{CompletionInfo, TimerToken};
-use blast_core::blast::{BlastReceiver, BlastSender};
+use blast_core::blast::{BlastReceiver, BlastSender, FinishedReceiver};
 use blast_core::config::ProtocolConfig;
 use blast_core::multiblast::MultiBlastSender;
 use blast_core::pool::BufferPool;
@@ -74,7 +77,7 @@ use blast_wire::packet::{Datagram, DatagramBuilder};
 use crate::metrics::{NodeMetrics, SessionReport, ShardReport};
 use crate::store::{shared_store, SharedStore};
 
-/// Remove an entry from the table: a finished session after its linger
+/// Remove an entry from the table: a lingering receiver after its quiet
 /// window, a terminal copy after its status grace window.
 const REAP: TimerToken = TimerToken(u64::MAX);
 /// Abandon an entry whose peer went silent.
@@ -107,20 +110,36 @@ pub struct NodeConfig {
     /// strategy and multiblast chunk are overridden per session by the
     /// client's request; timeout and retry limits are the node's.
     pub protocol: ProtocolConfig,
-    /// How long a finished engine keeps answering duplicates before it
-    /// is reaped (the tail-ack insurance of §3.2.2).  This is a *quiet*
-    /// window: traffic for the session restarts it, so a peer still
-    /// retransmitting — its copy of our final ack was lost — keeps the
-    /// engine alive until it converges (bounded by
+    /// How long a completed push keeps re-acknowledging duplicates of
+    /// its sender's tail (the tail-ack insurance of §3.2.2).  This is a
+    /// *quiet* window: traffic for the session restarts it, so a peer
+    /// still retransmitting — its copy of our final ack was lost — is
+    /// answered until it converges (bounded by
     /// [`session_timeout`](NodeConfig::session_timeout)).  Must exceed
-    /// the slowest client's retransmission interval.
+    /// the slowest client's retransmission interval.  Lingering is
+    /// nearly free: the blob is already in the store, the receive
+    /// buffer released, and what lingers — a table entry of a few
+    /// words and one timer — holds no
+    /// [`max_sessions`](NodeConfig::max_sessions) slot.  It is also
+    /// bounded: at most `max_sessions` pushes linger per shard, and the
+    /// oldest stops being answered for once that many younger ones
+    /// have finished behind it (beyond `max_sessions / linger` pushes
+    /// a second the window is, in effect, that much shorter).  Pulls
+    /// do not linger at all: a sender that completed has heard the
+    /// final ack.
     pub linger: Duration,
     /// Bound on a session's total lifetime: an engine that has not
     /// completed by then is failed (peer crashed mid-transfer), and a
-    /// finished engine still lingering is reaped regardless.
+    /// completed push still lingering is reaped regardless.
     pub session_timeout: Duration,
-    /// Maximum concurrent sessions per shard; requests beyond it are
-    /// cancelled.
+    /// Maximum concurrent *unfinished* sessions per shard — the ones
+    /// that hold an engine and, for pushes, a whole pre-allocated
+    /// receive buffer; requests beyond it are cancelled.  A session
+    /// stops counting the moment it completes or fails, so the cap
+    /// bounds memory committed to transfers in progress, not the rate
+    /// at which short ones come and go.  (Third-party copies, and the
+    /// completed pushes that [`linger`](NodeConfig::linger), are each
+    /// held to the same number, separately.)
     pub max_sessions: usize,
     /// Largest transfer a push request may announce.  The handshake
     /// pre-allocates the whole receive buffer from the wire-supplied
@@ -178,8 +197,10 @@ impl Key {
 /// One transfer in a shard's table.
 struct Entry {
     /// The transfer's engine.  An outbound leg has none while it
-    /// handshakes and after it settles; a session always has one.
+    /// handshakes and after it settles; a session has one until it
+    /// finishes.
     engine: Option<Box<dyn Engine>>,
+    /// The blob's name (moves into the session's report at the end).
     name: String,
     started: Instant,
     link: Link,
@@ -189,6 +210,13 @@ struct Entry {
 /// far end.
 enum Link {
     Inbound(Session),
+    /// A push that completed: the blob is in the store and the engine
+    /// and its buffer are gone.  What is left answers duplicates of
+    /// `peer`'s reliable tail until the quiet window ends.
+    Lingering {
+        peer: SocketAddr,
+        finished: FinishedReceiver,
+    },
     Outbound(Box<CopyLeg>),
     /// A copy that ended (or was refused at submit): nothing is left
     /// but the status it answers queries with until it is reaped —
@@ -203,7 +231,6 @@ struct Session {
     direction: Direction,
     /// The echo datagram, re-sent verbatim for duplicate requests.
     echo: Vec<u8>,
-    finished: bool,
 }
 
 /// One third-party copy: the node acts as a *client* toward another
@@ -235,20 +262,24 @@ struct CopyLeg {
     request: Vec<u8>,
 }
 
-impl Entry {
-    fn session(&self) -> Option<&Session> {
-        match &self.link {
-            Link::Inbound(session) => Some(session),
-            _ => None,
-        }
-    }
+/// What an engine call (or a timer) left of an entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum After {
+    /// Work to do, or duplicates to answer, as before.
+    Live,
+    /// A push that just completed: it stays, as a [`Link::Lingering`].
+    Lingers,
+    /// Nothing more to do or to answer for: reap it.
+    Spent,
+}
 
+impl Entry {
     /// The status a copy reports (`None` for a session): exact when
     /// terminal, estimated from engine counters while the data phase
     /// runs.
     fn copy_status(&self) -> Option<CopyStatus> {
         let leg = match &self.link {
-            Link::Inbound(_) => return None,
+            Link::Inbound(_) | Link::Lingering { .. } => return None,
             Link::Settled(status) => return Some(*status),
             Link::Outbound(leg) => leg,
         };
@@ -291,11 +322,18 @@ pub struct NodeServer {
     shard: Shard,
     shutdown: Arc<AtomicBool>,
     /// Every transfer this shard is driving, sessions and copies alike.
-    table: HashMap<Key, Entry>,
-    /// How many of the table's entries are sessions (the rest are
-    /// copies): the two kinds are admitted against
-    /// [`NodeConfig::max_sessions`] separately.
-    inbound: usize,
+    /// Boxed: the table doubles as it grows, and at thousands of short
+    /// sessions a second most of its slots are lingerers or empty.
+    table: HashMap<Key, Box<Entry>>,
+    /// The sessions that went lingering, oldest first, capped at
+    /// [`NodeConfig::max_sessions`] (ids whose quiet window has ended
+    /// stay until they reach the front).
+    lingerers: VecDeque<Key>,
+    /// How many of the table's entries are copies, live or settled.
+    /// They are admitted against [`NodeConfig::max_sessions`] apart
+    /// from the sessions, whose unfinished count the shard's metrics
+    /// already keep (`sessions_in_flight`).
+    copies: usize,
 }
 
 /// Everything on a shard that a table entry acts on — the socket, the
@@ -389,7 +427,8 @@ impl NodeServer {
             },
             shutdown,
             table: HashMap::new(),
-            inbound: 0,
+            lingerers: VecDeque::new(),
+            copies: 0,
         })
     }
 
@@ -464,7 +503,7 @@ impl NodeServer {
                 .map(|d| d.saturating_duration_since(Instant::now()))
                 .unwrap_or(Duration::from_millis(5))
                 .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(10));
-            if self.table.len() > self.inbound {
+            if self.copies > 0 {
                 // Copy channels are polled, not in the event wait: cap
                 // the park so an incoming ack on an outbound leg waits
                 // at most a millisecond.
@@ -503,7 +542,7 @@ impl NodeServer {
     /// Drain the channel of every live copy.  Returns datagrams
     /// handled.
     fn poll_copies(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.table.len() == self.inbound {
+        if self.copies == 0 {
             return Ok(0);
         }
         let mut handled = 0;
@@ -527,16 +566,24 @@ impl NodeServer {
             _ => {}
         }
         let key = Key::Inbound(dgram.transfer_id);
-        match self.table.get_mut(&key) {
+        let Some(entry) = self.table.get_mut(&key) else {
+            self.shard.local.unroutable += 1;
+            return Ok(());
+        };
+        match &entry.link {
             // Only the session's peer may drive its engine.
-            Some(entry) if entry.session().is_some_and(|s| s.peer == peer) => {
-                self.shard.pump(key, entry, Input::Datagram(&dgram))?;
-                // Traffic for a finished session means the peer has not
-                // heard our final ack yet: postpone the reap so the
-                // engine stays to re-answer (the linger quiet window).
-                if entry.session().is_some_and(|s| s.finished) {
-                    self.shard.timers.arm((key, REAP), self.shard.config.linger);
+            Link::Inbound(session) if session.peer == peer => {
+                let after = self.shard.pump(key, entry, Input::Datagram(&dgram))?;
+                self.settle(key, after);
+            }
+            Link::Lingering { peer: p, finished } if *p == peer => {
+                let mut status = [0u8; FinishedReceiver::STATUS_LEN];
+                if let Some(n) = finished.reack(&dgram, &mut status) {
+                    self.shard.send_framed(peer, &status[..n])?;
                 }
+                // Traffic for a finished session means the peer has not
+                // heard our final ack yet: restart the quiet window.
+                self.shard.open_quiet_window(key, entry.started);
             }
             _ => self.shard.local.unroutable += 1,
         }
@@ -551,16 +598,24 @@ impl NodeServer {
             shard.local.malformed += 1;
             return Ok(());
         };
-        if let Some(session) = self.table.get(&key).and_then(Entry::session) {
-            if session.peer == peer {
-                // Duplicate request: our echo was lost; re-send it.
+        match self.table.get(&key).map(|entry| &entry.link) {
+            None => {}
+            // Duplicate request: our echo was lost; re-send it.
+            Some(Link::Inbound(session)) if session.peer == peer => {
                 return shard.send_framed(peer, &session.echo);
             }
+            // A duplicate that outlived its session: the peer has long
+            // had the echo — it went on to send every byte.
+            Some(Link::Lingering { peer: p, .. }) if *p == peer => return Ok(()),
             // Someone else's id: refuse rather than cross wires.
-            shard.local.collisions += 1;
-            return shard.send_cancel(id, peer);
+            Some(_) => {
+                shard.local.collisions += 1;
+                return shard.send_cancel(id, peer);
+            }
         }
-        if self.inbound >= shard.config.max_sessions {
+        // Finished sessions hold no slot: what the cap bounds is engines
+        // and receive buffers, and a finished session has neither.
+        if shard.local.sessions_in_flight() >= shard.config.max_sessions as u64 {
             shard.local.rejected_busy += 1;
             return shard.send_cancel(id, peer);
         }
@@ -603,6 +658,11 @@ impl NodeServer {
             Direction::Push => shard.local.pushes += 1,
             Direction::Pull => shard.local.pulls += 1,
         }
+        // Publish the admission before any datagram of the session can
+        // reach the wire: a client returns the moment its transfer
+        // completes, and whoever then counts sessions in flight
+        // (`NodeHandle::wait_idle`) must find this one.
+        shard.publish_now();
         // Echo before starting the engine so that, in order-preserving
         // conditions, the size announcement precedes round-0 data.
         shard.send_framed(peer, &echo)?;
@@ -614,19 +674,21 @@ impl NodeServer {
         shard
             .timers
             .arm((key, GIVE_UP), shard.config.session_timeout);
-        self.inbound += 1;
-        let entry = self.table.entry(key).or_insert(Entry {
-            engine: Some(engine),
-            name: request.name,
-            started: Instant::now(),
-            link: Link::Inbound(Session {
-                peer,
-                direction: request.direction,
-                echo,
-                finished: false,
-            }),
+        let entry = self.table.entry(key).or_insert_with(|| {
+            Box::new(Entry {
+                engine: Some(engine),
+                name: request.name,
+                started: Instant::now(),
+                link: Link::Inbound(Session {
+                    peer,
+                    direction: request.direction,
+                    echo,
+                }),
+            })
         });
-        shard.pump(key, entry, Input::Start)
+        let after = shard.pump(key, entry, Input::Start)?;
+        self.settle(key, after);
+        Ok(())
     }
 
     fn on_timer(&mut self, key: Key, token: TimerToken) -> io::Result<()> {
@@ -637,22 +699,19 @@ impl NodeServer {
         let Some(entry) = self.table.get_mut(&key) else {
             return Ok(());
         };
-        match (token, &entry.link) {
+        let after = match (token, &entry.link) {
             (GIVE_UP, Link::Inbound(_)) => {
                 // The hard bound on session lifetime: fail an engine
-                // that never completed (a no-op on a finished one), and
-                // evict even a finished one whose peer keeps the linger
-                // window open forever.
-                if let Some(engine) = &entry.engine {
-                    let info = CompletionInfo::failure(
-                        blast_core::CoreError::BadState {
-                            what: "session timed out",
-                        },
-                        engine.stats(),
-                    );
-                    self.shard.finish_session(key.id(), entry, &info);
-                }
-                self.reap(key);
+                // that never completed.  (A push that did complete has
+                // no give-up timer; the bound caps its quiet window.)
+                let stats = entry.engine.as_ref().map(|e| e.stats()).unwrap_or_default();
+                let info = CompletionInfo::failure(
+                    blast_core::CoreError::BadState {
+                        what: "session timed out",
+                    },
+                    stats,
+                );
+                self.shard.finish_session(key, entry, &info)
             }
             // The session-lifetime bound doubles as the copy's: an
             // outbound leg that has not settled by then is abandoned.
@@ -662,20 +721,47 @@ impl NodeServer {
                     Some(_) => errcode::TRANSFER_FAILED,
                 };
                 self.shard.end_copy(key, entry, Err(error));
+                After::Live
             }
-            (COPY_HS, _) => self.shard.retry_copy_handshake(key, entry),
-            _ => return self.shard.pump(key, entry, Input::Timer(token)),
-        }
+            (COPY_HS, _) => {
+                self.shard.retry_copy_handshake(key, entry);
+                After::Live
+            }
+            _ => self.shard.pump(key, entry, Input::Timer(token))?,
+        };
+        self.settle(key, after);
         Ok(())
     }
 
-    fn reap(&mut self, key: Key) {
-        if self.table.remove(&key).is_some() {
-            if let Key::Inbound(_) = key {
-                self.inbound -= 1;
+    /// Act on what an engine call left of `key`'s entry: reap a spent
+    /// one; queue a new lingerer, and stop answering for the oldest
+    /// once [`NodeConfig::max_sessions`] younger ones have queued up
+    /// behind it — so what lingers is bounded by a count, not by how
+    /// many sessions a second the shard completes.
+    fn settle(&mut self, key: Key, after: After) {
+        match after {
+            After::Live => {}
+            After::Spent => self.reap(key),
+            After::Lingers => {
+                self.lingerers.push_back(key);
+                if self.lingerers.len() > self.shard.config.max_sessions {
+                    let oldest = self.lingerers.pop_front().expect("just pushed");
+                    if let Some(Link::Lingering { .. }) = self.table.get(&oldest).map(|e| &e.link) {
+                        self.reap(oldest);
+                    }
+                }
             }
         }
-        self.shard.timers.forget_where(|&(owner, _)| owner == key);
+    }
+
+    /// Drop `key`'s entry and whatever timers it still has armed.
+    fn reap(&mut self, key: Key) {
+        if self.table.remove(&key).is_some() {
+            if let Key::Outbound(_) = key {
+                self.copies -= 1;
+            }
+        }
+        self.shard.forget_timers(key);
     }
 
     /// Dispatch one `Copy` control datagram from an orchestrating
@@ -733,7 +819,7 @@ impl NodeServer {
             return status;
         }
         let shard = &mut self.shard;
-        if self.table.len() - self.inbound >= shard.config.max_sessions {
+        if self.copies >= shard.config.max_sessions {
             shard.local.rejected_busy += 1;
             return bare_status(CopyState::Failed, errcode::BUSY);
         }
@@ -779,7 +865,8 @@ impl NodeServer {
             link,
         };
         let status = entry.copy_status().expect("a copy's entry");
-        self.table.insert(key, entry);
+        self.table.insert(key, Box::new(entry));
+        self.copies += 1;
         status
     }
 }
@@ -817,16 +904,17 @@ impl Shard {
     /// once per tick, never per datagram, and in steady state (no new
     /// finished sessions) the copy reuses the slot's allocations.
     fn publish_metrics(&mut self) {
-        let events = self.session_events();
-        if events != self.published_events || self.last_publish.elapsed() >= PUBLISH_INTERVAL {
+        if self.session_events() != self.published_events
+            || self.last_publish.elapsed() >= PUBLISH_INTERVAL
+        {
             self.publish_now();
-            self.published_events = events;
         }
     }
 
     fn publish_now(&mut self) {
         self.local
             .publish_into(&mut self.slot.lock().expect("metrics slot"));
+        self.published_events = self.session_events();
         self.last_publish = Instant::now();
     }
 
@@ -884,14 +972,24 @@ impl Shard {
         })
     }
 
+    /// Cancel whatever timers `key`'s entry still has armed, the
+    /// engine's and the node's own alike.
+    fn forget_timers(&mut self, key: Key) {
+        self.timers
+            .cancel_range((key, TimerToken(0))..=(key, TimerToken(u64::MAX)));
+    }
+
     /// Run one engine call for `entry` through the shared pump:
     /// transmissions go to the session's peer through the shard socket
     /// (flushed once per tick) or out the copy's own channel (flushed
     /// per call, as `Client` does), timers ride the one wheel under
     /// `key`, and completion finishes the session or settles the copy.
-    fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<()> {
+    ///
+    /// Returns what the call left of the entry; the caller, who owns
+    /// the table, [`settle`](NodeServer::settle)s it.
+    fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<After> {
         let Some(engine) = entry.engine.as_deref_mut() else {
-            return Ok(());
+            return Ok(After::Live);
         };
         let now = self.epoch.elapsed();
         let timer_key = |token| (key, token);
@@ -904,7 +1002,7 @@ impl Shard {
                     io.queue_to(socket, frame, peer)
                 })?
             }
-            Link::Settled(_) => return Ok(()),
+            Link::Lingering { .. } | Link::Settled(_) => return Ok(After::Live),
             Link::Outbound(leg) => {
                 let (channel, timers) = (&mut leg.channel, &mut self.timers);
                 let sent = pump::step(engine, now, input, timers, timer_key, |bytes| {
@@ -918,58 +1016,86 @@ impl Shard {
                     // the shard.
                     Err(_) => {
                         self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
-                        return Ok(());
+                        return Ok(After::Live);
                     }
                 }
             }
         };
-        match (done, &entry.link) {
-            (Some(info), Link::Inbound(_)) => {
-                self.finish_session(key.id(), entry, &info);
-                // Keep the engine routable through the linger window,
-                // then sweep it (completed-engine reaping).
-                self.timers.arm((key, REAP), self.config.linger);
+        Ok(match (done, &entry.link) {
+            (Some(info), Link::Inbound(_)) => self.finish_session(key, entry, &info),
+            (Some(info), _) => {
+                self.finish_copy(key, entry, &info);
+                After::Live
             }
-            (Some(info), _) => self.finish_copy(key, entry, &info),
-            (None, _) => {}
-        }
-        Ok(())
+            (None, _) => After::Live,
+        })
     }
 
-    fn finish_session(&mut self, id: u32, entry: &mut Entry, info: &CompletionInfo) {
-        let Link::Inbound(session) = &mut entry.link else {
-            return;
+    /// Book the end of a session and release its engine.  The entry is
+    /// then [`After::Spent`] — a pull that completed (its sender has
+    /// heard the final ack) or any session that failed — or, a
+    /// completed push, [`After::Lingers`]: it stays as the
+    /// [`FinishedReceiver`] its engine retired into, to re-acknowledge
+    /// until its peer has been quiet for [`NodeConfig::linger`].
+    fn finish_session(&mut self, key: Key, entry: &mut Entry, info: &CompletionInfo) -> After {
+        let Link::Inbound(session) = &entry.link else {
+            return After::Live;
         };
-        if session.finished {
-            return;
-        }
-        session.finished = true;
-        // GIVE_UP stays armed: it now bounds the linger phase.
+        let (peer, direction) = (session.peer, session.direction);
+        let mut engine = entry.engine.take();
         let ok = info.is_success();
         let bytes = *info.result.as_ref().unwrap_or(&0);
-        let engine = entry.engine.as_deref();
-        // A completed push becomes a named blob other clients can pull.
-        if ok && session.direction == Direction::Push && !entry.name.is_empty() {
-            if let Some(data) = engine.and_then(Engine::received_data) {
-                self.store.put(&entry.name, data.to_vec().into());
+        let mut lingerer = None;
+        if ok && direction == Direction::Push {
+            if let Some((data, finished)) = engine.as_deref_mut().and_then(Engine::retire) {
+                // A completed push becomes a named blob other clients
+                // can pull: the receive buffer's one and only copy.
+                if !entry.name.is_empty() {
+                    self.store.put(&entry.name, Arc::from(data));
+                }
+                lingerer = Some(finished);
             }
         }
         let report = SessionReport {
-            transfer_id: id,
-            direction: session.direction,
-            name: entry.name.clone(),
+            transfer_id: key.id(),
+            direction,
+            name: std::mem::take(&mut entry.name),
             bytes,
             elapsed: entry.started.elapsed(),
             stats: info.stats,
             // The AIMD burst trajectory, for paced sender engines: how
             // far the burst grew (or shrank) by the end of the session.
-            pacing: engine.and_then(Engine::pacing_snapshot),
+            pacing: engine.as_deref().and_then(Engine::pacing_snapshot),
             ok,
         };
         self.local.record(report);
         if let Some(rec) = &self.recorder {
-            rec.record(id, EventKind::SessionReap, u64::from(ok), bytes as u64);
+            rec.record(
+                key.id(),
+                EventKind::SessionReap,
+                u64::from(ok),
+                bytes as u64,
+            );
         }
+        let Some(finished) = lingerer else {
+            return After::Spent;
+        };
+        entry.link = Link::Lingering { peer, finished };
+        // The one timer a lingerer needs is its reap, which carries the
+        // lifetime bound from here on.
+        self.timers.cancel((key, GIVE_UP));
+        self.open_quiet_window(key, entry.started);
+        After::Lingers
+    }
+
+    /// (Re)start a lingering session's quiet window: reap it
+    /// [`NodeConfig::linger`] from now, or when the lifetime of a
+    /// session that `started` then runs out, whichever is first — a
+    /// peer that never goes quiet cannot keep it forever.
+    fn open_quiet_window(&mut self, key: Key, started: Instant) {
+        let quiet = Instant::now() + self.config.linger;
+        let bound = started + self.config.session_timeout;
+        self.timers.arm_at((key, REAP), quiet.min(bound));
     }
 
     /// Answer a control-plane `Stats` query with a whole-node snapshot:
@@ -1060,7 +1186,9 @@ impl Shard {
             // A duplicate echo: the engine must never see handshake
             // traffic.
             (CopyState::Running, PacketKind::Request) => Ok(()),
-            (CopyState::Running, _) => self.pump(key, entry, Input::Datagram(&dgram)),
+            (CopyState::Running, _) => self
+                .pump(key, entry, Input::Datagram(&dgram))
+                .map(|_live| ()),
             // Data racing ahead of a lost echo: the remote's
             // retransmission machinery re-elicits everything once our
             // handshake retry lands.
@@ -1097,7 +1225,7 @@ impl Shard {
         self.timers.cancel((key, COPY_HS));
         leg.status.state = CopyState::Running;
         entry.engine = Some(engine);
-        self.pump(key, entry, Input::Start)
+        self.pump(key, entry, Input::Start).map(|_live| ())
     }
 
     /// `COPY_HS` fired: the echo has not arrived, ask again.  (The
@@ -1127,11 +1255,11 @@ impl Shard {
             return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
         };
         if leg.mode == CopyMode::Pull {
-            if let Some(data) = entry.engine.as_deref().and_then(Engine::received_data) {
-                leg.status.crc32 = crc32(data);
+            if let Some((data, _)) = entry.engine.as_deref_mut().and_then(Engine::retire) {
+                leg.status.crc32 = crc32(&data);
                 leg.status.bytes_total = data.len() as u64;
                 if !entry.name.is_empty() {
-                    self.store.put(&entry.name, data.to_vec().into());
+                    self.store.put(&entry.name, Arc::from(data));
                 }
             }
         }
@@ -1167,7 +1295,7 @@ impl Shard {
             let ok = u64::from(outcome.is_ok());
             rec.record(key.id(), EventKind::CopyDone, ok, outcome.unwrap_or(0));
         }
-        self.timers.forget_where(|&(owner, _)| owner == key);
+        self.forget_timers(key);
         self.timers.arm((key, REAP), COPY_GRACE);
         Link::Settled(status)
     }
@@ -1251,7 +1379,8 @@ impl NodeBuilder {
         self
     }
 
-    /// Quiet window a finished engine keeps answering duplicates.
+    /// Quiet window through which a completed push keeps
+    /// re-acknowledging duplicates (see [`NodeConfig::linger`]).
     pub fn linger(mut self, linger: Duration) -> Self {
         self.config.linger = linger;
         self
@@ -1263,7 +1392,8 @@ impl NodeBuilder {
         self
     }
 
-    /// Maximum concurrent sessions per shard.
+    /// Maximum concurrent unfinished sessions per shard (see
+    /// [`NodeConfig::max_sessions`]).
     pub fn max_sessions(mut self, sessions: usize) -> Self {
         self.config.max_sessions = sessions;
         self
@@ -1719,7 +1849,8 @@ mod tests {
             );
         }
         workload.join().unwrap();
-        assert_eq!(server.inbound, 0);
+        assert_eq!(server.copies, 0);
+        assert_eq!(server.shard.local.sessions_in_flight(), 0);
         assert!(
             server.shard.timers.is_empty(),
             "a reaped entry left a timer"
@@ -1728,6 +1859,49 @@ mod tests {
         assert_eq!((m.sessions_completed, m.sessions_failed), (2, 0));
         assert_eq!((m.copies_completed, m.copies_failed), (1, 1));
         remote.shutdown().unwrap();
+    }
+
+    /// What lingers is bounded by a count: once `max_sessions` younger
+    /// pushes have finished behind it, a lingerer goes — table entry,
+    /// reap timer and all — however long its quiet window has left.
+    #[test]
+    fn lingerers_are_capped_at_max_sessions() {
+        let mut config = NodeConfig::default();
+        config.protocol.timeout = Duration::from_millis(15).into();
+        config.max_sessions = 2;
+        config.linger = Duration::from_secs(60);
+        let socket = UdpSocket::bind(config.bind).unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut server =
+            NodeServer::with_socket(config, shared_store(), socket, shutdown, false).unwrap();
+        let addr = server.local_addr().unwrap();
+
+        let workload = std::thread::spawn(move || {
+            let mut client = Client::connect(addr)
+                .unwrap()
+                .config(client_cfg())
+                .transfer_ids_from(1);
+            for i in 0..6 {
+                client.push(&format!("blob-{i}"), &payload(10_000)).unwrap();
+            }
+        });
+        let started = Instant::now();
+        let mut buf = vec![0u8; 64 * 1024];
+        while !workload.is_finished() {
+            server.tick(&mut buf).unwrap();
+            assert!(started.elapsed() < Duration::from_secs(20));
+        }
+        workload.join().unwrap();
+        let mut lingering: Vec<u32> = server.table.keys().map(|key| key.id()).collect();
+        lingering.sort_unstable();
+        assert_eq!(lingering, [5, 6], "the two youngest");
+        assert!(server
+            .table
+            .values()
+            .all(|e| e.engine.is_none() && matches!(e.link, Link::Lingering { .. })));
+        assert_eq!(server.shard.timers.len(), 2, "one reap timer each");
+        let m = &server.shard.local;
+        assert_eq!((m.sessions_completed, m.rejected_busy), (6, 0));
     }
 
     #[test]

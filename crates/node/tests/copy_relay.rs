@@ -63,6 +63,9 @@ fn push_copy_moves_blob_a_to_b() {
         .pull("blob")
         .unwrap();
     assert_eq!(pulled.data, data);
+    // The pull returned with its last byte, one datagram before B hears
+    // the final ack.
+    assert!(b.wait_idle(Duration::from_secs(5)), "tail ack drained");
 
     // Node A admitted and completed the copy, anchored its clock to
     // the client's epoch, and ran blast rounds for the outbound leg;
@@ -203,9 +206,9 @@ fn copy_id_may_equal_a_live_inbound_transfer_id() {
     let data = blob(1_500_000);
     a.store().put("big", data.clone().into());
 
-    // Session 7 on A: a pull.  Its entry stays in A's table from the
-    // accept until `linger` after it finishes, so it is live when the
-    // copy below — also id 7, on the same (only) shard — is submitted.
+    // Session 7 on A: a 1.5 MB pull.  Its entry is in A's table from
+    // the accept until the last ack, so it is live when the copy below
+    // — also id 7, on the same (only) shard — is submitted.
     let addr = a.addr();
     let puller = std::thread::spawn(move || {
         Client::connect(addr)
@@ -236,6 +239,7 @@ fn copy_id_may_equal_a_live_inbound_transfer_id() {
         .unwrap();
     assert_eq!(replica.data, data, "copy 7 byte-exact");
 
+    assert!(a.wait_idle(Duration::from_secs(5)), "tail ack drained");
     let ma = a.shutdown().unwrap();
     assert_eq!((ma.sessions_completed, ma.sessions_failed), (1, 0));
     assert_eq!((ma.copies_completed, ma.copies_failed), (1, 0));

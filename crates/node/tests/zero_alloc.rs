@@ -8,7 +8,9 @@
 //!   touches no lock and no heap);
 //! * **the per-tick publish** (`publish_into` the shared snapshot slot)
 //!   reuses the slot's allocations: zero allocations in steady state,
-//!   even while counters drift between ticks;
+//!   even while counters drift between ticks — and zero when a session
+//!   has just finished, too, however many reports the slot retains
+//!   (the fresh report moves into the slot; nothing is cloned);
 //! * **merge-on-read** (`merge_from`, what `NodeHandle::metrics` does)
 //!   is the only tier allowed to allocate, and it runs on the *reader's*
 //!   thread — never on a reactor.
@@ -21,7 +23,7 @@ use std::time::Duration;
 use blast_core::api::EngineStats;
 use blast_core::PacerSnapshot;
 use blast_counting_alloc::{allocations, CountingAlloc};
-use blast_node::metrics::{NodeMetrics, SessionReport};
+use blast_node::metrics::{NodeMetrics, SessionReport, MAX_REPORTS};
 use blast_udp::handshake::Direction;
 
 #[global_allocator]
@@ -110,23 +112,54 @@ fn packet_accounting_and_steady_publish_allocate_zero() {
     assert_eq!(slot.netio_backend, "batched");
     assert_eq!(slot.reports.len(), 8, "report snapshot intact");
 
-    // Sanity that the counter is live and the gate means something: a
-    // *finished session* may allocate (the report clone into the slot),
-    // which is fine — completion is off the packet path by definition.
+    // Sanity that the counter is live and the gate means something:
+    // building a report allocates (its name).
     let before = allocations();
-    local.record(report(99));
+    let ninth = report(99);
+    assert!(allocations() - before > 0, "the counter must be live");
+    local.record(ninth);
     local.publish_into(&mut slot);
-    assert!(
-        allocations() - before > 0,
-        "the counting allocator must observe the completion-path clone"
-    );
     assert_eq!(slot.reports.len(), 9);
+
+    // Tier 2b — finishing a session costs the publish O(1), on top of
+    // a full slot as on top of an empty one: fill the slot to its
+    // retention cap, then finish sessions one at a time.  Recording
+    // and publishing one allocates nothing at all (the report was
+    // built, name and all, by the caller), where cloning the retained
+    // set would have cost a thousand-odd allocations apiece.
+    for id in 100..100 + MAX_REPORTS as u32 {
+        local.record(report(id));
+    }
+    local.publish_into(&mut slot);
+    assert_eq!(slot.reports.len(), MAX_REPORTS);
+    let fresh: Vec<SessionReport> = (5000..5016).map(report).collect();
+    let before = allocations();
+    for r in fresh {
+        local.record(r);
+        local.publish_into(&mut slot);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a finished session must not re-clone the retained reports"
+    );
+    assert_eq!(slot.reports.len(), MAX_REPORTS);
+    let newest: Vec<u32> = slot
+        .reports
+        .iter()
+        .rev()
+        .take(16)
+        .map(|r| r.transfer_id)
+        .collect();
+    assert_eq!(newest, (5000..5016).rev().collect::<Vec<u32>>());
+    assert_eq!(slot.reports.back().unwrap().name, "blob-5015");
+    assert_eq!(slot.sessions_completed, local.sessions_completed);
 
     // Tier 3 — merge-on-read reconciles exactly, and its (bounded)
     // allocations happen here, on the reader's thread.
     let mut merged = NodeMetrics::default();
     merged.merge_from(&slot);
     assert_eq!(merged.datagrams_received, local.datagrams_received);
-    assert_eq!(merged.sessions_completed, 9);
-    assert_eq!(merged.reports.len(), 9);
+    assert_eq!(merged.sessions_completed, local.sessions_completed);
+    assert_eq!(merged.reports.len(), MAX_REPORTS);
 }

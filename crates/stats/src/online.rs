@@ -17,13 +17,21 @@
 /// assert_eq!(s.min(), 2.0);
 /// assert_eq!(s.max(), 9.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+/// The empty accumulator — extrema at ±∞, not the all-zero value a
+/// derive would give (whose `min` could never rise above 0).
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {
@@ -176,6 +184,18 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9 * (1.0 + a.abs().max(b.abs()))
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        let mut s = OnlineStats::default();
+        assert_eq!(s.min(), f64::INFINITY);
+        assert_eq!(s.max(), f64::NEG_INFINITY);
+        for x in [96.0, 512.0, 128.0] {
+            s.push(x);
+        }
+        assert_eq!(s.min(), 96.0, "not the 0.0 a derived Default starts from");
+        assert_eq!(s.max(), 512.0);
     }
 
     #[test]

@@ -18,15 +18,19 @@ use crate::channel::{Channel, MAX_DATAGRAM};
 use crate::pump::{self, Input};
 use crate::timers::TimerWheel;
 
-/// How long a finished receiver keeps answering duplicate packets, so
+/// How long a lingering driver stays after its receiver finished, so
 /// that a peer whose final ack was lost can still complete (§3.2.2's
-/// tail problem).  Called "linger" by analogy with TCP's TIME-WAIT.
+/// tail problem): the finished engine keeps answering duplicates from
+/// inside [`Driver::run`].
 ///
 /// The window is a *quiet* window: incoming traffic restarts it, since
 /// a peer still retransmitting is a peer that has not heard our final
-/// ack.  Lingering therefore lasts exactly as long as the peer needs
-/// (bounded by the driver deadline), and a clean exit costs only this
-/// constant.
+/// ack.  Lingering therefore lasts as long as the peer needs (bounded
+/// by the driver deadline), and never less than this constant — which
+/// every run pays, loss or no loss.  It suits a one-shot receiver that
+/// gives its channel up when `run` returns (`blast_udp::peer`); a
+/// caller that keeps the channel for further transfers should not
+/// linger at all, and leave the duty to [`crate::timewait::TimeWait`].
 pub const LINGER: Duration = Duration::from_millis(50);
 
 /// Outcome of a driver run.
@@ -55,8 +59,11 @@ pub struct Driver<C: Channel> {
     /// Stop even if incomplete after this long (safety for tests).
     pub deadline: Duration,
     /// Keep answering duplicates after the engine finishes until the
-    /// channel has been quiet for [`linger_for`](Driver::linger_for)
-    /// (receivers should; senders need not).
+    /// channel has been quiet for [`linger_for`](Driver::linger_for).
+    /// Off, `run` returns the moment the engine completes — right for
+    /// senders (a sender completes on hearing the final ack; nothing is
+    /// left to answer) and for receivers whose channel goes on to
+    /// answer for them (see [`LINGER`]).
     pub linger: bool,
     /// The quiet window that ends lingering.  Incoming traffic restarts
     /// it: a peer still retransmitting has not heard our final ack, so
@@ -64,15 +71,6 @@ pub struct Driver<C: Channel> {
     /// suits most links; raise it past the peer's retransmission
     /// interval if that interval is unusually long.
     pub linger_for: Duration,
-    /// Optional shorter quiet window used when the run completed
-    /// *clean* — no retransmission rounds, no malformed datagrams.  A
-    /// clean run is strong evidence the link is not losing packets, so
-    /// the final status is very unlikely to need re-answering and a
-    /// long tail wait would be pure dead time (per-transfer callers
-    /// like `blast-node`'s `Client::pull` pay it on every call).  Runs
-    /// that saw any loss keep the full [`linger_for`](Self::linger_for)
-    /// window.
-    pub clean_linger_for: Option<Duration>,
     /// Flight recorder, handed to the engine and the channel at
     /// [`run`](Driver::run).  The recorder's epoch also becomes the
     /// engine's `set_now` base, so engine events and the backend's
@@ -89,7 +87,6 @@ impl<C: Channel> Driver<C> {
             deadline: Duration::from_secs(60),
             linger: false,
             linger_for: LINGER,
-            clean_linger_for: None,
             recorder: None,
         }
     }
@@ -110,14 +107,6 @@ impl<C: Channel> Driver<C> {
     pub fn with_linger_for(mut self, window: Duration) -> Self {
         self.linger = true;
         self.linger_for = window;
-        self
-    }
-
-    /// Use a shorter quiet window after a clean run (see
-    /// [`Driver::clean_linger_for`]).  Implies lingering.
-    pub fn with_clean_linger_for(mut self, window: Duration) -> Self {
-        self.linger = true;
-        self.clean_linger_for = Some(window);
         self
     }
 
@@ -154,7 +143,6 @@ impl<C: Channel> Driver<C> {
             completion: None,
             finished_at: None,
             quiet_since: None,
-            linger_window: self.linger_for,
         };
         let mut received = 0u64;
         let mut buf = vec![0u8; MAX_DATAGRAM];
@@ -166,7 +154,7 @@ impl<C: Channel> Driver<C> {
                 break;
             }
             if let Some(t) = run.quiet_since {
-                if !self.linger || now.duration_since(t) > run.linger_window {
+                if !self.linger || now.duration_since(t) > self.linger_for {
                     break;
                 }
             }
@@ -195,9 +183,9 @@ impl<C: Channel> Driver<C> {
                 .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(50));
             // While lingering, don't oversleep the quiet window: with
             // no timers pending the default 20 ms wait would stretch a
-            // shorter (clean-run) window to the wait granularity.
+            // shorter window to the wait granularity.
             if let Some(t) = run.quiet_since {
-                let remaining = run.linger_window.saturating_sub(now.duration_since(t));
+                let remaining = self.linger_for.saturating_sub(now.duration_since(t));
                 until_timer = until_timer.min(remaining.max(PacingConfig::MIN_WAIT));
             }
             let Some(n) = self.channel.recv_timeout(&mut buf, until_timer)? else {
@@ -219,6 +207,13 @@ impl<C: Channel> Driver<C> {
                     self.channel.send(reply)?;
                     run.sent += 1;
                 }
+                continue;
+            }
+            // Someone else's transfer — say, the tail a previous
+            // transfer's sender is still retransmitting on this channel
+            // — must not reach this engine: receivers place data by
+            // sequence number alone.
+            if dgram.transfer_id != engine.transfer_id() {
                 continue;
             }
             self.step(engine, &mut run, Input::Datagram(&dgram))?;
@@ -266,13 +261,6 @@ impl<C: Channel> Driver<C> {
         )?;
         self.channel.flush()?;
         if let Some(info) = done {
-            // The clean-run short window when the transfer saw no
-            // loss, the full window otherwise.
-            if let Some(short) = self.clean_linger_for {
-                if info.stats.retransmission_rounds == 0 && run.malformed == 0 {
-                    run.linger_window = short;
-                }
-            }
             run.completion = Some(info);
             run.finished_at = Some(Instant::now());
             run.quiet_since = run.finished_at;
@@ -294,7 +282,6 @@ struct Run {
     /// The linger quiet-clock: set at completion, restarted by any
     /// incoming traffic.
     quiet_since: Option<Instant>,
-    linger_window: Duration,
 }
 
 #[cfg(test)]
@@ -362,32 +349,33 @@ mod tests {
         assert_eq!(receiver.join().unwrap(), payload.as_ref());
     }
 
+    /// A datagram of some other transfer on the same channel — the
+    /// retransmitted tail of the one before — never reaches the engine,
+    /// even when its geometry would fit.
     #[test]
-    fn clean_run_uses_the_short_linger_window() {
-        let (a, b) = UdpChannel::pair().unwrap();
+    fn foreign_transfer_ids_never_reach_the_engine() {
+        let (mut a, b) = UdpChannel::pair().unwrap();
         let c = cfg();
-        let payload = data(20_000);
-        let payload2 = payload.clone();
+        let payload = data(3 * 1024);
+        // The stale tail: transfer 1's last packet, all 0xEE.
+        let mut stale = vec![0u8; 2048];
+        let n = blast_wire::DatagramBuilder::new(1)
+            .build_data(&mut stale, 2, 3, 2048, &[0xEE; 1024], 1, true)
+            .unwrap();
+        a.send(&stale[..n]).unwrap();
         let c2 = c.clone();
         let receiver = std::thread::spawn(move || {
-            let mut engine = BlastReceiver::new(1, payload2.len(), &c2);
-            let start = Instant::now();
-            let mut driver = Driver::new(b)
-                .with_linger_for(Duration::from_millis(400))
-                .with_clean_linger_for(Duration::from_millis(10));
-            let out = driver.run(&mut engine).unwrap();
+            let mut engine = BlastReceiver::new(2, 3 * 1024, &c2);
+            let out = Driver::new(b).run(&mut engine).unwrap();
             assert!(out.completion.is_success());
-            (engine.into_data(), start.elapsed())
+            (engine.into_data(), out.datagrams_received)
         });
-        let mut engine = BlastSender::new(1, payload.clone(), &c);
+        let mut engine = BlastSender::new(2, payload.clone(), &c);
         let out = Driver::new(a).run(&mut engine).unwrap();
-        assert!(out.completion.is_success());
-        let (received, elapsed) = receiver.join().unwrap();
-        assert_eq!(received, payload.as_ref());
-        assert!(
-            elapsed < Duration::from_millis(300),
-            "loopback run is clean, so the 400 ms window must not be paid: {elapsed:?}"
-        );
+        assert!(out.completion.is_success(), "{:?}", out.completion);
+        let (received, datagrams) = receiver.join().unwrap();
+        assert_eq!(received, payload.as_ref(), "the stale tail was not placed");
+        assert_eq!(datagrams, 4, "it did arrive");
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //!   and a keyed timer wheel, report completion;
 //! * [`driver`] — a blocking event loop that pumps one engine over a
 //!   channel with real (wall-clock) timers;
-//! * [`timers`] — the generation-stamped timer wheel behind that loop
-//!   (and behind the multi-session `blast-node` server);
+//! * [`timers`] — the timer wheel behind that loop (and behind the
+//!   multi-session `blast-node` server);
+//! * [`timewait`] — a channel adaptor that keeps re-acknowledging for
+//!   receivers that have finished, from whatever receive loop runs
+//!   next, so no transfer waits out a linger timer;
 //! * [`handshake`] — the pre-allocation `Request` handshake: transfer
 //!   length, packet size, strategy, direction and blob name, encoded in
 //!   a `Request` packet that is retransmitted until echoed;
@@ -83,6 +86,7 @@ pub mod peer;
 pub mod pump;
 pub mod sockopt;
 pub mod timers;
+pub mod timewait;
 
 pub use channel::{Channel, UdpChannel};
 pub use copy::{BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
@@ -93,3 +97,4 @@ pub use handshake::{Direction, Request};
 pub use netio::{BackendKind, NetIo, NetIoStats};
 pub use peer::{recv_data, send_data, TransferReport};
 pub use timers::TimerWheel;
+pub use timewait::TimeWait;

@@ -18,6 +18,7 @@
 //! packets before the engine sees them).
 
 use std::io;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blast_core::api::EngineStats;
@@ -137,13 +138,9 @@ fn send_impl<C: Channel>(
 
     // Data phase.
     let mut engine: Box<dyn Engine> = if multiblast {
-        Box::new(MultiBlastSender::new(
-            transfer_id,
-            data.to_vec().into(),
-            cfg,
-        ))
+        Box::new(MultiBlastSender::new(transfer_id, Arc::from(data), cfg))
     } else {
-        Box::new(BlastSender::new(transfer_id, data.to_vec().into(), cfg))
+        Box::new(BlastSender::new(transfer_id, Arc::from(data), cfg))
     };
     let mut driver = Driver::new(channel);
     let out = driver.run(engine.as_mut())?;

@@ -15,7 +15,6 @@
 //! order either way, and a transmitted packet's pooled buffer returns
 //! to the pool before the engine builds the next one.
 
-use std::hash::Hash;
 use std::io;
 use std::time::Duration;
 
@@ -48,7 +47,7 @@ struct Apply<'a, K, F, T> {
 
 impl<K, F, T> ActionSink for Apply<'_, K, F, T>
 where
-    K: Copy + Eq + Hash + Ord,
+    K: Copy + Ord,
     F: Fn(TimerToken) -> K,
     T: FnMut(&[u8]) -> io::Result<()>,
 {
@@ -80,7 +79,7 @@ pub fn step<K, F, T>(
     transmit: T,
 ) -> io::Result<Option<CompletionInfo>>
 where
-    K: Copy + Eq + Hash + Ord,
+    K: Copy + Ord,
     F: Fn(TimerToken) -> K,
     T: FnMut(&[u8]) -> io::Result<()>,
 {

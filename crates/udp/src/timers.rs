@@ -1,78 +1,59 @@
-//! A generation-stamped timer wheel for event-loop drivers.
+//! A timer wheel for event-loop drivers.
 //!
 //! The sans-I/O engines arm and cancel timers by token
 //! ([`blast_core::api::Action::SetTimer`] / `CancelTimer`), with
 //! replace-on-rearm semantics: arming a token that is already pending
-//! moves its deadline, and a cancelled token must not fire.  Deleting
-//! from the middle of a binary heap is awkward, so [`TimerWheel`] uses
-//! the classic lazy scheme instead: every arm/cancel bumps a per-key
-//! *generation*, heap entries carry the generation they were armed
-//! with, and stale entries are discarded when they surface.
+//! moves its deadline, and a cancelled token must not fire.
+//! [`TimerWheel`] keeps exactly the live timers, in two ordered maps —
+//! each key's deadline, and the deadlines in firing order — and removes
+//! a superseded or cancelled deadline on the spot.  Its size is the
+//! number of timers pending *now*, however many have come and gone: a
+//! reactor that arms a 30 s give-up per session and cancels it
+//! microseconds later carries nothing forward.
 //!
 //! The key is generic so the same wheel serves both the single-engine
 //! blocking [`crate::driver::Driver`] (keyed by [`TimerToken`]) and the
 //! many-session `blast-node` event loop (keyed by
-//! `(transfer_id, TimerToken)`).
+//! `(session, TimerToken)`); because keys are ordered, everything one
+//! session armed is one [`cancel_range`](TimerWheel::cancel_range).
 //!
 //! [`TimerToken`]: blast_core::api::TimerToken
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::Hash;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeBounds;
 use std::time::{Duration, Instant};
 
-/// One pending-deadline tracker per key.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    generation: u64,
-    armed: bool,
-}
-
-/// A set of one-shot timers with replace-on-rearm and O(log n) expiry.
+/// A set of one-shot timers with replace-on-rearm and O(log n) arm,
+/// cancel and expiry, n the timers pending.
 #[derive(Debug)]
 pub struct TimerWheel<K> {
-    slots: HashMap<K, Slot>,
-    heap: BinaryHeap<Reverse<(Instant, u64, K)>>,
-    armed: usize,
-    /// Wheel-global generation counter: every arm draws a fresh value,
-    /// so a key whose slot was dropped by
-    /// [`forget_where`](TimerWheel::forget_where) and later re-armed can
-    /// never collide with one of its own stale heap entries.
-    next_generation: u64,
+    deadlines: BTreeMap<K, Instant>,
+    /// The same timers in firing order (ties fire in key order).
+    queue: BTreeSet<(Instant, K)>,
 }
 
-impl<K: Copy + Eq + Hash + Ord> Default for TimerWheel<K> {
+impl<K: Copy + Ord> Default for TimerWheel<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Copy + Eq + Hash + Ord> TimerWheel<K> {
+impl<K: Copy + Ord> TimerWheel<K> {
     /// An empty wheel.
     pub fn new() -> Self {
         TimerWheel {
-            slots: HashMap::new(),
-            heap: BinaryHeap::new(),
-            armed: 0,
-            next_generation: 0,
+            deadlines: BTreeMap::new(),
+            queue: BTreeSet::new(),
         }
     }
 
     /// Arm (or re-arm) `key` to fire at `when`.  A previously pending
     /// deadline for the same key is superseded.
     pub fn arm_at(&mut self, key: K, when: Instant) {
-        self.next_generation += 1;
-        let generation = self.next_generation;
-        let slot = self.slots.entry(key).or_insert(Slot {
-            generation,
-            armed: false,
-        });
-        slot.generation = generation;
-        if !slot.armed {
-            slot.armed = true;
-            self.armed += 1;
+        if let Some(old) = self.deadlines.insert(key, when) {
+            self.queue.remove(&(old, key));
         }
-        self.heap.push(Reverse((when, generation, key)));
+        self.queue.insert((when, key));
     }
 
     /// Arm (or re-arm) `key` to fire after `after` from now.
@@ -82,73 +63,44 @@ impl<K: Copy + Eq + Hash + Ord> TimerWheel<K> {
 
     /// Cancel `key` if pending; a no-op otherwise.
     pub fn cancel(&mut self, key: K) {
-        if let Some(slot) = self.slots.get_mut(&key) {
-            if slot.armed {
-                slot.armed = false;
-                self.armed -= 1;
-            }
+        if let Some(when) = self.deadlines.remove(&key) {
+            self.queue.remove(&(when, key));
         }
     }
 
-    /// Drop all bookkeeping for keys matching `pred` (e.g. every timer
-    /// of a reaped session).  Their heap entries become stale and are
-    /// discarded lazily.
-    pub fn forget_where(&mut self, pred: impl Fn(&K) -> bool) {
-        let armed = &mut self.armed;
-        self.slots.retain(|k, slot| {
-            if pred(k) {
-                if slot.armed {
-                    *armed -= 1;
-                }
-                false
-            } else {
-                true
-            }
-        });
+    /// Cancel every pending key in `keys` (e.g. every timer of a reaped
+    /// session, whatever tokens its engine armed).  Costs O(log n) per
+    /// timer cancelled, nothing per timer left alone.
+    pub fn cancel_range(&mut self, keys: impl RangeBounds<K> + Clone) {
+        while let Some((&key, _)) = self.deadlines.range(keys.clone()).next() {
+            self.cancel(key);
+        }
     }
 
     /// Number of keys currently armed.
     pub fn len(&self) -> usize {
-        self.armed
+        self.deadlines.len()
     }
 
     /// True when no timer is pending.
     pub fn is_empty(&self) -> bool {
-        self.armed == 0
-    }
-
-    fn discard_stale_head(&mut self) -> bool {
-        if let Some(&Reverse((_, generation, key))) = self.heap.peek() {
-            let live = self
-                .slots
-                .get(&key)
-                .is_some_and(|s| s.armed && s.generation == generation);
-            if !live {
-                self.heap.pop();
-                return true;
-            }
-        }
-        false
+        self.deadlines.is_empty()
     }
 
     /// The earliest pending deadline, if any.
-    pub fn next_deadline(&mut self) -> Option<Instant> {
-        while self.discard_stale_head() {}
-        self.heap.peek().map(|Reverse((when, _, _))| *when)
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.queue.first().map(|&(when, _)| when)
     }
 
     /// Pop one key whose deadline is at or before `now`.  Call in a
     /// loop to drain everything due.
     pub fn pop_due(&mut self, now: Instant) -> Option<K> {
-        while self.discard_stale_head() {}
-        let &Reverse((when, _, key)) = self.heap.peek()?;
+        let &(when, key) = self.queue.first()?;
         if when > now {
             return None;
         }
-        self.heap.pop();
-        let slot = self.slots.get_mut(&key).expect("live head has a slot");
-        slot.armed = false;
-        self.armed -= 1;
+        self.queue.pop_first();
+        self.deadlines.remove(&key);
         Some(key)
     }
 }
@@ -209,28 +161,55 @@ mod tests {
     }
 
     #[test]
-    fn forget_where_drops_a_sessions_timers() {
+    fn cancel_range_drops_a_sessions_timers() {
         let mut w: TimerWheel<(u32, u64)> = TimerWheel::new();
         let t0 = Instant::now();
         w.arm_at((1, 0), t0);
-        w.arm_at((1, 1), t0);
+        w.arm_at((1, u64::MAX), t0);
+        w.arm_at((0, 7), t0 + Duration::from_millis(4));
         w.arm_at((2, 0), t0 + Duration::from_millis(5));
-        w.forget_where(|&(session, _)| session == 1);
-        assert_eq!(w.len(), 1);
+        w.cancel_range((1, 0)..=(1, u64::MAX));
+        assert_eq!(w.len(), 2);
         let late = t0 + Duration::from_secs(1);
+        assert_eq!(w.pop_due(late), Some((0, 7)));
         assert_eq!(w.pop_due(late), Some((2, 0)));
         assert_eq!(w.pop_due(late), None);
     }
 
+    /// A reactor arms a far deadline per session and cancels it when
+    /// the session ends a moment later: the wheel must hold the live
+    /// timers only, not one leftover per session until the far deadline
+    /// passes.
     #[test]
-    fn forgotten_key_rearmed_cannot_hit_stale_entry() {
-        // Regression: if generations were per-slot, forgetting a key and
-        // re-arming it would restart its generation at 1 and an old heap
-        // entry (same key, generation 1) would fire at the old deadline.
+    fn churn_leaves_nothing_behind() {
+        let mut w: TimerWheel<(u32, u64)> = TimerWheel::new();
+        let t0 = Instant::now();
+        let far = Duration::from_secs(30);
+        for session in 0..100_000u32 {
+            w.arm_at((session, 0), t0 + far);
+            w.arm_at((session, 1), t0 + far);
+            if session >= 8 {
+                let gone = session - 8;
+                w.cancel_range((gone, 0)..=(gone, u64::MAX));
+            }
+            assert!(w.len() <= 16);
+            assert_eq!(w.queue.len(), w.len(), "one queue entry per live timer");
+        }
+        assert_eq!(w.pop_due(t0 + Duration::from_secs(29)), None);
+        let mut fired = 0;
+        while w.pop_due(t0 + far).is_some() {
+            fired += 1;
+        }
+        assert_eq!(fired, 16);
+        assert!(w.is_empty() && w.queue.is_empty());
+    }
+
+    #[test]
+    fn cancelled_key_rearmed_cannot_fire_at_the_old_deadline() {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         let t0 = Instant::now();
         w.arm_at(1, t0 + Duration::from_millis(1)); // old session's timer
-        w.forget_where(|&k| k == 1); // session reaped; heap entry left stale
+        w.cancel(1); // session reaped
         w.arm_at(1, t0 + Duration::from_secs(5)); // id reused by a new session
         assert_eq!(
             w.pop_due(t0 + Duration::from_secs(1)),
