@@ -16,6 +16,13 @@
 //! | `ablation_strategies` | §3.2.4 — strategy comparison at the engine level |
 //! | `ablation_multiblast` | §3.1.3 — multi-blast chunk-size sweep |
 //! | `interface_errors` | §3 — the interface-overrun error regime |
+//! | `burst_errors` | extension of §3 — Gilbert–Elliott burst loss vs the iid assumption |
+//! | `dma_interfaces` | §2.1.3 — the DMA-interface discussion, quantified |
+//!
+//! Every binary reproduces a result of the paper on the calibrated
+//! simulator or the analytic model.  How fast *this implementation*
+//! runs is measured in one place only, the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/README.md`).
 //!
 //! This library holds the shared measurement plumbing: running one
 //! protocol transfer through the calibrated simulator and collecting

@@ -221,8 +221,8 @@ impl BlastSender {
         self.strategy
     }
 
-    /// The retransmission timeout currently in force (diagnostics and
-    /// the perf harness's RTO-trajectory records).
+    /// The retransmission timeout currently in force (diagnostics, and
+    /// the RTO trajectory `tests/cc_sweep.rs` asserts).
     pub fn current_rto(&self) -> Duration {
         self.rto.rto()
     }

@@ -536,7 +536,7 @@ const GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 const CRUISE_PHASE: u8 = 2;
 
 /// A point-in-time view of one [`Pacer`]'s state, for metrics and the
-/// perf harness's burst-trajectory records.
+/// burst trajectory `tests/cc_sweep.rs` asserts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacerSnapshot {
     /// The configured initial burst.

@@ -13,9 +13,12 @@
 //!   completion reports, i.e. allocations-per-packet ≈ 0.03 for a
 //!   64-packet transfer and falling with size.
 //!
-//! This file contains a single `#[test]` on purpose: the allocation
-//! counter is process-global, and a sibling test running on another
-//! thread would pollute the measured window.
+//! `harness = false` (see `Cargo.toml`): this file is a plain `fn main`,
+//! not a `#[test]`.  The allocation counter is process-global, and
+//! libtest's own main thread allocates (its running-test map grows)
+//! whenever it is scheduled — which under CPU contention lands inside
+//! the measured window.  Without the harness the only threads alive
+//! during a window are the ones this file creates.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,7 +67,6 @@ fn run_transfer(
     sender_out.clear();
 }
 
-#[test]
 fn steady_state_blast_round_trip_allocates_zero_per_packet() {
     let cfg = ProtocolConfig::default();
     // Warm the shared pool past the blast's in-flight high-water mark.
@@ -275,4 +277,11 @@ fn steady_state_blast_round_trip_allocates_zero_per_packet() {
     let snap = s.pacing_snapshot().expect("rate-based sender is paced");
     assert!(snap.rate_samples > 0, "the tail ack took a rate sample");
     assert_eq!(r.data(), &payload[..], "rate-paced bytes arrive intact");
+}
+
+fn main() {
+    steady_state_blast_round_trip_allocates_zero_per_packet();
+    // libtest's own line, so whatever reads `cargo test` output still
+    // finds this check by name.
+    println!("test steady_state_blast_round_trip_allocates_zero_per_packet ... ok");
 }

@@ -1,11 +1,11 @@
 //! A counting allocator: wraps [`System`] and bumps a global counter on
 //! every `alloc`/`realloc`.
 //!
-//! This is the measurement behind the repo's headline per-packet
-//! number: the `perf` harness divides the counter delta by the packets
-//! moved to report *allocations per packet*, and
-//! `crates/core/tests/zero_alloc.rs` asserts the steady-state blast
-//! loop leaves the counter untouched.
+//! This is the measurement behind the repo's per-packet allocation
+//! numbers: the repo benchmark divides the counter delta by the
+//! datagrams moved (`counting-alloc.allocs_per_datagram`), and the four
+//! `tests/zero_alloc.rs` suites (core, udp, node, telemetry) assert
+//! their steady-state loops leave the counter untouched.
 //!
 //! The crate exists so the one `unsafe impl` lives in exactly one
 //! audited place; consumers stay `forbid(unsafe_code)`-clean and only

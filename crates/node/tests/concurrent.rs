@@ -150,7 +150,7 @@ fn twelve_concurrent_mixed_transfers_with_faults() {
 
 /// The default (adaptive RTO + paced rounds, on both the node and the
 /// client) carries concurrent pushes end-to-end over real sockets —
-/// the configuration the perf harness measures.
+/// the configuration the repo benchmark's workloads run.
 #[test]
 fn adaptive_paced_defaults_roundtrip_concurrently() {
     // NodeBuilder::new() is adaptive + paced out of the box.

@@ -11,7 +11,7 @@
 //! timelines into the same UI.
 //!
 //! The workspace builds offline with no serde; both exporters write
-//! JSON by hand, mirroring the `perf.rs` harness idiom.
+//! JSON by hand.
 
 use std::fmt::Write as _;
 

@@ -35,10 +35,11 @@
 //!
 //! Set `BLAST_NETIO=portable` to force the fallback on Linux, or
 //! `BLAST_NETIO=batched` to keep the batched backend but leave
-//! segmentation offload off (CI runs the perf harness under several
-//! modes and prints the deltas).  [`set_offload_enabled`] is the same
-//! offload switch for callers that cannot set an environment variable
-//! (the perf harness's GSO-on/off axis).
+//! segmentation offload off — an operator's switch; the repo benchmark
+//! refuses to run with it set.  [`set_offload_enabled`] is the same
+//! offload switch for callers that cannot set an environment variable:
+//! the benchmark ledger times the tiers side by side with it
+//! (`udp.netio_{send,recv}_ns.{portable,batched,gso|gro}`).
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -105,7 +106,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Stable lowercase name for logs and perf JSON.
+    /// Stable lowercase name for logs and metrics.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Batched => "batched",
@@ -133,7 +134,7 @@ pub enum OffloadState {
 }
 
 impl OffloadState {
-    /// Stable lowercase name for logs and perf JSON.
+    /// Stable lowercase name for logs and metrics.
     pub fn name(self) -> &'static str {
         match self {
             OffloadState::Portable => "portable",
@@ -170,7 +171,7 @@ impl OffloadState {
 #[derive(Debug)]
 pub struct NetIo {
     imp: Impl,
-    /// Syscall accounting, exposed for node metrics and the perf JSON.
+    /// Syscall accounting, exposed for node metrics and the benchmark.
     pub stats: NetIoStats,
     /// Flight recorder: batch submissions, wait outcomes and kernel
     /// send-drops become trace events (session track 0).
@@ -506,8 +507,8 @@ static OFFLOAD_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::Atomi
 /// Allow or forbid `UDP_SEGMENT`/`UDP_GRO` offload for backends built
 /// *after* the call (existing instances keep their probed state).
 /// This is the programmatic twin of `BLAST_NETIO=batched`, used by the
-/// perf harness to run a GSO-on/off axis inside one process; normal
-/// callers never need it.
+/// benchmark ledger to time the plain and offloaded tiers inside one
+/// process; normal callers never need it.
 pub fn set_offload_enabled(enabled: bool) {
     OFFLOAD_ENABLED.store(enabled, std::sync::atomic::Ordering::Relaxed);
 }
@@ -835,9 +836,9 @@ mod batched {
     /// variable-length slots, plus pre-allocated address and
     /// control-message slabs, so building a backend costs a fixed
     /// handful of allocations — channels are constructed per session,
-    /// and construction cost shows up directly in the perf harness's
-    /// allocs-per-datagram figure.  With offload active a slot is a
-    /// [`gso::Run`] of same-destination equal-size datagrams packed
+    /// and construction cost shows up directly in the benchmark's
+    /// `counting-alloc.allocs_per_datagram`.  With offload active a
+    /// slot is a [`gso::Run`] of same-destination equal-size datagrams packed
     /// back to back (the kernel re-segments them at `seg_sizes`);
     /// without it every slot holds exactly one datagram, which is the
     /// pre-offload layout.  Pointer-free, so the backend stays `Send`;

@@ -44,8 +44,8 @@ pub struct TransferReport {
     /// Engine counters.
     pub stats: EngineStats,
     /// The sender's AIMD pacing state at completion (`None` for
-    /// receivers and unpaced senders) — the burst trajectory the perf
-    /// harness records.
+    /// receivers and unpaced senders) — the burst trajectory a
+    /// transfer ended on.
     pub pacing: Option<blast_core::PacerSnapshot>,
     /// Datagrams sent on the channel (handshake included).
     pub datagrams_sent: u64,
