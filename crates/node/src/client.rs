@@ -271,8 +271,7 @@ impl<C: Channel> Client<C> {
         )
     }
 
-    /// Run `engine` over the client's channel until it completes —
-    /// no lingering; see the [module docs](self#after-the-last-byte).
+    /// Run `engine` over the client's channel until it completes.
     /// Also returns the frames the FCS check dropped meanwhile.
     fn drive(&mut self, engine: &mut dyn Engine) -> io::Result<(DriveOutcome, u64)> {
         let drops_before = self.channel.inner().fcs_drops;

@@ -46,7 +46,10 @@
 //! datagram before its peer does — a lost final ack strands the peer
 //! (§3.2.2's tail problem) — so it commits its blob, gives its buffer
 //! up, and lingers as a few words that re-acknowledge duplicates until
-//! the peer has been quiet for [`NodeConfig::linger`].
+//! the peer has been quiet for [`NodeConfig::linger`].  A copy's
+//! outbound leg that *pulled* is a receiver too: it keeps its channel,
+//! a [`TimeWait`] holding the retired receiver, until the entry is
+//! reaped.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -70,6 +73,7 @@ use blast_udp::netio::NetIo;
 use blast_udp::pump::{self, Input};
 use blast_udp::sockopt;
 use blast_udp::timers::TimerWheel;
+use blast_udp::timewait::TimeWait;
 use blast_wire::checksum::crc32;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::{Datagram, DatagramBuilder};
@@ -217,10 +221,13 @@ enum Link {
         peer: SocketAddr,
         finished: FinishedReceiver,
     },
+    /// A copy's leg toward the other node: handshaking, running, or —
+    /// a pull that completed — kept to answer the remote's tail.
     Outbound(Box<CopyLeg>),
-    /// A copy that ended (or was refused at submit): nothing is left
-    /// but the status it answers queries with until it is reaped —
-    /// `Failed` with the real error code, not an amnesiac `Unknown`.
+    /// A copy that ended (or was refused at submit) with nobody left
+    /// to answer: nothing remains but the status it tells queries until
+    /// it is reaped — `Failed` with the real error code, not an
+    /// amnesiac `Unknown`.
     Settled(CopyStatus),
 }
 
@@ -254,7 +261,11 @@ struct CopyLeg {
     status: CopyStatus,
     /// Payload bytes per data packet, for that estimate.
     packet_payload: u64,
-    channel: FcsChannel<UdpChannel>,
+    /// A pull that completed leaves its retired receiver here, and the
+    /// leg stays — polled like a live one — until the entry is reaped,
+    /// so a remote whose final ack was lost still gets its tail
+    /// answered (what [`Link::Lingering`] does for a session).
+    channel: TimeWait<FcsChannel<UdpChannel>>,
     /// The source blob, held from submit until the handshake echo
     /// promotes it into a sender engine (push mode only).
     blob: Option<Arc<[u8]>>,
@@ -283,17 +294,21 @@ impl Entry {
             Link::Settled(status) => return Some(*status),
             Link::Outbound(leg) => leg,
         };
-        // No engine yet: still handshaking, nothing moved.
-        let bytes_done = self.engine.as_ref().map_or(0, |engine| {
-            let st = engine.stats();
-            let pkts = match leg.mode {
-                CopyMode::Push => st
-                    .data_packets_sent
-                    .saturating_sub(st.data_packets_retransmitted),
-                CopyMode::Pull => st.data_packets_received,
-            };
-            (pkts * leg.packet_payload).min(leg.status.bytes_total)
-        });
+        // No engine: still handshaking (nothing moved), or a leg kept
+        // past completion (its status is exact as it stands).
+        let bytes_done = self
+            .engine
+            .as_ref()
+            .map_or(leg.status.bytes_done, |engine| {
+                let st = engine.stats();
+                let pkts = match leg.mode {
+                    CopyMode::Push => st
+                        .data_packets_sent
+                        .saturating_sub(st.data_packets_retransmitted),
+                    CopyMode::Pull => st.data_packets_received,
+                };
+                (pkts * leg.packet_payload).min(leg.status.bytes_total)
+            });
         Some(CopyStatus {
             bytes_done,
             ..leg.status
@@ -855,7 +870,7 @@ impl NodeServer {
             }
             Err(error) => {
                 let status = bare_status(CopyState::Handshaking, errcode::NONE);
-                shard.settle(key, status, Err(error))
+                Link::Settled(shard.settle(key, status, Err(error)))
             }
         };
         let entry = Entry {
@@ -958,7 +973,7 @@ impl Shard {
         };
         let request = request.build_datagram(id);
         let channel = UdpChannel::connect_to(submit.remote).and_then(|channel| {
-            let mut channel = FcsChannel::new(channel);
+            let mut channel = TimeWait::new(FcsChannel::new(channel));
             channel.send(&request)?;
             Ok(channel)
         });
@@ -1144,9 +1159,9 @@ impl Shard {
         let mut handled = 0;
         // A datagram can end the copy, and with it the channel.
         while let Link::Outbound(leg) = &mut entry.link {
-            let drops = leg.channel.fcs_drops;
+            let drops = leg.channel.inner().fcs_drops;
             let got = leg.channel.recv_timeout(buf, Duration::ZERO);
-            self.local.fcs_drops += leg.channel.fcs_drops - drops;
+            self.local.fcs_drops += leg.channel.inner().fcs_drops - drops;
             match got {
                 Ok(Some(n)) => {
                     handled += 1;
@@ -1255,29 +1270,42 @@ impl Shard {
             return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
         };
         if leg.mode == CopyMode::Pull {
-            if let Some((data, _)) = entry.engine.as_deref_mut().and_then(Engine::retire) {
+            if let Some((data, finished)) = entry.engine.as_deref_mut().and_then(Engine::retire) {
                 leg.status.crc32 = crc32(&data);
                 leg.status.bytes_total = data.len() as u64;
                 if !entry.name.is_empty() {
                     self.store.put(&entry.name, Arc::from(data));
                 }
+                // The remote sender has not heard our final ack yet and
+                // may never: the leg keeps its channel, answering for
+                // the retired receiver, for as long as the entry lives.
+                leg.channel.hold(finished, COPY_GRACE);
+                leg.status = self.settle(key, leg.status, Ok(bytes as u64));
+                entry.engine = None;
+                return;
             }
         }
         self.end_copy(key, entry, Ok(bytes as u64));
     }
 
-    /// End a live copy — `Ok` with the bytes it moved, `Err` with an
+    /// End a copy — `Ok` with the bytes it moved, `Err` with an
     /// [`errcode`] — releasing its engine, channel and blob.  A no-op
-    /// on a copy that already ended.
+    /// on a copy that already gave those up; a leg kept past completion
+    /// gives them up and keeps its outcome.
     fn end_copy(&mut self, key: Key, entry: &mut Entry, outcome: Result<u64, u8>) {
         if let Link::Outbound(leg) = &entry.link {
-            entry.link = self.settle(key, leg.status, outcome);
+            entry.link = Link::Settled(if leg.status.state.is_terminal() {
+                leg.status
+            } else {
+                self.settle(key, leg.status, outcome)
+            });
             entry.engine = None;
         }
     }
 
-    /// Book a copy's terminal state and open its status grace window.
-    fn settle(&mut self, key: Key, mut status: CopyStatus, outcome: Result<u64, u8>) -> Link {
+    /// Book a copy's terminal state and open its status grace window;
+    /// returns the terminal status.
+    fn settle(&mut self, key: Key, mut status: CopyStatus, outcome: Result<u64, u8>) -> CopyStatus {
         match outcome {
             Ok(bytes) => {
                 status.state = CopyState::Done;
@@ -1297,7 +1325,7 @@ impl Shard {
         }
         self.forget_timers(key);
         self.timers.arm((key, REAP), COPY_GRACE);
-        Link::Settled(status)
+        status
     }
 }
 
@@ -1790,14 +1818,24 @@ mod tests {
     fn session_timeout_reaps_abandoned_push() {
         let node = NodeBuilder::new()
             .timeout(Duration::from_millis(15))
-            .session_timeout(Duration::from_millis(80))
+            .session_timeout(Duration::from_millis(250))
             .start()
             .unwrap();
         // Open a push session by hand, then walk away: no data phase.
         let req = Request::push(50_000, &client_cfg(), false).with_name("ghost");
         let dgram = req.build_datagram(77);
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sock.send_to(&fcs::frame(&dgram), node.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Ask twice, as an initiator whose first echo was lost would:
+        // the session in progress answers the duplicate with the same
+        // echo and opens nothing new.
+        let mut echoes = [[0u8; 128]; 2];
+        for echo in &mut echoes {
+            sock.send_to(&fcs::frame(&dgram), node.addr()).unwrap();
+            let n = sock.recv(echo).unwrap();
+            assert_eq!(fcs::unframe(&echo[..n]), Some(dgram.len()));
+        }
+        assert_eq!(echoes[0], echoes[1]);
         // The reactor must fail and reap the abandoned session on its
         // own timer, with no further traffic from us.
         let m = wait_metric(&node, |m| m.sessions_failed == 1);
@@ -1811,8 +1849,8 @@ mod tests {
         node.shutdown().unwrap();
     }
 
-    /// Conservation: once a push, a pull, a completed copy and a
-    /// refused copy have all been reaped, the shard holds nothing — its
+    /// Conservation: once a push, a pull, a completed copy each way and
+    /// a refused copy have all been reaped, the shard holds nothing — its
     /// one table and its one wheel are both empty.
     #[test]
     fn table_and_wheel_drain_to_empty() {
@@ -1831,6 +1869,9 @@ mod tests {
             client.push("blob", &payload(40_000)).unwrap();
             assert_eq!(client.pull("blob").unwrap().data, payload(40_000));
             assert!(client.copy_to("blob", remote_addr).unwrap().verified);
+            // A pull copy's leg outlives its completion (it answers
+            // the remote's tail): it too must go, timers and all.
+            assert!(client.copy_from("blob", remote_addr).unwrap().verified);
             let refused = client.copy_to("missing", remote_addr).unwrap_err();
             assert_eq!(refused.kind(), io::ErrorKind::NotFound);
         });
@@ -1857,7 +1898,7 @@ mod tests {
         );
         let m = &server.shard.local;
         assert_eq!((m.sessions_completed, m.sessions_failed), (2, 0));
-        assert_eq!((m.copies_completed, m.copies_failed), (1, 1));
+        assert_eq!((m.copies_completed, m.copies_failed), (2, 1));
         remote.shutdown().unwrap();
     }
 

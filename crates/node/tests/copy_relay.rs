@@ -245,3 +245,204 @@ fn copy_id_may_equal_a_live_inbound_transfer_id() {
     assert_eq!((ma.copies_completed, ma.copies_failed), (1, 0));
     b.shutdown().unwrap();
 }
+
+// ---------------------------------------------------------------------
+// The outbound leg of a pull copy against a remote that is not a node
+// but a script: a bare socket that echoes the leg's pull `Request` and
+// sends framed data packets by hand, so the test decides what the leg
+// hears and sees everything it says.
+
+use std::net::{SocketAddr, UdpSocket};
+
+use blast_udp::copy::{BlobDigest, CopyMsg};
+use blast_udp::fcs;
+use blast_udp::handshake::Request;
+use blast_wire::ack::AckPayload;
+use blast_wire::checksum::crc32;
+use blast_wire::header::PacketKind;
+use blast_wire::packet::{Datagram, DatagramBuilder};
+
+const SCRIPT_PATIENCE: Duration = Duration::from_secs(3);
+
+/// The remote end of one pull copy, scripted.
+struct ScriptedRemote {
+    socket: UdpSocket,
+    /// The copying node's outbound leg.
+    leg: SocketAddr,
+    /// The copy's id: the leg's transfer id.
+    id: u32,
+    payload: usize,
+}
+
+impl ScriptedRemote {
+    /// Wait for the leg's pull request and echo it, announcing
+    /// `announce` bytes.
+    fn accept(socket: UdpSocket, announce: usize) -> Self {
+        socket.set_read_timeout(Some(SCRIPT_PATIENCE)).unwrap();
+        let mut buf = [0u8; 2048];
+        let (n, leg) = socket.recv_from(&mut buf).expect("the leg's request");
+        let body = fcs::unframe(&buf[..n]).expect("the leg frames its request");
+        let dgram = Datagram::parse(&buf[..body]).unwrap();
+        assert_eq!(dgram.kind, PacketKind::Request);
+        let mut echo = Request::decode(dgram.payload).unwrap();
+        echo.len = announce;
+        let id = dgram.transfer_id;
+        socket
+            .send_to(&fcs::frame(&echo.build_datagram(id)), leg)
+            .unwrap();
+        ScriptedRemote {
+            socket,
+            leg,
+            id,
+            payload: echo.packet_payload,
+        }
+    }
+
+    /// Send packet `seq` of `blob` to the leg.
+    fn send_packet(&self, blob: &[u8], seq: usize) {
+        let total = blob.len().div_ceil(self.payload);
+        let chunk = blob.chunks(self.payload).nth(seq).unwrap();
+        let mut buf = vec![0u8; 2048];
+        let n = DatagramBuilder::new(self.id)
+            .build_data(
+                &mut buf,
+                seq as u32,
+                total as u32,
+                (seq * self.payload) as u32,
+                chunk,
+                0,
+                seq + 1 == total,
+            )
+            .unwrap();
+        self.socket
+            .send_to(&fcs::frame(&buf[..n]), self.leg)
+            .unwrap();
+    }
+
+    /// The next datagram that is not a duplicate of the leg's request:
+    /// who sent it, and its verified bytes.  `None` once `wait` passes
+    /// in silence.
+    fn recv(&self, wait: Duration) -> Option<(SocketAddr, Vec<u8>)> {
+        self.socket.set_read_timeout(Some(wait)).unwrap();
+        let mut buf = [0u8; 2048];
+        loop {
+            let (n, from) = self.socket.recv_from(&mut buf).ok()?;
+            let body = fcs::unframe(&buf[..n]).expect("nodes and clients frame");
+            if Datagram::parse(&buf[..body]).unwrap().kind != PacketKind::Request {
+                return Some((from, buf[..body].to_vec()));
+            }
+        }
+    }
+}
+
+fn scripted_remote() -> (UdpSocket, SocketAddr) {
+    let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let addr = socket.local_addr().unwrap();
+    (socket, addr)
+}
+
+/// §3.2.2 on the copy leg: the remote never hears the leg's final ack,
+/// retransmits its tail, and is answered again — after the copy has
+/// already reported `Done`.
+#[test]
+fn pull_copy_leg_answers_a_retransmitted_tail_after_completion() {
+    let a = node();
+    let data = blob(2_500);
+    let (socket, remote_addr) = scripted_remote();
+    let served = data.clone();
+    let remote = std::thread::spawn(move || {
+        let remote = ScriptedRemote::accept(socket, served.len());
+        let packets = served.len().div_ceil(remote.payload);
+        for seq in 0..packets {
+            remote.send_packet(&served, seq);
+        }
+        // Acks from the leg; the orchestrating client's digest query
+        // arrives on the same socket and is answered in passing.
+        let (mut acks, mut digested) = (0, false);
+        while acks < 2 || !digested {
+            let (from, bytes) = remote
+                .recv(SCRIPT_PATIENCE)
+                .unwrap_or_else(|| panic!("silence after {acks} ack(s) from the leg"));
+            let dgram = Datagram::parse(&bytes).unwrap();
+            match dgram.kind {
+                PacketKind::Ack => {
+                    assert_eq!((from, dgram.transfer_id), (remote.leg, remote.id));
+                    assert!(matches!(dgram.ack, Some(AckPayload::Positive { .. })));
+                    acks += 1;
+                    if acks == 1 {
+                        // "Lost": say the tail again.
+                        remote.send_packet(&served, packets - 1);
+                    }
+                }
+                PacketKind::Copy => {
+                    assert!(matches!(
+                        CopyMsg::decode(dgram.payload),
+                        Some(CopyMsg::Digest { .. })
+                    ));
+                    let reply = CopyMsg::DigestReply(BlobDigest {
+                        found: true,
+                        len: served.len() as u64,
+                        crc32: crc32(&served),
+                    })
+                    .encode();
+                    let mut buf = vec![0u8; 256];
+                    let n = DatagramBuilder::new(dgram.transfer_id)
+                        .build_copy(&mut buf, dgram.seq, &reply)
+                        .unwrap();
+                    remote.socket.send_to(&fcs::frame(&buf[..n]), from).unwrap();
+                    digested = true;
+                }
+                other => panic!("the scripted remote got a {other:?}"),
+            }
+        }
+    });
+
+    let mut client = Client::connect(a.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20))
+        .patience(SCRIPT_PATIENCE);
+    let report = client.copy_from("scripted", remote_addr).unwrap();
+    assert_eq!(report.state, CopyState::Done);
+    assert!(report.verified);
+    assert_eq!(&a.store().get("scripted").unwrap()[..], &data[..]);
+    remote.join().expect("the tail was answered twice");
+
+    let ma = a.shutdown().unwrap();
+    assert_eq!((ma.copies_completed, ma.copies_failed), (1, 0));
+}
+
+/// The echo of a pull is a size announcement, and the leg's receive
+/// buffer an eager allocation: one past the node's bound fails the copy
+/// by name, and no engine is ever built to hear the data that follows.
+#[test]
+fn pull_copy_refuses_an_echo_announcing_more_than_the_transfer_bound() {
+    const BOUND: usize = 64 * 1024;
+    let a = NodeBuilder::new()
+        .timeout(Duration::from_millis(20))
+        .max_transfer_bytes(BOUND)
+        .start()
+        .expect("start node");
+    let (socket, remote_addr) = scripted_remote();
+    let remote = std::thread::spawn(move || {
+        let remote = ScriptedRemote::accept(socket, BOUND + 1);
+        // A receiver, had one been built, would report the holes in
+        // front of a tail packet.
+        let claimed = vec![0u8; BOUND + 1];
+        remote.send_packet(&claimed, claimed.len().div_ceil(remote.payload) - 1);
+        let heard = remote.recv(Duration::from_millis(200));
+        assert!(heard.is_none(), "the leg answered: {heard:?}");
+    });
+
+    let mut client = Client::connect(a.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20))
+        .patience(SCRIPT_PATIENCE);
+    let err = client.copy_from("too-big", remote_addr).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::Other, "{err}");
+    assert!(err.to_string().contains("transfer failed"), "{err}");
+    remote.join().expect("no engine heard the data");
+
+    assert!(!a.store().contains("too-big"));
+    let ma = a.shutdown().unwrap();
+    assert_eq!((ma.copies_completed, ma.copies_failed), (0, 1));
+}

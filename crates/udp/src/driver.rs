@@ -4,6 +4,14 @@
 //! this driver translates them into socket sends and wall-clock timer
 //! deadlines.  Same engines, same actions, different clock — that is
 //! the point of the sans-I/O design.
+//!
+//! [`Driver::run`] returns the moment its engine completes.  A sender
+//! completes on hearing the final ack, so nothing is left to answer; a
+//! receiver completes one datagram before its sender does, and if that
+//! last ack is lost someone must re-acknowledge the retransmitted tail
+//! (§3.2.2).  That duty belongs to the channel, not to this loop: run a
+//! receiver over a [`TimeWait`](crate::timewait::TimeWait) and hand it
+//! the engine's `FinishedReceiver` afterwards.
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -18,27 +26,12 @@ use crate::channel::{Channel, MAX_DATAGRAM};
 use crate::pump::{self, Input};
 use crate::timers::TimerWheel;
 
-/// How long a lingering driver stays after its receiver finished, so
-/// that a peer whose final ack was lost can still complete (§3.2.2's
-/// tail problem): the finished engine keeps answering duplicates from
-/// inside [`Driver::run`].
-///
-/// The window is a *quiet* window: incoming traffic restarts it, since
-/// a peer still retransmitting is a peer that has not heard our final
-/// ack.  Lingering therefore lasts as long as the peer needs (bounded
-/// by the driver deadline), and never less than this constant — which
-/// every run pays, loss or no loss.  It suits a one-shot receiver that
-/// gives its channel up when `run` returns (`blast_udp::peer`); a
-/// caller that keeps the channel for further transfers should not
-/// linger at all, and leave the duty to [`crate::timewait::TimeWait`].
-pub const LINGER: Duration = Duration::from_millis(50);
-
 /// Outcome of a driver run.
 #[derive(Debug)]
 pub struct DriveOutcome {
     /// The engine's completion report.
     pub completion: CompletionInfo,
-    /// Wall-clock duration of the run (excluding linger).
+    /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Datagrams sent on the channel.
     pub datagrams_sent: u64,
@@ -52,25 +45,8 @@ pub struct DriveOutcome {
 /// Runs a single engine over a channel until it completes.
 pub struct Driver<C: Channel> {
     channel: C,
-    /// Re-sent verbatim whenever a `Request` packet arrives — lets the
-    /// session layer keep answering handshake retransmissions while the
-    /// data engine runs (see `crate::peer`).
-    pub request_reply: Option<Vec<u8>>,
     /// Stop even if incomplete after this long (safety for tests).
     pub deadline: Duration,
-    /// Keep answering duplicates after the engine finishes until the
-    /// channel has been quiet for [`linger_for`](Driver::linger_for).
-    /// Off, `run` returns the moment the engine completes — right for
-    /// senders (a sender completes on hearing the final ack; nothing is
-    /// left to answer) and for receivers whose channel goes on to
-    /// answer for them (see [`LINGER`]).
-    pub linger: bool,
-    /// The quiet window that ends lingering.  Incoming traffic restarts
-    /// it: a peer still retransmitting has not heard our final ack, so
-    /// the driver stays to re-acknowledge.  The [`LINGER`] default
-    /// suits most links; raise it past the peer's retransmission
-    /// interval if that interval is unusually long.
-    pub linger_for: Duration,
     /// Flight recorder, handed to the engine and the channel at
     /// [`run`](Driver::run).  The recorder's epoch also becomes the
     /// engine's `set_now` base, so engine events and the backend's
@@ -83,10 +59,7 @@ impl<C: Channel> Driver<C> {
     pub fn new(channel: C) -> Self {
         Driver {
             channel,
-            request_reply: None,
             deadline: Duration::from_secs(60),
-            linger: false,
-            linger_for: LINGER,
             recorder: None,
         }
     }
@@ -94,19 +67,6 @@ impl<C: Channel> Driver<C> {
     /// Attach a flight recorder (see [`Driver::recorder`]).
     pub fn with_recorder(mut self, recorder: blast_telemetry::Recorder) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Enable receiver lingering.
-    pub fn with_linger(mut self) -> Self {
-        self.linger = true;
-        self
-    }
-
-    /// Enable receiver lingering with an explicit window.
-    pub fn with_linger_for(mut self, window: Duration) -> Self {
-        self.linger = true;
-        self.linger_for = window;
         self
     }
 
@@ -141,29 +101,22 @@ impl<C: Channel> Driver<C> {
             sent: 0,
             malformed: 0,
             completion: None,
-            finished_at: None,
-            quiet_since: None,
         };
         let mut received = 0u64;
         let mut buf = vec![0u8; MAX_DATAGRAM];
         self.step(engine, &mut run, Input::Start)?;
 
-        loop {
+        while run.completion.is_none() {
             let now = Instant::now();
             if now.duration_since(start) > self.deadline {
                 break;
-            }
-            if let Some(t) = run.quiet_since {
-                if !self.linger || now.duration_since(t) > self.linger_for {
-                    break;
-                }
             }
 
             // Fire due timers.
             while let Some(token) = run.timers.pop_due(now) {
                 self.step(engine, &mut run, Input::Timer(token))?;
             }
-            if run.finished_at.is_some() && !self.linger {
+            if run.completion.is_some() {
                 break;
             }
 
@@ -175,38 +128,23 @@ impl<C: Channel> Driver<C> {
             // scheduler-tick round-up nor the yield-spin that used to
             // paper over it; the portable fallback degrades to a coarse
             // `SO_RCVTIMEO` wait with the shared floor.
-            let mut until_timer = run
+            let until_timer = run
                 .timers
                 .next_deadline()
                 .map(|when| when.saturating_duration_since(now))
                 .unwrap_or(Duration::from_millis(20))
                 .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(50));
-            // While lingering, don't oversleep the quiet window: with
-            // no timers pending the default 20 ms wait would stretch a
-            // shorter window to the wait granularity.
-            if let Some(t) = run.quiet_since {
-                let remaining = self.linger_for.saturating_sub(now.duration_since(t));
-                until_timer = until_timer.min(remaining.max(PacingConfig::MIN_WAIT));
-            }
             let Some(n) = self.channel.recv_timeout(&mut buf, until_timer)? else {
                 continue;
             };
             received += 1;
-            // Any traffic during linger means the peer is still
-            // working (our final ack may be lost): restart the
-            // quiet window so we stay to answer.
-            if let Some(t) = run.quiet_since.as_mut() {
-                *t = Instant::now();
-            }
             let Ok(dgram) = Datagram::parse(&buf[..n]) else {
                 run.malformed += 1; // checksum turned corruption into loss
                 continue;
             };
+            // Handshake traffic — a duplicate echo of the request that
+            // opened this transfer — is invisible to the engines.
             if dgram.kind == PacketKind::Request {
-                if let Some(reply) = &self.request_reply {
-                    self.channel.send(reply)?;
-                    run.sent += 1;
-                }
                 continue;
             }
             // Someone else's transfer — say, the tail a previous
@@ -219,20 +157,18 @@ impl<C: Channel> Driver<C> {
             self.step(engine, &mut run, Input::Datagram(&dgram))?;
         }
 
-        let completion = run.completion.unwrap_or_else(|| {
-            CompletionInfo::failure(
+        let (completion, finished_at) = run.completion.unwrap_or_else(|| {
+            let failure = CompletionInfo::failure(
                 blast_core::CoreError::BadState {
                     what: "driver deadline exceeded",
                 },
                 engine.stats(),
-            )
+            );
+            (failure, Instant::now())
         });
         Ok(DriveOutcome {
             completion,
-            elapsed: run
-                .finished_at
-                .unwrap_or_else(Instant::now)
-                .duration_since(start),
+            elapsed: finished_at.duration_since(start),
             datagrams_sent: run.sent,
             datagrams_received: received,
             malformed: run.malformed,
@@ -261,9 +197,7 @@ impl<C: Channel> Driver<C> {
         )?;
         self.channel.flush()?;
         if let Some(info) = done {
-            run.completion = Some(info);
-            run.finished_at = Some(Instant::now());
-            run.quiet_since = run.finished_at;
+            run.completion = Some((info, Instant::now()));
         }
         Ok(())
     }
@@ -276,12 +210,9 @@ struct Run {
     timers: TimerWheel<TimerToken>,
     sent: u64,
     malformed: u64,
-    completion: Option<CompletionInfo>,
-    /// When the engine completed (feeds the elapsed-time measurement).
-    finished_at: Option<Instant>,
-    /// The linger quiet-clock: set at completion, restarted by any
-    /// incoming traffic.
-    quiet_since: Option<Instant>,
+    /// The engine's report, and when it came (the end of the
+    /// elapsed-time measurement).
+    completion: Option<(CompletionInfo, Instant)>,
 }
 
 #[cfg(test)]
@@ -315,8 +246,7 @@ mod tests {
         let c2 = c.clone();
         let receiver = std::thread::spawn(move || {
             let mut engine = BlastReceiver::new(1, payload2.len(), &c2);
-            let mut driver = Driver::new(b).with_linger();
-            let out = driver.run(&mut engine).unwrap();
+            let out = Driver::new(b).run(&mut engine).unwrap();
             assert!(out.completion.is_success());
             engine.into_data()
         });
@@ -338,8 +268,7 @@ mod tests {
         let c2 = c.clone();
         let receiver = std::thread::spawn(move || {
             let mut engine = SawReceiver::new(1, payload2.len(), &c2);
-            let mut driver = Driver::new(b).with_linger();
-            driver.run(&mut engine).unwrap();
+            Driver::new(b).run(&mut engine).unwrap();
             engine.into_data()
         });
         let mut engine = SawSender::new(1, payload.clone(), &c);
@@ -391,31 +320,5 @@ mod tests {
         let out = driver.run(&mut engine).unwrap();
         assert!(!out.completion.is_success());
         assert!(start.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn request_reply_answers_handshake_retransmissions() {
-        let (mut a, b) = UdpChannel::pair().unwrap();
-        let c = cfg();
-        // Receiver drives a blast receiver with a canned request-reply.
-        let handle = std::thread::spawn(move || {
-            let mut engine = BlastReceiver::new(5, 1024, &c);
-            let mut driver = Driver::new(b).with_deadline(Duration::from_millis(300));
-            driver.request_reply = Some(vec![0xAB; 4]);
-            let _ = driver.run(&mut engine);
-            driver.into_channel()
-        });
-        // Send a Request packet; expect the canned reply back.
-        let builder = blast_wire::DatagramBuilder::new(5);
-        let mut buf = vec![0u8; 128];
-        let len = builder.build_request(&mut buf, 1, b"hello").unwrap();
-        a.send(&buf[..len]).unwrap();
-        let mut rbuf = [0u8; 64];
-        let n = a
-            .recv_timeout(&mut rbuf, Duration::from_millis(500))
-            .unwrap()
-            .unwrap();
-        assert_eq!(&rbuf[..n], &[0xAB; 4]);
-        drop(handle);
     }
 }

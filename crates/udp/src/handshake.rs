@@ -57,8 +57,7 @@ pub fn retry_interval(cfg: &ProtocolConfig) -> Duration {
 /// Which way the data phase flows, relative to the request's sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Direction {
-    /// The initiator sends the data (classic `send_data`, or storing a
-    /// named blob on a node).
+    /// The initiator sends the data (storing a named blob on a node).
     #[default]
     Push,
     /// The initiator receives the data (fetching a named blob).
@@ -227,9 +226,10 @@ pub struct HandshakeReply {
 /// Duplicate-tolerance is the responder's job — it must keep echoing
 /// duplicate requests for as long as it serves the transfer, because
 /// any single echo may be lost.  Datagrams that are not a matching echo
-/// (stray data, other transfers, garbage) are ignored here; the caller
-/// typically starts its engine right after, and any data packets that
-/// raced ahead of the echo are still queued in the socket buffer.
+/// (stray data, other transfers, garbage) are read and dropped here;
+/// data packets that raced ahead of a lost echo are among them, and the
+/// responder's retransmission recovers them once the caller's engine
+/// runs.
 ///
 /// Errors: `InvalidInput` for a request no responder could decode (a
 /// blob name over [`MAX_NAME_LEN`] — catching it here turns a silent

@@ -18,7 +18,8 @@
 //!   the clock, call the engine, apply its actions to a transmit sink
 //!   and a keyed timer wheel, report completion;
 //! * [`driver`] — a blocking event loop that pumps one engine over a
-//!   channel with real (wall-clock) timers;
+//!   channel with real (wall-clock) timers, and returns the moment the
+//!   engine completes;
 //! * [`timers`] — the timer wheel behind that loop (and behind the
 //!   multi-session `blast-node` server);
 //! * [`timewait`] — a channel adaptor that keeps re-acknowledging for
@@ -37,8 +38,9 @@
 //!   else (force it with `BLAST_NETIO=portable`);
 //! * [`gso`] — the sans-I/O coalescer/splitter arithmetic behind that
 //!   offload (runs of equal-size datagrams, tail runts, GRO splits);
-//! * [`peer`] — one-call bulk transfer: the handshake, then the
-//!   configured protocol;
+//! * [`peer`] — [`TransferReport`], what a finished transfer hands
+//!   back (the transfers themselves are `blast_node::Client`
+//!   operations against a node);
 //! * [`sockopt`] — `SO_RCVBUF`/`SO_SNDBUF` growth at socket setup, so a
 //!   whole blast round fits in the kernel's queues instead of spilling
 //!   (the modern form of the paper's §3 interface errors), plus
@@ -48,22 +50,33 @@
 //!
 //! ## Example (two threads over loopback)
 //!
+//! One engine per side, each under its own [`Driver`].  (A whole
+//! transfer — handshake, named blobs, many sessions — is
+//! `blast_node::Client` against a `blast_node` node.)
+//!
 //! ```
+//! use std::sync::Arc;
 //! use std::time::Duration;
+//! use blast_core::blast::{BlastReceiver, BlastSender};
 //! use blast_core::ProtocolConfig;
 //! use blast_udp::channel::UdpChannel;
-//! use blast_udp::peer::{send_data, recv_data};
+//! use blast_udp::Driver;
 //!
 //! let (a, b) = UdpChannel::pair().unwrap();
 //! let mut cfg = ProtocolConfig::default();
 //! cfg.timeout = Duration::from_millis(20).into();
-//! let data: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
+//! let data: Arc<[u8]> = (0..100_000u32).map(|i| i as u8).collect();
 //!
-//! let cfg2 = cfg.clone();
-//! let sender = std::thread::spawn(move || send_data(a, 7, &data, &cfg2).unwrap());
-//! let received = recv_data(b, &cfg).unwrap();
-//! sender.join().unwrap();
-//! assert_eq!(received.data.len(), 100_000);
+//! let (cfg2, data2) = (cfg.clone(), data.clone());
+//! let sender = std::thread::spawn(move || {
+//!     let mut engine = BlastSender::new(7, data2, &cfg2);
+//!     Driver::new(a).run(&mut engine).unwrap()
+//! });
+//! let mut engine = BlastReceiver::new(7, data.len(), &cfg);
+//! let received = Driver::new(b).run(&mut engine).unwrap();
+//! assert!(received.completion.is_success());
+//! assert!(sender.join().unwrap().completion.is_success());
+//! assert_eq!(engine.into_data(), &data[..]);
 //! ```
 
 // Deny (not forbid): `sockopt` and `netio` contain this crate's two
@@ -95,6 +108,6 @@ pub use fault::{FaultConfig, FaultyChannel, GilbertElliott};
 pub use fcs::FcsChannel;
 pub use handshake::{Direction, Request};
 pub use netio::{BackendKind, NetIo, NetIoStats};
-pub use peer::{recv_data, send_data, TransferReport};
+pub use peer::TransferReport;
 pub use timers::TimerWheel;
 pub use timewait::TimeWait;

@@ -3,11 +3,13 @@
 //! A receiver finishes one datagram before its sender does: the final
 //! status report can be lost, and then the sender retransmits its
 //! reliable tail until someone re-acknowledges (§3.2.2's tail problem).
-//! Blocking in the driver through a linger window covers that, at the
-//! price of a timer on the critical path of *every* transfer — a timer
-//! the paper's error-free elapsed-time model does not contain.
+//! Blocking on the channel through a linger window after every transfer
+//! would cover that, at the price of a timer on the critical path of
+//! *every* transfer — a timer the paper's error-free elapsed-time model
+//! does not contain.
 //!
-//! [`TimeWait`] moves the duty off the clock.  A caller whose receiver
+//! [`TimeWait`] keeps the duty off the clock, and is the one place a
+//! channel-side receiver discharges it.  A caller whose receiver
 //! completed hands the adaptor the [`FinishedReceiver`] the engine left
 //! behind and returns at once; the adaptor answers for it from whatever
 //! receive loop runs on the channel next — a handshake, the next

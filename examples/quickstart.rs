@@ -2,7 +2,8 @@
 //!
 //! 1. Through the virtual-time correctness harness (pure engines).
 //! 2. Through the calibrated 1985 simulator (paper timings).
-//! 3. Over real UDP loopback (actual wall-clock).
+//! 3. Over real UDP loopback, through an in-process node (actual
+//!    wall-clock).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -12,8 +13,7 @@ use blastlan::core::blast::{BlastReceiver, BlastSender};
 use blastlan::core::harness::{Harness, LossPlan};
 use blastlan::core::ProtocolConfig;
 use blastlan::sim::{SimConfig, Simulator};
-use blastlan::udp::channel::UdpChannel;
-use blastlan::udp::peer::{recv_data, send_data};
+use blastlan::{Client, NodeBuilder};
 
 fn main() {
     let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
@@ -58,19 +58,20 @@ fn main() {
         report.utilization() * 100.0
     );
 
-    // 3. Real UDP over loopback.
-    let (ca, cb) = UdpChannel::pair().unwrap();
-    let mut ucfg = ProtocolConfig::default();
-    ucfg.timeout = Duration::from_millis(25).into();
-    let ucfg2 = ucfg.clone();
-    let rx = std::thread::spawn(move || recv_data(cb, &ucfg2).unwrap());
-    let tx = send_data(ca, 7, &data, &ucfg).unwrap();
-    let report = rx.join().unwrap();
+    // 3. Real UDP over loopback: push the buffer to a node, pull it
+    //    back.
+    let node = NodeBuilder::new().start().unwrap();
+    let mut client = Client::connect(node.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(25));
+    let tx = client.push("quickstart", &data).unwrap();
+    let report = client.pull("quickstart").unwrap();
     assert_eq!(report.data, data);
     println!(
-        "[udp]       real loopback transfer: {:.2} ms, {:.0} Mbit/s goodput",
+        "[udp]       real loopback push: {:.2} ms; pulled back at {:.0} Mbit/s goodput",
         tx.elapsed.as_secs_f64() * 1e3,
         report.goodput_mbps(data.len())
     );
+    node.shutdown().unwrap();
     println!("\n(the 1985 Ethernet carried it at ~3.7 Mbit/s; same protocol, same engine)");
 }

@@ -1,5 +1,6 @@
 //! Bulk transfer over real UDP with configurable fault injection —
-//! the modern incarnation of the paper's protocols.
+//! the modern incarnation of the paper's protocols: a client behind a
+//! lossy channel pushes to an in-process node.
 //!
 //! Usage: `cargo run --release --example udp_transfer -- [KB] [loss%] [strategy]`
 //! e.g.   `cargo run --release --example udp_transfer -- 512 5 selective`
@@ -9,10 +10,9 @@
 use std::time::Duration;
 
 use blastlan::core::config::RetxStrategy;
-use blastlan::core::ProtocolConfig;
 use blastlan::udp::channel::UdpChannel;
 use blastlan::udp::fault::{FaultConfig, FaultyChannel};
-use blastlan::udp::peer::{recv_data, send_data};
+use blastlan::{Client, NodeBuilder};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -30,22 +30,28 @@ fn main() {
         .collect();
     println!("transferring {kb} KB over UDP loopback, {loss_pct}% injected loss, {strategy}\n");
 
-    let (ca, cb) = UdpChannel::pair().unwrap();
-    let mut cfg = ProtocolConfig::default();
-    cfg.strategy = strategy;
-    cfg.timeout = Duration::from_millis(20).into();
-    cfg.max_retries = 100_000;
+    let timeout = Duration::from_millis(20);
+    let node = NodeBuilder::new()
+        .timeout(timeout)
+        .max_retries(100_000)
+        .start()
+        .unwrap();
 
     // Faults injected on the sender side (data packets suffer the loss,
     // like the paper's receiving-interface overruns).
-    let faulty = FaultyChannel::new(ca, FaultConfig::loss(loss_pct / 100.0), 0xF00D);
+    let channel = UdpChannel::connect_to(node.addr()).unwrap();
+    let faulty = FaultyChannel::new(channel, FaultConfig::loss(loss_pct / 100.0), 0xF00D);
+    let tx = Client::over(faulty)
+        .strategy(strategy)
+        .timeout(timeout)
+        .retries(100_000)
+        .push("blob", &data)
+        .unwrap();
 
-    let cfg2 = cfg.clone();
-    let rx = std::thread::spawn(move || recv_data(cb, &cfg2).unwrap());
-    let tx = send_data(faulty, 1, &data, &cfg).unwrap();
-    let report = rx.join().unwrap();
-
-    assert_eq!(report.data, data, "delivered bytes must be identical");
+    let stored = node.store().get("blob").expect("the node stored the push");
+    assert_eq!(&stored[..], &data[..], "delivered bytes must be identical");
+    let metrics = node.shutdown().unwrap();
+    let rx = &metrics.reports.back().expect("the session's report").stats;
     println!(
         "sender:   {} data packets ({} retransmitted), {} rounds, {} timeouts",
         tx.stats.data_packets_sent,
@@ -55,14 +61,11 @@ fn main() {
     );
     println!(
         "receiver: {} packets placed, {} duplicates, {} acks ({} NACKs)",
-        report.stats.data_packets_received,
-        report.stats.duplicate_packets_received,
-        report.stats.acks_sent,
-        report.stats.nacks_sent
+        rx.data_packets_received, rx.duplicate_packets_received, rx.acks_sent, rx.nacks_sent
     );
     println!(
         "elapsed {:.1} ms, goodput {:.0} Mbit/s — data verified byte-identical",
         tx.elapsed.as_secs_f64() * 1e3,
-        report.goodput_mbps(data.len())
+        tx.goodput_mbps(data.len())
     );
 }

@@ -13,9 +13,10 @@ use blastlan::core::multiblast::MultiBlastSender;
 use blastlan::sim::{LossModel, SimConfig, Simulator};
 use blastlan::udp::channel::UdpChannel;
 use blastlan::udp::fault::{FaultConfig, FaultyChannel};
-use blastlan::udp::peer::{recv_data, send_data};
+use blastlan::udp::Driver;
 use blastlan::vkernel::fileserver::{client_read, FileServer};
 use blastlan::vkernel::VCluster;
+use blastlan::{Client, NodeBuilder};
 
 fn payload(bytes: usize) -> Vec<u8> {
     (0..bytes)
@@ -26,6 +27,11 @@ fn payload(bytes: usize) -> Vec<u8> {
 #[test]
 fn same_engine_three_substrates() {
     let data = payload(96 * 1024);
+    let node = NodeBuilder::new()
+        .timeout(Duration::from_millis(15))
+        .max_retries(100_000)
+        .start()
+        .unwrap();
     for strategy in RetxStrategy::ALL {
         let mut cfg = ProtocolConfig::default().with_strategy(strategy);
         cfg.max_retries = 100_000;
@@ -55,18 +61,26 @@ fn same_engine_three_substrates() {
         let report = sim.run();
         assert!(report.succeeded(a, 1), "{strategy} sim");
 
-        // 3. Real UDP with injected loss.
-        let (ca, cb) = UdpChannel::pair().unwrap();
+        // 3. Real UDP: a client behind 10 % loss (its data packets
+        //    suffer it) pushes to a node.  Every strategy must have
+        //    had to retransmit, and the node must hold the exact bytes.
+        let ch = UdpChannel::connect_to(node.addr()).unwrap();
+        let faulty = FaultyChannel::new(ch, FaultConfig::loss(0.10), strategy as u64);
         let mut ucfg = cfg.clone();
         ucfg.timeout = Duration::from_millis(15).into();
-        let faulty = FaultyChannel::new(ca, FaultConfig::loss(0.05), strategy as u64);
-        let ucfg2 = ucfg.clone();
-        let data2 = data.clone();
-        let rx = std::thread::spawn(move || recv_data(cb, &ucfg2).unwrap());
-        send_data(faulty, 5, &data2, &ucfg).unwrap();
-        let report = rx.join().unwrap();
-        assert_eq!(report.data, data, "{strategy} udp");
+        let mut client = Client::over(faulty)
+            .config(ucfg)
+            .transfer_ids_from(5 + strategy as u32);
+        let name = format!("udp-{strategy}");
+        let report = client.push(&name, &data).unwrap();
+        assert!(
+            report.stats.data_packets_retransmitted > 0,
+            "{strategy} udp: loss must cause retransmission"
+        );
+        let stored = node.store().get(&name).expect("pushed blob");
+        assert_eq!(&stored[..], &data[..], "{strategy} udp");
     }
+    node.shutdown().unwrap();
 }
 
 #[test]
@@ -122,14 +136,20 @@ fn multiblast_over_udp_and_sim_agree_on_data() {
     let report = sim.run();
     assert!(report.succeeded(a, 9));
 
-    // UDP.
+    // UDP: the same two engines, each under a plain driver.
     let (ca, cb) = UdpChannel::pair().unwrap();
     let cfg2 = cfg.clone();
-    let data2 = data.clone();
-    let rx = std::thread::spawn(move || recv_data(cb, &cfg2).unwrap());
-    blastlan::udp::peer::send_data_multiblast(ca, 9, &data2, &cfg).unwrap();
-    let r = rx.join().unwrap();
-    assert_eq!(r.data, data);
+    let len = data.len();
+    let rx = std::thread::spawn(move || {
+        let mut engine = BlastReceiver::new(9, len, &cfg2);
+        let out = Driver::new(cb).run(&mut engine).unwrap();
+        assert!(out.completion.is_success(), "{:?}", out.completion);
+        engine.into_data()
+    });
+    let mut engine = MultiBlastSender::new(9, data.clone().into(), &cfg);
+    let out = Driver::new(ca).run(&mut engine).unwrap();
+    assert!(out.completion.is_success(), "{:?}", out.completion);
+    assert_eq!(rx.join().unwrap(), data);
 }
 
 #[test]
