@@ -106,22 +106,6 @@ pub struct EngineStats {
     pub timeouts: u64,
 }
 
-impl EngineStats {
-    /// Merge another engine's counters into this one (used by multiblast
-    /// to aggregate per-chunk stats).
-    pub fn absorb(&mut self, other: &EngineStats) {
-        self.data_packets_sent += other.data_packets_sent;
-        self.data_packets_retransmitted += other.data_packets_retransmitted;
-        self.acks_sent += other.acks_sent;
-        self.nacks_sent += other.nacks_sent;
-        self.data_packets_received += other.data_packets_received;
-        self.duplicate_packets_received += other.duplicate_packets_received;
-        self.acks_received += other.acks_received;
-        self.retransmission_rounds += other.retransmission_rounds;
-        self.timeouts += other.timeouts;
-    }
-}
-
 /// Why and how an engine finished.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletionInfo {
@@ -204,32 +188,6 @@ mod tests {
             after: Duration::from_millis(5),
         });
         assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn stats_absorb_sums_everything() {
-        let mut a = EngineStats {
-            data_packets_sent: 1,
-            data_packets_retransmitted: 2,
-            acks_sent: 3,
-            nacks_sent: 4,
-            data_packets_received: 5,
-            duplicate_packets_received: 6,
-            acks_received: 7,
-            retransmission_rounds: 8,
-            timeouts: 9,
-        };
-        let b = a;
-        a.absorb(&b);
-        assert_eq!(a.data_packets_sent, 2);
-        assert_eq!(a.data_packets_retransmitted, 4);
-        assert_eq!(a.acks_sent, 6);
-        assert_eq!(a.nacks_sent, 8);
-        assert_eq!(a.data_packets_received, 10);
-        assert_eq!(a.duplicate_packets_received, 12);
-        assert_eq!(a.acks_received, 14);
-        assert_eq!(a.retransmission_rounds, 16);
-        assert_eq!(a.timeouts, 18);
     }
 
     #[test]

@@ -32,14 +32,14 @@
 //!   is what "the last packet is sent reliably" means; the re-solicited
 //!   NACK then directs the real retransmission.
 //!
-//! The sender supports an arbitrary sub-range of the transfer so that
-//! [`crate::multiblast`] can reuse it per chunk; acknowledgements use
-//! cumulative semantics (`Positive { acked: s }` ⇒ everything `≤ s`
-//! arrived).
+//! The sender serves a sub-range of the transfer, which
+//! [`crate::multiblast`] rolls over in place chunk by chunk;
+//! acknowledgements use cumulative semantics (`Positive { acked: s }` ⇒
+//! everything `≤ s` arrived).
 
 use std::sync::Arc;
 
-use blast_telemetry::{EventKind, Recorder};
+use blast_telemetry::EventKind;
 use blast_wire::ack::{AckPayload, Bitmap};
 use blast_wire::header::PacketKind;
 use blast_wire::packet::{Datagram, DatagramBuilder};
@@ -48,8 +48,8 @@ use std::time::Duration;
 
 use crate::api::{Action, ActionSink, CompletionInfo, EngineStats, TimerToken};
 use crate::config::{ProtocolConfig, RetxStrategy};
-use crate::control::{Pacer, PacerSnapshot, RttEstimator, PACE_TIMER};
-use crate::engine::{Engine, Finish};
+use crate::control::{Control, PacerSnapshot, PacingConfig, PACE_TIMER};
+use crate::engine::{control_in, Engine, Finish};
 use crate::error::CoreError;
 use crate::pool::{BufferPool, PooledBuf};
 use crate::rxbuf::{Geometry, RxBuffer};
@@ -79,24 +79,25 @@ enum Pending {
 /// Blast sender for a contiguous range of a transfer.
 #[derive(Debug)]
 pub struct BlastSender {
-    transfer_id: u32,
     tx: TxData,
     builder: DatagramBuilder,
-    /// Retransmission-timeout source: fixed `Tr` or Jacobson/Karn.
-    rto: RttEstimator,
-    pacer: Pacer,
+    /// Clock, RTO estimator, pacer and recorder.
+    pub(crate) control: Control,
     max_retries: u32,
     strategy: RetxStrategy,
     /// First sequence this sender is responsible for.
-    first: u32,
+    pub(crate) first: u32,
     /// One past the last sequence this sender is responsible for.
-    end: u32,
+    pub(crate) end: u32,
+    /// The receiver acknowledged all of `first..end`.  A range short of
+    /// the transfer's end (a multi-blast chunk) then waits, without
+    /// completing, for [`restart`](BlastSender::restart).
+    pub(crate) acked: bool,
     /// The reliable (LAST-flagged) packet of the current round.
     reliable_seq: u32,
-    /// Retransmission rounds consumed (timeouts + NACK rounds).
+    /// Retransmission rounds consumed (timeouts + NACK rounds) in the
+    /// current range.
     rounds_used: u32,
-    /// Driver clock (see [`Engine::set_now`]).
-    now: Duration,
     /// When the current round's soliciting tail went out — `Some` only
     /// while an RTT sample off its acknowledgement would be unambiguous
     /// under Karn's rule (the tail transmitted exactly once, in a round
@@ -121,8 +122,7 @@ pub struct BlastSender {
     /// lock per burst instead of one per packet).
     stash: Vec<PooledBuf>,
     pool: BufferPool,
-    /// Flight recorder, when attached; events stamp with `self.now`.
-    recorder: Option<Recorder>,
+    /// Counters over the whole transfer (every chunk of a multi-blast).
     stats: EngineStats,
     finish: Finish,
 }
@@ -143,77 +143,67 @@ enum Resend {
 impl BlastSender {
     /// Create a sender blasting all of `data` on `transfer_id`.
     pub fn new(transfer_id: u32, data: Arc<[u8]>, config: &ProtocolConfig) -> Self {
-        let tx = TxData::new(data, config.packet_payload);
-        let end = tx.total_packets();
-        Self::for_range(transfer_id, tx, config, 0, end, false)
+        Self::chunked(transfer_id, data, config, None)
     }
 
-    /// Create a sender for packets `first..end` of `data` (multi-blast
-    /// chunks).  `multiblast` stamps the MULTIBLAST flag on packets.
-    pub(crate) fn for_range(
+    /// Create a sender for `data`: the whole transfer, or with
+    /// `Some(chunk)` its first `chunk` packets as a multi-blast chunk
+    /// (MULTIBLAST-flagged packets, later chunks rolled over in place by
+    /// [`restart`](BlastSender::restart)).
+    pub(crate) fn chunked(
         transfer_id: u32,
-        tx: TxData,
+        data: Arc<[u8]>,
         config: &ProtocolConfig,
-        first: u32,
-        end: u32,
-        multiblast: bool,
+        chunk: Option<u32>,
     ) -> Self {
-        assert!(
-            first < end && end <= tx.total_packets(),
-            "invalid blast range"
-        );
-        let span = (end - first) as usize;
+        let tx = TxData::new(data, config.packet_payload);
+        let end = chunk.map_or(tx.total_packets(), |c| c.min(tx.total_packets()));
+        assert!(end > 0, "invalid blast range");
         BlastSender {
-            transfer_id,
             tx,
             builder: DatagramBuilder::new(transfer_id)
                 .kernel(config.kernel_flag)
-                .multiblast(multiblast),
-            rto: RttEstimator::new(&config.timeout),
-            pacer: Pacer::new(config.pacing),
+                .multiblast(chunk.is_some()),
+            control: Control::new(transfer_id, &config.timeout, config.pacing),
             max_retries: config.max_retries,
             strategy: config.strategy,
-            first,
+            first: 0,
             end,
+            acked: false,
             reliable_seq: end - 1,
             rounds_used: 0,
-            now: Duration::ZERO,
             solicit_sent: None,
             round_started_at: Duration::ZERO,
             round_size: 0,
             round_app_limited: false,
             pending: Pending::Idle,
             pending_set: Vec::new(),
-            // Sized up front so steady-state bursts never grow it (the
+            // Sized up front so steady-state bursts — and every later
+            // chunk, none larger than the first — never grow it (the
             // zero-allocation property of the packet loop).
-            stash: Vec::with_capacity(span.min(MAX_BATCH)),
+            stash: Vec::with_capacity((end as usize).min(MAX_BATCH)),
             pool: config.pool.clone(),
-            recorder: None,
             stats: EngineStats::default(),
             finish: Finish::default(),
         }
     }
 
-    /// One flight-recorder event at the engine's sans-I/O clock; a
-    /// no-op (one branch) when no recorder is attached.
-    fn trace(&self, kind: EventKind, a: u64, b: u64) {
-        if let Some(rec) = &self.recorder {
-            rec.record_at(self.now, self.transfer_id, kind, a, b);
-        }
+    /// Roll an acknowledged multi-blast chunk over to packets
+    /// `first..end` in place: per-round state restarts, while the
+    /// [`Control`] (converged RTO, grown burst, clock, recorder), the
+    /// stats and the reused buffers carry on.  [`Engine::start`] then
+    /// blasts the new chunk.
+    pub(crate) fn restart(&mut self, first: u32, end: u32) {
+        debug_assert!(self.acked && first < end && end <= self.tx.total_packets());
+        self.first = first;
+        self.end = end;
+        self.acked = false;
+        self.rounds_used = 0;
     }
 
-    /// Trace an AIMD burst transition around a pacer feedback call.
-    /// `before` is the burst budget captured before the call.
-    fn trace_burst_change(&self, before: u32) {
-        if self.recorder.is_none() || !self.pacer.is_adaptive() {
-            return;
-        }
-        let after = self.pacer.burst_budget();
-        if after > before {
-            self.trace(EventKind::PacerGrow, u64::from(before), u64::from(after));
-        } else if after < before {
-            self.trace(EventKind::PacerShrink, u64::from(before), u64::from(after));
-        }
+    /// Packets in the whole transfer.
+    pub(crate) fn total_packets(&self) -> u32 {
+        self.tx.total_packets()
     }
 
     /// The strategy this sender retransmits with.
@@ -224,40 +214,17 @@ impl BlastSender {
     /// The retransmission timeout currently in force (diagnostics, and
     /// the RTO trajectory `tests/cc_sweep.rs` asserts).
     pub fn current_rto(&self) -> Duration {
-        self.rto.rto()
+        self.control.rto()
     }
 
     /// The smoothed round-trip estimate, once a sample has been taken.
     pub fn srtt(&self) -> Option<Duration> {
-        self.rto.srtt()
+        self.control.srtt()
     }
 
-    /// Snapshot the RTT estimator (multi-blast carries it across
-    /// chunks so later chunks inherit earlier chunks' samples).
-    pub(crate) fn estimator(&self) -> &RttEstimator {
-        &self.rto
-    }
-
-    /// Replace the RTT estimator (the other half of the multi-blast
-    /// carry-over).
-    pub(crate) fn adopt_estimator(&mut self, estimator: RttEstimator) {
-        self.rto = estimator;
-    }
-
-    /// Snapshot the pacer (multi-blast carries it across chunks so the
-    /// AIMD burst size keeps adapting over the whole transfer).
-    pub(crate) fn pacer(&self) -> &Pacer {
-        &self.pacer
-    }
-
-    /// Replace the pacer (the other half of the carry-over).
-    pub(crate) fn adopt_pacer(&mut self, pacer: Pacer) {
-        self.pacer = pacer;
-    }
-
-    /// The AIMD pacing state, when pacing is enabled.
+    /// The pacing state, when pacing is enabled.
     pub fn pacing_snapshot(&self) -> Option<PacerSnapshot> {
-        self.pacer.enabled().then(|| self.pacer.snapshot())
+        self.control.pacing_snapshot()
     }
 
     fn transmit_one(&mut self, seq: u32, last: bool, sink: &mut dyn ActionSink) {
@@ -307,17 +274,18 @@ impl BlastSender {
     fn emit_burst(&mut self, sink: &mut dyn ActionSink) {
         let remaining = self.pending_len();
         debug_assert!(remaining > 0, "emit_burst on an idle round");
-        let n = remaining.min(self.pacer.burst_budget() as usize);
+        let n = remaining.min(self.control.pacer().burst_budget() as usize);
         // One pool lock covers the whole burst.
         let fresh_before = self
-            .recorder
-            .is_some()
+            .control
+            .tracing()
             .then(|| self.pool.fresh_allocations());
         self.pool.checkout_many(n.min(MAX_BATCH), &mut self.stash);
         if let Some(before) = fresh_before {
             let fresh = self.pool.fresh_allocations();
             if fresh > before {
-                self.trace(EventKind::PoolExhausted, fresh, n as u64);
+                self.control
+                    .trace(EventKind::PoolExhausted, fresh, n as u64);
             }
         }
         match self.pending {
@@ -343,15 +311,15 @@ impl BlastSender {
             // Karn: an acknowledgement solicited by this tail measures a
             // true round trip only if nothing in the round was a
             // retransmission.
-            self.solicit_sent = (self.rounds_used == 0).then_some(self.now);
+            self.solicit_sent = (self.rounds_used == 0).then_some(self.control.now());
             sink.push_action(Action::SetTimer {
                 token: RETX_TIMER,
-                after: self.rto.rto(),
+                after: self.control.rto(),
             });
         } else {
             sink.push_action(Action::SetTimer {
                 token: PACE_TIMER,
-                after: self.pacer.gap(),
+                after: self.control.pacer().gap(),
             });
         }
     }
@@ -362,15 +330,16 @@ impl BlastSender {
     /// when the tail finally goes out, so a paced round can never be
     /// interrupted by the old deadline.
     fn begin_round(&mut self, sink: &mut dyn ActionSink) {
-        self.trace(
+        self.control.trace(
             EventKind::RoundStart,
             u64::from(self.rounds_used),
             self.pending_len() as u64,
         );
-        self.round_started_at = self.now;
+        let budget = self.control.pacer().burst_budget();
+        self.round_started_at = self.control.now();
         self.round_size = self.pending_len() as u32;
-        self.round_app_limited = (self.round_size as u64) < u64::from(self.pacer.burst_budget());
-        if self.pending_len() > self.pacer.burst_budget() as usize {
+        self.round_app_limited = u64::from(self.round_size) < u64::from(budget);
+        if self.pending_len() > budget as usize {
             sink.push_action(Action::CancelTimer { token: RETX_TIMER });
         }
         self.emit_burst(sink);
@@ -406,69 +375,33 @@ impl BlastSender {
         self.pending = Pending::Idle;
         // A re-solicitation is a one-packet round of its own, so the
         // trace's begin/end spans stay balanced.
-        self.trace(EventKind::RoundStart, u64::from(self.rounds_used), 1);
+        self.control
+            .trace(EventKind::RoundStart, u64::from(self.rounds_used), 1);
         let seq = self.reliable_seq;
         self.solicit_sent = None;
         self.transmit_one(seq, true, sink);
         sink.push_action(Action::SetTimer {
             token: RETX_TIMER,
-            after: self.rto.rto(),
+            after: self.control.rto(),
         });
     }
 
     /// Take the Karn-valid RTT and delivery-rate samples for an
     /// arriving status report, if the soliciting tail is still
-    /// unambiguous.  `delivered` is how many of the round's packets the
-    /// report acknowledges.
+    /// unambiguous (a poisoned window — retransmitted tail or timeout —
+    /// is a Karn rejection).  `delivered` is how many of the round's
+    /// packets the report acknowledges: with the time since the round
+    /// began emitting, the delivery-rate sample.
     fn sample_rtt(&mut self, delivered: u32) {
-        if let Some(sent) = self.solicit_sent.take() {
-            let sample = self.now.saturating_sub(sent);
-            self.rto.sample(sample);
-            if self.recorder.is_some() {
-                let srtt = self.rto.srtt().unwrap_or_default();
-                self.trace(
-                    EventKind::RttSample,
-                    sample.as_nanos() as u64,
-                    srtt.as_nanos() as u64,
-                );
-            }
-            self.sample_rate(delivered);
-        } else {
-            // The solicitation window was poisoned (retransmitted tail
-            // or timeout): Karn's rule rejects this report's sample.
-            self.trace(EventKind::KarnReject, u64::from(self.rounds_used), 0);
-        }
-    }
-
-    /// Feed the pacer one delivery-rate sample: `delivered` packets
-    /// acknowledged over the time since the round began emitting.
-    /// Reached only through a Karn-valid solicitation, so the pairing
-    /// is unambiguous.
-    fn sample_rate(&mut self, delivered: u32) {
-        let interval = self.now.saturating_sub(self.round_started_at);
-        if delivered == 0 || interval.is_zero() {
+        let Some(sent) = self.solicit_sent.take() else {
+            self.control.reject_sample(self.rounds_used);
             return;
-        }
+        };
+        self.control.sample_rtt(sent);
+        let interval = self.control.now().saturating_sub(self.round_started_at);
         let bytes = u64::from(delivered) * self.tx.payload_of(self.first).len() as u64;
-        self.pacer
-            .on_rate_sample(delivered, bytes, interval, self.round_app_limited);
-        if self.recorder.is_some() {
-            let est = self.pacer.estimator();
-            let sample_bps = bytes as f64 / interval.as_secs_f64();
-            self.trace(
-                EventKind::RateSample,
-                sample_bps as u64,
-                est.max_rate_bps() as u64,
-            );
-            if self.pacer.is_rate_based() {
-                let min_rtt = est.min_rtt().unwrap_or_default();
-                self.trace(
-                    EventKind::PaceTarget,
-                    u64::from(self.pacer.burst_budget()),
-                    min_rtt.as_nanos() as u64,
-                );
-            }
-        }
+        self.control
+            .sample_rate(delivered, bytes, interval, self.round_app_limited);
     }
 
     /// Consume one unit of retransmission budget; completes with failure
@@ -489,7 +422,8 @@ impl BlastSender {
         }
         self.rounds_used += 1;
         self.stats.retransmission_rounds += 1;
-        self.trace(EventKind::RetxRound, u64::from(self.rounds_used), 0);
+        self.control
+            .trace(EventKind::RetxRound, u64::from(self.rounds_used), 0);
         true
     }
 
@@ -555,13 +489,11 @@ impl BlastSender {
 }
 
 impl Engine for BlastSender {
+    control_in!(control);
+
     fn start(&mut self, sink: &mut dyn ActionSink) {
         let first = self.first;
         self.send_span(first, sink);
-    }
-
-    fn set_now(&mut self, now: Duration) {
-        self.now = now;
     }
 
     fn on_datagram(&mut self, dgram: &Datagram<'_>, sink: &mut dyn ActionSink) {
@@ -576,17 +508,21 @@ impl Engine for BlastSender {
                     self.sample_rtt(self.round_size);
                     // AIMD: the whole range was acknowledged in one
                     // report — a clean round, grow the burst.
-                    let burst_before = self.pacer.burst_budget();
-                    self.pacer.on_clean_round();
-                    self.trace_burst_change(burst_before);
-                    self.trace(EventKind::RoundEnd, u64::from(self.rounds_used), 0);
+                    self.control.on_clean_round();
+                    self.control
+                        .trace(EventKind::RoundEnd, u64::from(self.rounds_used), 0);
                     self.pending = Pending::Idle;
+                    self.acked = true;
                     sink.push_action(Action::CancelTimer { token: RETX_TIMER });
                     sink.push_action(Action::CancelTimer { token: PACE_TIMER });
-                    let stats = self.stats;
-                    let bytes = self.tx.len();
-                    self.finish
-                        .complete(sink, CompletionInfo::success(bytes, stats));
+                    // A chunk short of the transfer's end completes
+                    // nothing: multi-blast rolls the next one over.
+                    if self.end == self.tx.total_packets() {
+                        let stats = self.stats;
+                        let bytes = self.tx.len();
+                        self.finish
+                            .complete(sink, CompletionInfo::success(bytes, stats));
+                    }
                 }
                 // A positive ack below our range end is stale
                 // (an earlier chunk's ack); keep waiting.
@@ -600,18 +536,17 @@ impl Engine for BlastSender {
                 self.sample_rtt(delivered);
                 // AIMD: any NACK means the receiver missed packets —
                 // shrink the burst before retransmitting.
-                let burst_before = self.pacer.burst_budget();
-                self.pacer.on_loss();
-                self.trace_burst_change(burst_before);
-                self.trace(EventKind::RoundEnd, u64::from(self.rounds_used), 1);
+                self.control.on_loss();
+                self.control
+                    .trace(EventKind::RoundEnd, u64::from(self.rounds_used), 1);
                 if let Some(resend) = self.resend_set(nack) {
-                    if self.recorder.is_some() {
+                    if self.control.tracing() {
                         let missing = match &resend {
                             Resend::Span { first } => u64::from(self.end - *first),
                             Resend::Set => self.pending_set.len() as u64,
                             Resend::Resolicit => 0,
                         };
-                        self.trace(
+                        self.control.trace(
                             EventKind::NackReceived,
                             u64::from(self.rounds_used),
                             missing,
@@ -650,17 +585,9 @@ impl Engine for BlastSender {
         // Karn: double the RTO and poison the sample window — whatever
         // answer eventually arrives is ambiguous.  The timeout is also
         // the strongest loss signal the engine has: AIMD shrink.
-        let rto_before = self.rto.rto();
-        self.rto.backoff();
-        self.trace(
-            EventKind::RtoBackoff,
-            rto_before.as_nanos() as u64,
-            self.rto.rto().as_nanos() as u64,
-        );
-        let burst_before = self.pacer.burst_budget();
-        self.pacer.on_loss();
-        self.trace_burst_change(burst_before);
-        self.trace(EventKind::RoundEnd, u64::from(self.rounds_used), 2);
+        self.control.on_timeout();
+        self.control
+            .trace(EventKind::RoundEnd, u64::from(self.rounds_used), 2);
         self.solicit_sent = None;
         if !self.charge_round(sink) {
             return;
@@ -686,15 +613,7 @@ impl Engine for BlastSender {
     }
 
     fn transfer_id(&self) -> u32 {
-        self.transfer_id
-    }
-
-    fn pacing_snapshot(&self) -> Option<PacerSnapshot> {
-        BlastSender::pacing_snapshot(self)
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
+        self.control.transfer_id()
     }
 }
 
@@ -703,7 +622,6 @@ impl Engine for BlastSender {
 /// report.
 #[derive(Debug)]
 pub struct BlastReceiver {
-    transfer_id: u32,
     rx: RxBuffer,
     builder: DatagramBuilder,
     strategy: RetxStrategy,
@@ -716,15 +634,14 @@ pub struct BlastReceiver {
     pool: BufferPool,
     stats: EngineStats,
     finish: Finish,
-    now: Duration,
-    recorder: Option<Recorder>,
+    /// Clock and recorder (built unpaced: a receiver never paces).
+    control: Control,
 }
 
 impl BlastReceiver {
     /// Create a receiver expecting `bytes` bytes on `transfer_id`.
     pub fn new(transfer_id: u32, bytes: usize, config: &ProtocolConfig) -> Self {
         BlastReceiver {
-            transfer_id,
             rx: RxBuffer::new(bytes, config.packet_payload),
             builder: DatagramBuilder::new(transfer_id).kernel(config.kernel_flag),
             strategy: config.strategy,
@@ -732,8 +649,7 @@ impl BlastReceiver {
             pool: config.pool.clone(),
             stats: EngineStats::default(),
             finish: Finish::default(),
-            now: Duration::ZERO,
-            recorder: None,
+            control: Control::new(transfer_id, &config.timeout, PacingConfig::off()),
         }
     }
 
@@ -750,12 +666,6 @@ impl BlastReceiver {
     /// Packets received so far (diagnostics).
     pub fn received_packets(&self) -> u32 {
         self.rx.received_packets()
-    }
-
-    fn trace(&self, kind: EventKind, a: u64, b: u64) {
-        if let Some(rec) = &self.recorder {
-            rec.record_at(self.now, self.transfer_id, kind, a, b);
-        }
     }
 
     fn send_status(&mut self, sink: &mut dyn ActionSink) {
@@ -782,7 +692,7 @@ impl BlastReceiver {
             },
         };
         let is_nack = report.is_nack();
-        if self.recorder.is_some() {
+        if self.control.tracing() {
             // Holes below the horizon, counted exactly when the bitmap
             // is already in hand and approximated otherwise.
             let missing = match &report {
@@ -790,7 +700,8 @@ impl BlastReceiver {
                 AckPayload::Positive { .. } => 0,
                 _ => (u64::from(upto) + 1).saturating_sub(u64::from(self.rx.received_packets())),
             };
-            self.trace(EventKind::StatusSend, u64::from(!is_nack), missing);
+            self.control
+                .trace(EventKind::StatusSend, u64::from(!is_nack), missing);
         }
         let mut buf = self
             .pool
@@ -809,12 +720,10 @@ impl BlastReceiver {
 }
 
 impl Engine for BlastReceiver {
+    control_in!(control);
+
     fn start(&mut self, _sink: &mut dyn ActionSink) {
         // Passive: buffers were allocated in `new`, per the paper.
-    }
-
-    fn set_now(&mut self, now: Duration) {
-        self.now = now;
     }
 
     fn on_datagram(&mut self, dgram: &Datagram<'_>, sink: &mut dyn ActionSink) {
@@ -867,16 +776,12 @@ impl Engine for BlastReceiver {
     }
 
     fn transfer_id(&self) -> u32 {
-        self.transfer_id
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
+        self.control.transfer_id()
     }
 
     fn retire(&mut self) -> Option<(Vec<u8>, FinishedReceiver)> {
         let finished = FinishedReceiver {
-            transfer_id: self.transfer_id,
+            transfer_id: self.control.transfer_id(),
             builder: self.builder,
             geometry: self.rx.geometry(),
         };

@@ -24,8 +24,20 @@
 //! Both knobs keep their paper-faithful degenerate modes:
 //! [`AdaptiveTimeout::Fixed`] is the fixed `Tr` every analytic-model
 //! test pins, and [`PacingConfig::off`] is the paper's full-speed blast.
+//!
+//! [`Control`] is the one owner of both, together with the engine's
+//! view of the driver clock and its flight recorder.  Every engine that
+//! keeps time holds exactly one, the driver-facing
+//! [`Engine`](crate::engine::Engine) hooks (`set_now`, `set_recorder`,
+//! `pacing_snapshot`) are implemented once over it, and it is the only
+//! place an estimator or pacer signal is paired with its trace event —
+//! so stop-and-wait, sliding window, blast and multi-blast share one
+//! timeout rule, one pacing rule and one trace vocabulary, as the
+//! paper's comparison assumes.
 
 use std::time::Duration;
+
+use blast_telemetry::{EventKind, Recorder};
 
 use crate::api::TimerToken;
 
@@ -398,8 +410,7 @@ pub const RTT_WINDOW: usize = 32;
 /// BBR-style pacing needs to estimate the bandwidth-delay product.
 ///
 /// Storage is fixed-size rings so the estimator is `Copy`, costs no
-/// heap, and can ride the engines' zero-allocation hot path (and the
-/// multi-blast chunk carry-over, which copies the whole [`Pacer`]).
+/// heap, and can ride the engines' zero-allocation hot path.
 ///
 /// **App-limited rounds are excluded from the rate window**: a round
 /// smaller than the pacer's burst budget measures how much data the
@@ -638,13 +649,6 @@ impl Pacer {
         &self.est
     }
 
-    /// True once at least one delivery sample has been taken — engines
-    /// without pacing still feed samples, and their reports should show
-    /// the measured rate.
-    pub fn has_rate_samples(&self) -> bool {
-        self.est.samples() > 0
-    }
-
     /// The burst the rate-based mode would pace to right now:
     /// `pacing_gain × max_rate × min_rtt` in packets, clamped to the
     /// configured `[min_burst, max_burst]`.  `None` until the estimator
@@ -796,6 +800,178 @@ impl Pacer {
             rate_samples: self.est.samples(),
             app_limited_samples: self.est.app_limited_samples(),
             in_recovery: self.recovery,
+        }
+    }
+}
+
+/// One engine's transmission control: its view of the driver clock, its
+/// [`RttEstimator`], its [`Pacer`] and its flight recorder, plus the
+/// transfer id trace events are stamped with.
+///
+/// Engines feed it their protocol's signals — a round trip, a Karn
+/// rejection, a timeout, a clean or lossy round, a delivery-rate sample
+/// — and it updates the estimator or the pacer and records the matching
+/// event.  Without a recorder each trace is one branch.
+#[derive(Debug)]
+pub struct Control {
+    transfer_id: u32,
+    now: Duration,
+    rtt: RttEstimator,
+    pacer: Pacer,
+    recorder: Option<Recorder>,
+}
+
+impl Control {
+    pub(crate) fn new(transfer_id: u32, timeout: &AdaptiveTimeout, pacing: PacingConfig) -> Self {
+        Control {
+            transfer_id,
+            now: Duration::ZERO,
+            rtt: RttEstimator::new(timeout),
+            pacer: Pacer::new(pacing),
+            recorder: None,
+        }
+    }
+
+    pub(crate) fn transfer_id(&self) -> u32 {
+        self.transfer_id
+    }
+
+    /// The driver clock as of the last [`Engine::set_now`](crate::Engine::set_now).
+    pub(crate) fn now(&self) -> Duration {
+        self.now
+    }
+
+    /// The retransmission timeout currently in force.
+    pub fn rto(&self) -> Duration {
+        self.rtt.rto()
+    }
+
+    /// The smoothed round-trip estimate, once a sample has been taken.
+    pub fn srtt(&self) -> Option<Duration> {
+        self.rtt.srtt()
+    }
+
+    /// The pacer (burst budget, gap, mode).
+    pub(crate) fn pacer(&self) -> &Pacer {
+        &self.pacer
+    }
+
+    /// The pacing state, when pacing is enabled (`None` otherwise, and
+    /// for receivers, which are built unpaced).
+    pub fn pacing_snapshot(&self) -> Option<PacerSnapshot> {
+        self.pacer.enabled().then(|| self.pacer.snapshot())
+    }
+
+    pub(crate) fn set_now(&mut self, now: Duration) {
+        self.now = now;
+    }
+
+    pub(crate) fn set_recorder(&mut self, recorder: Recorder) {
+        self.recorder = Some(recorder);
+    }
+
+    /// True when a recorder is attached (guards trace-only work).
+    pub(crate) fn tracing(&self) -> bool {
+        self.recorder.is_some()
+    }
+
+    /// One flight-recorder event at the sans-I/O clock.
+    pub(crate) fn trace(&self, kind: EventKind, a: u64, b: u64) {
+        if let Some(rec) = &self.recorder {
+            rec.record_at(self.now, self.transfer_id, kind, a, b);
+        }
+    }
+
+    /// Feed the round trip since `sent_at` — the caller vouches that it
+    /// is unambiguous (Karn) — and return it.
+    pub(crate) fn sample_rtt(&mut self, sent_at: Duration) -> Duration {
+        let rtt = self.now.saturating_sub(sent_at);
+        self.rtt.sample(rtt);
+        let srtt = self.rtt.srtt().unwrap_or_default();
+        self.trace(
+            EventKind::RttSample,
+            rtt.as_nanos() as u64,
+            srtt.as_nanos() as u64,
+        );
+        rtt
+    }
+
+    /// An acknowledgement arrived after a retransmission in `round`:
+    /// Karn's rule rejects its round trip.
+    pub(crate) fn reject_sample(&self, round: u32) {
+        self.trace(EventKind::KarnReject, u64::from(round), 0);
+    }
+
+    /// A retransmission timeout: back the RTO off and signal the pacer
+    /// a loss — the strongest congestion signal an engine has.
+    pub(crate) fn on_timeout(&mut self) {
+        let before = self.rtt.rto();
+        self.rtt.backoff();
+        self.trace(
+            EventKind::RtoBackoff,
+            before.as_nanos() as u64,
+            self.rtt.rto().as_nanos() as u64,
+        );
+        self.on_loss();
+    }
+
+    /// A round completed without loss: AIMD growth.
+    pub(crate) fn on_clean_round(&mut self) {
+        self.pace(Pacer::on_clean_round);
+    }
+
+    /// A loss signal (NACK or timeout): AIMD shrink.
+    pub(crate) fn on_loss(&mut self) {
+        self.pace(Pacer::on_loss);
+    }
+
+    /// Apply one pacer signal, tracing the burst transition it causes.
+    fn pace(&mut self, signal: fn(&mut Pacer)) {
+        let before = self.pacer.burst_budget();
+        signal(&mut self.pacer);
+        if !self.tracing() || !self.pacer.is_adaptive() {
+            return;
+        }
+        let after = self.pacer.burst_budget();
+        if after > before {
+            self.trace(EventKind::PacerGrow, u64::from(before), u64::from(after));
+        } else if after < before {
+            self.trace(EventKind::PacerShrink, u64::from(before), u64::from(after));
+        }
+    }
+
+    /// Feed one delivery-rate sample: `packets`/`bytes` acknowledged
+    /// over `interval` (Karn-valid exchanges only).  An empty or
+    /// zero-width sample carries no information and is dropped.
+    pub(crate) fn sample_rate(
+        &mut self,
+        packets: u32,
+        bytes: u64,
+        interval: Duration,
+        app_limited: bool,
+    ) {
+        if packets == 0 || interval.is_zero() {
+            return;
+        }
+        self.pacer
+            .on_rate_sample(packets, bytes, interval, app_limited);
+        if !self.tracing() {
+            return;
+        }
+        let est = self.pacer.estimator();
+        let sample_bps = bytes as f64 / interval.as_secs_f64();
+        self.trace(
+            EventKind::RateSample,
+            sample_bps as u64,
+            est.max_rate_bps() as u64,
+        );
+        if self.pacer.is_rate_based() {
+            let min_rtt = est.min_rtt().unwrap_or_default();
+            self.trace(
+                EventKind::PaceTarget,
+                u64::from(self.pacer.burst_budget()),
+                min_rtt.as_nanos() as u64,
+            );
         }
     }
 }

@@ -5,6 +5,7 @@ use blast_wire::packet::Datagram;
 
 use crate::api::{ActionSink, EngineStats, TimerToken};
 use crate::blast::FinishedReceiver;
+use crate::control::{Control, PacerSnapshot};
 
 /// A sans-I/O protocol engine (one end of one transfer).
 ///
@@ -28,12 +29,34 @@ use crate::blast::FinishedReceiver;
 ///   final ack does not strand the sender (the classic tail problem of
 ///   §3.2.2: the ack to the last packet can itself be lost).
 ///
+/// ## One control surface
+///
+/// The clock, the flight recorder and the pacing state reach an engine
+/// through one value, its [`Control`]: [`set_now`](Engine::set_now),
+/// [`set_recorder`](Engine::set_recorder) and
+/// [`pacing_snapshot`](Engine::pacing_snapshot) are provided here, once,
+/// over [`control`](Engine::control) /
+/// [`control_mut`](Engine::control_mut), and no engine overrides them.
+/// Every engine that keeps time answers that pair with its one
+/// `Control`; an engine that keeps none (the stop-and-wait receiver)
+/// answers `None`, and the hooks become no-ops.
+///
 /// Engines are plain state machines (no I/O handles), so the trait
 /// requires [`Send`]: drivers that own engines — like the `blast-node`
 /// server with its whole session table — can move onto worker threads.
 pub trait Engine: Send {
     /// Kick the engine off.
     fn start(&mut self, sink: &mut dyn ActionSink);
+
+    /// The engine's transmission control, if it keeps one.
+    fn control(&self) -> Option<&Control> {
+        None
+    }
+
+    /// Mutable access to the engine's transmission control.
+    fn control_mut(&mut self) -> Option<&mut Control> {
+        None
+    }
 
     /// Advance the engine's view of the driver's monotonic clock.
     ///
@@ -45,11 +68,13 @@ pub trait Engine: Send {
     /// adaptive retransmission timeout
     /// ([`crate::control::RttEstimator`]) *without doing any I/O* —
     /// the clock is an input like datagrams and timer expirations, so
-    /// the sans-I/O property is preserved.  Engines that do not track
-    /// time (and drivers testing fixed-timeout behaviour) may ignore
-    /// it; the default is a no-op and skipping the call merely degrades
-    /// the estimator to its configured initial timeout.
-    fn set_now(&mut self, _now: std::time::Duration) {}
+    /// the sans-I/O property is preserved.  Skipping the call merely
+    /// degrades the estimator to its configured initial timeout.
+    fn set_now(&mut self, now: std::time::Duration) {
+        if let Some(control) = self.control_mut() {
+            control.set_now(now);
+        }
+    }
 
     /// Feed one parsed datagram addressed to this engine's transfer.
     fn on_datagram(&mut self, dgram: &Datagram<'_>, sink: &mut dyn ActionSink);
@@ -66,26 +91,29 @@ pub trait Engine: Send {
     /// The transfer this engine serves.
     fn transfer_id(&self) -> u32;
 
-    /// The engine's AIMD pacing state, for engines that pace their
-    /// transmissions ([`crate::control::Pacer`]).
+    /// The engine's pacing state ([`crate::control::Pacer`]), when its
+    /// pacing is enabled.
     ///
     /// Lets a driver surface the burst-size trajectory of a session it
     /// owns only as a trait object — e.g. the `blast-node` server
     /// folding per-session final/mean burst sizes into its metrics.
-    /// Engines that do not pace (receivers, unpaced senders) return
-    /// `None` (the default).
-    fn pacing_snapshot(&self) -> Option<crate::control::PacerSnapshot> {
-        None
+    /// `None` for unpaced senders and for receivers.
+    fn pacing_snapshot(&self) -> Option<PacerSnapshot> {
+        self.control()?.pacing_snapshot()
     }
 
     /// Attach a flight-recorder handle ([`blast_telemetry::Recorder`]).
     ///
-    /// Engines that trace stamp their events with the `set_now` clock
-    /// (the sans-I/O path: the recorder's wall-clock epoch is never
+    /// Engines stamp their events with the `set_now` clock (the
+    /// sans-I/O path: the recorder's wall-clock epoch is never
     /// consulted), so drivers should hand every session engine the
-    /// recorder of the shard/thread it runs on.  The default discards
-    /// the handle — engines without hooks stay untouched.
-    fn set_recorder(&mut self, _recorder: blast_telemetry::Recorder) {}
+    /// recorder of the shard/thread it runs on.  An engine without a
+    /// [`Control`] discards the handle.
+    fn set_recorder(&mut self, recorder: blast_telemetry::Recorder) {
+        if let Some(control) = self.control_mut() {
+            control.set_recorder(recorder);
+        }
+    }
 
     /// Dismantle a receiver whose transfer completed: move its buffer
     /// out and return, beside it, the [`FinishedReceiver`] that keeps
@@ -101,6 +129,22 @@ pub trait Engine: Send {
         None
     }
 }
+
+/// Answer [`Engine::control`] and [`Engine::control_mut`] with the
+/// engine's `Control` field (a path such as `control` or
+/// `inner.control`).
+macro_rules! control_in {
+    ($($field:ident).+) => {
+        fn control(&self) -> Option<&$crate::control::Control> {
+            Some(&self.$($field).+)
+        }
+
+        fn control_mut(&mut self) -> Option<&mut $crate::control::Control> {
+            Some(&mut self.$($field).+)
+        }
+    };
+}
+pub(crate) use control_in;
 
 /// Shared bookkeeping for "the transfer is over" used by every engine:
 /// guarantees a single `Complete` emission.

@@ -6,23 +6,26 @@
 //! broken up in a number of different blasts, each of which proceeds
 //! according to the definition of the blast protocol."
 //!
-//! [`MultiBlastSender`] drives one [`BlastSender`] per chunk of
-//! `multiblast_chunk` packets, strictly in sequence: a chunk must be
-//! positively acknowledged before the next chunk starts.  The receive
-//! side needs no special engine — [`crate::blast::BlastReceiver`]'s
-//! cumulative acknowledgements (`Positive { acked }` covers everything
-//! up to `acked`) handle chunked transfers transparently;
-//! [`MultiBlastReceiver`] is a re-export.
+//! [`MultiBlastSender`] drives one [`BlastSender`] through the transfer
+//! a chunk of `multiblast_chunk` packets at a time, strictly in
+//! sequence: a chunk must be positively acknowledged before the next
+//! chunk starts.  The chunk sender rolls over *in place* — its
+//! [`crate::control::Control`] carries the converged RTO, the grown
+//! burst, the clock and the recorder from chunk to chunk, its counters
+//! accumulate over the whole transfer, and only the last chunk
+//! completes.  The receive side needs no special engine —
+//! [`crate::blast::BlastReceiver`]'s cumulative acknowledgements
+//! (`Positive { acked }` covers everything up to `acked`) handle chunked
+//! transfers transparently; [`MultiBlastReceiver`] is a re-export.
 
 use std::sync::Arc;
 
 use blast_wire::packet::Datagram;
 
-use crate::api::{Action, ActionSink, CompletionInfo, EngineStats, TimerToken};
+use crate::api::{ActionSink, EngineStats, TimerToken};
 use crate::blast::BlastSender;
 use crate::config::ProtocolConfig;
-use crate::engine::{Engine, Finish};
-use crate::txdata::TxData;
+use crate::engine::{control_in, Engine};
 
 /// Multi-blast receiver: the ordinary blast receiver.
 pub type MultiBlastReceiver = crate::blast::BlastReceiver;
@@ -31,194 +34,77 @@ pub type MultiBlastReceiver = crate::blast::BlastReceiver;
 /// blasts.
 #[derive(Debug)]
 pub struct MultiBlastSender {
-    transfer_id: u32,
-    tx: TxData,
-    config: ProtocolConfig,
+    /// Packets per chunk.
     chunk: u32,
-    /// First packet of the chunk currently in flight.
-    chunk_start: u32,
-    /// Driver clock, mirrored into each chunk engine.
-    now: std::time::Duration,
-    /// Flight recorder, re-attached to each chunk engine.
-    recorder: Option<blast_telemetry::Recorder>,
+    /// The sender of the chunk in flight.
     inner: BlastSender,
-    /// Stats of completed chunks (the live chunk's stats are added on
-    /// query).
-    absorbed: EngineStats,
-    /// Reused staging vector for [`drive`](MultiBlastSender::drive):
-    /// the chunk engine's actions are drained out of it every call, so
-    /// the steady state allocates no per-call sink.
-    staged: Vec<Action>,
-    finish: Finish,
 }
 
 impl MultiBlastSender {
     /// Create a sender for `data` on `transfer_id`, blasting
     /// `config.multiblast_chunk` packets per chunk.
     pub fn new(transfer_id: u32, data: Arc<[u8]>, config: &ProtocolConfig) -> Self {
-        let tx = TxData::new(data, config.packet_payload);
         let chunk = config.multiblast_chunk;
-        let end = chunk.min(tx.total_packets());
-        let inner = BlastSender::for_range(transfer_id, tx.clone(), config, 0, end, true);
         MultiBlastSender {
-            transfer_id,
-            tx,
-            config: config.clone(),
             chunk,
-            chunk_start: 0,
-            now: std::time::Duration::ZERO,
-            recorder: None,
-            inner,
-            absorbed: EngineStats::default(),
-            staged: Vec::new(),
-            finish: Finish::default(),
+            inner: BlastSender::chunked(transfer_id, data, config, Some(chunk)),
         }
     }
 
     /// Number of chunks the transfer uses.
     pub fn total_chunks(&self) -> u32 {
-        self.tx.total_packets().div_ceil(self.chunk)
+        self.inner.total_packets().div_ceil(self.chunk)
     }
 
     /// Zero-based index of the chunk currently in flight.
     pub fn current_chunk(&self) -> u32 {
-        self.chunk_start / self.chunk
-    }
-
-    /// Current retransmission timeout (the RTT estimator carries
-    /// across chunks, so this is the session's converged RTO).
-    pub fn current_rto(&self) -> std::time::Duration {
-        self.inner.current_rto()
-    }
-
-    /// Smoothed round-trip estimate carried across chunks, once a
-    /// Karn-valid sample has landed.
-    pub fn srtt(&self) -> Option<std::time::Duration> {
-        self.inner.srtt()
-    }
-
-    /// Run the inner chunk engine and post-process its actions:
-    /// pass-through everything except `Complete`, which advances to the
-    /// next chunk (or completes the whole transfer).
-    fn drive<F: FnOnce(&mut BlastSender, &mut Vec<Action>)>(
-        &mut self,
-        f: F,
-        sink: &mut dyn ActionSink,
-    ) {
-        // Take/put-back: a recursive `advance` (chunk rollover) sees an
-        // empty staging vector and stages its own batch independently.
-        let mut staged = std::mem::take(&mut self.staged);
-        f(&mut self.inner, &mut staged);
-        for action in staged.drain(..) {
-            match action {
-                Action::Complete(info) => {
-                    self.absorbed.absorb(&info.stats);
-                    match info.result {
-                        Ok(_) => self.advance(sink),
-                        Err(e) => {
-                            let stats = self.absorbed;
-                            self.finish
-                                .complete(sink, CompletionInfo::failure(e, stats));
-                        }
-                    }
-                }
-                other => sink.push_action(other),
-            }
-        }
-        self.staged = staged;
-    }
-
-    fn advance(&mut self, sink: &mut dyn ActionSink) {
-        let next_start = self.chunk_start + self.chunk;
-        if next_start >= self.tx.total_packets() {
-            let stats = self.absorbed;
-            self.finish
-                .complete(sink, CompletionInfo::success(self.tx.len(), stats));
-            return;
-        }
-        self.chunk_start = next_start;
-        let end = (next_start + self.chunk).min(self.tx.total_packets());
-        // The RTT estimator and the AIMD pacer outlive the chunk
-        // engine: every chunk's round-0 acknowledgement is a clean
-        // sample *and* a clean round, so later chunks start from the
-        // converged RTO and the grown burst instead of the configured
-        // seeds — per-session adaptation, not per-chunk.
-        let estimator = self.inner.estimator().clone();
-        let pacer = *self.inner.pacer();
-        let now = self.now;
-        self.inner = BlastSender::for_range(
-            self.transfer_id,
-            self.tx.clone(),
-            &self.config,
-            next_start,
-            end,
-            true,
-        );
-        self.inner.adopt_estimator(estimator);
-        self.inner.adopt_pacer(pacer);
-        self.inner.set_now(now);
-        if let Some(rec) = &self.recorder {
-            self.inner.set_recorder(rec.clone());
-        }
-        // Kick the fresh chunk off; its actions flow to the real sink
-        // (completion of a 1-chunk tail is handled recursively).
-        self.drive(|inner, staged| inner.start(staged), sink);
+        self.inner.first / self.chunk
     }
 }
 
 impl Engine for MultiBlastSender {
+    control_in!(inner.control);
+
     fn start(&mut self, sink: &mut dyn ActionSink) {
-        self.drive(|inner, staged| inner.start(staged), sink);
-    }
-
-    fn set_now(&mut self, now: std::time::Duration) {
-        self.now = now;
-        self.inner.set_now(now);
-    }
-
-    fn set_recorder(&mut self, recorder: blast_telemetry::Recorder) {
-        self.inner.set_recorder(recorder.clone());
-        self.recorder = Some(recorder);
+        self.inner.start(sink);
     }
 
     fn on_datagram(&mut self, dgram: &Datagram<'_>, sink: &mut dyn ActionSink) {
-        if self.finish.is_finished() {
-            return;
+        self.inner.on_datagram(dgram, sink);
+        // Only a positive acknowledgement of a whole chunk short of the
+        // transfer's end leaves the chunk sender acked and unfinished:
+        // roll it over to the next chunk and blast that.
+        if self.inner.acked && !self.inner.is_finished() {
+            let first = self.inner.end;
+            let end = first
+                .saturating_add(self.chunk)
+                .min(self.inner.total_packets());
+            self.inner.restart(first, end);
+            self.inner.start(sink);
         }
-        self.drive(|inner, staged| inner.on_datagram(dgram, staged), sink);
     }
 
     fn on_timer(&mut self, token: TimerToken, sink: &mut dyn ActionSink) {
-        if self.finish.is_finished() {
-            return;
-        }
-        self.drive(|inner, staged| inner.on_timer(token, staged), sink);
+        self.inner.on_timer(token, sink);
     }
 
     fn is_finished(&self) -> bool {
-        self.finish.is_finished()
+        self.inner.is_finished()
     }
 
     fn stats(&self) -> EngineStats {
-        let mut s = self.absorbed;
-        if !self.finish.is_finished() {
-            s.absorb(&self.inner.stats());
-        }
-        s
+        self.inner.stats()
     }
 
     fn transfer_id(&self) -> u32 {
-        self.transfer_id
-    }
-
-    fn pacing_snapshot(&self) -> Option<crate::control::PacerSnapshot> {
-        self.inner.pacing_snapshot()
+        self.inner.transfer_id()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Action;
     use crate::blast::BlastReceiver;
     use crate::config::RetxStrategy;
     use blast_wire::ack::AckPayload;

@@ -21,8 +21,8 @@ use std::time::Duration;
 
 use crate::api::{Action, ActionSink, CompletionInfo, EngineStats, TimerToken};
 use crate::config::ProtocolConfig;
-use crate::control::{Pacer, PacerSnapshot, RttEstimator};
-use crate::engine::{Engine, Finish};
+use crate::control::Control;
+use crate::engine::{control_in, Engine, Finish};
 use crate::error::CoreError;
 use crate::pool::BufferPool;
 use crate::rxbuf::RxBuffer;
@@ -34,23 +34,19 @@ const RETX_TIMER: TimerToken = TimerToken(0);
 /// Stop-and-wait sender.
 #[derive(Debug)]
 pub struct SawSender {
-    transfer_id: u32,
     tx: TxData,
     builder: DatagramBuilder,
-    /// Retransmission-timeout source: fixed `Tr` or Jacobson/Karn.
-    rto: RttEstimator,
-    /// Stop-and-wait never bursts, so the pacer's budget is moot — but
-    /// it hosts the delivery-rate estimator, so this engine's reports
-    /// carry the same measured rate/min-RTT trajectory as the others.
-    /// One packet per round trip *is* the protocol's delivery rate.
-    pacer: Pacer,
+    /// Clock, RTO estimator, pacer and recorder.  Stop-and-wait never
+    /// bursts, so the pacer's budget is moot — but it hosts the
+    /// delivery-rate estimator, so this engine's reports carry the same
+    /// measured rate/min-RTT trajectory as the others.  One packet per
+    /// round trip *is* the protocol's delivery rate.
+    control: Control,
     max_retries: u32,
     /// Sequence currently awaiting acknowledgement.
     cur: u32,
     /// Retransmission attempts already made for `cur`.
     attempts: u32,
-    /// Driver clock (see [`Engine::set_now`]).
-    now: Duration,
     /// When `cur` first went out — stop-and-wait acknowledges every
     /// packet, so every untroubled exchange is a Karn-valid RTT sample.
     sent_at: Duration,
@@ -63,25 +59,17 @@ impl SawSender {
     /// Create a sender for `data` on transfer `transfer_id`.
     pub fn new(transfer_id: u32, data: Arc<[u8]>, config: &ProtocolConfig) -> Self {
         SawSender {
-            transfer_id,
             tx: TxData::new(data, config.packet_payload),
             builder: DatagramBuilder::new(transfer_id).kernel(config.kernel_flag),
-            rto: RttEstimator::new(&config.timeout),
-            pacer: Pacer::new(config.pacing),
+            control: Control::new(transfer_id, &config.timeout, config.pacing),
             max_retries: config.max_retries,
             cur: 0,
             attempts: 0,
-            now: Duration::ZERO,
             sent_at: Duration::ZERO,
             pool: config.pool.clone(),
             stats: EngineStats::default(),
             finish: Finish::default(),
         }
-    }
-
-    /// The retransmission timeout currently in force.
-    pub fn current_rto(&self) -> Duration {
-        self.rto.rto()
     }
 
     fn send_current(&mut self, sink: &mut dyn ActionSink) {
@@ -108,23 +96,21 @@ impl SawSender {
         } else {
             // First transmission: the ack, if it comes before any
             // retransmission, is an unambiguous RTT sample.
-            self.sent_at = self.now;
+            self.sent_at = self.control.now();
         }
         sink.push_action(Action::Transmit(buf));
         sink.push_action(Action::SetTimer {
             token: RETX_TIMER,
-            after: self.rto.rto(),
+            after: self.control.rto(),
         });
     }
 }
 
 impl Engine for SawSender {
+    control_in!(control);
+
     fn start(&mut self, sink: &mut dyn ActionSink) {
         self.send_current(sink);
-    }
-
-    fn set_now(&mut self, now: Duration) {
-        self.now = now;
     }
 
     fn on_datagram(&mut self, dgram: &Datagram<'_>, sink: &mut dyn ActionSink) {
@@ -144,13 +130,14 @@ impl Engine for SawSender {
         self.stats.acks_received += 1;
         if self.attempts == 0 {
             // Karn: only a never-retransmitted packet's ack is sampled.
-            let rtt = self.now.saturating_sub(self.sent_at);
-            self.rto.sample(rtt);
+            let rtt = self.control.sample_rtt(self.sent_at);
             // The same unambiguous exchange is a delivery-rate sample:
             // one packet per round trip.  Never app-limited — lockstep
             // is the protocol's ceiling, not the application's.
             let bytes = self.tx.payload_of(self.cur).len() as u64;
-            self.pacer.on_rate_sample(1, bytes, rtt, false);
+            self.control.sample_rate(1, bytes, rtt, false);
+        } else {
+            self.control.reject_sample(self.attempts);
         }
         self.cur += 1;
         self.attempts = 0;
@@ -169,7 +156,7 @@ impl Engine for SawSender {
             return;
         }
         self.stats.timeouts += 1;
-        self.rto.backoff();
+        self.control.on_timeout();
         if self.attempts >= self.max_retries {
             let stats = self.stats;
             self.finish.complete(
@@ -197,11 +184,7 @@ impl Engine for SawSender {
     }
 
     fn transfer_id(&self) -> u32 {
-        self.transfer_id
-    }
-
-    fn pacing_snapshot(&self) -> Option<PacerSnapshot> {
-        (self.pacer.enabled() || self.pacer.has_rate_samples()).then(|| self.pacer.snapshot())
+        self.control.transfer_id()
     }
 }
 

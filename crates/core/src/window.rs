@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use crate::api::{Action, ActionSink, CompletionInfo, EngineStats, TimerToken};
 use crate::config::ProtocolConfig;
-use crate::control::{Pacer, RttEstimator, PACE_TIMER};
-use crate::engine::{Engine, Finish};
+use crate::control::{Control, PACE_TIMER};
+use crate::engine::{control_in, Engine, Finish};
 use crate::error::CoreError;
 use crate::pool::BufferPool;
 use crate::txdata::TxData;
@@ -36,12 +36,10 @@ pub type WindowReceiver = crate::saw::SawReceiver;
 /// Sliding-window sender.
 #[derive(Debug)]
 pub struct WindowSender {
-    transfer_id: u32,
     tx: TxData,
     builder: DatagramBuilder,
-    /// Retransmission-timeout source: fixed `Tr` or Jacobson/Karn.
-    rto: RttEstimator,
-    pacer: Pacer,
+    /// Clock, RTO estimator, pacer and recorder.
+    control: Control,
     max_retries: u32,
     window: Option<u32>,
     /// Next sequence never yet transmitted.
@@ -55,8 +53,6 @@ pub struct WindowSender {
     /// individually acknowledged, so each untroubled packet is one RTT
     /// sample).
     sent_at: Vec<Duration>,
-    /// Driver clock (see [`Engine::set_now`]).
-    now: Duration,
     /// Pacing tokens left in the current burst (`u32::MAX` unpaced).
     /// Only the pace timer refills them — arriving acks may open the
     /// window, but not the throttle, or pacing would leak.
@@ -97,12 +93,12 @@ impl WindowSender {
     pub fn new(transfer_id: u32, data: Arc<[u8]>, config: &ProtocolConfig) -> Self {
         let tx = TxData::new(data, config.packet_payload);
         let total = tx.total_packets() as usize;
-        let pacer = Pacer::new(config.pacing);
+        let control = Control::new(transfer_id, &config.timeout, config.pacing);
         WindowSender {
-            transfer_id,
             tx,
             builder: DatagramBuilder::new(transfer_id).kernel(config.kernel_flag),
-            rto: RttEstimator::new(&config.timeout),
+            burst_left: control.pacer().burst_budget(),
+            control,
             max_retries: config.max_retries,
             window: config.window,
             next_unsent: 0,
@@ -110,9 +106,6 @@ impl WindowSender {
             acked_count: 0,
             attempts: vec![0; total],
             sent_at: vec![Duration::ZERO; total],
-            now: Duration::ZERO,
-            burst_left: pacer.burst_budget(),
-            pacer,
             pace_pending: false,
             // Sized up front: queueing a retransmission never allocates.
             retx_queue: Vec::with_capacity(total),
@@ -125,11 +118,6 @@ impl WindowSender {
             stats: EngineStats::default(),
             finish: Finish::default(),
         }
-    }
-
-    /// The retransmission timeout currently in force.
-    pub fn current_rto(&self) -> Duration {
-        self.rto.rto()
     }
 
     fn in_flight(&self) -> u32 {
@@ -168,12 +156,12 @@ impl WindowSender {
         if round > 0 {
             self.stats.data_packets_retransmitted += 1;
         } else {
-            self.sent_at[seq as usize] = self.now;
+            self.sent_at[seq as usize] = self.control.now();
         }
         sink.push_action(Action::Transmit(buf));
         sink.push_action(Action::SetTimer {
             token: TimerToken(u64::from(seq)),
-            after: self.rto.rto(),
+            after: self.control.rto(),
         });
     }
 
@@ -187,7 +175,7 @@ impl WindowSender {
                     self.pace_pending = true;
                     sink.push_action(Action::SetTimer {
                         token: PACE_TIMER,
-                        after: self.pacer.gap(),
+                        after: self.control.pacer().gap(),
                     });
                 }
                 return;
@@ -218,7 +206,7 @@ impl WindowSender {
             self.pace_pending = true;
             sink.push_action(Action::SetTimer {
                 token: PACE_TIMER,
-                after: self.pacer.gap(),
+                after: self.control.pacer().gap(),
             });
         }
     }
@@ -230,19 +218,20 @@ impl WindowSender {
         self.epoch_packets += 1;
         self.epoch_bytes += self.tx.payload_of(seq).len() as u64;
         if self.next_unsent == self.tx.total_packets()
-            && self.in_flight() < self.pacer.burst_budget()
+            && self.in_flight() < self.control.pacer().burst_budget()
         {
             self.epoch_app_limited = true;
         }
-        let elapsed = self.now.saturating_sub(self.epoch_started_at);
-        if elapsed >= self.rto.srtt().unwrap_or(rtt) {
-            self.pacer.on_rate_sample(
+        let now = self.control.now();
+        let elapsed = now.saturating_sub(self.epoch_started_at);
+        if elapsed >= self.control.srtt().unwrap_or(rtt) {
+            self.control.sample_rate(
                 self.epoch_packets,
                 self.epoch_bytes,
                 elapsed,
                 self.epoch_app_limited,
             );
-            self.epoch_started_at = self.now;
+            self.epoch_started_at = now;
             self.epoch_packets = 0;
             self.epoch_bytes = 0;
             self.epoch_app_limited = false;
@@ -251,13 +240,11 @@ impl WindowSender {
 }
 
 impl Engine for WindowSender {
-    fn start(&mut self, sink: &mut dyn ActionSink) {
-        self.epoch_started_at = self.now;
-        self.fill_window(sink);
-    }
+    control_in!(control);
 
-    fn set_now(&mut self, now: Duration) {
-        self.now = now;
+    fn start(&mut self, sink: &mut dyn ActionSink) {
+        self.epoch_started_at = self.control.now();
+        self.fill_window(sink);
     }
 
     fn on_datagram(&mut self, dgram: &Datagram<'_>, sink: &mut dyn ActionSink) {
@@ -276,9 +263,10 @@ impl Engine for WindowSender {
         if self.attempts[seq as usize] == 0 {
             // Karn: never-retransmitted packets yield clean RTT samples,
             // and only those acks count toward the delivery-rate epoch.
-            let rtt = self.now.saturating_sub(self.sent_at[seq as usize]);
-            self.rto.sample(rtt);
+            let rtt = self.control.sample_rtt(self.sent_at[seq as usize]);
             self.note_delivery(seq, rtt);
+        } else {
+            self.control.reject_sample(self.attempts[seq as usize]);
         }
         self.acked[seq as usize] = true;
         self.acked_count += 1;
@@ -303,7 +291,7 @@ impl Engine for WindowSender {
             // queued retransmissions first (they are oldest), then
             // fresh window fill.
             self.pace_pending = false;
-            self.burst_left = self.pacer.burst_budget();
+            self.burst_left = self.control.pacer().burst_budget();
             self.drain_retx(sink);
             self.fill_window(sink);
             return;
@@ -322,13 +310,13 @@ impl Engine for WindowSender {
         // must double the RTO once, not 2³²-fold.  The barrier spans
         // the old RTO, so a genuinely later timeout (after the backed-off
         // rearm) still backs off again.
-        if self.now >= self.backoff_barrier {
-            self.backoff_barrier = self.now + self.rto.rto();
-            self.rto.backoff();
-            // One loss epoch = one congestion response: the pacer halves
-            // its burst (and, rate-based, snaps the rate cap down) once,
-            // however many sibling timers fire in the same tick.
-            self.pacer.on_loss();
+        // One loss epoch is also one congestion response: the pacer
+        // halves its burst (and, rate-based, snaps the rate cap down)
+        // once, however many sibling timers fire in the same tick.
+        let now = self.control.now();
+        if now >= self.backoff_barrier {
+            self.backoff_barrier = now + self.control.rto();
+            self.control.on_timeout();
         }
         if self.attempts[seq as usize] >= self.max_retries {
             let stats = self.stats;
@@ -356,7 +344,7 @@ impl Engine for WindowSender {
                 self.pace_pending = true;
                 sink.push_action(Action::SetTimer {
                     token: PACE_TIMER,
-                    after: self.pacer.gap(),
+                    after: self.control.pacer().gap(),
                 });
             }
         }
@@ -371,11 +359,7 @@ impl Engine for WindowSender {
     }
 
     fn transfer_id(&self) -> u32 {
-        self.transfer_id
-    }
-
-    fn pacing_snapshot(&self) -> Option<crate::control::PacerSnapshot> {
-        (self.pacer.enabled() || self.pacer.has_rate_samples()).then(|| self.pacer.snapshot())
+        self.control.transfer_id()
     }
 }
 
@@ -546,7 +530,7 @@ mod tests {
         }
         assert_eq!(s.stats().timeouts, 4);
         assert_eq!(
-            s.current_rto(),
+            s.control.rto(),
             Duration::from_millis(50),
             "one loss epoch = one backoff"
         );
@@ -554,7 +538,7 @@ mod tests {
         s.set_now(Duration::from_millis(80));
         let mut out = Vec::new();
         s.on_timer(TimerToken(0), &mut out);
-        assert_eq!(s.current_rto(), Duration::from_millis(100));
+        assert_eq!(s.control.rto(), Duration::from_millis(100));
     }
 
     #[test]

@@ -8,11 +8,12 @@ use std::time::Duration;
 
 use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::config::RetxStrategy;
-use blast_core::control::{AdaptiveTimeout, PacingConfig};
-use blast_core::harness::{Harness, LossPlan};
-use blast_core::saw::SawReceiver;
+use blast_core::control::{AdaptiveTimeout, PacerSnapshot, PacingConfig};
+use blast_core::harness::{Harness, LossPlan, ReceiverEngine};
+use blast_core::multiblast::MultiBlastSender;
+use blast_core::saw::{SawReceiver, SawSender};
 use blast_core::window::WindowSender;
-use blast_core::ProtocolConfig;
+use blast_core::{Engine, ProtocolConfig};
 
 fn data(n: usize) -> Arc<[u8]> {
     (0..n)
@@ -150,4 +151,70 @@ fn paced_lost_tail_recovers_via_adapted_rto() {
     assert_eq!(h.received_data(), &payload[..]);
     assert_eq!(outcome.sender.timeouts, 1, "one re-solicitation timeout");
     assert!(outcome.sender.retransmission_rounds >= 1);
+}
+
+/// The (sender, receiver) pacing snapshots after a clean harness run.
+fn snapshots_after<S: Engine, R: ReceiverEngine>(
+    sender: S,
+    receiver: R,
+) -> (Option<PacerSnapshot>, Option<PacerSnapshot>) {
+    let mut h = Harness::new(sender, receiver, LossPlan::perfect());
+    h.run().expect("clean transfer");
+    (h.sender().pacing_snapshot(), h.receiver().pacing_snapshot())
+}
+
+/// One pacing-snapshot rule for every engine: a sender reports its
+/// pacer exactly when pacing is enabled — however many delivery-rate
+/// samples it took — and a receiver never does.
+#[test]
+fn pacing_snapshot_is_some_iff_pacing_is_enabled() {
+    let payload = data(16 * 1024);
+    let len = payload.len();
+    for pacing in [PacingConfig::off(), PacingConfig::lan()] {
+        let cfg = ProtocolConfig::default()
+            .with_timeout(AdaptiveTimeout::lan())
+            .with_pacing(pacing)
+            .with_multiblast_chunk(4);
+        let runs = [
+            (
+                "stop-and-wait",
+                snapshots_after(
+                    SawSender::new(1, payload.clone(), &cfg),
+                    SawReceiver::new(1, len, &cfg),
+                ),
+            ),
+            (
+                "sliding window",
+                snapshots_after(
+                    WindowSender::new(1, payload.clone(), &cfg),
+                    SawReceiver::new(1, len, &cfg),
+                ),
+            ),
+            (
+                "blast",
+                snapshots_after(
+                    BlastSender::new(1, payload.clone(), &cfg),
+                    BlastReceiver::new(1, len, &cfg),
+                ),
+            ),
+            (
+                "multi-blast",
+                snapshots_after(
+                    MultiBlastSender::new(1, payload.clone(), &cfg),
+                    BlastReceiver::new(1, len, &cfg),
+                ),
+            ),
+        ];
+        for (name, (sender, receiver)) in runs {
+            assert_eq!(
+                sender.is_some(),
+                pacing.enabled(),
+                "{name} sender under {pacing:?}: {sender:?}"
+            );
+            if let Some(snap) = sender {
+                assert!(snap.rate_samples > 0, "{name}: the clean run was sampled");
+            }
+            assert_eq!(receiver, None, "{name} receiver under {pacing:?}");
+        }
+    }
 }

@@ -11,7 +11,8 @@
 //!   warm, and
 //! * the *entire* second transfer allocates only the two boxed
 //!   completion reports, i.e. allocations-per-packet ≈ 0.03 for a
-//!   64-packet transfer and falling with size.
+//!   64-packet transfer and falling with size, and
+//! * a multi-blast transfer's chunk rollovers allocate nothing at all.
 //!
 //! `harness = false` (see `Cargo.toml`): this file is a plain `fn main`,
 //! not a `#[test]`.  The allocation counter is process-global, and
@@ -26,6 +27,7 @@ use std::time::Duration;
 use blast_core::api::Action;
 use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::control::{PacingConfig, PACE_TIMER};
+use blast_core::multiblast::MultiBlastSender;
 use blast_core::{Engine, ProtocolConfig};
 use blast_counting_alloc::{allocations, CountingAlloc};
 use blast_wire::packet::Datagram;
@@ -279,9 +281,73 @@ fn steady_state_blast_round_trip_allocates_zero_per_packet() {
     assert_eq!(r.data(), &payload[..], "rate-paced bytes arrive intact");
 }
 
+/// Multi-blast rolls its one chunk sender over in place: the chunk
+/// acknowledgement that starts the next chunk resets per-round state and
+/// reuses the burst stash and the `Control` — no per-chunk engine, no
+/// per-chunk completion report, no staging vector.
+fn multiblast_chunk_rollover_allocates_zero() {
+    const CHUNK: u32 = 8;
+    let cfg = ProtocolConfig::default().with_multiblast_chunk(CHUNK);
+    cfg.pool.warm(PACKETS + 4);
+    let payload: Arc<[u8]> = (0..BYTES)
+        .map(|i| (i * 17 % 251) as u8)
+        .collect::<Vec<u8>>()
+        .into();
+    let mut s = MultiBlastSender::new(5, payload.clone(), &cfg);
+    let mut r = BlastReceiver::new(5, payload.len(), &cfg);
+    let chunks = s.total_chunks();
+    let mut sink: Vec<Action> = Vec::with_capacity(2 * CHUNK as usize + 8);
+    let mut out: Vec<Action> = Vec::with_capacity(8);
+
+    // Deliver the chunk in `sink`, then feed its acknowledgement back:
+    // the sender rolls over and blasts the next chunk into `sink`.
+    let mut chunk_round_trip = |s: &mut MultiBlastSender, sink: &mut Vec<Action>| {
+        for a in sink.iter() {
+            if let Some(pkt) = a.as_transmit() {
+                let d = Datagram::parse(pkt).expect("well-formed chunk packet");
+                r.on_datagram(&d, &mut out);
+            }
+        }
+        sink.clear();
+        let ack = out
+            .iter()
+            .find_map(Action::as_transmit)
+            .expect("one ack per chunk");
+        let d = Datagram::parse(ack).expect("well-formed chunk ack");
+        s.on_datagram(&d, sink);
+        out.clear();
+    };
+
+    // Warm: chunk 0 goes out and is acknowledged before the window.
+    s.start(&mut sink);
+    chunk_round_trip(&mut s, &mut sink);
+    assert_eq!(s.current_chunk(), 1);
+
+    // Measured: every rollover up to the last chunk.
+    let before = allocations();
+    while s.current_chunk() + 1 < chunks {
+        chunk_round_trip(&mut s, &mut sink);
+    }
+    let rollovers = allocations() - before;
+    assert!(chunks - 2 >= 4, "the window spans at least four rollovers");
+    assert_eq!(
+        rollovers,
+        0,
+        "{} chunk rollovers must not allocate",
+        chunks - 2
+    );
+
+    // The last chunk completes the transfer.
+    chunk_round_trip(&mut s, &mut sink);
+    assert!(s.is_finished() && r.is_finished());
+    assert_eq!(r.data(), &payload[..], "chunked bytes arrive intact");
+}
+
 fn main() {
     steady_state_blast_round_trip_allocates_zero_per_packet();
     // libtest's own line, so whatever reads `cargo test` output still
     // finds this check by name.
     println!("test steady_state_blast_round_trip_allocates_zero_per_packet ... ok");
+    multiblast_chunk_rollover_allocates_zero();
+    println!("test multiblast_chunk_rollover_allocates_zero ... ok");
 }

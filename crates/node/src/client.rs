@@ -171,22 +171,9 @@ impl<C: Channel> Client<C> {
         self
     }
 
-    /// Set the adaptive-timeout policy wholesale (seed, bounds,
-    /// backoff) instead of just its initial value.
-    pub fn adaptive_timeout(mut self, timeout: AdaptiveTimeout) -> Self {
-        self.cfg.timeout = timeout;
-        self
-    }
-
     /// Set the per-transfer retransmission budget.
     pub fn retries(mut self, max_retries: u32) -> Self {
         self.cfg.max_retries = max_retries;
-        self
-    }
-
-    /// Set the burst pacing policy.
-    pub fn pacing(mut self, pacing: PacingConfig) -> Self {
-        self.cfg.pacing = pacing;
         self
     }
 

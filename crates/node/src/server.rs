@@ -1383,21 +1383,9 @@ impl NodeBuilder {
         self
     }
 
-    /// Replace the base protocol parameters for server-side engines.
-    pub fn protocol(mut self, protocol: ProtocolConfig) -> Self {
-        self.config.protocol = protocol;
-        self
-    }
-
     /// Retransmission-timeout policy for server-side engines.
     pub fn timeout(mut self, timeout: impl Into<AdaptiveTimeout>) -> Self {
         self.config.protocol.timeout = timeout.into();
-        self
-    }
-
-    /// Blast-round pacing for server-side sender engines.
-    pub fn pacing(mut self, pacing: PacingConfig) -> Self {
-        self.config.protocol.pacing = pacing;
         self
     }
 
@@ -1951,12 +1939,12 @@ mod tests {
             .linger(Duration::from_millis(99))
             .max_sessions(7)
             .session_timeout(Duration::from_secs(3))
-            .max_retries(42)
-            .pacing(PacingConfig::lan());
+            .max_retries(42);
         assert_eq!(b.config.linger, Duration::from_millis(99));
         assert_eq!(b.config.max_sessions, 7);
         assert_eq!(b.config.session_timeout, Duration::from_secs(3));
         assert_eq!(b.config.protocol.max_retries, 42);
+        assert_eq!(b.config.protocol.pacing, PacingConfig::lan());
         assert_eq!(b.config.shards, 1);
     }
 
