@@ -27,18 +27,18 @@ use blast_stats::{OnlineStats, Table};
 const AVG_LOSS: f64 = 1e-2;
 
 /// GE parameters with stationary average loss = AVG_LOSS:
-/// π_bad = p_g2b/(p_g2b+p_b2g); avg = π_bad × loss_bad.
+/// π_bad = p_enter/(p_enter+p_exit); avg = π_bad × bad_loss.
 fn gilbert_elliott() -> LossModel {
-    let p_g2b = 0.005;
-    let p_b2g = 0.245;
-    let loss_bad = 0.5;
-    let pi_bad = p_g2b / (p_g2b + p_b2g);
-    debug_assert!((pi_bad * loss_bad - AVG_LOSS).abs() < 2e-3);
+    let p_enter = 0.005;
+    let p_exit = 0.245;
+    let bad_loss = 0.5;
+    let pi_bad = p_enter / (p_enter + p_exit);
+    debug_assert!((pi_bad * bad_loss - AVG_LOSS).abs() < 2e-3);
     LossModel::GilbertElliott {
-        p_g2b,
-        p_b2g,
-        loss_good: 0.0,
-        loss_bad,
+        p_enter,
+        p_exit,
+        good_loss: 0.0,
+        bad_loss,
     }
 }
 

@@ -6,7 +6,9 @@
 //! to test and property-test protocol *correctness*: it gives packets a
 //! fixed tiny latency, honours timers in virtual time, and injects
 //! losses according to a [`LossPlan`] — deterministic from a seed, so
-//! every failure reproduces.
+//! every failure reproduces.  Seeded plans draw from the crate's one
+//! [`LossModel`], the same model the simulator and `blast-udp`'s
+//! `FaultyChannel` use; only the uniform source is the harness's own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,6 +20,7 @@ use blast_wire::packet::Datagram;
 use crate::api::{Action, EngineStats, Outcome, TimerToken};
 use crate::engine::Engine;
 use crate::error::CoreError;
+use crate::loss::{LossChain, LossModel};
 use crate::pool::PooledBuf;
 
 /// Which end of the channel an event belongs to.
@@ -43,41 +46,23 @@ impl Side {
 pub enum LossPlan {
     /// Deliver everything.
     Perfect,
-    /// Drop each packet independently with probability
-    /// `numerator / denominator` — the paper's iid error model with
-    /// `p_n = numerator/denominator`, driven by a deterministic
-    /// xorshift generator from `seed`.
-    Random {
-        /// RNG seed; same seed ⇒ same drop pattern.
+    /// Drop packets under `model`, one chain step per packet placed on
+    /// the wire, drawing uniforms `(x mod resolution) / resolution` from
+    /// an xorshift generator seeded with `seed`.  On that grid a
+    /// probability `k / resolution` drops exactly when `x mod
+    /// resolution < k` (`resolution` ≤ 2³² keeps grid points distinct as
+    /// `f64`).  [`Harness::new`] validates `model`.
+    Seeded {
+        /// RNG seed; same seed ⇒ same drop trajectory.
         seed: u64,
-        /// Loss probability numerator.
-        numerator: u32,
-        /// Loss probability denominator.
-        denominator: u32,
+        /// The loss model drawn from.
+        model: LossModel,
+        /// Grid size of every uniform draw.
+        resolution: u32,
     },
     /// Drop exactly the n-th, m-th, ... packets placed on the wire
     /// (0-based, counting every transmission from either side).
     Script(Vec<u64>),
-    /// Two-state Gilbert–Elliott burst-loss model: a hidden Markov
-    /// chain alternates between a *good* and a *bad* state, each with
-    /// its own iid loss probability.  Loss on a LAN is bursty — a
-    /// swamped receiving interface drops packets in runs, not
-    /// independently — and this is the classic model for it.  All
-    /// probabilities are in parts per million; the chain steps once per
-    /// wire packet, then the packet is dropped with the current state's
-    /// loss probability.
-    GilbertElliott {
-        /// RNG seed; same seed ⇒ same state and drop trajectory.
-        seed: u64,
-        /// P(good → bad) per packet, ppm.
-        p_enter_ppm: u32,
-        /// P(bad → good) per packet, ppm.
-        p_exit_ppm: u32,
-        /// Loss probability while in the good state, ppm.
-        good_loss_ppm: u32,
-        /// Loss probability while in the bad state, ppm.
-        bad_loss_ppm: u32,
-    },
 }
 
 impl LossPlan {
@@ -86,13 +71,13 @@ impl LossPlan {
         LossPlan::Perfect
     }
 
-    /// iid loss with probability `p halves in 1/denominator` units.
+    /// iid loss with probability `numerator / denominator` — the
+    /// paper's `p_n` — drawn at resolution `denominator`.
     pub fn random(seed: u64, numerator: u32, denominator: u32) -> Self {
-        assert!(denominator > 0 && numerator <= denominator);
-        LossPlan::Random {
+        LossPlan::Seeded {
             seed,
-            numerator,
-            denominator,
+            model: LossModel::iid(f64::from(numerator) / f64::from(denominator)),
+            resolution: denominator,
         }
     }
 
@@ -101,7 +86,7 @@ impl LossPlan {
         LossPlan::Script(drops.into())
     }
 
-    /// Gilbert–Elliott burst loss.  All probabilities in parts per
+    /// Gilbert–Elliott burst loss, every probability in parts per
     /// million (`1_000_000` = certainty).
     pub fn gilbert_elliott(
         seed: u64,
@@ -111,16 +96,16 @@ impl LossPlan {
         bad_loss_ppm: u32,
     ) -> Self {
         const PPM: u32 = 1_000_000;
-        assert!(
-            p_enter_ppm <= PPM && p_exit_ppm <= PPM && good_loss_ppm <= PPM && bad_loss_ppm <= PPM,
-            "probabilities are parts per million"
-        );
-        LossPlan::GilbertElliott {
+        let ppm = |v: u32| f64::from(v) / f64::from(PPM);
+        LossPlan::Seeded {
             seed,
-            p_enter_ppm,
-            p_exit_ppm,
-            good_loss_ppm,
-            bad_loss_ppm,
+            model: LossModel::GilbertElliott {
+                p_enter: ppm(p_enter_ppm),
+                p_exit: ppm(p_exit_ppm),
+                good_loss: ppm(good_loss_ppm),
+                bad_loss: ppm(bad_loss_ppm),
+            },
+            resolution: PPM,
         }
     }
 }
@@ -244,8 +229,7 @@ pub struct Harness<S: Engine, R: ReceiverEngine> {
     receiver: R,
     plan: LossPlan,
     rng: XorShift,
-    /// Gilbert–Elliott channel state (`true` = bad state).
-    ge_bad: bool,
+    chain: LossChain,
     queue: BinaryHeap<Reverse<Event>>,
     now_ns: u64,
     event_seq: u64,
@@ -271,10 +255,14 @@ pub struct Harness<S: Engine, R: ReceiverEngine> {
 }
 
 impl<S: Engine, R: ReceiverEngine> Harness<S, R> {
-    /// Create a harness around a sender/receiver pair.
+    /// Create a harness around a sender/receiver pair.  Panics if a
+    /// seeded plan's loss model is out of range.
     pub fn new(sender: S, receiver: R, plan: LossPlan) -> Self {
         let seed = match &plan {
-            LossPlan::Random { seed, .. } | LossPlan::GilbertElliott { seed, .. } => *seed,
+            LossPlan::Seeded { seed, model, .. } => {
+                model.validate();
+                *seed
+            }
             _ => 1,
         };
         Harness {
@@ -282,7 +270,7 @@ impl<S: Engine, R: ReceiverEngine> Harness<S, R> {
             receiver,
             plan,
             rng: XorShift::new(seed),
-            ge_bad: false,
+            chain: LossChain::default(),
             queue: BinaryHeap::new(),
             now_ns: 0,
             event_seq: 0,
@@ -331,37 +319,16 @@ impl<S: Engine, R: ReceiverEngine> Harness<S, R> {
     }
 
     fn should_drop(&mut self) -> bool {
-        let idx = self.wire_count;
         match &self.plan {
             LossPlan::Perfect => false,
-            LossPlan::Random {
-                numerator,
-                denominator,
-                ..
+            LossPlan::Seeded {
+                model, resolution, ..
             } => {
-                let (n, d) = (*numerator, *denominator);
-                (self.rng.next_u64() % u64::from(d)) < u64::from(n)
+                let res = u64::from(*resolution);
+                self.chain
+                    .drops(model, || (self.rng.next_u64() % res) as f64 / res as f64)
             }
-            LossPlan::Script(drops) => drops.contains(&idx),
-            LossPlan::GilbertElliott {
-                p_enter_ppm,
-                p_exit_ppm,
-                good_loss_ppm,
-                bad_loss_ppm,
-                ..
-            } => {
-                let (enter, exit, good, bad) =
-                    (*p_enter_ppm, *p_exit_ppm, *good_loss_ppm, *bad_loss_ppm);
-                const PPM: u64 = 1_000_000;
-                let flip = self.rng.next_u64() % PPM;
-                self.ge_bad = if self.ge_bad {
-                    flip >= u64::from(exit)
-                } else {
-                    flip < u64::from(enter)
-                };
-                let loss = if self.ge_bad { bad } else { good };
-                (self.rng.next_u64() % PPM) < u64::from(loss)
-            }
+            LossPlan::Script(drops) => drops.contains(&self.wire_count),
         }
     }
 

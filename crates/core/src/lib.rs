@@ -31,7 +31,8 @@
 //!   paper's measurements, where "transmit" costs simulated processor
 //!   copy time `C` into the network interface;
 //! * over real UDP sockets (`blast-udp`);
-//! * directly in unit/property tests via [`harness`].
+//! * directly in unit/property tests via [`harness`] — all three
+//!   injecting packet loss from the one [`loss::LossModel`].
 //!
 //! This mirrors the paper's protocol structure: the V kernel protocol is
 //! "implemented at the network interrupt level", i.e. it *is* a reactive
@@ -78,6 +79,7 @@ pub mod control;
 pub mod engine;
 pub mod error;
 pub mod harness;
+pub mod loss;
 pub mod multiblast;
 pub mod pool;
 pub mod rxbuf;

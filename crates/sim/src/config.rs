@@ -3,7 +3,8 @@
 
 use blast_analytic::CostModel;
 
-/// How packet loss is injected on the wire.
+/// How packet loss is injected on the wire: `blast-core`'s one loss
+/// model, drawn once per frame that finishes transmitting.
 ///
 /// The paper's measurements put the 10 Mbit Ethernet's own error rate at
 /// ~1e-5 under normal load, rising to ~1e-4 "when one station transmits
@@ -13,46 +14,7 @@ use blast_analytic::CostModel;
 /// errors), while receive-buffer overruns in the interface model drop
 /// them at the destination (interface errors) — see
 /// [`SimConfig::rx_buffers`] and the host speed factors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LossModel {
-    /// No loss.
-    None,
-    /// Independent loss with probability `p` per frame — §3's
-    /// analytical model ("statistically independent events with a
-    /// constant failure probability").
-    Iid {
-        /// Per-frame loss probability.
-        p: f64,
-    },
-    /// Two-state Gilbert–Elliott burst model: the channel alternates
-    /// between a good and a bad state with per-frame transition
-    /// probabilities, each state having its own loss rate.  The paper
-    /// notes "burst errors occasionally occur" but analyzes only the
-    /// iid case; this model is the extension for studying how robust
-    /// the conclusions are to that assumption.
-    GilbertElliott {
-        /// P(good → bad) per frame.
-        p_g2b: f64,
-        /// P(bad → good) per frame.
-        p_b2g: f64,
-        /// Loss probability in the good state.
-        loss_good: f64,
-        /// Loss probability in the bad state.
-        loss_bad: f64,
-    },
-}
-
-impl LossModel {
-    /// iid loss with probability `p`.
-    pub fn iid(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        if p == 0.0 {
-            LossModel::None
-        } else {
-            LossModel::Iid { p }
-        }
-    }
-}
+pub use blast_core::loss::LossModel;
 
 /// How transmission and copy times are computed per frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -34,6 +34,7 @@ use std::time::Duration;
 
 use blast_core::api::{Action, CompletionInfo, TimerToken};
 use blast_core::engine::Engine;
+use blast_core::loss::LossChain;
 use blast_core::pool::PooledBuf;
 use blast_wire::frame::frame_wire_len;
 use blast_wire::header::PacketKind;
@@ -41,7 +42,7 @@ use blast_wire::packet::Datagram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{LossModel, SimConfig, TimingPolicy};
+use crate::config::{SimConfig, TimingPolicy};
 use crate::time::{ms, SimTime};
 use crate::trace::{Lane, TraceEvent};
 
@@ -207,20 +208,6 @@ impl SimReport {
     }
 }
 
-enum LossState {
-    None,
-    Iid {
-        p: f64,
-    },
-    Ge {
-        bad: bool,
-        p_g2b: f64,
-        p_b2g: f64,
-        loss_good: f64,
-        loss_bad: f64,
-    },
-}
-
 /// A timer armed once its frame finishes transmitting:
 /// `(host, transfer, token, generation, delay)`.
 type PendingArm = (usize, u32, TimerToken, u64, Duration);
@@ -243,7 +230,7 @@ pub struct Simulator {
     medium_q: VecDeque<u64>,
     medium_busy: Duration,
     rng: SmallRng,
-    loss: LossState,
+    chain: LossChain,
     wire_losses: u64,
     unroutable: u64,
     completions: HashMap<(usize, u32), Completion>,
@@ -255,22 +242,7 @@ pub struct Simulator {
 impl Simulator {
     /// Create a simulator.
     pub fn new(cfg: SimConfig) -> Self {
-        let loss = match cfg.loss {
-            LossModel::None => LossState::None,
-            LossModel::Iid { p } => LossState::Iid { p },
-            LossModel::GilbertElliott {
-                p_g2b,
-                p_b2g,
-                loss_good,
-                loss_bad,
-            } => LossState::Ge {
-                bad: false,
-                p_g2b,
-                p_b2g,
-                loss_good,
-                loss_bad,
-            },
-        };
+        cfg.loss.validate();
         // Anchor the per-byte copy line through the paper's two
         // calibration points, expressed as wire lengths.
         let data_wire = frame_wire_len(blast_wire::HEADER_LEN + cfg.data_bytes);
@@ -278,7 +250,7 @@ impl Simulator {
         let copy_line = cfg.cost.copy_cost_line(data_wire, ack_wire);
         Simulator {
             rng: SmallRng::seed_from_u64(cfg.seed),
-            loss,
+            chain: LossChain::default(),
             copy_line,
             cfg,
             now: SimTime::ZERO,
@@ -380,32 +352,6 @@ impl Simulator {
                 let wire_bits = (frame_wire_len(frame.bytes.len()) * 8) as f64;
                 // 10 Mbit/s = 10 000 bits per ms.
                 ms(wire_bits / 10_000.0)
-            }
-        }
-    }
-
-    fn lose_frame(&mut self) -> bool {
-        match &mut self.loss {
-            LossState::None => false,
-            LossState::Iid { p } => self.rng.gen::<f64>() < *p,
-            LossState::Ge {
-                bad,
-                p_g2b,
-                p_b2g,
-                loss_good,
-                loss_bad,
-            } => {
-                // Transition, then sample loss in the new state.
-                let flip: f64 = self.rng.gen();
-                if *bad {
-                    if flip < *p_b2g {
-                        *bad = false;
-                    }
-                } else if flip < *p_g2b {
-                    *bad = true;
-                }
-                let p = if *bad { *loss_bad } else { *loss_good };
-                self.rng.gen::<f64>() < p
             }
         }
     }
@@ -646,7 +592,7 @@ impl Simulator {
                 );
             }
         }
-        if self.lose_frame() {
+        if self.chain.drops(&self.cfg.loss, || self.rng.gen::<f64>()) {
             self.wire_losses += 1;
             self.frames.remove(&frame_id);
         } else {
@@ -743,6 +689,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LossModel;
     use blast_core::blast::{BlastReceiver, BlastSender};
     use blast_core::config::ProtocolConfig;
     use blast_core::saw::{SawReceiver, SawSender};
@@ -944,10 +891,10 @@ mod tests {
     fn gilbert_elliott_bursts_cause_correlated_losses() {
         let cfg = SimConfig::standalone().with_loss(
             LossModel::GilbertElliott {
-                p_g2b: 0.10,
-                p_b2g: 0.3,
-                loss_good: 0.0,
-                loss_bad: 0.8,
+                p_enter: 0.10,
+                p_exit: 0.3,
+                good_loss: 0.0,
+                bad_loss: 0.8,
             },
             11,
         );
@@ -960,6 +907,22 @@ mod tests {
         let report = sim.run();
         assert!(report.succeeded(a, 1));
         assert!(report.wire_losses > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "p_exit probability out of range: 7")]
+    fn out_of_range_gilbert_elliott_rejected() {
+        // A struct literal skips `LossModel::iid`; `Simulator::new` is
+        // where the model is checked.
+        let _ = Simulator::new(SimConfig::standalone().with_loss(
+            LossModel::GilbertElliott {
+                p_enter: 0.1,
+                p_exit: 7.0,
+                good_loss: 0.0,
+                bad_loss: 1.0,
+            },
+            1,
+        ));
     }
 
     #[test]

@@ -7,82 +7,50 @@
 //! reordering and corruption.  Corrupted packets are *delivered*: the
 //! wire-format checksums in `blast-wire` must turn them into drops,
 //! exactly as the Ethernet FCS did on the paper's hardware.
+//!
+//! Loss is `blast-core`'s one [`LossModel`], the same model the
+//! correctness harness and the simulator draw from.  Burst loss on real
+//! sockets is
+//! `FaultConfig { loss: LossModel::GilbertElliott { .. }, ..FaultConfig::none() }`.
 
 use std::io;
 use std::time::Duration;
 
+use blast_core::loss::{check_probability, LossChain, LossModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::channel::Channel;
 
-/// Two-state Gilbert–Elliott burst-loss parameters (each probability
-/// in `0.0..=1.0`).
-///
-/// A hidden Markov chain alternates between a *good* and a *bad*
-/// state, each with its own iid loss probability.  Real LAN loss is
-/// bursty — a swamped receiving interface drops packets in runs — and
-/// iid loss flatters protocols that cannot ride out such runs.  The
-/// chain steps once per outgoing packet, then the packet is dropped
-/// with the current state's probability.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GilbertElliott {
-    /// P(good → bad) per packet.
-    pub p_enter: f64,
-    /// P(bad → good) per packet.
-    pub p_exit: f64,
-    /// Loss probability while in the good state.
-    pub good_loss: f64,
-    /// Loss probability while in the bad state.
-    pub bad_loss: f64,
-}
-
-impl GilbertElliott {
-    /// A typical LAN burst profile: mostly clean, but ~`p_enter` of
-    /// packets tip the channel into a bad state that drops half of
-    /// everything until it exits (mean burst ≈ `1/p_exit` packets).
-    pub fn lan_bursts(p_enter: f64) -> Self {
-        GilbertElliott {
-            p_enter,
-            p_exit: 0.25,
-            good_loss: 0.0,
-            bad_loss: 0.5,
-        }
-    }
-}
-
-/// Per-packet fault probabilities (each in `0.0..=1.0`).
+/// Per-packet faults: a loss model plus three probabilities (each in
+/// `0.0..=1.0`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
-    /// Drop the outgoing packet entirely.
-    pub drop: f64,
+    /// Which packets are dropped entirely.
+    pub loss: LossModel,
     /// Send the packet twice.
     pub duplicate: f64,
     /// Hold the packet back and send it *after* the next one.
     pub reorder: f64,
     /// Flip one random bit of the payload before sending.
     pub corrupt: f64,
-    /// Bursty loss instead of iid: when set, the Gilbert–Elliott chain
-    /// decides drops and `drop` is ignored.
-    pub burst: Option<GilbertElliott>,
 }
 
 impl FaultConfig {
     /// No faults.
     pub fn none() -> Self {
         FaultConfig {
-            drop: 0.0,
+            loss: LossModel::None,
             duplicate: 0.0,
             reorder: 0.0,
             corrupt: 0.0,
-            burst: None,
         }
     }
 
-    /// Loss only, probability `p` — the paper's error model.
+    /// iid loss only, probability `p` — the paper's error model.
     pub fn loss(p: f64) -> Self {
         FaultConfig {
-            drop: p,
+            loss: LossModel::iid(p),
             ..Self::none()
         }
     }
@@ -90,56 +58,34 @@ impl FaultConfig {
     /// A stress mix exercising every pathology at once.
     pub fn chaos(p: f64) -> Self {
         FaultConfig {
-            drop: p,
+            loss: LossModel::iid(p),
             duplicate: p,
             reorder: p,
             corrupt: p,
-            burst: None,
-        }
-    }
-
-    /// Bursty loss only — the Gilbert–Elliott chain decides drops.
-    pub fn burst_loss(ge: GilbertElliott) -> Self {
-        FaultConfig {
-            burst: Some(ge),
-            ..Self::none()
-        }
-    }
-
-    fn validate(&self) {
-        let mut probs = vec![
-            ("drop", self.drop),
-            ("duplicate", self.duplicate),
-            ("reorder", self.reorder),
-            ("corrupt", self.corrupt),
-        ];
-        if let Some(ge) = &self.burst {
-            probs.extend([
-                ("burst.p_enter", ge.p_enter),
-                ("burst.p_exit", ge.p_exit),
-                ("burst.good_loss", ge.good_loss),
-                ("burst.bad_loss", ge.bad_loss),
-            ]);
-        }
-        for (name, v) in probs {
-            assert!(
-                (0.0..=1.0).contains(&v),
-                "{name} probability out of range: {v}"
-            );
         }
     }
 }
 
+fn chance(rng: &mut SmallRng, p: f64) -> bool {
+    p > 0.0 && rng.gen::<f64>() < p
+}
+
 /// A channel wrapper that injects faults on the **send** side.
+///
+/// Sending does not allocate: an untouched datagram goes straight
+/// through, a corrupted one is rebuilt in one reused scratch buffer,
+/// and the reordered one waits in one reused hold buffer.
 #[derive(Debug)]
 pub struct FaultyChannel<C: Channel> {
     inner: C,
     config: FaultConfig,
     rng: SmallRng,
-    /// Gilbert–Elliott channel state (`true` = bad state).
-    ge_bad: bool,
-    /// Packet held back for reordering.
-    held: Option<Vec<u8>>,
+    chain: LossChain,
+    /// Packet held back for reordering (valid while `holding`).
+    held: Vec<u8>,
+    holding: bool,
+    /// Corruption scratch.
+    scratch: Vec<u8>,
     /// Counters for test assertions.
     pub dropped: u64,
     /// Packets sent twice.
@@ -153,14 +99,22 @@ pub struct FaultyChannel<C: Channel> {
 impl<C: Channel> FaultyChannel<C> {
     /// Wrap `inner`, injecting faults per `config`, deterministically
     /// from `seed`.
+    ///
+    /// # Panics
+    /// If any probability in `config` is outside `0.0..=1.0`.
     pub fn new(inner: C, config: FaultConfig, seed: u64) -> Self {
-        config.validate();
+        config.loss.validate();
+        check_probability("duplicate", config.duplicate);
+        check_probability("reorder", config.reorder);
+        check_probability("corrupt", config.corrupt);
         FaultyChannel {
             inner,
             config,
             rng: SmallRng::seed_from_u64(seed),
-            ge_bad: false,
-            held: None,
+            chain: LossChain::default(),
+            held: Vec::new(),
+            holding: false,
+            scratch: Vec::new(),
             dropped: 0,
             duplicated: 0,
             reordered: 0,
@@ -172,69 +126,50 @@ impl<C: Channel> FaultyChannel<C> {
     pub fn into_inner(self) -> C {
         self.inner
     }
-
-    fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.rng.gen::<f64>() < p
-    }
-
-    /// One drop decision: step the Gilbert–Elliott chain if burst loss
-    /// is configured, else fall back to the iid `drop` probability.
-    fn should_drop(&mut self) -> bool {
-        let Some(ge) = self.config.burst else {
-            return self.chance(self.config.drop);
-        };
-        let flip = self.rng.gen::<f64>();
-        self.ge_bad = if self.ge_bad {
-            flip >= ge.p_exit
-        } else {
-            flip < ge.p_enter
-        };
-        let p = if self.ge_bad {
-            ge.bad_loss
-        } else {
-            ge.good_loss
-        };
-        self.chance(p)
-    }
 }
 
 impl<C: Channel> Channel for FaultyChannel<C> {
     fn send(&mut self, buf: &[u8]) -> io::Result<()> {
         // Release any held packet *after* this one (reorder complete).
-        let release = self.held.take();
+        let release = std::mem::take(&mut self.holding);
 
-        if self.should_drop() {
+        if self.chain.drops(&self.config.loss, || self.rng.gen()) {
             self.dropped += 1;
             // Still release the held packet, else it could be stuck
             // behind a dropped one forever.
-            if let Some(p) = release {
-                self.inner.send(&p)?;
+            if release {
+                self.inner.send(&self.held)?;
             }
             return Ok(());
         }
 
-        let mut packet = buf.to_vec();
-        if self.chance(self.config.corrupt) && !packet.is_empty() {
-            let byte = self.rng.gen_range(0..packet.len());
+        let corrupt = chance(&mut self.rng, self.config.corrupt) && !buf.is_empty();
+        if corrupt {
+            let byte = self.rng.gen_range(0..buf.len());
             let bit = self.rng.gen_range(0u32..8);
-            packet[byte] ^= 1u8 << bit;
+            self.scratch.clear();
+            self.scratch.extend_from_slice(buf);
+            self.scratch[byte] ^= 1u8 << bit;
             self.corrupted += 1;
         }
+        let packet = if corrupt { &self.scratch[..] } else { buf };
 
-        if self.chance(self.config.reorder) && release.is_none() {
+        if chance(&mut self.rng, self.config.reorder) && !release {
             // Hold this packet; it goes out after the next send.
-            self.held = Some(packet);
+            self.held.clear();
+            self.held.extend_from_slice(packet);
+            self.holding = true;
             self.reordered += 1;
             return Ok(());
         }
 
-        self.inner.send(&packet)?;
-        if self.chance(self.config.duplicate) {
-            self.inner.send(&packet)?;
+        self.inner.send(packet)?;
+        if chance(&mut self.rng, self.config.duplicate) {
+            self.inner.send(packet)?;
             self.duplicated += 1;
         }
-        if let Some(p) = release {
-            self.inner.send(&p)?;
+        if release {
+            self.inner.send(&self.held)?;
         }
         Ok(())
     }
@@ -351,7 +286,6 @@ mod tests {
     fn reordered_packet_not_lost_behind_drop() {
         let cfg = FaultConfig {
             reorder: 1.0,
-            drop: 0.0,
             ..FaultConfig::none()
         };
         let mut ch = FaultyChannel::new(MemChannel::default(), cfg, 3);
@@ -382,75 +316,5 @@ mod tests {
     #[should_panic(expected = "probability out of range")]
     fn invalid_probability_rejected() {
         let _ = FaultyChannel::new(MemChannel::default(), FaultConfig::loss(2.0), 1);
-    }
-
-    #[test]
-    fn burst_loss_extremes() {
-        // Chain that can never leave the good state drops nothing.
-        let never = GilbertElliott {
-            p_enter: 0.0,
-            p_exit: 1.0,
-            good_loss: 0.0,
-            bad_loss: 1.0,
-        };
-        let mut ch = FaultyChannel::new(MemChannel::default(), FaultConfig::burst_loss(never), 1);
-        for _ in 0..50 {
-            ch.send(b"x").unwrap();
-        }
-        assert_eq!(ch.dropped, 0);
-
-        // Chain that enters (and never leaves) a total-loss bad state
-        // drops everything.
-        let always = GilbertElliott {
-            p_enter: 1.0,
-            p_exit: 0.0,
-            good_loss: 0.0,
-            bad_loss: 1.0,
-        };
-        let mut ch = FaultyChannel::new(MemChannel::default(), FaultConfig::burst_loss(always), 1);
-        for _ in 0..50 {
-            ch.send(b"x").unwrap();
-        }
-        assert_eq!(ch.dropped, 50);
-    }
-
-    #[test]
-    fn burst_loss_comes_in_runs() {
-        // Bad state drops everything and lasts 1/p_exit = 4 packets on
-        // average: drops must cluster, not scatter like iid loss.
-        let ge = GilbertElliott {
-            p_enter: 0.05,
-            p_exit: 0.25,
-            good_loss: 0.0,
-            bad_loss: 1.0,
-        };
-        let mut ch = FaultyChannel::new(MemChannel::default(), FaultConfig::burst_loss(ge), 42);
-        let mut pattern = Vec::new();
-        for i in 0..2000u32 {
-            let before = ch.dropped;
-            ch.send(&i.to_le_bytes()).unwrap();
-            pattern.push(ch.dropped > before);
-        }
-        let dropped = pattern.iter().filter(|&&d| d).count();
-        assert!(dropped > 0, "the bad state should have bitten");
-        let runs = pattern.windows(2).filter(|w| w[1] && !w[0]).count() + usize::from(pattern[0]);
-        let mean_run = dropped as f64 / runs as f64;
-        assert!(
-            mean_run > 2.0,
-            "drops should arrive in runs (mean run length {mean_run:.2} from \
-             {dropped} drops in {runs} runs)"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "burst.p_exit probability out of range")]
-    fn invalid_burst_probability_rejected() {
-        let ge = GilbertElliott {
-            p_enter: 0.1,
-            p_exit: 7.0,
-            good_loss: 0.0,
-            bad_loss: 1.0,
-        };
-        let _ = FaultyChannel::new(MemChannel::default(), FaultConfig::burst_loss(ge), 1);
     }
 }

@@ -104,7 +104,7 @@ pub mod timewait;
 pub use channel::{Channel, UdpChannel};
 pub use copy::{BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
 pub use driver::Driver;
-pub use fault::{FaultConfig, FaultyChannel, GilbertElliott};
+pub use fault::{FaultConfig, FaultyChannel};
 pub use fcs::FcsChannel;
 pub use handshake::{Direction, Request};
 pub use netio::{BackendKind, NetIo, NetIoStats};

@@ -4,7 +4,8 @@
 //! whole burst, flushing it as `sendmmsg` submissions, draining it with
 //! `recvmmsg` and popping every datagram performs **exactly zero** heap
 //! allocations — the syscall batching never buys throughput by hiding
-//! per-packet allocation.
+//! per-packet allocation.  The same holds for a warmed `FaultyChannel`
+//! (the benchmark's `lossy_push` client path) under every fault at once.
 //!
 //! `harness = false` (see `Cargo.toml`): this file is a plain `fn main`,
 //! not a `#[test]`.  The allocation counter is process-global, and
@@ -17,6 +18,7 @@ use std::time::Duration;
 
 use blast_counting_alloc::{allocations, CountingAlloc};
 use blast_udp::channel::{Channel, UdpChannel};
+use blast_udp::fault::{FaultConfig, FaultyChannel};
 use blast_udp::fcs::FcsChannel;
 
 #[global_allocator]
@@ -81,9 +83,39 @@ fn batched_burst_path_is_allocation_free() {
     }
 }
 
+fn faulty_send_path_is_allocation_free() {
+    const SENDS: usize = 256;
+    // Nothing reads `_rx`: loopback drops what overflows its queue.
+    let (tx, _rx) = UdpChannel::pair().unwrap();
+    let mut ch = FaultyChannel::new(tx, FaultConfig::chaos(0.2), 9);
+    let frame = [0x5au8; FRAME];
+
+    // Warm-up: the first corruption and the first reorder size the
+    // channel's two reused buffers.
+    while ch.corrupted == 0 || ch.reordered == 0 {
+        ch.send(&frame).unwrap();
+    }
+
+    let before = allocations();
+    for _ in 0..SENDS {
+        ch.send(&frame).unwrap();
+    }
+    let allocs = allocations() - before;
+    assert!(
+        ch.dropped > 0 && ch.corrupted > 1 && ch.reordered > 1 && ch.duplicated > 0,
+        "chaos(0.2) must exercise every fault"
+    );
+    assert_eq!(
+        allocs, 0,
+        "{SENDS} sends through FaultyChannel under chaos(0.2) must not allocate"
+    );
+}
+
 fn main() {
+    // libtest's own lines, so whatever reads `cargo test` output still
+    // finds these checks by name.
     batched_burst_path_is_allocation_free();
-    // libtest's own line, so whatever reads `cargo test` output still
-    // finds this check by name.
     println!("test batched_burst_path_is_allocation_free ... ok");
+    faulty_send_path_is_allocation_free();
+    println!("test faulty_send_path_is_allocation_free ... ok");
 }
