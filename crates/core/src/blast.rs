@@ -103,17 +103,6 @@ pub struct BlastSender {
     /// under Karn's rule (the tail transmitted exactly once, in a round
     /// that retransmitted nothing).
     solicit_sent: Option<Duration>,
-    /// When the round in flight began emitting: the delivery-rate
-    /// sample's interval origin (packets acked over the time from first
-    /// offer to status report — pacing gaps included, because data not
-    /// yet offered cannot have been delivered).
-    round_started_at: Duration,
-    /// Packets the round in flight solicits.
-    round_size: u32,
-    /// The round could not fill even one burst: its delivery sample
-    /// measures the application's supply, not the path (excluded from
-    /// the estimator's rate window).
-    round_app_limited: bool,
     /// Paced-emission cursor for the round in flight.
     pending: Pending,
     /// Storage behind [`Pending::Set`], reused across rounds.
@@ -173,9 +162,6 @@ impl BlastSender {
             reliable_seq: end - 1,
             rounds_used: 0,
             solicit_sent: None,
-            round_started_at: Duration::ZERO,
-            round_size: 0,
-            round_app_limited: false,
             pending: Pending::Idle,
             pending_set: Vec::new(),
             // Sized up front so steady-state bursts — and every later
@@ -335,11 +321,7 @@ impl BlastSender {
             u64::from(self.rounds_used),
             self.pending_len() as u64,
         );
-        let budget = self.control.pacer().burst_budget();
-        self.round_started_at = self.control.now();
-        self.round_size = self.pending_len() as u32;
-        self.round_app_limited = u64::from(self.round_size) < u64::from(budget);
-        if self.pending_len() > budget as usize {
+        if self.pending_len() > self.control.pacer().burst_budget() as usize {
             sink.push_action(Action::CancelTimer { token: RETX_TIMER });
         }
         self.emit_burst(sink);
@@ -386,22 +368,14 @@ impl BlastSender {
         });
     }
 
-    /// Take the Karn-valid RTT and delivery-rate samples for an
-    /// arriving status report, if the soliciting tail is still
-    /// unambiguous (a poisoned window — retransmitted tail or timeout —
-    /// is a Karn rejection).  `delivered` is how many of the round's
-    /// packets the report acknowledges: with the time since the round
-    /// began emitting, the delivery-rate sample.
-    fn sample_rtt(&mut self, delivered: u32) {
-        let Some(sent) = self.solicit_sent.take() else {
-            self.control.reject_sample(self.rounds_used);
-            return;
-        };
-        self.control.sample_rtt(sent);
-        let interval = self.control.now().saturating_sub(self.round_started_at);
-        let bytes = u64::from(delivered) * self.tx.payload_of(self.first).len() as u64;
-        self.control
-            .sample_rate(delivered, bytes, interval, self.round_app_limited);
+    /// Take the Karn-valid RTT sample for an arriving status report, if
+    /// the soliciting tail is still unambiguous (a poisoned window —
+    /// retransmitted tail or timeout — is a Karn rejection).
+    fn sample_rtt(&mut self) {
+        match self.solicit_sent.take() {
+            Some(sent) => self.control.sample_rtt(sent),
+            None => self.control.reject_sample(self.rounds_used),
+        }
     }
 
     /// Consume one unit of retransmission budget; completes with failure
@@ -425,30 +399,6 @@ impl BlastSender {
         self.control
             .trace(EventKind::RetxRound, u64::from(self.rounds_used), 0);
         true
-    }
-
-    /// How many of the round's packets a NACK still acknowledges as
-    /// delivered (the delivery-rate sample's numerator).  Conservative:
-    /// anything the report leaves unaccounted for counts as missing.
-    fn delivered_of_round(&self, ack: &AckPayload) -> u32 {
-        match ack {
-            AckPayload::Positive { .. } => self.round_size,
-            // A full-retransmission NACK reports nothing about what
-            // arrived; no delivery information.
-            AckPayload::NackFull => 0,
-            AckPayload::NackFirstMissing { first_missing } => first_missing
-                .saturating_sub(self.first)
-                .min(self.round_size),
-            AckPayload::NackBitmap(bm) => {
-                let horizon = bm.base().saturating_add(u32::from(bm.nbits()));
-                let in_range = bm
-                    .missing()
-                    .filter(|&s| s >= self.first && s < self.end)
-                    .count() as u32;
-                let beyond = self.end.saturating_sub(horizon.max(self.first));
-                self.round_size.saturating_sub(in_range + beyond)
-            }
-        }
     }
 
     /// Packets to resend for a NACK, per strategy and NACK payload.  A
@@ -505,7 +455,7 @@ impl Engine for BlastSender {
         match ack {
             AckPayload::Positive { acked } => {
                 if *acked + 1 >= self.end {
-                    self.sample_rtt(self.round_size);
+                    self.sample_rtt();
                     // AIMD: the whole range was acknowledged in one
                     // report — a clean round, grow the burst.
                     self.control.on_clean_round();
@@ -530,10 +480,7 @@ impl Engine for BlastSender {
             nack => {
                 // The status report answers our soliciting tail: a valid
                 // round-trip measurement even when it asks for more data.
-                // Delivery-rate-wise the report also says how much of the
-                // round *did* land — partial rounds are samples too.
-                let delivered = self.delivered_of_round(nack);
-                self.sample_rtt(delivered);
+                self.sample_rtt();
                 // AIMD: any NACK means the receiver missed packets —
                 // shrink the burst before retransmitting.
                 self.control.on_loss();

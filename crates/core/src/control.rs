@@ -19,7 +19,9 @@
 //!   [`Pacer`] spreads each round into bursts separated by a configured
 //!   gap, expressed through the ordinary timer machinery
 //!   ([`PACE_TIMER`]) so every driver honours it without new I/O
-//!   vocabulary.
+//!   vocabulary.  Its one adaptive rule is AIMD on the burst size: a
+//!   clean round adds a step, a loss signal halves it, both within
+//!   configured bounds (equal bounds make the burst fixed).
 //!
 //! Both knobs keep their paper-faithful degenerate modes:
 //! [`AdaptiveTimeout::Fixed`] is the fixed `Tr` every analytic-model
@@ -219,41 +221,29 @@ impl RttEstimator {
 
 /// How a multi-packet round is offered to the network.
 ///
-/// A config with `max_burst == 0` is *static*: every burst is exactly
-/// [`burst`](PacingConfig::burst) packets, forever (the behaviour every
-/// exact-schedule test pins).  Setting `max_burst > 0` makes the
-/// [`Pacer`] **AIMD-adaptive**: clean rounds grow the burst additively
-/// by [`growth`](PacingConfig::growth) up to `max_burst`, and every
-/// loss signal (NACK or retransmission timeout) halves it down to
+/// With `burst == 0` pacing is off (the paper's full-speed blast).
+/// Otherwise the [`Pacer`] is **AIMD**: clean rounds grow the burst
+/// additively by [`growth`](PacingConfig::growth) up to
+/// [`max_burst`](PacingConfig::max_burst), and every loss signal (NACK
+/// or retransmission timeout) halves it down to
 /// [`min_burst`](PacingConfig::min_burst) — Reno-style probing with the
-/// burst size as the congestion window, the gap as the clock.
-///
-/// Setting [`rate_based`](PacingConfig::rate_based) on top of the AIMD
-/// bounds switches the pacer to **delivery-rate** (BBR-flavoured)
-/// pacing: the burst tracks `pacing_gain × max_rate × min_rtt` from a
-/// [`DeliveryRateEstimator`] fed by the engines' solicit/ack rate
-/// samples, with the AIMD machinery retained as the loss backstop (see
-/// [`Pacer`]).
+/// burst size as the congestion window, the gap as the clock.  A fixed
+/// pace ([`new`](PacingConfig::new), the behaviour every exact-schedule
+/// test pins) is AIMD with `min_burst == max_burst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacingConfig {
     /// Packets emitted back-to-back before the engine yields for
-    /// [`gap`](PacingConfig::gap).  `0` disables pacing (the paper's
-    /// full-speed blast).  In AIMD mode this is the *initial* burst.
+    /// [`gap`](PacingConfig::gap): the *initial* burst.  `0` disables
+    /// pacing (the paper's full-speed blast).
     pub burst: u32,
     /// Inter-burst gap, expressed through [`PACE_TIMER`].
     pub gap: Duration,
-    /// AIMD floor: the burst never shrinks below this.  Ignored when
-    /// `max_burst == 0` (static pacing).
+    /// AIMD floor: the burst never shrinks below this.
     pub min_burst: u32,
-    /// AIMD ceiling: the burst never grows above this.  `0` disables
-    /// adaptation entirely (the pre-AIMD static pacer).
+    /// AIMD ceiling: the burst never grows above this.
     pub max_burst: u32,
     /// Additive increase per clean round, in packets.
     pub growth: u32,
-    /// Pace to the measured bandwidth-delay product instead of probing
-    /// for loss.  Requires the AIMD bounds (`max_burst > 0`), which
-    /// become the recovery backstop.
-    pub rate_based: bool,
 }
 
 impl Default for PacingConfig {
@@ -276,26 +266,13 @@ impl PacingConfig {
 
     /// No pacing: every round goes out in one loop (the paper's mode).
     pub fn off() -> Self {
-        PacingConfig {
-            burst: 0,
-            gap: Duration::ZERO,
-            min_burst: 0,
-            max_burst: 0,
-            growth: 0,
-            rate_based: false,
-        }
+        PacingConfig::aimd(0, Duration::ZERO, 0, 0, 0)
     }
 
-    /// Pace a *fixed* `burst` packets per `gap` (no adaptation).
+    /// Pace a *fixed* `burst` packets per `gap`: AIMD with both bounds
+    /// at `burst`, so no signal moves it.
     pub fn new(burst: u32, gap: Duration) -> Self {
-        PacingConfig {
-            burst,
-            gap,
-            min_burst: 0,
-            max_burst: 0,
-            growth: 0,
-            rate_based: false,
-        }
+        PacingConfig::aimd(burst, gap, burst, burst, 0)
     }
 
     /// AIMD pacing: start at `burst` packets per `gap`, grow by
@@ -308,41 +285,7 @@ impl PacingConfig {
             min_burst,
             max_burst,
             growth,
-            rate_based: false,
         }
-    }
-
-    /// Delivery-rate (BBR-flavoured) pacing: burst tracks
-    /// `pacing_gain × max_rate × min_rtt` once the estimator has
-    /// samples (starting from `burst` until then), clamped to
-    /// `[min_burst, max_burst]`.  Loss or a retransmission timeout
-    /// snaps the rate cap down and falls back to the AIMD machinery
-    /// (`growth` per clean round) until the backstop window regrows to
-    /// the rate-derived target.
-    pub fn rate_based(
-        burst: u32,
-        gap: Duration,
-        min_burst: u32,
-        max_burst: u32,
-        growth: u32,
-    ) -> Self {
-        PacingConfig {
-            burst,
-            gap,
-            min_burst,
-            max_burst,
-            growth,
-            rate_based: true,
-        }
-    }
-
-    /// [`lan`](PacingConfig::lan) with delivery-rate pacing on top: the
-    /// same initial burst and AIMD backstop bounds, but steady state is
-    /// governed by the measured bandwidth-delay product.
-    pub fn rate_lan() -> Self {
-        let mut cfg = PacingConfig::lan();
-        cfg.rate_based = true;
-        cfg
     }
 
     /// LAN/loopback defaults: start at 64 packets per 250 µs (≈ 360 MB/s
@@ -362,189 +305,23 @@ impl PacingConfig {
         self.burst > 0 && !self.gap.is_zero()
     }
 
-    /// True when the burst size adapts (AIMD or rate-based mode).
-    pub fn is_adaptive(&self) -> bool {
-        self.enabled() && self.max_burst > 0
-    }
-
-    /// True when the burst is governed by the delivery-rate estimator.
-    pub fn is_rate_based(&self) -> bool {
-        self.is_adaptive() && self.rate_based
-    }
-
     /// Validation error, if any.
     pub(crate) fn invalid(&self) -> Option<&'static str> {
-        if self.burst > 0 && self.gap.is_zero() {
+        if self.burst == 0 && self.max_burst == 0 {
+            None
+        } else if self.gap.is_zero() {
             Some("pacing burst requires a non-zero gap")
-        } else if self.rate_based && self.max_burst == 0 {
-            Some("rate-based pacing requires AIMD backstop bounds (max_burst > 0)")
-        } else if self.max_burst > 0 {
-            if self.min_burst == 0 {
-                Some("AIMD pacing requires min_burst >= 1")
-            } else if self.min_burst > self.burst || self.burst > self.max_burst {
-                Some("AIMD pacing requires min_burst <= burst <= max_burst")
-            } else if self.growth == 0 && self.min_burst != self.max_burst {
-                Some("AIMD pacing requires growth >= 1")
-            } else {
-                None
-            }
+        } else if self.min_burst == 0 {
+            Some("AIMD pacing requires min_burst >= 1")
+        } else if self.min_burst > self.burst || self.burst > self.max_burst {
+            Some("AIMD pacing requires min_burst <= burst <= max_burst")
+        } else if self.growth == 0 && self.min_burst != self.max_burst {
+            Some("AIMD pacing requires growth >= 1")
         } else {
             None
         }
     }
 }
-
-/// Rounds of delivery-rate samples the windowed-max filter keeps.  A
-/// loss-free round's sample stays influential for this many rounds, so
-/// one slow (queued-behind-cross-traffic) round cannot collapse the
-/// pacing rate.
-pub const RATE_WINDOW: usize = 8;
-
-/// Round-trip samples the windowed-min RTT filter keeps — longer than
-/// [`RATE_WINDOW`] because the propagation floor drifts far slower than
-/// the delivery rate.
-pub const RTT_WINDOW: usize = 32;
-
-/// Windowed max-filter over per-round delivery-rate samples plus a
-/// windowed min-filter over round-trip samples — the two measurements
-/// BBR-style pacing needs to estimate the bandwidth-delay product.
-///
-/// Storage is fixed-size rings so the estimator is `Copy`, costs no
-/// heap, and can ride the engines' zero-allocation hot path.
-///
-/// **App-limited rounds are excluded from the rate window**: a round
-/// smaller than the pacer's burst budget measures how much data the
-/// application had, not what the path can carry, so folding it in would
-/// only ever drag the max down.  Its RTT still feeds the min-filter —
-/// a short round measures the propagation floor just fine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeliveryRateEstimator {
-    /// Delivery-rate samples in bytes/sec; only `rate_len` slots valid.
-    rates_bps: [f64; RATE_WINDOW],
-    /// Packets/sec twin of `rates_bps`, so burst arithmetic needs no
-    /// bytes-per-packet assumption.
-    rates_pps: [f64; RATE_WINDOW],
-    rate_next: usize,
-    rate_len: usize,
-    /// Round-trip samples in nanoseconds; only `rtt_len` slots valid.
-    rtts_ns: [u64; RTT_WINDOW],
-    rtt_next: usize,
-    rtt_len: usize,
-    /// Total samples offered (app-limited included).
-    samples: u64,
-    /// Samples excluded from the rate window as app-limited.
-    app_limited: u64,
-}
-
-impl Default for DeliveryRateEstimator {
-    fn default() -> Self {
-        DeliveryRateEstimator::new()
-    }
-}
-
-impl DeliveryRateEstimator {
-    /// An empty estimator.
-    pub fn new() -> Self {
-        DeliveryRateEstimator {
-            rates_bps: [0.0; RATE_WINDOW],
-            rates_pps: [0.0; RATE_WINDOW],
-            rate_next: 0,
-            rate_len: 0,
-            rtts_ns: [0; RTT_WINDOW],
-            rtt_next: 0,
-            rtt_len: 0,
-            samples: 0,
-            app_limited: 0,
-        }
-    }
-
-    /// Fold in one per-round delivery sample: `packets`/`bytes` were
-    /// acknowledged `interval` after the round began.  `app_limited`
-    /// keeps the sample out of the rate window (its RTT still counts).
-    /// Zero-interval or zero-packet samples carry no information and
-    /// are ignored.
-    pub fn on_sample(&mut self, packets: u32, bytes: u64, interval: Duration, app_limited: bool) {
-        if interval.is_zero() || packets == 0 {
-            return;
-        }
-        self.samples += 1;
-        self.rtts_ns[self.rtt_next] = interval.as_nanos() as u64;
-        self.rtt_next = (self.rtt_next + 1) % RTT_WINDOW;
-        self.rtt_len = (self.rtt_len + 1).min(RTT_WINDOW);
-        if app_limited {
-            self.app_limited += 1;
-            return;
-        }
-        let secs = interval.as_secs_f64();
-        self.rates_bps[self.rate_next] = bytes as f64 / secs;
-        self.rates_pps[self.rate_next] = f64::from(packets) / secs;
-        self.rate_next = (self.rate_next + 1) % RATE_WINDOW;
-        self.rate_len = (self.rate_len + 1).min(RATE_WINDOW);
-    }
-
-    /// Windowed-max delivery rate in bytes/sec (`0.0` until the first
-    /// non-app-limited sample).
-    pub fn max_rate_bps(&self) -> f64 {
-        self.rates_bps[..self.rate_len]
-            .iter()
-            .fold(0.0, |m, &r| m.max(r))
-    }
-
-    /// Windowed-max delivery rate in packets/sec (`0.0` until sampled).
-    pub fn max_rate_pps(&self) -> f64 {
-        self.rates_pps[..self.rate_len]
-            .iter()
-            .fold(0.0, |m, &r| m.max(r))
-    }
-
-    /// Windowed-min round trip (`None` until the first sample).
-    pub fn min_rtt(&self) -> Option<Duration> {
-        self.rtts_ns[..self.rtt_len]
-            .iter()
-            .min()
-            .map(|&ns| Duration::from_nanos(ns))
-    }
-
-    /// Snap the rate window down by `factor` (loss backstop: the old
-    /// max was measured on a path that just dropped packets, so it no
-    /// longer certifies that rate).  Fresh samples rebuild the window
-    /// at whatever the path actually delivers.
-    pub fn cut(&mut self, factor: f64) {
-        for r in &mut self.rates_bps[..self.rate_len] {
-            *r *= factor;
-        }
-        for r in &mut self.rates_pps[..self.rate_len] {
-            *r *= factor;
-        }
-    }
-
-    /// True once the rate window has at least one sample.
-    pub fn has_rate(&self) -> bool {
-        self.rate_len > 0
-    }
-
-    /// Total samples offered (app-limited included).
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Samples excluded from the rate window as app-limited.
-    pub fn app_limited_samples(&self) -> u64 {
-        self.app_limited
-    }
-}
-
-/// The pacing-gain cycle of the rate-based mode: one probe-up phase
-/// (send 25 % above the estimated rate to discover freed bandwidth),
-/// one drain phase (undo the probe's queue), six cruise phases.  The
-/// classic BBR ProbeBW schedule, advanced one phase per delivery
-/// sample.
-const GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-
-/// The gain-cycle phase loss recovery resets to: a cruise phase, so
-/// the first post-recovery round does not immediately probe above the
-/// freshly-cut rate.
-const CRUISE_PHASE: u8 = 2;
 
 /// A point-in-time view of one [`Pacer`]'s state, for metrics and the
 /// burst trajectory `tests/cc_sweep.rs` asserts.
@@ -563,53 +340,23 @@ pub struct PacerSnapshot {
     pub clean_rounds: u64,
     /// Loss signals received (NACKs + retransmission timeouts).
     pub loss_events: u64,
-    /// Windowed-max estimated delivery rate, bytes/sec (`0.0` until the
-    /// estimator has a non-app-limited sample).
-    pub rate_bps: f64,
-    /// Windowed-min round trip in microseconds (`0.0` until sampled).
-    pub min_rtt_us: f64,
-    /// Delivery samples folded into the estimator (app-limited
-    /// included).
-    pub rate_samples: u64,
-    /// Samples excluded from the rate window as app-limited.
-    pub app_limited_samples: u64,
-    /// True while a rate-based pacer is in AIMD loss recovery.
-    pub in_recovery: bool,
 }
 
 /// The per-engine pacing governor: answers "how many packets may this
 /// burst emit" so the emission loops stay branch-light, and integrates
-/// the engine's feedback signals into the burst size.
-///
-/// Three adaptive behaviours, chosen by the [`PacingConfig`]:
-///
-/// * **static** (`max_burst == 0`): the burst never moves;
-/// * **AIMD**: clean rounds grow it additively, loss halves it;
-/// * **rate-based** (`rate_based`): the burst tracks
-///   `pacing_gain × max_rate × min_rtt` — the measured
-///   bandwidth-delay product under the current gain-cycle phase —
-///   from the engines' [`on_rate_sample`](Pacer::on_rate_sample)
-///   feedback.  Loss snaps the rate window down and re-enters the AIMD
-///   machinery ([`on_loss`](Pacer::on_loss) halves, clean rounds
-///   regrow) until the backstop window reaches the rate-derived target
-///   again.
+/// the engine's feedback signals into the burst size by the one AIMD
+/// rule: [`on_clean_round`](Pacer::on_clean_round) adds `growth` up to
+/// `max_burst`, [`on_loss`](Pacer::on_loss) halves down to `min_burst`.
 #[derive(Debug, Clone, Copy)]
 pub struct Pacer {
     cfg: PacingConfig,
-    /// AIMD window: the burst in force in static/AIMD modes, and the
-    /// recovery backstop in rate-based mode.
+    /// The burst in force.
     burst: u32,
     min_seen: u32,
     rounds: u64,
     clean_rounds: u64,
     loss_events: u64,
     burst_sum: u64,
-    est: DeliveryRateEstimator,
-    /// Current `GAIN_CYCLE` phase (rate-based mode).
-    cycle: u8,
-    /// Rate-based mode: true while the AIMD backstop governs the burst
-    /// after a loss, until it regrows to the rate-derived target.
-    recovery: bool,
 }
 
 impl Pacer {
@@ -623,9 +370,6 @@ impl Pacer {
             clean_rounds: 0,
             loss_events: 0,
             burst_sum: 0,
-            est: DeliveryRateEstimator::new(),
-            cycle: 0,
-            recovery: false,
         }
     }
 
@@ -634,56 +378,10 @@ impl Pacer {
         self.cfg.enabled()
     }
 
-    /// True when the burst size adapts to loss signals.
-    pub fn is_adaptive(&self) -> bool {
-        self.cfg.is_adaptive()
-    }
-
-    /// True when the burst is governed by the delivery-rate estimator.
-    pub fn is_rate_based(&self) -> bool {
-        self.cfg.is_rate_based()
-    }
-
-    /// The delivery-rate estimator (telemetry and diagnostics).
-    pub fn estimator(&self) -> &DeliveryRateEstimator {
-        &self.est
-    }
-
-    /// The burst the rate-based mode would pace to right now:
-    /// `pacing_gain × max_rate × min_rtt` in packets, clamped to the
-    /// configured `[min_burst, max_burst]`.  `None` until the estimator
-    /// has both a rate and an RTT.
-    fn rate_target(&self) -> Option<u32> {
-        let min_rtt = self.est.min_rtt()?;
-        let pps = self.est.max_rate_pps();
-        if pps <= 0.0 {
-            return None;
-        }
-        let gain = GAIN_CYCLE[usize::from(self.cycle) % GAIN_CYCLE.len()];
-        let bdp = (gain * pps * min_rtt.as_secs_f64()).round();
-        let clamped = if bdp >= f64::from(u32::MAX) {
-            u32::MAX
-        } else {
-            bdp as u32
-        };
-        Some(clamped.clamp(self.cfg.min_burst.max(1), self.cfg.max_burst))
-    }
-
-    /// The burst in force: the rate target when rate pacing governs,
-    /// the AIMD window otherwise.
-    fn effective_burst(&self) -> u32 {
-        if self.cfg.is_rate_based() && !self.recovery {
-            if let Some(target) = self.rate_target() {
-                return target;
-            }
-        }
-        self.burst
-    }
-
     /// Packets the current burst may emit (`u32::MAX` when unpaced).
     pub fn burst_budget(&self) -> u32 {
         if self.cfg.enabled() {
-            self.effective_burst()
+            self.burst
         } else {
             u32::MAX
         }
@@ -694,112 +392,47 @@ impl Pacer {
         self.cfg.gap
     }
 
-    /// Feed one per-round delivery sample: `packets`/`bytes` were
-    /// acknowledged `interval` after the round began (Karn-valid rounds
-    /// only — a retransmitted round's pairing is ambiguous).  Engines
-    /// call this regardless of mode so AIMD runs also record their
-    /// rate/min-RTT trajectory; only the rate-based mode *acts* on it,
-    /// advancing the gain cycle and checking for recovery exit.
-    pub fn on_rate_sample(
-        &mut self,
-        packets: u32,
-        bytes: u64,
-        interval: Duration,
-        app_limited: bool,
-    ) {
-        self.est.on_sample(packets, bytes, interval, app_limited);
-        if !self.cfg.is_rate_based() {
-            return;
-        }
-        self.cycle = (self.cycle + 1) % GAIN_CYCLE.len() as u8;
-        self.maybe_exit_recovery();
-    }
-
-    /// Leave AIMD recovery once the backstop window has regrown to the
-    /// rate-derived target — from there the estimator governs again.
-    fn maybe_exit_recovery(&mut self) {
-        if !self.recovery {
-            return;
-        }
-        if let Some(target) = self.rate_target() {
-            if self.burst >= target {
-                self.recovery = false;
-            }
-        }
-    }
-
     /// Signal that a round completed without loss (a positive ack for
-    /// everything solicited): additive increase (AIMD mode and
-    /// rate-based recovery; steady-state rate pacing has nothing to
-    /// grow — the estimator moves the target).
+    /// everything solicited): additive increase.
     pub fn on_clean_round(&mut self) {
         if !self.cfg.enabled() {
             return;
         }
         self.rounds += 1;
-        self.burst_sum += u64::from(self.effective_burst());
+        self.burst_sum += u64::from(self.burst);
         self.clean_rounds += 1;
-        if !self.cfg.is_adaptive() {
-            return;
-        }
-        if self.cfg.is_rate_based() && !self.recovery {
-            return;
-        }
         self.burst = self
             .burst
             .saturating_add(self.cfg.growth)
             .min(self.cfg.max_burst);
-        self.maybe_exit_recovery();
     }
 
     /// Signal a loss event (NACK or retransmission timeout):
-    /// multiplicative decrease.  In rate-based mode this also snaps the
-    /// rate window down by half and re-enters AIMD recovery — the loss
-    /// disproves the windowed max, and the backstop governs until the
-    /// window regrows to whatever the fresh samples certify.
+    /// multiplicative decrease.
     pub fn on_loss(&mut self) {
         if !self.cfg.enabled() {
             return;
         }
-        let current = self.effective_burst();
         self.rounds += 1;
-        self.burst_sum += u64::from(current);
+        self.burst_sum += u64::from(self.burst);
         self.loss_events += 1;
-        if !self.cfg.is_adaptive() {
-            return;
-        }
-        self.burst = (current / 2).max(self.cfg.min_burst).max(1);
+        self.burst = (self.burst / 2).max(self.cfg.min_burst).max(1);
         self.min_seen = self.min_seen.min(self.burst);
-        if self.cfg.is_rate_based() {
-            self.est.cut(0.5);
-            self.recovery = true;
-            self.cycle = CRUISE_PHASE;
-        }
     }
 
     /// The current pacing state (telemetry; cheap to copy).
     pub fn snapshot(&self) -> PacerSnapshot {
-        let burst = if self.cfg.enabled() {
-            self.effective_burst()
-        } else {
-            self.burst
-        };
         PacerSnapshot {
             initial_burst: self.cfg.burst,
-            burst,
+            burst: self.burst,
             min_burst_seen: self.min_seen,
             mean_burst: if self.rounds == 0 {
-                f64::from(burst)
+                f64::from(self.burst)
             } else {
                 self.burst_sum as f64 / self.rounds as f64
             },
             clean_rounds: self.clean_rounds,
             loss_events: self.loss_events,
-            rate_bps: self.est.max_rate_bps(),
-            min_rtt_us: self.est.min_rtt().map_or(0.0, |d| d.as_secs_f64() * 1e6),
-            rate_samples: self.est.samples(),
-            app_limited_samples: self.est.app_limited_samples(),
-            in_recovery: self.recovery,
         }
     }
 }
@@ -809,9 +442,9 @@ impl Pacer {
 /// transfer id trace events are stamped with.
 ///
 /// Engines feed it their protocol's signals — a round trip, a Karn
-/// rejection, a timeout, a clean or lossy round, a delivery-rate sample
-/// — and it updates the estimator or the pacer and records the matching
-/// event.  Without a recorder each trace is one branch.
+/// rejection, a timeout, a clean or lossy round — and it updates the
+/// estimator or the pacer and records the matching event.  Without a
+/// recorder each trace is one branch.
 #[derive(Debug)]
 pub struct Control {
     transfer_id: u32,
@@ -851,7 +484,7 @@ impl Control {
         self.rtt.srtt()
     }
 
-    /// The pacer (burst budget, gap, mode).
+    /// The pacer (burst budget, gap).
     pub(crate) fn pacer(&self) -> &Pacer {
         &self.pacer
     }
@@ -883,8 +516,8 @@ impl Control {
     }
 
     /// Feed the round trip since `sent_at` — the caller vouches that it
-    /// is unambiguous (Karn) — and return it.
-    pub(crate) fn sample_rtt(&mut self, sent_at: Duration) -> Duration {
+    /// is unambiguous (Karn).
+    pub(crate) fn sample_rtt(&mut self, sent_at: Duration) {
         let rtt = self.now.saturating_sub(sent_at);
         self.rtt.sample(rtt);
         let srtt = self.rtt.srtt().unwrap_or_default();
@@ -893,7 +526,6 @@ impl Control {
             rtt.as_nanos() as u64,
             srtt.as_nanos() as u64,
         );
-        rtt
     }
 
     /// An acknowledgement arrived after a retransmission in `round`:
@@ -929,49 +561,11 @@ impl Control {
     fn pace(&mut self, signal: fn(&mut Pacer)) {
         let before = self.pacer.burst_budget();
         signal(&mut self.pacer);
-        if !self.tracing() || !self.pacer.is_adaptive() {
-            return;
-        }
         let after = self.pacer.burst_budget();
         if after > before {
             self.trace(EventKind::PacerGrow, u64::from(before), u64::from(after));
         } else if after < before {
             self.trace(EventKind::PacerShrink, u64::from(before), u64::from(after));
-        }
-    }
-
-    /// Feed one delivery-rate sample: `packets`/`bytes` acknowledged
-    /// over `interval` (Karn-valid exchanges only).  An empty or
-    /// zero-width sample carries no information and is dropped.
-    pub(crate) fn sample_rate(
-        &mut self,
-        packets: u32,
-        bytes: u64,
-        interval: Duration,
-        app_limited: bool,
-    ) {
-        if packets == 0 || interval.is_zero() {
-            return;
-        }
-        self.pacer
-            .on_rate_sample(packets, bytes, interval, app_limited);
-        if !self.tracing() {
-            return;
-        }
-        let est = self.pacer.estimator();
-        let sample_bps = bytes as f64 / interval.as_secs_f64();
-        self.trace(
-            EventKind::RateSample,
-            sample_bps as u64,
-            est.max_rate_bps() as u64,
-        );
-        if self.pacer.is_rate_based() {
-            let min_rtt = est.min_rtt().unwrap_or_default();
-            self.trace(
-                EventKind::PaceTarget,
-                u64::from(self.pacer.burst_budget()),
-                min_rtt.as_nanos() as u64,
-            );
         }
     }
 }
@@ -1086,13 +680,14 @@ mod tests {
 
         let p = Pacer::new(PacingConfig::new(8, Duration::from_micros(100)));
         assert!(p.enabled());
-        assert!(!p.is_adaptive());
         assert_eq!(p.burst_budget(), 8);
         assert_eq!(p.gap(), Duration::from_micros(100));
 
         assert!(PacingConfig::off().invalid().is_none());
         assert!(PacingConfig::lan().invalid().is_none());
-        assert!(PacingConfig::lan().is_adaptive());
+        assert!(PacingConfig::new(8, Duration::from_micros(100))
+            .invalid()
+            .is_none());
         assert!(PacingConfig::new(4, Duration::ZERO).invalid().is_some());
         // AIMD bounds must bracket the initial burst, with room to grow.
         let gap = Duration::from_micros(100);
@@ -1122,7 +717,6 @@ mod tests {
     fn aimd_pacer_grows_additively_and_shrinks_multiplicatively() {
         let cfg = PacingConfig::aimd(16, Duration::from_micros(100), 4, 64, 8);
         let mut p = Pacer::new(cfg);
-        assert!(p.is_adaptive());
         assert_eq!(p.burst_budget(), 16);
 
         p.on_clean_round();
@@ -1148,152 +742,6 @@ mod tests {
         let snap = p.snapshot();
         assert!(snap.mean_burst > 4.0 && snap.mean_burst < 64.0);
         assert_eq!(snap.initial_burst, 16);
-    }
-
-    #[test]
-    fn rate_config_validation_and_modes() {
-        let gap = Duration::from_micros(100);
-        let cfg = PacingConfig::rate_based(16, gap, 4, 64, 8);
-        assert!(cfg.invalid().is_none());
-        assert!(cfg.enabled() && cfg.is_adaptive() && cfg.is_rate_based());
-        assert!(!PacingConfig::aimd(16, gap, 4, 64, 8).is_rate_based());
-        assert!(PacingConfig::rate_lan().invalid().is_none());
-        assert!(PacingConfig::rate_lan().is_rate_based());
-        // Rate mode without the AIMD backstop bounds is rejected.
-        let mut bad = PacingConfig::new(16, gap);
-        bad.rate_based = true;
-        assert!(bad.invalid().is_some());
-        // The AIMD bracket rules still apply underneath.
-        assert!(PacingConfig::rate_based(16, gap, 0, 64, 8)
-            .invalid()
-            .is_some());
-        assert!(PacingConfig::rate_based(65, gap, 4, 64, 8)
-            .invalid()
-            .is_some());
-    }
-
-    #[test]
-    fn estimator_windows_max_rate_and_min_rtt() {
-        let mut e = DeliveryRateEstimator::new();
-        assert!(!e.has_rate());
-        assert_eq!(e.min_rtt(), None);
-        assert_eq!(e.max_rate_bps(), 0.0);
-
-        // 32 packets / 32 KiB per 1 ms = 32 MB/s, 32 kpps.
-        e.on_sample(32, 32 * 1024, Duration::from_millis(1), false);
-        assert!((e.max_rate_bps() - 32.0 * 1024.0 * 1000.0).abs() < 1.0);
-        assert!((e.max_rate_pps() - 32_000.0).abs() < 1.0);
-        assert_eq!(e.min_rtt(), Some(Duration::from_millis(1)));
-
-        // A faster sample raises the max; a slower one does not lower it.
-        e.on_sample(64, 64 * 1024, Duration::from_millis(1), false);
-        let peak = e.max_rate_bps();
-        e.on_sample(8, 8 * 1024, Duration::from_millis(1), false);
-        assert_eq!(e.max_rate_bps(), peak);
-        // The min-RTT keeps the smallest sample in the window.
-        e.on_sample(8, 8 * 1024, Duration::from_micros(100), false);
-        assert_eq!(e.min_rtt(), Some(Duration::from_micros(100)));
-
-        // The peak expires once RATE_WINDOW newer samples displace it.
-        for _ in 0..RATE_WINDOW {
-            e.on_sample(8, 8 * 1024, Duration::from_millis(1), false);
-        }
-        assert!(e.max_rate_bps() < peak);
-    }
-
-    #[test]
-    fn estimator_excludes_app_limited_and_ignores_empty() {
-        let mut e = DeliveryRateEstimator::new();
-        e.on_sample(1_000_000, u64::MAX / 2, Duration::from_micros(1), true);
-        assert!(
-            !e.has_rate(),
-            "app-limited sample must not enter the rate window"
-        );
-        assert_eq!(e.app_limited_samples(), 1);
-        // ... but its RTT still feeds the min filter.
-        assert_eq!(e.min_rtt(), Some(Duration::from_micros(1)));
-        // Degenerate samples carry no information.
-        e.on_sample(0, 0, Duration::from_millis(1), false);
-        e.on_sample(5, 5_000, Duration::ZERO, false);
-        assert_eq!(e.samples(), 1);
-    }
-
-    #[test]
-    fn rate_pacer_tracks_bdp_and_cycles_gain() {
-        let gap = Duration::from_micros(100);
-        let cfg = PacingConfig::rate_based(16, gap, 2, 256, 8);
-        let mut p = Pacer::new(cfg);
-        assert!(p.is_rate_based());
-        assert_eq!(p.burst_budget(), 16, "initial burst before any sample");
-
-        // 64 packets per 1 ms round trip: BDP = 64 packets.  First
-        // sample lands in the probe-up phase's successor... the cycle
-        // advances per sample, so pin the numbers via the gain table.
-        p.on_rate_sample(64, 64 * 1024, Duration::from_millis(1), false);
-        let budgets: Vec<u32> = (0..8)
-            .map(|_| {
-                let b = p.burst_budget();
-                p.on_rate_sample(64, 64 * 1024, Duration::from_millis(1), false);
-                b
-            })
-            .collect();
-        // Across one full cycle the budget must visit the probe value
-        // (80 = 1.25 × 64), the drain value (48 = 0.75 × 64) and cruise
-        // (64).
-        assert!(budgets.contains(&80), "probe-up phase: {budgets:?}");
-        assert!(budgets.contains(&48), "drain phase: {budgets:?}");
-        assert!(budgets.contains(&64), "cruise phase: {budgets:?}");
-        // And never outside the configured clamp.
-        assert!(budgets.iter().all(|&b| (2..=256).contains(&b)));
-    }
-
-    #[test]
-    fn rate_pacer_loss_enters_and_exits_aimd_recovery() {
-        let gap = Duration::from_micros(100);
-        let cfg = PacingConfig::rate_based(16, gap, 2, 256, 8);
-        let mut p = Pacer::new(cfg);
-        for _ in 0..4 {
-            p.on_rate_sample(64, 64 * 1024, Duration::from_millis(1), false);
-        }
-        let before = p.burst_budget();
-        assert!(before >= 48, "rate pacing in force before loss");
-
-        p.on_loss();
-        let snap = p.snapshot();
-        assert!(snap.in_recovery, "loss re-enters AIMD recovery");
-        assert_eq!(p.burst_budget(), (before / 2).max(2), "backstop halves");
-        assert!(
-            snap.rate_bps < 64.0 * 1024.0 * 1000.0 * 0.6,
-            "rate cap snapped down: {}",
-            snap.rate_bps
-        );
-
-        // Clean rounds regrow the backstop additively; fresh samples
-        // rebuild the rate window; recovery exits once the backstop
-        // reaches the (cruise-gain) target again.
-        for _ in 0..32 {
-            p.on_clean_round();
-            p.on_rate_sample(64, 64 * 1024, Duration::from_millis(1), false);
-            if !p.snapshot().in_recovery {
-                break;
-            }
-        }
-        assert!(!p.snapshot().in_recovery, "recovery must exit");
-        assert!(p.burst_budget() >= 48, "rate pacing governs again");
-        assert_eq!(p.snapshot().loss_events, 1);
-    }
-
-    #[test]
-    fn aimd_pacer_records_rate_trajectory_without_acting_on_it() {
-        let cfg = PacingConfig::aimd(16, Duration::from_micros(100), 4, 64, 8);
-        let mut p = Pacer::new(cfg);
-        p.on_rate_sample(64, 64 * 1024, Duration::from_millis(1), false);
-        assert_eq!(p.burst_budget(), 16, "AIMD budget ignores the estimator");
-        let snap = p.snapshot();
-        assert!(snap.rate_bps > 0.0, "but the trajectory is recorded");
-        assert!(snap.min_rtt_us > 0.0);
-        assert_eq!(snap.rate_samples, 1);
-        assert!(!snap.in_recovery);
     }
 
     #[test]

@@ -298,7 +298,7 @@ impl<S: Engine, R: ReceiverEngine> Harness<S, R> {
     /// most `queue_cap` packets may queue for it, and arrivals beyond
     /// that are silently lost.  A sender that bursts faster than
     /// `1/service` *induces* loss here — which is exactly what
-    /// delivery-rate pacing exists to avoid.
+    /// pacing exists to avoid.
     pub fn with_bottleneck(mut self, service: Duration, queue_cap: u32) -> Self {
         assert!(
             !service.is_zero(),

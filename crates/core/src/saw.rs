@@ -37,10 +37,8 @@ pub struct SawSender {
     tx: TxData,
     builder: DatagramBuilder,
     /// Clock, RTO estimator, pacer and recorder.  Stop-and-wait never
-    /// bursts, so the pacer's budget is moot — but it hosts the
-    /// delivery-rate estimator, so this engine's reports carry the same
-    /// measured rate/min-RTT trajectory as the others.  One packet per
-    /// round trip *is* the protocol's delivery rate.
+    /// bursts, so the pacer's budget is moot; it still hears timeouts
+    /// as loss signals, like every sender's.
     control: Control,
     max_retries: u32,
     /// Sequence currently awaiting acknowledgement.
@@ -130,12 +128,7 @@ impl Engine for SawSender {
         self.stats.acks_received += 1;
         if self.attempts == 0 {
             // Karn: only a never-retransmitted packet's ack is sampled.
-            let rtt = self.control.sample_rtt(self.sent_at);
-            // The same unambiguous exchange is a delivery-rate sample:
-            // one packet per round trip.  Never app-limited — lockstep
-            // is the protocol's ceiling, not the application's.
-            let bytes = self.tx.payload_of(self.cur).len() as u64;
-            self.control.sample_rate(1, bytes, rtt, false);
+            self.control.sample_rtt(self.sent_at);
         } else {
             self.control.reject_sample(self.attempts);
         }

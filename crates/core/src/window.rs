@@ -70,19 +70,6 @@ pub struct WindowSender {
     /// together, and each expiry must not double the shared RTO again
     /// — only the first timeout of an epoch backs off.
     backoff_barrier: Duration,
-    /// Rate-sample epoch start: per-packet acks are too fine-grained to
-    /// feed the delivery-rate estimator one at a time, so deliveries are
-    /// aggregated over roughly one smoothed RTT and folded in as a
-    /// single sample when the epoch closes.
-    epoch_started_at: Duration,
-    /// Cleanly-acked packets in the current rate epoch.
-    epoch_packets: u32,
-    /// Bytes those packets carried.
-    epoch_bytes: u64,
-    /// The sender ran out of fresh data during this epoch with the pipe
-    /// underfilled — its measured rate reflects the application, not
-    /// the path, and must not raise the windowed max.
-    epoch_app_limited: bool,
     pool: BufferPool,
     stats: EngineStats,
     finish: Finish,
@@ -110,10 +97,6 @@ impl WindowSender {
             // Sized up front: queueing a retransmission never allocates.
             retx_queue: Vec::with_capacity(total),
             backoff_barrier: Duration::ZERO,
-            epoch_started_at: Duration::ZERO,
-            epoch_packets: 0,
-            epoch_bytes: 0,
-            epoch_app_limited: false,
             pool: config.pool.clone(),
             stats: EngineStats::default(),
             finish: Finish::default(),
@@ -210,40 +193,12 @@ impl WindowSender {
             });
         }
     }
-
-    /// Fold one cleanly-acked packet into the current rate epoch and
-    /// close the epoch — one estimator sample — once it spans a
-    /// smoothed RTT (the first clean RTT before the estimator warms up).
-    fn note_delivery(&mut self, seq: u32, rtt: Duration) {
-        self.epoch_packets += 1;
-        self.epoch_bytes += self.tx.payload_of(seq).len() as u64;
-        if self.next_unsent == self.tx.total_packets()
-            && self.in_flight() < self.control.pacer().burst_budget()
-        {
-            self.epoch_app_limited = true;
-        }
-        let now = self.control.now();
-        let elapsed = now.saturating_sub(self.epoch_started_at);
-        if elapsed >= self.control.srtt().unwrap_or(rtt) {
-            self.control.sample_rate(
-                self.epoch_packets,
-                self.epoch_bytes,
-                elapsed,
-                self.epoch_app_limited,
-            );
-            self.epoch_started_at = now;
-            self.epoch_packets = 0;
-            self.epoch_bytes = 0;
-            self.epoch_app_limited = false;
-        }
-    }
 }
 
 impl Engine for WindowSender {
     control_in!(control);
 
     fn start(&mut self, sink: &mut dyn ActionSink) {
-        self.epoch_started_at = self.control.now();
         self.fill_window(sink);
     }
 
@@ -261,10 +216,8 @@ impl Engine for WindowSender {
         }
         self.stats.acks_received += 1;
         if self.attempts[seq as usize] == 0 {
-            // Karn: never-retransmitted packets yield clean RTT samples,
-            // and only those acks count toward the delivery-rate epoch.
-            let rtt = self.control.sample_rtt(self.sent_at[seq as usize]);
-            self.note_delivery(seq, rtt);
+            // Karn: never-retransmitted packets yield clean RTT samples.
+            self.control.sample_rtt(self.sent_at[seq as usize]);
         } else {
             self.control.reject_sample(self.attempts[seq as usize]);
         }
@@ -311,8 +264,8 @@ impl Engine for WindowSender {
         // the old RTO, so a genuinely later timeout (after the backed-off
         // rearm) still backs off again.
         // One loss epoch is also one congestion response: the pacer
-        // halves its burst (and, rate-based, snaps the rate cap down)
-        // once, however many sibling timers fire in the same tick.
+        // halves its burst once, however many sibling timers fire in
+        // the same tick.
         let now = self.control.now();
         if now >= self.backoff_barrier {
             self.backoff_barrier = now + self.control.rto();

@@ -164,8 +164,9 @@ fn snapshots_after<S: Engine, R: ReceiverEngine>(
 }
 
 /// One pacing-snapshot rule for every engine: a sender reports its
-/// pacer exactly when pacing is enabled — however many delivery-rate
-/// samples it took — and a receiver never does.
+/// pacer exactly when pacing is enabled — whether or not it signals
+/// clean rounds (stop-and-wait and sliding window signal only loss) —
+/// and a receiver never does.
 #[test]
 fn pacing_snapshot_is_some_iff_pacing_is_enabled() {
     let payload = data(16 * 1024);
@@ -212,7 +213,10 @@ fn pacing_snapshot_is_some_iff_pacing_is_enabled() {
                 "{name} sender under {pacing:?}: {sender:?}"
             );
             if let Some(snap) = sender {
-                assert!(snap.rate_samples > 0, "{name}: the clean run was sampled");
+                assert_eq!(
+                    snap.loss_events, 0,
+                    "{name}: the clean run signalled no loss"
+                );
             }
             assert_eq!(receiver, None, "{name} receiver under {pacing:?}");
         }

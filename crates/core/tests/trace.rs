@@ -2,7 +2,8 @@
 //! `Engine::set_recorder` hears the same control signals — round-trip
 //! samples, pacer transitions, timeouts or NACKs — from stop-and-wait,
 //! sliding window, blast and multi-blast alike, stamped with the
-//! engine's sans-I/O clock and the transfer's id.
+//! engine's sans-I/O clock and the transfer's id.  A fixed pace hears
+//! the same signals and traces no burst transition.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,6 +60,11 @@ fn every_sender_traces_its_control_signals() {
     let multi = MultiBlastSender::new(ID, payload.clone(), &cfg);
     let chunks = multi.total_chunks();
     assert!(chunks >= 4);
+    // A fixed pace is AIMD with equal bounds: the same signals reach the
+    // pacer, but the burst never moves.
+    let fixed = cfg
+        .clone()
+        .with_pacing(PacingConfig::new(8, Duration::from_micros(100)));
     let runs = [
         (
             "stop-and-wait",
@@ -88,15 +94,31 @@ fn every_sender_traces_its_control_signals() {
             "multi-blast",
             traced(multi, BlastReceiver::new(ID, len, &cfg), &payload),
         ),
+        (
+            "fixed-paced sliding window",
+            traced(
+                WindowSender::new(ID, payload.clone(), &fixed),
+                SawReceiver::new(ID, len, &fixed),
+                &payload,
+            ),
+        ),
     ];
     for (name, (trace, finished)) in runs {
         let has = |kind: EventKind| trace.iter().any(|e| e.kind == kind);
         assert!(has(EventKind::RttSample), "{name}: no RttSample");
-        assert!(has(EventKind::PacerShrink), "{name}: no PacerShrink");
-        assert!(
-            has(EventKind::RtoBackoff) || has(EventKind::NackReceived),
-            "{name}: neither RtoBackoff nor NackReceived"
-        );
+        if name == "fixed-paced sliding window" {
+            assert!(has(EventKind::RtoBackoff), "{name}: no RtoBackoff");
+            assert!(
+                !has(EventKind::PacerGrow) && !has(EventKind::PacerShrink),
+                "{name}: a fixed pace traced a burst transition"
+            );
+        } else {
+            assert!(has(EventKind::PacerShrink), "{name}: no PacerShrink");
+            assert!(
+                has(EventKind::RtoBackoff) || has(EventKind::NackReceived),
+                "{name}: neither RtoBackoff nor NackReceived"
+            );
+        }
         for e in &trace {
             assert_eq!(e.session, ID, "{name}: {e:?}");
             assert!(

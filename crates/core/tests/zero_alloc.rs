@@ -204,81 +204,6 @@ fn steady_state_blast_round_trip_allocates_zero_per_packet() {
         "paced completion budget exceeded: {paced_tail_allocs}"
     );
     assert_eq!(r.data(), &payload[..], "paced bytes arrive intact");
-
-    // Phase E — rate-based pacing: the delivery-rate estimator is two
-    // fixed-size rings inside the (Copy) pacer, the gain cycle is a
-    // counter, and taking a rate sample at the status report is pure
-    // arithmetic — so the whole BBR-flavoured mode rides the same
-    // zero-allocation budget as AIMD.
-    let rate_cfg = cfg.clone().with_pacing(PacingConfig::rate_based(
-        8,
-        Duration::from_millis(1),
-        2,
-        16,
-        4,
-    ));
-    let mut s = BlastSender::new(4, payload.clone(), &rate_cfg);
-    let mut r = BlastReceiver::new(4, payload.len(), &rate_cfg);
-    sink.clear();
-    out.clear();
-    sender_out.clear();
-
-    let before_rate = allocations();
-    s.start(&mut sink);
-    let mut guard = 0;
-    while sink.iter().filter(|a| a.as_transmit().is_some()).count() < PACKETS {
-        s.on_timer(PACE_TIMER, &mut sink);
-        guard += 1;
-        assert!(guard <= PACKETS, "rate-paced round failed to drain");
-    }
-    let mut delivered = 0;
-    for a in sink.iter() {
-        if let Some(pkt) = a.as_transmit() {
-            delivered += 1;
-            if delivered == PACKETS {
-                break;
-            }
-            let d = Datagram::parse(pkt).expect("well-formed rate-paced packet");
-            r.on_datagram(&d, &mut out);
-            assert!(out.is_empty(), "mid-round rate-paced packets emit nothing");
-        }
-    }
-    let rate_steady = allocations() - before_rate;
-    assert_eq!(
-        rate_steady, 0,
-        "a rate-paced round must stay allocation-free per packet"
-    );
-
-    // Rate-paced tail: the status report also feeds the estimator (a
-    // delivery-rate sample plus the min-RTT filter) — still only the
-    // two boxed completion reports.
-    let before_rate_tail = allocations();
-    let tail = sink
-        .iter()
-        .filter_map(Action::as_transmit)
-        .nth(PACKETS - 1)
-        .expect("rate-paced reliable tail");
-    let d = Datagram::parse(tail).expect("well-formed tail");
-    r.on_datagram(&d, &mut out);
-    assert!(r.is_finished());
-    let ack = out
-        .iter()
-        .find_map(Action::as_transmit)
-        .expect("single rate-paced blast ack");
-    let d = Datagram::parse(ack).expect("well-formed ack");
-    // Hand-driven, so the clock must advance by hand too: a zero-width
-    // round is no delivery-rate sample (the estimator ignores it).
-    s.set_now(Duration::from_micros(500));
-    s.on_datagram(&d, &mut sender_out);
-    assert!(s.is_finished());
-    let rate_tail_allocs = allocations() - before_rate_tail;
-    assert!(
-        rate_tail_allocs <= 2,
-        "rate-paced completion budget exceeded: {rate_tail_allocs}"
-    );
-    let snap = s.pacing_snapshot().expect("rate-based sender is paced");
-    assert!(snap.rate_samples > 0, "the tail ack took a rate sample");
-    assert_eq!(r.data(), &payload[..], "rate-paced bytes arrive intact");
 }
 
 /// Multi-blast rolls its one chunk sender over in place: the chunk

@@ -337,11 +337,14 @@ impl<C: Channel> Client<C> {
     /// — the remote twin of `NodeHandle::metrics().summary()`.  The
     /// query datagram is retransmitted until the reply arrives or the
     /// client's patience runs out, so it survives the same loss the
-    /// data plane does.
+    /// data plane does.  The query carries a fresh nonce the node
+    /// echoes; a reply to an earlier query is skipped, not returned.
     pub fn stats(&mut self) -> io::Result<String> {
+        self.nonce = self.nonce.wrapping_add(1);
+        let nonce = self.nonce;
         let mut query = [0u8; blast_wire::HEADER_LEN];
         let n = DatagramBuilder::new(0)
-            .build_stats(&mut query, 0, &[])
+            .build_stats(&mut query, nonce, &[])
             .expect("empty stats query fits");
         let deadline = Instant::now() + self.patience;
         let mut buf = vec![0u8; MAX_DATAGRAM];
@@ -357,7 +360,7 @@ impl<C: Channel> Client<C> {
             let wait = (deadline - now).min(Duration::from_millis(100));
             if let Some(got) = self.channel.recv_timeout(&mut buf, wait)? {
                 if let Ok(dgram) = Datagram::parse(&buf[..got]) {
-                    if dgram.kind == PacketKind::Stats {
+                    if dgram.kind == PacketKind::Stats && dgram.seq == nonce {
                         return Ok(String::from_utf8_lossy(dgram.payload).into_owned());
                     }
                 }

@@ -117,12 +117,6 @@ pub struct NodeMetrics {
     pub burst_final: OnlineStats,
     /// Mean AIMD burst size per completed paced (sender) session.
     pub burst_mean: OnlineStats,
-    /// Windowed-max estimated delivery rate at completion, Mbit/s, per
-    /// session whose engine took at least one delivery sample.
-    pub rate_mbps: OnlineStats,
-    /// Windowed-min round trip at completion, microseconds, per
-    /// rate-sampled session.
-    pub min_rtt_us: OnlineStats,
     /// Session elapsed-time distribution, in seconds.
     pub session_secs: OnlineStats,
     /// Session goodput distribution, in Mbit/s.
@@ -223,8 +217,6 @@ impl NodeMetrics {
         self.io.gro_segments += other.io.gro_segments;
         self.burst_final.merge(&other.burst_final);
         self.burst_mean.merge(&other.burst_mean);
-        self.rate_mbps.merge(&other.rate_mbps);
-        self.min_rtt_us.merge(&other.min_rtt_us);
         self.session_secs.merge(&other.session_secs);
         self.session_goodput_mbps.merge(&other.session_goodput_mbps);
         self.retx_rounds.0.merge(&other.retx_rounds.0);
@@ -280,8 +272,6 @@ impl NodeMetrics {
         dst.io = self.io;
         dst.burst_final = self.burst_final;
         dst.burst_mean = self.burst_mean;
-        dst.rate_mbps = self.rate_mbps;
-        dst.min_rtt_us = self.min_rtt_us;
         dst.session_secs = self.session_secs;
         dst.session_goodput_mbps = self.session_goodput_mbps;
         dst.retx_rounds.0.clone_from(&self.retx_rounds.0);
@@ -298,10 +288,6 @@ impl NodeMetrics {
         if let Some(p) = &report.pacing {
             self.burst_final.push(f64::from(p.burst));
             self.burst_mean.push(p.mean_burst);
-            if p.rate_samples > 0 {
-                self.rate_mbps.push(p.rate_bps * 8.0 / 1e6);
-                self.min_rtt_us.push(p.min_rtt_us);
-            }
         }
         if report.ok {
             self.sessions_completed += 1;
@@ -338,7 +324,6 @@ impl NodeMetrics {
              netio [{}, offload {}]: {} send batches / {} recv batches; waits: {} wakeups / {} timeouts\n\
              offload: {} segments out in {} super-datagrams, {} segments in from {} super-datagrams\n\
              pacing burst: final {}, mean {} over {} paced sessions\n\
-             delivery rate [Mbit/s]: {} over {} rate-sampled sessions; min RTT [µs]: {}\n\
              session time [s]: {}\n\
              goodput [Mbit/s]: {}\n\
              retransmission rounds: p50 {:.1}, p99 {:.1} over {} sessions",
@@ -379,9 +364,6 @@ impl NodeMetrics {
             self.burst_final,
             self.burst_mean,
             self.burst_final.count(),
-            self.rate_mbps,
-            self.rate_mbps.count(),
-            self.min_rtt_us,
             self.session_secs,
             self.session_goodput_mbps,
             self.retx_rounds.percentile(50.0),
@@ -526,25 +508,13 @@ mod tests {
             mean_burst: 40.0,
             clean_rounds: 3,
             loss_events: 1,
-            rate_bps: 2_000_000.0,
-            min_rtt_us: 150.0,
-            rate_samples: 5,
-            app_limited_samples: 1,
-            in_recovery: false,
         });
         m.record(paced);
         m.record(report(true, Direction::Push, 1000, 10)); // unpaced
         assert_eq!(m.burst_final.count(), 1, "only paced sessions counted");
         assert!((m.burst_final.mean() - 64.0).abs() < 1e-9);
         assert!((m.burst_mean.mean() - 40.0).abs() < 1e-9);
-        assert_eq!(m.rate_mbps.count(), 1, "rate-sampled sessions counted");
-        assert!(
-            (m.rate_mbps.mean() - 16.0).abs() < 1e-9,
-            "2 MB/s = 16 Mbit/s"
-        );
-        assert!((m.min_rtt_us.mean() - 150.0).abs() < 1e-9);
         assert!(m.summary().contains("pacing burst"), "{}", m.summary());
-        assert!(m.summary().contains("delivery rate"), "{}", m.summary());
     }
 
     #[test]
@@ -560,18 +530,12 @@ mod tests {
                 mean_burst: f64::from(burst),
                 clean_rounds: 3,
                 loss_events: 0,
-                rate_bps: 0.0,
-                min_rtt_us: 0.0,
-                rate_samples: 0,
-                app_limited_samples: 0,
-                in_recovery: false,
             });
             m.record(r);
         }
         assert_eq!(m.burst_final.min(), 96.0, "{}", m.summary());
         assert_eq!(m.burst_final.max(), 512.0);
         assert_eq!(m.session_secs.min(), 0.010);
-        assert_eq!(m.rate_mbps.min(), f64::INFINITY, "no sample yet");
     }
 
     #[test]

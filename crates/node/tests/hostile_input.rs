@@ -205,3 +205,44 @@ fn time_wait_records_are_bounded_and_expire() {
     client.pull("x").unwrap();
     assert_eq!(node.0.lock().unwrap().acks_for(7), 1);
 }
+
+/// A node whose every `Stats` reply reaches the client twice — a
+/// duplicating channel, or a node slower than the client's 100 ms
+/// query retry — each query answered with its own snapshot.
+#[derive(Default)]
+struct DoubleStats {
+    to_client: VecDeque<Vec<u8>>,
+    queries: u32,
+}
+
+impl Channel for DoubleStats {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        let body = fcs::unframe(frame).expect("framed");
+        let dgram = Datagram::parse(&frame[..body]).expect("well-formed");
+        assert_eq!(dgram.kind, PacketKind::Stats);
+        self.queries += 1;
+        let text = format!("snapshot {}", self.queries);
+        let mut buf = vec![0u8; blast_wire::HEADER_LEN + text.len()];
+        let n = DatagramBuilder::new(0)
+            .build_stats(&mut buf, dgram.seq, text.as_bytes())
+            .unwrap();
+        let reply = fcs::frame(&buf[..n]);
+        self.to_client.extend([reply.clone(), reply]);
+        Ok(())
+    }
+
+    fn recv_timeout(&mut self, buf: &mut [u8], _: Duration) -> io::Result<Option<usize>> {
+        Ok(self.to_client.pop_front().map(|frame| {
+            buf[..frame.len()].copy_from_slice(&frame);
+            frame.len()
+        }))
+    }
+}
+
+/// The second copy of one query's reply is not the answer to the next.
+#[test]
+fn stats_skips_a_duplicate_reply_to_an_earlier_query() {
+    let mut client = Client::over(DoubleStats::default()).patience(Duration::from_secs(2));
+    assert_eq!(client.stats().unwrap(), "snapshot 1");
+    assert_eq!(client.stats().unwrap(), "snapshot 2");
+}

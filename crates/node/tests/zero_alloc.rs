@@ -45,9 +45,8 @@ fn report(id: u32) -> SessionReport {
         bytes: 64 * 1024,
         elapsed: Duration::from_millis(3),
         stats: EngineStats::default(),
-        // A rate-based pacer's full snapshot (delivery rate, min-RTT,
-        // sample counts): `Copy` all the way through, so the rate
-        // telemetry rides the same zero-allocation metrics tiers.
+        // A pacer's full snapshot: `Copy` all the way through, so the
+        // pacing telemetry rides the same zero-allocation metrics tiers.
         pacing: Some(PacerSnapshot {
             initial_burst: 16,
             burst: 32,
@@ -55,11 +54,6 @@ fn report(id: u32) -> SessionReport {
             mean_burst: 24.0,
             clean_rounds: 5,
             loss_events: 1,
-            rate_bps: 12_500_000.0,
-            min_rtt_us: 180.0,
-            rate_samples: 6,
-            app_limited_samples: 1,
-            in_recovery: false,
         }),
         ok: true,
     }

@@ -48,13 +48,6 @@ pub enum EventKind {
     /// A receiver emitted a status report: `a` = 1 if positive ack,
     /// `b` = packets still missing.
     StatusSend = 11,
-    /// The delivery-rate estimator accepted a per-round sample:
-    /// `a` = sample rate in bytes/sec, `b` = windowed-max rate in
-    /// bytes/sec after folding it in.
-    RateSample = 12,
-    /// The rate-based pacer recomputed its burst target: `a` = burst
-    /// in packets, `b` = windowed-min RTT in ns.
-    PaceTarget = 13,
     /// A session entered the node's table: `a` = direction
     /// (0 push / 1 pull), `b` = total data packets.
     SessionAdmit = 16,
@@ -118,8 +111,6 @@ impl EventKind {
             9 => EventKind::RtoBackoff,
             10 => EventKind::PoolExhausted,
             11 => EventKind::StatusSend,
-            12 => EventKind::RateSample,
-            13 => EventKind::PaceTarget,
             16 => EventKind::SessionAdmit,
             17 => EventKind::SessionReap,
             18 => EventKind::ShardTick,
@@ -176,8 +167,6 @@ impl EventKind {
             EventKind::RtoBackoff => "rto-backoff",
             EventKind::PoolExhausted => "pool-exhausted",
             EventKind::StatusSend => "status-send",
-            EventKind::RateSample => "rate-sample",
-            EventKind::PaceTarget => "pace-target",
             EventKind::SessionAdmit => "session-admit",
             EventKind::SessionReap => "session-reap",
             EventKind::ShardTick => "shard-tick",
@@ -197,7 +186,7 @@ impl EventKind {
     }
 
     /// Every defined kind, for exhaustive tests.
-    pub const ALL: [EventKind; 28] = [
+    pub const ALL: [EventKind; 26] = [
         EventKind::RoundStart,
         EventKind::RoundEnd,
         EventKind::NackReceived,
@@ -209,8 +198,6 @@ impl EventKind {
         EventKind::RtoBackoff,
         EventKind::PoolExhausted,
         EventKind::StatusSend,
-        EventKind::RateSample,
-        EventKind::PaceTarget,
         EventKind::SessionAdmit,
         EventKind::SessionReap,
         EventKind::ShardTick,

@@ -255,36 +255,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     ev.b,
                 );
             }
-            EventKind::PaceTarget => {
-                // The rate-based pacer's recomputed burst joins the same
-                // counter track the AIMD grow/shrink transitions feed, so
-                // both modes render as one burst trajectory per session.
-                b.instant(
-                    pid,
-                    tid,
-                    ev.kind.label(),
-                    ts,
-                    &[("burst", ev.a), ("min_rtt_ns", ev.b)],
-                );
-                b.counter(
-                    pid,
-                    tid,
-                    &format!("burst s{}", ev.session),
-                    ts,
-                    "burst",
-                    ev.a,
-                );
-            }
-            EventKind::RateSample => {
-                b.counter(
-                    pid,
-                    tid,
-                    &format!("rate s{}", ev.session),
-                    ts,
-                    "bytes_per_s",
-                    ev.b,
-                );
-            }
             _ => {
                 b.instant(pid, tid, ev.kind.label(), ts, &[("a", ev.a), ("b", ev.b)]);
             }
@@ -348,24 +318,11 @@ mod tests {
         ];
         let out = chrome_trace(&events);
         assert!(out.contains("\"ph\":\"C\""));
+        assert!(out.contains("\"name\":\"burst s3\""));
         assert!(out.contains("\"burst\":64"));
         assert!(out.contains("\"burst\":32"));
         assert!(out.contains("pacer-grow"));
         assert!(out.contains("pacer-shrink"));
-    }
-
-    #[test]
-    fn rate_events_feed_the_burst_and_rate_tracks() {
-        let events = [
-            ev(1_000, 3, 0, EventKind::RateSample, 50_000_000, 60_000_000),
-            ev(2_000, 3, 0, EventKind::PaceTarget, 48, 20_000),
-        ];
-        let out = chrome_trace(&events);
-        assert!(out.contains("\"name\":\"rate s3\""));
-        assert!(out.contains("\"bytes_per_s\":60000000"));
-        assert!(out.contains("\"name\":\"burst s3\""));
-        assert!(out.contains("\"burst\":48"));
-        assert!(out.contains("pace-target"));
     }
 
     #[test]
