@@ -8,7 +8,10 @@
 //! [`push`](Client::push) / [`pull`](Client::pull) /
 //! [`stats`](Client::stats) — or orchestrate node-to-node transfers
 //! with [`copy_to`](Client::copy_to), [`copy_from`](Client::copy_from)
-//! and [`fan_out`](Client::fan_out).
+//! and [`fan_out`](Client::fan_out).  A push or pull is one
+//! [`Outbound`] leg — request, echo, engine — run to completion over the
+//! channel, and every operation has one time bound, its
+//! [`patience`](Client::patience).
 //!
 //! ```no_run
 //! # fn main() -> std::io::Result<()> {
@@ -59,21 +62,20 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::config::ProtocolConfig;
-use blast_core::{AdaptiveTimeout, Engine, PacingConfig, RetxStrategy};
+use blast_core::{AdaptiveTimeout, PacingConfig, RetxStrategy};
 use blast_telemetry::Recorder;
 use blast_udp::channel::{Channel, UdpChannel, MAX_DATAGRAM};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
-use blast_udp::driver::{DriveOutcome, Driver};
 use blast_udp::fcs::FcsChannel;
-use blast_udp::handshake::{self, retry_interval, Request, MAX_TRANSFER_BYTES};
+use blast_udp::handshake::{retry_interval, Request, MAX_TRANSFER_BYTES};
+use blast_udp::outbound::Outbound;
 use blast_udp::peer::TransferReport;
 use blast_udp::timewait::TimeWait;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::{Datagram, DatagramBuilder};
 
-/// Default patience for handshakes, control queries and whole copies.
+/// Default patience for each whole operation.
 const DEFAULT_PATIENCE: Duration = Duration::from_secs(30);
 
 /// How long a copy poll sleeps between status queries — short enough
@@ -191,8 +193,9 @@ impl<C: Channel> Client<C> {
         self
     }
 
-    /// Bound how long handshakes, control queries and whole copies may
-    /// take before erroring `TimedOut` (default 30 s).
+    /// Bound how long each whole operation — a push or a pull,
+    /// handshake and data phase together, a control query, a whole
+    /// copy — may take before erroring `TimedOut` (default 30 s).
     pub fn patience(mut self, patience: Duration) -> Self {
         self.patience = patience;
         self
@@ -234,40 +237,20 @@ impl<C: Channel> Client<C> {
     }
 
     /// Store `data` on the node as the named blob `name`, blocking
-    /// until the node acknowledges the whole transfer.
+    /// until the node acknowledges the whole transfer (or
+    /// [`patience`](Client::patience) runs out).
     pub fn push(&mut self, name: &str, data: &[u8]) -> io::Result<TransferReport> {
-        let transfer_id = self.alloc_id();
-        let request = Request::push(data.len(), &self.cfg, false).with_name(name);
-        let reply = handshake::initiate(
-            &mut self.channel,
-            transfer_id,
-            &request,
-            retry_interval(&self.cfg),
-            self.patience,
-        )?;
-
-        let mut engine = BlastSender::new(transfer_id, Arc::from(data), &self.cfg);
-        let (out, fcs_drops) = self.drive(&mut engine)?;
-        TransferReport::from_drive(
-            "push",
-            out,
-            reply.datagrams_sent,
-            fcs_drops,
-            engine.pacing_snapshot(),
-            Vec::new(),
-        )
+        let id = self.alloc_id();
+        let mut leg = Outbound::push(id, name, Arc::from(data), &self.cfg)?;
+        self.run(&mut leg, Instant::now())
     }
 
-    /// Run `engine` over the client's channel until it completes.
-    /// Also returns the frames the FCS check dropped meanwhile.
-    fn drive(&mut self, engine: &mut dyn Engine) -> io::Result<(DriveOutcome, u64)> {
-        let drops_before = self.channel.inner().fcs_drops;
-        let mut driver = Driver::new(&mut self.channel);
-        if let Some(rec) = &self.recorder {
-            driver = driver.with_recorder(rec.clone());
-        }
-        let out = driver.run(engine)?;
-        Ok((out, self.channel.inner().fcs_drops - drops_before))
+    /// Run `leg` over the client's channel to completion, within the
+    /// patience left to an operation `started` then.
+    fn run(&mut self, leg: &mut Outbound, started: Instant) -> io::Result<TransferReport> {
+        leg.recorder = self.recorder.clone();
+        let patience = self.patience.saturating_sub(started.elapsed());
+        leg.run(&mut self.channel, patience)
     }
 
     /// Fetch the named blob `name` from the node.  The blob's size
@@ -284,36 +267,18 @@ impl<C: Channel> Client<C> {
     /// reserving the record's place, which waits only if this client
     /// has finished 256 other pulls within the last such window.
     ///
-    /// Errors with `NotFound` if the node does not have the blob.
+    /// Errors with `NotFound` if the node does not have the blob, and
+    /// with `InvalidData` if the echo announces more than
+    /// [`MAX_TRANSFER_BYTES`].
     pub fn pull(&mut self, name: &str) -> io::Result<TransferReport> {
+        let started = Instant::now();
         self.channel.reserve()?;
-        let transfer_id = self.alloc_id();
+        let id = self.alloc_id();
         let request = Request::pull(name, &self.cfg);
-        let reply = handshake::initiate(
-            &mut self.channel,
-            transfer_id,
-            &request,
-            retry_interval(&self.cfg),
-            self.patience,
-        )?;
-
-        // The echoed length becomes an eager allocation: bound it before
-        // trusting a 24-byte datagram with a terabyte, as the node does
-        // for announced pushes.
-        if reply.echoed.len > MAX_TRANSFER_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "pull refused: announced length {} exceeds the {MAX_TRANSFER_BYTES}-byte transfer bound",
-                    reply.echoed.len
-                ),
-            ));
-        }
-        let mut engine = BlastReceiver::new(transfer_id, reply.echoed.len, &self.cfg);
-        let (out, fcs_drops) = self.drive(&mut engine)?;
-        let mut data = Vec::new();
-        if let Some((bytes, finished)) = engine.retire() {
-            data = bytes;
+        let mut leg = Outbound::pull(id, &request, &self.cfg, MAX_TRANSFER_BYTES)?;
+        let mut report = self.run(&mut leg, started)?;
+        if let Some((bytes, finished)) = leg.retire() {
+            report.data = bytes;
             // Comfortably longer than the node's tail-retransmission
             // interval, so the record outlives several re-ack rounds.
             let window = (self.cfg.timeout.initial() * 4).max(Duration::from_millis(100));
@@ -321,15 +286,16 @@ impl<C: Channel> Client<C> {
             // Loss as a receiver sees it: a hole it reported, a packet
             // it got twice, a frame that failed its checks.  The link
             // that dropped those may drop the final ack as well.
-            let stats = &out.completion.stats;
+            let stats = &report.stats;
             let clean = stats.nacks_sent == 0
                 && stats.duplicate_packets_received == 0
-                && out.malformed + fcs_drops == 0;
+                && report.malformed == 0;
             if !clean {
-                self.channel.linger(window, self.patience)?;
+                let left = self.patience.saturating_sub(started.elapsed());
+                self.channel.linger(window, left)?;
             }
         }
-        TransferReport::from_drive("pull", out, reply.datagrams_sent, fcs_drops, None, data)
+        Ok(report)
     }
 
     /// Ask the node for a live metrics snapshot (the `Stats` control
@@ -340,32 +306,10 @@ impl<C: Channel> Client<C> {
     /// data plane does.  The query carries a fresh nonce the node
     /// echoes; a reply to an earlier query is skipped, not returned.
     pub fn stats(&mut self) -> io::Result<String> {
-        self.nonce = self.nonce.wrapping_add(1);
-        let nonce = self.nonce;
-        let mut query = [0u8; blast_wire::HEADER_LEN];
-        let n = DatagramBuilder::new(0)
-            .build_stats(&mut query, nonce, &[])
-            .expect("empty stats query fits");
         let deadline = Instant::now() + self.patience;
-        let mut buf = vec![0u8; MAX_DATAGRAM];
-        loop {
-            self.channel.send(&query[..n])?;
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "stats query timed out",
-                ));
-            }
-            let wait = (deadline - now).min(Duration::from_millis(100));
-            if let Some(got) = self.channel.recv_timeout(&mut buf, wait)? {
-                if let Ok(dgram) = Datagram::parse(&buf[..got]) {
-                    if dgram.kind == PacketKind::Stats && dgram.seq == nonce {
-                        return Ok(String::from_utf8_lossy(dgram.payload).into_owned());
-                    }
-                }
-            }
-        }
+        self.query(PacketKind::Stats, 0, &[], deadline, |text| {
+            Some(String::from_utf8_lossy(text).into_owned())
+        })
     }
 
     /// Ask the node whether it holds `name`, and for its length and
@@ -384,54 +328,58 @@ impl<C: Channel> Client<C> {
         }
     }
 
-    /// One control-plane round trip: send `msg` on a `Copy` datagram
-    /// under `copy_id`, retransmit until a reply echoes this request's
-    /// nonce, return the decoded reply.  Stale replies (earlier
-    /// nonces, other copies) are skipped, not misread.
-    fn copy_rpc(&mut self, copy_id: u32, msg: &CopyMsg, deadline: Instant) -> io::Result<CopyMsg> {
+    /// One control-plane round trip: send a `kind` query (`Stats` or
+    /// `Copy`) carrying `payload` under `id` and a fresh nonce, re-send
+    /// it every retry interval until a reply of the same kind, id and
+    /// nonce arrives or `deadline` passes, and return what `decode`
+    /// makes of the reply's payload.  Stale replies (earlier nonces,
+    /// other ids) are skipped, not misread.
+    fn query<R>(
+        &mut self,
+        kind: PacketKind,
+        id: u32,
+        payload: &[u8],
+        deadline: Instant,
+        decode: impl Fn(&[u8]) -> Option<R>,
+    ) -> io::Result<R> {
         self.nonce = self.nonce.wrapping_add(1);
         let nonce = self.nonce;
-        let payload = msg.encode();
         let mut query = vec![0u8; blast_wire::HEADER_LEN + payload.len()];
-        let n = DatagramBuilder::new(copy_id)
-            .build_copy(&mut query, nonce, &payload)
-            .expect("control message fits a datagram");
+        let builder = DatagramBuilder::new(id);
+        let n = match kind {
+            PacketKind::Stats => builder.build_stats(&mut query, nonce, payload),
+            _ => builder.build_copy(&mut query, nonce, payload),
+        }
+        .expect("control query fits a datagram");
         let interval = retry_interval(&self.cfg);
         let mut buf = vec![0u8; MAX_DATAGRAM];
-        loop {
+        while Instant::now() < deadline {
             self.channel.send(&query[..n])?;
-            let sent_at = Instant::now();
-            if sent_at >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "copy control query timed out",
-                ));
-            }
-            // Drain replies until this request's echo, the retransmit
-            // interval, or the overall deadline — whichever first.
-            loop {
-                let now = Instant::now();
-                let budget = (deadline.min(sent_at + interval)).saturating_duration_since(now);
-                if budget.is_zero() {
-                    break;
-                }
+            // Drain replies until this query's, or the time to re-send.
+            let resend_at = (Instant::now() + interval).min(deadline);
+            while let Some(budget) = resend_at.checked_duration_since(Instant::now()) {
                 let Some(got) = self.channel.recv_timeout(&mut buf, budget)? else {
                     break;
                 };
-                let Ok(dgram) = Datagram::parse(&buf[..got]) else {
-                    continue;
-                };
-                if dgram.kind != PacketKind::Copy
-                    || dgram.transfer_id != copy_id
-                    || dgram.seq != nonce
-                {
-                    continue;
-                }
-                if let Some(reply) = CopyMsg::decode(dgram.payload) {
+                let reply = Datagram::parse(&buf[..got])
+                    .ok()
+                    .filter(|d| (d.kind, d.transfer_id, d.seq) == (kind, id, nonce))
+                    .and_then(|d| decode(d.payload));
+                if let Some(reply) = reply {
                     return Ok(reply);
                 }
             }
         }
+        Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("{kind:?} query timed out"),
+        ))
+    }
+
+    /// A `Copy` control round trip: `msg` about copy `id`.
+    fn copy_rpc(&mut self, id: u32, msg: &CopyMsg, deadline: Instant) -> io::Result<CopyMsg> {
+        let payload = msg.encode();
+        self.query(PacketKind::Copy, id, &payload, deadline, CopyMsg::decode)
     }
 
     /// [`copy_rpc`](Client::copy_rpc), expecting a status reply.

@@ -7,23 +7,24 @@
 //! [`TimerWheel`], and runs the classic cycle:
 //!
 //! 1. fire due timers from the wheel, keyed by `(Key, TimerToken)` —
-//!    each entry's engine timers plus the node-owned ones (give-up,
-//!    reap, and a copy's outbound-handshake retry);
+//!    each entry's engine timers, a copy leg's request retry, and the
+//!    node-owned give-up and reap;
 //! 2. drain the socket, routing `Request`, `Stats` and `Copy` packets
 //!    to the control logic and everything else to the engine of the
 //!    `Inbound` entry that owns the transfer id; then poll the
 //!    channels of the `Outbound` entries (third-party copies
-//!    this node drives as a client);
+//!    this node drives as a client), while there are any;
 //! 3. flush whatever the engines staged;
 //! 4. if nothing happened, park briefly — `std` has no selector, and
 //!    at the timescales the paper measures (1.35 ms of processor time
 //!    *per packet*) sub-millisecond parking is invisible.
 //!
 //! Every engine call on either kind of entry goes through the one
-//! shared [`pump`]: set the clock, call the engine, apply its actions.
-//! The two kinds differ only in where a transmission goes — the shard
-//! socket toward the session's peer, or the copy's own connected
-//! [`FcsChannel`] — and in what completion means.
+//! shared [`pump`]: set the clock, call the engine, apply its actions —
+//! a copy's calls by way of its [`Outbound`] leg, the same initiator a
+//! `Client` runs.  The two kinds differ only in where a transmission
+//! goes — the shard socket toward the session's peer, or the copy's own
+//! connected [`FcsChannel`] — and in what completion means.
 //!
 //! [`NodeBuilder`] scales that cycle across cores: with `shards(n)` it
 //! binds `n` `SO_REUSEPORT` sockets on one address and the kernel's
@@ -68,8 +69,9 @@ use blast_telemetry::{EventKind, Recorder, Telemetry};
 use blast_udp::channel::{Channel, UdpChannel};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
 use blast_udp::fcs::{self, FcsChannel};
-use blast_udp::handshake::{retry_interval, Direction, Request, MAX_TRANSFER_BYTES};
+use blast_udp::handshake::{Direction, Request, MAX_TRANSFER_BYTES};
 use blast_udp::netio::NetIo;
+use blast_udp::outbound::Outbound;
 use blast_udp::pump::{self, Input};
 use blast_udp::sockopt;
 use blast_udp::timers::TimerWheel;
@@ -84,10 +86,9 @@ use crate::store::{shared_store, SharedStore};
 /// Remove an entry from the table: a lingering receiver after its quiet
 /// window, a terminal copy after its status grace window.
 const REAP: TimerToken = TimerToken(u64::MAX);
-/// Abandon an entry whose peer went silent.
+/// Abandon an entry whose peer went silent.  (A copy leg's own
+/// [`RETRY`](blast_udp::outbound::RETRY) token sits just below.)
 const GIVE_UP: TimerToken = TimerToken(u64::MAX - 1);
-/// Retransmit the outbound handshake of a third-party copy.
-const COPY_HS: TimerToken = TimerToken(u64::MAX - 2);
 
 /// How long a terminal copy keeps answering status queries before it is
 /// reaped — the control-plane twin of the data-plane linger window: the
@@ -200,9 +201,8 @@ impl Key {
 
 /// One transfer in a shard's table.
 struct Entry {
-    /// The transfer's engine.  An outbound leg has none while it
-    /// handshakes and after it settles; a session has one until it
-    /// finishes.
+    /// A session's engine, until it finishes.  (A copy's lives in its
+    /// [`Outbound`] leg.)
     engine: Option<Box<dyn Engine>>,
     /// The blob's name (moves into the session's report at the end).
     name: String,
@@ -241,9 +241,9 @@ struct Session {
 }
 
 /// One third-party copy: the node acts as a *client* toward another
-/// node, over the same FCS-framed channel, handshake and engines its
-/// own clients use, driven from this shard's reactor loop (no blocking
-/// thread per copy).
+/// node — the same [`Outbound`] leg over the same FCS-framed channel
+/// its own clients use — driven from this shard's reactor loop (no
+/// blocking thread per copy).
 ///
 /// The leg runs over its own connected ephemeral-port channel rather
 /// than the shard's `SO_REUSEPORT` socket: replies from the remote node
@@ -251,26 +251,41 @@ struct Session {
 /// the shared address would happily deliver them to a sibling.  A
 /// dedicated socket makes the 4-tuple unique, at the cost of the
 /// reactor polling it each tick (bounded by the 1 ms tick cap while
-/// copies are in the table); the engine's pace/RTO timers ride the
-/// shard's one wheel.
+/// legs are in the table); the leg's retry and its engine's pace/RTO
+/// timers ride the shard's one wheel.
 struct CopyLeg {
     mode: CopyMode,
-    /// What a query is told, but for `bytes_done`, which is estimated
-    /// on demand while the data phase runs.  The CRC-32 is computed up
-    /// front for pushes, on completion for pulls.
+    /// What a query is told once the copy is terminal, and the part
+    /// known from the start before that (for a push, its size and
+    /// CRC-32; a pull's are fixed on completion).
     status: CopyStatus,
-    /// Payload bytes per data packet, for that estimate.
-    packet_payload: u64,
+    outbound: Outbound,
     /// A pull that completed leaves its retired receiver here, and the
     /// leg stays — polled like a live one — until the entry is reaped,
     /// so a remote whose final ack was lost still gets its tail
     /// answered (what [`Link::Lingering`] does for a session).
     channel: TimeWait<FcsChannel<UdpChannel>>,
-    /// The source blob, held from submit until the handshake echo
-    /// promotes it into a sender engine (push mode only).
-    blob: Option<Arc<[u8]>>,
-    /// The handshake datagram, re-sent verbatim on `COPY_HS`.
-    request: Vec<u8>,
+}
+
+impl CopyLeg {
+    /// The status a query is told: exact when terminal, read off the
+    /// leg (echoed size, engine counters) while the data phase runs.
+    fn status(&self) -> CopyStatus {
+        let mut status = self.status;
+        let (Some(engine), Some(echo)) = (self.outbound.engine(), self.outbound.echoed()) else {
+            return status; // handshaking, or kept past completion
+        };
+        let st = engine.stats();
+        let packets = match self.mode {
+            // Every retransmission is also counted as sent.
+            CopyMode::Push => st.data_packets_sent - st.data_packets_retransmitted,
+            CopyMode::Pull => st.data_packets_received,
+        };
+        status.state = CopyState::Running;
+        status.bytes_total = echo.len as u64;
+        status.bytes_done = (packets * echo.packet_payload as u64).min(status.bytes_total);
+        status
+    }
 }
 
 /// What an engine call (or a timer) left of an entry.
@@ -285,34 +300,13 @@ enum After {
 }
 
 impl Entry {
-    /// The status a copy reports (`None` for a session): exact when
-    /// terminal, estimated from engine counters while the data phase
-    /// runs.
+    /// The status a copy reports (`None` for a session).
     fn copy_status(&self) -> Option<CopyStatus> {
-        let leg = match &self.link {
-            Link::Inbound(_) | Link::Lingering { .. } => return None,
-            Link::Settled(status) => return Some(*status),
-            Link::Outbound(leg) => leg,
-        };
-        // No engine: still handshaking (nothing moved), or a leg kept
-        // past completion (its status is exact as it stands).
-        let bytes_done = self
-            .engine
-            .as_ref()
-            .map_or(leg.status.bytes_done, |engine| {
-                let st = engine.stats();
-                let pkts = match leg.mode {
-                    CopyMode::Push => st
-                        .data_packets_sent
-                        .saturating_sub(st.data_packets_retransmitted),
-                    CopyMode::Pull => st.data_packets_received,
-                };
-                (pkts * leg.packet_payload).min(leg.status.bytes_total)
-            });
-        Some(CopyStatus {
-            bytes_done,
-            ..leg.status
-        })
+        match &self.link {
+            Link::Inbound(_) | Link::Lingering { .. } => None,
+            Link::Settled(status) => Some(*status),
+            Link::Outbound(copy) => Some(copy.status()),
+        }
     }
 }
 
@@ -349,6 +343,9 @@ pub struct NodeServer {
     /// from the sessions, whose unfinished count the shard's metrics
     /// already keep (`sessions_in_flight`).
     copies: usize,
+    /// The copies last seen holding a leg ([`Link::Outbound`]), whose
+    /// channels each tick polls; a settled one leaves at the next poll.
+    legs: Vec<Key>,
 }
 
 /// Everything on a shard that a table entry acts on — the socket, the
@@ -371,8 +368,8 @@ struct Shard {
     /// by [`publish_metrics`](Shard::publish_metrics) at most once per
     /// tick — never from the per-datagram path.
     slot: Arc<Mutex<NodeMetrics>>,
-    /// Engine timers of every entry, plus the node-owned [`REAP`],
-    /// [`GIVE_UP`] and [`COPY_HS`] tokens.
+    /// Engine timers of every entry, the copy legs' request retries,
+    /// and the node-owned [`REAP`] and [`GIVE_UP`] tokens.
     timers: TimerWheel<(Key, TimerToken)>,
     /// Epoch for the engines' sans-I/O clock ([`Engine::set_now`]):
     /// every engine in the table shares this zero point, so the
@@ -444,6 +441,7 @@ impl NodeServer {
             table: HashMap::new(),
             lingerers: VecDeque::new(),
             copies: 0,
+            legs: Vec::new(),
         })
     }
 
@@ -518,7 +516,7 @@ impl NodeServer {
                 .map(|d| d.saturating_duration_since(Instant::now()))
                 .unwrap_or(Duration::from_millis(5))
                 .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(10));
-            if self.copies > 0 {
+            if !self.legs.is_empty() {
                 // Copy channels are polled, not in the event wait: cap
                 // the park so an incoming ack on an outbound leg waits
                 // at most a millisecond.
@@ -554,16 +552,20 @@ impl NodeServer {
         Ok(drained)
     }
 
-    /// Drain the channel of every live copy.  Returns datagrams
-    /// handled.
+    /// Drain the channel of every copy that still holds a leg, and
+    /// forget the ones that no longer do.  Returns datagrams handled.
     fn poll_copies(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.copies == 0 {
-            return Ok(0);
-        }
         let mut handled = 0;
-        for (&key, entry) in &mut self.table {
-            if matches!(entry.link, Link::Outbound(_)) {
-                handled += self.shard.drain_copy(key, entry, buf)?;
+        let mut i = 0;
+        while let Some(&key) = self.legs.get(i) {
+            match self.table.get_mut(&key) {
+                Some(entry) if matches!(entry.link, Link::Outbound(_)) => {
+                    handled += self.shard.drain_copy(key, entry, buf)?;
+                    i += 1;
+                }
+                _ => {
+                    self.legs.swap_remove(i);
+                }
             }
         }
         Ok(handled)
@@ -730,16 +732,12 @@ impl NodeServer {
             }
             // The session-lifetime bound doubles as the copy's: an
             // outbound leg that has not settled by then is abandoned.
-            (GIVE_UP, _) => {
-                let error = match &entry.engine {
+            (GIVE_UP, Link::Outbound(copy)) => {
+                let error = match copy.outbound.echoed() {
                     None => errcode::HANDSHAKE_TIMEOUT,
                     Some(_) => errcode::TRANSFER_FAILED,
                 };
                 self.shard.end_copy(key, entry, Err(error));
-                After::Live
-            }
-            (COPY_HS, _) => {
-                self.shard.retry_copy_handshake(key, entry);
                 After::Live
             }
             _ => self.shard.pump(key, entry, Input::Timer(token))?,
@@ -789,7 +787,7 @@ impl NodeServer {
         let id = dgram.transfer_id;
         let nonce = dgram.seq;
         let reply = match msg {
-            CopyMsg::Submit(submit) => CopyMsg::Status(self.on_copy_submit(id, submit)),
+            CopyMsg::Submit(submit) => CopyMsg::Status(self.on_copy_submit(id, submit)?),
             // An unknown id decodes to a terminal `Unknown` status:
             // never submitted, or already past the grace window.
             CopyMsg::Query => CopyMsg::Status(
@@ -829,14 +827,14 @@ impl NodeServer {
     /// Idempotent: a duplicate submit for a known id — the client
     /// retransmitting because our reply was lost — just re-reports the
     /// current status.
-    fn on_copy_submit(&mut self, id: u32, submit: CopySubmit) -> CopyStatus {
+    fn on_copy_submit(&mut self, id: u32, submit: CopySubmit) -> io::Result<CopyStatus> {
         if let Some(status) = self.copy_status(id) {
-            return status;
+            return Ok(status);
         }
         let shard = &mut self.shard;
         if self.copies >= shard.config.max_sessions {
             shard.local.rejected_busy += 1;
-            return bare_status(CopyState::Failed, errcode::BUSY);
+            return Ok(bare_status(CopyState::Failed, errcode::BUSY));
         }
         shard.local.copies_requested += 1;
         if let Some(rec) = &shard.recorder {
@@ -860,29 +858,30 @@ impl NodeServer {
         }
         let key = Key::Outbound(id);
         let link = match shard.open_copy(id, &submit) {
-            Ok(leg) => {
-                let retry = retry_interval(&shard.config.protocol);
-                shard.timers.arm((key, COPY_HS), retry);
+            Ok(copy) => {
                 shard
                     .timers
                     .arm((key, GIVE_UP), shard.config.session_timeout);
-                Link::Outbound(Box::new(leg))
+                self.legs.push(key);
+                Link::Outbound(Box::new(copy))
             }
             Err(error) => {
                 let status = bare_status(CopyState::Handshaking, errcode::NONE);
                 Link::Settled(shard.settle(key, status, Err(error)))
             }
         };
-        let entry = Entry {
+        let mut entry = Box::new(Entry {
             engine: None,
             name: submit.name,
             started: Instant::now(),
             link,
-        };
+        });
+        // The leg's first request goes out now.
+        shard.pump(key, &mut entry, Input::Start)?;
         let status = entry.copy_status().expect("a copy's entry");
-        self.table.insert(key, Box::new(entry));
+        self.table.insert(key, entry);
         self.copies += 1;
-        status
+        Ok(status)
     }
 }
 
@@ -955,35 +954,33 @@ impl Shard {
         self.send_framed(peer, &buf[..n])
     }
 
-    /// Build the outbound leg of a copy order and put its first
-    /// handshake datagram on the wire, or say (as an [`errcode`]) what
-    /// stops the copy at submit time.
+    /// Build the outbound leg of a copy order, or say (as an
+    /// [`errcode`]) what stops the copy at submit time.
     fn open_copy(&self, id: u32, submit: &CopySubmit) -> Result<CopyLeg, u8> {
         let protocol = &self.config.protocol;
         let mut status = bare_status(CopyState::Handshaking, errcode::NONE);
-        let (request, blob) = match submit.mode {
+        let outbound = match submit.mode {
             CopyMode::Push => {
                 let blob = self.store.get(&submit.name).ok_or(errcode::NOT_FOUND)?;
                 status.bytes_total = blob.len() as u64;
                 status.crc32 = crc32(&blob);
-                let request = Request::push(blob.len(), protocol, false).with_name(&submit.name);
-                (request, Some(blob))
+                Outbound::push(id, &submit.name, blob, protocol)
             }
-            CopyMode::Pull => (Request::pull(&submit.name, protocol), None),
+            CopyMode::Pull => {
+                let request = Request::pull(&submit.name, protocol);
+                Outbound::pull(id, &request, protocol, self.config.max_transfer_bytes)
+            }
         };
-        let request = request.build_datagram(id);
-        let channel = UdpChannel::connect_to(submit.remote).and_then(|channel| {
-            let mut channel = TimeWait::new(FcsChannel::new(channel));
-            channel.send(&request)?;
-            Ok(channel)
-        });
+        let (Ok(mut outbound), Ok(channel)) = (outbound, UdpChannel::connect_to(submit.remote))
+        else {
+            return Err(errcode::TRANSFER_FAILED);
+        };
+        outbound.recorder = self.recorder.clone();
         Ok(CopyLeg {
             mode: submit.mode,
             status,
-            packet_payload: protocol.packet_payload as u64,
-            channel: channel.map_err(|_| errcode::TRANSFER_FAILED)?,
-            blob,
-            request,
+            outbound,
+            channel: TimeWait::new(FcsChannel::new(channel)),
         })
     }
 
@@ -1003,13 +1000,13 @@ impl Shard {
     /// Returns what the call left of the entry; the caller, who owns
     /// the table, [`settle`](NodeServer::settle)s it.
     fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<After> {
-        let Some(engine) = entry.engine.as_deref_mut() else {
-            return Ok(After::Live);
-        };
         let now = self.epoch.elapsed();
         let timer_key = |token| (key, token);
         let done = match &mut entry.link {
             Link::Inbound(session) => {
+                let Some(engine) = entry.engine.as_deref_mut() else {
+                    return Ok(After::Live);
+                };
                 let (io, socket, frame) = (&mut self.io, &self.socket, &mut self.frame_buf);
                 let peer = Some(session.peer);
                 pump::step(engine, now, input, &mut self.timers, timer_key, |bytes| {
@@ -1018,19 +1015,28 @@ impl Shard {
                 })?
             }
             Link::Lingering { .. } | Link::Settled(_) => return Ok(After::Live),
-            Link::Outbound(leg) => {
-                let (channel, timers) = (&mut leg.channel, &mut self.timers);
-                let sent = pump::step(engine, now, input, timers, timer_key, |bytes| {
-                    channel.stage(bytes)
-                })
-                .and_then(|done| channel.flush().map(|()| done));
+            Link::Outbound(copy) => {
+                let (channel, asked) = (&mut copy.channel, copy.outbound.requests_sent);
+                let sent = copy
+                    .outbound
+                    .step(now, input, &mut self.timers, timer_key, |bytes| {
+                        channel.stage(bytes)
+                    })
+                    .and_then(|done| channel.flush().map(|()| done));
+                // Every request after the first is a retry.
+                let retries = copy.outbound.requests_sent.saturating_sub(asked.max(1));
+                self.local.copy_handshake_retx += retries;
                 match sent {
                     Ok(done) => done,
-                    // An I/O error on a copy's own channel (say, an
-                    // unroutable destination) fails that copy, never
-                    // the shard.
-                    Err(_) => {
-                        self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
+                    // A refusal, or an I/O error on the copy's own
+                    // channel (say, an unroutable destination), fails
+                    // that copy, never the shard.
+                    Err(e) => {
+                        let error = match e.kind() {
+                            io::ErrorKind::NotFound => errcode::NOT_FOUND,
+                            _ => errcode::TRANSFER_FAILED,
+                        };
+                        self.end_copy(key, entry, Err(error));
                         return Ok(After::Live);
                     }
                 }
@@ -1153,19 +1159,24 @@ impl Shard {
         Ok(())
     }
 
-    /// Pull everything waiting on one copy's channel.  Returns
-    /// datagrams handled.
+    /// Pull everything waiting on one copy's channel into its leg.
+    /// Returns datagrams handled.
     fn drain_copy(&mut self, key: Key, entry: &mut Entry, buf: &mut [u8]) -> io::Result<usize> {
         let mut handled = 0;
         // A datagram can end the copy, and with it the channel.
-        while let Link::Outbound(leg) = &mut entry.link {
-            let drops = leg.channel.inner().fcs_drops;
-            let got = leg.channel.recv_timeout(buf, Duration::ZERO);
-            self.local.fcs_drops += leg.channel.inner().fcs_drops - drops;
+        while let Link::Outbound(copy) = &mut entry.link {
+            let drops = copy.channel.inner().fcs_drops;
+            let got = copy.channel.recv_timeout(buf, Duration::ZERO);
+            self.local.fcs_drops += copy.channel.inner().fcs_drops - drops;
             match got {
                 Ok(Some(n)) => {
                     handled += 1;
-                    self.on_copy_datagram(key, entry, &buf[..n])?;
+                    match Datagram::parse(&buf[..n]) {
+                        Ok(dgram) => {
+                            self.pump(key, entry, Input::Datagram(&dgram))?;
+                        }
+                        Err(_) => self.local.malformed += 1,
+                    }
                 }
                 Ok(None) => break,
                 Err(_) => self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED)),
@@ -1174,132 +1185,43 @@ impl Shard {
         Ok(handled)
     }
 
-    /// One verified datagram off a copy's channel: the handshake echo
-    /// while handshaking, engine traffic while running.
-    fn on_copy_datagram(&mut self, key: Key, entry: &mut Entry, raw: &[u8]) -> io::Result<()> {
-        let Ok(dgram) = Datagram::parse(raw) else {
-            self.local.malformed += 1;
-            return Ok(());
-        };
-        let Link::Outbound(leg) = &entry.link else {
-            return Ok(());
-        };
-        if dgram.transfer_id != key.id() {
-            return Ok(());
-        }
-        match (leg.status.state, dgram.kind) {
-            (CopyState::Handshaking, PacketKind::Request) => match Request::decode(dgram.payload) {
-                Some(echoed) => self.promote_copy(key, entry, &echoed),
-                None => Ok(()),
-            },
-            // The remote refused the handshake — for a pull, it does
-            // not have the blob.
-            (CopyState::Handshaking, PacketKind::Cancel) => {
-                self.end_copy(key, entry, Err(errcode::NOT_FOUND));
-                Ok(())
-            }
-            // A duplicate echo: the engine must never see handshake
-            // traffic.
-            (CopyState::Running, PacketKind::Request) => Ok(()),
-            (CopyState::Running, _) => self
-                .pump(key, entry, Input::Datagram(&dgram))
-                .map(|_live| ()),
-            // Data racing ahead of a lost echo: the remote's
-            // retransmission machinery re-elicits everything once our
-            // handshake retry lands.
-            _ => Ok(()),
-        }
-    }
-
-    /// The handshake echo arrived: build the outbound engine and start
-    /// the data phase.
-    fn promote_copy(&mut self, key: Key, entry: &mut Entry, echoed: &Request) -> io::Result<()> {
-        let Link::Outbound(leg) = &mut entry.link else {
-            return Ok(());
-        };
-        let mut cfg = self.config.protocol.clone();
-        echoed.apply_to(&mut cfg);
-        leg.packet_payload = cfg.packet_payload as u64;
-        let id = key.id();
-        let mut engine: Box<dyn Engine> = match (leg.mode, leg.blob.take()) {
-            (CopyMode::Push, Some(blob)) => Box::new(BlastSender::new(id, blob, &cfg)),
-            // The echo is the size announcement; bound the eager
-            // allocation exactly as the push handshake does.
-            (CopyMode::Pull, _) if echoed.len <= self.config.max_transfer_bytes => {
-                leg.status.bytes_total = echoed.len as u64;
-                Box::new(BlastReceiver::new(id, echoed.len, &cfg))
-            }
-            _ => {
-                self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
-                return Ok(());
-            }
-        };
-        if let Some(rec) = &self.recorder {
-            engine.set_recorder(rec.clone());
-        }
-        self.timers.cancel((key, COPY_HS));
-        leg.status.state = CopyState::Running;
-        entry.engine = Some(engine);
-        self.pump(key, entry, Input::Start).map(|_live| ())
-    }
-
-    /// `COPY_HS` fired: the echo has not arrived, ask again.  (The
-    /// copy's `GIVE_UP` bounds how long this goes on.)
-    fn retry_copy_handshake(&mut self, key: Key, entry: &mut Entry) {
-        let Link::Outbound(leg) = &mut entry.link else {
-            return;
-        };
-        if leg.status.state != CopyState::Handshaking {
-            return;
-        }
-        if leg.channel.send(&leg.request).is_err() {
-            return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
-        }
-        self.local.copy_handshake_retx += 1;
-        self.timers
-            .arm((key, COPY_HS), retry_interval(&self.config.protocol));
-    }
-
     /// The outbound engine completed: store pulled bytes, fix the
     /// digest, and end the copy.
     fn finish_copy(&mut self, key: Key, entry: &mut Entry, info: &CompletionInfo) {
-        let Link::Outbound(leg) = &mut entry.link else {
+        let Link::Outbound(copy) = &mut entry.link else {
             return;
         };
         let Ok(bytes) = info.result else {
             return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
         };
-        if leg.mode == CopyMode::Pull {
-            if let Some((data, finished)) = entry.engine.as_deref_mut().and_then(Engine::retire) {
-                leg.status.crc32 = crc32(&data);
-                leg.status.bytes_total = data.len() as u64;
-                if !entry.name.is_empty() {
-                    self.store.put(&entry.name, Arc::from(data));
-                }
-                // The remote sender has not heard our final ack yet and
-                // may never: the leg keeps its channel, answering for
-                // the retired receiver, for as long as the entry lives.
-                leg.channel.hold(finished, COPY_GRACE);
-                leg.status = self.settle(key, leg.status, Ok(bytes as u64));
-                entry.engine = None;
-                return;
+        if let Some((data, finished)) = copy.outbound.retire() {
+            copy.status.crc32 = crc32(&data);
+            copy.status.bytes_total = data.len() as u64;
+            if !entry.name.is_empty() {
+                self.store.put(&entry.name, Arc::from(data));
             }
+            // The remote sender has not heard our final ack yet and may
+            // never: the leg keeps its channel, answering for the
+            // retired receiver, for as long as the entry lives.
+            copy.channel.hold(finished, COPY_GRACE);
+            copy.status = self.settle(key, copy.status, Ok(bytes as u64));
+            return;
         }
         self.end_copy(key, entry, Ok(bytes as u64));
     }
 
     /// End a copy — `Ok` with the bytes it moved, `Err` with an
-    /// [`errcode`] — releasing its engine, channel and blob.  A no-op
-    /// on a copy that already gave those up; a leg kept past completion
+    /// [`errcode`] — releasing its leg, channel and blob.  A no-op on a
+    /// copy that already gave those up; a leg kept past completion
     /// gives them up and keeps its outcome.
     fn end_copy(&mut self, key: Key, entry: &mut Entry, outcome: Result<u64, u8>) {
-        if let Link::Outbound(leg) = &entry.link {
-            entry.link = Link::Settled(if leg.status.state.is_terminal() {
-                leg.status
+        if let Link::Outbound(copy) = &entry.link {
+            let status = copy.status();
+            entry.link = Link::Settled(if status.state.is_terminal() {
+                status
             } else {
-                self.settle(key, leg.status, outcome)
+                self.settle(key, status, outcome)
             });
-            entry.engine = None;
         }
     }
 

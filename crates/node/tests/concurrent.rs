@@ -220,27 +220,19 @@ fn multiblast_pull() {
     cfg.multiblast_chunk = 16;
     let ch = UdpChannel::connect("127.0.0.1:0".parse().unwrap(), node.addr()).unwrap();
     // Build a pull request that asks for chunking.
-    let report = {
+    let pulled = {
         use blast_udp::fcs::FcsChannel;
-        use blast_udp::handshake::{self, Request};
+        use blast_udp::handshake::{Request, MAX_TRANSFER_BYTES};
+        use blast_udp::Outbound;
         let mut channel = FcsChannel::new(ch);
         let mut request = Request::pull("big", &cfg);
         request.multiblast_chunk = 16;
-        let reply = handshake::initiate(
-            &mut channel,
-            9,
-            &request,
-            Duration::from_millis(12),
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        assert_eq!(reply.echoed.len, data.len());
-        let mut engine = blast_core::blast::BlastReceiver::new(9, reply.echoed.len, &cfg);
-        let out = blast_udp::Driver::new(channel).run(&mut engine).unwrap();
-        assert!(out.completion.is_success(), "{:?}", out.completion);
-        engine.into_data()
+        let mut leg = Outbound::pull(9, &request, &cfg, MAX_TRANSFER_BYTES).unwrap();
+        leg.run(&mut channel, Duration::from_secs(30)).unwrap();
+        assert_eq!(leg.echoed().unwrap().len, data.len());
+        leg.retire().expect("complete").0
     };
-    assert_eq!(report, data);
+    assert_eq!(pulled, data);
     assert!(node.wait_idle(Duration::from_secs(5)), "tail ack drained");
     let m = node.metrics();
     // ~294 packets in chunks of 16 → a chunk ack per chunk arrived at

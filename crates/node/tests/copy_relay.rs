@@ -199,6 +199,33 @@ fn copy_toward_a_dead_port_fails_with_handshake_timeout() {
     assert!(ma.copy_handshake_retx > 0, "the handshake was retried");
 }
 
+/// A push copy that has finished leaves nothing to poll: its entry
+/// waits out the status grace window, but the node parks as an idle
+/// node does, not at the millisecond cap a live leg's channel needs.
+#[test]
+fn a_finished_push_copy_leaves_its_node_idle() {
+    let a = node();
+    let b = node();
+    a.store().put("blob", blob(10_000).into());
+    let mut client = Client::connect(a.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20));
+    assert!(client.copy_to("blob", b.addr()).unwrap().verified);
+    let m = a.metrics();
+    if m.netio_backend == "portable" {
+        // Its reactor wait can only sleep, and never for more than a
+        // millisecond, live legs or not: nothing to tell apart.
+        return;
+    }
+    let wakes = |m: &blast_node::metrics::NodeMetrics| m.io.timeouts + m.io.wakeups;
+    let before = wakes(&m);
+    std::thread::sleep(Duration::from_millis(300));
+    let idle = wakes(&a.metrics()) - before;
+    assert!(idle < 100, "{idle} wakeups in 300 ms of idle");
+    a.shutdown().unwrap();
+    b.shutdown().unwrap();
+}
+
 #[test]
 fn copy_id_may_equal_a_live_inbound_transfer_id() {
     let a = node();

@@ -246,3 +246,48 @@ fn stats_skips_a_duplicate_reply_to_an_earlier_query() {
     assert_eq!(client.stats().unwrap(), "snapshot 1");
     assert_eq!(client.stats().unwrap(), "snapshot 2");
 }
+
+/// A node that echoes the request and then hears and says nothing.
+#[derive(Default)]
+struct EchoThenSilence {
+    echo: Option<Vec<u8>>,
+}
+
+impl Channel for EchoThenSilence {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        let body = fcs::unframe(frame).expect("framed");
+        if Datagram::parse(&frame[..body]).unwrap().kind == PacketKind::Request {
+            self.echo = Some(frame.to_vec());
+        }
+        Ok(())
+    }
+
+    fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+        let Some(frame) = self.echo.take() else {
+            std::thread::sleep(timeout);
+            return Ok(None);
+        };
+        buf[..frame.len()].copy_from_slice(&frame);
+        Ok(Some(frame.len()))
+    }
+}
+
+/// `patience` bounds the whole push, data phase included: a node gone
+/// silent after the echo fails the push then, not at some later bound.
+#[test]
+fn push_times_out_at_patience_when_the_node_goes_silent_after_the_echo() {
+    let patience = Duration::from_millis(300);
+    let mut client = Client::over(EchoThenSilence::default())
+        .timeout(Duration::from_millis(50))
+        .patience(patience);
+    let retry = blast_udp::handshake::retry_interval(client.protocol());
+    let started = Instant::now();
+    let err = client.push("x", &[7; BLOB]).unwrap_err();
+    let took = started.elapsed();
+    assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+    assert!(
+        err.to_string().contains("transfer"),
+        "after the echo: {err}"
+    );
+    assert!(took >= patience && took < patience + retry, "{took:?}");
+}

@@ -46,30 +46,12 @@ pub trait Channel {
     /// channels that trace syscall activity.  Wrappers should forward;
     /// the default discards the handle so test channels stay trivial.
     fn set_recorder(&mut self, _recorder: Recorder) {}
-}
 
-/// A mutable reference is itself a [`Channel`], so long-lived owners
-/// (the `blast-node` `Client` handle) can lend their channel to a
-/// by-value consumer (`Driver::new`) without giving it up.
-impl<C: Channel + ?Sized> Channel for &mut C {
-    fn send(&mut self, buf: &[u8]) -> io::Result<()> {
-        (**self).send(buf)
-    }
-
-    fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
-        (**self).recv_timeout(buf, timeout)
-    }
-
-    fn stage(&mut self, buf: &[u8]) -> io::Result<()> {
-        (**self).stage(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        (**self).flush()
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        (**self).set_recorder(recorder)
+    /// Received datagrams the channel has discarded as corrupt so far
+    /// (an [`FcsChannel`](crate::fcs::FcsChannel)'s failed checks), which
+    /// no caller saw.  Wrappers should forward; the default is 0.
+    fn discarded(&self) -> u64 {
+        0
     }
 }
 

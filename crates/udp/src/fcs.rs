@@ -102,6 +102,10 @@ impl<C: Channel> Channel for FcsChannel<C> {
         self.inner.set_recorder(recorder);
     }
 
+    fn discarded(&self) -> u64 {
+        self.fcs_drops
+    }
+
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
         loop {
             match self.inner.recv_timeout(buf, timeout)? {

@@ -13,8 +13,9 @@
 //!
 //! The `Request` echo is deliberately *not* an `Ack` packet: the blast
 //! sender treats positive acks as completion signals, so handshake
-//! traffic must be invisible to the engines (drivers filter `Request`
-//! packets before any engine sees them).
+//! traffic must be invisible to the engines (the initiator's
+//! [`Outbound`] leg and the node's sessions filter `Request` packets
+//! before any engine sees them).
 //!
 //! Beyond the original peer-to-peer fields (length, packet size,
 //! strategy, multiblast chunk), a request carries a [`Direction`] and a
@@ -25,13 +26,13 @@
 //! size announcement that lets the client pre-allocate.
 
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use blast_core::config::{ProtocolConfig, RetxStrategy};
-use blast_wire::header::PacketKind;
-use blast_wire::packet::{Datagram, DatagramBuilder};
+use blast_wire::packet::DatagramBuilder;
 
-use crate::channel::{Channel, MAX_DATAGRAM};
+use crate::channel::Channel;
+use crate::outbound::{Outbound, Then};
 
 /// Shortest well-formed request payload: every field but the name.
 pub const MIN_REQUEST_LEN: usize = 20;
@@ -219,23 +220,16 @@ pub struct HandshakeReply {
     pub datagrams_sent: u64,
 }
 
-/// Run the initiator side: send the `Request` datagram every
-/// `retry_interval` until the responder echoes it (or sends `Cancel`),
-/// giving up after `deadline`.
+/// Run the initiator side up to the echo: the [`Outbound`] leg and its
+/// blocking loop, stopped there.  The `Request` goes out every
+/// `retry_interval` until the responder echoes it or sends `Cancel`;
+/// anything else (stray data, other transfers, garbage) is dropped.
+/// Duplicate-tolerance is the responder's job: any one echo may be
+/// lost, so it echoes every duplicate request.
 ///
-/// Duplicate-tolerance is the responder's job — it must keep echoing
-/// duplicate requests for as long as it serves the transfer, because
-/// any single echo may be lost.  Datagrams that are not a matching echo
-/// (stray data, other transfers, garbage) are read and dropped here;
-/// data packets that raced ahead of a lost echo are among them, and the
-/// responder's retransmission recovers them once the caller's engine
-/// runs.
-///
-/// Errors: `InvalidInput` for a request no responder could decode (a
-/// blob name over [`MAX_NAME_LEN`] — catching it here turns a silent
-/// 30-second timeout into an immediate error), `NotFound` if the
-/// responder cancels (e.g. pulling a blob the node does not have),
-/// `TimedOut` if `deadline` passes un-echoed.
+/// Errors: `InvalidInput` for a blob name over [`MAX_NAME_LEN`],
+/// `NotFound` if the responder cancels (e.g. pulling a blob the node
+/// does not have), `TimedOut` if `deadline` passes un-echoed.
 pub fn initiate<C: Channel>(
     channel: &mut C,
     transfer_id: u32,
@@ -243,68 +237,23 @@ pub fn initiate<C: Channel>(
     retry_interval: Duration,
     deadline: Duration,
 ) -> io::Result<HandshakeReply> {
-    if request.name.len() > MAX_NAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("blob name exceeds {MAX_NAME_LEN} bytes"),
-        ));
-    }
-    let req = request.build_datagram(transfer_id);
-    let mut sent = 0u64;
-    let mut buf = vec![0u8; MAX_DATAGRAM];
-    let give_up = Instant::now() + deadline;
-    loop {
-        if Instant::now() > give_up {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "handshake timed out",
-            ));
-        }
-        channel.send(&req)?;
-        sent += 1;
-        let t0 = Instant::now();
-        while t0.elapsed() < retry_interval {
-            // Wait only the *remaining* slice of the retry interval:
-            // with the event-driven backend this is exact, and a slow
-            // responder can no longer stretch one interval to two by
-            // trickling unrelated datagrams in.  (Saturating: the clock
-            // may pass the interval between the loop check and here.)
-            let remaining = retry_interval.saturating_sub(t0.elapsed());
-            match channel.recv_timeout(&mut buf, remaining)? {
-                None => break,
-                Some(n) => {
-                    let Ok(d) = Datagram::parse(&buf[..n]) else {
-                        continue;
-                    };
-                    if d.transfer_id != transfer_id {
-                        continue;
-                    }
-                    match d.kind {
-                        PacketKind::Request => {
-                            if let Some(echoed) = Request::decode(d.payload) {
-                                return Ok(HandshakeReply {
-                                    echoed,
-                                    datagrams_sent: sent,
-                                });
-                            }
-                        }
-                        PacketKind::Cancel => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::NotFound,
-                                "responder cancelled the transfer",
-                            ));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
+    let mut leg = Outbound::new(transfer_id, request, Then::Stop, &ProtocolConfig::default())?;
+    leg.retry = retry_interval;
+    leg.run(channel, deadline)?;
+    Ok(HandshakeReply {
+        echoed: leg
+            .echoed()
+            .cloned()
+            .expect("a stopping leg ends at the echo"),
+        datagrams_sent: leg.requests_sent,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blast_wire::header::PacketKind;
+    use blast_wire::packet::Datagram;
 
     fn sample() -> Request {
         Request {

@@ -17,17 +17,17 @@
 //! * [`pump`] — the one engine-call sequence every driver shares: set
 //!   the clock, call the engine, apply its actions to a transmit sink
 //!   and a keyed timer wheel, report completion;
-//! * [`driver`] — a blocking event loop that pumps one engine over a
-//!   channel with real (wall-clock) timers, and returns the moment the
-//!   engine completes;
-//! * [`timers`] — the timer wheel behind that loop (and behind the
+//! * [`handshake`] — the pre-allocation `Request` handshake: transfer
+//!   length, packet size, strategy, direction and blob name, encoded in
+//!   a `Request` packet that is retransmitted until echoed;
+//! * [`outbound`] — the initiator's leg, sans I/O: one transfer from
+//!   request through echo to completion, and the blocking loop that runs
+//!   it over a channel (`blast_node::Client`; a node's copy legs);
+//! * [`timers`] — the timer wheel behind both (and behind the
 //!   multi-session `blast-node` server);
 //! * [`timewait`] — a channel adaptor that keeps re-acknowledging for
 //!   receivers that have finished, from whatever receive loop runs
 //!   next, so no transfer waits out a linger timer;
-//! * [`handshake`] — the pre-allocation `Request` handshake: transfer
-//!   length, packet size, strategy, direction and blob name, encoded in
-//!   a `Request` packet that is retransmitted until echoed;
 //! * [`copy`] — third-party-copy control messages: a client orders one
 //!   node to move a named blob directly to/from another node, polls the
 //!   copy's status, and digest-verifies the replica;
@@ -39,8 +39,7 @@
 //! * [`gso`] — the sans-I/O coalescer/splitter arithmetic behind that
 //!   offload (runs of equal-size datagrams, tail runts, GRO splits);
 //! * [`peer`] — [`TransferReport`], what a finished transfer hands
-//!   back (the transfers themselves are `blast_node::Client`
-//!   operations against a node);
+//!   back;
 //! * [`sockopt`] — `SO_RCVBUF`/`SO_SNDBUF` growth at socket setup, so a
 //!   whole blast round fits in the kernel's queues instead of spilling
 //!   (the modern form of the paper's §3 interface errors), plus
@@ -48,35 +47,37 @@
 //!   on one address and let the kernel's 4-tuple hash spread sessions
 //!   across reactor threads.
 //!
-//! ## Example (two threads over loopback)
+//! ## Example: a pull leg, sans I/O
 //!
-//! One engine per side, each under its own [`Driver`].  (A whole
-//! transfer — handshake, named blobs, many sessions — is
-//! `blast_node::Client` against a `blast_node` node.)
+//! Here the example plays the responder; over a real channel,
+//! [`Outbound::run`] makes the same calls in a blocking loop.
 //!
 //! ```
-//! use std::sync::Arc;
 //! use std::time::Duration;
-//! use blast_core::blast::{BlastReceiver, BlastSender};
 //! use blast_core::ProtocolConfig;
-//! use blast_udp::channel::UdpChannel;
-//! use blast_udp::Driver;
+//! use blast_udp::pump::Input;
+//! use blast_udp::{Outbound, Request, TimerWheel};
+//! use blast_wire::packet::Datagram;
 //!
-//! let (a, b) = UdpChannel::pair().unwrap();
-//! let mut cfg = ProtocolConfig::default();
-//! cfg.timeout = Duration::from_millis(20).into();
-//! let data: Arc<[u8]> = (0..100_000u32).map(|i| i as u8).collect();
+//! let cfg = ProtocolConfig::default();
+//! let request = Request::pull("blob", &cfg);
+//! let mut leg = Outbound::pull(7, &request, &cfg, 1 << 20)?;
+//! let (mut timers, mut sent) = (TimerWheel::new(), 0);
+//! let mut step = |leg: &mut Outbound, input| {
+//!     leg.step(Duration::ZERO, input, &mut timers, |t| t, |_: &[u8]| {
+//!         sent += 1;
+//!         Ok(())
+//!     })
+//! };
+//! step(&mut leg, Input::Start)?; // the request, re-sent until echoed
 //!
-//! let (cfg2, data2) = (cfg.clone(), data.clone());
-//! let sender = std::thread::spawn(move || {
-//!     let mut engine = BlastSender::new(7, data2, &cfg2);
-//!     Driver::new(a).run(&mut engine).unwrap()
-//! });
-//! let mut engine = BlastReceiver::new(7, data.len(), &cfg);
-//! let received = Driver::new(b).run(&mut engine).unwrap();
-//! assert!(received.completion.is_success());
-//! assert!(sender.join().unwrap().completion.is_success());
-//! assert_eq!(engine.into_data(), &data[..]);
+//! // The responder echoes it, announcing the blob's size: the leg now
+//! // runs a receiver for exactly that many bytes.
+//! let echo = Request { len: 3000, ..request.clone() }.build_datagram(7);
+//! step(&mut leg, Input::Datagram(&Datagram::parse(&echo).unwrap()))?;
+//! assert_eq!(leg.echoed().map(|echo| echo.len), Some(3000));
+//! assert!(leg.engine().is_some() && sent == 1);
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 // Deny (not forbid): `sockopt` and `netio` contain this crate's two
@@ -89,12 +90,12 @@
 
 pub mod channel;
 pub mod copy;
-pub mod driver;
 pub mod fault;
 pub mod fcs;
 pub mod gso;
 pub mod handshake;
 pub mod netio;
+pub mod outbound;
 pub mod peer;
 pub mod pump;
 pub mod sockopt;
@@ -103,11 +104,11 @@ pub mod timewait;
 
 pub use channel::{Channel, UdpChannel};
 pub use copy::{BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
-pub use driver::Driver;
 pub use fault::{FaultConfig, FaultyChannel};
 pub use fcs::FcsChannel;
 pub use handshake::{Direction, Request};
 pub use netio::{BackendKind, NetIo, NetIoStats};
+pub use outbound::Outbound;
 pub use peer::TransferReport;
 pub use timers::TimerWheel;
 pub use timewait::TimeWait;

@@ -1633,9 +1633,8 @@ mod tests {
     #[test]
     fn batched_backend_amortises_syscalls() {
         let (a, b) = pair();
-        let mut tx = NetIo::connected(&a);
-        let mut rx = NetIo::connected(&b);
-        assert!(tx.is_batched(), "Linux builds select the batched backend");
+        let mut tx = batched_with(&a, false);
+        let mut rx = batched_with(&b, false);
         for i in 0..(BATCH as u8) {
             tx.queue(&a, &[i; 64]).unwrap();
         }
@@ -1658,8 +1657,7 @@ mod tests {
     #[test]
     fn batched_wait_has_submillisecond_fidelity() {
         let (a, _b) = pair();
-        let mut io = NetIo::connected(&a);
-        assert!(io.is_batched());
+        let mut io = batched_with(&a, false);
         let t0 = Instant::now();
         let readable = io.wait(Duration::from_micros(500)).unwrap();
         let waited = t0.elapsed();
@@ -1679,7 +1677,7 @@ mod tests {
     #[test]
     fn batched_wait_wakes_on_traffic() {
         let (a, b) = pair();
-        let mut rx = NetIo::connected(&b);
+        let mut rx = batched_with(&b, false);
         a.send(b"ping").unwrap();
         let readable = rx.wait(Duration::from_secs(2)).unwrap();
         assert!(readable, "pending datagram must wake the waiter");

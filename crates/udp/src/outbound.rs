@@ -1,0 +1,486 @@
+//! The initiator's leg: one transfer, from request to completion.
+//!
+//! The side that opens a transfer asks, waits for the echo that says
+//! the responder's buffer is allocated (the paper's premise), then runs
+//! the data phase.  [`Outbound`] is that sequence as one sans-I/O state
+//! machine, called like an engine through [`step`](Outbound::step): it
+//! re-sends the request every retry interval on its own [`RETRY`]
+//! timer; the echo makes it adopt the echoed parameters and build its
+//! engine; from then on it hands the engine everything but handshake
+//! traffic and other transfers' datagrams (a receiver places data by
+//! sequence number alone, so a previous transfer's stale tail must never
+//! reach it).  `blast_node::Client` runs a leg to completion in one
+//! blocking loop over its channel ([`run`](Outbound::run)); a node runs
+//! each third-party copy's leg inside its reactor tick.
+
+use std::io::{self, ErrorKind};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use blast_core::api::{CompletionInfo, EngineStats, TimerToken};
+use blast_core::blast::{BlastReceiver, BlastSender, FinishedReceiver};
+use blast_core::{Engine, PacingConfig, ProtocolConfig};
+use blast_telemetry::Recorder;
+use blast_wire::header::PacketKind;
+use blast_wire::packet::Datagram;
+
+use crate::channel::{Channel, MAX_DATAGRAM};
+use crate::handshake::{retry_interval, Request, MAX_NAME_LEN};
+use crate::peer::TransferReport;
+use crate::pump::{self, Input};
+use crate::timers::TimerWheel;
+
+/// The leg's own timer, to re-send the request: a caller sharing one
+/// wheel keeps its tokens clear of it (the engines' are far below).
+pub const RETRY: TimerToken = TimerToken(u64::MAX - 2);
+
+/// What the echo turns the leg into.
+pub(crate) enum Then {
+    /// A sender of this blob (a push).
+    Send(Arc<[u8]>),
+    /// A receiver of the announced length, refused above this (a pull).
+    Receive(usize),
+    /// Nothing: the leg completes at the echo ([`crate::handshake::initiate`]).
+    Stop,
+}
+
+/// One initiated transfer: the request, its retries, the echo, and the
+/// engine the echo promotes it into.  See the [module docs](self).
+pub struct Outbound {
+    id: u32,
+    cfg: ProtocolConfig,
+    /// The request datagram, re-sent verbatim until echoed.
+    request: Vec<u8>,
+    pub(crate) retry: Duration,
+    then: Then,
+    echoed: Option<Request>,
+    /// The `now` of the promoting call: where the data phase starts.
+    echoed_at: Duration,
+    engine: Option<Box<dyn Engine>>,
+    /// Flight recorder handed to the engine the echo builds.
+    pub recorder: Option<Recorder>,
+    /// Request datagrams transmitted: the first and every retry.
+    pub requests_sent: u64,
+}
+
+impl Outbound {
+    /// Push `blob`, to be stored by the responder as `name`, with the
+    /// transfer parameters of `cfg`.  `InvalidInput` for a name no
+    /// responder could decode.
+    pub fn push(id: u32, name: &str, blob: Arc<[u8]>, cfg: &ProtocolConfig) -> io::Result<Self> {
+        let request = Request::push(blob.len(), cfg, false).with_name(name);
+        Self::new(id, &request, Then::Send(blob), cfg)
+    }
+
+    /// Pull what `req` asks for — [`Request::pull`], or one built by
+    /// hand (say, with a multiblast chunk) — refusing an echo that
+    /// announces more than `max` bytes.
+    pub fn pull(id: u32, req: &Request, cfg: &ProtocolConfig, max: usize) -> io::Result<Self> {
+        Self::new(id, req, Then::Receive(max), cfg)
+    }
+
+    pub(crate) fn new(
+        id: u32,
+        req: &Request,
+        then: Then,
+        cfg: &ProtocolConfig,
+    ) -> io::Result<Self> {
+        // Caught here, a name too long to encode is an immediate error
+        // instead of a request nobody can decode, retried until timeout.
+        if req.name.len() > MAX_NAME_LEN {
+            let what = format!("blob name exceeds {MAX_NAME_LEN} bytes");
+            return Err(io::Error::new(ErrorKind::InvalidInput, what));
+        }
+        Ok(Outbound {
+            id,
+            cfg: cfg.clone(),
+            request: req.build_datagram(id),
+            retry: retry_interval(cfg),
+            then,
+            echoed: None,
+            echoed_at: Duration::ZERO,
+            engine: None,
+            recorder: None,
+            requests_sent: 0,
+        })
+    }
+
+    /// The responder's echo, once it has arrived (for a pull, its `len`
+    /// is the size announcement).
+    pub fn echoed(&self) -> Option<&Request> {
+        self.echoed.as_ref()
+    }
+
+    /// The engine the echo built, while the leg holds it.
+    pub fn engine(&self) -> Option<&dyn Engine> {
+        self.engine.as_deref()
+    }
+
+    /// Take the received bytes of a pull that completed, and the
+    /// [`FinishedReceiver`] that re-acknowledges its tail in the
+    /// engine's place; the engine goes.  `None` for a push, or before
+    /// completion.
+    pub fn retire(&mut self) -> Option<(Vec<u8>, FinishedReceiver)> {
+        self.engine.take()?.retire()
+    }
+
+    /// One call, like [`pump::step`]: feed the leg `input` at `now` (on
+    /// the engine's clock), hand each datagram it transmits to
+    /// `transmit` (flushing is the caller's), arm and cancel its timers
+    /// on `timers` under `key(token)`, and return the completion report
+    /// if this call finished the transfer.
+    ///
+    /// Errors: `NotFound` when the responder cancels before echoing,
+    /// `InvalidData` when a pull's echo announces more than the bound,
+    /// and whatever `transmit` returns.
+    pub fn step<K, F, T>(
+        &mut self,
+        now: Duration,
+        input: Input<'_>,
+        timers: &mut TimerWheel<K>,
+        key: F,
+        mut transmit: T,
+    ) -> io::Result<Option<CompletionInfo>>
+    where
+        K: Copy + Ord,
+        F: Fn(TimerToken) -> K,
+        T: FnMut(&[u8]) -> io::Result<()>,
+    {
+        if let Some(engine) = self.engine.as_deref_mut() {
+            return match input {
+                Input::Datagram(d) if d.transfer_id != self.id || d.kind == PacketKind::Request => {
+                    Ok(None)
+                }
+                input => pump::step(engine, now, input, timers, key, transmit),
+            };
+        }
+        let echoed = match input {
+            _ if self.echoed.is_some() => return Ok(None),
+            Input::Start | Input::Timer(_) => {
+                transmit(&self.request)?;
+                self.requests_sent += 1;
+                timers.arm(key(RETRY), self.retry);
+                return Ok(None);
+            }
+            Input::Datagram(d) if d.transfer_id != self.id => return Ok(None),
+            Input::Datagram(d) => match (d.kind, Request::decode(d.payload)) {
+                (PacketKind::Cancel, _) => {
+                    let refusal = "responder cancelled the transfer";
+                    return Err(io::Error::new(ErrorKind::NotFound, refusal));
+                }
+                (PacketKind::Request, Some(echoed)) => echoed,
+                // Data racing ahead of a lost echo: the responder's
+                // retransmission recovers it once the engine runs.
+                _ => return Ok(None),
+            },
+        };
+        // The echo: stop asking, build the engine it describes, start it.
+        timers.cancel(key(RETRY));
+        let mut cfg = self.cfg.clone();
+        echoed.apply_to(&mut cfg);
+        let len = echoed.len;
+        self.echoed = Some(echoed);
+        self.echoed_at = now;
+        let mut engine: Box<dyn Engine> = match std::mem::replace(&mut self.then, Then::Stop) {
+            Then::Send(blob) => Box::new(BlastSender::new(self.id, blob, &cfg)),
+            // The echo is the size announcement, and the receive buffer
+            // an eager allocation: bound it before trusting a 24-byte
+            // datagram with a terabyte.
+            Then::Receive(max) if len > max => {
+                let what = format!(
+                    "pull refused: announced length {len} exceeds the {max}-byte transfer bound"
+                );
+                return Err(io::Error::new(ErrorKind::InvalidData, what));
+            }
+            Then::Receive(_) => Box::new(BlastReceiver::new(self.id, len, &cfg)),
+            Then::Stop => return Ok(Some(CompletionInfo::success(len, EngineStats::default()))),
+        };
+        if let Some(rec) = &self.recorder {
+            engine.set_recorder(rec.clone());
+        }
+        let engine = self.engine.insert(engine);
+        pump::step(engine.as_mut(), now, Input::Start, timers, key, transmit)
+    }
+
+    /// Run the leg over `channel` until it completes, blocking, or until
+    /// `limit` — one bound on the whole transfer, handshake and data
+    /// phase alike — passes (`TimedOut`).  Each call stages what it
+    /// transmits and flushes once; between calls the loop waits for a
+    /// datagram until the next timer is due, within
+    /// [`PacingConfig::MIN_WAIT`] and 50 ms.  The report's `elapsed` and
+    /// receive counts run from the echo on (malformed includes the
+    /// channel's [`discarded`](Channel::discarded) frames); its sent
+    /// count includes the requests.
+    pub fn run<C: Channel>(
+        &mut self,
+        channel: &mut C,
+        limit: Duration,
+    ) -> io::Result<TransferReport> {
+        let started = Instant::now();
+        let give_up = started + limit;
+        // With a recorder, the engine's clock runs from its epoch, so
+        // engine and backend events land on one timeline.
+        let clock = self.recorder.as_ref().map_or(started, Recorder::epoch);
+        let mut timers = TimerWheel::new();
+        let mut buf = vec![0u8; MAX_DATAGRAM];
+        let (mut sent, mut received, mut malformed) = (0, 0, 0);
+        let mut at_echo = None; // (received, malformed) then
+        let mut start = true;
+        let info = loop {
+            let now = Instant::now();
+            if now >= give_up {
+                return Err(io::Error::new(ErrorKind::TimedOut, "transfer timed out"));
+            }
+            let dgram;
+            let input = if std::mem::take(&mut start) {
+                Input::Start
+            } else if let Some(token) = timers.pop_due(now) {
+                Input::Timer(token)
+            } else {
+                let wait = timers
+                    .next_deadline()
+                    .map_or(Duration::from_millis(20), |when| {
+                        when.saturating_duration_since(now)
+                    })
+                    .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(50))
+                    .min(give_up - now);
+                let Some(n) = channel.recv_timeout(&mut buf, wait)? else {
+                    continue;
+                };
+                received += 1;
+                // The checksum turned corruption into loss.
+                let Ok(parsed) = Datagram::parse(&buf[..n]) else {
+                    malformed += 1;
+                    continue;
+                };
+                dgram = parsed;
+                Input::Datagram(&dgram)
+            };
+            let transmit = |bytes: &[u8]| {
+                sent += 1;
+                channel.stage(bytes)
+            };
+            let done = self.step(clock.elapsed(), input, &mut timers, |token| token, transmit)?;
+            channel.flush()?;
+            if self.echoed.is_some() {
+                at_echo.get_or_insert((received, malformed + channel.discarded()));
+            }
+            if let Some(info) = done {
+                break info;
+            }
+        };
+        info.result
+            .map_err(|e| io::Error::other(format!("transfer failed: {e}")))?;
+        let (received_before, malformed_before) = at_echo.unwrap_or_default();
+        Ok(TransferReport {
+            data: Vec::new(),
+            elapsed: clock.elapsed().saturating_sub(self.echoed_at),
+            stats: info.stats,
+            pacing: self.engine.as_ref().and_then(|e| e.pacing_snapshot()),
+            datagrams_sent: sent,
+            datagrams_received: received - received_before,
+            malformed: malformed + channel.discarded() - malformed_before,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blast_wire::packet::DatagramBuilder;
+
+    const ID: u32 = 2;
+    const PAYLOAD: usize = 1024;
+
+    /// A leg driven by hand: datagrams fed in from a script, timers read
+    /// off the wheel and fired at their deadlines (never waited for),
+    /// and every transmission kept in order.
+    struct Script {
+        leg: Outbound,
+        timers: TimerWheel<TimerToken>,
+        wire: Vec<Vec<u8>>,
+    }
+
+    impl Script {
+        fn new(leg: Outbound) -> Self {
+            let mut script = Script {
+                leg,
+                timers: TimerWheel::new(),
+                wire: Vec::new(),
+            };
+            script.feed(Input::Start).unwrap();
+            script
+        }
+
+        fn feed(&mut self, input: Input<'_>) -> io::Result<Option<CompletionInfo>> {
+            let wire = &mut self.wire;
+            self.leg.step(
+                Duration::ZERO,
+                input,
+                &mut self.timers,
+                |t| t,
+                |bytes| {
+                    wire.push(bytes.to_vec());
+                    Ok(())
+                },
+            )
+        }
+
+        fn hear(&mut self, datagram: &[u8]) -> io::Result<Option<CompletionInfo>> {
+            self.feed(Input::Datagram(&Datagram::parse(datagram).unwrap()))
+        }
+
+        fn stats(&self) -> EngineStats {
+            self.leg.engine().expect("promoted").stats()
+        }
+
+        /// The kinds of what went out after the first `skip` datagrams.
+        fn kinds_after(&self, skip: usize) -> Vec<PacketKind> {
+            let parse = |d: &Vec<u8>| Datagram::parse(d).unwrap().kind;
+            self.wire[skip..].iter().map(parse).collect()
+        }
+    }
+
+    fn cfg() -> ProtocolConfig {
+        let mut cfg = ProtocolConfig::default();
+        cfg.timeout = Duration::from_millis(15).into();
+        cfg
+    }
+
+    fn pull_leg(max_len: usize) -> Outbound {
+        let cfg = cfg();
+        Outbound::pull(ID, &Request::pull("blob", &cfg), &cfg, max_len).unwrap()
+    }
+
+    /// The responder's echo of `leg`'s first request, announcing `len`.
+    fn echo(script: &Script, len: usize) -> Vec<u8> {
+        let request = Datagram::parse(&script.wire[0]).unwrap();
+        let mut echo = Request::decode(request.payload).unwrap();
+        echo.len = len;
+        echo.build_datagram(request.transfer_id)
+    }
+
+    /// Packet `seq` of a `packets`-packet transfer `id`, every byte `fill`.
+    fn data(id: u32, seq: u32, packets: u32, fill: u8) -> Vec<u8> {
+        let mut buf = vec![0u8; 2048];
+        let n = DatagramBuilder::new(id)
+            .build_data(
+                &mut buf,
+                seq,
+                packets,
+                seq * PAYLOAD as u32,
+                &[fill; PAYLOAD],
+                0,
+                seq + 1 == packets,
+            )
+            .unwrap();
+        buf.truncate(n);
+        buf
+    }
+
+    fn cancel(id: u32) -> Vec<u8> {
+        let mut buf = vec![0u8; blast_wire::HEADER_LEN];
+        let n = DatagramBuilder::new(id).build_cancel(&mut buf).unwrap();
+        buf.truncate(n);
+        buf
+    }
+
+    #[test]
+    fn request_is_resent_at_each_retry_interval_until_the_echo() {
+        let retry = retry_interval(&cfg());
+        // When each request went out: between these two instants.
+        let mut armed = (Instant::now(), Instant::now());
+        let mut script = Script::new(pull_leg(1 << 20));
+        armed.1 = Instant::now();
+        for resends in 1..=3 {
+            let due = script.timers.next_deadline().expect("the retry is armed");
+            assert!(due >= armed.0 + retry && due <= armed.1 + retry);
+            assert_eq!(script.timers.pop_due(due - Duration::from_micros(1)), None);
+            let token = script.timers.pop_due(due).unwrap();
+            assert_eq!(token, RETRY);
+            armed.0 = Instant::now();
+            script.feed(Input::Timer(token)).unwrap();
+            armed.1 = Instant::now();
+            assert_eq!(script.wire.len(), 1 + resends, "one request per interval");
+            assert!(script.wire.iter().all(|d| *d == script.wire[0]));
+            assert_eq!(script.leg.requests_sent, 1 + resends as u64);
+        }
+        script.hear(&echo(&script, 3 * PAYLOAD)).unwrap();
+        assert!(script.timers.is_empty(), "the echo cancels the retry");
+        assert_eq!(script.wire.len(), 4, "a receiver sends nothing at start");
+    }
+
+    #[test]
+    fn a_push_echo_starts_round_zero() {
+        let blob: Arc<[u8]> = vec![5u8; 3 * PAYLOAD].into();
+        let mut script = Script::new(Outbound::push(ID, "blob", blob, &cfg()).unwrap());
+        assert!(script.leg.engine().is_none());
+        script.hear(&echo(&script, 3 * PAYLOAD)).unwrap();
+        assert_eq!(script.kinds_after(1), [PacketKind::Data; 3], "round 0");
+        assert_eq!(script.stats().data_packets_sent, 3);
+        assert_eq!(script.leg.echoed().unwrap().len, 3 * PAYLOAD);
+    }
+
+    #[test]
+    fn a_pull_echo_builds_a_receiver_sized_by_the_echo() {
+        let mut script = Script::new(pull_leg(1 << 20));
+        script.hear(&echo(&script, 2 * PAYLOAD)).unwrap();
+        assert_eq!(script.hear(&data(ID, 0, 2, 1)).unwrap(), None);
+        let done = script.hear(&data(ID, 1, 2, 1)).unwrap();
+        assert_eq!(done.expect("two packets fill it").result, Ok(2 * PAYLOAD));
+        assert_eq!(script.kinds_after(1), [PacketKind::Ack]);
+        let (bytes, _) = script.leg.retire().unwrap();
+        assert_eq!(bytes, vec![1; 2 * PAYLOAD]);
+    }
+
+    /// A duplicate echo, data racing ahead of the echo, and a datagram
+    /// of some other transfer — the retransmitted tail of the one before
+    /// — never reach the engine, even when their geometry would fit.
+    #[test]
+    fn foreign_transfer_ids_never_reach_the_engine() {
+        let mut script = Script::new(pull_leg(1 << 20));
+        assert_eq!(script.hear(&data(ID, 2, 3, 0xEE)).unwrap(), None);
+        assert!(script.leg.engine().is_none(), "data before the echo");
+        let echo = echo(&script, 3 * PAYLOAD);
+        script.hear(&echo).unwrap();
+        let fresh = script.stats();
+        script.hear(&echo).unwrap();
+        script.hear(&data(1, 2, 3, 0xEE)).unwrap();
+        script.hear(&cancel(1)).unwrap();
+        assert_eq!(script.stats(), fresh, "nothing reached the engine");
+        assert_eq!(script.wire.len(), 1, "and nothing was answered");
+        for seq in 0..3 {
+            script.hear(&data(ID, seq, 3, seq as u8)).unwrap();
+        }
+        let (bytes, _) = script.leg.retire().expect("complete");
+        assert_eq!(
+            bytes[2 * PAYLOAD..],
+            [2; PAYLOAD],
+            "the stale tail was not placed"
+        );
+    }
+
+    #[test]
+    fn a_cancel_before_the_echo_is_not_found() {
+        let mut script = Script::new(pull_leg(1 << 20));
+        assert_eq!(
+            script.hear(&cancel(ID + 1)).unwrap(),
+            None,
+            "someone else's"
+        );
+        let err = script.hear(&cancel(ID)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn a_pull_echo_over_the_bound_is_refused_before_any_allocation() {
+        let mut script = Script::new(pull_leg(2 * PAYLOAD));
+        let err = script.hear(&echo(&script, 2 * PAYLOAD + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("transfer bound"), "{err}");
+        assert!(script.leg.engine().is_none(), "no receiver was built");
+        assert!(script.timers.is_empty());
+        script.hear(&data(ID, 2, 3, 0)).unwrap();
+        assert_eq!(script.wire.len(), 1, "nobody answers the data");
+    }
+}

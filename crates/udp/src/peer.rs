@@ -1,21 +1,18 @@
 //! The report of one finished transfer.
 //!
-//! Transfers themselves are `blast_node::Client` operations against a
-//! node; this is what `push` and `pull` hand back.
+//! What [`Outbound::run`](crate::outbound::Outbound::run) — and so
+//! `blast_node::Client`'s `push` and `pull` — hands back.
 
-use std::io;
 use std::time::Duration;
 
 use blast_core::api::EngineStats;
-
-use crate::driver::DriveOutcome;
 
 /// Outcome of a completed transfer (either side).
 #[derive(Debug)]
 pub struct TransferReport {
     /// The received bytes (empty for the sending side).
     pub data: Vec<u8>,
-    /// Wall-clock duration of the data phase.
+    /// Wall-clock duration of the data phase (echo to completion).
     pub elapsed: Duration,
     /// Engine counters.
     pub stats: EngineStats,
@@ -27,38 +24,12 @@ pub struct TransferReport {
     pub datagrams_sent: u64,
     /// Datagrams received on the channel.
     pub datagrams_received: u64,
-    /// Malformed datagrams dropped by wire validation.
+    /// Malformed datagrams dropped by wire validation (and, behind an
+    /// FCS channel, by the frame check).
     pub malformed: u64,
 }
 
 impl TransferReport {
-    /// The report of one driven data phase, or an error naming `what`
-    /// failed.  `handshake_sent` counts the datagrams the handshake
-    /// put on the wire before the driver took over; `fcs_drops` the
-    /// frames the channel's FCS check discarded during the run (they
-    /// never reached the driver, so they join its malformed count).
-    pub fn from_drive(
-        what: &str,
-        out: DriveOutcome,
-        handshake_sent: u64,
-        fcs_drops: u64,
-        pacing: Option<blast_core::PacerSnapshot>,
-        data: Vec<u8>,
-    ) -> io::Result<Self> {
-        match out.completion.result {
-            Ok(_) => Ok(TransferReport {
-                data,
-                elapsed: out.elapsed,
-                stats: out.completion.stats,
-                pacing,
-                datagrams_sent: out.datagrams_sent + handshake_sent,
-                datagrams_received: out.datagrams_received,
-                malformed: out.malformed + fcs_drops,
-            }),
-            Err(e) => Err(io::Error::other(format!("{what} failed: {e}"))),
-        }
-    }
-
     /// Effective goodput in megabits per second.
     pub fn goodput_mbps(&self, bytes: usize) -> f64 {
         let secs = self.elapsed.as_secs_f64();

@@ -5,10 +5,11 @@
 //! the actions it emitted (transmissions to the network, timers to a
 //! [`TimerWheel`]) and notice completion.  [`step`] is that sequence,
 //! parameterised only by where transmissions go and how an engine's
-//! [`TimerToken`] becomes a key in the caller's wheel — so the blocking
-//! [`Driver`](crate::driver::Driver) (one engine, wheel keyed by token)
-//! and the `blast-node` reactor (a table of engines, wheel keyed by
-//! `(session, token)`) share it instead of each matching on `Action`.
+//! [`TimerToken`] becomes a key in the caller's wheel — so the
+//! initiator's [`Outbound`](crate::outbound::Outbound) leg (run alone,
+//! wheel keyed by token, or inside a node) and the `blast-node` reactor
+//! (a table of engines, wheel keyed by `(entry, token)`) share it
+//! instead of each matching on `Action`.
 //!
 //! Actions are applied as the engine emits them, through
 //! [`ActionSink`], not collected first: emission order is execution

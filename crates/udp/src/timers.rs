@@ -11,9 +11,9 @@
 //! reactor that arms a 30 s give-up per session and cancels it
 //! microseconds later carries nothing forward.
 //!
-//! The key is generic so the same wheel serves both the single-engine
-//! blocking [`crate::driver::Driver`] (keyed by [`TimerToken`]) and the
-//! many-session `blast-node` event loop (keyed by
+//! The key is generic so the same wheel serves both the blocking loop
+//! of one [`crate::outbound::Outbound`] leg (keyed by [`TimerToken`])
+//! and the many-session `blast-node` event loop (keyed by
 //! `(session, TimerToken)`); because keys are ordered, everything one
 //! session armed is one [`cancel_range`](TimerWheel::cancel_range).
 //!

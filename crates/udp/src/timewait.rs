@@ -12,10 +12,10 @@
 //! channel-side receiver discharges it.  A caller whose receiver
 //! completed hands the adaptor the [`FinishedReceiver`] the engine left
 //! behind and returns at once; the adaptor answers for it from whatever
-//! receive loop runs on the channel next — a handshake, the next
-//! transfer's driver, a control query — until the record expires.  None
-//! of those loops knows: datagrams addressed to a held transfer are
-//! answered (or not) and swallowed inside
+//! receive loop runs on the channel next — the next transfer's
+//! [`Outbound`](crate::outbound::Outbound) leg, a control query — until
+//! the record expires.  Neither loop knows: datagrams addressed to a
+//! held transfer are answered (or not) and swallowed inside
 //! [`recv_timeout`](Channel::recv_timeout).
 //!
 //! What it answers is exactly what the finished engine would have
@@ -201,6 +201,10 @@ impl<C: Channel> Channel for TimeWait<C> {
 
     fn set_recorder(&mut self, recorder: Recorder) {
         self.inner.set_recorder(recorder);
+    }
+
+    fn discarded(&self) -> u64 {
+        self.inner.discarded()
     }
 
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {

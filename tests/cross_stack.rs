@@ -13,7 +13,7 @@ use blastlan::core::multiblast::MultiBlastSender;
 use blastlan::sim::{LossModel, SimConfig, Simulator};
 use blastlan::udp::channel::UdpChannel;
 use blastlan::udp::fault::{FaultConfig, FaultyChannel};
-use blastlan::udp::Driver;
+use blastlan::udp::{FcsChannel, Outbound, Request};
 use blastlan::vkernel::fileserver::{client_read, FileServer};
 use blastlan::vkernel::VCluster;
 use blastlan::{Client, NodeBuilder};
@@ -136,20 +136,21 @@ fn multiblast_over_udp_and_sim_agree_on_data() {
     let report = sim.run();
     assert!(report.succeeded(a, 9));
 
-    // UDP: the same two engines, each under a plain driver.
-    let (ca, cb) = UdpChannel::pair().unwrap();
-    let cfg2 = cfg.clone();
-    let len = data.len();
-    let rx = std::thread::spawn(move || {
-        let mut engine = BlastReceiver::new(9, len, &cfg2);
-        let out = Driver::new(cb).run(&mut engine).unwrap();
-        assert!(out.completion.is_success(), "{:?}", out.completion);
-        engine.into_data()
-    });
-    let mut engine = MultiBlastSender::new(9, data.clone().into(), &cfg);
-    let out = Driver::new(ca).run(&mut engine).unwrap();
-    assert!(out.completion.is_success(), "{:?}", out.completion);
-    assert_eq!(rx.join().unwrap(), data);
+    // UDP: a node serves the same bytes with a multi-blast sender to a
+    // pull leg that asks for the same chunking.
+    let node = NodeBuilder::new()
+        .timeout(Duration::from_millis(20))
+        .max_retries(100_000)
+        .start()
+        .unwrap();
+    node.store().put("multi", data.clone().into());
+    let mut channel = FcsChannel::new(UdpChannel::connect_to(node.addr()).unwrap());
+    let mut request = Request::pull("multi", &cfg);
+    request.multiblast_chunk = 32;
+    let mut leg = Outbound::pull(9, &request, &cfg, data.len()).unwrap();
+    leg.run(&mut channel, Duration::from_secs(30)).unwrap();
+    assert_eq!(leg.retire().expect("complete").0, data);
+    node.shutdown().unwrap();
 }
 
 #[test]
