@@ -37,25 +37,19 @@
 //! ## After the last byte
 //!
 //! Every operation returns when its engine completes; none waits out a
-//! timer.  A push has nothing left to do by then — the sender completes
-//! on hearing the node's final acknowledgement.  A pull does: the
-//! client's own final acknowledgement may be lost, and the node then
-//! retransmits its tail until someone re-acknowledges.  The client
-//! keeps that duty without blocking for it: the finished receiver's
-//! [`FinishedReceiver`](blast_core::blast::FinishedReceiver) goes into
-//! the channel's [`TimeWait`] record, for a few retransmission
-//! intervals, and is answered from whichever receive loop the client
-//! runs next — the next handshake, transfer or control query.  Only a
-//! pull that itself saw loss stays and listens first.  The record has
-//! [`MAX_RECORDS`](blast_udp::timewait::MAX_RECORDS) places and none
-//! is given up early, so one client finishes at most that many pulls
-//! per window (2 560 a second by default): a pull that finds every
-//! place taken starts by waiting — answering — for the oldest to
-//! expire.  What this does not cover: a client that goes idle, or is
-//! dropped, right after a pull whose acknowledgement was lost answers
-//! nothing — the pulled bytes are complete and correct either way, but
-//! the node keeps retransmitting until its retry budget or session
-//! timeout and books that session as failed.
+//! timer.  A push's sender completes on hearing the node's final
+//! acknowledgement.  A pull's own final acknowledgement may be lost, and
+//! the node then retransmits its tail: the finished receiver goes into
+//! the tail table of the channel's [`TimeWait`] for a fixed window of a
+//! few retransmission intervals, and is answered from whichever receive
+//! loop the client runs next — the next handshake, transfer or query.
+//! Only a pull that itself saw loss stays and listens first.  The table
+//! has [`MAX_RECORDS`](blast_udp::timewait::MAX_RECORDS) places, so a
+//! pull that finds them all live first waits, answering, for the oldest
+//! to expire (2 560 pulls a second by default).  A client that goes idle,
+//! or is dropped, right after a pull whose acknowledgement was lost
+//! answers nothing: its bytes are complete either way, but the node
+//! retries until its budget or session timeout and books a failure.
 
 use std::io;
 use std::net::SocketAddr;
@@ -258,14 +252,11 @@ impl<C: Channel> Client<C> {
     /// pre-allocated from it before the data phase (the paper's
     /// premise).
     ///
-    /// Returns when the last byte is in: after a clean run the duty to
-    /// re-acknowledge a lost final ack passes to the channel's
-    /// time-wait record and is discharged during the client's *next*
-    /// operation (see the [module docs](self#after-the-last-byte)); a
-    /// run that saw loss first listens until the node has been quiet
-    /// for four retransmission intervals (at least 100 ms).  Starts by
-    /// reserving the record's place, which waits only if this client
-    /// has finished 256 other pulls within the last such window.
+    /// Returns when the last byte is in, leaving a time-wait record to
+    /// answer the node's tail during the *next* operation (see the
+    /// [module docs](self#after-the-last-byte)); a run that saw loss
+    /// first listens until the node has been quiet for four
+    /// retransmission intervals (at least 100 ms).
     ///
     /// Errors with `NotFound` if the node does not have the blob, and
     /// with `InvalidData` if the echo announces more than
@@ -282,7 +273,7 @@ impl<C: Channel> Client<C> {
             // Comfortably longer than the node's tail-retransmission
             // interval, so the record outlives several re-ack rounds.
             let window = (self.cfg.timeout.initial() * 4).max(Duration::from_millis(100));
-            self.channel.hold(finished, window);
+            self.channel.hold(finished, window, Instant::now() + window);
             // Loss as a receiver sees it: a hole it reported, a packet
             // it got twice, a frame that failed its checks.  The link
             // that dropped those may drop the final ack as well.

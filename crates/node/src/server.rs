@@ -41,18 +41,16 @@
 //! announced length before any data arrives (the paper's premise), a
 //! pull request looks the named blob up in the
 //! [`Store`](crate::store::Store) and blasts it back with the strategy
-//! the client asked for.  A session leaves the table when nothing is
-//! left to answer for: a sender (pull) completes on *hearing* the final
-//! ack, so it is reaped on the spot; a receiver (push) completes one
-//! datagram before its peer does — a lost final ack strands the peer
-//! (§3.2.2's tail problem) — so it commits its blob, gives its buffer
-//! up, and lingers as a few words that re-acknowledge duplicates until
-//! the peer has been quiet for [`NodeConfig::linger`].  A copy's
-//! outbound leg that *pulled* is a receiver too: it keeps its channel,
-//! a [`TimeWait`] holding the retired receiver, until the entry is
-//! reaped.
+//! the client asked for.  A session leaves the table as it completes.
+//! A receiver (push) completes one datagram before its peer does — a
+//! lost final ack strands the peer (§3.2.2) — so it commits its blob
+//! and leaves a record of a few words, and no timer, in the shard's
+//! [`TailRecords`], which re-acknowledges the peer's tail until it has
+//! been quiet for [`NodeConfig::linger`].  A copy leg that *pulled*
+//! keeps its channel until reaped: a [`TimeWait`] holding the retired
+//! receiver in the same kind of table.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,7 +73,7 @@ use blast_udp::outbound::Outbound;
 use blast_udp::pump::{self, Input};
 use blast_udp::sockopt;
 use blast_udp::timers::TimerWheel;
-use blast_udp::timewait::TimeWait;
+use blast_udp::timewait::{TailRecords, TimeWait};
 use blast_wire::checksum::crc32;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::{Datagram, DatagramBuilder};
@@ -83,8 +81,7 @@ use blast_wire::packet::{Datagram, DatagramBuilder};
 use crate::metrics::{NodeMetrics, SessionReport, ShardReport};
 use crate::store::{shared_store, SharedStore};
 
-/// Remove an entry from the table: a lingering receiver after its quiet
-/// window, a terminal copy after its status grace window.
+/// Remove a terminal copy from the table after its status grace window.
 const REAP: TimerToken = TimerToken(u64::MAX);
 /// Abandon an entry whose peer went silent.  (A copy leg's own
 /// [`RETRY`](blast_udp::outbound::RETRY) token sits just below.)
@@ -116,26 +113,19 @@ pub struct NodeConfig {
     /// client's request; timeout and retry limits are the node's.
     pub protocol: ProtocolConfig,
     /// How long a completed push keeps re-acknowledging duplicates of
-    /// its sender's tail (the tail-ack insurance of §3.2.2).  This is a
-    /// *quiet* window: traffic for the session restarts it, so a peer
-    /// still retransmitting — its copy of our final ack was lost — is
-    /// answered until it converges (bounded by
-    /// [`session_timeout`](NodeConfig::session_timeout)).  Must exceed
-    /// the slowest client's retransmission interval.  Lingering is
-    /// nearly free: the blob is already in the store, the receive
-    /// buffer released, and what lingers — a table entry of a few
-    /// words and one timer — holds no
-    /// [`max_sessions`](NodeConfig::max_sessions) slot.  It is also
-    /// bounded: at most `max_sessions` pushes linger per shard, and the
-    /// oldest stops being answered for once that many younger ones
-    /// have finished behind it (beyond `max_sessions / linger` pushes
-    /// a second the window is, in effect, that much shorter).  Pulls
-    /// do not linger at all: a sender that completed has heard the
-    /// final ack.
+    /// its sender's tail (§3.2.2).  A *quiet* window: traffic from the
+    /// peer restarts it, up to
+    /// [`session_timeout`](NodeConfig::session_timeout).  Must exceed
+    /// the slowest client's retransmission interval.  What lingers is a
+    /// record of a few words in the shard's tail table — no buffer, no
+    /// timer, no [`max_sessions`](NodeConfig::max_sessions) slot — and
+    /// the table holds `max_sessions` of them: once it is full of live
+    /// ones, the oldest-held goes early.  Pulls do not linger: a sender
+    /// that completed has heard the final ack.
     pub linger: Duration,
     /// Bound on a session's total lifetime: an engine that has not
     /// completed by then is failed (peer crashed mid-transfer), and a
-    /// completed push still lingering is reaped regardless.
+    /// completed push still lingering stops being answered for.
     pub session_timeout: Duration,
     /// Maximum concurrent *unfinished* sessions per shard — the ones
     /// that hold an engine and, for pushes, a whole pre-allocated
@@ -214,13 +204,6 @@ struct Entry {
 /// far end.
 enum Link {
     Inbound(Session),
-    /// A push that completed: the blob is in the store and the engine
-    /// and its buffer are gone.  What is left answers duplicates of
-    /// `peer`'s reliable tail until the quiet window ends.
-    Lingering {
-        peer: SocketAddr,
-        finished: FinishedReceiver,
-    },
     /// A copy's leg toward the other node: handshaking, running, or —
     /// a pull that completed — kept to answer the remote's tail.
     Outbound(Box<CopyLeg>),
@@ -263,7 +246,7 @@ struct CopyLeg {
     /// A pull that completed leaves its retired receiver here, and the
     /// leg stays — polled like a live one — until the entry is reaped,
     /// so a remote whose final ack was lost still gets its tail
-    /// answered (what [`Link::Lingering`] does for a session).
+    /// answered (what the shard's [`TailRecords`] do for a session).
     channel: TimeWait<FcsChannel<UdpChannel>>,
 }
 
@@ -288,22 +271,11 @@ impl CopyLeg {
     }
 }
 
-/// What an engine call (or a timer) left of an entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum After {
-    /// Work to do, or duplicates to answer, as before.
-    Live,
-    /// A push that just completed: it stays, as a [`Link::Lingering`].
-    Lingers,
-    /// Nothing more to do or to answer for: reap it.
-    Spent,
-}
-
 impl Entry {
     /// The status a copy reports (`None` for a session).
     fn copy_status(&self) -> Option<CopyStatus> {
         match &self.link {
-            Link::Inbound(_) | Link::Lingering { .. } => None,
+            Link::Inbound(_) => None,
             Link::Settled(status) => Some(*status),
             Link::Outbound(copy) => Some(copy.status()),
         }
@@ -332,12 +304,8 @@ pub struct NodeServer {
     shutdown: Arc<AtomicBool>,
     /// Every transfer this shard is driving, sessions and copies alike.
     /// Boxed: the table doubles as it grows, and at thousands of short
-    /// sessions a second most of its slots are lingerers or empty.
+    /// sessions a second most of its slots are empty.
     table: HashMap<Key, Box<Entry>>,
-    /// The sessions that went lingering, oldest first, capped at
-    /// [`NodeConfig::max_sessions`] (ids whose quiet window has ended
-    /// stay until they reach the front).
-    lingerers: VecDeque<Key>,
     /// How many of the table's entries are copies, live or settled.
     /// They are admitted against [`NodeConfig::max_sessions`] apart
     /// from the sessions, whose unfinished count the shard's metrics
@@ -375,6 +343,9 @@ struct Shard {
     /// every engine in the table shares this zero point, so the
     /// adaptive RTO's round-trip samples are plain differences.
     epoch: Instant,
+    /// Completed pushes, answering their peers' tails; consulted only
+    /// for datagrams that miss every session.
+    tails: TailRecords,
     /// Reused FCS framing scratch for outgoing datagrams.
     frame_buf: Vec<u8>,
     /// Session-event count (accepts, finishes, rejects) at the last
@@ -425,6 +396,7 @@ impl NodeServer {
             shard: Shard {
                 socket,
                 io,
+                tails: TailRecords::new(config.max_sessions),
                 config,
                 store,
                 local,
@@ -439,7 +411,6 @@ impl NodeServer {
             },
             shutdown,
             table: HashMap::new(),
-            lingerers: VecDeque::new(),
             copies: 0,
             legs: Vec::new(),
         })
@@ -583,26 +554,23 @@ impl NodeServer {
             _ => {}
         }
         let key = Key::Inbound(dgram.transfer_id);
-        let Some(entry) = self.table.get_mut(&key) else {
-            self.shard.local.unroutable += 1;
-            return Ok(());
-        };
-        match &entry.link {
+        let shard = &mut self.shard;
+        match self.table.get_mut(&key) {
             // Only the session's peer may drive its engine.
-            Link::Inbound(session) if session.peer == peer => {
-                let after = self.shard.pump(key, entry, Input::Datagram(&dgram))?;
-                self.settle(key, after);
-            }
-            Link::Lingering { peer: p, finished } if *p == peer => {
-                let mut status = [0u8; FinishedReceiver::STATUS_LEN];
-                if let Some(n) = finished.reack(&dgram, &mut status) {
-                    self.shard.send_framed(peer, &status[..n])?;
+            Some(entry) if matches!(&entry.link, Link::Inbound(s) if s.peer == peer) => {
+                if shard.pump(key, entry, Input::Datagram(&dgram))? {
+                    self.reap(key);
                 }
-                // Traffic for a finished session means the peer has not
-                // heard our final ack yet: restart the quiet window.
-                self.shard.open_quiet_window(key, entry.started);
             }
-            _ => self.shard.local.unroutable += 1,
+            Some(_) => shard.local.unroutable += 1,
+            None => {
+                let (now, mut status) = (Instant::now(), [0u8; FinishedReceiver::STATUS_LEN]);
+                match shard.tails.answer(now, &dgram, peer, &mut status) {
+                    Some(Some(n)) => shard.send_framed(peer, &status[..n])?,
+                    Some(None) => {}
+                    None => shard.local.unroutable += 1,
+                }
+            }
         }
         Ok(())
     }
@@ -615,17 +583,18 @@ impl NodeServer {
             shard.local.malformed += 1;
             return Ok(());
         };
+        let held = shard.tails.peer(Instant::now(), id);
         match self.table.get(&key).map(|entry| &entry.link) {
-            None => {}
+            None if held.is_none() => {}
             // Duplicate request: our echo was lost; re-send it.
             Some(Link::Inbound(session)) if session.peer == peer => {
                 return shard.send_framed(peer, &session.echo);
             }
             // A duplicate that outlived its session: the peer has long
             // had the echo — it went on to send every byte.
-            Some(Link::Lingering { peer: p, .. }) if *p == peer => return Ok(()),
+            None if held == Some(peer) => return Ok(()),
             // Someone else's id: refuse rather than cross wires.
-            Some(_) => {
+            _ => {
                 shard.local.collisions += 1;
                 return shard.send_cancel(id, peer);
             }
@@ -703,8 +672,9 @@ impl NodeServer {
                 }),
             })
         });
-        let after = shard.pump(key, entry, Input::Start)?;
-        self.settle(key, after);
+        if shard.pump(key, entry, Input::Start)? {
+            self.reap(key);
+        }
         Ok(())
     }
 
@@ -716,11 +686,10 @@ impl NodeServer {
         let Some(entry) = self.table.get_mut(&key) else {
             return Ok(());
         };
-        let after = match (token, &entry.link) {
+        let spent = match (token, &entry.link) {
             (GIVE_UP, Link::Inbound(_)) => {
                 // The hard bound on session lifetime: fail an engine
-                // that never completed.  (A push that did complete has
-                // no give-up timer; the bound caps its quiet window.)
+                // that never completed.
                 let stats = entry.engine.as_ref().map(|e| e.stats()).unwrap_or_default();
                 let info = CompletionInfo::failure(
                     blast_core::CoreError::BadState {
@@ -728,7 +697,8 @@ impl NodeServer {
                     },
                     stats,
                 );
-                self.shard.finish_session(key, entry, &info)
+                self.shard.finish_session(key, entry, &info);
+                true
             }
             // The session-lifetime bound doubles as the copy's: an
             // outbound leg that has not settled by then is abandoned.
@@ -738,33 +708,14 @@ impl NodeServer {
                     Some(_) => errcode::TRANSFER_FAILED,
                 };
                 self.shard.end_copy(key, entry, Err(error));
-                After::Live
+                false
             }
             _ => self.shard.pump(key, entry, Input::Timer(token))?,
         };
-        self.settle(key, after);
-        Ok(())
-    }
-
-    /// Act on what an engine call left of `key`'s entry: reap a spent
-    /// one; queue a new lingerer, and stop answering for the oldest
-    /// once [`NodeConfig::max_sessions`] younger ones have queued up
-    /// behind it — so what lingers is bounded by a count, not by how
-    /// many sessions a second the shard completes.
-    fn settle(&mut self, key: Key, after: After) {
-        match after {
-            After::Live => {}
-            After::Spent => self.reap(key),
-            After::Lingers => {
-                self.lingerers.push_back(key);
-                if self.lingerers.len() > self.shard.config.max_sessions {
-                    let oldest = self.lingerers.pop_front().expect("just pushed");
-                    if let Some(Link::Lingering { .. }) = self.table.get(&oldest).map(|e| &e.link) {
-                        self.reap(oldest);
-                    }
-                }
-            }
+        if spent {
+            self.reap(key);
         }
+        Ok(())
     }
 
     /// Drop `key`'s entry and whatever timers it still has armed.
@@ -997,15 +948,15 @@ impl Shard {
     /// per call, as `Client` does), timers ride the one wheel under
     /// `key`, and completion finishes the session or settles the copy.
     ///
-    /// Returns what the call left of the entry; the caller, who owns
-    /// the table, [`settle`](NodeServer::settle)s it.
-    fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<After> {
+    /// Returns whether the entry is spent — nothing left to do — for
+    /// the caller, who owns the table, to reap.
+    fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<bool> {
         let now = self.epoch.elapsed();
         let timer_key = |token| (key, token);
         let done = match &mut entry.link {
             Link::Inbound(session) => {
                 let Some(engine) = entry.engine.as_deref_mut() else {
-                    return Ok(After::Live);
+                    return Ok(false);
                 };
                 let (io, socket, frame) = (&mut self.io, &self.socket, &mut self.frame_buf);
                 let peer = Some(session.peer);
@@ -1014,7 +965,7 @@ impl Shard {
                     io.queue_to(socket, frame, peer)
                 })?
             }
-            Link::Lingering { .. } | Link::Settled(_) => return Ok(After::Live),
+            Link::Settled(_) => return Ok(false),
             Link::Outbound(copy) => {
                 let (channel, asked) = (&mut copy.channel, copy.outbound.requests_sent);
                 let sent = copy
@@ -1037,36 +988,35 @@ impl Shard {
                             _ => errcode::TRANSFER_FAILED,
                         };
                         self.end_copy(key, entry, Err(error));
-                        return Ok(After::Live);
+                        return Ok(false);
                     }
                 }
             }
         };
-        Ok(match (done, &entry.link) {
-            (Some(info), Link::Inbound(_)) => self.finish_session(key, entry, &info),
-            (Some(info), _) => {
-                self.finish_copy(key, entry, &info);
-                After::Live
-            }
-            (None, _) => After::Live,
-        })
+        let Some(info) = done else {
+            return Ok(false);
+        };
+        let session = matches!(entry.link, Link::Inbound(_));
+        if session {
+            self.finish_session(key, entry, &info);
+        } else {
+            self.finish_copy(key, entry, &info);
+        }
+        Ok(session)
     }
 
-    /// Book the end of a session and release its engine.  The entry is
-    /// then [`After::Spent`] — a pull that completed (its sender has
-    /// heard the final ack) or any session that failed — or, a
-    /// completed push, [`After::Lingers`]: it stays as the
-    /// [`FinishedReceiver`] its engine retired into, to re-acknowledge
+    /// Book the end of a session and release its engine, leaving the
+    /// entry spent.  A completed push leaves the [`FinishedReceiver`]
+    /// its engine retired into in the tail table, to re-acknowledge
     /// until its peer has been quiet for [`NodeConfig::linger`].
-    fn finish_session(&mut self, key: Key, entry: &mut Entry, info: &CompletionInfo) -> After {
+    fn finish_session(&mut self, key: Key, entry: &mut Entry, info: &CompletionInfo) {
         let Link::Inbound(session) = &entry.link else {
-            return After::Live;
+            return;
         };
         let (peer, direction) = (session.peer, session.direction);
         let mut engine = entry.engine.take();
         let ok = info.is_success();
         let bytes = *info.result.as_ref().unwrap_or(&0);
-        let mut lingerer = None;
         if ok && direction == Direction::Push {
             if let Some((data, finished)) = engine.as_deref_mut().and_then(Engine::retire) {
                 // A completed push becomes a named blob other clients
@@ -1074,7 +1024,9 @@ impl Shard {
                 if !entry.name.is_empty() {
                     self.store.put(&entry.name, Arc::from(data));
                 }
-                lingerer = Some(finished);
+                let until = entry.started + self.config.session_timeout;
+                self.tails
+                    .hold(Instant::now(), finished, peer, self.config.linger, until);
             }
         }
         let report = SessionReport {
@@ -1098,25 +1050,6 @@ impl Shard {
                 bytes as u64,
             );
         }
-        let Some(finished) = lingerer else {
-            return After::Spent;
-        };
-        entry.link = Link::Lingering { peer, finished };
-        // The one timer a lingerer needs is its reap, which carries the
-        // lifetime bound from here on.
-        self.timers.cancel((key, GIVE_UP));
-        self.open_quiet_window(key, entry.started);
-        After::Lingers
-    }
-
-    /// (Re)start a lingering session's quiet window: reap it
-    /// [`NodeConfig::linger`] from now, or when the lifetime of a
-    /// session that `started` then runs out, whichever is first — a
-    /// peer that never goes quiet cannot keep it forever.
-    fn open_quiet_window(&mut self, key: Key, started: Instant) {
-        let quiet = Instant::now() + self.config.linger;
-        let bound = started + self.config.session_timeout;
-        self.timers.arm_at((key, REAP), quiet.min(bound));
     }
 
     /// Answer a control-plane `Stats` query with a whole-node snapshot:
@@ -1152,11 +1085,12 @@ impl Shard {
         let n = DatagramBuilder::new(dgram.transfer_id)
             .build_stats(&mut buf, dgram.seq, text.as_bytes())
             .expect("stats reply fits");
-        self.send_framed(peer, &buf[..n])?;
+        // Recorded before the reply leaves: a querier that has the reply
+        // then finds the event in the trace.
         if let Some(rec) = &self.recorder {
             rec.record(0, EventKind::StatsServed, text.len() as u64, 0);
         }
-        Ok(())
+        self.send_framed(peer, &buf[..n])
     }
 
     /// Pull everything waiting on one copy's channel into its leg.
@@ -1165,9 +1099,9 @@ impl Shard {
         let mut handled = 0;
         // A datagram can end the copy, and with it the channel.
         while let Link::Outbound(copy) = &mut entry.link {
-            let drops = copy.channel.inner().fcs_drops;
+            let drops = copy.channel.discarded();
             let got = copy.channel.recv_timeout(buf, Duration::ZERO);
-            self.local.fcs_drops += copy.channel.inner().fcs_drops - drops;
+            self.local.fcs_drops += copy.channel.discarded() - drops;
             match got {
                 Ok(Some(n)) => {
                     handled += 1;
@@ -1203,7 +1137,8 @@ impl Shard {
             // The remote sender has not heard our final ack yet and may
             // never: the leg keeps its channel, answering for the
             // retired receiver, for as long as the entry lives.
-            copy.channel.hold(finished, COPY_GRACE);
+            copy.channel
+                .hold(finished, COPY_GRACE, Instant::now() + COPY_GRACE);
             copy.status = self.settle(key, copy.status, Ok(bytes as u64));
             return;
         }
@@ -1774,9 +1709,28 @@ mod tests {
             NodeServer::with_socket(config, shared_store(), socket, shutdown, false).unwrap();
         let addr = server.local_addr().unwrap();
 
-        let workload = std::thread::spawn(move || {
-            let mut client = Client::connect(addr).unwrap().config(client_cfg());
+        let mut client = Client::connect(addr)
+            .unwrap()
+            .config(client_cfg())
+            .transfer_ids_from(1);
+        let pushed = std::thread::spawn(move || {
             client.push("blob", &payload(40_000)).unwrap();
+            client
+        });
+        let mut buf = vec![0u8; 64 * 1024];
+        while !pushed.is_finished() {
+            server.tick(&mut buf).unwrap();
+        }
+        let mut client = pushed.join().unwrap();
+        // A finished push leaves no entry and no timer, only a record.
+        assert!(server.table.is_empty());
+        assert!(
+            server.shard.timers.is_empty(),
+            "a finished push left a timer"
+        );
+        assert!(server.shard.tails.peer(Instant::now(), 1).is_some());
+
+        let workload = std::thread::spawn(move || {
             assert_eq!(client.pull("blob").unwrap().data, payload(40_000));
             assert!(client.copy_to("blob", remote_addr).unwrap().verified);
             // A pull copy's leg outlives its completion (it answers
@@ -1786,10 +1740,9 @@ mod tests {
             assert_eq!(refused.kind(), io::ErrorKind::NotFound);
         });
         // Drive the reactor by hand until the workload is done and
-        // everything it created has been reaped: sessions leave after
-        // `linger`, copies after `COPY_GRACE`.
+        // everything it created has been reaped: sessions leave as they
+        // end, copies after `COPY_GRACE`.
         let started = Instant::now();
-        let mut buf = vec![0u8; 64 * 1024];
         while !(workload.is_finished() && server.table.is_empty()) {
             server.tick(&mut buf).unwrap();
             assert!(
@@ -1812,47 +1765,147 @@ mod tests {
         remote.shutdown().unwrap();
     }
 
-    /// What lingers is bounded by a count: once `max_sessions` younger
-    /// pushes have finished behind it, a lingerer goes — table entry,
-    /// reap timer and all — however long its quiet window has left.
-    #[test]
-    fn lingerers_are_capped_at_max_sessions() {
+    /// A shard whose reactor the test ticks by hand, and its address.
+    fn hand_ticked(max_sessions: usize, linger: Duration) -> (NodeServer, SocketAddr) {
         let mut config = NodeConfig::default();
         config.protocol.timeout = Duration::from_millis(15).into();
-        config.max_sessions = 2;
-        config.linger = Duration::from_secs(60);
+        config.max_sessions = max_sessions;
+        config.linger = linger;
         let socket = UdpSocket::bind(config.bind).unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut server =
+        let server =
             NodeServer::with_socket(config, shared_store(), socket, shutdown, false).unwrap();
         let addr = server.local_addr().unwrap();
+        (server, addr)
+    }
 
-        let workload = std::thread::spawn(move || {
-            let mut client = Client::connect(addr)
-                .unwrap()
-                .config(client_cfg())
-                .transfer_ids_from(1);
-            for i in 0..6 {
-                client.push(&format!("blob-{i}"), &payload(10_000)).unwrap();
-            }
-        });
+    /// Tick `server` until `work` is done, and return what it returned.
+    fn tick_through<T>(server: &mut NodeServer, work: std::thread::JoinHandle<T>) -> T {
         let started = Instant::now();
         let mut buf = vec![0u8; 64 * 1024];
-        while !workload.is_finished() {
+        while !work.is_finished() {
             server.tick(&mut buf).unwrap();
             assert!(started.elapsed() < Duration::from_secs(20));
         }
-        workload.join().unwrap();
-        let mut lingering: Vec<u32> = server.table.keys().map(|key| key.id()).collect();
-        lingering.sort_unstable();
-        assert_eq!(lingering, [5, 6], "the two youngest");
-        assert!(server
-            .table
-            .values()
-            .all(|e| e.engine.is_none() && matches!(e.link, Link::Lingering { .. })));
-        assert_eq!(server.shard.timers.len(), 2, "one reap timer each");
+        work.join().unwrap()
+    }
+
+    /// What lingers is bounded by a count: once `max_sessions` younger
+    /// pushes have finished behind it, a finished push is no longer
+    /// answered for, however long its quiet window has left.
+    #[test]
+    fn tail_records_are_capped_at_max_sessions() {
+        let (mut server, addr) = hand_ticked(2, Duration::from_secs(60));
+        tick_through(
+            &mut server,
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr)
+                    .unwrap()
+                    .config(client_cfg())
+                    .transfer_ids_from(1);
+                for i in 0..6 {
+                    client.push(&format!("blob-{i}"), &payload(10_000)).unwrap();
+                }
+            }),
+        );
+        assert!(server.table.is_empty(), "finished pushes leave the table");
+        assert!(server.shard.timers.is_empty(), "and arm no timer");
+        let now = Instant::now();
+        let held: Vec<u32> = (1..=6)
+            .filter(|&id| server.shard.tails.peer(now, id).is_some())
+            .collect();
+        assert_eq!(held, [5, 6], "the two youngest");
         let m = &server.shard.local;
         assert_eq!((m.sessions_completed, m.rejected_busy), (6, 0));
+    }
+
+    /// A transfer id can finish twice on one shard, from two clients, a
+    /// quiet window apart.  The younger push is answered for as long as
+    /// any other: nothing of the older one's bookkeeping outlives it.
+    #[test]
+    fn a_reused_transfer_id_is_answered_for_after_the_first_record_expired() {
+        let linger = Duration::from_millis(300);
+        let (mut server, addr) = hand_ticked(2, linger);
+        tick_through(
+            &mut server,
+            std::thread::spawn(move || {
+                let mut a = Client::connect(addr)
+                    .unwrap()
+                    .config(client_cfg())
+                    .transfer_ids_from(1);
+                a.push("a", &payload(10_000)).unwrap();
+            }),
+        );
+        // Let A's transfer 1 go quiet and be forgotten.
+        let quiet = Instant::now() + 2 * linger;
+        let mut buf = vec![0u8; 64 * 1024];
+        while Instant::now() < quiet || !server.table.is_empty() {
+            server.tick(&mut buf).unwrap();
+        }
+
+        // B, from another socket, reuses ids 1 and 2, keeping what it
+        // sends; a clone of its socket stays with the test.
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket.connect(addr).unwrap();
+        let replay = socket.try_clone().unwrap();
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let channel = Logged {
+            inner: UdpChannel::from_socket(socket),
+            sent: Arc::clone(&sent),
+        };
+        tick_through(
+            &mut server,
+            std::thread::spawn(move || {
+                let mut b = Client::over(channel)
+                    .config(client_cfg())
+                    .transfer_ids_from(1);
+                b.push("b1", &payload(10_000)).unwrap();
+                b.push("b2", &payload(10_000)).unwrap();
+            }),
+        );
+
+        // B's final ack for transfer 1 was lost, say: its tail again.
+        let tail = sent
+            .lock()
+            .unwrap()
+            .iter()
+            .rfind(|frame: &&Vec<u8>| {
+                let d = Datagram::parse(&frame[..fcs::unframe(frame).unwrap()]).unwrap();
+                d.transfer_id == 1 && d.kind == PacketKind::Data && d.is_last()
+            })
+            .cloned()
+            .expect("B sent transfer 1's tail");
+        replay.send(&tail).unwrap();
+        replay.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + linger / 2;
+        let mut reply = [0u8; 256];
+        let n = loop {
+            server.tick(&mut buf).unwrap();
+            if let Ok(n) = replay.recv(&mut reply) {
+                break n;
+            }
+            assert!(Instant::now() < deadline, "B's transfer 1 went unanswered");
+        };
+        let ack = Datagram::parse(&reply[..fcs::unframe(&reply[..n]).unwrap()]).unwrap();
+        assert_eq!((ack.transfer_id, ack.kind), (1, PacketKind::Ack));
+        assert_eq!(server.shard.local.unroutable, 0);
+    }
+
+    /// A channel that keeps a copy of every frame it sends.
+    struct Logged {
+        inner: UdpChannel,
+        sent: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Channel for Logged {
+        fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+            self.sent.lock().unwrap().push(frame.to_vec());
+            self.inner.send(frame)
+        }
+
+        fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+            self.inner.recv_timeout(buf, timeout)
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! A pull's final acknowledgement, lost: what used to be covered by
-//! the client blocking through a linger window is covered off the
+//! A final acknowledgement, lost.  On a pull, what used to be covered
+//! by the client blocking through a linger window is covered off the
 //! clock, by the time-wait record the finished receiver leaves on the
-//! client's channel.
+//! client's channel; on a push, by the record the node's finished
+//! receiver leaves in its shard's tail table.
 
 use std::collections::HashMap;
 use std::io;
@@ -51,6 +52,47 @@ impl Channel for LosesFirstAck {
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
         self.inner.recv_timeout(buf, timeout)
     }
+}
+
+/// A channel that loses exactly one datagram on its way in: the first
+/// acknowledgement the node sends.  Every frame sent through it is kept.
+struct LosesFirstAckIn {
+    inner: UdpChannel,
+    lost: bool,
+    sent: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl Channel for LosesFirstAckIn {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.sent.lock().unwrap().push(frame.to_vec());
+        self.inner.send(frame)
+    }
+
+    fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+        loop {
+            let got = self.inner.recv_timeout(buf, timeout)?;
+            match got.map(|n| parse(&buf[..n]).kind) {
+                Some(PacketKind::Ack) if !self.lost => self.lost = true,
+                _ => return Ok(got),
+            }
+        }
+    }
+}
+
+/// The datagram inside one FCS frame.
+fn parse(frame: &[u8]) -> Datagram<'_> {
+    Datagram::parse(&frame[..fcs::unframe(frame).unwrap()]).unwrap()
+}
+
+/// Everything `socket` receives within `window`.
+fn collect(socket: &UdpSocket, window: Duration) -> Vec<Vec<u8>> {
+    socket.set_read_timeout(Some(window)).unwrap();
+    let mut got = Vec::new();
+    let mut buf = [0u8; 2048];
+    while let Ok(n) = socket.recv(&mut buf) {
+        got.push(buf[..n].to_vec());
+    }
+    got
 }
 
 fn payload(seed: usize, n: usize) -> Vec<u8> {
@@ -163,4 +205,81 @@ fn a_nodes_first_tail_retransmission_comes_after_the_old_clean_window() {
         "tail retransmitted after {gap:?}; the old window was {old_clean_window:?}"
     );
     node.shutdown().unwrap();
+}
+
+/// A push's final acknowledgement, lost: the node's finished receiver
+/// answers the pusher's retransmitted tail from the shard's tail table,
+/// and answers nobody else.
+#[test]
+fn push_whose_final_ack_is_lost_is_answered_from_the_nodes_tail_table() {
+    let node = NodeBuilder::new()
+        .linger(Duration::from_secs(5))
+        .start()
+        .unwrap();
+    let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    socket.connect(node.addr()).unwrap();
+    let pusher = socket.try_clone().unwrap();
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let channel = LosesFirstAckIn {
+        inner: UdpChannel::from_socket(socket),
+        lost: false,
+        sent: Arc::clone(&sent),
+    };
+    let mut client = Client::over(channel)
+        .timeout(Duration::from_millis(20))
+        .transfer_ids_from(300)
+        .patience(Duration::from_secs(5));
+
+    let pushed = client.push("p", &payload(4, 4096)).unwrap();
+    assert!(pushed.stats.timeouts >= 1, "the sender had to ask again");
+    assert!(node.wait_idle(Duration::from_secs(5)));
+    let m = node.metrics();
+    assert_eq!((m.sessions_completed, m.sessions_failed), (1, 0));
+    assert_eq!(
+        node.store().get("p").as_deref(),
+        Some(&payload(4, 4096)[..])
+    );
+
+    let sent = sent.lock().unwrap();
+    let find = |kind: PacketKind| {
+        let frame = sent.iter().rfind(|f| {
+            let d = parse(f);
+            d.transfer_id == 300 && d.kind == kind && (kind != PacketKind::Data || d.is_last())
+        });
+        frame.cloned().unwrap()
+    };
+    let (tail, request) = (find(PacketKind::Data), find(PacketKind::Request));
+    let quiet = Duration::from_millis(200);
+
+    // The tail from a socket that did not push: no reply, unroutable.
+    let foreign = UdpSocket::bind("127.0.0.1:0").unwrap();
+    foreign.connect(node.addr()).unwrap();
+    foreign.send(&tail).unwrap();
+    assert!(collect(&foreign, quiet).is_empty());
+    let wait_for = |what: &dyn Fn(&blast_node::NodeMetrics) -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !what(&node.metrics()) {
+            assert!(Instant::now() < deadline);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    wait_for(&|m| m.unroutable == 1);
+
+    // The request again from the pusher: it has long had its echo.
+    pusher.send(&request).unwrap();
+    let replies = collect(&pusher, quiet);
+    assert!(
+        replies.iter().all(|r| parse(r).kind == PacketKind::Ack),
+        "a duplicate request for a held id is ignored"
+    );
+
+    // The same request from anyone else collides with the held id.
+    foreign.send(&request).unwrap();
+    let replies = collect(&foreign, quiet);
+    assert_eq!(replies.len(), 1);
+    let cancel = parse(&replies[0]);
+    assert_eq!((cancel.kind, cancel.transfer_id), (PacketKind::Cancel, 300));
+    wait_for(&|m| m.collisions == 1);
+    let m = node.shutdown().unwrap();
+    assert_eq!((m.sessions_accepted, m.sessions_failed), (1, 0));
 }

@@ -435,12 +435,6 @@ impl NetIo {
         }
     }
 
-    /// Take a copy of the counters (for delta accounting around a
-    /// reactor tick).
-    pub fn stats_snapshot(&self) -> NetIoStats {
-        self.stats
-    }
-
     /// Pop one previously-[`fill`](NetIo::fill)ed datagram into `buf`,
     /// with the sender's address when the socket is unconnected.
     pub fn pop_into(&mut self, buf: &mut [u8]) -> Option<(usize, Option<SocketAddr>)> {

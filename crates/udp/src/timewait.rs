@@ -1,40 +1,27 @@
 //! Time-wait: answering for finished receivers off the wall clock.
 //!
-//! A receiver finishes one datagram before its sender does: the final
-//! status report can be lost, and then the sender retransmits its
-//! reliable tail until someone re-acknowledges (§3.2.2's tail problem).
-//! Blocking on the channel through a linger window after every transfer
-//! would cover that, at the price of a timer on the critical path of
-//! *every* transfer — a timer the paper's error-free elapsed-time model
-//! does not contain.
+//! A receiver finishes one datagram before its sender does, and if its
+//! final status report is lost the sender retransmits its tail until
+//! someone re-acknowledges (§3.2.2).  No transfer waits out a timer for
+//! that: the side that finished keeps the [`FinishedReceiver`] its engine
+//! left behind — a few words — in a sans-I/O [`TailRecords`] table, which
+//! answers exactly what the engine would have
+//! ([`FinishedReceiver::reack`]), once per datagram, to the record's own
+//! peer.  A node's shard holds one table for its finished pushes; a
+//! channel-side receiver (a `Client`'s pull, a pull copy's leg) holds one
+//! in [`TimeWait`], which answers from whatever receive loop runs on the
+//! channel next, inside [`recv_timeout`](Channel::recv_timeout).
+//! Nothing is answered while no loop runs, or once the channel is gone.
 //!
-//! [`TimeWait`] keeps the duty off the clock, and is the one place a
-//! channel-side receiver discharges it.  A caller whose receiver
-//! completed hands the adaptor the [`FinishedReceiver`] the engine left
-//! behind and returns at once; the adaptor answers for it from whatever
-//! receive loop runs on the channel next — the next transfer's
-//! [`Outbound`](crate::outbound::Outbound) leg, a control query — until
-//! the record expires.  Neither loop knows: datagrams addressed to a
-//! held transfer are answered (or not) and swallowed inside
-//! [`recv_timeout`](Channel::recv_timeout).
-//!
-//! What it answers is exactly what the finished engine would have
-//! ([`FinishedReceiver::reack`]): at most one datagram per datagram
-//! received, only for transfers it holds.  The price of not blocking is
-//! that nothing is answered while no receive loop runs, and nothing at
-//! all once the channel is dropped.
-//!
-//! The records are few ([`MAX_RECORDS`]) and each is kept for its whole
+//! A channel's records are few ([`MAX_RECORDS`]) and each keeps its
 //! window, so a caller about to start a receiver first
-//! [`reserve`](TimeWait::reserve)s a place for it to finish into: with
-//! every place taken by a live record it waits, answering, for the
-//! oldest to expire.  That is the one clock left, and it binds only a
-//! caller finishing receivers faster than `MAX_RECORDS` per window —
-//! 2 560 a second at the 100 ms minimum — who would otherwise trade
-//! away, silently, the cover the records exist to give.
+//! [`reserve`](TimeWait::reserve)s a place, waiting — answering — for the
+//! oldest to expire if every place is taken: at most `MAX_RECORDS`
+//! receivers per window, 2 560 a second at the 100 ms minimum.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use blast_core::blast::FinishedReceiver;
@@ -44,30 +31,123 @@ use blast_wire::packet::Datagram;
 
 use crate::channel::{Channel, MAX_DATAGRAM};
 
-/// Most records held at once: 12 KB at 48 bytes a record, searched
-/// only for datagrams whose transfer id lies among the held ones.
+/// Most records a channel holds at once.
 pub const MAX_RECORDS: usize = 256;
+
+/// The finished receivers a side answers for, sans I/O: the caller
+/// passes the time, sends the replies and arms no timer for them.
+///
+/// A record is held for one peer (`P`: an address on a shared socket,
+/// `()` on a connected channel) and expires `quiet` after it was held
+/// or after the last datagram it answered, never later than its
+/// `until`.  At most `capacity` are held; past that, holding one
+/// displaces the oldest-held.  Lookup is by transfer id.
+#[derive(Debug)]
+pub struct TailRecords<P = SocketAddr> {
+    records: HashMap<u32, Record<P>>,
+    capacity: usize,
+    /// Records held so far: orders them by age.
+    held: u64,
+}
+
+#[derive(Debug)]
+struct Record<P> {
+    finished: FinishedReceiver,
+    peer: P,
+    quiet: Duration,
+    expires: Instant,
+    until: Instant,
+    serial: u64,
+}
+
+impl<P: Copy + PartialEq> TailRecords<P> {
+    /// An empty table that holds at most `capacity` records.
+    pub fn new(capacity: usize) -> Self {
+        TailRecords {
+            // Room for twice the capacity: ids that come and go then
+            // never make the map reallocate.
+            records: HashMap::with_capacity(2 * capacity),
+            capacity,
+            held: 0,
+        }
+    }
+
+    /// Answer for `finished` toward `peer` from `now` on, as described
+    /// on the [type](Self).  Replaces a record of the same transfer.
+    pub fn hold(
+        &mut self,
+        now: Instant,
+        finished: FinishedReceiver,
+        peer: P,
+        quiet: Duration,
+        until: Instant,
+    ) {
+        let id = finished.transfer_id();
+        if !self.records.contains_key(&id) && self.full_until(now).is_some() {
+            let oldest = self.records.iter().min_by_key(|(_, r)| r.serial);
+            let oldest = *oldest.expect("full").0;
+            self.records.remove(&oldest);
+        }
+        self.held += 1;
+        let record = Record {
+            finished,
+            peer,
+            quiet,
+            expires: (now + quiet).min(until),
+            until,
+            serial: self.held,
+        };
+        self.records.insert(id, record);
+    }
+
+    /// The peer a live record of transfer `id` answers, if any.
+    pub fn peer(&self, now: Instant, id: u32) -> Option<P> {
+        let record = self.records.get(&id)?;
+        (record.expires > now).then_some(record.peer)
+    }
+
+    /// Deal with `dgram`, received from `peer`, if a live record of its
+    /// transfer answers that peer: write what the finished receiver
+    /// would have replied into `status` and return `Some` of its length
+    /// (`Some(None)` when it replies nothing), and restart the record's
+    /// quiet window.  `None` if the datagram is not the table's.
+    pub fn answer(
+        &mut self,
+        now: Instant,
+        dgram: &Datagram<'_>,
+        peer: P,
+        status: &mut [u8; FinishedReceiver::STATUS_LEN],
+    ) -> Option<Option<usize>> {
+        let record = self.records.get_mut(&dgram.transfer_id)?;
+        if record.expires <= now || record.peer != peer {
+            return None;
+        }
+        // A peer still sending has not heard our final ack yet.
+        record.expires = (now + record.quiet).min(record.until);
+        Some(record.finished.reack(dgram, status))
+    }
+
+    /// When every place is taken by a live record, the instant the
+    /// first of them expires; `None` while a place is free.  Sweeps
+    /// expired records out once the table is full.
+    pub fn full_until(&mut self, now: Instant) -> Option<Instant> {
+        if self.records.len() >= self.capacity {
+            self.records.retain(|_, r| r.expires > now);
+        }
+        if self.records.len() < self.capacity {
+            return None;
+        }
+        self.records.values().map(|r| r.expires).min()
+    }
+}
 
 /// A channel that re-acknowledges for receivers that have finished.
 #[derive(Debug)]
 pub struct TimeWait<C: Channel> {
     inner: C,
-    /// Oldest first; expiries are not ordered (windows may differ).
-    records: VecDeque<(FinishedReceiver, Instant)>,
-    /// Lowest and highest transfer id held.  A client numbers its
-    /// transfers upwards, so the transfer in progress lies above this
-    /// span and its datagrams skip the search.
-    span: (u32, u32),
+    tails: TailRecords<()>,
     /// Status reports re-sent so far.
     pub reacks: u64,
-}
-
-/// What one datagram off the inner channel turned out to be.
-enum Taken {
-    /// Addressed to a held transfer: dealt with here.
-    Swallowed,
-    /// Anyone else's: the caller's, `n` bytes long.
-    Passed(usize),
 }
 
 impl<C: Channel> TimeWait<C> {
@@ -75,55 +155,32 @@ impl<C: Channel> TimeWait<C> {
     pub fn new(inner: C) -> Self {
         TimeWait {
             inner,
-            records: VecDeque::new(),
-            span: (0, 0),
+            tails: TailRecords::new(MAX_RECORDS),
             reacks: 0,
         }
     }
 
-    /// The wrapped channel.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
     /// Make sure a record can be [held](Self::hold) without displacing
-    /// one still in its window: if every place is taken, stay on the
-    /// channel — answering for the records held; other datagrams are
-    /// dropped — until the first of them expires.  Returns at once
-    /// otherwise.
+    /// a live one: while every place is taken, stay on the channel,
+    /// answering (other datagrams are dropped), until the first expires.
     pub fn reserve(&mut self) -> io::Result<()> {
         let mut buf = Vec::new();
         loop {
             let now = Instant::now();
-            self.records.retain(|&(_, expires)| expires > now);
-            if self.records.len() < MAX_RECORDS {
+            let Some(free) = self.tails.full_until(now) else {
                 return Ok(());
-            }
-            let first = self.records.iter().map(|&(_, expires)| expires).min();
+            };
             buf.resize(MAX_DATAGRAM, 0);
-            self.take(&mut buf, first.expect("every place taken") - now)?;
+            if let Some(n) = self.inner.recv_timeout(&mut buf, free - now)? {
+                self.swallow(&buf[..n])?;
+            }
         }
     }
 
-    /// Answer for `finished` on this channel for the next `window`.
-    /// (Displaces the oldest record if the caller did not
-    /// [`reserve`](Self::reserve) and every place is taken.)
-    pub fn hold(&mut self, finished: FinishedReceiver, window: Duration) {
-        let now = Instant::now();
-        self.records.retain(|&(_, expires)| expires > now);
-        if self.records.len() == MAX_RECORDS {
-            self.records.pop_front();
-        }
-        self.records.push_back((finished, now + window));
-        let ids = self.records.iter().map(|(f, _)| f.transfer_id());
-        let lowest = ids.clone().min().expect("just pushed");
-        self.span = (lowest, ids.max().expect("just pushed"));
-    }
-
-    /// Records held (expired ones leave at the next
-    /// [`reserve`](Self::reserve) or [`hold`](Self::hold)).
-    pub fn held(&self) -> usize {
-        self.records.len()
+    /// Answer for `finished` until quiet for `quiet`, and not past
+    /// `until` (see [`TailRecords`]; [`reserve`](Self::reserve) first).
+    pub fn hold(&mut self, finished: FinishedReceiver, quiet: Duration, until: Instant) {
+        self.tails.hold(Instant::now(), finished, (), quiet, until);
     }
 
     /// Stay on the channel, answering, until it has been quiet for
@@ -143,46 +200,37 @@ impl<C: Channel> TimeWait<C> {
             if left.is_zero() {
                 return Ok(());
             }
-            if self.take(&mut buf, left)?.is_some() {
+            if let Some(n) = self.inner.recv_timeout(&mut buf, left)? {
+                self.swallow(&buf[..n])?;
                 quiet_since = Instant::now();
             }
         }
     }
 
-    /// Receive one datagram and deal with it if it is for a held
-    /// transfer.  `None` on timeout.
-    fn take(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<Taken>> {
-        let Some(n) = self.inner.recv_timeout(buf, timeout)? else {
-            return Ok(None);
-        };
-        if self.records.is_empty() || n < HEADER_LEN {
-            return Ok(Some(Taken::Passed(n)));
+    /// Answer `datagram` if it is addressed to a held transfer; whether
+    /// it was (and so is not the caller's).
+    fn swallow(&mut self, datagram: &[u8]) -> io::Result<bool> {
+        if self.tails.records.is_empty() || datagram.len() < HEADER_LEN {
+            return Ok(false);
         }
         // Peek at the transfer id before paying for a parse: with
         // records held, nearly every datagram is still someone else's.
-        let id = BlastHeader::new_unchecked(&buf[..n]).transfer_id();
-        if id < self.span.0 || id > self.span.1 {
-            return Ok(Some(Taken::Passed(n)));
-        }
+        let id = BlastHeader::new_unchecked(datagram).transfer_id();
         let now = Instant::now();
-        let Some(&(finished, _)) = self
-            .records
-            .iter()
-            .find(|(f, expires)| f.transfer_id() == id && *expires > now)
-        else {
-            return Ok(Some(Taken::Passed(n)));
-        };
+        if self.tails.peer(now, id).is_none() {
+            return Ok(false);
+        }
         // Garbage that happens to carry a held id is the caller's to
         // count as malformed, like any other garbage.
-        let Ok(dgram) = Datagram::parse(&buf[..n]) else {
-            return Ok(Some(Taken::Passed(n)));
+        let Ok(dgram) = Datagram::parse(datagram) else {
+            return Ok(false);
         };
         let mut status = [0u8; FinishedReceiver::STATUS_LEN];
-        if let Some(len) = finished.reack(&dgram, &mut status) {
+        if let Some(Some(len)) = self.tails.answer(now, &dgram, (), &mut status) {
             self.inner.send(&status[..len])?;
             self.reacks += 1;
         }
-        Ok(Some(Taken::Swallowed))
+        Ok(true)
     }
 }
 
@@ -208,18 +256,17 @@ impl<C: Channel> Channel for TimeWait<C> {
     }
 
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
-        if self.records.is_empty() {
-            return self.inner.recv_timeout(buf, timeout);
-        }
         let started = Instant::now();
-        let mut left = timeout;
         loop {
-            match self.take(buf, left)? {
-                None => return Ok(None),
-                Some(Taken::Passed(n)) => return Ok(Some(n)),
-                // Not the caller's: keep waiting, within the same
-                // budget.  A zero budget is a poll and stays one.
-                Some(Taken::Swallowed) => left = timeout.saturating_sub(started.elapsed()),
+            // Swallowed datagrams are not the caller's: keep waiting,
+            // within the same budget.  A zero budget is a poll and
+            // stays one.
+            let left = timeout.saturating_sub(started.elapsed());
+            let Some(n) = self.inner.recv_timeout(buf, left)? else {
+                return Ok(None);
+            };
+            if !self.swallow(&buf[..n])? {
+                return Ok(Some(n));
             }
         }
     }
@@ -232,6 +279,7 @@ mod tests {
     use blast_core::{Engine, ProtocolConfig};
     use blast_wire::ack::AckPayload;
     use blast_wire::packet::DatagramBuilder;
+    use std::collections::VecDeque;
 
     /// A channel played from a script: `recv_timeout` pops `incoming`,
     /// `send` appends to `sent`.
@@ -297,21 +345,143 @@ mod tests {
         (d.transfer_id, d.ack)
     }
 
+    fn cancel(id: u32) -> Vec<u8> {
+        let mut buf = vec![0u8; 64];
+        let n = DatagramBuilder::new(id).build_cancel(&mut buf).unwrap();
+        buf.truncate(n);
+        buf
+    }
+
+    const A: u8 = 1;
+    const B: u8 = 2;
+    const FOREVER: Duration = Duration::from_secs(5);
+
+    /// What `records` makes of `datagram` from `peer` at `at` after
+    /// `t0`: `Some` of the transfer id and report it answered with,
+    /// `None` inside when it swallowed the datagram silently.
+    fn answer(
+        records: &mut TailRecords<u8>,
+        t0: Instant,
+        at: u64,
+        datagram: &[u8],
+        peer: u8,
+    ) -> Option<Option<(u32, Option<AckPayload>)>> {
+        let mut status = [0u8; FinishedReceiver::STATUS_LEN];
+        let now = t0 + Duration::from_millis(at);
+        let reply = records.answer(now, &Datagram::parse(datagram).unwrap(), peer, &mut status)?;
+        Some(reply.map(|n| acked(&status[..n])))
+    }
+
     #[test]
     fn answers_the_tail_of_a_held_transfer_and_nothing_else() {
+        let t0 = Instant::now();
+        let mut records = TailRecords::new(4);
+        records.hold(t0, finished(7, 3), A, FOREVER, t0 + FOREVER);
+        let tail = Some(Some((7, Some(AckPayload::Positive { acked: 2 }))));
+        // The retransmitted tail is answered, once per copy received.
+        assert_eq!(answer(&mut records, t0, 1, &data(7, 2, 3), A), tail);
+        // A mid-sequence duplicate, and a held id that is not data:
+        // swallowed silently.
+        assert_eq!(answer(&mut records, t0, 2, &data(7, 1, 3), A), Some(None));
+        assert_eq!(answer(&mut records, t0, 3, &cancel(7), A), Some(None));
+        // Someone else's transfer is not the table's.
+        assert_eq!(answer(&mut records, t0, 4, &data(9, 2, 3), A), None);
+        assert_eq!(answer(&mut records, t0, 5, &data(7, 2, 3), A), tail);
+    }
+
+    #[test]
+    fn records_are_bounded_and_expire() {
+        let t0 = Instant::now();
+        let mut records = TailRecords::new(MAX_RECORDS);
+        for id in 0..MAX_RECORDS as u32 + 10 {
+            records.hold(t0, finished(id, 1), A, FOREVER, t0 + FOREVER);
+        }
+        assert_eq!(records.records.len(), MAX_RECORDS, "the oldest make room");
+        let short = Duration::from_millis(1);
+        records.hold(t0, finished(1000, 1), A, short, t0 + short);
+        // Evicted (3), expired (1000) and still held (200), in turn.
+        assert_eq!(answer(&mut records, t0, 5, &data(3, 0, 1), A), None);
+        assert_eq!(answer(&mut records, t0, 5, &data(1000, 0, 1), A), None);
+        let held = answer(&mut records, t0, 5, &data(200, 0, 1), A);
+        assert_eq!(held.flatten().map(|(id, _)| id), Some(200));
+        // The next hold sweeps the expired record out.
+        records.hold(t0, finished(1001, 1), A, FOREVER, t0 + FOREVER);
+        assert_eq!(records.records.len(), MAX_RECORDS);
+        assert_eq!(records.peer(t0 + short, 12), Some(A));
+    }
+
+    /// The node's rule: every datagram restarts a `quiet` window, up to
+    /// a bound on the whole.
+    #[test]
+    fn the_quiet_window_restarts_up_to_until() {
+        let t0 = Instant::now();
+        let mut records = TailRecords::new(4);
+        let until = t0 + Duration::from_millis(250);
+        records.hold(t0, finished(5, 2), A, Duration::from_millis(100), until);
+        for at in [90, 180, 240] {
+            assert!(answer(&mut records, t0, at, &data(5, 1, 2), A).is_some());
+        }
+        assert_eq!(answer(&mut records, t0, 250, &data(5, 1, 2), A), None);
+    }
+
+    /// The client's rule: a window that already reaches `until` is not
+    /// stretched by traffic.
+    #[test]
+    fn no_restart_when_quiet_reaches_until() {
+        let t0 = Instant::now();
+        let mut records = TailRecords::new(4);
+        let window = Duration::from_millis(100);
+        records.hold(t0, finished(5, 2), A, window, t0 + window);
+        assert!(answer(&mut records, t0, 90, &data(5, 1, 2), A).is_some());
+        assert_eq!(records.peer(t0 + Duration::from_millis(99), 5), Some(A));
+        assert_eq!(answer(&mut records, t0, 100, &data(5, 1, 2), A), None);
+    }
+
+    #[test]
+    fn no_reply_to_the_wrong_peer() {
+        let t0 = Instant::now();
+        let mut records = TailRecords::new(4);
+        records.hold(t0, finished(5, 2), A, FOREVER, t0 + FOREVER);
+        assert_eq!(answer(&mut records, t0, 1, &data(5, 1, 2), B), None);
+        assert_eq!(records.peer(t0, 5), Some(A), "still held, for its peer");
+        assert!(answer(&mut records, t0, 2, &data(5, 1, 2), A).is_some());
+    }
+
+    #[test]
+    fn holding_past_capacity_displaces_the_oldest_held() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut records = TailRecords::new(3);
+        records.hold(t0, finished(1, 1), A, FOREVER, t0 + FOREVER);
+        records.hold(t0, finished(2, 1), A, ms(10), t0 + FOREVER);
+        records.hold(t0, finished(3, 1), A, FOREVER, t0 + FOREVER);
+        // Full, but record 2 has expired: it makes the room.
+        records.hold(t0 + ms(20), finished(4, 1), A, FOREVER, t0 + FOREVER);
+        let held = |records: &TailRecords<u8>| {
+            let mut ids: Vec<u32> = (1..=5)
+                .filter(|&id| records.peer(t0 + ms(20), id).is_some())
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(held(&records), [1, 3, 4]);
+        // Full of live records: the oldest-held goes, however recently
+        // it answered.
+        assert!(answer(&mut records, t0, 20, &data(1, 0, 1), A).is_some());
+        records.hold(t0 + ms(20), finished(5, 1), A, FOREVER, t0 + FOREVER);
+        assert_eq!(held(&records), [3, 4, 5]);
+    }
+
+    #[test]
+    fn the_channel_swallows_held_transfers_and_passes_the_rest() {
         let mut tw = TimeWait::new(Script::default());
-        tw.hold(finished(7, 3), Duration::from_secs(5));
-        let mut cancel = vec![0u8; 64];
-        let n = DatagramBuilder::new(7).build_cancel(&mut cancel).unwrap();
-        cancel.truncate(n);
+        tw.hold(finished(7, 3), FOREVER, Instant::now() + FOREVER);
         let mut garbage = data(7, 2, 3);
         garbage[20] ^= 0xFF; // header no longer checks out
         tw.inner.incoming.extend([
-            data(7, 2, 3),  // the retransmitted tail: answered, swallowed
-            data(7, 1, 3),  // a mid-sequence duplicate: swallowed, silently
-            cancel.clone(), // held id, not data: swallowed, silently
-            data(9, 2, 3),  // someone else's tail: the caller's
-            data(7, 2, 3),  // the tail again: answered again, once
+            data(7, 2, 3), // the retransmitted tail: answered, swallowed
+            cancel(7),     // held id, not data: swallowed, silently
+            data(9, 2, 3), // someone else's tail: the caller's
             garbage.clone(),
         ]);
         let mut buf = [0u8; 2048];
@@ -321,37 +491,12 @@ mod tests {
         let n = tw.recv_timeout(&mut buf, wait).unwrap().unwrap();
         assert_eq!(&buf[..n], &garbage[..], "garbage is the caller's to count");
         assert_eq!(tw.recv_timeout(&mut buf, wait).unwrap(), None);
-        let want = (7, Some(AckPayload::Positive { acked: 2 }));
-        let sent: Vec<_> = tw.inner.sent.iter().map(|d| acked(d)).collect();
-        assert_eq!(sent, [want.clone(), want], "one reply per tail received");
-        assert_eq!(tw.reacks, 2);
-    }
-
-    #[test]
-    fn records_are_bounded_and_expire() {
-        let mut tw = TimeWait::new(Script::default());
-        for id in 0..MAX_RECORDS as u32 + 10 {
-            tw.hold(finished(id, 1), Duration::from_secs(5));
-        }
-        assert_eq!(tw.held(), MAX_RECORDS, "the oldest make room");
-        tw.hold(finished(1000, 1), Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(5));
-        // Evicted (3), expired (1000) and still held (200), in turn.
-        tw.inner
-            .incoming
-            .extend([data(3, 0, 1), data(1000, 0, 1), data(200, 0, 1)]);
-        let mut buf = [0u8; 2048];
-        let wait = Duration::from_millis(1);
-        for id in [3, 1000] {
-            let n = tw.recv_timeout(&mut buf, wait).unwrap().unwrap();
-            assert_eq!(acked(&buf[..n]).0, id, "no longer held: passed through");
-        }
-        assert_eq!(tw.recv_timeout(&mut buf, wait).unwrap(), None);
         assert_eq!(tw.inner.sent.len(), 1);
-        assert_eq!(acked(&tw.inner.sent[0]).0, 200);
-        // The next hold sweeps the expired record out.
-        tw.hold(finished(1001, 1), Duration::from_secs(5));
-        assert_eq!(tw.held(), MAX_RECORDS);
+        assert_eq!(
+            acked(&tw.inner.sent[0]),
+            (7, Some(AckPayload::Positive { acked: 2 }))
+        );
+        assert_eq!(tw.reacks, 1);
     }
 
     #[test]
@@ -362,7 +507,7 @@ mod tests {
         let started = Instant::now();
         for id in 0..MAX_RECORDS as u32 {
             tw.reserve().unwrap();
-            tw.hold(finished(id, 1), window);
+            tw.hold(finished(id, 1), window, Instant::now() + window);
         }
         assert!(started.elapsed() < window, "places to spare: no waiting");
         // Full.  The next reservation lasts until record 0 expires, and
@@ -370,7 +515,7 @@ mod tests {
         b.send(&data(0, 0, 1)).unwrap();
         tw.reserve().unwrap();
         assert!(started.elapsed() >= window);
-        assert!(tw.held() < MAX_RECORDS);
+        assert!(tw.tails.records.len() < MAX_RECORDS);
         assert_eq!(tw.reacks, 1);
         let mut buf = [0u8; 256];
         let n = b
@@ -384,7 +529,7 @@ mod tests {
     fn linger_ends_after_a_quiet_window_and_answers_meanwhile() {
         let (a, mut b) = crate::channel::UdpChannel::pair().unwrap();
         let mut tw = TimeWait::new(a);
-        tw.hold(finished(5, 2), Duration::from_secs(5));
+        tw.hold(finished(5, 2), FOREVER, Instant::now() + FOREVER);
         b.send(&data(5, 1, 2)).unwrap();
         let started = Instant::now();
         tw.linger(Duration::from_millis(30), Duration::from_secs(5))

@@ -5,7 +5,9 @@
 //! `recvmmsg` and popping every datagram performs **exactly zero** heap
 //! allocations — the syscall batching never buys throughput by hiding
 //! per-packet allocation.  The same holds for a warmed `FaultyChannel`
-//! (the benchmark's `lossy_push` client path) under every fault at once.
+//! (the benchmark's `lossy_push` client path) under every fault at once,
+//! and for the tail-record table once it has been filled to capacity:
+//! holding records and answering retransmitted tails reuses its space.
 //!
 //! `harness = false` (see `Cargo.toml`): this file is a plain `fn main`,
 //! not a `#[test]`.  The allocation counter is process-global, and
@@ -14,12 +16,17 @@
 //! the measured window.  Without the harness the only threads alive
 //! during a window are the ones this file creates.
 
-use std::time::Duration;
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
+use blast_core::blast::{BlastReceiver, FinishedReceiver};
+use blast_core::{Engine, ProtocolConfig};
 use blast_counting_alloc::{allocations, CountingAlloc};
 use blast_udp::channel::{Channel, UdpChannel};
 use blast_udp::fault::{FaultConfig, FaultyChannel};
 use blast_udp::fcs::FcsChannel;
+use blast_udp::timewait::{TailRecords, MAX_RECORDS};
+use blast_wire::packet::{Datagram, DatagramBuilder};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -111,6 +118,57 @@ fn faulty_send_path_is_allocation_free() {
     );
 }
 
+/// The one-packet transfer `id`'s only datagram, and what its receiver
+/// leaves behind.
+fn one_packet_transfer(id: u32) -> (Vec<u8>, FinishedReceiver) {
+    let cfg = ProtocolConfig::default();
+    let mut buf = [0u8; 1024];
+    let n = DatagramBuilder::new(id)
+        .build_data(&mut buf, 0, 1, 0, &[7; 512], 0, true)
+        .unwrap();
+    let tail = buf[..n].to_vec();
+    let mut rx = BlastReceiver::new(id, 512, &cfg);
+    rx.on_datagram(&Datagram::parse(&tail).unwrap(), &mut Vec::new());
+    (tail, rx.retire().expect("complete").1)
+}
+
+fn tail_records_are_allocation_free_once_full() {
+    // Enough churn of fresh ids that an index left to grow on demand
+    // would have reallocated.
+    const CYCLES: usize = 32 * MAX_RECORDS;
+    let transfers: Vec<_> = (0..(MAX_RECORDS + CYCLES) as u32)
+        .map(one_packet_transfer)
+        .collect();
+    let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+    let t0 = Instant::now();
+    let linger = Duration::from_secs(60);
+    let mut records = TailRecords::new(MAX_RECORDS);
+    let mut status = [0u8; FinishedReceiver::STATUS_LEN];
+    let mut cycle = |records: &mut TailRecords, (tail, finished): &(Vec<u8>, FinishedReceiver)| {
+        records.hold(t0, *finished, peer, linger, t0 + linger);
+        let tail = Datagram::parse(tail).unwrap();
+        assert!(matches!(
+            records.answer(t0, &tail, peer, &mut status),
+            Some(Some(_))
+        ));
+    };
+    let (fill, churn) = transfers.split_at(MAX_RECORDS);
+    for transfer in fill {
+        cycle(&mut records, transfer);
+    }
+
+    let before = allocations();
+    for transfer in churn {
+        cycle(&mut records, transfer);
+    }
+    let allocs = allocations() - before;
+    assert_eq!(records.full_until(t0), Some(t0 + linger), "full, all live");
+    assert_eq!(
+        allocs, 0,
+        "{CYCLES} holds and answers in a full table must not allocate"
+    );
+}
+
 fn main() {
     // libtest's own lines, so whatever reads `cargo test` output still
     // finds these checks by name.
@@ -118,4 +176,6 @@ fn main() {
     println!("test batched_burst_path_is_allocation_free ... ok");
     faulty_send_path_is_allocation_free();
     println!("test faulty_send_path_is_allocation_free ... ok");
+    tail_records_are_allocation_free_once_full();
+    println!("test tail_records_are_allocation_free_once_full ... ok");
 }
