@@ -23,6 +23,15 @@
 //!   clean round adds a step, a loss signal halves it, both within
 //!   configured bounds (equal bounds make the burst fixed).
 //!
+//! The burst is the one piece of state that outlives a transfer.  A
+//! clean blast is a single round, so a pacer born with its transfer
+//! gets one growth step before it dies: every transfer would re-probe
+//! the path from the configured start.  A caller that remembers where
+//! the peer's last transfer ended (`blast_udp::path::PathTable`) hands
+//! that burst to [`Control::seed_burst`] before `start`, clamped into
+//! the configured bounds; the retransmission timeout is never carried,
+//! since a stale RTO fires spuriously in round 0.
+//!
 //! Both knobs keep their paper-faithful degenerate modes:
 //! [`AdaptiveTimeout::Fixed`] is the fixed `Tr` every analytic-model
 //! test pins, and [`PacingConfig::off`] is the paper's full-speed blast.
@@ -327,7 +336,8 @@ impl PacingConfig {
 /// burst trajectory `tests/cc_sweep.rs` asserts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacerSnapshot {
-    /// The configured initial burst.
+    /// The burst the transfer started at: the configured initial burst,
+    /// or the one it was [seeded](Control::seed_burst) with.
     pub initial_burst: u32,
     /// The burst size currently in force.
     pub burst: u32,
@@ -349,6 +359,8 @@ pub struct PacerSnapshot {
 /// `max_burst`, [`on_loss`](Pacer::on_loss) halves down to `min_burst`.
 #[derive(Debug, Clone, Copy)]
 pub struct Pacer {
+    /// The configuration, its `burst` being where this transfer
+    /// started (the configured one, or a [seed](Pacer::seed)).
     cfg: PacingConfig,
     /// The burst in force.
     burst: u32,
@@ -390,6 +402,18 @@ impl Pacer {
     /// The inter-burst gap.
     pub fn gap(&self) -> Duration {
         self.cfg.gap
+    }
+
+    /// Start at `burst` instead of the configured initial burst,
+    /// clamped into `[min_burst, max_burst]`.  A no-op when pacing is
+    /// off or fixed (`min_burst == max_burst`), and meant for before the
+    /// first signal.
+    pub fn seed(&mut self, burst: u32) {
+        if !self.cfg.enabled() || self.cfg.min_burst == self.cfg.max_burst {
+            return;
+        }
+        let burst = burst.clamp(self.cfg.min_burst, self.cfg.max_burst);
+        (self.cfg.burst, self.burst, self.min_seen) = (burst, burst, burst);
     }
 
     /// Signal that a round completed without loss (a positive ack for
@@ -545,6 +569,15 @@ impl Control {
             self.rtt.rto().as_nanos() as u64,
         );
         self.on_loss();
+    }
+
+    /// Start the pacer at `burst` — the burst a previous transfer to
+    /// the same peer ended at — instead of the configured initial burst.
+    /// Call before [`Engine::start`](crate::Engine::start).  The burst is
+    /// clamped into the configured `[min_burst, max_burst]`; unpaced
+    /// engines and a fixed pace ignore it.
+    pub fn seed_burst(&mut self, burst: u32) {
+        self.pacer.seed(burst);
     }
 
     /// A round completed without loss: AIMD growth.
@@ -742,6 +775,28 @@ mod tests {
         let snap = p.snapshot();
         assert!(snap.mean_burst > 4.0 && snap.mean_burst < 64.0);
         assert_eq!(snap.initial_burst, 16);
+    }
+
+    #[test]
+    fn a_seed_clamps_into_the_bounds_and_moves_the_start() {
+        let cfg = PacingConfig::aimd(16, Duration::from_micros(100), 4, 64, 8);
+        for (seed, start) in [(40, 40), (1000, 64), (1, 4)] {
+            let mut p = Pacer::new(cfg);
+            p.seed(seed);
+            assert_eq!(p.burst_budget(), start);
+            let snap = p.snapshot();
+            assert_eq!((snap.initial_burst, snap.min_burst_seen), (start, start));
+        }
+        // Fixed and unpaced pacers pass a seed through untouched.
+        let mut fixed = Pacer::new(PacingConfig::new(8, Duration::from_micros(100)));
+        fixed.seed(64);
+        assert_eq!(
+            (fixed.burst_budget(), fixed.snapshot().initial_burst),
+            (8, 8)
+        );
+        let mut off = Pacer::new(PacingConfig::off());
+        off.seed(64);
+        assert_eq!(off.burst_budget(), u32::MAX);
     }
 
     #[test]

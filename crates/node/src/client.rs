@@ -57,13 +57,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use blast_core::config::ProtocolConfig;
-use blast_core::{AdaptiveTimeout, PacingConfig, RetxStrategy};
+use blast_core::{AdaptiveTimeout, CompletionInfo, PacingConfig, RetxStrategy};
 use blast_telemetry::Recorder;
 use blast_udp::channel::{Channel, UdpChannel, MAX_DATAGRAM};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
 use blast_udp::fcs::FcsChannel;
 use blast_udp::handshake::{retry_interval, Request, MAX_TRANSFER_BYTES};
 use blast_udp::outbound::Outbound;
+use blast_udp::path::PathTable;
 use blast_udp::peer::TransferReport;
 use blast_udp::timewait::TimeWait;
 use blast_wire::header::PacketKind;
@@ -76,10 +77,6 @@ const DEFAULT_PATIENCE: Duration = Duration::from_secs(30);
 /// that a loopback copy's `Running` phase is still observed, long
 /// enough not to busy-spin the node's control plane.
 const COPY_POLL: Duration = Duration::from_millis(2);
-
-/// How many buffers the client's pool pre-fills at construction, so
-/// the first push's burst does not allocate mid-flight.
-const POOL_WARM: usize = 32;
 
 /// The orchestration record of one node-to-node copy: identity,
 /// outcome, digest-verification verdict, and every status the client
@@ -115,6 +112,8 @@ pub struct CopyReport {
 pub struct Client<C: Channel = UdpChannel> {
     channel: TimeWait<FcsChannel<C>>,
     cfg: ProtocolConfig,
+    /// The burst the last push ended at: the next one starts there.
+    path: PathTable<()>,
     patience: Duration,
     recorder: Option<Recorder>,
     local: Option<SocketAddr>,
@@ -149,10 +148,11 @@ impl<C: Channel> Client<C> {
     /// collide with another client of the same node.
     pub fn over(channel: C) -> Self {
         let cfg = default_config();
-        cfg.pool.warm(POOL_WARM);
+        warm_pool(&cfg);
         Client {
             channel: TimeWait::new(FcsChannel::new(channel)),
             cfg,
+            path: PathTable::new(1),
             patience: DEFAULT_PATIENCE,
             recorder: None,
             local: None,
@@ -182,7 +182,7 @@ impl<C: Channel> Client<C> {
     /// Replace the whole protocol configuration (the fine-grained
     /// setters cover the common knobs; this covers the rest).
     pub fn config(mut self, cfg: ProtocolConfig) -> Self {
-        cfg.pool.warm(POOL_WARM);
+        warm_pool(&cfg);
         self.cfg = cfg;
         self
     }
@@ -233,10 +233,18 @@ impl<C: Channel> Client<C> {
     /// Store `data` on the node as the named blob `name`, blocking
     /// until the node acknowledges the whole transfer (or
     /// [`patience`](Client::patience) runs out).
+    ///
+    /// The sender starts at the AIMD burst the last push ended at (see
+    /// [`blast_udp::path`]), and a push that completes leaves its own
+    /// for the next.
     pub fn push(&mut self, name: &str, data: &[u8]) -> io::Result<TransferReport> {
         let id = self.alloc_id();
         let mut leg = Outbound::push(id, name, Arc::from(data), &self.cfg)?;
-        self.run(&mut leg, Instant::now())
+        leg.burst = self.path.burst(Instant::now(), ());
+        let report = self.run(&mut leg, Instant::now())?;
+        let done = CompletionInfo::success(data.len(), report.stats);
+        self.path.record(Instant::now(), (), &done, report.pacing);
+        Ok(report)
     }
 
     /// Run `leg` over the client's channel to completion, within the
@@ -575,6 +583,19 @@ fn verify_replica(
     let mut probe = Client::connect(node)?.patience(patience);
     let digest = probe.digest(name)?;
     Ok(digest.found && digest.len == st.bytes_total && digest.crc32 == st.crc32)
+}
+
+/// The fewest buffers a pool is pre-filled with.  An unpaced round is
+/// one burst of the whole transfer, which no warm count covers.
+const MIN_WARM: usize = 64;
+
+/// Pre-fill `cfg`'s pool with the first burst, so the first transfer's
+/// round does not allocate mid-flight.  A transfer that starts at a
+/// larger, carried burst warms the pool to it first
+/// ([`blast_udp::path::seed`]): only a path that uses 256-packet bursts
+/// holds 256 buffers.
+pub(crate) fn warm_pool(cfg: &ProtocolConfig) {
+    cfg.pool.warm((cfg.pacing.burst as usize).max(MIN_WARM));
 }
 
 /// The default client configuration: the node's LAN-tuned transmission

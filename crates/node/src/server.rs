@@ -49,6 +49,11 @@
 //! been quiet for [`NodeConfig::linger`].  A copy leg that *pulled*
 //! keeps its channel until reaped: a [`TimeWait`] holding the retired
 //! receiver in the same kind of table.
+//!
+//! Each shard also remembers, per peer, the AIMD burst that peer's last
+//! completed transfer ended at (a [`PathTable`] of `max_sessions`
+//! entries): a pull's sender, or a push copy's, starts there instead of
+//! re-probing the path from the configured burst.
 
 use std::collections::HashMap;
 use std::io;
@@ -70,6 +75,7 @@ use blast_udp::fcs::{self, FcsChannel};
 use blast_udp::handshake::{Direction, Request, MAX_TRANSFER_BYTES};
 use blast_udp::netio::NetIo;
 use blast_udp::outbound::Outbound;
+use blast_udp::path::{self, PathTable};
 use blast_udp::pump::{self, Input};
 use blast_udp::sockopt;
 use blast_udp::timers::TimerWheel;
@@ -238,6 +244,8 @@ struct Session {
 /// timers ride the shard's one wheel.
 struct CopyLeg {
     mode: CopyMode,
+    /// The far node: the shard's path table keys the leg by it.
+    remote: SocketAddr,
     /// What a query is told once the copy is terminal, and the part
     /// known from the start before that (for a push, its size and
     /// CRC-32; a pull's are fixed on completion).
@@ -346,6 +354,9 @@ struct Shard {
     /// Completed pushes, answering their peers' tails; consulted only
     /// for datagrams that miss every session.
     tails: TailRecords,
+    /// The burst each peer's last completed transfer ended at, which
+    /// seeds the next sender toward it.
+    paths: PathTable,
     /// Reused FCS framing scratch for outgoing datagrams.
     frame_buf: Vec<u8>,
     /// Session-event count (accepts, finishes, rejects) at the last
@@ -384,9 +395,10 @@ impl NodeServer {
             NetIo::reactor(&socket)
         };
         // Every session's engine on this shard clones `config.protocol`,
-        // so they all share this pool; pre-warm it so the first blast
-        // round is already allocation free.
-        config.protocol.pool.warm(64);
+        // so they all share this pool; pre-warm it so the first burst is
+        // already allocation free (a larger, carried one warms it
+        // further before its round: `path::seed`).
+        crate::client::warm_pool(&config.protocol);
         let mut local = NodeMetrics::default();
         local.netio_backend = io.backend().name().to_string();
         local.netio_offload = io.offload().name().to_string();
@@ -397,6 +409,7 @@ impl NodeServer {
                 socket,
                 io,
                 tails: TailRecords::new(config.max_sessions),
+                paths: PathTable::new(config.max_sessions),
                 config,
                 store,
                 local,
@@ -652,6 +665,9 @@ impl NodeServer {
         // Echo before starting the engine so that, in order-preserving
         // conditions, the size announcement precedes round-0 data.
         shard.send_framed(peer, &echo)?;
+        // A sender starts where the peer's last transfer left the burst.
+        let carried = shard.paths.burst(Instant::now(), peer);
+        path::seed(engine.as_mut(), carried, &engine_cfg.pool);
         if let Some(rec) = &shard.recorder {
             engine.set_recorder(rec.clone());
             let pull = u64::from(request.direction == Direction::Pull);
@@ -927,8 +943,10 @@ impl Shard {
             return Err(errcode::TRANSFER_FAILED);
         };
         outbound.recorder = self.recorder.clone();
+        outbound.burst = self.paths.burst(Instant::now(), submit.remote);
         Ok(CopyLeg {
             mode: submit.mode,
+            remote: submit.remote,
             status,
             outbound,
             channel: TimeWait::new(FcsChannel::new(channel)),
@@ -1015,6 +1033,10 @@ impl Shard {
         };
         let (peer, direction) = (session.peer, session.direction);
         let mut engine = entry.engine.take();
+        // The AIMD burst trajectory, for paced sender engines: how far
+        // the burst grew (or shrank) by the end of the session.
+        let pacing = engine.as_deref().and_then(Engine::pacing_snapshot);
+        self.paths.record(Instant::now(), peer, info, pacing);
         let ok = info.is_success();
         let bytes = *info.result.as_ref().unwrap_or(&0);
         if ok && direction == Direction::Push {
@@ -1036,9 +1058,7 @@ impl Shard {
             bytes,
             elapsed: entry.started.elapsed(),
             stats: info.stats,
-            // The AIMD burst trajectory, for paced sender engines: how
-            // far the burst grew (or shrank) by the end of the session.
-            pacing: engine.as_deref().and_then(Engine::pacing_snapshot),
+            pacing,
             ok,
         };
         self.local.record(report);
@@ -1128,6 +1148,8 @@ impl Shard {
         let Ok(bytes) = info.result else {
             return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
         };
+        let pacing = copy.outbound.engine().and_then(|e| e.pacing_snapshot());
+        self.paths.record(Instant::now(), copy.remote, info, pacing);
         if let Some((data, finished)) = copy.outbound.retire() {
             copy.status.crc32 = crc32(&data);
             copy.status.bytes_total = data.len() as u64;

@@ -23,6 +23,9 @@
 //! * [`outbound`] — the initiator's leg, sans I/O: one transfer from
 //!   request through echo to completion, and the blocking loop that runs
 //!   it over a channel (`blast_node::Client`; a node's copy legs);
+//! * [`path`] — per-peer path state that outlives a transfer: the AIMD
+//!   burst each peer's last completed transfer ended at, which seeds the
+//!   next one's pacer so a clean path is not re-probed every time;
 //! * [`timers`] — the timer wheel behind both (and behind the
 //!   multi-session `blast-node` server);
 //! * [`timewait`] — a channel adaptor that keeps re-acknowledging for
@@ -96,6 +99,7 @@ pub mod gso;
 pub mod handshake;
 pub mod netio;
 pub mod outbound;
+pub mod path;
 pub mod peer;
 pub mod pump;
 pub mod sockopt;
@@ -109,6 +113,7 @@ pub use fcs::FcsChannel;
 pub use handshake::{Direction, Request};
 pub use netio::{BackendKind, NetIo, NetIoStats};
 pub use outbound::Outbound;
+pub use path::PathTable;
 pub use peer::TransferReport;
 pub use timers::TimerWheel;
 pub use timewait::TimeWait;

@@ -26,6 +26,7 @@ use blast_wire::packet::Datagram;
 
 use crate::channel::{Channel, MAX_DATAGRAM};
 use crate::handshake::{retry_interval, Request, MAX_NAME_LEN};
+use crate::path;
 use crate::peer::TransferReport;
 use crate::pump::{self, Input};
 use crate::timers::TimerWheel;
@@ -59,6 +60,10 @@ pub struct Outbound {
     engine: Option<Box<dyn Engine>>,
     /// Flight recorder handed to the engine the echo builds.
     pub recorder: Option<Recorder>,
+    /// The AIMD burst the engine the echo builds starts at: the one the
+    /// caller's [`PathTable`](crate::path::PathTable) carried over from
+    /// the peer's last transfer.  `None` starts at the configured burst.
+    pub burst: Option<u32>,
     /// Request datagrams transmitted: the first and every retry.
     pub requests_sent: u64,
 }
@@ -101,6 +106,7 @@ impl Outbound {
             echoed_at: Duration::ZERO,
             engine: None,
             recorder: None,
+            burst: None,
             requests_sent: 0,
         })
     }
@@ -198,6 +204,7 @@ impl Outbound {
         if let Some(rec) = &self.recorder {
             engine.set_recorder(rec.clone());
         }
+        path::seed(engine.as_mut(), self.burst, &cfg.pool);
         let engine = self.engine.insert(engine);
         pump::step(engine.as_mut(), now, Input::Start, timers, key, transmit)
     }
@@ -419,6 +426,22 @@ mod tests {
         assert_eq!(script.kinds_after(1), [PacketKind::Data; 3], "round 0");
         assert_eq!(script.stats().data_packets_sent, 3);
         assert_eq!(script.leg.echoed().unwrap().len, 3 * PAYLOAD);
+    }
+
+    #[test]
+    fn a_push_echo_builds_a_sender_seeded_with_the_carried_burst() {
+        let mut cfg = cfg();
+        cfg.pacing = PacingConfig::lan();
+        let blob: Arc<[u8]> = vec![5u8; 300 * PAYLOAD].into();
+        let mut leg = Outbound::push(ID, "blob", blob, &cfg).unwrap();
+        leg.burst = Some(128);
+        let mut script = Script::new(leg);
+        script.hear(&echo(&script, 300 * PAYLOAD)).unwrap();
+        let pacing = script.leg.engine().unwrap().pacing_snapshot().unwrap();
+        assert_eq!(pacing.initial_burst, 128);
+        assert_eq!(script.kinds_after(1), [PacketKind::Data; 128], "one burst");
+        // The burst came out of buffers warmed before it started.
+        assert_eq!(cfg.pool.fresh_allocations(), 0);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! (the benchmark's `lossy_push` client path) under every fault at once,
 //! and for the tail-record table once it has been filled to capacity:
 //! holding records and answering retransmitted tails reuses its space.
+//! So does the path table: once full, booking transfers for new and
+//! known peers and reading their bursts back displaces, never grows.
 //!
 //! `harness = false` (see `Cargo.toml`): this file is a plain `fn main`,
 //! not a `#[test]`.  The allocation counter is process-global, and
@@ -20,11 +22,12 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use blast_core::blast::{BlastReceiver, FinishedReceiver};
-use blast_core::{Engine, ProtocolConfig};
+use blast_core::{CompletionInfo, Engine, EngineStats, Pacer, PacingConfig, ProtocolConfig};
 use blast_counting_alloc::{allocations, CountingAlloc};
 use blast_udp::channel::{Channel, UdpChannel};
 use blast_udp::fault::{FaultConfig, FaultyChannel};
 use blast_udp::fcs::FcsChannel;
+use blast_udp::path::PathTable;
 use blast_udp::timewait::{TailRecords, MAX_RECORDS};
 use blast_wire::packet::{Datagram, DatagramBuilder};
 
@@ -169,6 +172,39 @@ fn tail_records_are_allocation_free_once_full() {
     );
 }
 
+fn path_table_is_allocation_free_once_full() {
+    const CAPACITY: usize = 1024;
+    const CYCLES: usize = 32 * CAPACITY;
+    let mut pacer = Pacer::new(PacingConfig::lan());
+    pacer.on_clean_round();
+    let pacing = Some(pacer.snapshot());
+    let stats = EngineStats {
+        data_packets_sent: 2920,
+        ..EngineStats::default()
+    };
+    let done = CompletionInfo::success(4 << 20, stats);
+    let peer = |k: usize| SocketAddr::from(([127, 0, (k >> 8) as u8, k as u8], 4000));
+    let t0 = Instant::now();
+    let mut paths = PathTable::new(CAPACITY);
+    for k in 0..CAPACITY {
+        paths.record(t0, peer(k), &done, pacing);
+    }
+
+    let before = allocations();
+    for k in CAPACITY..CAPACITY + CYCLES {
+        // A new peer displaces the oldest; a known one is rewritten.
+        let now = t0 + Duration::from_micros(k as u64);
+        paths.record(now, peer(k % (4 * CAPACITY)), &done, pacing);
+        paths.record(now, peer(k - 1), &done, pacing);
+        assert_eq!(paths.burst(now, peer(k - 1)), Some(96));
+    }
+    let allocs = allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "{CYCLES} writes and reads in a full path table must not allocate"
+    );
+}
+
 fn main() {
     // libtest's own lines, so whatever reads `cargo test` output still
     // finds these checks by name.
@@ -178,4 +214,6 @@ fn main() {
     println!("test faulty_send_path_is_allocation_free ... ok");
     tail_records_are_allocation_free_once_full();
     println!("test tail_records_are_allocation_free_once_full ... ok");
+    path_table_is_allocation_free_once_full();
+    println!("test path_table_is_allocation_free_once_full ... ok");
 }
