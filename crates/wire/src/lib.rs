@@ -22,7 +22,8 @@
 //!   bitmap NACK (selective retransmission);
 //! * [`checksum`] — the Internet checksum (RFC 1071) used for the
 //!   transport header and an IEEE 802.3 CRC-32 for whole-frame checks,
-//!   standing in for the Ethernet FCS computed by the interface hardware;
+//!   standing in for the Ethernet FCS computed by the interface hardware
+//!   (a carry-less-multiply kernel where the CPU has one);
 //! * [`packet`] — a convenience builder/parser that assembles the above
 //!   into complete datagrams and decodes them back.
 //!
@@ -57,7 +58,12 @@
 //! assert!(parsed.verify_checksum());
 //! ```
 
-#![forbid(unsafe_code)]
+// Deny (not forbid): `checksum`'s CRC-32 kernel module is this crate's
+// one sanctioned `unsafe` surface — a `#[target_feature]` function
+// called once, after run-time CPU feature detection — and opts in with
+// a module-level allow, mirroring `blast-udp`'s `sockopt` and `netio`.
+// Everything else still refuses unsafe code.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ack;
