@@ -38,7 +38,9 @@ pub enum Action {
     SetTimer {
         /// Engine-scoped timer identity.
         token: TimerToken,
-        /// Relative expiry.
+        /// Expiry relative to the engine's `now`, the instant the call
+        /// that emitted this action began — not the moment a driver
+        /// applies it.
         after: Duration,
     },
     /// Cancel the timer `token` if pending.

@@ -16,12 +16,15 @@
 //!   retransmission, samples only from unambiguous exchanges);
 //! * dumping a whole round into the socket in one loop overruns the
 //!   receive buffer exactly like the paper's single-buffered interface —
-//!   [`Pacer`] spreads each round into bursts separated by a configured
-//!   gap, expressed through the ordinary timer machinery
-//!   ([`PACE_TIMER`]) so every driver honours it without new I/O
-//!   vocabulary.  Its one adaptive rule is AIMD on the burst size: a
-//!   clean round adds a step, a loss signal halves it, both within
-//!   configured bounds (equal bounds make the burst fixed).
+//!   [`Pacer`] spreads each round into bursts that *start* a configured
+//!   gap apart, expressed through the ordinary timer machinery
+//!   ([`PACE_TIMER`], counted from the engine's `now`) so every driver
+//!   honours it without new I/O vocabulary, and a burst's own framing
+//!   and flush run inside its gap, as in the paper's double-buffered
+//!   interface, instead of in front of it.  Its one adaptive rule is
+//!   AIMD on the burst size: a clean round adds a step, a loss signal
+//!   halves it, both within configured bounds (equal bounds make the
+//!   burst fixed).
 //!
 //! The burst is the one piece of state that outlives a transfer.  A
 //! clean blast is a single round, so a pacer born with its transfer
@@ -245,7 +248,8 @@ pub struct PacingConfig {
     /// [`gap`](PacingConfig::gap): the *initial* burst.  `0` disables
     /// pacing (the paper's full-speed blast).
     pub burst: u32,
-    /// Inter-burst gap, expressed through [`PACE_TIMER`].
+    /// Inter-burst gap, from the start of one burst to the start of the
+    /// next, expressed through [`PACE_TIMER`].
     pub gap: Duration,
     /// AIMD floor: the burst never shrinks below this.
     pub min_burst: u32,
@@ -298,7 +302,9 @@ impl PacingConfig {
     }
 
     /// LAN/loopback defaults: start at 64 packets per 250 µs (≈ 360 MB/s
-    /// at 1400-byte payloads) and let AIMD probe between 4 and 256.
+    /// at 1400-byte payloads) and let AIMD probe between 4 and 256, whose
+    /// 256 packets per 250 µs (≈ 1.43 GB/s) is the sender's ceiling:
+    /// bursts start a gap apart, however long each takes to send.
     /// The old static preset (32 / 500 µs) was sized for drivers that
     /// could not *wait* a sub-millisecond gap and had to spin it; with
     /// the event-driven `NetIo` waits the gap is honest, so the initial

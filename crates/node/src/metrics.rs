@@ -75,6 +75,11 @@ pub struct NodeMetrics {
     /// Outgoing datagrams dropped at the socket (send buffer full or
     /// peer unreachable) — loss the protocols recover from.
     pub send_drops: u64,
+    /// Sends and flushes the kernel refused outright (a port-0 or
+    /// broadcast address, no route, a firewall rule).  The refused
+    /// datagrams are among the `send_drops`, the rest of their batch
+    /// went out, and the shard carried on.
+    pub send_errors: u64,
     /// Third-party copies admitted (a client ordered this node to move
     /// a blob to/from another node).
     pub copies_requested: u64,
@@ -186,6 +191,7 @@ impl NodeMetrics {
         self.rejected_busy += other.rejected_busy;
         self.rejected_oversize += other.rejected_oversize;
         self.send_drops += other.send_drops;
+        self.send_errors += other.send_errors;
         self.copies_requested += other.copies_requested;
         self.copies_completed += other.copies_completed;
         self.copies_failed += other.copies_failed;
@@ -255,6 +261,7 @@ impl NodeMetrics {
         dst.rejected_busy = self.rejected_busy;
         dst.rejected_oversize = self.rejected_oversize;
         dst.send_drops = self.send_drops;
+        dst.send_errors = self.send_errors;
         dst.copies_requested = self.copies_requested;
         dst.copies_completed = self.copies_completed;
         dst.copies_failed = self.copies_failed;

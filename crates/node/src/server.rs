@@ -379,7 +379,6 @@ impl NodeServer {
         store: SharedStore,
         socket: UdpSocket,
         shutdown: Arc<AtomicBool>,
-        force_portable: bool,
     ) -> io::Result<Self> {
         socket.set_nonblocking(true)?;
         // Grow both socket queues (best effort): a node fans many
@@ -388,12 +387,9 @@ impl NodeServer {
         // and batched pull bursts submit whole rounds per sendmmsg.
         blast_udp::sockopt::grow_buffers(&socket);
         // The syscall backend: one recvmmsg per reactor wakeup, one
-        // sendmmsg per engine burst, epoll+timerfd idle waits.
-        let io = if force_portable {
-            NetIo::portable(true)
-        } else {
-            NetIo::reactor(&socket)
-        };
+        // sendmmsg per engine burst, epoll+timerfd idle waits
+        // (`BLAST_NETIO=portable` forces the single-syscall fallback).
+        let io = NetIo::reactor(&socket);
         // Every session's engine on this shard clones `config.protocol`,
         // so they all share this pool; pre-warm it so the first burst is
         // already allocation free (a larger, carried one warms it
@@ -490,15 +486,17 @@ impl NodeServer {
         let shard = &mut self.shard;
         // Everything staged this tick goes out before any wait: one
         // sendmmsg carries the coalesced acks/bursts of all sessions.
-        shard.io.flush(&shard.socket)?;
+        let flushed = shard.io.flush(&shard.socket);
+        shard.tolerate(flushed);
         shard.sync_io_stats();
         shard.publish_metrics();
-        if drained == 0 {
-            let mut park = shard
-                .timers
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(5))
+        let (now, next) = (Instant::now(), shard.timers.next_deadline());
+        // A deadline that came due during this tick's own work (a pace
+        // gap shorter than the bursts it separates) is taken at once,
+        // not after a `MIN_WAIT` sleep.
+        if drained == 0 && next.is_none_or(|due| due > now) {
+            let mut park = next
+                .map_or(Duration::from_millis(5), |due| due - now)
                 .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(10));
             if !self.legs.is_empty() {
                 // Copy channels are polled, not in the event wait: cap
@@ -903,14 +901,27 @@ impl Shard {
     /// into the backend's batch: a whole engine burst goes out in one
     /// sendmmsg when the queue fills or the tick flushes.  Loss-like
     /// submission failures (peer's ICMP unreachable, full send buffer)
-    /// are counted as drops inside the backend — the protocols recover
-    /// by retransmission, so they are not server failures — and
+    /// are counted as drops inside the backend, and so are refusals
+    /// ([`tolerate`](Shard::tolerate)) — the protocols recover by
+    /// retransmission, so neither fails the server — and
     /// `datagrams_sent` is mirrored from the backend in
     /// [`sync_io_stats`](Shard::sync_io_stats): only datagrams that
     /// actually flushed count.
     fn send_framed(&mut self, peer: SocketAddr, datagram: &[u8]) -> io::Result<()> {
         fcs::frame_into(datagram, &mut self.frame_buf);
-        self.io.queue_to(&self.socket, &self.frame_buf, Some(peer))
+        let queued = self.io.queue_to(&self.socket, &self.frame_buf, Some(peer));
+        self.tolerate(queued);
+        Ok(())
+    }
+
+    /// A send the kernel refused outright (a spoofed port-0 source, a
+    /// broadcast address, no route, a firewall rule) costs its own
+    /// datagram — counted in `send_drops` by the backend, whose batch
+    /// still went out — never the shard: count it and carry on.
+    fn tolerate(&mut self, sent: io::Result<()>) {
+        if sent.is_err() {
+            self.local.send_errors += 1;
+        }
     }
 
     fn send_cancel(&mut self, id: u32, peer: SocketAddr) -> io::Result<()> {
@@ -969,18 +980,19 @@ impl Shard {
     /// Returns whether the entry is spent — nothing left to do — for
     /// the caller, who owns the table, to reap.
     fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<bool> {
-        let now = self.epoch.elapsed();
-        let timer_key = |token| (key, token);
+        let (epoch, timer_key) = (self.epoch, |token| (key, token));
         let done = match &mut entry.link {
             Link::Inbound(session) => {
                 let Some(engine) = entry.engine.as_deref_mut() else {
                     return Ok(false);
                 };
                 let (io, socket, frame) = (&mut self.io, &self.socket, &mut self.frame_buf);
-                let peer = Some(session.peer);
-                pump::step(engine, now, input, &mut self.timers, timer_key, |bytes| {
+                let (peer, errors) = (Some(session.peer), &mut self.local.send_errors);
+                pump::step(engine, epoch, input, &mut self.timers, timer_key, |bytes| {
                     fcs::frame_into(bytes, frame);
-                    io.queue_to(socket, frame, peer)
+                    // A refusal is its datagram's loss (see `tolerate`).
+                    *errors += u64::from(io.queue_to(socket, frame, peer).is_err());
+                    Ok(())
                 })?
             }
             Link::Settled(_) => return Ok(false),
@@ -988,7 +1000,7 @@ impl Shard {
                 let (channel, asked) = (&mut copy.channel, copy.outbound.requests_sent);
                 let sent = copy
                     .outbound
-                    .step(now, input, &mut self.timers, timer_key, |bytes| {
+                    .step(epoch, input, &mut self.timers, timer_key, |bytes| {
                         channel.stage(bytes)
                     })
                     .and_then(|done| channel.flush().map(|()| done));
@@ -1229,7 +1241,6 @@ impl Shard {
 pub struct NodeBuilder {
     config: NodeConfig,
     store: Option<SharedStore>,
-    portable_netio: bool,
     telemetry_capacity: Option<usize>,
 }
 
@@ -1306,13 +1317,6 @@ impl NodeBuilder {
         self
     }
 
-    /// Force the portable single-syscall netio backend on every shard,
-    /// regardless of platform support for the batched one.
-    pub fn portable_netio(mut self) -> Self {
-        self.portable_netio = true;
-        self
-    }
-
     /// Enable the flight recorder: one bounded ring of `capacity`
     /// events per shard, drained through
     /// [`NodeHandle::drain_trace`].  The record path is lock-free and
@@ -1334,7 +1338,6 @@ impl NodeBuilder {
         let NodeBuilder {
             config,
             store,
-            portable_netio,
             telemetry_capacity,
         } = self;
         let store = store.unwrap_or_else(shared_store);
@@ -1357,13 +1360,8 @@ impl NodeBuilder {
                     .protocol
                     .with_pool(BufferPool::new(pool.buf_capacity(), pool.max_free()));
             }
-            let server = NodeServer::with_socket(
-                cfg,
-                Arc::clone(&store),
-                socket,
-                Arc::clone(&shutdown),
-                portable_netio,
-            )?;
+            let server =
+                NodeServer::with_socket(cfg, Arc::clone(&store), socket, Arc::clone(&shutdown))?;
             addr.get_or_insert(server.local_addr()?);
             slots.push(server.metrics_slot());
             servers.push(server);
@@ -1727,8 +1725,7 @@ mod tests {
         config.protocol.timeout = Duration::from_millis(15).into();
         let socket = UdpSocket::bind(config.bind).unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut server =
-            NodeServer::with_socket(config, shared_store(), socket, shutdown, false).unwrap();
+        let mut server = NodeServer::with_socket(config, shared_store(), socket, shutdown).unwrap();
         let addr = server.local_addr().unwrap();
 
         let mut client = Client::connect(addr)
@@ -1787,6 +1784,47 @@ mod tests {
         remote.shutdown().unwrap();
     }
 
+    /// A pace gap shorter than the burst before it comes due during the
+    /// tick that sent the burst: the reactor takes it on the next tick
+    /// at once, without parking `MIN_WAIT` first.
+    #[test]
+    fn a_tick_with_a_timer_already_due_does_not_park() {
+        let mut config = NodeConfig::default();
+        config.protocol.pacing = PacingConfig::new(8, Duration::from_nanos(1));
+        let store = shared_store();
+        store.put("blob", payload(64 * 1024).into());
+        let socket = UdpSocket::bind(config.bind).unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut server = NodeServer::with_socket(config, store, socket, shutdown).unwrap();
+        // A pull asked for by hand, whose data nobody acknowledges.
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let request = Request::pull("blob", &client_cfg()).build_datagram(9);
+        let addr = server.local_addr().unwrap();
+        client.send_to(&fcs::frame(&request), addr).unwrap();
+        let mut buf = vec![0u8; 64 * 1024];
+        let started = Instant::now();
+        while server.table.is_empty() {
+            server.tick(&mut buf).unwrap();
+            assert!(started.elapsed() < Duration::from_secs(5), "request lost");
+        }
+        // Each tick fires the pace timer the last burst armed, sends the
+        // next burst, and finds that burst's gap already over.
+        for _ in 0..3 {
+            let before = server.shard.io.stats;
+            server.tick(&mut buf).unwrap();
+            let after = server.shard.io.stats;
+            assert!(
+                after.datagrams_sent > before.datagrams_sent,
+                "a burst went out"
+            );
+            assert_eq!(
+                (after.wakeups, after.timeouts),
+                (before.wakeups, before.timeouts),
+                "the tick waited with a timer due"
+            );
+        }
+    }
+
     /// A shard whose reactor the test ticks by hand, and its address.
     fn hand_ticked(max_sessions: usize, linger: Duration) -> (NodeServer, SocketAddr) {
         let mut config = NodeConfig::default();
@@ -1795,8 +1833,7 @@ mod tests {
         config.linger = linger;
         let socket = UdpSocket::bind(config.bind).unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let server =
-            NodeServer::with_socket(config, shared_store(), socket, shutdown, false).unwrap();
+        let server = NodeServer::with_socket(config, shared_store(), socket, shutdown).unwrap();
         let addr = server.local_addr().unwrap();
         (server, addr)
     }
@@ -1969,19 +2006,6 @@ mod tests {
         assert_eq!(m.sessions_completed, 2);
         assert_eq!(m.bytes_received, 60_000);
         assert_eq!(m.bytes_sent, 60_000);
-    }
-
-    #[test]
-    fn portable_netio_override_is_honoured() {
-        let node = test_builder().portable_netio().start().unwrap();
-        let cfg = client_cfg();
-        let mut client = Client::connect(node.addr()).unwrap().config(cfg);
-        client.push("p", &payload(10_000)).unwrap();
-        assert!(node.wait_idle(Duration::from_secs(5)));
-        let m = node.shutdown().unwrap();
-        assert_eq!(m.netio_backend, "portable");
-        assert_eq!(m.netio_offload, "portable", "no offload without batching");
-        assert_eq!(m.sessions_completed, 1);
     }
 
     #[test]

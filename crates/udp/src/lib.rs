@@ -56,7 +56,7 @@
 //! [`Outbound::run`] makes the same calls in a blocking loop.
 //!
 //! ```
-//! use std::time::Duration;
+//! use std::time::Instant;
 //! use blast_core::ProtocolConfig;
 //! use blast_udp::pump::Input;
 //! use blast_udp::{Outbound, Request, TimerWheel};
@@ -65,9 +65,9 @@
 //! let cfg = ProtocolConfig::default();
 //! let request = Request::pull("blob", &cfg);
 //! let mut leg = Outbound::pull(7, &request, &cfg, 1 << 20)?;
-//! let (mut timers, mut sent) = (TimerWheel::new(), 0);
+//! let (epoch, mut timers, mut sent) = (Instant::now(), TimerWheel::new(), 0);
 //! let mut step = |leg: &mut Outbound, input| {
-//!     leg.step(Duration::ZERO, input, &mut timers, |t| t, |_: &[u8]| {
+//!     leg.step(epoch, input, &mut timers, |t| t, |_: &[u8]| {
 //!         sent += 1;
 //!         Ok(())
 //!     })

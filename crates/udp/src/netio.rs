@@ -72,7 +72,8 @@ pub struct NetIoStats {
     /// `datagrams_sent / send_batches` is the amortisation factor.
     pub send_batches: u64,
     /// Datagrams the kernel dropped at submission (full buffer, peer
-    /// unreachable) — loss the protocols recover from.
+    /// unreachable) — loss the protocols recover from — or refused
+    /// outright (a bad address, no route, a firewall rule).
     pub send_drops: u64,
     /// Datagrams pulled off the socket.
     pub datagrams_received: u64,
@@ -344,7 +345,9 @@ impl NetIo {
         self.queue_to(socket, frame, None)
     }
 
-    /// Stage one datagram, optionally addressed (reactor mode).
+    /// Stage one datagram, optionally addressed (reactor mode).  A
+    /// refusal from the flush a full batch makes first (see
+    /// [`flush`](NetIo::flush)) is returned once `frame` is staged.
     pub fn queue_to(
         &mut self,
         socket: &UdpSocket,
@@ -355,11 +358,13 @@ impl NetIo {
         let result = match &mut self.imp {
             #[cfg(netio_batched)]
             Impl::Batched(b) => {
-                if b.send_full() {
-                    b.flush(socket, &mut self.stats)?;
-                }
+                let flushed = if b.send_full() {
+                    b.flush(socket, &mut self.stats)
+                } else {
+                    Ok(())
+                };
                 b.stage(frame, to);
-                Ok(())
+                flushed
             }
             Impl::Portable(p) => p.send_now(socket, frame, to, &mut self.stats),
         };
@@ -368,7 +373,11 @@ impl NetIo {
     }
 
     /// Put every staged datagram on the wire in as few syscalls as the
-    /// backend can manage.  A no-op with nothing staged.
+    /// backend can manage.  A no-op with nothing staged.  A datagram
+    /// the kernel refuses outright (a port-0 or broadcast address, no
+    /// route, a firewall rule) is dropped and counted in
+    /// [`send_drops`](NetIoStats::send_drops); the rest still go out,
+    /// and the first refusal is returned after them.
     pub fn flush(&mut self, socket: &UdpSocket) -> io::Result<()> {
         let before = self.stats;
         let result = match &mut self.imp {
@@ -566,11 +575,14 @@ impl PortableIo {
                 stats.send_batches += 1;
                 Ok(())
             }
-            Err(e) if is_send_drop(&e) => {
+            Err(e) => {
                 stats.send_drops += 1;
-                Ok(())
+                if is_send_drop(&e) {
+                    Ok(())
+                } else {
+                    Err(e)
+                }
             }
-            Err(e) => Err(e),
         }
     }
 
@@ -1191,7 +1203,10 @@ mod batched {
         /// coalesced slots carrying their `UDP_SEGMENT` control
         /// message, with loss-like submission failures counted as
         /// drops (the protocols retransmit) rather than surfaced as
-        /// errors.
+        /// errors.  A slot the kernel refuses outright (a port-0 or
+        /// broadcast address, no route, a firewall rule) is dropped
+        /// and counted too, and the rest of the batch still goes out;
+        /// the first such refusal is returned after it.
         pub(super) fn flush(
             &mut self,
             _socket: &UdpSocket,
@@ -1209,6 +1224,7 @@ mod batched {
             // `ECONNREFUSED` with nothing submitted; each retry consumes
             // one, so the budget bounds a pathological error queue.
             let mut refused_budget = n + 4;
+            let mut refusal = None;
             while done < n {
                 let count = n - done;
                 let mut iovs = [ZERO_IOV; BATCH];
@@ -1273,24 +1289,31 @@ mod batched {
                         // remaining slots as individual datagrams —
                         // nothing was submitted, so nothing duplicates.
                         self.gso_send = false;
-                        return self.flush_split(done, n, stats);
+                        let split = self.flush_split(done, n, stats);
+                        return refusal.map_or(split, Err);
                     }
                     _ if is_send_drop(&err) => {
                         for slot in done..n {
                             stats.send_drops += u64::from(self.send.seg_counts[slot]);
                         }
-                        return Ok(());
+                        break;
                     }
-                    _ => return Err(err),
+                    _ => {
+                        stats.send_drops += u64::from(self.send.seg_counts[done]);
+                        done += 1;
+                        refusal.get_or_insert(err);
+                    }
                 }
             }
-            Ok(())
+            refusal.map_or(Ok(()), Err)
         }
 
         /// De-coalescing fallback for [`flush`](BatchedIo::flush):
         /// submit the slots in `from..n` segment by segment, as the
-        /// pre-offload path would have.
+        /// pre-offload path would have, dropping a refused segment as
+        /// `flush` drops a refused slot.
         fn flush_split(&mut self, from: usize, n: usize, stats: &mut NetIoStats) -> io::Result<()> {
+            let mut refusal = None;
             for slot in from..n {
                 let base = self.send.offs[slot];
                 let seg_size = if self.send.seg_counts[slot] > 1 {
@@ -1349,13 +1372,17 @@ mod batched {
                             for later in slot + 1..n {
                                 stats.send_drops += u64::from(self.send.seg_counts[later]);
                             }
-                            return Ok(());
+                            return refusal.map_or(Ok(()), Err);
                         }
-                        _ => return Err(err),
+                        _ => {
+                            stats.send_drops += 1;
+                            done += 1;
+                            refusal.get_or_insert(err);
+                        }
                     }
                 }
             }
-            Ok(())
+            refusal.map_or(Ok(()), Err)
         }
 
         /// Drain up to a ring of datagrams off the socket in one
@@ -1838,6 +1865,35 @@ mod tests {
                 .unwrap()
                 .expect("datagram arrives");
             assert_eq!(&buf[..n], f, "sizes survive the segmentation round-trip");
+        }
+    }
+
+    /// A datagram the kernel refuses outright (here: to port 0) is
+    /// dropped alone: the rest of its batch still goes out, and the
+    /// refusal is reported after it.
+    #[cfg(netio_batched)]
+    #[test]
+    fn a_refused_datagram_does_not_abort_its_batch() {
+        let server = UdpSocket::bind("127.0.0.1:0").unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut io = batched_with(&server, true);
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let good = Some(client.local_addr().unwrap());
+        let port_zero = Some(SocketAddr::from(([127, 0, 0, 1], 0)));
+        io.queue_to(&server, b"first", good).unwrap();
+        io.queue_to(&server, b"refused", port_zero).unwrap();
+        io.queue_to(&server, b"third", good).unwrap();
+        let refusal = io.flush(&server).unwrap_err();
+        assert_eq!(refusal.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(io.stats.send_drops, 1);
+        assert_eq!(io.stats.datagrams_sent, 2);
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut buf = [0u8; 16];
+        for want in [&b"first"[..], b"third"] {
+            let n = client.recv(&mut buf).unwrap();
+            assert_eq!(&buf[..n], want);
         }
     }
 

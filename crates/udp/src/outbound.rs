@@ -55,7 +55,8 @@ pub struct Outbound {
     pub(crate) retry: Duration,
     then: Then,
     echoed: Option<Request>,
-    /// The `now` of the promoting call: where the data phase starts.
+    /// When the promoting call began, on its clock: where the data
+    /// phase starts.
     echoed_at: Duration,
     engine: Option<Box<dyn Engine>>,
     /// Flight recorder handed to the engine the echo builds.
@@ -130,18 +131,19 @@ impl Outbound {
         self.engine.take()?.retire()
     }
 
-    /// One call, like [`pump::step`]: feed the leg `input` at `now` (on
-    /// the engine's clock), hand each datagram it transmits to
+    /// One call, like [`pump::step`]: feed the leg `input` on a clock
+    /// that runs from `epoch`, hand each datagram it transmits to
     /// `transmit` (flushing is the caller's), arm and cancel its timers
-    /// on `timers` under `key(token)`, and return the completion report
-    /// if this call finished the transfer.
+    /// on `timers` under `key(token)` (the engine's counted from the
+    /// instant its step began), and return the completion report if
+    /// this call finished the transfer.
     ///
     /// Errors: `NotFound` when the responder cancels before echoing,
     /// `InvalidData` when a pull's echo announces more than the bound,
     /// and whatever `transmit` returns.
     pub fn step<K, F, T>(
         &mut self,
-        now: Duration,
+        epoch: Instant,
         input: Input<'_>,
         timers: &mut TimerWheel<K>,
         key: F,
@@ -157,7 +159,7 @@ impl Outbound {
                 Input::Datagram(d) if d.transfer_id != self.id || d.kind == PacketKind::Request => {
                     Ok(None)
                 }
-                input => pump::step(engine, now, input, timers, key, transmit),
+                input => pump::step(engine, epoch, input, timers, key, transmit),
             };
         }
         let echoed = match input {
@@ -186,7 +188,7 @@ impl Outbound {
         echoed.apply_to(&mut cfg);
         let len = echoed.len;
         self.echoed = Some(echoed);
-        self.echoed_at = now;
+        self.echoed_at = epoch.elapsed();
         let mut engine: Box<dyn Engine> = match std::mem::replace(&mut self.then, Then::Stop) {
             Then::Send(blob) => Box::new(BlastSender::new(self.id, blob, &cfg)),
             // The echo is the size announcement, and the receive buffer
@@ -206,7 +208,7 @@ impl Outbound {
         }
         path::seed(engine.as_mut(), self.burst, &cfg.pool);
         let engine = self.engine.insert(engine);
-        pump::step(engine.as_mut(), now, Input::Start, timers, key, transmit)
+        pump::step(engine.as_mut(), epoch, Input::Start, timers, key, transmit)
     }
 
     /// Run the leg over `channel` until it completes, blocking, or until
@@ -267,7 +269,7 @@ impl Outbound {
                 sent += 1;
                 channel.stage(bytes)
             };
-            let done = self.step(clock.elapsed(), input, &mut timers, |token| token, transmit)?;
+            let done = self.step(clock, input, &mut timers, |token| token, transmit)?;
             channel.flush()?;
             if self.echoed.is_some() {
                 at_echo.get_or_insert((received, malformed + channel.discarded()));
@@ -322,7 +324,7 @@ mod tests {
         fn feed(&mut self, input: Input<'_>) -> io::Result<Option<CompletionInfo>> {
             let wire = &mut self.wire;
             self.leg.step(
-                Duration::ZERO,
+                Instant::now(),
                 input,
                 &mut self.timers,
                 |t| t,

@@ -1,11 +1,12 @@
 //! The engine pump: the one place engine [`Action`]s meet the world.
 //!
 //! Every driver of a sans-I/O engine does the same four things around
-//! each engine call: advance the engine's clock, make the call, apply
-//! the actions it emitted (transmissions to the network, timers to a
-//! [`TimerWheel`]) and notice completion.  [`step`] is that sequence,
-//! parameterised only by where transmissions go and how an engine's
-//! [`TimerToken`] becomes a key in the caller's wheel — so the
+//! each engine call: read the clock once and advance the engine's to
+//! it, make the call, apply the actions it emitted (transmissions to
+//! the network, timers to a [`TimerWheel`]) and notice completion.
+//! [`step`] is that sequence, parameterised only by where transmissions
+//! go and how an engine's [`TimerToken`] becomes a key in the caller's
+//! wheel — so the
 //! initiator's [`Outbound`](crate::outbound::Outbound) leg (run alone,
 //! wheel keyed by token, or inside a node) and the `blast-node` reactor
 //! (a table of engines, wheel keyed by `(entry, token)`) share it
@@ -15,9 +16,16 @@
 //! [`ActionSink`], not collected first: emission order is execution
 //! order either way, and a transmitted packet's pooled buffer returns
 //! to the pool before the engine builds the next one.
+//!
+//! A timer counts from the engine's `now`, the instant the step began,
+//! as it does on the virtual-time substrates (`blast_core::harness`,
+//! `blast-sim`), not from the moment its action is applied: a paced
+//! burst's framing and staging, and the flush after the step, run
+//! inside the gap the burst asked for instead of in front of it, so
+//! burst / gap is the rate the sender actually keeps.
 
 use std::io;
-use std::time::Duration;
+use std::time::Instant;
 
 use blast_core::api::{Action, ActionSink, CompletionInfo, TimerToken};
 use blast_core::engine::Engine;
@@ -39,6 +47,9 @@ pub enum Input<'a> {
 /// Applies actions as they are pushed.
 struct Apply<'a, K, F, T> {
     timers: &'a mut TimerWheel<K>,
+    /// The instant the step began: the engine's `now`, where its timers
+    /// count from.
+    at: Instant,
     key: F,
     transmit: T,
     done: Option<CompletionInfo>,
@@ -59,21 +70,25 @@ where
                     self.sent = (self.transmit)(&bytes);
                 }
             }
-            Action::SetTimer { token, after } => self.timers.arm((self.key)(token), after),
+            Action::SetTimer { token, after } => {
+                self.timers.arm_at((self.key)(token), self.at + after)
+            }
             Action::CancelTimer { token } => self.timers.cancel((self.key)(token)),
             Action::Complete(info) => self.done = Some(*info),
         }
     }
 }
 
-/// Run one engine call: set the engine's clock to `now`, feed it
-/// `input`, hand each transmitted datagram to `transmit` (staging is
-/// the caller's business — flush after the call), arm and cancel its
-/// timers on `timers` under `key(token)`, and return the completion
-/// report if this call finished the transfer.
+/// Run one engine call: read the clock once and set the engine's `now`
+/// to that instant's distance from `epoch`, feed it `input`, hand each
+/// transmitted datagram to `transmit` (staging is the caller's
+/// business — flush after the call), arm and cancel its timers on
+/// `timers` under `key(token)`, each deadline counted from that same
+/// instant, and return the completion report if this call finished the
+/// transfer.
 pub fn step<K, F, T>(
     engine: &mut dyn Engine,
-    now: Duration,
+    epoch: Instant,
     input: Input<'_>,
     timers: &mut TimerWheel<K>,
     key: F,
@@ -84,14 +99,16 @@ where
     F: Fn(TimerToken) -> K,
     T: FnMut(&[u8]) -> io::Result<()>,
 {
+    let at = Instant::now();
     let mut apply = Apply {
         timers,
+        at,
         key,
         transmit,
         done: None,
         sent: Ok(()),
     };
-    engine.set_now(now);
+    engine.set_now(at.saturating_duration_since(epoch));
     match input {
         Input::Start => engine.start(&mut apply),
         Input::Datagram(dgram) => engine.on_datagram(dgram, &mut apply),

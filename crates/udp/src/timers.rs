@@ -56,7 +56,11 @@ impl<K: Copy + Ord> TimerWheel<K> {
         self.queue.insert((when, key));
     }
 
-    /// Arm (or re-arm) `key` to fire after `after` from now.
+    /// Arm (or re-arm) `key` to fire `after` past the moment of this
+    /// call: for a driver's own timers (a session's give-up, a reap).
+    /// An engine's timers count from the instant its step began, not
+    /// from whenever the driver applies them, so [`crate::pump`] arms
+    /// those with [`arm_at`](TimerWheel::arm_at).
     pub fn arm(&mut self, key: K, after: Duration) {
         self.arm_at(key, Instant::now() + after);
     }

@@ -6,7 +6,8 @@ use std::time::{Duration, Instant};
 
 use blast_core::api::TimerToken;
 use blast_core::blast::{BlastReceiver, BlastSender};
-use blast_core::ProtocolConfig;
+use blast_core::control::PACE_TIMER;
+use blast_core::{PacingConfig, ProtocolConfig};
 use blast_udp::pump::{step, Input};
 use blast_udp::timers::TimerWheel;
 use blast_wire::packet::Datagram;
@@ -28,7 +29,7 @@ fn two_engines_share_one_wheel_and_finish() {
 
     let mut tx_done = step(
         &mut tx,
-        epoch.elapsed(),
+        epoch,
         Input::Start,
         &mut timers,
         |t| (true, t),
@@ -48,7 +49,7 @@ fn two_engines_share_one_wheel_and_finish() {
             let dgram = Datagram::parse(&raw).unwrap();
             let done = step(
                 &mut rx,
-                epoch.elapsed(),
+                epoch,
                 Input::Datagram(&dgram),
                 &mut timers,
                 |t| (false, t),
@@ -64,7 +65,7 @@ fn two_engines_share_one_wheel_and_finish() {
             let dgram = Datagram::parse(&raw).unwrap();
             let done = step(
                 &mut tx,
-                epoch.elapsed(),
+                epoch,
                 Input::Datagram(&dgram),
                 &mut timers,
                 |t| (true, t),
@@ -91,7 +92,7 @@ fn transmit_error_surfaces_and_stops_the_burst() {
     let mut calls = 0;
     let err = step(
         &mut tx,
-        Duration::ZERO,
+        Instant::now(),
         Input::Start,
         &mut timers,
         |t| t,
@@ -103,4 +104,51 @@ fn transmit_error_surfaces_and_stops_the_burst() {
     .unwrap_err();
     assert_eq!(err.to_string(), "link down");
     assert_eq!(calls, 1, "nothing is transmitted after the first failure");
+}
+
+/// A paced burst's gap counts from the instant its step began, not from
+/// when the last of its datagrams was handed over: a burst that takes
+/// longer to transmit than its gap finds its next burst already due.
+#[test]
+fn timers_count_from_the_step() {
+    let gap = Duration::from_millis(2);
+    let cfg = ProtocolConfig {
+        pacing: PacingConfig::new(8, gap),
+        ..ProtocolConfig::default()
+    };
+    let blob: std::sync::Arc<[u8]> = vec![3u8; 64 * cfg.packet_payload].into();
+    let mut tx = BlastSender::new(4, blob, &cfg);
+    let mut timers: TimerWheel<TimerToken> = TimerWheel::new();
+    let mut sent = 0;
+    let before = Instant::now();
+    step(
+        &mut tx,
+        before,
+        Input::Start,
+        &mut timers,
+        |t| t,
+        |_| {
+            // A slow link: the burst takes five gaps to hand over.
+            if sent == 0 {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            sent += 1;
+            Ok(())
+        },
+    )
+    .unwrap();
+    let returned = Instant::now();
+    assert_eq!(sent, 8, "one burst");
+    let due = timers.next_deadline().expect("the pace timer is armed");
+    assert!(due >= before + gap, "not before the gap");
+    assert!(
+        due <= before + gap + Duration::from_millis(5),
+        "the gap counts from the step, not after the burst: due {:?} after the step began",
+        due - before
+    );
+    assert_eq!(
+        timers.pop_due(returned),
+        Some(PACE_TIMER),
+        "due when the step returns"
+    );
 }
