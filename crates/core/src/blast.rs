@@ -420,13 +420,7 @@ impl BlastSender {
             }
             AckPayload::NackBitmap(bm) => {
                 self.pending_set.clear();
-                self.pending_set
-                    .extend(bm.missing().filter(|&s| s < self.end));
-                // Anything beyond the bitmap's horizon is unreported;
-                // conservatively resend it (empty for transfers that fit
-                // in one bitmap, i.e. ≤ Bitmap::MAX_BITS packets).
-                let horizon = bm.base() + u32::from(bm.nbits());
-                self.pending_set.extend(horizon.max(self.first)..self.end);
+                stage_bitmap_resend(bm, self.first, self.end, &mut self.pending_set);
                 if self.pending_set.is_empty() {
                     // NACK with nothing missing in range: re-solicit.
                     Some(Resend::Resolicit)
@@ -781,13 +775,28 @@ impl FinishedReceiver {
     }
 }
 
-/// Compute the resend set a bitmap NACK implies — exposed for tests and
-/// for the analytic Monte-Carlo model, which replays strategy behaviour
-/// without engines.
-pub fn bitmap_resend_set(bm: &Bitmap, range_end: u32) -> Vec<u32> {
-    let mut set: Vec<u32> = bm.missing().filter(|&s| s < range_end).collect();
-    set.extend((bm.base() + u32::from(bm.nbits())).min(range_end)..range_end);
-    set
+/// Stage into `set`, in order, what a bitmap NACK asks the sender of
+/// `first..end` to resend: the bitmap's holes, then whatever it leaves
+/// unreported before `end`.
+///
+/// A bitmap narrower than [`Bitmap::MAX_BITS`] runs to the receiver's
+/// horizon, so packets past it were never seen and are resent.  A
+/// full-width bitmap may have been cut short of that horizon: the
+/// receiver ran out of bits, not packets.  Its holes are resent with
+/// the reliable tail `end − 1` alone, and the report that tail solicits
+/// covers the next window — otherwise one early loss in a transfer of
+/// more than `MAX_BITS` packets would resend nearly all of the rest.
+fn stage_bitmap_resend(bm: &Bitmap, first: u32, end: u32, set: &mut Vec<u32>) {
+    set.extend(bm.missing().filter(|&s| s < end));
+    let horizon = bm.base() + u32::from(bm.nbits());
+    if horizon >= end {
+        return;
+    }
+    if bm.nbits() < Bitmap::MAX_BITS {
+        set.extend(horizon.max(first)..end);
+    } else {
+        set.push(end - 1);
+    }
 }
 
 #[cfg(test)]
@@ -1320,11 +1329,52 @@ mod tests {
 
     #[test]
     fn bitmap_resend_set_includes_beyond_horizon() {
+        let resend = |bm: &Bitmap, end| {
+            let mut set = Vec::new();
+            stage_bitmap_resend(bm, 0, end, &mut set);
+            set
+        };
         let bm = Bitmap::from_missing(2, 4, [3, 5]).unwrap(); // covers 2..6
-        let set = bitmap_resend_set(&bm, 10);
-        assert_eq!(set, vec![3, 5, 6, 7, 8, 9]);
-        let set = bitmap_resend_set(&bm, 6);
-        assert_eq!(set, vec![3, 5]);
+        assert_eq!(resend(&bm, 10), vec![3, 5, 6, 7, 8, 9]);
+        assert_eq!(resend(&bm, 6), vec![3, 5]);
+        // A full-width bitmap may end short of the receiver's horizon:
+        // its holes go with the reliable tail alone, unless it reaches
+        // the range's end and is the whole report.
+        let width = u32::from(Bitmap::MAX_BITS);
+        let bm = Bitmap::from_missing(10, Bitmap::MAX_BITS, [10, 500]).unwrap();
+        assert_eq!(resend(&bm, 3 * width), vec![10, 500, 3 * width - 1]);
+        assert_eq!(resend(&bm, 10 + width), vec![10, 500]);
+    }
+
+    /// Selective over a transfer three bitmaps wide, in the harness,
+    /// losing `drops` of round 0: (packets retransmitted, rounds).
+    fn selective_beyond_one_bitmap(drops: &[u64]) -> (u64, u64) {
+        use crate::harness::{Harness, LossPlan};
+        let cfg = config(RetxStrategy::Selective).with_packet_payload(64);
+        let payload = data(3 * usize::from(Bitmap::MAX_BITS) * 64);
+        let mut h = Harness::new(
+            BlastSender::new(1, payload.clone(), &cfg),
+            BlastReceiver::new(1, payload.len(), &cfg),
+            LossPlan::script(drops.to_vec()),
+        );
+        let outcome = h.run().unwrap();
+        assert_eq!(h.received_data(), &payload[..]);
+        (
+            outcome.sender.data_packets_retransmitted,
+            outcome.sender.retransmission_rounds,
+        )
+    }
+
+    #[test]
+    fn selective_past_one_bitmap_resends_only_the_losses() {
+        let (retransmitted, _) = selective_beyond_one_bitmap(&[10]);
+        assert!(retransmitted <= 2, "{retransmitted} retransmitted");
+        // One bitmap-wide window per round, each hole plus its tail.
+        let (retransmitted, rounds) = selective_beyond_one_bitmap(&[10, 9_000, 20_000]);
+        assert!(
+            retransmitted <= 3 + rounds,
+            "{retransmitted} retransmitted in {rounds} rounds"
+        );
     }
 
     #[test]

@@ -38,6 +38,17 @@ impl fmt::Display for ProtocolKind {
 }
 
 /// Retransmission strategy for blast transfers (§3.2 of the paper).
+///
+/// The `#[default]` is go-back-n, the paper's recommendation, and what
+/// [`ProtocolConfig::default`] and every paper reproduction run.  The
+/// paper's "within noise of selective" holds at a 1985 LAN's error
+/// rates: the simulator puts all four strategies' means within 2.3 % of
+/// each other at a per-packet error rate of 1e-4, but at 1e-2 go-back-n
+/// resends 19 packets per 64-packet blast where selective resends 0.7.
+/// [`ProtocolConfig::lan`], which every real initiator builds from,
+/// therefore proposes [`Selective`](RetxStrategy::Selective): on a
+/// clean path it sends the same data and acknowledgements, and on a
+/// lossy one it resends what was lost and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RetxStrategy {
     /// (1) Full retransmission on error **without** negative
@@ -182,6 +193,24 @@ impl Default for ProtocolConfig {
 }
 
 impl ProtocolConfig {
+    /// The profile every initiator on a real LAN builds from: the
+    /// paper's defaults, plus the Jacobson/Karn timeout seeded for LAN
+    /// round trips ([`AdaptiveTimeout::lan`]) instead of the fixed
+    /// 173 ms `To(D)`, AIMD-paced rounds ([`PacingConfig::lan`]), a
+    /// retry budget of 1 000 rounds, and selective retransmission (see
+    /// [`RetxStrategy`] for why).  [`ProtocolConfig::default`] stays
+    /// the paper's configuration for the analytic model, the simulator
+    /// and the reproduction bins.
+    pub fn lan() -> Self {
+        ProtocolConfig {
+            timeout: AdaptiveTimeout::lan(),
+            pacing: PacingConfig::lan(),
+            max_retries: 1000,
+            strategy: RetxStrategy::Selective,
+            ..ProtocolConfig::default()
+        }
+    }
+
     /// Validate the configuration, returning it for chaining.
     pub fn validated(self) -> CoreResult<Self> {
         if self.packet_payload == 0 {
@@ -285,6 +314,23 @@ mod tests {
             AdaptiveTimeout::Fixed(Duration::from_millis(173))
         );
         assert!(!c.pacing.enabled());
+    }
+
+    #[test]
+    fn lan_profile_is_default_plus_lan_control_and_selective() {
+        let c = ProtocolConfig::lan().validated().unwrap();
+        assert_eq!(c.strategy, RetxStrategy::Selective);
+        assert_eq!(c.timeout, AdaptiveTimeout::lan());
+        assert_eq!(c.pacing, PacingConfig::lan());
+        assert_eq!(c.max_retries, 1000);
+        let lan_fields_as_default = ProtocolConfig {
+            timeout: ProtocolConfig::default().timeout,
+            pacing: PacingConfig::off(),
+            max_retries: 64,
+            strategy: RetxStrategy::GoBackN,
+            ..c
+        };
+        assert_eq!(lan_fields_as_default, ProtocolConfig::default());
     }
 
     #[test]

@@ -116,8 +116,9 @@ fn odd_packet_payload_sizes() {
 }
 
 /// A very large transfer (beyond the selective bitmap's 8192-bit span)
-/// still completes with the selective strategy: the sender must resend
-/// the unreported tail conservatively.
+/// still completes with the selective strategy: the sender resends a
+/// truncated report's holes with the reliable tail, whose next report
+/// covers the rest.
 #[test]
 fn selective_transfer_beyond_bitmap_span() {
     let mut cfg = ProtocolConfig::default().with_strategy(RetxStrategy::Selective);

@@ -13,6 +13,14 @@
 //! channel, and every operation has one time bound, its
 //! [`patience`](Client::patience).
 //!
+//! A client starts from [`ProtocolConfig::lan`]: an adaptive timeout
+//! seeded for LAN round trips, paced bursts, and selective
+//! retransmission, which the node adopts per transfer.  On a clean path
+//! it sends what the paper's go-back-n sends, the strategy byte of its
+//! request aside (no hole, so no NACK); on a lossy one it resends
+//! exactly the lost packets, where go-back-n resends everything after
+//! the first.  [`strategy`](Client::strategy) proposes another.
+//!
 //! ```no_run
 //! # fn main() -> std::io::Result<()> {
 //! use blast_node::client::Client;
@@ -57,7 +65,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use blast_core::config::ProtocolConfig;
-use blast_core::{AdaptiveTimeout, CompletionInfo, PacingConfig, RetxStrategy};
+use blast_core::{CompletionInfo, RetxStrategy};
 use blast_telemetry::Recorder;
 use blast_udp::channel::{Channel, UdpChannel, MAX_DATAGRAM};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
@@ -147,7 +155,7 @@ impl<C: Channel> Client<C> {
     /// [`transfer_ids_from`](Client::transfer_ids_from) if they might
     /// collide with another client of the same node.
     pub fn over(channel: C) -> Self {
-        let cfg = default_config();
+        let cfg = ProtocolConfig::lan();
         warm_pool(&cfg);
         Client {
             channel: TimeWait::new(FcsChannel::new(channel)),
@@ -596,16 +604,4 @@ const MIN_WARM: usize = 64;
 /// holds 256 buffers.
 pub(crate) fn warm_pool(cfg: &ProtocolConfig) {
     cfg.pool.warm((cfg.pacing.burst as usize).max(MIN_WARM));
-}
-
-/// The default client configuration: the node's LAN-tuned transmission
-/// control (adaptive timeout seeded for LAN round trips, paced bursts)
-/// rather than the paper's 173 ms `To(D)` — same reasoning as
-/// `NodeConfig::default`.
-fn default_config() -> ProtocolConfig {
-    let mut cfg = ProtocolConfig::default();
-    cfg.timeout = AdaptiveTimeout::lan();
-    cfg.pacing = PacingConfig::lan();
-    cfg.max_retries = 1000;
-    cfg
 }

@@ -150,20 +150,16 @@ pub struct NodeConfig {
 }
 
 impl Default for NodeConfig {
+    /// One shard on an ephemeral loopback port, with
+    /// [`ProtocolConfig::lan`] as its protocol: the timeout, pacing and
+    /// retry budget of the node's own engines, and the selective
+    /// retransmission its copy legs propose to a far node, the same as
+    /// a `Client` proposes to it.
     fn default() -> Self {
-        let mut protocol = ProtocolConfig::default();
-        // Server-side transmission control: loopback/LAN round trips are
-        // far below the paper's 173 ms To(D), so let the Jacobson/Karn
-        // estimator find the real RTT (seeded at 25 ms), and pace blast
-        // rounds so a pull does not dump a whole round into the
-        // client's receive buffer in one scheduler quantum.
-        protocol.timeout = blast_core::AdaptiveTimeout::lan();
-        protocol.pacing = blast_core::PacingConfig::lan();
-        protocol.max_retries = 1000;
         NodeConfig {
             bind: "127.0.0.1:0".parse().expect("literal addr"),
             shards: 1,
-            protocol,
+            protocol: ProtocolConfig::lan(),
             linger: Duration::from_millis(250),
             session_timeout: Duration::from_secs(30),
             max_sessions: 1024,

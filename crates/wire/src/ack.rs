@@ -231,7 +231,9 @@ impl AckPayload {
                 }
                 let base = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]);
                 let nbits = u16::from_be_bytes([rest[4], rest[5]]);
-                if nbits > Bitmap::MAX_BITS {
+                // The range must fit the sequence space: every reader
+                // adds offsets to `base`.
+                if nbits > Bitmap::MAX_BITS || base.checked_add(u32::from(nbits)).is_none() {
                     return Err(WireError::BadField {
                         field: "bitmap nbits",
                     });
@@ -398,6 +400,16 @@ mod tests {
         let mut buf = vec![tag::NACK_BITMAP, 0, 0, 0, 0];
         buf.extend_from_slice(&(Bitmap::MAX_BITS + 1).to_be_bytes());
         buf.extend_from_slice(&vec![0; 2000]);
+        assert!(matches!(
+            AckPayload::decode(&buf).unwrap_err(),
+            WireError::BadField {
+                field: "bitmap nbits"
+            }
+        ));
+        // A range that runs past the end of the sequence space.
+        let mut buf = vec![tag::NACK_BITMAP, 0xff, 0xff, 0xff, 0xfc];
+        buf.extend_from_slice(&8u16.to_be_bytes());
+        buf.push(0x80);
         assert!(matches!(
             AckPayload::decode(&buf).unwrap_err(),
             WireError::BadField {

@@ -5,7 +5,8 @@
 //! Usage: `cargo run --release --example udp_transfer -- [KB] [loss%] [strategy]`
 //! e.g.   `cargo run --release --example udp_transfer -- 512 5 selective`
 //!
-//! Strategies: full-no-nack | full-nack | go-back-n | selective
+//! Strategies: full-no-nack | full-nack | go-back-n | selective (the
+//! client's default)
 
 use std::time::Duration;
 
@@ -21,8 +22,8 @@ fn main() {
     let strategy = match args.get(3).map(String::as_str) {
         Some("full-no-nack") => RetxStrategy::FullNoNack,
         Some("full-nack") => RetxStrategy::FullNack,
-        Some("selective") => RetxStrategy::Selective,
-        _ => RetxStrategy::GoBackN,
+        Some("go-back-n") => RetxStrategy::GoBackN,
+        _ => RetxStrategy::Selective,
     };
 
     let data: Vec<u8> = (0..kb * 1024)

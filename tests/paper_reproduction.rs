@@ -241,3 +241,49 @@ fn strategy_retransmission_volumes() {
     // And meaningfully so.
     assert!(volumes[0].1 > volumes[2].1 * 3, "{volumes:?}");
 }
+
+/// Where §3.2.4 stops holding, and the choice `ProtocolConfig::lan`
+/// makes: at the shape of the benchmark's `lossy_push` (256 KiB in
+/// 1 400-byte packets, 188 of them, iid 1 % loss) selective resends
+/// p/(1 + p) ≈ 0.0099 of what it sends, and go-back-n more than twenty
+/// times as much.  The same ratio, measured on loopback, is
+/// `core.retx_packet_ratio`.
+#[test]
+fn selective_resends_the_loss_rate_at_one_percent() {
+    use blastlan::sim::LossModel;
+    let bytes = 256 * 1024;
+    let ratio = |strategy| {
+        let (mut sent, mut retransmitted) = (0u64, 0u64);
+        for seed in 0..400u64 {
+            let mut sim = Simulator::new(
+                SimConfig::standalone().with_loss(LossModel::iid(0.01), 9_000 + seed),
+            );
+            let a = sim.add_host("a");
+            let b = sim.add_host("b");
+            let mut cfg = ProtocolConfig::default()
+                .with_strategy(strategy)
+                .with_packet_payload(1400)
+                .with_timeout(std::time::Duration::from_millis(200));
+            cfg.max_retries = 1_000_000;
+            assert_eq!(cfg.packets_for(bytes), 188);
+            sim.attach(a, b, Box::new(BlastSender::new(1, data(bytes), &cfg)));
+            sim.attach(b, a, Box::new(BlastReceiver::new(1, bytes, &cfg)));
+            let report = sim.run();
+            assert!(report.succeeded(a, 1), "{strategy}, seed {seed}");
+            let stats = report.completions[&(a, 1)].info.stats;
+            sent += stats.data_packets_sent;
+            retransmitted += stats.data_packets_retransmitted;
+        }
+        retransmitted as f64 / sent as f64
+    };
+    let selective = ratio(RetxStrategy::Selective);
+    let go_back_n = ratio(RetxStrategy::GoBackN);
+    assert!(
+        (0.008..=0.012).contains(&selective),
+        "selective {selective:.4}"
+    );
+    assert!(
+        go_back_n >= 20.0 * selective,
+        "go-back-n {go_back_n:.4}, selective {selective:.4}"
+    );
+}
