@@ -445,92 +445,63 @@ impl Client<UdpChannel> {
     /// replica yields its failure state rather than erroring the
     /// whole call.
     pub fn fan_out(&mut self, name: &str, replicas: &[SocketAddr]) -> io::Result<Vec<CopyReport>> {
+        self.copies(name, CopyMode::Push, replicas)
+    }
+
+    /// One copy, as [`fan_out`](Client::fan_out) runs them, with a
+    /// failure mapped to an error.
+    fn copy(&mut self, name: &str, mode: CopyMode, remote: SocketAddr) -> io::Result<CopyReport> {
+        let report = self.copies(name, mode, &[remote])?.remove(0);
+        let kind = match (report.state, report.error) {
+            (CopyState::Done, _) => return Ok(report),
+            (CopyState::Failed, errcode::NOT_FOUND) => io::ErrorKind::NotFound,
+            (CopyState::Failed, errcode::BUSY) => io::ErrorKind::WouldBlock,
+            (CopyState::Failed, errcode::HANDSHAKE_TIMEOUT) => io::ErrorKind::TimedOut,
+            (CopyState::Failed, _) => io::ErrorKind::Other,
+            _ => {
+                return Err(io::Error::other(
+                    "node no longer knows the copy (reaped before terminal status)",
+                ))
+            }
+        };
+        let what = format!("copy failed: {}", errcode::label(report.error));
+        Err(io::Error::new(kind, what))
+    }
+
+    /// Submit a `mode` copy of blob `name` toward each of `remotes`,
+    /// poll them round-robin until every one is terminal, and then
+    /// verify each that finished against its far node's digest (the
+    /// replica for pushes, the source for pulls).
+    fn copies(
+        &mut self,
+        name: &str,
+        mode: CopyMode,
+        remotes: &[SocketAddr],
+    ) -> io::Result<Vec<CopyReport>> {
         let started = Instant::now();
         let deadline = started + self.patience;
         let epoch_ns = self.epoch_ns();
-
-        struct Leg {
-            copy_id: u32,
-            remote: SocketAddr,
-            progress: Vec<CopyStatus>,
-            last: CopyStatus,
-        }
-        let mut legs: Vec<Leg> = Vec::with_capacity(replicas.len());
-        for &remote in replicas {
+        // Per copy: its id, its remote, and every status heard so far.
+        let mut legs = Vec::with_capacity(remotes.len());
+        for &remote in remotes {
             let copy_id = self.alloc_id();
             let submit = CopyMsg::Submit(CopySubmit {
-                mode: CopyMode::Push,
+                mode,
                 remote,
                 epoch_ns,
                 name: name.to_string(),
             });
-            let st = self.copy_status(copy_id, &submit, deadline)?;
-            legs.push(Leg {
+            legs.push((
                 copy_id,
                 remote,
-                progress: vec![st],
-                last: st,
-            });
+                vec![self.copy_status(copy_id, &submit, deadline)?],
+            ));
         }
-
-        loop {
-            let mut settled = true;
-            for leg in &mut legs {
-                if leg.last.state.is_terminal() {
-                    continue;
-                }
-                settled = false;
-                let st = self.copy_status(leg.copy_id, &CopyMsg::Query, deadline)?;
-                leg.progress.push(st);
-                leg.last = st;
-            }
-            if settled {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "fan-out did not settle in time",
-                ));
-            }
-            std::thread::sleep(COPY_POLL);
-        }
-
-        let elapsed = started.elapsed();
-        legs.into_iter()
-            .map(|leg| {
-                let verified = leg.last.state == CopyState::Done
-                    && verify_replica(leg.remote, name, &leg.last, self.patience)?;
-                Ok(CopyReport {
-                    copy_id: leg.copy_id,
-                    mode: CopyMode::Push,
-                    remote: leg.remote,
-                    state: leg.last.state,
-                    error: leg.last.error,
-                    bytes: leg.last.bytes_total,
-                    crc32: leg.last.crc32,
-                    elapsed,
-                    verified,
-                    progress: leg.progress,
-                })
-            })
-            .collect()
-    }
-
-    fn copy(&mut self, name: &str, mode: CopyMode, remote: SocketAddr) -> io::Result<CopyReport> {
-        let copy_id = self.alloc_id();
-        let started = Instant::now();
-        let deadline = started + self.patience;
-        let submit = CopyMsg::Submit(CopySubmit {
-            mode,
-            remote,
-            epoch_ns: self.epoch_ns(),
-            name: name.to_string(),
-        });
-        let mut progress = Vec::new();
-        let mut st = self.copy_status(copy_id, &submit, deadline)?;
-        progress.push(st);
-        while !st.state.is_terminal() {
+        let last = |progress: &[CopyStatus]| *progress.last().expect("the submit's reply");
+        while legs
+            .iter()
+            .any(|(.., progress)| !last(progress).state.is_terminal())
+        {
             if Instant::now() >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
@@ -538,45 +509,32 @@ impl Client<UdpChannel> {
                 ));
             }
             std::thread::sleep(COPY_POLL);
-            st = self.copy_status(copy_id, &CopyMsg::Query, deadline)?;
-            progress.push(st);
-        }
-        match st.state {
-            CopyState::Done => {}
-            CopyState::Failed => {
-                let kind = match st.error {
-                    errcode::NOT_FOUND => io::ErrorKind::NotFound,
-                    errcode::BUSY => io::ErrorKind::WouldBlock,
-                    errcode::HANDSHAKE_TIMEOUT => io::ErrorKind::TimedOut,
-                    _ => io::ErrorKind::Other,
-                };
-                return Err(io::Error::new(
-                    kind,
-                    format!("copy failed: {}", errcode::label(st.error)),
-                ));
-            }
-            _ => {
-                return Err(io::Error::other(
-                    "node no longer knows the copy (reaped before terminal status)",
-                ));
+            for (copy_id, _, progress) in &mut legs {
+                if !last(progress).state.is_terminal() {
+                    progress.push(self.copy_status(*copy_id, &CopyMsg::Query, deadline)?);
+                }
             }
         }
-        // End-to-end verification: ask the *far* node (the replica for
-        // pushes, the source for pulls) for its digest and compare
-        // with the status the submitted-to node reported.
-        let verified = verify_replica(remote, name, &st, self.patience)?;
-        Ok(CopyReport {
-            copy_id,
-            mode,
-            remote,
-            state: st.state,
-            error: st.error,
-            bytes: st.bytes_total,
-            crc32: st.crc32,
-            elapsed: started.elapsed(),
-            verified,
-            progress,
-        })
+        let elapsed = started.elapsed();
+        legs.into_iter()
+            .map(|(copy_id, remote, progress)| {
+                let st = last(&progress);
+                let verified = st.state == CopyState::Done
+                    && verify_replica(remote, name, &st, self.patience)?;
+                Ok(CopyReport {
+                    copy_id,
+                    mode,
+                    remote,
+                    state: st.state,
+                    error: st.error,
+                    bytes: st.bytes_total,
+                    crc32: st.crc32,
+                    elapsed,
+                    verified,
+                    progress,
+                })
+            })
+            .collect()
     }
 }
 

@@ -210,17 +210,7 @@ impl NodeMetrics {
         if self.netio_offload.is_empty() {
             self.netio_offload.clone_from(&other.netio_offload);
         }
-        self.io.datagrams_sent += other.io.datagrams_sent;
-        self.io.send_batches += other.io.send_batches;
-        self.io.send_drops += other.io.send_drops;
-        self.io.datagrams_received += other.io.datagrams_received;
-        self.io.recv_batches += other.io.recv_batches;
-        self.io.wakeups += other.io.wakeups;
-        self.io.timeouts += other.io.timeouts;
-        self.io.gso_super_datagrams += other.io.gso_super_datagrams;
-        self.io.gso_segments += other.io.gso_segments;
-        self.io.gro_super_datagrams += other.io.gro_super_datagrams;
-        self.io.gro_segments += other.io.gro_segments;
+        self.io += other.io;
         self.burst_final.merge(&other.burst_final);
         self.burst_mean.merge(&other.burst_mean);
         self.session_secs.merge(&other.session_secs);

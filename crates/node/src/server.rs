@@ -3,28 +3,29 @@
 //!
 //! The paper's engines move one transfer at a time; a node multiplexes
 //! many.  Each reactor shard is a thread that owns one non-blocking
-//! `UdpSocket`, one table of the transfers it is driving and one
-//! [`TimerWheel`], and runs the classic cycle:
+//! `UdpSocket` (and, once it drives a third-party copy, one more per
+//! address family toward other nodes), one table of the transfers it is
+//! driving and one [`TimerWheel`], and runs the classic cycle:
 //!
 //! 1. fire due timers from the wheel, keyed by `(Key, TimerToken)` —
 //!    each entry's engine timers, a copy leg's request retry, and the
 //!    node-owned give-up and reap;
-//! 2. drain the socket, routing `Request`, `Stats` and `Copy` packets
-//!    to the control logic and everything else to the engine of the
-//!    `Inbound` entry that owns the transfer id; then poll the
-//!    channels of the `Outbound` entries (third-party copies
-//!    this node drives as a client), while there are any;
-//! 3. flush whatever the engines staged;
-//! 4. if nothing happened, park briefly — `std` has no selector, and
-//!    at the timescales the paper measures (1.35 ms of processor time
-//!    *per packet*) sub-millisecond parking is invisible.
+//! 2. drain every socket.  On the node's own socket, `Request`,
+//!    `Stats` and `Copy` packets go to the control logic and everything
+//!    else to the engine of the `Inbound` entry that owns the transfer
+//!    id; on an egress socket, everything goes to the `Outbound` entry
+//!    (a third-party copy this node drives as a client) that owns it;
+//! 3. flush whatever the engines staged, one batch per socket;
+//! 4. if nothing happened, wait for a datagram on any socket or the
+//!    next timer, whichever comes first.
 //!
 //! Every engine call on either kind of entry goes through the one
 //! shared [`pump`]: set the clock, call the engine, apply its actions —
 //! a copy's calls by way of its [`Outbound`] leg, the same initiator a
-//! `Client` runs.  The two kinds differ only in where a transmission
-//! goes — the shard socket toward the session's peer, or the copy's own
-//! connected [`FcsChannel`] — and in what completion means.
+//! `Client` runs.  The two kinds differ only in which socket and peer a
+//! transmission goes to — the node's socket toward the session's peer,
+//! or the egress socket toward the copy's remote — and in what
+//! completion means.
 //!
 //! [`NodeBuilder`] scales that cycle across cores: with `shards(n)` it
 //! binds `n` `SO_REUSEPORT` sockets on one address and the kernel's
@@ -47,8 +48,8 @@
 //! and leaves a record of a few words, and no timer, in the shard's
 //! [`TailRecords`], which re-acknowledges the peer's tail until it has
 //! been quiet for [`NodeConfig::linger`].  A copy leg that *pulled*
-//! keeps its channel until reaped: a [`TimeWait`] holding the retired
-//! receiver in the same kind of table.
+//! leaves the same kind of record in a second table, answered through
+//! the egress socket, for `COPY_GRACE` (5 s).
 //!
 //! Each shard also remembers, per peer, the AIMD burst that peer's last
 //! completed transfer ended at (a [`PathTable`] of `max_sessions`
@@ -57,7 +58,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -69,9 +70,8 @@ use blast_core::multiblast::MultiBlastSender;
 use blast_core::pool::BufferPool;
 use blast_core::{AdaptiveTimeout, Engine, PacingConfig};
 use blast_telemetry::{EventKind, Recorder, Telemetry};
-use blast_udp::channel::{Channel, UdpChannel};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
-use blast_udp::fcs::{self, FcsChannel};
+use blast_udp::fcs;
 use blast_udp::handshake::{Direction, Request, MAX_TRANSFER_BYTES};
 use blast_udp::netio::NetIo;
 use blast_udp::outbound::Outbound;
@@ -79,7 +79,7 @@ use blast_udp::path::{self, PathTable};
 use blast_udp::pump::{self, Input};
 use blast_udp::sockopt;
 use blast_udp::timers::TimerWheel;
-use blast_udp::timewait::{TailRecords, TimeWait};
+use blast_udp::timewait::TailRecords;
 use blast_wire::checksum::crc32;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::{Datagram, DatagramBuilder};
@@ -96,7 +96,7 @@ const GIVE_UP: TimerToken = TimerToken(u64::MAX - 1);
 /// How long a terminal copy keeps answering status queries before it is
 /// reaped — the control-plane twin of the data-plane linger window: the
 /// orchestrating client must be able to read the final status even if
-/// its first few polls are lost.
+/// its first few polls are lost.  A pull copy's tail record lasts as long.
 const COPY_GRACE: Duration = Duration::from_secs(5);
 
 /// How long a shard may sit on counter-only metric changes before
@@ -139,8 +139,8 @@ pub struct NodeConfig {
     /// stops counting the moment it completes or fails, so the cap
     /// bounds memory committed to transfers in progress, not the rate
     /// at which short ones come and go.  (Third-party copies, and the
-    /// completed pushes that [`linger`](NodeConfig::linger), are each
-    /// held to the same number, separately.)
+    /// tail records of completed pushes and pull copies, are each held
+    /// to the same number, separately.)
     pub max_sessions: usize,
     /// Largest transfer a push request may announce.  The handshake
     /// pre-allocates the whole receive buffer from the wire-supplied
@@ -206,8 +206,7 @@ struct Entry {
 /// far end.
 enum Link {
     Inbound(Session),
-    /// A copy's leg toward the other node: handshaking, running, or —
-    /// a pull that completed — kept to answer the remote's tail.
+    /// A copy's leg toward the other node, handshaking or running.
     Outbound(Box<CopyLeg>),
     /// A copy that ended (or was refused at submit) with nobody left
     /// to answer: nothing remains but the status it tells queries until
@@ -226,32 +225,26 @@ struct Session {
 }
 
 /// One third-party copy: the node acts as a *client* toward another
-/// node — the same [`Outbound`] leg over the same FCS-framed channel
-/// its own clients use — driven from this shard's reactor loop (no
-/// blocking thread per copy).
+/// node — the same [`Outbound`] leg, FCS-framed, its own clients run —
+/// driven from this shard's reactor loop (no blocking thread per copy).
 ///
-/// The leg runs over its own connected ephemeral-port channel rather
-/// than the shard's `SO_REUSEPORT` socket: replies from the remote node
-/// must come back to *this* shard, and the kernel's 4-tuple hash over
-/// the shared address would happily deliver them to a sibling.  A
-/// dedicated socket makes the 4-tuple unique, at the cost of the
-/// reactor polling it each tick (bounded by the 1 ms tick cap while
-/// legs are in the table); the leg's retry and its engine's pace/RTO
-/// timers ride the shard's one wheel.
+/// Legs use the shard's egress socket for the remote's address family,
+/// not the shard's `SO_REUSEPORT` socket: the kernel's 4-tuple hash over
+/// the shared address would deliver the remote's replies to a sibling
+/// shard.  Legs share that socket, its batches and its flush, as
+/// sessions share the main one, and their timers ride the one wheel.
 struct CopyLeg {
     mode: CopyMode,
-    /// The far node: the shard's path table keys the leg by it.
+    /// The far node: the shard's path table keys the leg by it, and
+    /// only it may drive the leg.
     remote: SocketAddr,
+    /// The egress socket's place in [`Shard::ports`].
+    port: usize,
     /// What a query is told once the copy is terminal, and the part
     /// known from the start before that (for a push, its size and
     /// CRC-32; a pull's are fixed on completion).
     status: CopyStatus,
     outbound: Outbound,
-    /// A pull that completed leaves its retired receiver here, and the
-    /// leg stays — polled like a live one — until the entry is reaped,
-    /// so a remote whose final ack was lost still gets its tail
-    /// answered (what the shard's [`TailRecords`] do for a session).
-    channel: TimeWait<FcsChannel<UdpChannel>>,
 }
 
 impl CopyLeg {
@@ -260,7 +253,7 @@ impl CopyLeg {
     fn status(&self) -> CopyStatus {
         let mut status = self.status;
         let (Some(engine), Some(echo)) = (self.outbound.engine(), self.outbound.echoed()) else {
-            return status; // handshaking, or kept past completion
+            return status; // handshaking, or retired at completion
         };
         let st = engine.stats();
         let packets = match self.mode {
@@ -272,6 +265,18 @@ impl CopyLeg {
         status.bytes_total = echo.len as u64;
         status.bytes_done = (packets * echo.packet_payload as u64).min(status.bytes_total);
         status
+    }
+}
+
+impl Link {
+    /// The socket (by place in [`Shard::ports`]) and address this entry
+    /// sends to and hears from; `None` once a copy settled.
+    fn peer(&self) -> Option<(usize, SocketAddr)> {
+        match self {
+            Link::Inbound(session) => Some((MAIN, session.peer)),
+            Link::Outbound(copy) => Some((copy.port, copy.remote)),
+            Link::Settled(_) => None,
+        }
     }
 }
 
@@ -315,21 +320,43 @@ pub struct NodeServer {
     /// from the sessions, whose unfinished count the shard's metrics
     /// already keep (`sessions_in_flight`).
     copies: usize,
-    /// The copies last seen holding a leg ([`Link::Outbound`]), whose
-    /// channels each tick polls; a settled one leaves at the next poll.
-    legs: Vec<Key>,
 }
+
+/// A socket and the syscall backend that drives it: batched `recvmmsg`
+/// drains and `sendmmsg` bursts with event-driven idle waits where
+/// available, the portable single-syscall fallback elsewhere
+/// (`BLAST_NETIO=portable` forces it).
+struct Port {
+    socket: UdpSocket,
+    io: NetIo,
+}
+
+impl Port {
+    fn new(socket: UdpSocket) -> Port {
+        // Grow both socket queues (best effort): a node fans many
+        // concurrent pushes into one socket (round-0 loss to a default
+        // SO_RCVBUF was the measured goodput ceiling), and batched
+        // bursts submit whole rounds per sendmmsg.
+        sockopt::grow_buffers(&socket);
+        let io = NetIo::reactor(&socket);
+        Port { socket, io }
+    }
+}
+
+/// The node's own socket's place in [`Shard::ports`].
+const MAIN: usize = 0;
 
 /// Everything on a shard that a table entry acts on — the socket, the
 /// wheel, the store, the metrics.  Kept apart from the table so an
 /// entry can be borrowed from the table and handed to these methods
 /// without a second lookup.
 struct Shard {
-    socket: UdpSocket,
-    /// The syscall backend: batched `recvmmsg` drains and `sendmmsg`
-    /// bursts with event-driven idle waits where available, the
-    /// portable single-syscall fallback elsewhere.
-    io: NetIo,
+    /// The node's own socket at [`MAIN`], then the egress sockets, each
+    /// drained and flushed once per tick; the main backend waits on all.
+    ports: Vec<Port>,
+    /// Where in `ports` the egress socket toward IPv4 (IPv6) remotes
+    /// sits, once a copy opened it; it then lives as long as the shard.
+    egress: [Option<usize>; 2],
     config: NodeConfig,
     store: SharedStore,
     /// The shard's own accumulator: plain fields, no lock — only this
@@ -350,6 +377,9 @@ struct Shard {
     /// Completed pushes, answering their peers' tails; consulted only
     /// for datagrams that miss every session.
     tails: TailRecords,
+    /// The same for pull copies, answering their remotes' tails through
+    /// the egress sockets.
+    copy_tails: TailRecords,
     /// The burst each peer's last completed transfer ended at, which
     /// seeds the next sender toward it.
     paths: PathTable,
@@ -377,30 +407,23 @@ impl NodeServer {
         shutdown: Arc<AtomicBool>,
     ) -> io::Result<Self> {
         socket.set_nonblocking(true)?;
-        // Grow both socket queues (best effort): a node fans many
-        // concurrent pushes into one socket (round-0 loss to a
-        // default-sized SO_RCVBUF was the measured goodput ceiling),
-        // and batched pull bursts submit whole rounds per sendmmsg.
-        blast_udp::sockopt::grow_buffers(&socket);
-        // The syscall backend: one recvmmsg per reactor wakeup, one
-        // sendmmsg per engine burst, epoll+timerfd idle waits
-        // (`BLAST_NETIO=portable` forces the single-syscall fallback).
-        let io = NetIo::reactor(&socket);
+        let main = Port::new(socket);
         // Every session's engine on this shard clones `config.protocol`,
         // so they all share this pool; pre-warm it so the first burst is
         // already allocation free (a larger, carried one warms it
         // further before its round: `path::seed`).
         crate::client::warm_pool(&config.protocol);
         let mut local = NodeMetrics::default();
-        local.netio_backend = io.backend().name().to_string();
-        local.netio_offload = io.offload().name().to_string();
+        local.netio_backend = main.io.backend().name().to_string();
+        local.netio_offload = main.io.offload().name().to_string();
         let slot = Arc::new(Mutex::new(local.clone()));
         let peer_slots = vec![Arc::clone(&slot)];
         Ok(NodeServer {
             shard: Shard {
-                socket,
-                io,
+                ports: vec![main],
+                egress: [None; 2],
                 tails: TailRecords::new(config.max_sessions),
+                copy_tails: TailRecords::new(config.max_sessions),
                 paths: PathTable::new(config.max_sessions),
                 config,
                 store,
@@ -417,7 +440,6 @@ impl NodeServer {
             shutdown,
             table: HashMap::new(),
             copies: 0,
-            legs: Vec::new(),
         })
     }
 
@@ -427,18 +449,13 @@ impl NodeServer {
     /// consistent node-wide timeline.
     fn attach_recorder(&mut self, recorder: Recorder) {
         self.shard.epoch = recorder.epoch();
-        self.shard.io.set_recorder(recorder.clone());
+        self.shard.ports[MAIN].io.set_recorder(recorder.clone());
         self.shard.recorder = Some(recorder);
     }
 
     /// The bound address clients should talk to.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.shard.socket.local_addr()
-    }
-
-    /// The snapshot slot a [`NodeHandle`] merges on read.
-    fn metrics_slot(&self) -> Arc<Mutex<NodeMetrics>> {
-        Arc::clone(&self.shard.slot)
+        self.shard.ports[MAIN].socket.local_addr()
     }
 
     /// Run the event loop until the shutdown flag is set.
@@ -459,11 +476,11 @@ impl NodeServer {
         result
     }
 
-    /// One reactor cycle: timers, then a socket drain and a poll of the
-    /// copy channels, then a flush of everything the engines queued,
-    /// then (if idle) an event-driven wait — epoll + timerfd wakes on
-    /// the first datagram or at the next timer deadline, whichever
-    /// comes first (the portable fallback degrades to a bounded sleep).
+    /// One reactor cycle: timers, then a drain of every socket, then a
+    /// flush of everything the engines queued, then (if idle) an
+    /// event-driven wait — epoll + timerfd wakes on the first datagram
+    /// or at the next timer deadline, whichever comes first (the
+    /// portable fallback degrades to a bounded sleep).
     fn tick(&mut self, buf: &mut [u8]) -> io::Result<()> {
         let now = Instant::now();
         let mut timers_fired = 0u64;
@@ -471,7 +488,10 @@ impl NodeServer {
             timers_fired += 1;
             self.on_timer(key, token)?;
         }
-        let drained = self.drain_socket(buf)? + self.poll_copies(buf)?;
+        let mut drained = 0;
+        for port in 0..self.shard.ports.len() {
+            drained += self.drain(port, buf)?;
+        }
         // Only ticks that did work are traced — idle wakeups would
         // drown the ring without saying anything.
         if drained > 0 || timers_fired > 0 {
@@ -481,9 +501,12 @@ impl NodeServer {
         }
         let shard = &mut self.shard;
         // Everything staged this tick goes out before any wait: one
-        // sendmmsg carries the coalesced acks/bursts of all sessions.
-        let flushed = shard.io.flush(&shard.socket);
-        shard.tolerate(flushed);
+        // sendmmsg per socket carries the coalesced acks/bursts of all
+        // its sessions or copies.
+        for Port { socket, io } in &mut shard.ports {
+            // A refusal is its datagram's loss (see `tolerate`).
+            shard.local.send_errors += u64::from(io.flush(socket).is_err());
+        }
         shard.sync_io_stats();
         shard.publish_metrics();
         let (now, next) = (Instant::now(), shard.timers.next_deadline());
@@ -491,29 +514,24 @@ impl NodeServer {
         // gap shorter than the bursts it separates) is taken at once,
         // not after a `MIN_WAIT` sleep.
         if drained == 0 && next.is_none_or(|due| due > now) {
-            let mut park = next
+            let park = next
                 .map_or(Duration::from_millis(5), |due| due - now)
                 .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(10));
-            if !self.legs.is_empty() {
-                // Copy channels are polled, not in the event wait: cap
-                // the park so an incoming ack on an outbound leg waits
-                // at most a millisecond.
-                park = park.min(Duration::from_millis(1));
-            }
-            shard.io.wait(park)?;
+            shard.ports[MAIN].io.wait(park)?;
         }
         Ok(())
     }
 
-    /// Receive until the socket is dry (or a batch limit, so timers are
-    /// never starved by a firehose).  Returns datagrams processed.
-    fn drain_socket(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+    /// Receive on `port` until it is dry (or a batch limit, so timers
+    /// are never starved by a firehose).  Returns datagrams processed.
+    fn drain(&mut self, port: usize, buf: &mut [u8]) -> io::Result<usize> {
         let mut drained = 0;
         while drained < 128 {
             // Pop from the last recvmmsg batch; refill with one kernel
             // crossing when it runs dry.
-            let Some((n, peer)) = self.shard.io.pop_into(buf) else {
-                if self.shard.io.fill(&self.shard.socket)? == 0 {
+            let Port { socket, io } = &mut self.shard.ports[port];
+            let Some((n, peer)) = io.pop_into(buf) else {
+                if io.fill(socket)? == 0 {
                     break;
                 }
                 continue;
@@ -525,55 +543,42 @@ impl NodeServer {
                 self.shard.local.fcs_drops += 1;
                 continue;
             };
-            self.on_datagram(&buf[..body], peer)?;
+            self.on_datagram(&buf[..body], port, peer)?;
         }
         Ok(drained)
     }
 
-    /// Drain the channel of every copy that still holds a leg, and
-    /// forget the ones that no longer do.  Returns datagrams handled.
-    fn poll_copies(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut handled = 0;
-        let mut i = 0;
-        while let Some(&key) = self.legs.get(i) {
-            match self.table.get_mut(&key) {
-                Some(entry) if matches!(entry.link, Link::Outbound(_)) => {
-                    handled += self.shard.drain_copy(key, entry, buf)?;
-                    i += 1;
-                }
-                _ => {
-                    self.legs.swap_remove(i);
-                }
-            }
-        }
-        Ok(handled)
-    }
-
-    fn on_datagram(&mut self, raw: &[u8], peer: SocketAddr) -> io::Result<()> {
+    /// Route one datagram that arrived on `port` from `peer`: the main
+    /// socket serves clients, an egress socket (which any host can
+    /// reach too) only copy legs' remotes.  Only an entry's own peer
+    /// drives it; what no entry takes may be a finished transfer's tail.
+    fn on_datagram(&mut self, raw: &[u8], port: usize, peer: SocketAddr) -> io::Result<()> {
         let Ok(dgram) = Datagram::parse(raw) else {
             self.shard.local.malformed += 1;
             return Ok(());
         };
-        match dgram.kind {
+        let key = match dgram.kind {
+            _ if port != MAIN => Key::Outbound(dgram.transfer_id),
             PacketKind::Request => return self.on_request(&dgram, raw, peer),
             PacketKind::Stats => return self.shard.on_stats(&dgram, peer),
             PacketKind::Copy => return self.on_copy(&dgram, peer),
-            _ => {}
-        }
-        let key = Key::Inbound(dgram.transfer_id);
+            _ => Key::Inbound(dgram.transfer_id),
+        };
         let shard = &mut self.shard;
         match self.table.get_mut(&key) {
-            // Only the session's peer may drive its engine.
-            Some(entry) if matches!(&entry.link, Link::Inbound(s) if s.peer == peer) => {
+            Some(entry) if entry.link.peer() == Some((port, peer)) => {
                 if shard.pump(key, entry, Input::Datagram(&dgram))? {
                     self.reap(key);
                 }
             }
-            Some(_) => shard.local.unroutable += 1,
-            None => {
+            _ => {
+                let tails = match key {
+                    Key::Inbound(_) => &mut shard.tails,
+                    Key::Outbound(_) => &mut shard.copy_tails,
+                };
                 let (now, mut status) = (Instant::now(), [0u8; FinishedReceiver::STATUS_LEN]);
-                match shard.tails.answer(now, &dgram, peer, &mut status) {
-                    Some(Some(n)) => shard.send_framed(peer, &status[..n])?,
+                match tails.answer(now, &dgram, peer, &mut status) {
+                    Some(Some(n)) => shard.send_framed(port, peer, &status[..n])?,
                     Some(None) => {}
                     None => shard.local.unroutable += 1,
                 }
@@ -595,7 +600,7 @@ impl NodeServer {
             None if held.is_none() => {}
             // Duplicate request: our echo was lost; re-send it.
             Some(Link::Inbound(session)) if session.peer == peer => {
-                return shard.send_framed(peer, &session.echo);
+                return shard.send_framed(MAIN, peer, &session.echo);
             }
             // A duplicate that outlived its session: the peer has long
             // had the echo — it went on to send every byte.
@@ -658,7 +663,7 @@ impl NodeServer {
         shard.publish_now();
         // Echo before starting the engine so that, in order-preserving
         // conditions, the size announcement precedes round-0 data.
-        shard.send_framed(peer, &echo)?;
+        shard.send_framed(MAIN, peer, &echo)?;
         // A sender starts where the peer's last transfer left the burst.
         let carried = shard.paths.burst(Instant::now(), peer);
         path::seed(engine.as_mut(), carried, &engine_cfg.pool);
@@ -776,7 +781,7 @@ impl NodeServer {
         let n = DatagramBuilder::new(id)
             .build_copy(&mut buf, nonce, &payload)
             .expect("copy reply fits");
-        self.shard.send_framed(peer, &buf[..n])
+        self.shard.send_framed(MAIN, peer, &buf[..n])
     }
 
     /// The current status of copy `id`, if the table knows it.
@@ -823,7 +828,6 @@ impl NodeServer {
                 shard
                     .timers
                     .arm((key, GIVE_UP), shard.config.session_timeout);
-                self.legs.push(key);
                 Link::Outbound(Box::new(copy))
             }
             Err(error) => {
@@ -847,13 +851,16 @@ impl NodeServer {
 }
 
 impl Shard {
-    /// Mirror the backend's syscall counters into the shard
-    /// accumulator.  The backend is the authority on what actually
-    /// reached the kernel: `datagrams_sent` counts flushed submissions
-    /// only, so datagrams dropped at flush are never double-booked as
-    /// sent.
+    /// Mirror the backends' syscall counters, summed over the shard's
+    /// sockets, into the shard accumulator.  The backends are the
+    /// authority on what actually reached the kernel: `datagrams_sent`
+    /// counts flushed submissions only, so datagrams dropped at flush
+    /// are never double-booked as sent.
     fn sync_io_stats(&mut self) {
-        let io = self.io.stats;
+        let mut io = self.ports[MAIN].io.stats;
+        for port in &self.ports[MAIN + 1..] {
+            io += port.io.stats;
+        }
         self.local.io = io;
         self.local.datagrams_sent = io.datagrams_sent;
         self.local.send_drops = io.send_drops;
@@ -894,7 +901,7 @@ impl Shard {
     }
 
     /// Frame one datagram into the shard's reused scratch and stage it
-    /// into the backend's batch: a whole engine burst goes out in one
+    /// into `port`'s batch: a whole engine burst goes out in one
     /// sendmmsg when the queue fills or the tick flushes.  Loss-like
     /// submission failures (peer's ICMP unreachable, full send buffer)
     /// are counted as drops inside the backend, and so are refusals
@@ -903,9 +910,10 @@ impl Shard {
     /// `datagrams_sent` is mirrored from the backend in
     /// [`sync_io_stats`](Shard::sync_io_stats): only datagrams that
     /// actually flushed count.
-    fn send_framed(&mut self, peer: SocketAddr, datagram: &[u8]) -> io::Result<()> {
+    fn send_framed(&mut self, port: usize, peer: SocketAddr, datagram: &[u8]) -> io::Result<()> {
         fcs::frame_into(datagram, &mut self.frame_buf);
-        let queued = self.io.queue_to(&self.socket, &self.frame_buf, Some(peer));
+        let Port { socket, io } = &mut self.ports[port];
+        let queued = io.queue_to(socket, &self.frame_buf, Some(peer));
         self.tolerate(queued);
         Ok(())
     }
@@ -913,7 +921,8 @@ impl Shard {
     /// A send the kernel refused outright (a spoofed port-0 source, a
     /// broadcast address, no route, a firewall rule) costs its own
     /// datagram — counted in `send_drops` by the backend, whose batch
-    /// still went out — never the shard: count it and carry on.
+    /// still went out — never the shard, nor the other sessions or
+    /// copies that share the socket: count it and carry on.
     fn tolerate(&mut self, sent: io::Result<()>) {
         if sent.is_err() {
             self.local.send_errors += 1;
@@ -925,12 +934,18 @@ impl Shard {
         let n = DatagramBuilder::new(id)
             .build_cancel(&mut buf)
             .expect("cancel fits");
-        self.send_framed(peer, &buf[..n])
+        self.send_framed(MAIN, peer, &buf[..n])
     }
 
     /// Build the outbound leg of a copy order, or say (as an
     /// [`errcode`]) what stops the copy at submit time.
-    fn open_copy(&self, id: u32, submit: &CopySubmit) -> Result<CopyLeg, u8> {
+    fn open_copy(&mut self, id: u32, submit: &CopySubmit) -> Result<CopyLeg, u8> {
+        let remote = submit.remote;
+        // Nothing can be sent there (`sendto` refuses both): fail now,
+        // not after a session timeout of retries.
+        if remote.port() == 0 || remote.ip() == IpAddr::V4(Ipv4Addr::BROADCAST) {
+            return Err(errcode::TRANSFER_FAILED);
+        }
         let protocol = &self.config.protocol;
         let mut status = bare_status(CopyState::Handshaking, errcode::NONE);
         let outbound = match submit.mode {
@@ -945,19 +960,37 @@ impl Shard {
                 Outbound::pull(id, &request, protocol, self.config.max_transfer_bytes)
             }
         };
-        let (Ok(mut outbound), Ok(channel)) = (outbound, UdpChannel::connect_to(submit.remote))
-        else {
+        let (Ok(mut outbound), Ok(port)) = (outbound, self.egress(remote)) else {
             return Err(errcode::TRANSFER_FAILED);
         };
         outbound.recorder = self.recorder.clone();
-        outbound.burst = self.paths.burst(Instant::now(), submit.remote);
+        outbound.burst = self.paths.burst(Instant::now(), remote);
         Ok(CopyLeg {
             mode: submit.mode,
-            remote: submit.remote,
+            remote,
+            port,
             status,
             outbound,
-            channel: TimeWait::new(FcsChannel::new(channel)),
         })
+    }
+
+    /// The place in `ports` of the egress socket toward `remote`'s
+    /// address family, opened on first use: an ephemeral port, so
+    /// replies reach this shard alone, watched by the main backend.
+    fn egress(&mut self, remote: SocketAddr) -> io::Result<usize> {
+        let family = usize::from(remote.is_ipv6());
+        if let Some(port) = self.egress[family] {
+            return Ok(port);
+        }
+        let any = ["0.0.0.0:0", "[::]:0"][family];
+        let mut port = Port::new(UdpSocket::bind(any)?);
+        if let Some(rec) = &self.recorder {
+            port.io.set_recorder(rec.clone());
+        }
+        self.ports[MAIN].io.watch(&port.socket)?;
+        self.ports.push(port);
+        self.egress[family] = Some(self.ports.len() - 1);
+        Ok(self.ports.len() - 1)
     }
 
     /// Cancel whatever timers `key`'s entry still has armed, the
@@ -968,46 +1001,46 @@ impl Shard {
     }
 
     /// Run one engine call for `entry` through the shared pump:
-    /// transmissions go to the session's peer through the shard socket
-    /// (flushed once per tick) or out the copy's own channel (flushed
-    /// per call, as `Client` does), timers ride the one wheel under
-    /// `key`, and completion finishes the session or settles the copy.
+    /// transmissions are staged on the entry's socket toward its peer
+    /// (flushed once per tick), timers ride the one wheel under `key`,
+    /// and completion finishes the session or settles the copy.
     ///
     /// Returns whether the entry is spent — nothing left to do — for
     /// the caller, who owns the table, to reap.
     fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<bool> {
         let (epoch, timer_key) = (self.epoch, |token| (key, token));
+        let Some((port, peer)) = entry.link.peer() else {
+            return Ok(false);
+        };
+        let Port { socket, io } = &mut self.ports[port];
+        let (frame, errors) = (&mut self.frame_buf, &mut self.local.send_errors);
+        let transmit = |bytes: &[u8]| {
+            fcs::frame_into(bytes, frame);
+            // A refusal is its datagram's loss (see `tolerate`).
+            *errors += u64::from(io.queue_to(socket, frame, Some(peer)).is_err());
+            Ok(())
+        };
         let done = match &mut entry.link {
-            Link::Inbound(session) => {
+            Link::Inbound(_) => {
                 let Some(engine) = entry.engine.as_deref_mut() else {
                     return Ok(false);
                 };
-                let (io, socket, frame) = (&mut self.io, &self.socket, &mut self.frame_buf);
-                let (peer, errors) = (Some(session.peer), &mut self.local.send_errors);
-                pump::step(engine, epoch, input, &mut self.timers, timer_key, |bytes| {
-                    fcs::frame_into(bytes, frame);
-                    // A refusal is its datagram's loss (see `tolerate`).
-                    *errors += u64::from(io.queue_to(socket, frame, peer).is_err());
-                    Ok(())
-                })?
+                pump::step(engine, epoch, input, &mut self.timers, timer_key, transmit)?
             }
             Link::Settled(_) => return Ok(false),
             Link::Outbound(copy) => {
-                let (channel, asked) = (&mut copy.channel, copy.outbound.requests_sent);
-                let sent = copy
-                    .outbound
-                    .step(epoch, input, &mut self.timers, timer_key, |bytes| {
-                        channel.stage(bytes)
-                    })
-                    .and_then(|done| channel.flush().map(|()| done));
+                let asked = copy.outbound.requests_sent;
+                let stepped =
+                    copy.outbound
+                        .step(epoch, input, &mut self.timers, timer_key, transmit);
                 // Every request after the first is a retry.
                 let retries = copy.outbound.requests_sent.saturating_sub(asked.max(1));
                 self.local.copy_handshake_retx += retries;
-                match sent {
+                match stepped {
                     Ok(done) => done,
-                    // A refusal, or an I/O error on the copy's own
-                    // channel (say, an unroutable destination), fails
-                    // that copy, never the shard.
+                    // The remote refused, or announced more than the
+                    // transfer bound: that fails the copy, never the
+                    // shard.
                     Err(e) => {
                         let error = match e.kind() {
                             io::ErrorKind::NotFound => errcode::NOT_FOUND,
@@ -1118,33 +1151,7 @@ impl Shard {
         if let Some(rec) = &self.recorder {
             rec.record(0, EventKind::StatsServed, text.len() as u64, 0);
         }
-        self.send_framed(peer, &buf[..n])
-    }
-
-    /// Pull everything waiting on one copy's channel into its leg.
-    /// Returns datagrams handled.
-    fn drain_copy(&mut self, key: Key, entry: &mut Entry, buf: &mut [u8]) -> io::Result<usize> {
-        let mut handled = 0;
-        // A datagram can end the copy, and with it the channel.
-        while let Link::Outbound(copy) = &mut entry.link {
-            let drops = copy.channel.discarded();
-            let got = copy.channel.recv_timeout(buf, Duration::ZERO);
-            self.local.fcs_drops += copy.channel.discarded() - drops;
-            match got {
-                Ok(Some(n)) => {
-                    handled += 1;
-                    match Datagram::parse(&buf[..n]) {
-                        Ok(dgram) => {
-                            self.pump(key, entry, Input::Datagram(&dgram))?;
-                        }
-                        Err(_) => self.local.malformed += 1,
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED)),
-            }
-        }
-        Ok(handled)
+        self.send_framed(MAIN, peer, &buf[..n])
     }
 
     /// The outbound engine completed: store pulled bytes, fix the
@@ -1165,28 +1172,20 @@ impl Shard {
                 self.store.put(&entry.name, Arc::from(data));
             }
             // The remote sender has not heard our final ack yet and may
-            // never: the leg keeps its channel, answering for the
-            // retired receiver, for as long as the entry lives.
-            copy.channel
-                .hold(finished, COPY_GRACE, Instant::now() + COPY_GRACE);
-            copy.status = self.settle(key, copy.status, Ok(bytes as u64));
-            return;
+            // never: a record answers its tail in the leg's place.
+            let now = Instant::now();
+            self.copy_tails
+                .hold(now, finished, copy.remote, COPY_GRACE, now + COPY_GRACE);
         }
         self.end_copy(key, entry, Ok(bytes as u64));
     }
 
     /// End a copy — `Ok` with the bytes it moved, `Err` with an
-    /// [`errcode`] — releasing its leg, channel and blob.  A no-op on a
-    /// copy that already gave those up; a leg kept past completion
-    /// gives them up and keeps its outcome.
+    /// [`errcode`] — releasing its leg and blob.  A no-op on a copy
+    /// that already settled.
     fn end_copy(&mut self, key: Key, entry: &mut Entry, outcome: Result<u64, u8>) {
         if let Link::Outbound(copy) = &entry.link {
-            let status = copy.status();
-            entry.link = Link::Settled(if status.state.is_terminal() {
-                status
-            } else {
-                self.settle(key, status, outcome)
-            });
+            entry.link = Link::Settled(self.settle(key, copy.status(), outcome));
         }
     }
 
@@ -1359,7 +1358,7 @@ impl NodeBuilder {
             let server =
                 NodeServer::with_socket(cfg, Arc::clone(&store), socket, Arc::clone(&shutdown))?;
             addr.get_or_insert(server.local_addr()?);
-            slots.push(server.metrics_slot());
+            slots.push(Arc::clone(&server.shard.slot));
             servers.push(server);
         }
         // Second pass, once every slot exists: each shard learns all
@@ -1543,6 +1542,7 @@ impl NodeHandle {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use blast_udp::channel::{Channel, UdpChannel};
 
     fn test_builder() -> NodeBuilder {
         NodeBuilder::new().timeout(Duration::from_millis(15))
@@ -1745,12 +1745,28 @@ mod tests {
         );
         assert!(server.shard.tails.peer(Instant::now(), 1).is_some());
 
-        let workload = std::thread::spawn(move || {
+        let copies = std::thread::spawn(move || {
             assert_eq!(client.pull("blob").unwrap().data, payload(40_000));
             assert!(client.copy_to("blob", remote_addr).unwrap().verified);
-            // A pull copy's leg outlives its completion (it answers
-            // the remote's tail): it too must go, timers and all.
-            assert!(client.copy_from("blob", remote_addr).unwrap().verified);
+            let pulled = client.copy_from("blob", remote_addr).unwrap();
+            assert!(pulled.verified);
+            (client, pulled.copy_id)
+        });
+        let (mut client, pulled) = tick_through(&mut server, copies);
+        // A finished pull copy leaves its status and a tail record that
+        // answers the remote; neither holds a timer but the reap.
+        let key = Key::Outbound(pulled);
+        assert!(matches!(server.table[&key].link, Link::Settled(_)));
+        let now = Instant::now();
+        let remote_side = server.shard.copy_tails.peer(now, pulled);
+        assert_eq!(remote_side, Some(remote_addr));
+        let copies_held = server
+            .table
+            .keys()
+            .filter(|k| matches!(k, Key::Outbound(_)));
+        assert_eq!(server.shard.timers.len(), copies_held.count());
+
+        let workload = std::thread::spawn(move || {
             let refused = client.copy_to("missing", remote_addr).unwrap_err();
             assert_eq!(refused.kind(), io::ErrorKind::NotFound);
         });
@@ -1806,9 +1822,9 @@ mod tests {
         // Each tick fires the pace timer the last burst armed, sends the
         // next burst, and finds that burst's gap already over.
         for _ in 0..3 {
-            let before = server.shard.io.stats;
+            let before = server.shard.ports[MAIN].io.stats;
             server.tick(&mut buf).unwrap();
-            let after = server.shard.io.stats;
+            let after = server.shard.ports[MAIN].io.stats;
             assert!(
                 after.datagrams_sent > before.datagrams_sent,
                 "a burst went out"

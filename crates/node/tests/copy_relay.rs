@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use blast_node::server::NodeBuilder;
+use blast_node::server::{NodeBuilder, NodeConfig};
 use blast_node::{Client, NodeHandle};
 use blast_telemetry::{EventKind, Recorder};
 use blast_udp::copy::CopyState;
@@ -89,6 +89,33 @@ fn push_copy_moves_blob_a_to_b() {
     a.shutdown().unwrap();
     let mb = b.shutdown().unwrap();
     assert_eq!(mb.sessions_completed, 2, "copy leg + verification pull");
+}
+
+/// A copy's traffic is the node's traffic: its data packets leave
+/// through the shard's own I/O and count in the node's metrics.
+#[test]
+fn a_push_copy_counts_in_its_node_datagrams() {
+    let a = node();
+    let b = node();
+    let data = blob(150_000);
+    a.store().put("blob", data.clone().into());
+    let mut client = Client::connect(a.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20));
+    let before = a.metrics();
+    assert!(client.copy_to("blob", b.addr()).unwrap().verified);
+    let after = a.metrics();
+    let payload = NodeConfig::default().protocol.packet_payload;
+    let packets = data.len().div_ceil(payload) as u64;
+    let sent = after.datagrams_sent - before.datagrams_sent;
+    assert!(
+        sent >= packets,
+        "{sent} datagrams sent for {packets} data packets"
+    );
+    // At least the echo and the final ack came back.
+    assert!(after.datagrams_received - before.datagrams_received >= 2);
+    a.shutdown().unwrap();
+    b.shutdown().unwrap();
 }
 
 #[test]
@@ -199,22 +226,39 @@ fn copy_toward_a_dead_port_fails_with_handshake_timeout() {
     assert!(ma.copy_handshake_retx > 0, "the handshake was retried");
 }
 
-/// A push copy that has finished leaves nothing to poll: its entry
-/// waits out the status grace window, but the node parks as an idle
-/// node does, not at the millisecond cap a live leg's channel needs.
+/// A push copy that has finished leaves nothing but its status: its
+/// entry waits out the grace window, and the node parks as an idle node
+/// does, until the next timer.
 #[test]
 fn a_finished_push_copy_leaves_its_node_idle() {
+    assert_idle_after_copy(|client, b| client.copy_to("blob", b));
+}
+
+/// The pull twin: a finished pull copy also leaves a tail record that
+/// answers the remote for the grace window, and that holds no socket
+/// and no timer, so the node parks as idle as after a push.
+#[test]
+fn a_finished_pull_copy_leaves_its_node_idle() {
+    assert_idle_after_copy(|client, b| client.copy_from("blob", b));
+}
+
+/// Run `copy` from node A with node B (which, like A, holds a blob
+/// named "blob"), then count A's wakeups over 300 ms of idle.
+fn assert_idle_after_copy(
+    copy: impl FnOnce(&mut Client, SocketAddr) -> std::io::Result<blast_node::CopyReport>,
+) {
     let a = node();
     let b = node();
     a.store().put("blob", blob(10_000).into());
+    b.store().put("blob", blob(10_000).into());
     let mut client = Client::connect(a.addr())
         .unwrap()
         .timeout(Duration::from_millis(20));
-    assert!(client.copy_to("blob", b.addr()).unwrap().verified);
+    assert!(copy(&mut client, b.addr()).unwrap().verified);
     let m = a.metrics();
     if m.netio_backend == "portable" {
         // Its reactor wait can only sleep, and never for more than a
-        // millisecond, live legs or not: nothing to tell apart.
+        // millisecond: nothing to tell apart.
         return;
     }
     let wakes = |m: &blast_node::metrics::NodeMetrics| m.io.timeouts + m.io.wakeups;
@@ -223,6 +267,78 @@ fn a_finished_push_copy_leaves_its_node_idle() {
     let idle = wakes(&a.metrics()) - before;
     assert!(idle < 100, "{idle} wakeups in 300 ms of idle");
     a.shutdown().unwrap();
+    b.shutdown().unwrap();
+}
+
+/// A destination nothing can be sent to fails the copy at once, not
+/// after a session timeout of handshake retries, and leaves the node
+/// serving.
+#[test]
+fn a_copy_to_port_zero_or_broadcast_is_refused_at_submit() {
+    let session_timeout = Duration::from_millis(800);
+    let a = NodeBuilder::new()
+        .timeout(Duration::from_millis(20))
+        .session_timeout(session_timeout)
+        .start()
+        .expect("start node");
+    a.store().put("blob", blob(10_000).into());
+    let mut client = Client::connect(a.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20));
+    for dest in ["127.0.0.1:0", "255.255.255.255:9"] {
+        let started = std::time::Instant::now();
+        let err = client.copy_to("blob", dest.parse().unwrap()).unwrap_err();
+        let elapsed = started.elapsed();
+        assert_eq!(err.kind(), std::io::ErrorKind::Other, "{dest}: {err}");
+        assert!(err.to_string().contains("transfer failed"), "{dest}: {err}");
+        assert!(elapsed < session_timeout / 4, "{dest}: {elapsed:?}");
+    }
+    client.push("after", &blob(20_000)).unwrap();
+    assert!(a.wait_idle(Duration::from_secs(5)), "the push was stored");
+    assert_eq!(&a.store().get("after").unwrap()[..], &blob(20_000)[..]);
+    let ma = a.shutdown().unwrap();
+    assert_eq!((ma.copies_failed, ma.copy_handshake_retx), (2, 0));
+}
+
+/// Copies through a sharded node: each client's submit lands on
+/// whichever shard its own socket hashes to, and that shard's legs
+/// must hear the remote's replies on its own egress socket — never on
+/// the shared `SO_REUSEPORT` address, whose hash would hand them to a
+/// sibling.
+#[test]
+fn copies_through_a_sharded_node() {
+    let a = NodeBuilder::new()
+        .timeout(Duration::from_millis(20))
+        .shards(4)
+        .start()
+        .expect("start node");
+    if a.shards() == 1 {
+        return; // no reuseport groups on this platform
+    }
+    let b = node();
+    let (a_addr, b_addr) = (a.addr(), b.addr());
+    let clients: Vec<_> = (0..8)
+        .map(|i| {
+            let data = blob(30_000 + 1_000 * i);
+            b.store().put(&format!("from-b-{i}"), data.clone().into());
+            std::thread::spawn(move || {
+                let mut client = Client::connect(a_addr)
+                    .unwrap()
+                    .timeout(Duration::from_millis(20));
+                let name = format!("to-b-{i}");
+                client.push(&name, &data).unwrap();
+                assert!(client.copy_to(&name, b_addr).unwrap().verified);
+                let name = format!("from-b-{i}");
+                assert!(client.copy_from(&name, b_addr).unwrap().verified);
+                assert_eq!(client.pull(&name).unwrap().data, data);
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("every copy verified");
+    }
+    let ma = a.shutdown().unwrap();
+    assert_eq!((ma.copies_completed, ma.copies_failed), (16, 0));
     b.shutdown().unwrap();
 }
 
@@ -327,6 +443,12 @@ impl ScriptedRemote {
 
     /// Send packet `seq` of `blob` to the leg.
     fn send_packet(&self, blob: &[u8], seq: usize) {
+        let framed = self.packet(blob, seq);
+        self.socket.send_to(&framed, self.leg).unwrap();
+    }
+
+    /// Packet `seq` of `blob`, framed.
+    fn packet(&self, blob: &[u8], seq: usize) -> Vec<u8> {
         let total = blob.len().div_ceil(self.payload);
         let chunk = blob.chunks(self.payload).nth(seq).unwrap();
         let mut buf = vec![0u8; 2048];
@@ -341,9 +463,7 @@ impl ScriptedRemote {
                 seq + 1 == total,
             )
             .unwrap();
-        self.socket
-            .send_to(&fcs::frame(&buf[..n]), self.leg)
-            .unwrap();
+        fcs::frame(&buf[..n])
     }
 
     /// The next datagram that is not a duplicate of the leg's request:
@@ -472,4 +592,72 @@ fn pull_copy_refuses_an_echo_announcing_more_than_the_transfer_bound() {
     assert!(!a.store().contains("too-big"));
     let ma = a.shutdown().unwrap();
     assert_eq!((ma.copies_completed, ma.copies_failed), (0, 1));
+}
+
+/// The leg's address is an egress socket any host can reach, shared by
+/// every copy on the shard: a datagram carrying the copy's id from
+/// anyone but the copy's remote must not reach the leg's engine.
+#[test]
+fn a_stranger_cannot_drive_a_copy_leg() {
+    let a = node();
+    let data = blob(2_500);
+    let (socket, remote_addr) = scripted_remote();
+    let mut client = Client::connect(a.addr())
+        .unwrap()
+        .timeout(Duration::from_millis(20))
+        .patience(SCRIPT_PATIENCE);
+    std::thread::scope(|scope| {
+        let a = &a;
+        let served = data.clone();
+        let remote = scope.spawn(move || {
+            let remote = ScriptedRemote::accept(socket, served.len());
+            // A forged first packet, which a receiver that took it
+            // would keep in place of the real one.
+            let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let forged = remote.packet(&vec![0xEE; served.len()], 0);
+            stranger.send_to(&forged, remote.leg).unwrap();
+            let deadline = std::time::Instant::now() + SCRIPT_PATIENCE;
+            while a.metrics().unroutable == 0 {
+                assert!(std::time::Instant::now() < deadline, "forgery unseen");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for seq in 0..served.len().div_ceil(remote.payload) {
+                remote.send_packet(&served, seq);
+            }
+            // The leg's final ack, and the client's digest query.
+            let (mut acked, mut digested) = (false, false);
+            while !(acked && digested) {
+                let (from, bytes) = remote.recv(SCRIPT_PATIENCE).expect("the leg went silent");
+                let dgram = Datagram::parse(&bytes).unwrap();
+                match dgram.kind {
+                    PacketKind::Ack => {
+                        acked |= matches!(dgram.ack, Some(AckPayload::Positive { .. }));
+                    }
+                    PacketKind::Copy => {
+                        let reply = CopyMsg::DigestReply(BlobDigest {
+                            found: true,
+                            len: served.len() as u64,
+                            crc32: crc32(&served),
+                        })
+                        .encode();
+                        let mut buf = vec![0u8; 256];
+                        let n = DatagramBuilder::new(dgram.transfer_id)
+                            .build_copy(&mut buf, dgram.seq, &reply)
+                            .unwrap();
+                        remote.socket.send_to(&fcs::frame(&buf[..n]), from).unwrap();
+                        digested = true;
+                    }
+                    other => panic!("the scripted remote got a {other:?}"),
+                }
+            }
+        });
+        let report = client.copy_from("scripted", remote_addr).unwrap();
+        assert_eq!(report.state, CopyState::Done);
+        assert!(report.verified);
+        remote.join().expect("the remote was answered");
+    });
+    assert_eq!(&a.store().get("scripted").unwrap()[..], &data[..]);
+    let ma = a.shutdown().unwrap();
+    assert_eq!(ma.unroutable, 1, "the forged packet");
+    assert_eq!((ma.copies_completed, ma.copies_failed), (1, 0));
 }

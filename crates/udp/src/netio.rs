@@ -97,6 +97,23 @@ pub struct NetIoStats {
     pub gro_segments: u64,
 }
 
+impl std::ops::AddAssign for NetIoStats {
+    /// Field-wise sum: the counters of several backends as one.
+    fn add_assign(&mut self, other: NetIoStats) {
+        self.datagrams_sent += other.datagrams_sent;
+        self.send_batches += other.send_batches;
+        self.send_drops += other.send_drops;
+        self.datagrams_received += other.datagrams_received;
+        self.recv_batches += other.recv_batches;
+        self.wakeups += other.wakeups;
+        self.timeouts += other.timeouts;
+        self.gso_super_datagrams += other.gso_super_datagrams;
+        self.gso_segments += other.gso_segments;
+        self.gro_super_datagrams += other.gro_super_datagrams;
+        self.gro_segments += other.gro_segments;
+    }
+}
+
 /// Which backend a [`NetIo`] is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
@@ -451,6 +468,19 @@ impl NetIo {
             #[cfg(netio_batched)]
             Impl::Batched(b) => b.pop_into(buf),
             Impl::Portable(p) => p.pop_into(buf),
+        }
+    }
+
+    /// Make [`wait`](NetIo::wait) also end when `socket` turns
+    /// readable, so a reactor that drains a second socket through its
+    /// own backend still waits in one place.  A no-op on the portable
+    /// backend, whose wait only sleeps, and never for more than a
+    /// millisecond.
+    pub fn watch(&mut self, socket: &UdpSocket) -> io::Result<()> {
+        match &mut self.imp {
+            #[cfg(netio_batched)]
+            Impl::Batched(b) => b.watch(socket),
+            Impl::Portable(_) => Ok(()),
         }
     }
 
@@ -1064,6 +1094,25 @@ mod batched {
         }
     }
 
+    /// Epoll tags: a watched socket has data, or the timer fired.
+    const READABLE: u64 = 0;
+    const EXPIRED: u64 = 1;
+
+    /// Have `epoll` report `fd` readable, tagged `tag`.
+    fn add_to_epoll(epoll: &Fd, fd: i32, tag: u64) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: EPOLLIN,
+            data: tag,
+        };
+        // SAFETY: `epoll.0`, `fd` are live descriptors; `ev` is a
+        // stack-local the kernel only reads.
+        let rc = unsafe { epoll_ctl(epoll.0, EPOLL_CTL_ADD, fd, &mut ev) };
+        if rc != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
     /// The batched backend for one socket.
     #[derive(Debug)]
     pub(super) struct BatchedIo {
@@ -1114,18 +1163,8 @@ mod batched {
                 return Err(io::Error::last_os_error());
             }
             let timer = Fd(tf);
-            for (fd, tag) in [(sock_fd, 0u64), (timer.0, 1u64)] {
-                let mut ev = EpollEvent {
-                    events: EPOLLIN,
-                    data: tag,
-                };
-                // SAFETY: `epoll.0`, `fd` are live descriptors; `ev` is
-                // a stack-local the kernel only reads.
-                let rc = unsafe { epoll_ctl(epoll.0, EPOLL_CTL_ADD, fd, &mut ev) };
-                if rc != 0 {
-                    return Err(io::Error::last_os_error());
-                }
-            }
+            add_to_epoll(&epoll, sock_fd, READABLE)?;
+            add_to_epoll(&epoll, timer.0, EXPIRED)?;
             Ok(BatchedIo {
                 epoll,
                 timer,
@@ -1139,6 +1178,11 @@ mod batched {
                 gro_recv,
                 state,
             })
+        }
+
+        /// Wake [`wait`](BatchedIo::wait) on `socket` too.
+        pub(super) fn watch(&self, socket: &UdpSocket) -> io::Result<()> {
+            add_to_epoll(&self.epoll, socket.as_raw_fd(), READABLE)
         }
 
         pub(super) fn offload_state(&self) -> OffloadState {
@@ -1548,7 +1592,7 @@ mod batched {
                 let mut expired = false;
                 for ev in events.iter().take(rc as usize) {
                     match ev.data {
-                        0 => readable = true,
+                        READABLE => readable = true,
                         _ => expired = true,
                     }
                 }
@@ -1741,6 +1785,21 @@ mod tests {
         let (n, from) = client.recv_from(&mut rbuf).unwrap();
         assert_eq!(&rbuf[..n], b"world");
         assert_eq!(from, server_addr);
+    }
+
+    #[test]
+    fn a_watched_socket_wakes_the_wait() {
+        let main = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let second = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut io = NetIo::reactor(&main);
+        io.watch(&second).unwrap();
+        if !io.is_batched() {
+            return; // the portable wait only sleeps
+        }
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client.send_to(b"x", second.local_addr().unwrap()).unwrap();
+        assert!(io.wait(Duration::from_secs(2)).unwrap());
+        assert_eq!((io.stats.wakeups, io.stats.timeouts), (1, 0));
     }
 
     #[test]
