@@ -110,9 +110,8 @@ pub struct NodeMetrics {
     /// Which [`blast_udp::netio`] backend the node socket runs
     /// (`"batched"` or `"portable"`).
     pub netio_backend: String,
-    /// The backend's segmentation-offload probe outcome
-    /// (`"gso+gro"`, `"gso"`, `"gro"`, `"unsupported"`, `"disabled"`,
-    /// or `"portable"` — see `blast_udp::netio::OffloadState`).
+    /// The backend's segmentation offloads (`"gso+gro"` or
+    /// `"portable"` — see `blast_udp::netio::OffloadState`).
     pub netio_offload: String,
     /// The node socket's syscall counters (batch amortisation, wait
     /// strategy: epoll wakeups vs timer expiries), snapshotted from the

@@ -322,10 +322,10 @@ pub struct NodeServer {
     copies: usize,
 }
 
-/// A socket and the syscall backend that drives it: batched `recvmmsg`
-/// drains and `sendmmsg` bursts with event-driven idle waits where
-/// available, the portable single-syscall fallback elsewhere
-/// (`BLAST_NETIO=portable` forces it).
+/// A socket and the syscall backend that drives it: GRO-coalesced
+/// `recvmmsg` drains and GSO `sendmmsg` bursts with event-driven idle
+/// waits where the kernel offers both offloads, the portable
+/// single-syscall backend elsewhere (`BLAST_NETIO=portable` forces it).
 struct Port {
     socket: UdpSocket,
     io: NetIo,

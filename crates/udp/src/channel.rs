@@ -56,9 +56,10 @@ pub trait Channel {
 }
 
 /// A connected UDP socket as a [`Channel`], running on a pluggable
-/// [`NetIo`] backend: batched `sendmmsg`/`recvmmsg` submission with
-/// event-driven (epoll + timerfd) waits on Linux, single-syscall
-/// portable I/O elsewhere (or when `BLAST_NETIO=portable` forces it).
+/// [`NetIo`] backend: GSO/GRO-coalesced `sendmmsg`/`recvmmsg`
+/// submission with event-driven (epoll + timerfd) waits on Linux
+/// kernels that accept both offloads, single-syscall portable I/O
+/// elsewhere (or when `BLAST_NETIO=portable` forces it).
 #[derive(Debug)]
 pub struct UdpChannel {
     socket: UdpSocket,
@@ -122,8 +123,8 @@ impl UdpChannel {
         self.io.stats
     }
 
-    /// The segmentation-offload probe outcome for this channel's
-    /// backend (see [`OffloadState`]).
+    /// The segmentation offloads this channel's backend runs with
+    /// (see [`OffloadState`]).
     pub fn offload(&self) -> OffloadState {
         self.io.offload()
     }

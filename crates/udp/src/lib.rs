@@ -34,11 +34,11 @@
 //! * [`copy`] — third-party-copy control messages: a client orders one
 //!   node to move a named blob directly to/from another node, polls the
 //!   copy's status, and digest-verifies the replica;
-//! * [`netio`] — the pluggable syscall backend: batched
-//!   `sendmmsg`/`recvmmsg` submission with event-driven epoll + timerfd
-//!   waits and runtime-probed `UDP_SEGMENT`/`UDP_GRO` segmentation
-//!   offload on Linux, a portable single-syscall fallback everywhere
-//!   else (force it with `BLAST_NETIO=portable`);
+//! * [`netio`] — the pluggable syscall backend: `UDP_SEGMENT`/`UDP_GRO`
+//!   segmentation offload under batched `sendmmsg`/`recvmmsg`
+//!   submission with event-driven epoll + timerfd waits, on Linux
+//!   kernels that accept both options; a portable single-syscall
+//!   backend everywhere else (force it with `BLAST_NETIO=portable`);
 //! * [`gso`] — the sans-I/O coalescer/splitter arithmetic behind that
 //!   offload (runs of equal-size datagrams, tail runts, GRO splits);
 //! * [`peer`] — [`TransferReport`], what a finished transfer hands

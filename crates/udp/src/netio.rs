@@ -7,39 +7,33 @@
 //! pace gaps could not be waited at all (socket timeouts round up to a
 //! scheduler tick), so the driver yield-spun through them.  This module
 //! replaces all of that with a [`NetIo`] backend the channel, driver and
-//! node reactor share:
+//! node reactor share.  There are two:
 //!
-//! * **Batched** (Linux): a burst is staged into pre-allocated slots and
-//!   submitted with one `sendmmsg(2)`; a drain pulls up to a whole batch
-//!   of datagrams with one `recvmmsg(2)`; and waits are event-driven —
-//!   an `epoll(7)` instance watching the socket and a `timerfd(2)` armed
-//!   at the precise deadline, so a 500 µs pace gap blocks for 500 µs,
-//!   not a scheduler tick and not a spin.  The FFI is audited extern-C
-//!   following the [`crate::sockopt`] precedent (crate `deny(unsafe_code)`,
-//!   module-level allow, hardcoded asm-generic constants, so only the
-//!   mainstream Linux targets take this path).
-//! * **Segmentation offload** (Linux, runtime-probed): batching
-//!   amortised the *syscall*, but every datagram still traversed the
-//!   kernel stack individually.  At socket setup the batched backend
-//!   probes `UDP_SEGMENT`/`UDP_GRO`; where supported, the staging
-//!   layer coalesces same-destination equal-size datagrams from one
-//!   flush into ~64 KB super-datagrams carrying a `UDP_SEGMENT`
-//!   control message (segment size = the framed packet length, tail
-//!   runt allowed — see [`crate::gso`]), and the receive path drains
-//!   GRO-coalesced buffers and splits them back into per-datagram
-//!   views without copying or allocating.  Hosts whose kernels refuse
-//!   the probe degrade silently to the plain batched path.
-//! * **Portable** (everything else, or forced): one syscall per
-//!   datagram and coarse `SO_RCVTIMEO` waits as the last resort —
-//!   exactly the pre-batching behaviour, kept as a living fallback.
+//! * **Batched** (Linux, where the kernel accepts both `UDP_SEGMENT`
+//!   and `UDP_GRO`): the staging layer coalesces same-destination
+//!   equal-size datagrams from one flush into ~64 KB super-datagrams
+//!   carrying a `UDP_SEGMENT` control message (segment size = the
+//!   framed packet length, tail runt allowed — see [`crate::gso`]) and
+//!   submits a burst with one `sendmmsg(2)`; a drain pulls a batch of
+//!   GRO-coalesced buffers with one `recvmmsg(2)` and splits them back
+//!   into per-datagram views without copying or allocating; and waits
+//!   are event-driven — an `epoll(7)` instance watching the socket and
+//!   a `timerfd(2)` armed at the precise deadline, so a 500 µs pace gap
+//!   blocks for 500 µs, not a scheduler tick and not a spin.  The FFI
+//!   is audited extern-C following the [`crate::sockopt`] precedent
+//!   (crate `deny(unsafe_code)`, module-level allow, hardcoded
+//!   asm-generic constants, so only the mainstream Linux targets take
+//!   this path).
+//! * **Portable** (everything else): one syscall per datagram and
+//!   coarse `SO_RCVTIMEO` waits — exactly the pre-batching behaviour.
+//!   `sendmmsg`/`recvmmsg` without the offloads cost what this costs
+//!   per datagram (`benchmark/AA.md`), so a kernel that refuses either
+//!   option gets this backend.
 //!
-//! Set `BLAST_NETIO=portable` to force the fallback on Linux, or
-//! `BLAST_NETIO=batched` to keep the batched backend but leave
-//! segmentation offload off — an operator's switch; the repo benchmark
-//! refuses to run with it set.  [`set_offload_enabled`] is the same
-//! offload switch for callers that cannot set an environment variable:
-//! the benchmark ledger times the tiers side by side with it
-//! (`udp.netio_{send,recv}_ns.{portable,batched,gso|gro}`).
+//! Set `BLAST_NETIO=portable` to force the portable backend on Linux —
+//! an operator's switch; the repo benchmark refuses to run with it set.
+//! [`set_offload_enabled`]`(false)` is the same switch for callers that
+//! cannot set an environment variable.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -133,21 +127,12 @@ impl BackendKind {
     }
 }
 
-/// Outcome of the `UDP_SEGMENT`/`UDP_GRO` probe for one socket.
+/// Which segmentation offloads a [`NetIo`] runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadState {
     /// Portable backend: segmentation offload does not apply.
     Portable,
-    /// Offload was switched off before the probe ran
-    /// (`BLAST_NETIO=batched` or [`set_offload_enabled`]`(false)`).
-    Disabled,
-    /// The probe ran and the kernel refused both options.
-    Unsupported,
-    /// `UDP_SEGMENT` send coalescing only (pre-5.0 kernels).
-    Gso,
-    /// `UDP_GRO` receive coalescing only.
-    Gro,
-    /// Both offloads active.
+    /// Batched backend: `UDP_SEGMENT` sends and `UDP_GRO` receives.
     GsoGro,
 }
 
@@ -156,22 +141,8 @@ impl OffloadState {
     pub fn name(self) -> &'static str {
         match self {
             OffloadState::Portable => "portable",
-            OffloadState::Disabled => "disabled",
-            OffloadState::Unsupported => "unsupported",
-            OffloadState::Gso => "gso",
-            OffloadState::Gro => "gro",
             OffloadState::GsoGro => "gso+gro",
         }
-    }
-
-    /// True when sends may coalesce under `UDP_SEGMENT`.
-    pub fn gso(self) -> bool {
-        matches!(self, OffloadState::Gso | OffloadState::GsoGro)
-    }
-
-    /// True when receives may arrive GRO-coalesced.
-    pub fn gro(self) -> bool {
-        matches!(self, OffloadState::Gro | OffloadState::GsoGro)
     }
 }
 
@@ -206,11 +177,12 @@ enum Impl {
 }
 
 impl NetIo {
-    /// Backend for a connected socket, auto-selected: batched where
-    /// available (puts the socket into non-blocking mode), portable
-    /// otherwise or when `BLAST_NETIO=portable` forces the fallback.
-    /// Infallible: any batched-setup failure silently degrades to the
-    /// portable backend, which needs no setup.
+    /// Backend for a connected socket, auto-selected: batched where the
+    /// kernel accepts both offloads (puts the socket into non-blocking
+    /// mode), portable otherwise or when `BLAST_NETIO=portable` or
+    /// [`set_offload_enabled`]`(false)` forces it.  Infallible: any
+    /// batched-setup failure silently degrades to the portable backend,
+    /// which needs no setup.
     pub fn connected(socket: &UdpSocket) -> NetIo {
         Self::select(socket, false)
     }
@@ -224,7 +196,7 @@ impl NetIo {
     }
 
     fn select(socket: &UdpSocket, reactor: bool) -> NetIo {
-        if !forced_portable() {
+        if batched_allowed() {
             if let Some(io) = Self::try_batched(socket) {
                 return io;
             }
@@ -242,12 +214,7 @@ impl NetIo {
 
     #[cfg(netio_batched)]
     fn try_batched(socket: &UdpSocket) -> Option<NetIo> {
-        Self::try_batched_with(socket, offload_requested())
-    }
-
-    #[cfg(netio_batched)]
-    fn try_batched_with(socket: &UdpSocket, offload: bool) -> Option<NetIo> {
-        let imp = batched::BatchedIo::new(socket, offload).ok()?;
+        let imp = batched::BatchedIo::new(socket).ok()?;
         Some(NetIo {
             imp: Impl::Batched(Box::new(imp)),
             stats: NetIoStats::default(),
@@ -276,17 +243,11 @@ impl NetIo {
     /// coalescing delta ([`EventKind::GsoSubmit`] /
     /// [`EventKind::GroReceive`]) is traced on session track 0 of the
     /// recorder's shard.  Batched backends log their probe outcome
-    /// once up front ([`EventKind::OffloadProbe`]: a = GSO supported,
-    /// b = GRO supported).
+    /// once up front ([`EventKind::OffloadProbe`]: a = b = 1, since
+    /// only a socket that accepted both offloads runs batched).
     pub fn set_recorder(&mut self, recorder: Recorder) {
         if self.is_batched() {
-            let state = self.offload();
-            recorder.record(
-                0,
-                EventKind::OffloadProbe,
-                u64::from(state.gso()),
-                u64::from(state.gro()),
-            );
+            recorder.record(0, EventKind::OffloadProbe, 1, 1);
         }
         self.recorder = Some(recorder);
     }
@@ -346,12 +307,11 @@ impl NetIo {
         self.backend() == BackendKind::Batched
     }
 
-    /// The segmentation-offload probe outcome for this instance.
+    /// The segmentation offloads this instance runs with.
     pub fn offload(&self) -> OffloadState {
-        match &self.imp {
-            #[cfg(netio_batched)]
-            Impl::Batched(b) => b.offload_state(),
-            Impl::Portable(_) => OffloadState::Portable,
+        match self.backend() {
+            BackendKind::Batched => OffloadState::GsoGro,
+            BackendKind::Portable => OffloadState::Portable,
         }
     }
 
@@ -501,55 +461,30 @@ impl NetIo {
     }
 }
 
-/// What did the operator force through `BLAST_NETIO`?
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ForcedMode {
-    /// No override: batched where available, offload where probed.
-    Auto,
-    /// `portable` / `fallback`: the single-syscall backend.
-    Portable,
-    /// `batched`: the batched backend with segmentation offload off.
-    BatchedPlain,
-}
-
-/// The `BLAST_NETIO` override, read once per process (channels are
-/// built per session; an env lookup per construction would be a
-/// per-session allocation for a process-constant answer).
-fn forced_mode() -> ForcedMode {
-    static FORCED: std::sync::OnceLock<ForcedMode> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| {
-        match std::env::var("BLAST_NETIO")
-            .map(|v| v.to_ascii_lowercase())
-            .as_deref()
-        {
-            Ok("portable") | Ok("fallback") => ForcedMode::Portable,
-            Ok("batched") => ForcedMode::BatchedPlain,
-            _ => ForcedMode::Auto,
-        }
-    })
-}
-
-fn forced_portable() -> bool {
-    forced_mode() == ForcedMode::Portable
-}
-
-/// Process-wide segmentation-offload switch, default on.  See
+/// Process-wide batched-backend switch, default on.  See
 /// [`set_offload_enabled`].
 static OFFLOAD_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
 
-/// Allow or forbid `UDP_SEGMENT`/`UDP_GRO` offload for backends built
-/// *after* the call (existing instances keep their probed state).
-/// This is the programmatic twin of `BLAST_NETIO=batched`, used by the
-/// benchmark ledger to time the plain and offloaded tiers inside one
-/// process; normal callers never need it.
+/// Allow or forbid the batched backend, and with it `UDP_SEGMENT`/
+/// `UDP_GRO` offload, for backends built *after* the call (existing
+/// instances keep theirs).  `false` means what `BLAST_NETIO=portable`
+/// means: the benchmark ledger uses it to time the portable backend
+/// through [`NetIo::connected`] inside one process; normal callers
+/// never need it.
 pub fn set_offload_enabled(enabled: bool) {
     OFFLOAD_ENABLED.store(enabled, std::sync::atomic::Ordering::Relaxed);
 }
 
-/// May a newly built batched backend probe for offload support?
-fn offload_requested() -> bool {
-    forced_mode() != ForcedMode::BatchedPlain
-        && OFFLOAD_ENABLED.load(std::sync::atomic::Ordering::Relaxed)
+/// May [`NetIo::connected`] and [`NetIo::reactor`] try the batched
+/// backend?  `BLAST_NETIO` is read once per process (channels are
+/// built per session; an env lookup per construction would be a
+/// per-session allocation for a process-constant answer).
+fn batched_allowed() -> bool {
+    static FORCED_PORTABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    let forced = *FORCED_PORTABLE.get_or_init(|| {
+        std::env::var("BLAST_NETIO").is_ok_and(|v| v.eq_ignore_ascii_case("portable"))
+    });
+    !forced && OFFLOAD_ENABLED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Would sending fail in a way the blast protocols treat as loss, not
@@ -565,11 +500,14 @@ fn is_send_drop(e: &io::Error) -> bool {
 /// nowhere, correct always.
 #[derive(Debug)]
 struct PortableIo {
-    /// One-datagram receive slot for reactor mode.
+    /// One-datagram receive slot for [`fill`](PortableIo::fill);
+    /// a connected instance grows it on first use.
     slot: Vec<u8>,
     slot_len: usize,
     slot_addr: Option<SocketAddr>,
     slot_full: bool,
+    /// Reactor sockets are non-blocking by contract; a connected one
+    /// blocks, because its receives wait on `SO_RCVTIMEO`.
     reactor: bool,
 }
 
@@ -662,10 +600,23 @@ impl PortableIo {
     }
 
     fn fill(&mut self, socket: &UdpSocket, stats: &mut NetIoStats) -> io::Result<usize> {
-        debug_assert!(self.reactor, "fill() is a reactor-mode call");
         if self.slot_full {
             return Ok(0);
         }
+        if self.reactor {
+            return self.drain(socket, stats);
+        }
+        // A connected socket: poll it, as `recv` does for a zero
+        // timeout.
+        self.slot.resize(SLOT_CAP, 0);
+        socket.set_nonblocking(true)?;
+        let got = self.drain(socket, stats);
+        socket.set_nonblocking(false)?;
+        got
+    }
+
+    /// Receive one datagram into the slot if one is queued.
+    fn drain(&mut self, socket: &UdpSocket, stats: &mut NetIoStats) -> io::Result<usize> {
         loop {
             match socket.recv_from(&mut self.slot) {
                 Ok((n, peer)) => {
@@ -724,8 +675,9 @@ mod batched {
     use std::os::fd::AsRawFd;
     use std::time::Duration;
 
-    use super::{is_send_drop, NetIoStats, OffloadState, BATCH, SLOT_CAP};
+    use super::{is_send_drop, NetIoStats, BATCH, SLOT_CAP};
     use crate::gso;
+    use crate::sockopt::imp::{close, encode_addr, setsockopt, AF_INET, AF_INET6};
 
     // Linked via std's libc dependency; declared here because the
     // workspace builds offline with no `libc` crate available.
@@ -738,13 +690,6 @@ mod batched {
             flags: i32,
             timeout: *mut TimeSpec,
         ) -> i32;
-        fn setsockopt(
-            fd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const core::ffi::c_void,
-            optlen: u32,
-        ) -> i32;
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
@@ -756,7 +701,6 @@ mod batched {
             old_value: *mut ITimerSpec,
         ) -> i32;
         fn read(fd: i32, buf: *mut core::ffi::c_void, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
     }
 
     const EPOLL_CLOEXEC: i32 = 0x80000;
@@ -765,8 +709,6 @@ mod batched {
     const CLOCK_MONOTONIC: i32 = 1;
     const TFD_NONBLOCK: i32 = 0o4000;
     const TFD_CLOEXEC: i32 = 0o2000000;
-    const AF_INET: u16 = 2;
-    const AF_INET6: u16 = 10;
     /// `sockaddr_storage` size: holds any address family.
     const SS_SIZE: usize = 128;
     const SOL_UDP: i32 = 17;
@@ -777,9 +719,9 @@ mod batched {
     /// Per-slot control-message capacity: one int-bearing cmsg,
     /// `CMSG_SPACE(sizeof(int))`.
     const CTRL_CAP: usize = 24;
-    /// GRO read slots: fewer, larger buffers, so one coalesced read
-    /// can carry up to ~64 KB while the slab stays the same size as
-    /// the non-GRO ring (8 × 64 KB ≈ 32 × 16 KB).
+    /// Receive slots: fewer than [`BATCH`] but larger, so one
+    /// coalesced read can carry up to ~64 KB while the slab stays the
+    /// size of 32 plain slots (8 × 64 KB ≈ 32 × 16 KB).
     const GRO_BATCH: usize = 8;
     /// Capacity of one GRO read slot: the largest buffer the kernel
     /// will coalesce into (the UDP payload ceiling, rounded up).
@@ -873,11 +815,11 @@ mod batched {
     /// control-message slabs, so building a backend costs a fixed
     /// handful of allocations — channels are constructed per session,
     /// and construction cost shows up directly in the benchmark's
-    /// `counting-alloc.allocs_per_datagram`.  With offload active a
-    /// slot is a [`gso::Run`] of same-destination equal-size datagrams packed
-    /// back to back (the kernel re-segments them at `seg_sizes`);
-    /// without it every slot holds exactly one datagram, which is the
-    /// pre-offload layout.  Pointer-free, so the backend stays `Send`;
+    /// `counting-alloc.allocs_per_datagram`.  A slot is a [`gso::Run`]
+    /// of same-destination equal-size datagrams packed back to back
+    /// (the kernel re-segments them at `seg_sizes`); once a route has
+    /// refused GSO every slot holds exactly one datagram.  Pointer-free,
+    /// so the backend stays `Send`;
     /// the kernel-facing header arrays are rebuilt on the stack for
     /// each syscall.
     #[derive(Debug)]
@@ -966,30 +908,26 @@ mod batched {
         i32::from_ne_bytes(half).max(0) as usize
     }
 
-    /// Probe `UDP_SEGMENT` (set to 0 — no per-socket default, but the
-    /// option must exist) and `UDP_GRO` (enabled and left on: plain
-    /// datagrams still arrive normally).  A kernel without the options
-    /// answers `ENOPROTOOPT` and the backend degrades silently.
-    fn probe_offload(fd: i32) -> (bool, bool) {
-        let zero: i32 = 0;
-        let one: i32 = 1;
-        // SAFETY: plain setsockopt calls with stack-local ints of the
-        // stated length; results are checked.
-        let gso =
-            unsafe { setsockopt(fd, SOL_UDP, UDP_SEGMENT, (&zero as *const i32).cast(), 4) } == 0;
-        let gro = unsafe { setsockopt(fd, SOL_UDP, UDP_GRO, (&one as *const i32).cast(), 4) } == 0;
-        (gso, gro)
+    /// Set a `SOL_UDP` int option.  A kernel without it answers
+    /// `ENOPROTOOPT`.
+    fn set_udp_option(fd: i32, name: i32, value: i32) -> io::Result<()> {
+        // SAFETY: a plain setsockopt call with a stack-local int of the
+        // stated length.
+        if unsafe { setsockopt(fd, SOL_UDP, name, (&value as *const i32).cast(), 4) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
-    /// Did the kernel reject the submission in a way specific to GSO
-    /// super-datagrams (`EINVAL`: segment exceeds the route MTU;
-    /// `EIO`: the device path refused the offload)?
+    /// Did the kernel reject the submission in a way a GSO
+    /// super-datagram can cause (`EINVAL`: segment exceeds the route
+    /// MTU, or a bad destination; `EIO`: the device path refused the
+    /// offload)?
     fn is_gso_rejection(e: &io::Error) -> bool {
         matches!(e.raw_os_error(), Some(22) | Some(5))
     }
 
-    /// Filled inbound slots.  With GRO active the ring trades slot
-    /// count for slot size ([`GRO_BATCH`] × [`GRO_SLOT_CAP`]) so one
+    /// Filled inbound slots, [`GRO_BATCH`] × [`GRO_SLOT_CAP`], so one
     /// read can carry a whole coalesced super-datagram; `seg_sizes`
     /// records each slot's `UDP_GRO` segment size (0 = plain) for
     /// [`BatchedIo::pop_into`] to split against.
@@ -998,34 +936,25 @@ mod batched {
         data: Vec<u8>,
         ctrl: Vec<u8>,
         addrs: Vec<u8>,
-        lens: [usize; BATCH],
-        seg_sizes: [usize; BATCH],
-        addr_lens: [u32; BATCH],
-        slot_cap: usize,
-        slot_count: usize,
+        lens: [usize; GRO_BATCH],
+        seg_sizes: [usize; GRO_BATCH],
+        addr_lens: [u32; GRO_BATCH],
     }
 
     impl RecvRing {
-        fn new(gro: bool) -> RecvRing {
-            let (slot_count, slot_cap) = if gro {
-                (GRO_BATCH, GRO_SLOT_CAP)
-            } else {
-                (BATCH, SLOT_CAP)
-            };
+        fn new() -> RecvRing {
             RecvRing {
-                data: vec![0u8; slot_count * slot_cap],
-                ctrl: vec![0u8; slot_count * CTRL_CAP],
-                addrs: vec![0u8; slot_count * SS_SIZE],
-                lens: [0; BATCH],
-                seg_sizes: [0; BATCH],
-                addr_lens: [0; BATCH],
-                slot_cap,
-                slot_count,
+                data: vec![0u8; GRO_BATCH * GRO_SLOT_CAP],
+                ctrl: vec![0u8; GRO_BATCH * CTRL_CAP],
+                addrs: vec![0u8; GRO_BATCH * SS_SIZE],
+                lens: [0; GRO_BATCH],
+                seg_sizes: [0; GRO_BATCH],
+                addr_lens: [0; GRO_BATCH],
             }
         }
 
         fn buf(&self, i: usize) -> &[u8] {
-            &self.data[i * self.slot_cap..(i + 1) * self.slot_cap]
+            &self.data[i * GRO_SLOT_CAP..(i + 1) * GRO_SLOT_CAP]
         }
 
         fn addr(&self, i: usize) -> &[u8] {
@@ -1034,28 +963,6 @@ mod batched {
 
         fn ctrl(&self, i: usize) -> &[u8] {
             &self.ctrl[i * CTRL_CAP..(i + 1) * CTRL_CAP]
-        }
-    }
-
-    /// Encode a socket address as a kernel `sockaddr`, returning its
-    /// length.
-    fn encode_addr(addr: &SocketAddr, out: &mut [u8]) -> u32 {
-        match addr {
-            SocketAddr::V4(a) => {
-                out[0..2].copy_from_slice(&AF_INET.to_ne_bytes());
-                out[2..4].copy_from_slice(&a.port().to_be_bytes());
-                out[4..8].copy_from_slice(&a.ip().octets());
-                out[8..16].fill(0);
-                16
-            }
-            SocketAddr::V6(a) => {
-                out[0..2].copy_from_slice(&AF_INET6.to_ne_bytes());
-                out[2..4].copy_from_slice(&a.port().to_be_bytes());
-                out[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
-                out[8..24].copy_from_slice(&a.ip().octets());
-                out[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
-                28
-            }
         }
     }
 
@@ -1126,31 +1033,22 @@ mod batched {
         /// Byte offset of the next segment inside the slot at
         /// `recv_head` (a GRO read splits across several pops).
         recv_seg_off: usize,
-        /// Send coalescing active.  Starts as the probe outcome; a
-        /// route-level rejection (`EINVAL`/`EIO` on a super-datagram)
-        /// clears it at runtime.
+        /// Send coalescing active.  A route-level rejection
+        /// (`EINVAL`/`EIO` on a super-datagram whose segments then go
+        /// out one by one) clears it at runtime.
         gso_send: bool,
-        /// `UDP_GRO` accepted on the socket: reads may be coalesced.
-        gro_recv: bool,
-        state: OffloadState,
     }
 
     impl BatchedIo {
-        pub(super) fn new(socket: &UdpSocket, offload: bool) -> io::Result<BatchedIo> {
+        /// The backend, where the kernel accepts both offloads.
+        /// `UDP_SEGMENT` is probed first (set to 0: no per-socket
+        /// default, but the option must exist) and `UDP_GRO` is turned
+        /// on last, once nothing else can fail, so a socket left to the
+        /// portable backend never reads coalesced buffers.
+        pub(super) fn new(socket: &UdpSocket) -> io::Result<BatchedIo> {
             socket.set_nonblocking(true)?;
             let sock_fd = socket.as_raw_fd();
-            let (gso_send, gro_recv) = if offload {
-                probe_offload(sock_fd)
-            } else {
-                (false, false)
-            };
-            let state = match (offload, gso_send, gro_recv) {
-                (false, ..) => OffloadState::Disabled,
-                (true, true, true) => OffloadState::GsoGro,
-                (true, true, false) => OffloadState::Gso,
-                (true, false, true) => OffloadState::Gro,
-                (true, false, false) => OffloadState::Unsupported,
-            };
+            set_udp_option(sock_fd, UDP_SEGMENT, 0)?;
             // SAFETY: plain descriptor-creating syscalls; results are
             // checked and owned by `Fd` guards.
             let ep = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -1165,28 +1063,23 @@ mod batched {
             let timer = Fd(tf);
             add_to_epoll(&epoll, sock_fd, READABLE)?;
             add_to_epoll(&epoll, timer.0, EXPIRED)?;
+            set_udp_option(sock_fd, UDP_GRO, 1)?;
             Ok(BatchedIo {
                 epoll,
                 timer,
                 sock_fd,
                 send: SendRing::new(),
-                recv: RecvRing::new(gro_recv),
+                recv: RecvRing::new(),
                 recv_head: 0,
                 recv_len: 0,
                 recv_seg_off: 0,
-                gso_send,
-                gro_recv,
-                state,
+                gso_send: true,
             })
         }
 
         /// Wake [`wait`](BatchedIo::wait) on `socket` too.
         pub(super) fn watch(&self, socket: &UdpSocket) -> io::Result<()> {
             add_to_epoll(&self.epoll, socket.as_raw_fd(), READABLE)
-        }
-
-        pub(super) fn offload_state(&self) -> OffloadState {
-            self.state
         }
 
         pub(super) fn send_full(&self) -> bool {
@@ -1327,14 +1220,21 @@ mod batched {
                         continue;
                     }
                     _ if self.send.seg_counts[done] > 1 && is_gso_rejection(&err) => {
-                        // The route rejected a super-datagram (segment
-                        // larger than the path MTU, or the probe lied).
-                        // Stop coalescing on this socket and resend the
-                        // remaining slots as individual datagrams —
-                        // nothing was submitted, so nothing duplicates.
-                        self.gso_send = false;
-                        let split = self.flush_split(done, n, stats);
-                        return refusal.map_or(split, Err);
+                        // Nothing was submitted, so nothing duplicates:
+                        // send the super-datagram again segment by
+                        // segment.  If those go out, the route refused
+                        // the offload (a segment over the path MTU) and
+                        // coalescing stops on this socket; if they are
+                        // refused too, the destination was at fault (a
+                        // port-0 address) and the socket keeps GSO.
+                        let sent = stats.datagrams_sent;
+                        if let Err(e) = self.flush_split(done, stats) {
+                            refusal.get_or_insert(e);
+                        }
+                        if stats.datagrams_sent > sent {
+                            self.gso_send = false;
+                        }
+                        done += 1;
                     }
                     _ if is_send_drop(&err) => {
                         for slot in done..n {
@@ -1353,76 +1253,66 @@ mod batched {
         }
 
         /// De-coalescing fallback for [`flush`](BatchedIo::flush):
-        /// submit the slots in `from..n` segment by segment, as the
-        /// pre-offload path would have, dropping a refused segment as
-        /// `flush` drops a refused slot.
-        fn flush_split(&mut self, from: usize, n: usize, stats: &mut NetIoStats) -> io::Result<()> {
+        /// submit the super-datagram in `slot` segment by segment,
+        /// dropping a refused segment as `flush` drops a refused slot;
+        /// the first refusal is returned after the rest.
+        fn flush_split(&mut self, slot: usize, stats: &mut NetIoStats) -> io::Result<()> {
+            let base = self.send.offs[slot];
+            let mut segs = [(0usize, 0usize); gso::MAX_SEGMENTS as usize];
+            let mut count = 0usize;
+            let mut off = 0usize;
+            for len in gso::split(self.send.lens[slot], self.send.seg_sizes[slot]) {
+                segs[count] = (base + off, len);
+                off += len;
+                count += 1;
+            }
             let mut refusal = None;
-            for slot in from..n {
-                let base = self.send.offs[slot];
-                let seg_size = if self.send.seg_counts[slot] > 1 {
-                    self.send.seg_sizes[slot]
-                } else {
-                    0
-                };
-                let mut segs = [(0usize, 0usize); gso::MAX_SEGMENTS as usize];
-                let mut count = 0usize;
-                let mut off = 0usize;
-                for len in gso::split(self.send.lens[slot], seg_size) {
-                    segs[count] = (base + off, len);
-                    off += len;
-                    count += 1;
-                }
-                let mut done = 0usize;
-                let mut refused_budget = count + 4;
-                while done < count {
-                    let take = (count - done).min(BATCH);
-                    let mut iovs = [ZERO_IOV; BATCH];
-                    let mut hdrs = [ZERO_MSG; BATCH];
-                    let data_ptr = self.send.data.as_mut_ptr();
-                    let addr_ptr = self.send.addrs.as_mut_ptr();
-                    for i in 0..take {
-                        let (seg_off, seg_len) = segs[done + i];
-                        iovs[i] = IoVec {
-                            // SAFETY: segment offsets stay inside the
-                            // slot's arena range.
-                            base: unsafe { data_ptr.add(seg_off) }.cast(),
-                            len: seg_len,
-                        };
-                        hdrs[i].hdr.msg_iov = &mut iovs[i];
-                        hdrs[i].hdr.msg_iovlen = 1;
-                        if self.send.addr_lens[slot] > 0 {
-                            hdrs[i].hdr.msg_name = unsafe { addr_ptr.add(slot * SS_SIZE) }.cast();
-                            hdrs[i].hdr.msg_namelen = self.send.addr_lens[slot];
-                        }
+            let mut done = 0usize;
+            let mut refused_budget = count + 4;
+            while done < count {
+                let take = (count - done).min(BATCH);
+                let mut iovs = [ZERO_IOV; BATCH];
+                let mut hdrs = [ZERO_MSG; BATCH];
+                let data_ptr = self.send.data.as_mut_ptr();
+                let addr_ptr = self.send.addrs.as_mut_ptr();
+                for i in 0..take {
+                    let (seg_off, seg_len) = segs[done + i];
+                    iovs[i] = IoVec {
+                        // SAFETY: segment offsets stay inside the slot's
+                        // arena range.
+                        base: unsafe { data_ptr.add(seg_off) }.cast(),
+                        len: seg_len,
+                    };
+                    hdrs[i].hdr.msg_iov = &mut iovs[i];
+                    hdrs[i].hdr.msg_iovlen = 1;
+                    if self.send.addr_lens[slot] > 0 {
+                        hdrs[i].hdr.msg_name = unsafe { addr_ptr.add(slot * SS_SIZE) }.cast();
+                        hdrs[i].hdr.msg_namelen = self.send.addr_lens[slot];
                     }
-                    // SAFETY: as in `flush`.
-                    let rc = unsafe { sendmmsg(self.sock_fd, hdrs.as_mut_ptr(), take as u32, 0) };
-                    if rc > 0 {
-                        done += rc as usize;
-                        stats.datagrams_sent += rc as u64;
-                        stats.send_batches += 1;
+                }
+                // SAFETY: as in `flush`.
+                let rc = unsafe { sendmmsg(self.sock_fd, hdrs.as_mut_ptr(), take as u32, 0) };
+                if rc > 0 {
+                    done += rc as usize;
+                    stats.datagrams_sent += rc as u64;
+                    stats.send_batches += 1;
+                    continue;
+                }
+                let err = io::Error::last_os_error();
+                match err.kind() {
+                    io::ErrorKind::Interrupted => continue,
+                    io::ErrorKind::ConnectionRefused if refused_budget > 0 => {
+                        refused_budget -= 1;
                         continue;
                     }
-                    let err = io::Error::last_os_error();
-                    match err.kind() {
-                        io::ErrorKind::Interrupted => continue,
-                        io::ErrorKind::ConnectionRefused if refused_budget > 0 => {
-                            refused_budget -= 1;
-                            continue;
-                        }
-                        _ if is_send_drop(&err) => {
-                            stats.send_drops += (count - done) as u64;
-                            for later in slot + 1..n {
-                                stats.send_drops += u64::from(self.send.seg_counts[later]);
-                            }
-                            return refusal.map_or(Ok(()), Err);
-                        }
-                        _ => {
-                            stats.send_drops += 1;
-                            done += 1;
-                            refusal.get_or_insert(err);
-                        }
+                    _ if is_send_drop(&err) => {
+                        stats.send_drops += (count - done) as u64;
+                        break;
+                    }
+                    _ => {
+                        stats.send_drops += 1;
+                        done += 1;
+                        refusal.get_or_insert(err);
                     }
                 }
             }
@@ -1439,27 +1329,24 @@ mod batched {
         ) -> io::Result<usize> {
             debug_assert!(self.recv_head >= self.recv_len, "fill over undrained batch");
             let mut refused_budget = 16;
-            let slots = self.recv.slot_count;
             loop {
-                let mut iovs = [ZERO_IOV; BATCH];
-                let mut hdrs = [ZERO_MSG; BATCH];
+                let mut iovs = [ZERO_IOV; GRO_BATCH];
+                let mut hdrs = [ZERO_MSG; GRO_BATCH];
                 let data_ptr = self.recv.data.as_mut_ptr();
                 let addr_ptr = self.recv.addrs.as_mut_ptr();
                 let ctrl_ptr = self.recv.ctrl.as_mut_ptr();
-                for i in 0..slots {
+                for i in 0..GRO_BATCH {
                     iovs[i] = IoVec {
                         // SAFETY: in-bounds offsets into the recv slabs.
-                        base: unsafe { data_ptr.add(i * self.recv.slot_cap) }.cast(),
-                        len: self.recv.slot_cap,
+                        base: unsafe { data_ptr.add(i * GRO_SLOT_CAP) }.cast(),
+                        len: GRO_SLOT_CAP,
                     };
                     hdrs[i].hdr.msg_iov = &mut iovs[i];
                     hdrs[i].hdr.msg_iovlen = 1;
                     hdrs[i].hdr.msg_name = unsafe { addr_ptr.add(i * SS_SIZE) }.cast();
                     hdrs[i].hdr.msg_namelen = SS_SIZE as u32;
-                    if self.gro_recv {
-                        hdrs[i].hdr.msg_control = unsafe { ctrl_ptr.add(i * CTRL_CAP) }.cast();
-                        hdrs[i].hdr.msg_controllen = CTRL_CAP;
-                    }
+                    hdrs[i].hdr.msg_control = unsafe { ctrl_ptr.add(i * CTRL_CAP) }.cast();
+                    hdrs[i].hdr.msg_controllen = CTRL_CAP;
                 }
                 // SAFETY: as in `flush`; the kernel fills buffers,
                 // address and control storage owned by `self.recv` and
@@ -1468,7 +1355,7 @@ mod batched {
                     recvmmsg(
                         self.sock_fd,
                         hdrs.as_mut_ptr(),
-                        slots as u32,
+                        GRO_BATCH as u32,
                         0,
                         std::ptr::null_mut(),
                     )
@@ -1477,14 +1364,10 @@ mod batched {
                     let got = rc as usize;
                     let mut datagrams = 0u64;
                     for (i, hdr) in hdrs.iter().enumerate().take(got) {
-                        let len = (hdr.len as usize).min(self.recv.slot_cap);
+                        let len = (hdr.len as usize).min(GRO_SLOT_CAP);
                         self.recv.lens[i] = len;
                         self.recv.addr_lens[i] = hdr.hdr.msg_namelen;
-                        let seg = if self.gro_recv {
-                            parse_gro_cmsg(self.recv.ctrl(i), hdr.hdr.msg_controllen)
-                        } else {
-                            0
-                        };
+                        let seg = parse_gro_cmsg(self.recv.ctrl(i), hdr.hdr.msg_controllen);
                         self.recv.seg_sizes[i] = seg;
                         if seg > 0 && len > seg {
                             let count = gso::split(len, seg).count() as u64;
@@ -1698,8 +1581,9 @@ mod tests {
     #[test]
     fn batched_backend_amortises_syscalls() {
         let (a, b) = pair();
-        let mut tx = batched_with(&a, false);
-        let mut rx = batched_with(&b, false);
+        let (Some(mut tx), Some(mut rx)) = (NetIo::try_batched(&a), NetIo::try_batched(&b)) else {
+            return; // the kernel refuses an offload
+        };
         for i in 0..(BATCH as u8) {
             tx.queue(&a, &[i; 64]).unwrap();
         }
@@ -1722,7 +1606,9 @@ mod tests {
     #[test]
     fn batched_wait_has_submillisecond_fidelity() {
         let (a, _b) = pair();
-        let mut io = batched_with(&a, false);
+        let Some(mut io) = NetIo::try_batched(&a) else {
+            return; // the kernel refuses an offload
+        };
         let t0 = Instant::now();
         let readable = io.wait(Duration::from_micros(500)).unwrap();
         let waited = t0.elapsed();
@@ -1742,7 +1628,9 @@ mod tests {
     #[test]
     fn batched_wait_wakes_on_traffic() {
         let (a, b) = pair();
-        let mut rx = batched_with(&b, false);
+        let Some(mut rx) = NetIo::try_batched(&b) else {
+            return; // the kernel refuses an offload
+        };
         a.send(b"ping").unwrap();
         let readable = rx.wait(Duration::from_secs(2)).unwrap();
         assert!(readable, "pending datagram must wake the waiter");
@@ -1803,17 +1691,6 @@ mod tests {
     }
 
     #[test]
-    fn env_override_forces_portable() {
-        // The env var is read at construction; spawn-free check via the
-        // selector with the variable set for this process would race
-        // other tests, so assert the parsing path indirectly: portable
-        // construction always honours the request.
-        let io = NetIo::portable(false);
-        assert_eq!(io.backend().name(), "portable");
-        assert_eq!(BackendKind::Batched.name(), "batched");
-    }
-
-    #[test]
     fn send_drop_classification() {
         assert!(is_send_drop(&io::Error::from(
             io::ErrorKind::ConnectionRefused
@@ -1830,55 +1707,39 @@ mod tests {
         let io = NetIo::portable(false);
         assert_eq!(io.offload(), OffloadState::Portable);
         assert_eq!(OffloadState::GsoGro.name(), "gso+gro");
-        assert_eq!(OffloadState::Unsupported.name(), "unsupported");
-        assert!(OffloadState::GsoGro.gso() && OffloadState::GsoGro.gro());
-        assert!(!OffloadState::Disabled.gso() && !OffloadState::Disabled.gro());
     }
 
-    /// Batched backend with offload explicitly on/off, bypassing the
-    /// process-global switch (tests run concurrently; flipping the
-    /// global here would race other tests' constructions).
+    /// `SO_NO_CHECK` makes Linux refuse every GSO send with `EINVAL`:
+    /// while it is on, the socket stands in for a route refusing the
+    /// offload.
     #[cfg(netio_batched)]
-    fn batched_with(socket: &UdpSocket, offload: bool) -> NetIo {
-        NetIo::try_batched_with(socket, offload).expect("batched backend")
-    }
-
-    #[cfg(netio_batched)]
-    #[test]
-    fn disabled_offload_never_coalesces() {
-        let (a, b) = pair();
-        let mut tx = batched_with(&a, false);
-        let mut rx = batched_with(&b, false);
-        assert_eq!(tx.offload(), OffloadState::Disabled);
-        for i in 0..10u8 {
-            tx.queue(&a, &[i; 100]).unwrap();
-        }
-        tx.flush(&a).unwrap();
-        assert_eq!(tx.stats.datagrams_sent, 10);
-        assert_eq!(tx.stats.gso_super_datagrams, 0, "no coalescing when off");
-        let mut buf = [0u8; 256];
-        for i in 0..10u8 {
-            let n = rx
-                .recv(&b, &mut buf, Duration::from_secs(2))
-                .unwrap()
-                .expect("datagram arrives");
-            assert_eq!(&buf[..n], &[i; 100][..]);
-        }
+    #[allow(unsafe_code)]
+    fn refuse_gso(socket: &UdpSocket, on: bool) {
+        use std::os::fd::AsRawFd;
+        const SOL_SOCKET: i32 = 1;
+        const SO_NO_CHECK: i32 = 11;
+        let one = i32::from(on);
+        // SAFETY: a plain setsockopt call on a live descriptor with a
+        // stack-local int of the stated length.
+        let rc = unsafe {
+            crate::sockopt::imp::setsockopt(
+                socket.as_raw_fd(),
+                SOL_SOCKET,
+                SO_NO_CHECK,
+                (&one as *const i32).cast(),
+                4,
+            )
+        };
+        assert_eq!(rc, 0, "SO_NO_CHECK: {}", io::Error::last_os_error());
     }
 
     #[cfg(netio_batched)]
     #[test]
     fn gso_coalesces_equal_size_bursts() {
         let (a, b) = pair();
-        let mut tx = batched_with(&a, true);
-        let mut rx = batched_with(&b, true);
-        if !tx.offload().gso() {
-            eprintln!(
-                "kernel lacks UDP_SEGMENT ({}); skipping",
-                tx.offload().name()
-            );
-            return;
-        }
+        let (Some(mut tx), Some(mut rx)) = (NetIo::try_batched(&a), NetIo::try_batched(&b)) else {
+            return; // the kernel refuses an offload
+        };
         for i in 0..(BATCH as u8) {
             tx.queue(&a, &[i; 256]).unwrap();
         }
@@ -1902,11 +1763,9 @@ mod tests {
     #[test]
     fn gso_tail_runt_joins_and_larger_frame_splits() {
         let (a, b) = pair();
-        let mut tx = batched_with(&a, true);
-        let mut rx = batched_with(&b, true);
-        if !tx.offload().gso() {
-            return;
-        }
+        let (Some(mut tx), Some(mut rx)) = (NetIo::try_batched(&a), NetIo::try_batched(&b)) else {
+            return; // the kernel refuses an offload
+        };
         // Two equal frames, a runt (joins as tail and closes the run),
         // then a larger frame that must open a new slot.
         let frames: [&[u8]; 4] = [&[1; 300], &[2; 300], &[3; 120], &[4; 400]];
@@ -1935,7 +1794,9 @@ mod tests {
     fn a_refused_datagram_does_not_abort_its_batch() {
         let server = UdpSocket::bind("127.0.0.1:0").unwrap();
         server.set_nonblocking(true).unwrap();
-        let mut io = batched_with(&server, true);
+        let Some(mut io) = NetIo::try_batched(&server) else {
+            return; // the kernel refuses an offload
+        };
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         let good = Some(client.local_addr().unwrap());
         let port_zero = Some(SocketAddr::from(([127, 0, 0, 1], 0)));
@@ -1960,10 +1821,9 @@ mod tests {
     #[test]
     fn different_destinations_never_share_a_super_datagram() {
         let server = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let mut io = NetIo::try_batched_with(&server, true).expect("batched backend");
-        if !io.offload().gso() {
-            return;
-        }
+        let Some(mut io) = NetIo::try_batched(&server) else {
+            return; // the kernel refuses an offload
+        };
         let c1 = UdpSocket::bind("127.0.0.1:0").unwrap();
         let c2 = UdpSocket::bind("127.0.0.1:0").unwrap();
         let d1 = Some(c1.local_addr().unwrap());
@@ -1985,5 +1845,77 @@ mod tests {
                 assert_eq!(&buf[..n], &[byte; 200][..]);
             }
         }
+    }
+
+    /// One burst to a port-0 address is the destination's fault, not
+    /// the route's: the socket keeps coalescing.
+    #[cfg(netio_batched)]
+    #[test]
+    fn a_burst_to_port_zero_keeps_gso_on() {
+        let server = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let Some(mut io) = NetIo::try_batched(&server) else {
+            return; // the kernel refuses an offload
+        };
+        let port_zero = Some(SocketAddr::from(([127, 0, 0, 1], 0)));
+        for _ in 0..8 {
+            io.queue_to(&server, &[1u8; 200], port_zero).unwrap();
+        }
+        let refusal = io.flush(&server).unwrap_err();
+        assert_eq!(refusal.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!((io.stats.datagrams_sent, io.stats.send_drops), (0, 8));
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let live = Some(client.local_addr().unwrap());
+        for i in 0..8u8 {
+            io.queue_to(&server, &[i; 200], live).unwrap();
+        }
+        io.flush(&server).unwrap();
+        assert_eq!(io.stats.gso_super_datagrams, 1, "GSO survived the refusal");
+        assert_eq!(io.stats.gso_segments, 8);
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut buf = [0u8; 256];
+        for i in 0..8u8 {
+            let n = client.recv(&mut buf).unwrap();
+            assert_eq!(&buf[..n], &[i; 200][..]);
+        }
+    }
+
+    /// A route that refuses GSO at run time still gets every datagram,
+    /// and the socket stops coalescing for good: the next flush goes
+    /// out uncoalesced in one `sendmmsg`, even once the route would
+    /// take GSO again.
+    #[cfg(netio_batched)]
+    #[test]
+    fn a_route_that_refuses_gso_still_gets_every_datagram() {
+        let (a, b) = pair();
+        let (Some(mut tx), Some(mut rx)) = (NetIo::try_batched(&a), NetIo::try_batched(&b)) else {
+            return; // the kernel refuses an offload
+        };
+        refuse_gso(&a, true);
+        let mut buf = [0u8; 512];
+        for round in 0..2u8 {
+            if round == 1 {
+                refuse_gso(&a, false);
+            }
+            let batches = tx.stats.send_batches;
+            for i in 0..8u8 {
+                tx.queue(&a, &[round * 8 + i; 200]).unwrap();
+            }
+            tx.flush(&a).unwrap();
+            if round == 1 {
+                assert_eq!(tx.stats.send_batches, batches + 1, "one sendmmsg");
+            }
+            for i in 0..8u8 {
+                let n = rx
+                    .recv(&b, &mut buf, Duration::from_secs(2))
+                    .unwrap()
+                    .expect("datagram arrives");
+                assert_eq!(&buf[..n], &[round * 8 + i; 200][..], "order preserved");
+            }
+        }
+        assert_eq!(tx.stats.datagrams_sent, 16);
+        assert_eq!(tx.stats.gso_super_datagrams, 0);
+        assert_eq!(tx.stats.send_drops, 0);
     }
 }

@@ -52,7 +52,7 @@ pub const BLAST_RECV_BUFFER: usize = 4 * 1024 * 1024;
     ))
 ))]
 #[allow(unsafe_code)]
-mod imp {
+pub(crate) mod imp {
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
     use std::os::fd::{AsRawFd, FromRawFd};
@@ -60,7 +60,7 @@ mod imp {
     // Linked via std's libc dependency; declared here because the
     // workspace builds offline with no `libc` crate available.
     extern "C" {
-        fn setsockopt(
+        pub(crate) fn setsockopt(
             fd: i32,
             level: i32,
             name: i32,
@@ -76,15 +76,15 @@ mod imp {
         ) -> i32;
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn bind(fd: i32, addr: *const core::ffi::c_void, len: u32) -> i32;
-        fn close(fd: i32) -> i32;
+        pub(crate) fn close(fd: i32) -> i32;
     }
 
     const SOL_SOCKET: i32 = 1;
     const SO_SNDBUF: i32 = 7;
     const SO_RCVBUF: i32 = 8;
     const SO_REUSEPORT: i32 = 15;
-    const AF_INET: u16 = 2;
-    const AF_INET6: u16 = 10;
+    pub(crate) const AF_INET: u16 = 2;
+    pub(crate) const AF_INET6: u16 = 10;
     const SOCK_DGRAM: i32 = 2;
     const SOCK_CLOEXEC: i32 = 0o2000000;
 
@@ -146,9 +146,9 @@ mod imp {
         buffer(socket, SO_SNDBUF)
     }
 
-    /// Encode a socket address as a kernel `sockaddr`, returning its
-    /// length (same layout the batched netio backend uses).
-    fn encode_addr(addr: &SocketAddr, out: &mut [u8; 28]) -> u32 {
+    /// Encode a socket address as a kernel `sockaddr` into the front
+    /// of `out` (at least 28 bytes), returning its length.
+    pub(crate) fn encode_addr(addr: &SocketAddr, out: &mut [u8]) -> u32 {
         match addr {
             SocketAddr::V4(a) => {
                 out[0..2].copy_from_slice(&AF_INET.to_ne_bytes());

@@ -27,6 +27,7 @@ use blast_counting_alloc::{allocations, CountingAlloc};
 use blast_udp::channel::{Channel, UdpChannel};
 use blast_udp::fault::{FaultConfig, FaultyChannel};
 use blast_udp::fcs::FcsChannel;
+use blast_udp::netio::OffloadState;
 use blast_udp::path::PathTable;
 use blast_udp::timewait::{TailRecords, MAX_RECORDS};
 use blast_wire::packet::{Datagram, DatagramBuilder};
@@ -81,11 +82,11 @@ fn batched_burst_path_is_allocation_free() {
         4 * BURST
     );
 
-    // When the kernel supports segmentation offload, the bursts above
-    // travelled as GSO super-datagrams — so the zero-alloc proof covers
-    // the coalescing staging layer, not just the plain batched path.
+    // On the batched backend the bursts above travelled as GSO
+    // super-datagrams — so the zero-alloc proof covers the coalescing
+    // staging layer, not just the syscalls.
     let tx = tx.into_inner();
-    if tx.offload().gso() {
+    if tx.offload() == OffloadState::GsoGro {
         assert!(
             tx.io_stats().gso_super_datagrams > 0,
             "equal-size bursts must coalesce when GSO is usable"
