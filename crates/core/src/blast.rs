@@ -37,8 +37,6 @@
 //! acknowledgements use cumulative semantics (`Positive { acked: s }` ⇒
 //! everything `≤ s` arrived).
 
-use std::sync::Arc;
-
 use blast_telemetry::EventKind;
 use blast_wire::ack::{AckPayload, Bitmap};
 use blast_wire::header::PacketKind;
@@ -53,7 +51,7 @@ use crate::engine::{control_in, Engine, Finish};
 use crate::error::CoreError;
 use crate::pool::{BufferPool, PooledBuf};
 use crate::rxbuf::{Geometry, RxBuffer};
-use crate::txdata::TxData;
+use crate::txdata::{TxBytes, TxData};
 
 /// The retransmission timer a blast sender uses (pacing uses
 /// [`PACE_TIMER`]).
@@ -131,8 +129,8 @@ enum Resend {
 
 impl BlastSender {
     /// Create a sender blasting all of `data` on `transfer_id`.
-    pub fn new(transfer_id: u32, data: Arc<[u8]>, config: &ProtocolConfig) -> Self {
-        Self::chunked(transfer_id, data, config, None)
+    pub fn new(transfer_id: u32, data: impl Into<TxBytes>, config: &ProtocolConfig) -> Self {
+        Self::chunked(transfer_id, data.into(), config, None)
     }
 
     /// Create a sender for `data`: the whole transfer, or with
@@ -141,7 +139,7 @@ impl BlastSender {
     /// [`restart`](BlastSender::restart)).
     pub(crate) fn chunked(
         transfer_id: u32,
-        data: Arc<[u8]>,
+        data: TxBytes,
         config: &ProtocolConfig,
         chunk: Option<u32>,
     ) -> Self {
@@ -582,8 +580,17 @@ pub struct BlastReceiver {
 impl BlastReceiver {
     /// Create a receiver expecting `bytes` bytes on `transfer_id`.
     pub fn new(transfer_id: u32, bytes: usize, config: &ProtocolConfig) -> Self {
+        Self::with_buffer(transfer_id, vec![0; bytes], config)
+    }
+
+    /// Create a receiver for a transfer of `buf.len()` bytes that lands
+    /// in `buf` itself — a caller's buffer, set aside before the
+    /// transfer, with no zero-fill.  Its old bytes show through the
+    /// holes of [`data`](Self::data) until completion; [`Engine::retire`]
+    /// hands out only a complete buffer.
+    pub fn with_buffer(transfer_id: u32, buf: Vec<u8>, config: &ProtocolConfig) -> Self {
         BlastReceiver {
-            rx: RxBuffer::new(bytes, config.packet_payload),
+            rx: RxBuffer::with_buffer(buf, config.packet_payload),
             builder: DatagramBuilder::new(transfer_id).kernel(config.kernel_flag),
             strategy: config.strategy,
             horizon: None,
@@ -594,12 +601,14 @@ impl BlastReceiver {
         }
     }
 
-    /// The received bytes (zero-filled holes until complete).
+    /// The received bytes.  Until completion a hole holds zeros, or a
+    /// recycled buffer's old bytes ([`with_buffer`](Self::with_buffer)).
     pub fn data(&self) -> &[u8] {
         self.rx.data()
     }
 
-    /// Consume the engine, returning the received data.
+    /// Consume the engine, returning the received data, holes and all
+    /// (see [`data`](Self::data)).
     pub fn into_data(self) -> Vec<u8> {
         self.rx.into_data()
     }
@@ -802,6 +811,7 @@ fn stage_bitmap_resend(bm: &Bitmap, first: u32, end: u32, set: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn config(strategy: RetxStrategy) -> ProtocolConfig {
         ProtocolConfig::default().with_strategy(strategy)

@@ -18,14 +18,13 @@
 //! (`Positive { acked }` covers everything up to `acked`) handle chunked
 //! transfers transparently; [`MultiBlastReceiver`] is a re-export.
 
-use std::sync::Arc;
-
 use blast_wire::packet::Datagram;
 
 use crate::api::{ActionSink, EngineStats, TimerToken};
 use crate::blast::BlastSender;
 use crate::config::ProtocolConfig;
 use crate::engine::{control_in, Engine};
+use crate::txdata::TxBytes;
 
 /// Multi-blast receiver: the ordinary blast receiver.
 pub type MultiBlastReceiver = crate::blast::BlastReceiver;
@@ -43,11 +42,11 @@ pub struct MultiBlastSender {
 impl MultiBlastSender {
     /// Create a sender for `data` on `transfer_id`, blasting
     /// `config.multiblast_chunk` packets per chunk.
-    pub fn new(transfer_id: u32, data: Arc<[u8]>, config: &ProtocolConfig) -> Self {
+    pub fn new(transfer_id: u32, data: impl Into<TxBytes>, config: &ProtocolConfig) -> Self {
         let chunk = config.multiblast_chunk;
         MultiBlastSender {
             chunk,
-            inner: BlastSender::chunked(transfer_id, data, config, Some(chunk)),
+            inner: BlastSender::chunked(transfer_id, data.into(), config, Some(chunk)),
         }
     }
 
@@ -109,6 +108,7 @@ mod tests {
     use crate::config::RetxStrategy;
     use blast_wire::ack::AckPayload;
     use blast_wire::header::flags;
+    use std::sync::Arc;
 
     fn data(n: usize) -> Arc<[u8]> {
         (0..n)

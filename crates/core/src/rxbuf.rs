@@ -68,14 +68,24 @@ impl RxBuffer {
     /// # Panics
     /// Panics if `packet_payload` is zero.
     pub fn new(bytes: usize, packet_payload: usize) -> Self {
+        Self::with_buffer(vec![0; bytes], packet_payload)
+    }
+
+    /// Receive a transfer of `buf.len()` bytes into `buf` itself: a
+    /// buffer set aside before the transfer, whose old bytes stay in
+    /// every hole until the packet that covers it arrives.
+    ///
+    /// # Panics
+    /// Panics if `packet_payload` is zero.
+    pub fn with_buffer(buf: Vec<u8>, packet_payload: usize) -> Self {
         assert!(packet_payload > 0, "packet_payload must be positive");
         let geometry = Geometry {
-            bytes,
+            bytes: buf.len(),
             packet_payload,
         };
         let total = geometry.total_packets();
         RxBuffer {
-            buf: vec![0; bytes],
+            buf,
             received: vec![false; total as usize],
             received_count: 0,
             total,
@@ -171,12 +181,15 @@ impl RxBuffer {
     }
 
     /// Borrow the received data.  Only meaningful once
-    /// [`is_complete`](Self::is_complete) — holes are zero-filled.
+    /// [`is_complete`](Self::is_complete): until then a hole holds
+    /// zeros, or whatever a buffer handed to
+    /// [`with_buffer`](Self::with_buffer) held before.
     pub fn data(&self) -> &[u8] {
         &self.buf
     }
 
-    /// Consume the buffer, returning the received data.
+    /// Consume the buffer, returning the received data (holes as
+    /// [`data`](Self::data) describes them).
     pub fn into_data(self) -> Vec<u8> {
         self.buf
     }
@@ -307,6 +320,22 @@ mod tests {
         assert!(rx.place(0, 0, &[]).unwrap());
         assert!(rx.is_complete());
         assert!(rx.into_data().is_empty());
+    }
+
+    #[test]
+    fn a_given_buffer_is_received_into_in_place() {
+        let old = vec![0xAAu8; 2500];
+        let at = old.as_ptr();
+        let mut rx = RxBuffer::with_buffer(old, 1024);
+        assert_eq!((rx.len(), rx.total_packets()), (2500, 3));
+        rx.place(1, 1024, &payload(1, 1024)).unwrap();
+        assert_eq!(rx.data()[0], 0xAA, "a hole keeps the old bytes");
+        assert!(rx.take_data().is_none(), "an incomplete buffer stays put");
+        rx.place(0, 0, &payload(0, 1024)).unwrap();
+        rx.place(2, 2048, &payload(2, 452)).unwrap();
+        let data = rx.take_data().unwrap();
+        assert_eq!(data.as_ptr(), at, "received where it was handed in");
+        assert!(data[2048..] == payload(2, 452)[..]);
     }
 
     #[test]

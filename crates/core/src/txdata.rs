@@ -1,6 +1,42 @@
 //! The sender's view of the data being transferred.
 
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// The bytes a sender shares, in either shared form a caller may hold:
+/// a boxed slice, or a `Vec` (as a node's store keeps the receive
+/// buffers it commits).  Wrapping either is a pointer move, never a
+/// copy of the data.
+#[derive(Debug, Clone)]
+pub enum TxBytes {
+    /// An `Arc<[u8]>`.
+    Slice(Arc<[u8]>),
+    /// An `Arc<Vec<u8>>`.
+    Vec(Arc<Vec<u8>>),
+}
+
+impl From<Arc<[u8]>> for TxBytes {
+    fn from(data: Arc<[u8]>) -> Self {
+        TxBytes::Slice(data)
+    }
+}
+
+impl From<Arc<Vec<u8>>> for TxBytes {
+    fn from(data: Arc<Vec<u8>>) -> Self {
+        TxBytes::Vec(data)
+    }
+}
+
+impl Deref for TxBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            TxBytes::Slice(data) => data,
+            TxBytes::Vec(data) => data,
+        }
+    }
+}
 
 /// Immutable transfer data, pre-segmented into fixed-size packets.
 ///
@@ -9,7 +45,7 @@ use std::sync::Arc;
 /// paper's "copy into the sender's interface".
 #[derive(Debug, Clone)]
 pub struct TxData {
-    data: Arc<[u8]>,
+    data: TxBytes,
     packet_payload: usize,
 }
 
@@ -19,10 +55,10 @@ impl TxData {
     /// # Panics
     /// Panics if `packet_payload` is zero (configs are validated before
     /// engines are built).
-    pub fn new(data: Arc<[u8]>, packet_payload: usize) -> Self {
+    pub fn new(data: impl Into<TxBytes>, packet_payload: usize) -> Self {
         assert!(packet_payload > 0, "packet_payload must be positive");
         TxData {
-            data,
+            data: data.into(),
             packet_payload,
         }
     }
@@ -81,8 +117,8 @@ mod tests {
     use super::*;
 
     fn make(len: usize, payload: usize) -> TxData {
-        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        TxData::new(data.into(), payload)
+        let data: Arc<[u8]> = (0..len).map(|i| (i % 251) as u8).collect();
+        TxData::new(data, payload)
     }
 
     #[test]
@@ -139,7 +175,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_payload_size_panics() {
-        let _ = TxData::new(vec![1u8].into(), 0);
+        let _ = TxData::new(Arc::new(vec![1u8]), 0);
+    }
+
+    #[test]
+    fn a_shared_vec_is_sent_in_place() {
+        let data = Arc::new(vec![7u8; 2500]);
+        let tx = TxData::new(Arc::clone(&data), 1024);
+        assert_eq!(tx.total_packets(), 3);
+        assert_eq!(tx.bytes().as_ptr(), data.as_ptr(), "no copy");
+        assert_eq!(tx.payload_of(2), &data[2048..]);
     }
 
     #[test]

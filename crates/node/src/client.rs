@@ -247,7 +247,8 @@ impl<C: Channel> Client<C> {
     /// for the next.
     pub fn push(&mut self, name: &str, data: &[u8]) -> io::Result<TransferReport> {
         let id = self.alloc_id();
-        let mut leg = Outbound::push(id, name, Arc::from(data), &self.cfg)?;
+        // The one copy a push makes, staging the caller's slice.
+        let mut leg = Outbound::push(id, name, Arc::<[u8]>::from(data), &self.cfg)?;
         leg.burst = self.path.burst(Instant::now(), ());
         let report = self.run(&mut leg, Instant::now())?;
         let done = CompletionInfo::success(data.len(), report.stats);

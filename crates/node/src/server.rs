@@ -38,14 +38,15 @@
 //! touched only at session boundaries.
 //!
 //! Sessions are created by the `Request` pre-allocation handshake from
-//! `blast-udp`: a push request allocates a [`BlastReceiver`] for the
-//! announced length before any data arrives (the paper's premise), a
-//! pull request looks the named blob up in the
+//! `blast-udp`: a push request sets a [`BlastReceiver`]'s buffer aside
+//! for the announced length before any data arrives (the paper's
+//! premise), a pull request looks the named blob up in the
 //! [`Store`](crate::store::Store) and blasts it back with the strategy
 //! the client asked for.  A session leaves the table as it completes.
 //! A receiver (push) completes one datagram before its peer does — a
-//! lost final ack strands the peer (§3.2.2) — so it commits its blob
-//! and leaves a record of a few words, and no timer, in the shard's
+//! lost final ack strands the peer (§3.2.2) — so it commits its blob,
+//! moving the receive buffer into the store, and leaves a record of a
+//! few words, and no timer, in the shard's
 //! [`TailRecords`], which re-acknowledges the peer's tail until it has
 //! been quiet for [`NodeConfig::linger`].  A copy leg that *pulled*
 //! leaves the same kind of record in a second table, answered through
@@ -385,6 +386,11 @@ struct Shard {
     paths: PathTable,
     /// Reused FCS framing scratch for outgoing datagrams.
     frame_buf: Vec<u8>,
+    /// The blob the shard's last commit displaced, when no reader still
+    /// held it: the next push of exactly its length receives into it
+    /// instead of a fresh zero-filled allocation (see
+    /// [`commit`](Shard::commit)).
+    spare: Option<Vec<u8>>,
     /// Session-event count (accepts, finishes, rejects) at the last
     /// publish: any change republishes immediately so waiters see
     /// session state without polling lag.
@@ -432,6 +438,7 @@ impl NodeServer {
                 timers: TimerWheel::new(),
                 epoch: Instant::now(),
                 frame_buf: Vec::new(),
+                spare: None,
                 published_events: 0,
                 last_publish: Instant::now(),
                 recorder: None,
@@ -627,13 +634,19 @@ impl NodeServer {
         let mut engine_cfg = shard.config.protocol.clone();
         request.apply_to(&mut engine_cfg);
         let (mut engine, echo): (Box<dyn Engine>, Vec<u8>) = match request.direction {
-            // Pre-allocate the whole receive buffer from the announced
+            // Set the whole receive buffer aside from the announced
             // length — the paper's premise — and echo the request
-            // verbatim.
-            Direction::Push => (
-                Box::new(BlastReceiver::new(id, request.len, &engine_cfg)),
-                raw.to_vec(),
-            ),
+            // verbatim.  A spare of exactly that length is the buffer;
+            // any other length drops it and allocates.
+            Direction::Push => {
+                let engine = match shard.spare.take() {
+                    Some(buf) if buf.len() == request.len => {
+                        BlastReceiver::with_buffer(id, buf, &engine_cfg)
+                    }
+                    _ => BlastReceiver::new(id, request.len, &engine_cfg),
+                };
+                (Box::new(engine), raw.to_vec())
+            }
             Direction::Pull => {
                 let Some(blob) = shard.store.get(&request.name) else {
                     shard.local.pull_misses += 1;
@@ -1083,9 +1096,10 @@ impl Shard {
         if ok && direction == Direction::Push {
             if let Some((data, finished)) = engine.as_deref_mut().and_then(Engine::retire) {
                 // A completed push becomes a named blob other clients
-                // can pull: the receive buffer's one and only copy.
+                // can pull: the receive buffer itself moves into the
+                // store.
                 if !entry.name.is_empty() {
-                    self.store.put(&entry.name, Arc::from(data));
+                    self.commit(&entry.name, data);
                 }
                 let until = entry.started + self.config.session_timeout;
                 self.tails
@@ -1169,7 +1183,7 @@ impl Shard {
             copy.status.crc32 = crc32(&data);
             copy.status.bytes_total = data.len() as u64;
             if !entry.name.is_empty() {
-                self.store.put(&entry.name, Arc::from(data));
+                self.commit(&entry.name, data);
             }
             // The remote sender has not heard our final ack yet and may
             // never: a record answers its tail in the leg's place.
@@ -1178,6 +1192,19 @@ impl Shard {
                 .hold(now, finished, copy.remote, COPY_GRACE, now + COPY_GRACE);
         }
         self.end_copy(key, entry, Ok(bytes as u64));
+    }
+
+    /// Store a completed receive buffer as `name`, moving it rather
+    /// than copying it.  The blob it displaces becomes the shard's one
+    /// spare only if nobody else holds it — no pull in flight, no
+    /// reader of the store — so a buffer is recycled only once nothing
+    /// can read it again.
+    fn commit(&mut self, name: &str, data: Vec<u8>) {
+        let displaced = self.store.get(name);
+        self.store.put(name, Arc::new(data));
+        if let Some(Ok(buf)) = displaced.map(Arc::try_unwrap) {
+            self.spare = Some(buf);
+        }
     }
 
     /// End a copy — `Ok` with the bytes it moved, `Err` with an

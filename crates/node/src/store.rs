@@ -8,10 +8,15 @@
 //! catalogue — named, immutable byte blobs, each pulled or pushed as
 //! one blast transfer — without the surrounding IPC machinery.
 //!
-//! Blobs are `Arc<[u8]>` so that serving a pull never copies the
-//! catalogue entry: the session's sender engine shares the allocation,
-//! and a concurrent `put` under the same name simply swaps the `Arc`
-//! without disturbing in-flight transfers.
+//! Blobs are `Arc<Vec<u8>>` so that neither end of a transfer copies
+//! the catalogue entry.  Serving a pull shares the allocation with the
+//! session's sender engine, and a concurrent `put` under the same name
+//! simply swaps the `Arc` without disturbing in-flight transfers.  A
+//! completed push is committed by moving its receive buffer — a
+//! `Vec<u8>` — into `Arc::new`: a pointer move, where an `Arc<[u8]>`
+//! would copy every byte into a fresh allocation.  And a displaced blob
+//! no reader still holds comes back out of its `Arc` as a `Vec` whole,
+//! so the node can receive its next push of the same length into it.
 //!
 //! Since the node itself is sharded across reactor threads, the store
 //! is accessed concurrently and its public face is the object-safe
@@ -20,7 +25,7 @@
 //! pulls on different shards never contend, and a file-backed
 //! implementation can slot in later without another API break.  All
 //! store calls happen at session *boundaries* (handshake, completion) —
-//! the per-packet hot path only ever touches the `Arc<[u8]>` it was
+//! the per-packet hot path only ever touches the blob it was
 //! handed, so it stays allocation-free and lock-free.
 
 use std::collections::BTreeMap;
@@ -29,7 +34,7 @@ use std::sync::{Arc, RwLock};
 /// A named catalogue of immutable byte blobs.
 #[derive(Debug, Default)]
 pub struct BlobStore {
-    blobs: BTreeMap<String, Arc<[u8]>>,
+    blobs: BTreeMap<String, Arc<Vec<u8>>>,
     /// Blobs inserted over the store's lifetime (puts, not distinct
     /// names).
     pub puts: u64,
@@ -43,13 +48,13 @@ impl BlobStore {
 
     /// Insert (or replace) `name`.  In-flight pulls of a replaced blob
     /// keep the version they started with.
-    pub fn put(&mut self, name: &str, data: impl Into<Arc<[u8]>>) {
+    pub fn put(&mut self, name: &str, data: impl Into<Arc<Vec<u8>>>) {
         self.blobs.insert(name.to_string(), data.into());
         self.puts += 1;
     }
 
     /// Fetch `name`, sharing the allocation.
-    pub fn get(&self, name: &str) -> Option<Arc<[u8]>> {
+    pub fn get(&self, name: &str) -> Option<Arc<Vec<u8>>> {
         self.blobs.get(name).cloned()
     }
 
@@ -59,7 +64,7 @@ impl BlobStore {
     }
 
     /// Remove `name`, returning the blob if present.
-    pub fn remove(&mut self, name: &str) -> Option<Arc<[u8]>> {
+    pub fn remove(&mut self, name: &str) -> Option<Arc<Vec<u8>>> {
         self.blobs.remove(name)
     }
 
@@ -94,16 +99,16 @@ impl BlobStore {
 /// existing name swaps the entry without disturbing in-flight readers.
 pub trait Store: Send + Sync + std::fmt::Debug {
     /// Fetch `name`, sharing the allocation.
-    fn get(&self, name: &str) -> Option<Arc<[u8]>>;
+    fn get(&self, name: &str) -> Option<Arc<Vec<u8>>>;
 
     /// Insert (or replace) `name`.
-    fn put(&self, name: &str, data: Arc<[u8]>);
+    fn put(&self, name: &str, data: Arc<Vec<u8>>);
 
     /// Whether `name` exists.
     fn contains(&self, name: &str) -> bool;
 
     /// Remove `name`, returning the blob if present.
-    fn remove(&self, name: &str) -> Option<Arc<[u8]>>;
+    fn remove(&self, name: &str) -> Option<Arc<Vec<u8>>>;
 
     /// Number of blobs stored.
     fn len(&self) -> usize;
@@ -131,7 +136,7 @@ const STORE_SHARDS: usize = 8;
 /// Each shard is its own `RwLock<BlobStore>`, so reactor shards serving
 /// pulls of different blobs take different read locks, and even the
 /// same blob admits concurrent readers.  Store calls only happen at
-/// session boundaries; the packet hot path works on the `Arc<[u8]>`
+/// session boundaries; the packet hot path works on the blob
 /// handed out here and never comes back to the catalogue.
 #[derive(Debug)]
 pub struct MemStore {
@@ -173,14 +178,14 @@ impl MemStore {
 }
 
 impl Store for MemStore {
-    fn get(&self, name: &str) -> Option<Arc<[u8]>> {
+    fn get(&self, name: &str) -> Option<Arc<Vec<u8>>> {
         self.shard(name)
             .read()
             .expect("store shard poisoned")
             .get(name)
     }
 
-    fn put(&self, name: &str, data: Arc<[u8]>) {
+    fn put(&self, name: &str, data: Arc<Vec<u8>>) {
         self.shard(name)
             .write()
             .expect("store shard poisoned")
@@ -194,7 +199,7 @@ impl Store for MemStore {
             .contains(name)
     }
 
-    fn remove(&self, name: &str) -> Option<Arc<[u8]>> {
+    fn remove(&self, name: &str) -> Option<Arc<Vec<u8>>> {
         self.shard(name)
             .write()
             .expect("store shard poisoned")

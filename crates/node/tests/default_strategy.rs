@@ -67,7 +67,7 @@ fn default_client_resends_only_what_one_percent_loss_takes() {
     for k in 0..PUSHES {
         let stored = store.get(&format!("lossy-{k}"));
         assert_eq!(
-            stored.as_deref(),
+            stored.as_deref().map(Vec::as_slice),
             Some(&payload(k)[..]),
             "push {k} is byte-exact"
         );

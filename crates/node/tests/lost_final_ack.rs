@@ -236,7 +236,7 @@ fn push_whose_final_ack_is_lost_is_answered_from_the_nodes_tail_table() {
     let m = node.metrics();
     assert_eq!((m.sessions_completed, m.sessions_failed), (1, 0));
     assert_eq!(
-        node.store().get("p").as_deref(),
+        node.store().get("p").as_deref().map(Vec::as_slice),
         Some(&payload(4, 4096)[..])
     );
 

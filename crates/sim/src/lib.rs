@@ -22,6 +22,8 @@
 //! ## Quick example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use blast_sim::{SimConfig, Simulator};
 //! use blast_core::blast::{BlastReceiver, BlastSender};
 //! use blast_core::ProtocolConfig;
@@ -31,7 +33,7 @@
 //! let b = sim.add_host("sun-2");
 //! let cfg = ProtocolConfig::default();
 //! let data: Vec<u8> = vec![0u8; 64 * 1024];
-//! sim.attach(a, b, Box::new(BlastSender::new(1, data.clone().into(), &cfg)));
+//! sim.attach(a, b, Box::new(BlastSender::new(1, Arc::new(data.clone()), &cfg)));
 //! sim.attach(b, a, Box::new(BlastReceiver::new(1, data.len(), &cfg)));
 //! let report = sim.run();
 //! // §2.1.3: T_B = 64×(C+T) + C + 2Ca + Ta = 140.62 ms.

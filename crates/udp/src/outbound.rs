@@ -14,11 +14,11 @@
 //! each third-party copy's leg inside its reactor tick.
 
 use std::io::{self, ErrorKind};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blast_core::api::{CompletionInfo, EngineStats, TimerToken};
 use blast_core::blast::{BlastReceiver, BlastSender, FinishedReceiver};
+use blast_core::txdata::TxBytes;
 use blast_core::{Engine, PacingConfig, ProtocolConfig};
 use blast_telemetry::Recorder;
 use blast_wire::header::PacketKind;
@@ -38,7 +38,7 @@ pub const RETRY: TimerToken = TimerToken(u64::MAX - 2);
 /// What the echo turns the leg into.
 pub(crate) enum Then {
     /// A sender of this blob (a push).
-    Send(Arc<[u8]>),
+    Send(TxBytes),
     /// A receiver of the announced length, refused above this (a pull).
     Receive(usize),
     /// Nothing: the leg completes at the echo ([`crate::handshake::initiate`]).
@@ -73,7 +73,13 @@ impl Outbound {
     /// Push `blob`, to be stored by the responder as `name`, with the
     /// transfer parameters of `cfg`.  `InvalidInput` for a name no
     /// responder could decode.
-    pub fn push(id: u32, name: &str, blob: Arc<[u8]>, cfg: &ProtocolConfig) -> io::Result<Self> {
+    pub fn push(
+        id: u32,
+        name: &str,
+        blob: impl Into<TxBytes>,
+        cfg: &ProtocolConfig,
+    ) -> io::Result<Self> {
+        let blob = blob.into();
         let request = Request::push(blob.len(), cfg, false).with_name(name);
         Self::new(id, &request, Then::Send(blob), cfg)
     }
@@ -297,6 +303,7 @@ impl Outbound {
 mod tests {
     use super::*;
     use blast_wire::packet::DatagramBuilder;
+    use std::sync::Arc;
 
     const ID: u32 = 2;
     const PAYLOAD: usize = 1024;

@@ -19,6 +19,7 @@
 //! worked example) falls out directly.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use blast_core::api::EngineStats;
 use blast_core::blast::{BlastReceiver, BlastSender};
@@ -362,7 +363,7 @@ impl VCluster {
         let mut sim = Simulator::new(sim_cfg);
         let a = sim.add_host("src-kernel");
         let b = sim.add_host("dst-kernel");
-        let sender = BlastSender::new(transfer, data.to_vec().into(), &self.protocol);
+        let sender = BlastSender::new(transfer, Arc::<[u8]>::from(data), &self.protocol);
         let receiver = BlastReceiver::new(transfer, data.len(), &self.protocol);
         sim.attach(a, b, Box::new(sender));
         sim.attach(b, a, Box::new(receiver));

@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run --release --example error_field_study -- [trials]`
 
+use std::sync::Arc;
+
 use blastlan::analytic::{CostModel, ErrorFree};
 use blastlan::core::blast::{BlastReceiver, BlastSender};
 use blastlan::core::config::{ProtocolConfig, RetxStrategy};
@@ -25,7 +27,7 @@ fn measure(strategy: RetxStrategy, p_n: f64, trials: u64) -> OnlineStats {
         sim.attach(
             a,
             b,
-            Box::new(BlastSender::new(1, data.clone().into(), &cfg)),
+            Box::new(BlastSender::new(1, Arc::new(data.clone()), &cfg)),
         );
         sim.attach(b, a, Box::new(BlastReceiver::new(1, data.len(), &cfg)));
         let report = sim.run();

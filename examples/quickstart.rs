@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use blastlan::core::blast::{BlastReceiver, BlastSender};
@@ -25,7 +26,7 @@ fn main() {
     // 1. Virtual-time harness with 1 % injected loss.
     let cfg = ProtocolConfig::default();
     let mut h = Harness::new(
-        BlastSender::new(1, data.clone().into(), &cfg),
+        BlastSender::new(1, Arc::new(data.clone()), &cfg),
         BlastReceiver::new(1, data.len(), &cfg),
         LossPlan::random(42, 1, 100),
     );
@@ -45,7 +46,7 @@ fn main() {
     sim.attach(
         a,
         b,
-        Box::new(BlastSender::new(1, data.clone().into(), &cfg)),
+        Box::new(BlastSender::new(1, Arc::new(data.clone()), &cfg)),
     );
     sim.attach(b, a, Box::new(BlastReceiver::new(1, data.len(), &cfg)));
     let report = sim.run();

@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run --release --example timeline -- [saw|sw|blast|dbl] [N]`
 
+use std::sync::Arc;
+
 use blastlan::core::blast::{BlastReceiver, BlastSender};
 use blastlan::core::saw::{SawReceiver, SawSender};
 use blastlan::core::window::WindowSender;
@@ -53,7 +55,7 @@ fn main() {
             sim.attach(
                 a,
                 b,
-                Box::new(BlastSender::new(1, data.clone().into(), &cfg)),
+                Box::new(BlastSender::new(1, Arc::new(data.clone()), &cfg)),
             );
             sim.attach(b, a, Box::new(BlastReceiver::new(1, data.len(), &cfg)));
         }

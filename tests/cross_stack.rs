@@ -4,6 +4,7 @@
 //! transfers; the V-kernel file server must work end-to-end on a lossy
 //! network.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use blastlan::core::blast::{BlastReceiver, BlastSender};
@@ -38,7 +39,7 @@ fn same_engine_three_substrates() {
 
         // 1. Virtual-time harness, 5 % loss.
         let mut h = Harness::new(
-            BlastSender::new(1, data.clone().into(), &cfg),
+            BlastSender::new(1, Arc::new(data.clone()), &cfg),
             BlastReceiver::new(1, data.len(), &cfg),
             LossPlan::random(strategy as u64 + 1, 1, 20),
         );
@@ -55,7 +56,7 @@ fn same_engine_three_substrates() {
         sim.attach(
             a,
             b,
-            Box::new(BlastSender::new(1, data.clone().into(), &scfg)),
+            Box::new(BlastSender::new(1, Arc::new(data.clone()), &scfg)),
         );
         sim.attach(b, a, Box::new(BlastReceiver::new(1, data.len(), &scfg)));
         let report = sim.run();
@@ -98,7 +99,7 @@ fn simulator_hosts_concurrent_transfers_with_demux() {
         sim.attach(
             a,
             b,
-            Box::new(BlastSender::new(100 + i, data.clone().into(), &cfg)),
+            Box::new(BlastSender::new(100 + i, Arc::new(data.clone()), &cfg)),
         );
         sim.attach(
             b,
@@ -130,7 +131,7 @@ fn multiblast_over_udp_and_sim_agree_on_data() {
     sim.attach(
         a,
         b,
-        Box::new(MultiBlastSender::new(9, data.clone().into(), &scfg)),
+        Box::new(MultiBlastSender::new(9, Arc::new(data.clone()), &scfg)),
     );
     sim.attach(b, a, Box::new(BlastReceiver::new(9, data.len(), &scfg)));
     let report = sim.run();
@@ -190,7 +191,7 @@ fn sim_elapsed_never_beats_the_error_free_floor() {
         sim.attach(
             a,
             b,
-            Box::new(BlastSender::new(1, data.clone().into(), &cfg)),
+            Box::new(BlastSender::new(1, Arc::new(data.clone()), &cfg)),
         );
         sim.attach(b, a, Box::new(BlastReceiver::new(1, data.len(), &cfg)));
         let report = sim.run();
