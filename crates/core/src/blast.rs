@@ -76,8 +76,8 @@ enum Pending {
 
 /// Blast sender for a contiguous range of a transfer.
 #[derive(Debug)]
-pub struct BlastSender {
-    tx: TxData,
+pub struct BlastSender<'a> {
+    tx: TxData<'a>,
     builder: DatagramBuilder,
     /// Clock, RTO estimator, pacer and recorder.
     pub(crate) control: Control,
@@ -127,9 +127,9 @@ enum Resend {
     Resolicit,
 }
 
-impl BlastSender {
+impl<'a> BlastSender<'a> {
     /// Create a sender blasting all of `data` on `transfer_id`.
-    pub fn new(transfer_id: u32, data: impl Into<TxBytes>, config: &ProtocolConfig) -> Self {
+    pub fn new(transfer_id: u32, data: impl Into<TxBytes<'a>>, config: &ProtocolConfig) -> Self {
         Self::chunked(transfer_id, data.into(), config, None)
     }
 
@@ -139,7 +139,7 @@ impl BlastSender {
     /// [`restart`](BlastSender::restart)).
     pub(crate) fn chunked(
         transfer_id: u32,
-        data: TxBytes,
+        data: TxBytes<'a>,
         config: &ProtocolConfig,
         chunk: Option<u32>,
     ) -> Self {
@@ -430,7 +430,7 @@ impl BlastSender {
     }
 }
 
-impl Engine for BlastSender {
+impl Engine for BlastSender<'_> {
     control_in!(control);
 
     fn start(&mut self, sink: &mut dyn ActionSink) {

@@ -54,15 +54,13 @@
 //! ## Quick example
 //!
 //! ```
-//! use std::sync::Arc;
-//!
 //! use blast_core::config::ProtocolConfig;
 //! use blast_core::blast::{BlastSender, BlastReceiver};
 //! use blast_core::harness::{Harness, LossPlan};
 //!
 //! let config = ProtocolConfig::default();
 //! let data: Vec<u8> = (0..10_000u32).map(|i| i as u8).collect();
-//! let sender = BlastSender::new(1, Arc::new(data.clone()), &config);
+//! let sender = BlastSender::new(1, &data[..], &config);
 //! let receiver = BlastReceiver::new(1, data.len(), &config);
 //!
 //! let mut h = Harness::new(sender, receiver, LossPlan::perfect());

@@ -32,17 +32,17 @@ pub type MultiBlastReceiver = crate::blast::BlastReceiver;
 /// Sender that splits a large transfer into sequentially-acknowledged
 /// blasts.
 #[derive(Debug)]
-pub struct MultiBlastSender {
+pub struct MultiBlastSender<'a> {
     /// Packets per chunk.
     chunk: u32,
     /// The sender of the chunk in flight.
-    inner: BlastSender,
+    inner: BlastSender<'a>,
 }
 
-impl MultiBlastSender {
+impl<'a> MultiBlastSender<'a> {
     /// Create a sender for `data` on `transfer_id`, blasting
     /// `config.multiblast_chunk` packets per chunk.
-    pub fn new(transfer_id: u32, data: impl Into<TxBytes>, config: &ProtocolConfig) -> Self {
+    pub fn new(transfer_id: u32, data: impl Into<TxBytes<'a>>, config: &ProtocolConfig) -> Self {
         let chunk = config.multiblast_chunk;
         MultiBlastSender {
             chunk,
@@ -61,7 +61,7 @@ impl MultiBlastSender {
     }
 }
 
-impl Engine for MultiBlastSender {
+impl Engine for MultiBlastSender<'_> {
     control_in!(inner.control);
 
     fn start(&mut self, sink: &mut dyn ActionSink) {
@@ -131,7 +131,7 @@ mod tests {
             .collect()
     }
 
-    fn run_lossless(bytes: usize, chunk: u32) -> (MultiBlastSender, BlastReceiver, u32) {
+    fn run_lossless(bytes: usize, chunk: u32) -> (MultiBlastSender<'static>, BlastReceiver, u32) {
         let cfg = ProtocolConfig::default().with_multiblast_chunk(chunk);
         let payload = data(bytes);
         let mut s = MultiBlastSender::new(1, payload.clone(), &cfg);

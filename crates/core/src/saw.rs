@@ -34,7 +34,7 @@ const RETX_TIMER: TimerToken = TimerToken(0);
 /// Stop-and-wait sender.
 #[derive(Debug)]
 pub struct SawSender {
-    tx: TxData,
+    tx: TxData<'static>,
     builder: DatagramBuilder,
     /// Clock, RTO estimator, pacer and recorder.  Stop-and-wait never
     /// bursts, so the pacer's budget is moot; it still hears timeouts

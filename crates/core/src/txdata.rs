@@ -3,59 +3,77 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// The bytes a sender shares, in either shared form a caller may hold:
-/// a boxed slice, or a `Vec` (as a node's store keeps the receive
-/// buffers it commits).  Wrapping either is a pointer move, never a
-/// copy of the data.
+/// The bytes a sender reads, in any of three forms: a shared boxed
+/// slice, a shared `Vec` (as a node's store keeps the receive buffers
+/// it commits), or a slice borrowed from the caller for the sender's
+/// lifetime `'a`.  Wrapping any of them is a pointer move, never a copy
+/// of the data.
+///
+/// A sender that outlives the caller's frame holds a shared form: a
+/// node's session, or an engine boxed for `blast_sim`'s simulator,
+/// whose `attach` takes `'static` engines.  A sender run to completion
+/// while the caller waits, as in a client's push or a
+/// [`Harness`](crate::harness::Harness) run, borrows the caller's slice.
 #[derive(Debug, Clone)]
-pub enum TxBytes {
+pub enum TxBytes<'a> {
     /// An `Arc<[u8]>`.
     Slice(Arc<[u8]>),
     /// An `Arc<Vec<u8>>`.
     Vec(Arc<Vec<u8>>),
+    /// A slice the caller keeps alive for `'a`.
+    Borrowed(&'a [u8]),
 }
 
-impl From<Arc<[u8]>> for TxBytes {
+impl From<Arc<[u8]>> for TxBytes<'_> {
     fn from(data: Arc<[u8]>) -> Self {
         TxBytes::Slice(data)
     }
 }
 
-impl From<Arc<Vec<u8>>> for TxBytes {
+impl From<Arc<Vec<u8>>> for TxBytes<'_> {
     fn from(data: Arc<Vec<u8>>) -> Self {
         TxBytes::Vec(data)
     }
 }
 
-impl Deref for TxBytes {
+impl<'a> From<&'a [u8]> for TxBytes<'a> {
+    fn from(data: &'a [u8]) -> Self {
+        TxBytes::Borrowed(data)
+    }
+}
+
+impl Deref for TxBytes<'_> {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
         match self {
             TxBytes::Slice(data) => data,
             TxBytes::Vec(data) => data,
+            TxBytes::Borrowed(data) => data,
         }
     }
 }
 
 /// Immutable transfer data, pre-segmented into fixed-size packets.
 ///
-/// Cheap to clone (`Arc`); the engines never copy the data — slices of it
-/// are copied exactly once, into the outgoing datagram, which is the
-/// paper's "copy into the sender's interface".
+/// A clone shares the data in every form: it bumps a reference count
+/// for the two `Arc` forms and copies a pointer for a borrowed slice.
+/// The engines never copy the data — slices of it are copied exactly
+/// once, into the outgoing datagram, which is the paper's "copy into
+/// the sender's interface".
 #[derive(Debug, Clone)]
-pub struct TxData {
-    data: TxBytes,
+pub struct TxData<'a> {
+    data: TxBytes<'a>,
     packet_payload: usize,
 }
 
-impl TxData {
+impl<'a> TxData<'a> {
     /// Wrap `data` for transmission in `packet_payload`-byte packets.
     ///
     /// # Panics
     /// Panics if `packet_payload` is zero (configs are validated before
     /// engines are built).
-    pub fn new(data: impl Into<TxBytes>, packet_payload: usize) -> Self {
+    pub fn new(data: impl Into<TxBytes<'a>>, packet_payload: usize) -> Self {
         assert!(packet_payload > 0, "packet_payload must be positive");
         TxData {
             data: data.into(),
@@ -116,7 +134,7 @@ impl TxData {
 mod tests {
     use super::*;
 
-    fn make(len: usize, payload: usize) -> TxData {
+    fn make(len: usize, payload: usize) -> TxData<'static> {
         let data: Arc<[u8]> = (0..len).map(|i| (i % 251) as u8).collect();
         TxData::new(data, payload)
     }
@@ -185,6 +203,19 @@ mod tests {
         assert_eq!(tx.total_packets(), 3);
         assert_eq!(tx.bytes().as_ptr(), data.as_ptr(), "no copy");
         assert_eq!(tx.payload_of(2), &data[2048..]);
+    }
+
+    #[test]
+    fn a_borrowed_slice_is_sent_in_place() {
+        let data: Vec<u8> = (0..2500).map(|i| (i % 251) as u8).collect();
+        let tx = TxData::new(&data[..], 1024);
+        assert_eq!(tx.total_packets(), 3);
+        assert_eq!(tx.bytes().as_ptr(), data.as_ptr(), "no copy");
+        for seq in 0..3 {
+            let start = seq as usize * 1024;
+            let end = (start + 1024).min(data.len());
+            assert_eq!(tx.payload_of(seq), &data[start..end]);
+        }
     }
 
     #[test]

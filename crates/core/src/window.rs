@@ -36,7 +36,7 @@ pub type WindowReceiver = crate::saw::SawReceiver;
 /// Sliding-window sender.
 #[derive(Debug)]
 pub struct WindowSender {
-    tx: TxData,
+    tx: TxData<'static>,
     builder: DatagramBuilder,
     /// Clock, RTO estimator, pacer and recorder.
     control: Control,

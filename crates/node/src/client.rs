@@ -11,7 +11,9 @@
 //! and [`fan_out`](Client::fan_out).  A push or pull is one
 //! [`Outbound`] leg — request, echo, engine — run to completion over the
 //! channel, and every operation has one time bound, its
-//! [`patience`](Client::patience).
+//! [`patience`](Client::patience).  A push's sender reads the caller's
+//! slice in place, for the call's duration: nothing copies the blob
+//! before its first datagram.
 //!
 //! A client starts from [`ProtocolConfig::lan`]: an adaptive timeout
 //! seeded for LAN round trips, paced bursts, and selective
@@ -61,7 +63,6 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use blast_core::config::ProtocolConfig;
@@ -242,13 +243,16 @@ impl<C: Channel> Client<C> {
     /// until the node acknowledges the whole transfer (or
     /// [`patience`](Client::patience) runs out).
     ///
+    /// The sender reads `data` in place for the call's duration: each
+    /// packet's bytes are copied once, into the outgoing datagram, and
+    /// nothing copies the whole blob first.
+    ///
     /// The sender starts at the AIMD burst the last push ended at (see
     /// [`blast_udp::path`]), and a push that completes leaves its own
     /// for the next.
     pub fn push(&mut self, name: &str, data: &[u8]) -> io::Result<TransferReport> {
         let id = self.alloc_id();
-        // The one copy a push makes, staging the caller's slice.
-        let mut leg = Outbound::push(id, name, Arc::<[u8]>::from(data), &self.cfg)?;
+        let mut leg = Outbound::push(id, name, data, &self.cfg)?;
         leg.burst = self.path.burst(Instant::now(), ());
         let report = self.run(&mut leg, Instant::now())?;
         let done = CompletionInfo::success(data.len(), report.stats);
@@ -258,7 +262,7 @@ impl<C: Channel> Client<C> {
 
     /// Run `leg` over the client's channel to completion, within the
     /// patience left to an operation `started` then.
-    fn run(&mut self, leg: &mut Outbound, started: Instant) -> io::Result<TransferReport> {
+    fn run(&mut self, leg: &mut Outbound<'_>, started: Instant) -> io::Result<TransferReport> {
         leg.recorder = self.recorder.clone();
         let patience = self.patience.saturating_sub(started.elapsed());
         leg.run(&mut self.channel, patience)

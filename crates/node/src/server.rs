@@ -245,7 +245,7 @@ struct CopyLeg {
     /// known from the start before that (for a push, its size and
     /// CRC-32; a pull's are fixed on completion).
     status: CopyStatus,
-    outbound: Outbound,
+    outbound: Outbound<'static>,
 }
 
 impl CopyLeg {

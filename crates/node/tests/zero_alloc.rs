@@ -15,6 +15,13 @@
 //!   is the only tier allowed to allocate, and it runs on the *reader's*
 //!   thread — never on a reactor.
 //!
+//! A second check bounds the *bytes* a steady run of 4 MiB pushes
+//! allocates, process-wide, client and node together, over loopback:
+//! under one payload for eight pushes.  Neither side may copy or
+//! allocate a whole blob per push — the client's sender reads the
+//! caller's slice in place, and the node receives into the blob the
+//! last push displaced.
+//!
 //! `harness = false` (see `Cargo.toml`): this file is a plain `fn main`,
 //! not a `#[test]`.  The allocation counter is process-global, and
 //! libtest's own main thread allocates (its running-test map grows)
@@ -26,8 +33,10 @@ use std::time::Duration;
 
 use blast_core::api::EngineStats;
 use blast_core::PacerSnapshot;
-use blast_counting_alloc::{allocations, CountingAlloc};
+use blast_counting_alloc::{allocations, bytes_allocated, CountingAlloc};
 use blast_node::metrics::{NodeMetrics, SessionReport, MAX_REPORTS};
+use blast_node::server::NodeBuilder;
+use blast_node::Client;
 use blast_udp::handshake::Direction;
 
 #[global_allocator]
@@ -161,9 +170,42 @@ fn packet_accounting_and_steady_publish_allocate_zero() {
     assert_eq!(merged.reports.len(), MAX_REPORTS);
 }
 
+fn steady_pushes_allocate_less_than_one_payload() {
+    const PAYLOAD: usize = 4 << 20;
+    const NAME: &str = "steady";
+    let node = NodeBuilder::new().shards(1).start().unwrap();
+    let mut client = Client::connect(node.addr())
+        .unwrap()
+        .patience(Duration::from_secs(10));
+    let data: Vec<u8> = (0..PAYLOAD).map(|i| (i % 251) as u8).collect();
+
+    // Warm-up: the first push allocates the stored blob, the second
+    // its spare; the pools and the AIMD burst settle too.
+    for _ in 0..4 {
+        client.push(NAME, &data).unwrap();
+    }
+    assert!(node.wait_idle(Duration::from_secs(5)), "warm-up booked");
+
+    let before = bytes_allocated();
+    for _ in 0..8 {
+        client.push(NAME, &data).unwrap();
+    }
+    let allocated = bytes_allocated() - before;
+    assert!(
+        allocated < PAYLOAD as u64,
+        "eight pushes allocated {allocated} bytes: a whole-blob copy or \
+         receive buffer per push is back"
+    );
+    assert!(node.wait_idle(Duration::from_secs(5)), "pushes booked");
+    assert_eq!(node.store().get(NAME).unwrap()[..], data[..]);
+    assert_eq!(node.metrics().sessions_failed, 0);
+}
+
 fn main() {
     packet_accounting_and_steady_publish_allocate_zero();
     // libtest's own line, so whatever reads `cargo test` output still
     // finds this check by name.
     println!("test packet_accounting_and_steady_publish_allocate_zero ... ok");
+    steady_pushes_allocate_less_than_one_payload();
+    println!("test steady_pushes_allocate_less_than_one_payload ... ok");
 }

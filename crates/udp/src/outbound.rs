@@ -36,9 +36,9 @@ use crate::timers::TimerWheel;
 pub const RETRY: TimerToken = TimerToken(u64::MAX - 2);
 
 /// What the echo turns the leg into.
-pub(crate) enum Then {
+pub(crate) enum Then<'a> {
     /// A sender of this blob (a push).
-    Send(TxBytes),
+    Send(TxBytes<'a>),
     /// A receiver of the announced length, refused above this (a pull).
     Receive(usize),
     /// Nothing: the leg completes at the echo ([`crate::handshake::initiate`]).
@@ -47,18 +47,18 @@ pub(crate) enum Then {
 
 /// One initiated transfer: the request, its retries, the echo, and the
 /// engine the echo promotes it into.  See the [module docs](self).
-pub struct Outbound {
+pub struct Outbound<'a> {
     id: u32,
     cfg: ProtocolConfig,
     /// The request datagram, re-sent verbatim until echoed.
     request: Vec<u8>,
     pub(crate) retry: Duration,
-    then: Then,
+    then: Then<'a>,
     echoed: Option<Request>,
     /// When the promoting call began, on its clock: where the data
     /// phase starts.
     echoed_at: Duration,
-    engine: Option<Box<dyn Engine>>,
+    engine: Option<Box<dyn Engine + 'a>>,
     /// Flight recorder handed to the engine the echo builds.
     pub recorder: Option<Recorder>,
     /// The AIMD burst the engine the echo builds starts at: the one the
@@ -69,14 +69,20 @@ pub struct Outbound {
     pub requests_sent: u64,
 }
 
-impl Outbound {
+impl<'a> Outbound<'a> {
     /// Push `blob`, to be stored by the responder as `name`, with the
     /// transfer parameters of `cfg`.  `InvalidInput` for a name no
     /// responder could decode.
+    ///
+    /// The sender reads `blob` in place, in whichever [`TxBytes`] form
+    /// it comes: a borrowed slice stays borrowed until the leg is
+    /// dropped (a client's push, run while its caller waits), and a
+    /// node's copy leg, which outlives the call that opens it, passes
+    /// the store's `Arc`.
     pub fn push(
         id: u32,
         name: &str,
-        blob: impl Into<TxBytes>,
+        blob: impl Into<TxBytes<'a>>,
         cfg: &ProtocolConfig,
     ) -> io::Result<Self> {
         let blob = blob.into();
@@ -94,7 +100,7 @@ impl Outbound {
     pub(crate) fn new(
         id: u32,
         req: &Request,
-        then: Then,
+        then: Then<'a>,
         cfg: &ProtocolConfig,
     ) -> io::Result<Self> {
         // Caught here, a name too long to encode is an immediate error
@@ -125,7 +131,7 @@ impl Outbound {
     }
 
     /// The engine the echo built, while the leg holds it.
-    pub fn engine(&self) -> Option<&dyn Engine> {
+    pub fn engine(&self) -> Option<&(dyn Engine + 'a)> {
         self.engine.as_deref()
     }
 
@@ -195,7 +201,7 @@ impl Outbound {
         let len = echoed.len;
         self.echoed = Some(echoed);
         self.echoed_at = epoch.elapsed();
-        let mut engine: Box<dyn Engine> = match std::mem::replace(&mut self.then, Then::Stop) {
+        let mut engine: Box<dyn Engine + 'a> = match std::mem::replace(&mut self.then, Then::Stop) {
             Then::Send(blob) => Box::new(BlastSender::new(self.id, blob, &cfg)),
             // The echo is the size announcement, and the receive buffer
             // an eager allocation: bound it before trusting a 24-byte
@@ -311,14 +317,14 @@ mod tests {
     /// A leg driven by hand: datagrams fed in from a script, timers read
     /// off the wheel and fired at their deadlines (never waited for),
     /// and every transmission kept in order.
-    struct Script {
-        leg: Outbound,
+    struct Script<'a> {
+        leg: Outbound<'a>,
         timers: TimerWheel<TimerToken>,
         wire: Vec<Vec<u8>>,
     }
 
-    impl Script {
-        fn new(leg: Outbound) -> Self {
+    impl<'a> Script<'a> {
+        fn new(leg: Outbound<'a>) -> Self {
             let mut script = Script {
                 leg,
                 timers: TimerWheel::new(),
@@ -363,7 +369,7 @@ mod tests {
         cfg
     }
 
-    fn pull_leg(max_len: usize) -> Outbound {
+    fn pull_leg(max_len: usize) -> Outbound<'static> {
         let cfg = cfg();
         Outbound::pull(ID, &Request::pull("blob", &cfg), &cfg, max_len).unwrap()
     }
@@ -435,6 +441,21 @@ mod tests {
         assert_eq!(script.kinds_after(1), [PacketKind::Data; 3], "round 0");
         assert_eq!(script.stats().data_packets_sent, 3);
         assert_eq!(script.leg.echoed().unwrap().len, 3 * PAYLOAD);
+    }
+
+    #[test]
+    fn a_push_of_a_borrowed_slice_sends_exactly_the_callers_bytes() {
+        let blob: Vec<u8> = (0..3 * PAYLOAD - 100).map(|i| (i % 251) as u8).collect();
+        let mut script = Script::new(Outbound::push(ID, "blob", &blob[..], &cfg()).unwrap());
+        assert_eq!(script.wire.len(), 1, "only the request before the echo");
+        script.hear(&echo(&script, blob.len())).unwrap();
+        let mut sent = Vec::new();
+        for (seq, datagram) in script.wire[1..].iter().enumerate() {
+            let d = Datagram::parse(datagram).unwrap();
+            assert_eq!((d.kind, d.seq), (PacketKind::Data, seq as u32));
+            sent.extend_from_slice(d.payload);
+        }
+        assert_eq!(sent, blob);
     }
 
     #[test]

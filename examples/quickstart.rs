@@ -26,7 +26,7 @@ fn main() {
     // 1. Virtual-time harness with 1 % injected loss.
     let cfg = ProtocolConfig::default();
     let mut h = Harness::new(
-        BlastSender::new(1, Arc::new(data.clone()), &cfg),
+        BlastSender::new(1, &data[..], &cfg),
         BlastReceiver::new(1, data.len(), &cfg),
         LossPlan::random(42, 1, 100),
     );

@@ -22,8 +22,6 @@
 //! ## Quickstart
 //!
 //! ```
-//! use std::sync::Arc;
-//!
 //! use blastlan::core::blast::{BlastReceiver, BlastSender};
 //! use blastlan::core::harness::{Harness, LossPlan};
 //! use blastlan::core::ProtocolConfig;
@@ -31,7 +29,7 @@
 //! let config = ProtocolConfig::default();
 //! let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
 //!
-//! let sender = BlastSender::new(7, Arc::new(data.clone()), &config);
+//! let sender = BlastSender::new(7, &data[..], &config);
 //! let receiver = BlastReceiver::new(7, data.len(), &config);
 //! let mut harness = Harness::new(sender, receiver, LossPlan::random(42, 1, 10_000));
 //! let outcome = harness.run().expect("transfer completes");

@@ -39,7 +39,7 @@ fn same_engine_three_substrates() {
 
         // 1. Virtual-time harness, 5 % loss.
         let mut h = Harness::new(
-            BlastSender::new(1, Arc::new(data.clone()), &cfg),
+            BlastSender::new(1, &data[..], &cfg),
             BlastReceiver::new(1, data.len(), &cfg),
             LossPlan::random(strategy as u64 + 1, 1, 20),
         );
