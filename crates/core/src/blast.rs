@@ -201,7 +201,8 @@ impl<'a> BlastSender<'a> {
         self.control.rto()
     }
 
-    /// The smoothed round-trip estimate, once a sample has been taken.
+    /// The smoothed round-trip estimate, once a sample has been taken
+    /// or a seed given.
     pub fn srtt(&self) -> Option<Duration> {
         self.control.srtt()
     }

@@ -26,14 +26,28 @@
 //!   halves it, both within configured bounds (equal bounds make the
 //!   burst fixed).
 //!
-//! The burst is the one piece of state that outlives a transfer.  A
-//! clean blast is a single round, so a pacer born with its transfer
-//! gets one growth step before it dies: every transfer would re-probe
-//! the path from the configured start.  A caller that remembers where
-//! the peer's last transfer ended (`blast_udp::path::PathTable`) hands
-//! that burst to [`Control::seed_burst`] before `start`, clamped into
-//! the configured bounds; the retransmission timeout is never carried,
-//! since a stale RTO fires spuriously in round 0.
+//! Two pieces of state outlive a transfer: the burst and the round-trip
+//! estimate.  A clean blast is a single round, so a pacer born with its
+//! transfer gets one growth step before it dies, and an estimator born
+//! with it has no sample until round 0's tail is acknowledged: every
+//! transfer would re-probe the path from the configured burst, and
+//! every lost round-0 tail would wait out the configured `initial` RTO
+//! (25 ms on [`AdaptiveTimeout::lan`], against a ≈ 0.2 ms loopback
+//! round trip).  A caller that remembers where the peer's last transfer
+//! ended (`blast_udp::path::PathTable`) hands both to [`Control`]
+//! before `start`: the burst to [`Control::seed_burst`], clamped into
+//! the configured bounds, and the estimate to [`Control::seed_rtt`].
+//!
+//! A seeded RTO does not go below [`ROUND0_FLOOR`] (or `initial`, if
+//! that is lower) until the transfer takes its own first sample.  The
+//! converged RTO of a clean path is the 2 ms `min` clamp, and round 0
+//! can wait longer than that for its tail's ack: on a 2-vCPU x86-64
+//! host the round-0 tail→ack round trip read p50 0.22 ms, p99 0.42 ms, p99.9 2.2–2.8 ms and max
+//! 8.2 ms over 10 s of 4 MiB pushes and pulls.  A bare 2 ms round-0
+//! RTO fired spuriously on 0.1–0.5 % of those clean transfers; the
+//! 10 ms floor sits above the whole measured tail.  Once the transfer
+//! samples, smoothing continues from the seed (no first-sample reset)
+//! and the usual `[min, max]` clamp applies to every later round.
 //!
 //! Both knobs keep their paper-faithful degenerate modes:
 //! [`AdaptiveTimeout::Fixed`] is the fixed `Tr` every analytic-model
@@ -55,6 +69,14 @@ use blast_telemetry::{EventKind, Recorder};
 
 use crate::api::TimerToken;
 
+/// The lowest retransmission timeout a [seeded](RttEstimator::seed)
+/// estimator arms before its transfer's own first sample (lowered to
+/// the policy's `initial` when that is shorter, raised to its `min`):
+/// above the round-0 round-trip tail of a clean LAN path, where a
+/// carried, converged RTO would fire spuriously.  See the
+/// [module docs](self).
+pub const ROUND0_FLOOR: Duration = Duration::from_millis(10);
+
 /// The timer token engines arm between paced bursts of one round.
 ///
 /// Chosen above `u32::MAX` so it can never collide with the
@@ -70,9 +92,10 @@ pub enum AdaptiveTimeout {
     /// The degenerate mode the analytic model and the calibrated
     /// simulator tests pin.
     Fixed(Duration),
-    /// Jacobson/Karn adaptive RTO: seeded at `initial` until the first
-    /// round-trip sample, then `SRTT + 4 × RTTVAR`, clamped to
-    /// `[min, max]`, doubled on every retransmission timeout.
+    /// Jacobson/Karn adaptive RTO: `initial` until the first round-trip
+    /// sample (or the carried estimate's, floored at [`ROUND0_FLOOR`]),
+    /// then `SRTT + 4 × RTTVAR`, clamped to `[min, max]`, doubled on
+    /// every retransmission timeout.
     Adaptive {
         /// RTO before the first RTT sample.
         initial: Duration,
@@ -101,6 +124,16 @@ impl AdaptiveTimeout {
             AdaptiveTimeout::Fixed(d) => *d,
             AdaptiveTimeout::Adaptive { initial, .. } => *initial,
         }
+    }
+
+    /// The RTO a round-trip estimate `(srtt, rttvar)` gives under this
+    /// policy: `srtt + 4 × rttvar`, clamped to `[min, max]`.  `None` in
+    /// the fixed mode, which no measurement moves.
+    pub fn rto_of(&self, srtt: Duration, rttvar: Duration) -> Option<Duration> {
+        let AdaptiveTimeout::Adaptive { min, max, .. } = *self else {
+            return None;
+        };
+        Some((srtt + 4 * rttvar.max(Duration::from_nanos(1))).clamp(min, max))
     }
 
     /// True for the adaptive mode.
@@ -144,9 +177,12 @@ impl From<Duration> for AdaptiveTimeout {
 /// transmitted exactly once (an ack following any retransmission is
 /// ambiguous), and call [`backoff`](RttEstimator::backoff) on every
 /// retransmission timeout.
+///
+/// A [`seed`](RttEstimator::seed) starts it from an earlier transfer's
+/// estimate instead of from nothing; see the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RttEstimator {
-    /// Smoothed RTT in nanoseconds; `None` until the first sample.
+    /// Smoothed RTT in nanoseconds; `None` until the first sample or seed.
     srtt_ns: Option<u64>,
     /// RTT variance in nanoseconds.
     rttvar_ns: u64,
@@ -154,7 +190,9 @@ pub struct RttEstimator {
     rto_ns: u64,
     min_ns: u64,
     max_ns: u64,
-    /// Fixed mode: `sample` and `backoff` are no-ops.
+    /// The lowest RTO a seed arms: `max(min, min(ROUND0_FLOOR, initial))`.
+    seed_floor_ns: u64,
+    /// Fixed mode: `seed`, `sample` and `backoff` are no-ops.
     fixed: bool,
 }
 
@@ -170,6 +208,7 @@ impl RttEstimator {
                     rto_ns: ns,
                     min_ns: ns,
                     max_ns: ns,
+                    seed_floor_ns: ns,
                     fixed: true,
                 }
             }
@@ -179,6 +218,7 @@ impl RttEstimator {
                 rto_ns: initial.as_nanos() as u64,
                 min_ns: min.as_nanos() as u64,
                 max_ns: max.as_nanos() as u64,
+                seed_floor_ns: ROUND0_FLOOR.min(initial).max(min).as_nanos() as u64,
                 fixed: false,
             },
         }
@@ -189,10 +229,38 @@ impl RttEstimator {
         Duration::from_nanos(self.rto_ns)
     }
 
-    /// The smoothed round-trip estimate, once at least one sample has
-    /// been taken (always `None` in fixed mode).
+    /// The smoothed round-trip estimate, once a sample has been taken
+    /// or a seed given (always `None` in fixed mode).
     pub fn srtt(&self) -> Option<Duration> {
         self.srtt_ns.map(Duration::from_nanos)
+    }
+
+    /// The estimate as `(srtt, rttvar)`, once a sample has been taken or
+    /// a seed given: what [`seed`](RttEstimator::seed) takes back.
+    pub fn estimate(&self) -> Option<(Duration, Duration)> {
+        let srtt = self.srtt_ns?;
+        Some((
+            Duration::from_nanos(srtt),
+            Duration::from_nanos(self.rttvar_ns),
+        ))
+    }
+
+    /// Start from an earlier transfer's estimate instead of from
+    /// nothing: the RTO becomes `srtt + 4 × rttvar`, clamped to
+    /// `[max(min, min(ROUND0_FLOOR, initial)), max]` — never below the
+    /// [`ROUND0_FLOOR`], never a floor above `initial`.  The first own
+    /// [`sample`](RttEstimator::sample) then smooths from the seed
+    /// rather than replacing it, and from there on the usual `[min,
+    /// max]` clamp applies.  Meant for before the first sample; a no-op
+    /// in fixed mode.
+    pub fn seed(&mut self, srtt: Duration, rttvar: Duration) {
+        if self.fixed {
+            return;
+        }
+        let (srtt, rttvar) = (srtt.as_nanos() as u64, rttvar.as_nanos() as u64);
+        self.srtt_ns = Some(srtt);
+        self.rttvar_ns = rttvar;
+        self.rto_ns = (srtt + 4 * rttvar.max(1)).clamp(self.seed_floor_ns, self.max_ns);
     }
 
     /// Feed one **unambiguous** round-trip measurement (Karn: the
@@ -509,9 +577,19 @@ impl Control {
         self.rtt.rto()
     }
 
-    /// The smoothed round-trip estimate, once a sample has been taken.
+    /// The smoothed round-trip estimate, once a sample has been taken
+    /// or a seed given.
     pub fn srtt(&self) -> Option<Duration> {
         self.rtt.srtt()
+    }
+
+    /// The round-trip estimate as `(srtt, rttvar)`, once a sample has
+    /// been taken or a seed given: what a transfer leaves for the next
+    /// one to the same peer ([`seed_rtt`](Control::seed_rtt)).  A
+    /// transfer that took no sample of its own reports the seed it
+    /// started from.
+    pub fn rtt_estimate(&self) -> Option<(Duration, Duration)> {
+        self.rtt.estimate()
     }
 
     /// The pacer (burst budget, gap).
@@ -584,6 +662,17 @@ impl Control {
     /// engines and a fixed pace ignore it.
     pub fn seed_burst(&mut self, burst: u32) {
         self.pacer.seed(burst);
+    }
+
+    /// Start the estimator at `(srtt, rttvar)` — the estimate a previous
+    /// transfer to the same peer ended with — so round 0's
+    /// retransmission timer arms at the peer's measured RTO, floored at
+    /// [`ROUND0_FLOOR`], instead of the configured `initial`
+    /// ([`RttEstimator::seed`]).  Call before
+    /// [`Engine::start`](crate::Engine::start); a fixed timeout ignores
+    /// it.
+    pub fn seed_rtt(&mut self, srtt: Duration, rttvar: Duration) {
+        self.rtt.seed(srtt, rttvar);
     }
 
     /// A round completed without loss: AIMD growth.
@@ -681,6 +770,79 @@ mod tests {
         // backed-off value.
         e.sample(Duration::from_millis(4));
         assert!(e.rto() < Duration::from_millis(20), "rto {:?}", e.rto());
+    }
+
+    fn lan_seeded(srtt_us: u64, rttvar_us: u64) -> RttEstimator {
+        let mut e = RttEstimator::new(&AdaptiveTimeout::lan());
+        e.seed(
+            Duration::from_micros(srtt_us),
+            Duration::from_micros(rttvar_us),
+        );
+        e
+    }
+
+    #[test]
+    fn a_seed_is_floored_for_round_zero_but_never_above_initial() {
+        // A converged loopback estimate: 200 µs + 4 × 50 µs = 400 µs,
+        // raised to the round-0 floor.
+        let e = lan_seeded(200, 50);
+        assert_eq!(e.rto(), ROUND0_FLOOR);
+        assert_eq!(
+            e.estimate(),
+            Some((Duration::from_micros(200), Duration::from_micros(50)))
+        );
+        // A slow path's estimate stands as measured, even above initial.
+        assert_eq!(lan_seeded(20_000, 5_000).rto(), Duration::from_millis(40));
+        // The floor itself never exceeds `initial`, nor undercuts `min`.
+        for (initial_ms, min_ms, floor_ms) in [(5, 1, 5), (25, 2, 10), (25, 12, 12)] {
+            let mut e = RttEstimator::new(&AdaptiveTimeout::Adaptive {
+                initial: Duration::from_millis(initial_ms),
+                min: Duration::from_millis(min_ms),
+                max: Duration::from_secs(2),
+            });
+            e.seed(Duration::from_micros(200), Duration::from_micros(50));
+            assert_eq!(e.rto(), Duration::from_millis(floor_ms), "{initial_ms}");
+        }
+    }
+
+    #[test]
+    fn fixed_mode_ignores_a_seed() {
+        let mut e = RttEstimator::new(&AdaptiveTimeout::Fixed(Duration::from_millis(173)));
+        e.seed(Duration::from_micros(200), Duration::from_micros(50));
+        assert_eq!(e.rto(), Duration::from_millis(173));
+        assert_eq!(e.estimate(), None);
+    }
+
+    #[test]
+    fn the_first_own_sample_smooths_from_the_seed_then_min_clamps() {
+        let mut e = lan_seeded(200, 50);
+        e.sample(Duration::from_micros(400));
+        // No RFC 6298 first-sample reset (that would read SRTT 400 µs,
+        // RTTVAR 200 µs): RTTVAR = 3/4·50 + 1/4·200 = 87.5 µs, SRTT =
+        // 7/8·200 + 1/8·400 = 225 µs.
+        assert_eq!(
+            e.estimate(),
+            Some((Duration::from_micros(225), Duration::from_nanos(87_500)))
+        );
+        // 225 + 4 × 87.5 = 575 µs: the round-0 floor is gone, the 2 ms
+        // `min` clamp is back.
+        assert_eq!(e.rto(), Duration::from_millis(2));
+        // Backoff doubles from there, as for an unseeded estimator.
+        e.backoff();
+        assert_eq!(e.rto(), Duration::from_millis(4));
+    }
+
+    #[test]
+    fn rto_of_an_estimate_clamps_like_a_sample() {
+        let lan = AdaptiveTimeout::lan();
+        let us = Duration::from_micros;
+        assert_eq!(lan.rto_of(us(200), us(50)), Some(Duration::from_millis(2)));
+        assert_eq!(lan.rto_of(us(4_000), us(1_000)), Some(us(8_000)));
+        assert_eq!(
+            lan.rto_of(Duration::from_secs(1), us(500_000)),
+            Some(Duration::from_secs(2))
+        );
+        assert_eq!(AdaptiveTimeout::Fixed(us(5)).rto_of(us(200), us(50)), None);
     }
 
     #[test]

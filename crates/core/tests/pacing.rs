@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::config::RetxStrategy;
-use blast_core::control::{AdaptiveTimeout, PacerSnapshot, PacingConfig};
+use blast_core::control::{AdaptiveTimeout, PacerSnapshot, PacingConfig, ROUND0_FLOOR};
 use blast_core::harness::{Harness, LossPlan, ReceiverEngine};
 use blast_core::multiblast::MultiBlastSender;
 use blast_core::saw::{SawReceiver, SawSender};
@@ -151,6 +151,39 @@ fn paced_lost_tail_recovers_via_adapted_rto() {
     assert_eq!(h.received_data(), &payload[..]);
     assert_eq!(outcome.sender.timeouts, 1, "one re-solicitation timeout");
     assert!(outcome.sender.retransmission_rounds >= 1);
+}
+
+/// The same loss on a carried path: a sender seeded with a loopback
+/// estimate (200 µs, 50 µs) re-solicits its lost round-0 tail at exactly
+/// the round-0 floor — not at the 25 ms `initial`, nor at the 2 ms the
+/// estimate alone would give — and the data arrives byte-exact.
+#[test]
+fn seeded_lost_tail_recovers_at_the_round_zero_floor() {
+    let mut cfg = ProtocolConfig::default()
+        .with_timeout(AdaptiveTimeout::lan())
+        .with_pacing(PacingConfig::new(2, Duration::from_micros(100)));
+    cfg.max_retries = 100;
+    let payload = data(6 * 1024);
+    let rtt = (Duration::from_micros(200), Duration::from_micros(50));
+    let mut sender = BlastSender::new(1, payload.clone(), &cfg);
+    sender.control_mut().unwrap().seed_rtt(rtt.0, rtt.1);
+    let mut h = Harness::new(
+        sender,
+        BlastReceiver::new(1, payload.len(), &cfg),
+        LossPlan::script(vec![5]),
+    );
+    let outcome = h.run().expect("recovers");
+    assert_eq!(h.received_data(), &payload[..]);
+    assert_eq!(outcome.sender.timeouts, 1, "one re-solicitation timeout");
+    // Bursts of two leave 100 µs apart, so the tail leaves at 200 µs;
+    // the timer fires a floor later, and the re-sent tail and its ack
+    // take 10 µs each way.
+    let us = Duration::from_micros;
+    assert_eq!(h.sender_elapsed(), Some(us(200) + ROUND0_FLOOR + us(20)));
+    // Karn: the ack of a re-sent tail is no sample, so the estimate the
+    // sender leaves for its path is the one it started from.
+    let control = h.sender().control().unwrap();
+    assert_eq!(control.rtt_estimate(), Some(rtt));
 }
 
 /// The (sender, receiver) pacing snapshots after a clean harness run.

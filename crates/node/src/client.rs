@@ -11,9 +11,12 @@
 //! and [`fan_out`](Client::fan_out).  A push or pull is one
 //! [`Outbound`] leg — request, echo, engine — run to completion over the
 //! channel, and every operation has one time bound, its
-//! [`patience`](Client::patience).  A push's sender reads the caller's
-//! slice in place, for the call's duration: nothing copies the blob
-//! before its first datagram.
+//! [`patience`](Client::patience).  A request, like a control query,
+//! is re-sent first after the path's RTO — from the round-trip estimate
+//! the last push carried over ([`blast_udp::path`]) — and then at
+//! doubling waits up to the retry interval ([`Backoff`]).  A push's
+//! sender reads the caller's slice in place, for the call's duration:
+//! nothing copies the blob before its first datagram.
 //!
 //! A client starts from [`ProtocolConfig::lan`]: an adaptive timeout
 //! seeded for LAN round trips, paced bursts, and selective
@@ -71,7 +74,7 @@ use blast_telemetry::Recorder;
 use blast_udp::channel::{Channel, UdpChannel, MAX_DATAGRAM};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
 use blast_udp::fcs::FcsChannel;
-use blast_udp::handshake::{retry_interval, Request, MAX_TRANSFER_BYTES};
+use blast_udp::handshake::{Backoff, Request, MAX_TRANSFER_BYTES};
 use blast_udp::outbound::Outbound;
 use blast_udp::path::PathTable;
 use blast_udp::peer::TransferReport;
@@ -121,7 +124,8 @@ pub struct CopyReport {
 pub struct Client<C: Channel = UdpChannel> {
     channel: TimeWait<FcsChannel<C>>,
     cfg: ProtocolConfig,
-    /// The burst the last push ended at: the next one starts there.
+    /// The burst and round-trip estimate the last push ended at: the
+    /// next operation starts there.
     path: PathTable<()>,
     patience: Duration,
     recorder: Option<Recorder>,
@@ -247,22 +251,25 @@ impl<C: Channel> Client<C> {
     /// packet's bytes are copied once, into the outgoing datagram, and
     /// nothing copies the whole blob first.
     ///
-    /// The sender starts at the AIMD burst the last push ended at (see
-    /// [`blast_udp::path`]), and a push that completes leaves its own
-    /// for the next.
+    /// The sender starts at the AIMD burst and the round-trip estimate
+    /// the last push ended at (see [`blast_udp::path`]), and a push that
+    /// completes leaves its own for the next.
     pub fn push(&mut self, name: &str, data: &[u8]) -> io::Result<TransferReport> {
         let id = self.alloc_id();
         let mut leg = Outbound::push(id, name, data, &self.cfg)?;
-        leg.burst = self.path.burst(Instant::now(), ());
         let report = self.run(&mut leg, Instant::now())?;
         let done = CompletionInfo::success(data.len(), report.stats);
-        self.path.record(Instant::now(), (), &done, report.pacing);
+        let rtt = leg.engine().and_then(|e| e.control()?.rtt_estimate());
+        self.path
+            .record(Instant::now(), (), &done, report.pacing, rtt);
         Ok(report)
     }
 
     /// Run `leg` over the client's channel to completion, within the
-    /// patience left to an operation `started` then.
+    /// patience left to an operation `started` then, starting from what
+    /// the path carries.
     fn run(&mut self, leg: &mut Outbound<'_>, started: Instant) -> io::Result<TransferReport> {
+        leg.carry(self.path.carried(Instant::now(), ()));
         leg.recorder = self.recorder.clone();
         let patience = self.patience.saturating_sub(started.elapsed());
         leg.run(&mut self.channel, patience)
@@ -342,10 +349,11 @@ impl<C: Channel> Client<C> {
 
     /// One control-plane round trip: send a `kind` query (`Stats` or
     /// `Copy`) carrying `payload` under `id` and a fresh nonce, re-send
-    /// it every retry interval until a reply of the same kind, id and
-    /// nonce arrives or `deadline` passes, and return what `decode`
-    /// makes of the reply's payload.  Stale replies (earlier nonces,
-    /// other ids) are skipped, not misread.
+    /// it on a transfer leg's schedule (a [`Backoff`] from the path's
+    /// carried RTO up to the retry interval) until a reply of the same
+    /// kind, id and nonce arrives or `deadline` passes, and return what
+    /// `decode` makes of the reply's payload.  Stale replies (earlier
+    /// nonces, other ids) are skipped, not misread.
     fn query<R>(
         &mut self,
         kind: PacketKind,
@@ -363,12 +371,13 @@ impl<C: Channel> Client<C> {
             _ => builder.build_copy(&mut query, nonce, payload),
         }
         .expect("control query fits a datagram");
-        let interval = retry_interval(&self.cfg);
+        let rtt = self.path.carried(Instant::now(), ()).and_then(|c| c.rtt);
+        let mut retry = Backoff::new(&self.cfg, rtt);
         let mut buf = vec![0u8; MAX_DATAGRAM];
         while Instant::now() < deadline {
             self.channel.send(&query[..n])?;
             // Drain replies until this query's, or the time to re-send.
-            let resend_at = (Instant::now() + interval).min(deadline);
+            let resend_at = (Instant::now() + retry.next_wait()).min(deadline);
             while let Some(budget) = resend_at.checked_duration_since(Instant::now()) {
                 let Some(got) = self.channel.recv_timeout(&mut buf, budget)? else {
                     break;

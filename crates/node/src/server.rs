@@ -52,10 +52,13 @@
 //! leaves the same kind of record in a second table, answered through
 //! the egress socket, for `COPY_GRACE` (5 s).
 //!
-//! Each shard also remembers, per peer, the AIMD burst that peer's last
-//! completed transfer ended at (a [`PathTable`] of `max_sessions`
-//! entries): a pull's sender, or a push copy's, starts there instead of
-//! re-probing the path from the configured burst.
+//! Each shard also remembers, per peer, the AIMD burst and the
+//! round-trip estimate that peer's last completed transfer ended at (a
+//! [`PathTable`] of `max_sessions` entries): a pull's sender, or a push
+//! copy's, starts there instead of re-probing the path from the
+//! configured burst, and arms its round-0 retransmission timer at the
+//! peer's measured RTO (floored) instead of the configured `initial`; a
+//! copy leg's request re-sends start at that RTO too.
 
 use std::collections::HashMap;
 use std::io;
@@ -381,8 +384,8 @@ struct Shard {
     /// The same for pull copies, answering their remotes' tails through
     /// the egress sockets.
     copy_tails: TailRecords,
-    /// The burst each peer's last completed transfer ended at, which
-    /// seeds the next sender toward it.
+    /// The burst and round-trip estimate each peer's last completed
+    /// transfer ended at, which seed the next sender toward it.
     paths: PathTable,
     /// Reused FCS framing scratch for outgoing datagrams.
     frame_buf: Vec<u8>,
@@ -677,8 +680,9 @@ impl NodeServer {
         // Echo before starting the engine so that, in order-preserving
         // conditions, the size announcement precedes round-0 data.
         shard.send_framed(MAIN, peer, &echo)?;
-        // A sender starts where the peer's last transfer left the burst.
-        let carried = shard.paths.burst(Instant::now(), peer);
+        // A sender starts where the peer's last transfer left the burst
+        // and the round-trip estimate.
+        let carried = shard.paths.carried(Instant::now(), peer);
         path::seed(engine.as_mut(), carried, &engine_cfg.pool);
         if let Some(rec) = &shard.recorder {
             engine.set_recorder(rec.clone());
@@ -977,7 +981,7 @@ impl Shard {
             return Err(errcode::TRANSFER_FAILED);
         };
         outbound.recorder = self.recorder.clone();
-        outbound.burst = self.paths.burst(Instant::now(), remote);
+        outbound.carry(self.paths.carried(Instant::now(), remote));
         Ok(CopyLeg {
             mode: submit.mode,
             remote,
@@ -1090,7 +1094,8 @@ impl Shard {
         // The AIMD burst trajectory, for paced sender engines: how far
         // the burst grew (or shrank) by the end of the session.
         let pacing = engine.as_deref().and_then(Engine::pacing_snapshot);
-        self.paths.record(Instant::now(), peer, info, pacing);
+        let rtt = engine.as_deref().and_then(|e| e.control()?.rtt_estimate());
+        self.paths.record(Instant::now(), peer, info, pacing, rtt);
         let ok = info.is_success();
         let bytes = *info.result.as_ref().unwrap_or(&0);
         if ok && direction == Direction::Push {
@@ -1177,8 +1182,11 @@ impl Shard {
         let Ok(bytes) = info.result else {
             return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
         };
-        let pacing = copy.outbound.engine().and_then(|e| e.pacing_snapshot());
-        self.paths.record(Instant::now(), copy.remote, info, pacing);
+        let engine = copy.outbound.engine();
+        let pacing = engine.and_then(|e| e.pacing_snapshot());
+        let rtt = engine.and_then(|e| e.control()?.rtt_estimate());
+        self.paths
+            .record(Instant::now(), copy.remote, info, pacing, rtt);
         if let Some((data, finished)) = copy.outbound.retire() {
             copy.status.crc32 = crc32(&data);
             copy.status.bytes_total = data.len() as u64;

@@ -1,16 +1,22 @@
 //! Path state that outlives a transfer, end to end on loopback: each
 //! sender starts at the AIMD burst its peer's last completed transfer
 //! ended at — a node's pull sessions keyed by the client's socket, a
-//! client's pushes by its one node — and nothing else moves it.
+//! client's pushes by its one node — and nothing else moves it; and a
+//! carried round-trip estimate recovers a lost tail or a lost request.
 
+use std::collections::HashMap;
+use std::io;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use blast_core::{PacerSnapshot, PacingConfig};
 use blast_node::server::{NodeBuilder, NodeHandle};
 use blast_node::{shared_store, Client};
 use blast_udp::channel::{Channel, UdpChannel};
-use blast_udp::fcs::FcsChannel;
+use blast_udp::fcs::{self, FcsChannel};
 use blast_udp::handshake::{Direction, Request};
+use blast_wire::header::PacketKind;
+use blast_wire::packet::Datagram;
 
 const BIG: usize = 2 << 20;
 const WAIT: Duration = Duration::from_secs(10);
@@ -153,4 +159,86 @@ fn a_fresh_clients_first_push_does_not_allocate_buffers() {
     client.push("p", &payload(4, 256 << 10)).unwrap();
     assert_eq!(client.protocol().pool.fresh_allocations(), 0);
     node.shutdown().unwrap();
+}
+
+/// Requests a client put on its channel, by transfer id.
+type RequestLog = Arc<Mutex<HashMap<u32, u32>>>;
+
+/// A channel that loses two datagrams on their way out: the first copy
+/// of transfer `tail_of`'s last data packet, and transfer
+/// `request_of`'s first request.  Every request is logged.
+struct LosesOnCue {
+    inner: UdpChannel,
+    tail_of: Option<u32>,
+    request_of: Option<u32>,
+    requests: RequestLog,
+}
+
+impl Channel for LosesOnCue {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        let body = fcs::unframe(frame).expect("the client frames what it sends");
+        let d = Datagram::parse(&frame[..body]).expect("and sends only well-formed datagrams");
+        let id = Some(d.transfer_id);
+        match d.kind {
+            PacketKind::Data if d.seq + 1 == d.total && id == self.tail_of => {
+                self.tail_of = None;
+                return Ok(());
+            }
+            PacketKind::Request => {
+                *self
+                    .requests
+                    .lock()
+                    .unwrap()
+                    .entry(d.transfer_id)
+                    .or_default() += 1;
+                if id == self.request_of {
+                    self.request_of = None;
+                    return Ok(());
+                }
+            }
+            _ => {}
+        }
+        self.inner.send(frame)
+    }
+
+    fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+        self.inner.recv_timeout(buf, timeout)
+    }
+}
+
+/// On a path a clean push has measured, the next push loses its round-0
+/// tail and recovers through one retransmission timeout, and the push
+/// after it loses its request and recovers through one re-send: both
+/// store byte-exact.  (The timer and the re-send run on the carried
+/// estimate — round 0 at the floor, the request at the path's RTO — so
+/// neither waits the 25 ms `initial`; gated here on bytes and counts,
+/// the schedules themselves are pinned sans I/O.)
+#[test]
+fn a_carried_path_recovers_a_lost_tail_and_a_lost_request() {
+    let store = shared_store();
+    let node = NodeBuilder::new().store(store.clone()).start().unwrap();
+    let requests = RequestLog::default();
+    let channel = LosesOnCue {
+        inner: UdpChannel::connect_to(node.addr()).unwrap(),
+        tail_of: Some(2),
+        request_of: Some(3),
+        requests: Arc::clone(&requests),
+    };
+    let mut client = Client::over(channel).transfer_ids_from(1);
+    let blobs: Vec<Vec<u8>> = (0..3).map(|k| payload(10 + k, 64 << 10)).collect();
+
+    client.push("measured", &blobs[0]).unwrap();
+    let lost_tail = client.push("lost-tail", &blobs[1]).unwrap();
+    assert!(lost_tail.stats.timeouts >= 1, "{:?}", lost_tail.stats);
+    client.push("lost-request", &blobs[2]).unwrap();
+
+    assert!(node.wait_idle(WAIT));
+    for (name, blob) in ["measured", "lost-tail", "lost-request"].iter().zip(&blobs) {
+        assert_eq!(&store.get(name).expect(name)[..], &blob[..], "{name}");
+    }
+    assert!(
+        requests.lock().unwrap()[&3] >= 2,
+        "the lost request was re-sent"
+    );
+    assert_eq!(node.shutdown().unwrap().sessions_failed, 0);
 }

@@ -48,11 +48,63 @@ pub const MAX_TRANSFER_BYTES: usize = 256 * 1024 * 1024;
 /// Longest blob name a request can carry.
 pub const MAX_NAME_LEN: usize = 255;
 
-/// How often an initiator re-sends its request: the data phase's
-/// retransmission interval, capped so a long data-phase timeout does
-/// not slow the handshake down.
+/// The longest an initiator waits between re-sends of a request or a
+/// control query, the ceiling of its [`Backoff`]: the data phase's
+/// initial retransmission interval, capped so a long data-phase timeout
+/// does not slow the handshake down.  A path with no carried estimate
+/// re-sends at this interval throughout.
 pub fn retry_interval(cfg: &ProtocolConfig) -> Duration {
     cfg.timeout.initial().min(Duration::from_millis(200))
+}
+
+/// When an initiator re-sends a request (an [`Outbound`] leg) or a
+/// control query (`blast_node::Client`'s `Stats` and `Copy` RPCs): the
+/// first wait is the RTO the path's carried round-trip estimate gives
+/// ([`AdaptiveTimeout::rto_of`](blast_core::AdaptiveTimeout::rto_of),
+/// at most [`retry_interval`]), and each later wait doubles the last,
+/// up to [`retry_interval`].  Without an estimate, or under a fixed
+/// timeout, every wait is [`retry_interval`].
+///
+/// The first wait has no round-0 floor
+/// ([`ROUND0_FLOOR`](blast_core::control::ROUND0_FLOOR)): a spurious
+/// re-send costs one duplicate request and one re-sent echo, not a
+/// retransmission round.  From the 2 ms `min` clamp to a 25 ms ceiling
+/// the ramp is four waits (2, 4, 8, 16 ms), so a responder that never
+/// answers hears at most four more requests over the leg's life than
+/// at the ceiling alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Backoff {
+    next: Duration,
+    ceiling: Duration,
+}
+
+impl Backoff {
+    /// The schedule of a path whose carried estimate is `rtt` (`(srtt,
+    /// rttvar)`), under `cfg`.
+    pub fn new(cfg: &ProtocolConfig, rtt: Option<(Duration, Duration)>) -> Self {
+        let ceiling = retry_interval(cfg);
+        let first = rtt.and_then(|(srtt, rttvar)| cfg.timeout.rto_of(srtt, rttvar));
+        Backoff {
+            next: first.map_or(ceiling, |rto| rto.min(ceiling)),
+            ceiling,
+        }
+    }
+
+    /// Re-send every `interval`, without a ramp.
+    pub(crate) fn every(interval: Duration) -> Self {
+        Backoff {
+            next: interval,
+            ceiling: interval,
+        }
+    }
+
+    /// How long to wait before the next re-send; each call doubles the
+    /// wait the next one returns, up to the ceiling.
+    pub fn next_wait(&mut self) -> Duration {
+        let wait = self.next;
+        self.next = (wait * 2).min(self.ceiling);
+        wait
+    }
 }
 
 /// Which way the data phase flows, relative to the request's sender.
@@ -238,7 +290,7 @@ pub fn initiate<C: Channel>(
     deadline: Duration,
 ) -> io::Result<HandshakeReply> {
     let mut leg = Outbound::new(transfer_id, request, Then::Stop, &ProtocolConfig::default())?;
-    leg.retry = retry_interval;
+    leg.retry = Backoff::every(retry_interval);
     leg.run(channel, deadline)?;
     Ok(HandshakeReply {
         echoed: leg

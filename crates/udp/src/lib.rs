@@ -24,8 +24,11 @@
 //!   request through echo to completion, and the blocking loop that runs
 //!   it over a channel (`blast_node::Client`; a node's copy legs);
 //! * [`path`] — per-peer path state that outlives a transfer: the AIMD
-//!   burst each peer's last completed transfer ended at, which seeds the
-//!   next one's pacer so a clean path is not re-probed every time;
+//!   burst and the round-trip estimate each peer's last completed
+//!   transfer ended at, which seed the next one's pacer, round-0
+//!   retransmission timer and request re-sends, so a clean path is not
+//!   re-probed and a lost tail or request does not wait out the
+//!   configured initial timeout;
 //! * [`timers`] — the timer wheel behind both (and behind the
 //!   multi-session `blast-node` server);
 //! * [`timewait`] — a channel adaptor that keeps re-acknowledging for

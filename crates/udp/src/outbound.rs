@@ -4,14 +4,16 @@
 //! the responder's buffer is allocated (the paper's premise), then runs
 //! the data phase.  [`Outbound`] is that sequence as one sans-I/O state
 //! machine, called like an engine through [`step`](Outbound::step): it
-//! re-sends the request every retry interval on its own [`RETRY`]
-//! timer; the echo makes it adopt the echoed parameters and build its
-//! engine; from then on it hands the engine everything but handshake
-//! traffic and other transfers' datagrams (a receiver places data by
-//! sequence number alone, so a previous transfer's stale tail must never
-//! reach it).  `blast_node::Client` runs a leg to completion in one
-//! blocking loop over its channel ([`run`](Outbound::run)); a node runs
-//! each third-party copy's leg inside its reactor tick.
+//! re-sends the request on its own [`RETRY`] timer, first after the
+//! path's carried RTO and then backing off to the retry interval
+//! ([`Backoff`]); the echo makes it adopt the echoed parameters and
+//! build its engine, seeded with what the path carried; from then on it
+//! hands the engine everything but handshake traffic and other
+//! transfers' datagrams (a receiver places data by sequence number
+//! alone, so a previous transfer's stale tail must never reach it).
+//! `blast_node::Client` runs a leg to completion in one blocking loop
+//! over its channel ([`run`](Outbound::run)); a node runs each
+//! third-party copy's leg inside its reactor tick.
 
 use std::io::{self, ErrorKind};
 use std::time::{Duration, Instant};
@@ -25,8 +27,8 @@ use blast_wire::header::PacketKind;
 use blast_wire::packet::Datagram;
 
 use crate::channel::{Channel, MAX_DATAGRAM};
-use crate::handshake::{retry_interval, Request, MAX_NAME_LEN};
-use crate::path;
+use crate::handshake::{Backoff, Request, MAX_NAME_LEN};
+use crate::path::{self, Carried};
 use crate::peer::TransferReport;
 use crate::pump::{self, Input};
 use crate::timers::TimerWheel;
@@ -52,7 +54,8 @@ pub struct Outbound<'a> {
     cfg: ProtocolConfig,
     /// The request datagram, re-sent verbatim until echoed.
     request: Vec<u8>,
-    pub(crate) retry: Duration,
+    /// When to re-send it.
+    pub(crate) retry: Backoff,
     then: Then<'a>,
     echoed: Option<Request>,
     /// When the promoting call began, on its clock: where the data
@@ -61,10 +64,9 @@ pub struct Outbound<'a> {
     engine: Option<Box<dyn Engine + 'a>>,
     /// Flight recorder handed to the engine the echo builds.
     pub recorder: Option<Recorder>,
-    /// The AIMD burst the engine the echo builds starts at: the one the
-    /// caller's [`PathTable`](crate::path::PathTable) carried over from
-    /// the peer's last transfer.  `None` starts at the configured burst.
-    pub burst: Option<u32>,
+    /// What the caller's [`PathTable`](crate::path::PathTable) carried
+    /// over from the peer's last transfer ([`carry`](Outbound::carry)).
+    carried: Option<Carried>,
     /// Request datagrams transmitted: the first and every retry.
     pub requests_sent: u64,
 }
@@ -113,15 +115,27 @@ impl<'a> Outbound<'a> {
             id,
             cfg: cfg.clone(),
             request: req.build_datagram(id),
-            retry: retry_interval(cfg),
+            retry: Backoff::new(cfg, None),
             then,
             echoed: None,
             echoed_at: Duration::ZERO,
             engine: None,
             recorder: None,
-            burst: None,
+            carried: None,
             requests_sent: 0,
         })
+    }
+
+    /// Start from what a [`PathTable`](crate::path::PathTable) carried
+    /// over from the peer's last transfer, before the first
+    /// [`step`](Outbound::step): the request re-sends start at its RTO
+    /// and back off to the retry interval ([`Backoff`]), and the engine
+    /// the echo builds starts at its burst and round-trip estimate
+    /// ([`path::seed`]).  `None` starts at the configured burst and
+    /// timeout.
+    pub fn carry(&mut self, carried: Option<Carried>) {
+        self.retry = Backoff::new(&self.cfg, carried.and_then(|c| c.rtt));
+        self.carried = carried;
     }
 
     /// The responder's echo, once it has arrived (for a pull, its `len`
@@ -179,7 +193,7 @@ impl<'a> Outbound<'a> {
             Input::Start | Input::Timer(_) => {
                 transmit(&self.request)?;
                 self.requests_sent += 1;
-                timers.arm(key(RETRY), self.retry);
+                timers.arm(key(RETRY), self.retry.next_wait());
                 return Ok(None);
             }
             Input::Datagram(d) if d.transfer_id != self.id => return Ok(None),
@@ -218,7 +232,7 @@ impl<'a> Outbound<'a> {
         if let Some(rec) = &self.recorder {
             engine.set_recorder(rec.clone());
         }
-        path::seed(engine.as_mut(), self.burst, &cfg.pool);
+        path::seed(engine.as_mut(), self.carried, &cfg.pool);
         let engine = self.engine.insert(engine);
         pump::step(engine.as_mut(), epoch, Input::Start, timers, key, transmit)
     }
@@ -308,6 +322,8 @@ impl<'a> Outbound<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handshake::retry_interval;
+    use blast_core::control::ROUND0_FLOOR;
     use blast_wire::packet::DatagramBuilder;
     use std::sync::Arc;
 
@@ -464,7 +480,10 @@ mod tests {
         cfg.pacing = PacingConfig::lan();
         let blob: Arc<[u8]> = vec![5u8; 300 * PAYLOAD].into();
         let mut leg = Outbound::push(ID, "blob", blob, &cfg).unwrap();
-        leg.burst = Some(128);
+        leg.carry(Some(Carried {
+            burst: 128,
+            rtt: None,
+        }));
         let mut script = Script::new(leg);
         script.hear(&echo(&script, 300 * PAYLOAD)).unwrap();
         let pacing = script.leg.engine().unwrap().pacing_snapshot().unwrap();
@@ -472,6 +491,60 @@ mod tests {
         assert_eq!(script.kinds_after(1), [PacketKind::Data; 128], "one burst");
         // The burst came out of buffers warmed before it started.
         assert_eq!(cfg.pool.fresh_allocations(), 0);
+    }
+
+    /// A leg that carries a loopback estimate re-sends its request at the
+    /// carried RTO (the 2 ms `min` clamp, no round-0 floor), doubles the
+    /// wait up to the retry interval and stays there, so a silent
+    /// responder hears at most four more requests than at the interval
+    /// alone.  The echo's sender then arms its round-0 retransmission
+    /// timer at the floor, not at the 25 ms `initial`.
+    #[test]
+    fn a_carried_estimate_starts_the_retries_and_round_zero_at_the_path_rto() {
+        let cfg = ProtocolConfig::lan();
+        let retry = retry_interval(&cfg);
+        let rtt = (Duration::from_micros(200), Duration::from_micros(50));
+        let blob: Arc<[u8]> = vec![5u8; 3 * PAYLOAD].into();
+        let mut leg = Outbound::push(ID, "blob", blob, &cfg).unwrap();
+        leg.carry(Some(Carried {
+            burst: 64,
+            rtt: Some(rtt),
+        }));
+        let ms = Duration::from_millis;
+        let expected = [2, 4, 8, 16, 25, 25, 25, 25, 25, 25, 25, 25].map(ms);
+        assert_eq!(*expected.last().unwrap(), retry);
+        let mut armed = (Instant::now(), Instant::now());
+        let mut script = Script::new(leg);
+        armed.1 = Instant::now();
+        // When each request went out, counted in the waits before it.
+        let mut sent_at = Duration::ZERO;
+        for (resends, wait) in expected.into_iter().enumerate() {
+            let due = script.timers.next_deadline().expect("the retry is armed");
+            assert!(due >= armed.0 + wait && due <= armed.1 + wait, "{wait:?}");
+            let token = script.timers.pop_due(due).unwrap();
+            assert_eq!(token, RETRY);
+            armed.0 = Instant::now();
+            script.feed(Input::Timer(token)).unwrap();
+            armed.1 = Instant::now();
+            sent_at += wait;
+            let requests = script.leg.requests_sent;
+            assert_eq!(requests, resends as u64 + 2);
+            // A leg re-sending every retry interval from the start had
+            // sent this many by then.
+            let parents = 1 + (sent_at.as_nanos() / retry.as_nanos()) as u64;
+            assert!(requests <= parents + 4, "{requests} vs {parents}");
+        }
+        let before = Instant::now();
+        script.hear(&echo(&script, 3 * PAYLOAD)).unwrap();
+        let after = Instant::now();
+        assert_eq!(script.kinds_after(13), [PacketKind::Data; 3], "round 0");
+        let control = script.leg.engine().unwrap().control().unwrap();
+        assert_eq!(control.rtt_estimate(), Some(rtt), "seeded, not sampled");
+        assert_eq!(control.rto(), ROUND0_FLOOR);
+        let due = script.timers.next_deadline().expect("the tail's timer");
+        assert!(due >= before + ROUND0_FLOOR && due <= after + ROUND0_FLOOR);
+        assert_ne!(script.timers.pop_due(due), Some(RETRY), "the engine's");
+        assert!(script.timers.is_empty(), "and nothing else");
     }
 
     #[test]

@@ -186,18 +186,20 @@ fn path_table_is_allocation_free_once_full() {
     let done = CompletionInfo::success(4 << 20, stats);
     let peer = |k: usize| SocketAddr::from(([127, 0, (k >> 8) as u8, k as u8], 4000));
     let t0 = Instant::now();
+    let rtt = Some((Duration::from_micros(200), Duration::from_micros(50)));
     let mut paths = PathTable::new(CAPACITY);
     for k in 0..CAPACITY {
-        paths.record(t0, peer(k), &done, pacing);
+        paths.record(t0, peer(k), &done, pacing, rtt);
     }
 
     let before = allocations();
     for k in CAPACITY..CAPACITY + CYCLES {
         // A new peer displaces the oldest; a known one is rewritten.
         let now = t0 + Duration::from_micros(k as u64);
-        paths.record(now, peer(k % (4 * CAPACITY)), &done, pacing);
-        paths.record(now, peer(k - 1), &done, pacing);
-        assert_eq!(paths.burst(now, peer(k - 1)), Some(96));
+        paths.record(now, peer(k % (4 * CAPACITY)), &done, pacing, rtt);
+        paths.record(now, peer(k - 1), &done, pacing, rtt);
+        let carried = paths.carried(now, peer(k - 1)).expect("just written");
+        assert_eq!((carried.burst, carried.rtt), (96, rtt));
     }
     let allocs = allocations() - before;
     assert_eq!(
