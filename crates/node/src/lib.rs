@@ -16,10 +16,9 @@
 //!   either direction); the wheel is keyed by `(entry, TimerToken)`;
 //!   and every engine call goes through the one `blast_udp::pump`; the
 //!   [`NodeHandle`] merges per-shard metrics on read;
-//! * [`store`] — the named-blob catalogue the node serves, behind the
-//!   object-safe [`Store`] trait (the `blast-vkernel` file-server
-//!   semantics at the page level), with the sharded in-memory
-//!   [`MemStore`] as default;
+//! * [`store`] — the named-blob catalogue the node serves, the
+//!   in-memory [`MemStore`] (the `blast-vkernel` file-server semantics
+//!   at the page level), shared by every shard as a [`SharedStore`];
 //! * [`client`] — the [`Client`] handle: `push` / `pull` / `stats`
 //!   against a node, plus third-party `copy_to` / `copy_from` /
 //!   `fan_out` orchestration of node-to-node transfers;
@@ -65,4 +64,4 @@ pub mod store;
 pub use client::{Client, CopyReport};
 pub use metrics::{NodeMetrics, SessionReport, ShardReport};
 pub use server::{NodeBuilder, NodeConfig, NodeHandle, NodeServer};
-pub use store::{shared_store, BlobStore, MemStore, SharedStore, Store};
+pub use store::{shared_store, MemStore, SharedStore};

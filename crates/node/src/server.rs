@@ -41,7 +41,7 @@
 //! `blast-udp`: a push request sets a [`BlastReceiver`]'s buffer aside
 //! for the announced length before any data arrives (the paper's
 //! premise), a pull request looks the named blob up in the
-//! [`Store`](crate::store::Store) and blasts it back with the strategy
+//! [`MemStore`](crate::store::MemStore) and blasts it back with the strategy
 //! the client asked for.  A session leaves the table as it completes.
 //! A receiver (push) completes one datagram before its peer does — a
 //! lost final ack strands the peer (§3.2.2) — so it commits its blob,

@@ -1,20 +1,22 @@
-//! The acceptance test for the sharded node: 32 concurrent transfers —
+//! The acceptance tests for the sharded node: 32 concurrent transfers —
 //! mixed push/pull, all four retransmission strategies, fault
 //! injection — through a 4-shard reactor group, every payload verified
 //! byte for byte and the per-shard breakdown reconciled against the
-//! merged metrics.
+//! merged metrics; and one name pushed in alternating versions from
+//! both shards of a 2-shard node while other clients pull it, the one
+//! store every shard shares.
 //!
 //! Where `SO_REUSEPORT` is unavailable the builder degrades to one
-//! shard; the test then still runs the full workload and checks the
+//! shard; the tests then still run the full workload and check the
 //! single-shard accounting, so the suite is green everywhere and only
 //! the spread assertions are Linux-conditional.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use blast_core::config::{ProtocolConfig, RetxStrategy};
-use blast_node::server::NodeBuilder;
+use blast_node::server::{NodeBuilder, NodeHandle};
 use blast_node::{shared_store, Client};
 use blast_udp::channel::UdpChannel;
 use blast_udp::fault::{FaultConfig, FaultyChannel};
@@ -174,4 +176,126 @@ fn thirty_two_mixed_transfers_across_four_shards() {
         dup_or_drops > 0,
         "faulty channels must exercise recovery paths"
     );
+}
+
+const VERSIONED: &str = "versioned";
+const VERSION_LEN: usize = 64 * 1024;
+const VERSIONS: usize = 6;
+const TURNS: usize = 16;
+
+/// A client whose socket the kernel hashes to `shard`: clients are
+/// opened until one's first pull of [`VERSIONED`] is accepted there.
+/// Ids start at `first_id`, so no two clients share one.
+fn client_on(node: &NodeHandle, shard: usize, first_id: u32) -> Client<UdpChannel> {
+    for attempt in 0..64 {
+        let before = node.shard_reports()[shard].sessions_accepted;
+        let mut client = Client::connect(node.addr())
+            .unwrap()
+            .timeout(Duration::from_millis(15))
+            .patience(Duration::from_secs(10))
+            .transfer_ids_from(first_id + attempt);
+        client.pull(VERSIONED).unwrap();
+        if node.shard_reports()[shard].sessions_accepted > before {
+            return client;
+        }
+    }
+    panic!("no client socket hashed to shard {shard} in 64 tries");
+}
+
+/// Two clients on different shards of a 2-shard node take turns pushing
+/// distinct versions of one name, every version the same length so each
+/// commit can displace a blob the other shard recycles, while four more
+/// clients pull that name without pause.  Every pull must be exactly one
+/// version, byte for byte, and the store must end holding the version
+/// committed last.
+#[test]
+fn alternating_versions_across_shards_pull_whole() {
+    let versions: Arc<Vec<Vec<u8>>> = Arc::new(
+        (0..VERSIONS)
+            .map(|v| payload(5000 + v, VERSION_LEN))
+            .collect(),
+    );
+    let store = shared_store();
+    store.put(VERSIONED, versions[0].clone().into());
+    let node = NodeBuilder::new()
+        .timeout(Duration::from_millis(15))
+        .shards(2)
+        .store(store)
+        .start()
+        .unwrap();
+    assert!(
+        node.shards() == 2 || !sockopt::reuseport_supported(),
+        "Linux must give us the full group"
+    );
+    let shards = node.shards();
+    let pushers: Vec<_> = (0..2)
+        .map(|p| client_on(&node, p % shards, 1_000_000 * (p as u32 + 1)))
+        .collect();
+    let pullers: Vec<_> = (0..4)
+        .map(|q| client_on(&node, q % shards, 1_000_000 * (q as u32 + 3)))
+        .collect();
+
+    let turn = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(AtomicBool::new(false));
+    let pulling: Vec<_> = pullers
+        .into_iter()
+        .map(|mut client| {
+            let (versions, done) = (Arc::clone(&versions), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut pulls = 0;
+                while pulls == 0 || !done.load(Ordering::Acquire) {
+                    let data = client.pull(VERSIONED).unwrap().data;
+                    assert!(
+                        versions.contains(&data),
+                        "pull {pulls} is no pushed version"
+                    );
+                    pulls += 1;
+                }
+            })
+        })
+        .collect();
+    let pushing: Vec<_> = pushers
+        .into_iter()
+        .enumerate()
+        .map(|(p, mut client)| {
+            let (versions, turn) = (Arc::clone(&versions), Arc::clone(&turn));
+            let store = node.store();
+            std::thread::spawn(move || {
+                for t in (p..TURNS).step_by(2) {
+                    while turn.load(Ordering::Acquire) != t as u64 {
+                        std::thread::yield_now();
+                    }
+                    let version = &versions[(t + 1) % VERSIONS];
+                    client.push(VERSIONED, version).unwrap();
+                    // The client can hear the final ack before the node
+                    // commits; pass the turn only once the store holds it.
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while store.get(VERSIONED).is_none_or(|b| *b != *version) {
+                        assert!(Instant::now() < deadline, "turn {t} never committed");
+                        std::thread::yield_now();
+                    }
+                    turn.store(t as u64 + 1, Ordering::Release);
+                }
+            })
+        })
+        .collect();
+    for h in pushing {
+        h.join().unwrap();
+    }
+    done.store(true, Ordering::Release);
+    for h in pulling {
+        h.join().unwrap();
+    }
+
+    let store = node.store();
+    assert_eq!(store.len(), 1);
+    assert_eq!(
+        store.get(VERSIONED).unwrap()[..],
+        versions[TURNS % VERSIONS][..],
+        "the last committed version stays"
+    );
+    assert!(node.wait_idle(Duration::from_secs(10)));
+    let m = node.shutdown().unwrap();
+    assert_eq!(m.pushes, TURNS as u64);
+    assert_eq!(m.sessions_failed, 0);
 }

@@ -36,7 +36,6 @@ use blast_core::api::{Action, CompletionInfo, TimerToken};
 use blast_core::engine::Engine;
 use blast_core::loss::LossChain;
 use blast_core::pool::PooledBuf;
-use blast_wire::frame::frame_wire_len;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::Datagram;
 use rand::rngs::SmallRng;
@@ -45,6 +44,14 @@ use rand::{Rng, SeedableRng};
 use crate::config::{SimConfig, TimingPolicy};
 use crate::time::{ms, SimTime};
 use crate::trace::{Lane, TraceEvent};
+
+/// Bytes a frame carrying `payload_len` payload bytes occupies on the
+/// wire for transmission-time purposes: the Ethernet header plus the
+/// payload, padded to the 46-byte minimum payload (a 64-byte frame with
+/// its 4-byte FCS).
+fn frame_wire_len(payload_len: usize) -> usize {
+    blast_wire::ETHERNET_HEADER_LEN + payload_len.max(46)
+}
 
 /// A frame in flight through the simulated machinery.
 #[derive(Debug)]
@@ -704,6 +711,15 @@ mod tests {
         let a = sim.add_host("sender");
         let b = sim.add_host("receiver");
         (sim, a, b)
+    }
+
+    #[test]
+    fn wire_len_padding() {
+        // Tiny frames are padded to the 60-byte minimum (without FCS).
+        assert_eq!(frame_wire_len(0), 60);
+        assert_eq!(frame_wire_len(46), 60);
+        assert_eq!(frame_wire_len(47), 61);
+        assert_eq!(frame_wire_len(1024), 1038);
     }
 
     #[test]

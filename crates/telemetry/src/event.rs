@@ -90,10 +90,6 @@ pub enum EventKind {
     /// The batched backend probed `UDP_SEGMENT`/`UDP_GRO` at socket
     /// setup: `a` = 1 if GSO is usable, `b` = 1 if GRO is usable.
     OffloadProbe = 30,
-    /// The recorder is sampling round-level events: `a` = the period N
-    /// (1 in N recorded).  Emitted once when sampling is configured so
-    /// exporters can annotate the stream.
-    SampleRate = 31,
 }
 
 impl EventKind {
@@ -125,32 +121,8 @@ impl EventKind {
             28 => EventKind::GsoSubmit,
             29 => EventKind::GroReceive,
             30 => EventKind::OffloadProbe,
-            31 => EventKind::SampleRate,
             _ => return None,
         })
-    }
-
-    /// Kinds exempt from sampling (see `Recorder::sample_every`):
-    /// session/copy lifecycle, loss and error signals, and one-shot
-    /// annotations — everything whose absence would make a sampled
-    /// trace misleading rather than merely sparser.
-    pub fn always_recorded(self) -> bool {
-        matches!(
-            self,
-            EventKind::NackReceived
-                | EventKind::RetxRound
-                | EventKind::KarnReject
-                | EventKind::RtoBackoff
-                | EventKind::PoolExhausted
-                | EventKind::SessionAdmit
-                | EventKind::SessionReap
-                | EventKind::CopyAdmit
-                | EventKind::CopyDone
-                | EventKind::ClockAnchor
-                | EventKind::SendDrop
-                | EventKind::OffloadProbe
-                | EventKind::SampleRate
-        )
     }
 
     /// Stable kebab-case label, used by both exporters.
@@ -181,12 +153,11 @@ impl EventKind {
             EventKind::GsoSubmit => "gso-submit",
             EventKind::GroReceive => "gro-receive",
             EventKind::OffloadProbe => "offload-probe",
-            EventKind::SampleRate => "sample-rate",
         }
     }
 
     /// Every defined kind, for exhaustive tests.
-    pub const ALL: [EventKind; 26] = [
+    pub const ALL: [EventKind; 25] = [
         EventKind::RoundStart,
         EventKind::RoundEnd,
         EventKind::NackReceived,
@@ -212,7 +183,6 @@ impl EventKind {
         EventKind::GsoSubmit,
         EventKind::GroReceive,
         EventKind::OffloadProbe,
-        EventKind::SampleRate,
     ];
 }
 

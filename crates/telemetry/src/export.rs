@@ -189,23 +189,13 @@ fn args_json(args: &[(&str, u64)]) -> String {
 /// become begin/end spans, [`EventKind::PacerGrow`]/
 /// [`EventKind::PacerShrink`] additionally emit a `burst` counter
 /// track, and everything else is an instant event carrying `a`/`b` as
-/// args.  A [`EventKind::SampleRate`] header (the stream was thinned
-/// with `Recorder::sample_every`) annotates the shard track labels so
-/// the sparseness is visible in the UI.
+/// args.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut b = ChromeTraceBuilder::new();
     let mut named: Vec<(u16, u32)> = Vec::new();
-    let sampled: Option<u64> = events
-        .iter()
-        .find(|e| e.kind == EventKind::SampleRate)
-        .map(|e| e.a);
     for ev in events {
         if !named.iter().any(|&(s, _)| s == ev.shard) {
-            let label = match sampled {
-                Some(n) => format!("shard {} (sampled 1/{n})", ev.shard),
-                None => format!("shard {}", ev.shard),
-            };
-            b.process_name(u64::from(ev.shard), &label);
+            b.process_name(u64::from(ev.shard), &format!("shard {}", ev.shard));
         }
         if !named.contains(&(ev.shard, ev.session)) {
             let label = if ev.session == 0 {
@@ -323,18 +313,6 @@ mod tests {
         assert!(out.contains("\"burst\":32"));
         assert!(out.contains("pacer-grow"));
         assert!(out.contains("pacer-shrink"));
-    }
-
-    #[test]
-    fn sample_rate_header_annotates_shard_labels() {
-        let events = [
-            ev(0, 0, 0, EventKind::SampleRate, 8, 0),
-            ev(1_000, 7, 0, EventKind::RoundStart, 0, 64),
-        ];
-        let out = chrome_trace(&events);
-        assert!(out.contains("\"name\":\"shard 0 (sampled 1/8)\""));
-        let plain = chrome_trace(&events[1..]);
-        assert!(plain.contains("\"name\":\"shard 0\""));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! safe Rust: even a misused ring (two racing producers) can only
 //! interleave events, never corrupt memory.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -128,20 +127,11 @@ impl Ring {
 /// One recorder (plus its clones) must stay on one thread at a time —
 /// the ring is single-producer.  Breaking that rule can interleave
 /// events but is memory-safe.
-///
-/// High-rate round-level events can be thinned with
-/// [`sample_every`](Recorder::sample_every); lifecycle and error events
-/// ([`EventKind::always_recorded`]) are exempt, so a sampled trace
-/// stays truthful about admissions, losses and probe outcomes.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     ring: Arc<Ring>,
     shard: u16,
     epoch: Instant,
-    /// Record 1 in `sample` sampleable events (1 = record everything).
-    sample: u64,
-    /// Sampleable events seen so far; each clone counts its own stream.
-    seen: Cell<u64>,
 }
 
 impl Recorder {
@@ -152,29 +142,7 @@ impl Recorder {
             ring: Arc::new(Ring::new(capacity)),
             shard: 0,
             epoch: Instant::now(),
-            sample: 1,
-            seen: Cell::new(0),
         }
-    }
-
-    /// Record only 1 in `n` round-level events (`n` is clamped to at
-    /// least 1; 1 restores full recording).  Events whose
-    /// [`EventKind::always_recorded`] is true — session/copy lifecycle,
-    /// loss and error signals — bypass sampling entirely.  When `n > 1`
-    /// a [`EventKind::SampleRate`] event (`a` = `n`) is stamped into
-    /// the stream so exporters and readers can annotate the thinning.
-    pub fn sample_every(mut self, n: u64) -> Recorder {
-        self.sample = n.max(1);
-        self.seen = Cell::new(0);
-        if self.sample > 1 {
-            self.record(0, EventKind::SampleRate, self.sample, 0);
-        }
-        self
-    }
-
-    /// The configured sampling period (1 = everything recorded).
-    pub fn sample_period(&self) -> u64 {
-        self.sample
     }
 
     /// Record `kind` now (nanoseconds since the shared epoch).
@@ -185,17 +153,8 @@ impl Recorder {
     /// Record `kind` at a caller-supplied timestamp — the sans-I/O
     /// path used by engines, whose only clock is the `set_now` input.
     ///
-    /// Returns `false` only when the ring was full; an event thinned
-    /// out by [`sample_every`](Recorder::sample_every) counts as
-    /// handled (`true`), not as a drop.
+    /// Returns `false` only when the ring was full.
     pub fn record_at(&self, ts: Duration, session: u32, kind: EventKind, a: u64, b: u64) -> bool {
-        if self.sample > 1 && !kind.always_recorded() {
-            let seen = self.seen.get();
-            self.seen.set(seen.wrapping_add(1));
-            if seen % self.sample != 0 {
-                return true;
-            }
-        }
         self.ring.push(TraceEvent {
             ts_ns: ts.as_nanos() as u64,
             session,
@@ -274,8 +233,6 @@ impl Telemetry {
             ring: Arc::clone(&self.rings[shard]),
             shard: shard as u16,
             epoch: self.epoch,
-            sample: 1,
-            seen: Cell::new(0),
         }
     }
 
@@ -382,42 +339,6 @@ mod tests {
         assert_eq!(events[0].session, 3);
         assert_eq!(events[0].a, 42);
         assert_eq!(rec.dropped(), 0);
-    }
-
-    #[test]
-    fn sampling_thins_round_events_but_keeps_lifecycle() {
-        let rec = Recorder::standalone(256).sample_every(4);
-        assert_eq!(rec.sample_period(), 4);
-        for _ in 0..16 {
-            assert!(rec.record(1, EventKind::RoundStart, 0, 0));
-            assert!(rec.record(1, EventKind::SessionAdmit, 0, 0));
-        }
-        let events = rec.drain();
-        let rounds = events
-            .iter()
-            .filter(|e| e.kind == EventKind::RoundStart)
-            .count();
-        let admits = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SessionAdmit)
-            .count();
-        assert_eq!(rounds, 4, "1 in 4 round events kept");
-        assert_eq!(admits, 16, "lifecycle events bypass sampling");
-        let header = &events[0];
-        assert_eq!(header.kind, EventKind::SampleRate, "rate stamped first");
-        assert_eq!(header.a, 4);
-    }
-
-    #[test]
-    fn sample_period_one_is_a_no_op() {
-        let rec = Recorder::standalone(64).sample_every(0);
-        assert_eq!(rec.sample_period(), 1);
-        for _ in 0..5 {
-            rec.record(1, EventKind::RoundStart, 0, 0);
-        }
-        let events = rec.drain();
-        assert_eq!(events.len(), 5, "no SampleRate header, nothing thinned");
-        assert!(events.iter().all(|e| e.kind == EventKind::RoundStart));
     }
 
     #[test]

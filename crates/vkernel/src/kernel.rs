@@ -137,12 +137,6 @@ impl VCluster {
         self
     }
 
-    /// Override the protocol configuration used for bulk moves.
-    pub fn with_protocol(mut self, protocol: ProtocolConfig) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
     /// Add a kernel (a machine on the Ethernet); returns its index.
     pub fn add_kernel(&mut self, name: &str) -> u16 {
         self.kernels.push(Kernel {

@@ -211,11 +211,6 @@ impl<T: AsRef<[u8]>> BlastHeader<T> {
         self.buffer
     }
 
-    /// Borrow the raw underlying buffer.
-    pub fn buffer_ref(&self) -> &[u8] {
-        self.buffer.as_ref()
-    }
-
     fn u16_at(&self, range: core::ops::Range<usize>) -> u16 {
         let b = &self.buffer.as_ref()[range];
         u16::from_be_bytes([b[0], b[1]])

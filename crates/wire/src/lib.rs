@@ -9,10 +9,11 @@
 //! "no header (other than the Ethernet data link header) is added to the
 //! data" in the standalone measurements, while the V-kernel measurements
 //! add a small interkernel header for demultiplexing, access checking and
-//! retransmission state.  This crate provides both layers:
+//! retransmission state.  This crate provides the transport layer; the
+//! Ethernet data-link header appears only as its length
+//! ([`ETHERNET_HEADER_LEN`]), which is all the simulator's cost model
+//! needs:
 //!
-//! * [`frame`] — Ethernet II framing ([`frame::EthernetFrame`]), exactly
-//!   what the 3-Com interface put on the 10 Mbit cable;
 //! * [`header`] — the blast transport header ([`header::BlastHeader`]),
 //!   our equivalent of the V interkernel packet header: transfer id,
 //!   sequence number, packet count, flags and a header checksum;
@@ -69,17 +70,17 @@
 pub mod ack;
 pub mod checksum;
 pub mod error;
-pub mod frame;
 pub mod header;
-pub mod mac;
 pub mod packet;
 
 pub use ack::{AckPayload, Bitmap};
 pub use error::{WireError, WireResult};
-pub use frame::EthernetFrame;
 pub use header::{BlastHeader, PacketKind, HEADER_LEN};
-pub use mac::{EtherType, MacAddr};
 pub use packet::{Datagram, DatagramBuilder};
+
+/// Length of the Ethernet II header: two 6-byte station addresses plus
+/// the 2-byte type field.
+pub const ETHERNET_HEADER_LEN: usize = 14;
 
 /// Maximum payload of a single Ethernet frame usable for data, as on the
 /// experimental network of the paper.
@@ -88,7 +89,7 @@ pub use packet::{Datagram, DatagramBuilder};
 /// (§2.1.2, footnote).  After the 14-byte Ethernet header and our
 /// 32-byte transport header this still comfortably holds the paper's
 /// 1024-byte data packets.
-pub const MAX_ETHERNET_PAYLOAD: usize = 1536 - frame::ETHERNET_HEADER_LEN;
+pub const MAX_ETHERNET_PAYLOAD: usize = 1536 - ETHERNET_HEADER_LEN;
 
 /// The data payload size used throughout the paper's experiments (bytes).
 pub const PAPER_DATA_PAYLOAD: usize = 1024;

@@ -6,9 +6,7 @@
 
 use blast_wire::ack::{AckPayload, Bitmap};
 use blast_wire::checksum;
-use blast_wire::frame::{EthernetFrame, ETHERNET_HEADER_LEN};
 use blast_wire::header::{BlastHeader, PacketKind, HEADER_LEN};
-use blast_wire::mac::{EtherType, MacAddr};
 use blast_wire::packet::{Datagram, DatagramBuilder};
 use proptest::prelude::*;
 
@@ -103,26 +101,6 @@ proptest! {
     }
 
     #[test]
-    fn ethernet_frame_roundtrip(
-        dst in any::<[u8; 6]>(),
-        src in any::<[u8; 6]>(),
-        ethertype in any::<u16>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let mut buf = vec![0u8; ETHERNET_HEADER_LEN + payload.len()];
-        let mut f = EthernetFrame::new_unchecked(&mut buf[..]);
-        f.set_dst(MacAddr::new(dst));
-        f.set_src(MacAddr::new(src));
-        f.set_ethertype(EtherType(ethertype));
-        f.payload_mut().copy_from_slice(&payload);
-        let f = EthernetFrame::new_checked(&buf[..]).unwrap();
-        prop_assert_eq!(f.dst(), MacAddr::new(dst));
-        prop_assert_eq!(f.src(), MacAddr::new(src));
-        prop_assert_eq!(f.ethertype(), EtherType(ethertype));
-        prop_assert_eq!(f.payload(), &payload[..]);
-    }
-
-    #[test]
     fn internet_checksum_verifies_after_fill(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let c = checksum::internet(&data);
         let mut with = data.clone();
@@ -145,13 +123,5 @@ proptest! {
         s.update(&data[..at.min(data.len())]);
         s.update(&data[at.min(data.len())..]);
         prop_assert_eq!(s.finish(), checksum::crc32(&data));
-    }
-
-    #[test]
-    fn mac_parse_display_roundtrip(octets in any::<[u8; 6]>()) {
-        let m = MacAddr::new(octets);
-        let s = m.to_string();
-        let back: MacAddr = s.parse().unwrap();
-        prop_assert_eq!(back, m);
     }
 }

@@ -48,10 +48,10 @@ pub use blast_node as node;
 /// The node's control surface, re-exported at the top level: build a
 /// sharded node with [`NodeBuilder`], drive it through [`NodeHandle`],
 /// talk to it with a [`Client`] (push/pull/stats plus third-party
-/// `copy_to`/`copy_from`/`fan_out`), and share a blob catalogue
-/// through the object-safe [`Store`] trait.
+/// `copy_to`/`copy_from`/`fan_out`), and share a blob catalogue, a
+/// [`SharedStore`] from [`shared_store`].
 pub use blast_node::{
-    shared_store, Client, CopyReport, MemStore, NodeBuilder, NodeHandle, SharedStore, Store,
+    shared_store, Client, CopyReport, MemStore, NodeBuilder, NodeHandle, SharedStore,
 };
 pub use blast_sim as sim;
 pub use blast_stats as stats;

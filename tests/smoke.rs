@@ -22,7 +22,7 @@ fn umbrella_reexports_resolve() {
     let _stats = blastlan::stats::OnlineStats::new();
     let _udp = blastlan::udp::FaultConfig::none();
     let _vk = blastlan::vkernel::VCluster::new();
-    let _mac = blastlan::wire::mac::MacAddr::BROADCAST;
+    let _hdr = blastlan::wire::HEADER_LEN;
 }
 
 /// The `src/lib.rs` quickstart, as a plain test: a 64 KB blast
