@@ -255,7 +255,9 @@ impl<'a> BlastSender<'a> {
     /// Emit up to one pacer burst of the pending round.  Between bursts
     /// the engine arms [`PACE_TIMER`]; once the round's reliable tail
     /// is on the wire it arms the retransmission timer at the current
-    /// RTO and records the Karn solicitation timestamp.
+    /// RTO plus the receiver's time to drain the burst
+    /// ([`Control::tail_timeout`]) and records the Karn solicitation
+    /// timestamp.
     fn emit_burst(&mut self, sink: &mut dyn ActionSink) {
         let remaining = self.pending_len();
         debug_assert!(remaining > 0, "emit_burst on an idle round");
@@ -299,7 +301,7 @@ impl<'a> BlastSender<'a> {
             self.solicit_sent = (self.rounds_used == 0).then_some(self.control.now());
             sink.push_action(Action::SetTimer {
                 token: RETX_TIMER,
-                after: self.control.rto(),
+                after: self.control.tail_timeout(n),
             });
         } else {
             sink.push_action(Action::SetTimer {
@@ -363,7 +365,7 @@ impl<'a> BlastSender<'a> {
         self.transmit_one(seq, true, sink);
         sink.push_action(Action::SetTimer {
             token: RETX_TIMER,
-            after: self.control.rto(),
+            after: self.control.tail_timeout(1),
         });
     }
 
@@ -436,6 +438,13 @@ impl Engine for BlastSender<'_> {
 
     fn start(&mut self, sink: &mut dyn ActionSink) {
         let first = self.first;
+        let pacer = self.control.pacer();
+        if pacer.enabled() {
+            // Warm the pool to the first burst's batch checkout: what
+            // this transfer sends, never the (larger) grant.
+            let burst = (self.end - first).min(pacer.burst_budget());
+            self.pool.warm((burst as usize).min(MAX_BATCH));
+        }
         self.send_span(first, sink);
     }
 
@@ -692,7 +701,12 @@ impl Engine for BlastReceiver {
             .rx
             .place(dgram.seq, dgram.offset as usize, dgram.payload)
         {
-            Ok(true) => self.stats.data_packets_received += 1,
+            Ok(true) => {
+                self.stats.data_packets_received += 1;
+                if dgram.round == 0 {
+                    self.control.on_arrival();
+                }
+            }
             Ok(false) => self.stats.duplicate_packets_received += 1,
             Err(e) => {
                 let stats = self.stats;

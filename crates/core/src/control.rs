@@ -26,17 +26,36 @@
 //!   halves it, both within configured bounds (equal bounds make the
 //!   burst fixed).
 //!
+//! The paper's blast goes as fast as the slower end can copy into
+//! buffers the receiver set aside before the transfer; only the
+//! receiver knows how many it set aside.  So the receiver's side of the
+//! handshake grants the sender its queue share and its measured drain
+//! interval `Cr` ([`Grant`], carried in the wire's extension area), and
+//! [`Control::grant`] takes it before `start`: the pacer starts at the
+//! granted queue and never grows past it — a transfer the queue holds
+//! leaves as one burst, with no pace timer — and AIMD's halving on loss
+//! works below it.  Each round's tail timer waits the RTO plus
+//! `in flight × Cr` (at most the policy's `max`): an acknowledgement
+//! that waits for the receiver to drain a one-burst round is not a
+//! timeout.  An engine never granted (the
+//! paper bins, the harness, the simulator, a raw request) keeps the
+//! configured burst, its AIMD growth, and a tail timer of the RTO.  A
+//! receiver times its round-0 arrivals ([`Control::receive_interval`]),
+//! which is how it measures the `Cr` its next grant reports.
+//!
 //! Two pieces of state outlive a transfer: the burst and the round-trip
-//! estimate.  A clean blast is a single round, so a pacer born with its
-//! transfer gets one growth step before it dies, and an estimator born
-//! with it has no sample until round 0's tail is acknowledged: every
-//! transfer would re-probe the path from the configured burst, and
-//! every lost round-0 tail would wait out the configured `initial` RTO
-//! (25 ms on [`AdaptiveTimeout::lan`], against a ≈ 0.2 ms loopback
-//! round trip).  A caller that remembers where the peer's last transfer
-//! ended (`blast_udp::path::PathTable`) hands both to [`Control`]
-//! before `start`: the burst to [`Control::seed_burst`], clamped into
-//! the configured bounds, and the estimate to [`Control::seed_rtt`].
+//! estimate.  A grant describes an empty queue, and overlapping
+//! transfers into one queue overrun it; the burst a loss shrank says
+//! so, and the next transfer to that peer starts there, within its
+//! grant.  An estimator born with its transfer has no sample until
+//! round 0's tail is acknowledged, so every lost round-0 tail would
+//! wait out the configured `initial` RTO (25 ms on
+//! [`AdaptiveTimeout::lan`], against a ≈ 0.2 ms loopback round trip).
+//! A caller that remembers where the peer's last transfer ended
+//! (`blast_udp::path::PathTable`) hands both to [`Control`] after the
+//! grant and before `start`: the burst to [`Control::seed_burst`],
+//! clamped into the pacer's bounds, and the estimate to
+//! [`Control::seed_rtt`].
 //!
 //! A seeded RTO does not go below [`ROUND0_FLOOR`] (or `initial`, if
 //! that is lower) until the transfer takes its own first sample.  The
@@ -66,6 +85,7 @@
 use std::time::Duration;
 
 use blast_telemetry::{EventKind, Recorder};
+use blast_wire::Grant;
 
 use crate::api::TimerToken;
 
@@ -76,6 +96,17 @@ use crate::api::TimerToken;
 /// carried, converged RTO would fire spuriously.  See the
 /// [module docs](self).
 pub const ROUND0_FLOOR: Duration = Duration::from_millis(10);
+
+/// The largest burst a [grant](Control::grant) sets, whatever queue it
+/// names.  A grant is the peer's word, and a request carrying one can
+/// come from a forged source, so the sender bounds what one engine step
+/// emits — and so how long it keeps a shard from its other sessions —
+/// itself: 4 096 datagrams, ≈ 3 ms of framing in a release build, just
+/// above the 3 640 datagrams of 1 444 B a Linux socket under a 4 MiB
+/// `rmem_max` grants.  A larger grant goes out in bursts of this size,
+/// each starting as soon as the last is framed (a burst outlasts the
+/// gap).
+pub const MAX_GRANT: u32 = 4096;
 
 /// The timer token engines arm between paced bursts of one round.
 ///
@@ -229,6 +260,12 @@ impl RttEstimator {
         Duration::from_nanos(self.rto_ns)
     }
 
+    /// The most any retransmission timer waits: the policy's `max` (the
+    /// fixed value in fixed mode).
+    pub(crate) fn max(&self) -> Duration {
+        Duration::from_nanos(self.max_ns)
+    }
+
     /// The smoothed round-trip estimate, once a sample has been taken
     /// or a seed given (always `None` in fixed mode).
     pub fn srtt(&self) -> Option<Duration> {
@@ -369,16 +406,15 @@ impl PacingConfig {
         }
     }
 
-    /// LAN/loopback defaults: start at 64 packets per 250 µs (≈ 360 MB/s
-    /// at 1400-byte payloads) and let AIMD probe between 4 and 256, whose
-    /// 256 packets per 250 µs (≈ 1.43 GB/s) is the sender's ceiling:
-    /// bursts start a gap apart, however long each takes to send.
-    /// The old static preset (32 / 500 µs) was sized for drivers that
-    /// could not *wait* a sub-millisecond gap and had to spin it; with
-    /// the event-driven `NetIo` waits the gap is honest, so the initial
-    /// rate can sit near the link and the shrink-on-loss half of AIMD —
-    /// down to ~22 MB/s at the floor — covers the flooded-`SO_RCVBUF`
-    /// case the conservative preset existed for.
+    /// LAN/loopback defaults: bursts start 250 µs apart, however long
+    /// each takes to send, and a loss halves the burst down to 4.  A
+    /// granted sender ([`Control::grant`]) starts at the receiver's
+    /// queue share and never grows past it: on Linux under a 4 MiB
+    /// `rmem_max` that is 3 640 datagrams of 1 444 B, so a 4 MiB
+    /// transfer is one burst and the gap never runs; under the default
+    /// 212 992 B it is 184 per gap.  An engine without a grant starts at
+    /// 64 packets per gap and AIMD probes up to 256 (≈ 1.43 GB/s at
+    /// 1 400-byte payloads), 32 per clean round.
     pub fn lan() -> Self {
         PacingConfig::aimd(64, Duration::from_micros(250), 4, 256, 32)
     }
@@ -411,7 +447,8 @@ impl PacingConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacerSnapshot {
     /// The burst the transfer started at: the configured initial burst,
-    /// or the one it was [seeded](Control::seed_burst) with.
+    /// the receiver's [grant](Control::grant), or the burst it was
+    /// [seeded](Control::seed_burst) with.
     pub initial_burst: u32,
     /// The burst size currently in force.
     pub burst: u32,
@@ -479,15 +516,36 @@ impl Pacer {
     }
 
     /// Start at `burst` instead of the configured initial burst,
-    /// clamped into `[min_burst, max_burst]`.  A no-op when pacing is
-    /// off or fixed (`min_burst == max_burst`), and meant for before the
-    /// first signal.
+    /// clamped into `[min_burst, max_burst]` (so a fixed pace stays
+    /// put, and a [granted](Pacer::grant) pacer starts within its
+    /// grant).  A no-op when pacing is off; meant for before the first
+    /// signal.
     pub fn seed(&mut self, burst: u32) {
-        if !self.cfg.enabled() || self.cfg.min_burst == self.cfg.max_burst {
+        if !self.cfg.enabled() {
             return;
         }
         let burst = burst.clamp(self.cfg.min_burst, self.cfg.max_burst);
         (self.cfg.burst, self.burst, self.min_seen) = (burst, burst, burst);
+    }
+
+    /// Take the receiver's queue grant of `queue` datagrams (clamped to
+    /// `1..=`[`MAX_GRANT`]): an AIMD pacer starts at it, never grows
+    /// past it and halves below it on loss; a fixed pace is capped by
+    /// it.  A no-op when pacing is off; meant for before the first
+    /// signal.
+    pub fn grant(&mut self, queue: u32) {
+        if !self.cfg.enabled() {
+            return;
+        }
+        let queue = queue.clamp(1, MAX_GRANT);
+        let cfg = &mut self.cfg;
+        cfg.max_burst = if cfg.min_burst == cfg.max_burst {
+            cfg.max_burst.min(queue)
+        } else {
+            queue
+        };
+        cfg.min_burst = cfg.min_burst.min(cfg.max_burst);
+        self.seed(queue);
     }
 
     /// Signal that a round completed without loss (a positive ack for
@@ -549,6 +607,11 @@ pub struct Control {
     now: Duration,
     rtt: RttEstimator,
     pacer: Pacer,
+    /// The receiver's per-datagram drain interval (`Cr`) from its
+    /// [grant](Control::grant); zero without one.
+    drain: Duration,
+    /// Round-0 arrivals a receiver placed: (first, last, count).
+    arrivals: (Duration, Duration, u32),
     recorder: Option<Recorder>,
 }
 
@@ -559,6 +622,8 @@ impl Control {
             now: Duration::ZERO,
             rtt: RttEstimator::new(timeout),
             pacer: Pacer::new(pacing),
+            drain: Duration::ZERO,
+            arrivals: (Duration::ZERO, Duration::ZERO, 0),
             recorder: None,
         }
     }
@@ -655,13 +720,54 @@ impl Control {
         self.on_loss();
     }
 
-    /// Start the pacer at `burst` — the burst a previous transfer to
-    /// the same peer ended at — instead of the configured initial burst.
-    /// Call before [`Engine::start`](crate::Engine::start).  The burst is
-    /// clamped into the configured `[min_burst, max_burst]`; unpaced
+    /// Start the pacer at `burst` — the burst a previous transfer to the
+    /// same peer ended at — instead of where it stands, clamped into its
+    /// bounds ([`Pacer::seed`]): after a [grant](Control::grant), within
+    /// it.  Call before [`Engine::start`](crate::Engine::start); unpaced
     /// engines and a fixed pace ignore it.
     pub fn seed_burst(&mut self, burst: u32) {
         self.pacer.seed(burst);
+    }
+
+    /// Take the receiver's grant, before
+    /// [`Engine::start`](crate::Engine::start): the pacer bursts at most
+    /// its queue share and starts there ([`Pacer::grant`]; ignored when
+    /// pacing is off), and every round's tail timer waits, beyond the
+    /// RTO, for the receiver to drain what is in flight at its `Cr`.
+    /// An engine never granted keeps the configured burst and a tail
+    /// timer of the RTO.
+    pub fn grant(&mut self, grant: Grant) {
+        self.pacer.grant(grant.queue);
+        self.drain = grant.drain();
+    }
+
+    /// How long a round's reliable tail waits for its answer when
+    /// `in_flight` packets went out in the burst it closes: the RTO plus
+    /// the time the receiver needs to drain them (`in_flight × Cr`), at
+    /// most the policy's `max`.  The RTO alone without a grant.
+    pub(crate) fn tail_timeout(&self, in_flight: usize) -> Duration {
+        let drain = self
+            .drain
+            .saturating_mul(in_flight.min(u32::MAX as usize) as u32);
+        self.rtt.rto().saturating_add(drain).min(self.rtt.max())
+    }
+
+    /// A receiver placed a round-0 datagram now: note it, to time the
+    /// round's arrivals ([`receive_interval`](Control::receive_interval)).
+    pub(crate) fn on_arrival(&mut self) {
+        let (first, _, n) = self.arrivals;
+        let first = if n == 0 { self.now } else { first };
+        self.arrivals = (first, self.now, n.saturating_add(1));
+    }
+
+    /// A receiver's mean interval between the round-0 datagrams it
+    /// placed, once it has placed two: its receive cost per datagram
+    /// (`Cr`) when arrivals queued behind it, the sender's pace when
+    /// they did not — how long the receiver took to get through a
+    /// round, per packet, either way.  What its next grant reports.
+    pub fn receive_interval(&self) -> Option<Duration> {
+        let (first, last, n) = self.arrivals;
+        (n >= 2).then(|| (last - first) / (n - 1))
     }
 
     /// Start the estimator at `(srtt, rttvar)` — the estimate a previous
@@ -965,6 +1071,41 @@ mod tests {
         let mut off = Pacer::new(PacingConfig::off());
         off.seed(64);
         assert_eq!(off.burst_budget(), u32::MAX);
+    }
+
+    #[test]
+    fn a_grant_starts_and_caps_an_aimd_burst_and_caps_a_fixed_one() {
+        let gap = Duration::from_micros(100);
+        // The floor stays the configured 4, or the grant when smaller.
+        let cases = [
+            (3640, 3640, 1820),
+            (6, 6, 4),
+            (2, 2, 2),
+            (0, 1, 1),
+            (u32::MAX, MAX_GRANT, MAX_GRANT / 2),
+        ];
+        for (queue, start, halved) in cases {
+            let mut p = Pacer::new(PacingConfig::lan());
+            p.grant(queue);
+            assert_eq!(p.burst_budget(), start, "{queue}");
+            assert_eq!(p.snapshot().initial_burst, start);
+            p.on_clean_round();
+            assert_eq!(p.burst_budget(), start, "never grows past the grant");
+            p.on_loss();
+            assert_eq!(p.burst_budget(), halved, "halves below it");
+        }
+        for (queue, burst) in [(3640, 8), (5, 5), (0, 1)] {
+            let mut fixed = Pacer::new(PacingConfig::new(8, gap));
+            fixed.grant(queue);
+            assert_eq!(fixed.burst_budget(), burst, "{queue}");
+        }
+        let mut off = Pacer::new(PacingConfig::off());
+        off.grant(16);
+        assert_eq!(
+            off.burst_budget(),
+            u32::MAX,
+            "the paper's blast stays unbounded"
+        );
     }
 
     #[test]

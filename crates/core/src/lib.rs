@@ -89,7 +89,9 @@ pub mod window;
 
 pub use api::{Action, CompletionInfo, EngineStats, Outcome, TimerToken};
 pub use config::{ProtocolConfig, ProtocolKind, RetxStrategy};
-pub use control::{AdaptiveTimeout, Pacer, PacerSnapshot, PacingConfig, RttEstimator, PACE_TIMER};
+pub use control::{
+    AdaptiveTimeout, Pacer, PacerSnapshot, PacingConfig, RttEstimator, MAX_GRANT, PACE_TIMER,
+};
 pub use engine::Engine;
 pub use error::{CoreError, CoreResult};
 pub use pool::{BufferPool, PooledBuf};

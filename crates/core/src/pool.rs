@@ -37,8 +37,6 @@ struct PoolInner {
     buf_capacity: usize,
     max_free: usize,
     fresh: AtomicU64,
-    warmed: AtomicU64,
-    recycled: AtomicU64,
     discarded: AtomicU64,
 }
 
@@ -72,8 +70,6 @@ impl BufferPool {
                 buf_capacity,
                 max_free,
                 fresh: AtomicU64::new(0),
-                warmed: AtomicU64::new(0),
-                recycled: AtomicU64::new(0),
                 discarded: AtomicU64::new(0),
             }),
         }
@@ -97,14 +93,6 @@ impl BufferPool {
     /// to have it overwritten.
     pub fn checkout_sized(&self, len: usize) -> PooledBuf {
         let mut b = self.checkout_raw();
-        b.resize(len, 0);
-        b
-    }
-
-    /// Check a buffer out pre-sized to `len` *zeroed* bytes.
-    pub fn checkout_zeroed(&self, len: usize) -> PooledBuf {
-        let mut b = self.checkout_raw();
-        b.clear();
         b.resize(len, 0);
         b
     }
@@ -135,9 +123,6 @@ impl BufferPool {
             }
             take
         };
-        self.inner
-            .recycled
-            .fetch_add(recycled as u64, Ordering::Relaxed);
         // Any shortfall is allocated outside the lock.
         let fresh = n - recycled;
         self.inner.fresh.fetch_add(fresh as u64, Ordering::Relaxed);
@@ -153,10 +138,7 @@ impl BufferPool {
     fn checkout_raw(&self) -> PooledBuf {
         let recycled = self.inner.free.lock().expect("pool lock").pop();
         let buf = match recycled {
-            Some(buf) => {
-                self.inner.recycled.fetch_add(1, Ordering::Relaxed);
-                buf
-            }
+            Some(buf) => buf,
             None => {
                 self.inner.fresh.fetch_add(1, Ordering::Relaxed);
                 Vec::with_capacity(self.inner.buf_capacity)
@@ -173,7 +155,6 @@ impl BufferPool {
     pub fn warm(&self, n: usize) {
         let mut free = self.inner.free.lock().expect("pool lock");
         while free.len() < n.min(self.inner.max_free) {
-            self.inner.warmed.fetch_add(1, Ordering::Relaxed);
             free.push(Vec::with_capacity(self.inner.buf_capacity));
         }
     }
@@ -194,30 +175,15 @@ impl BufferPool {
     }
 
     /// Checkouts that had to allocate because the pool was dry
-    /// (pre-filling via [`warm`](BufferPool::warm) is counted
-    /// separately, so this is a true dry-pool signal).
+    /// (pre-filling via [`warm`](BufferPool::warm) is not counted, so
+    /// this is a true dry-pool signal).
     pub fn fresh_allocations(&self) -> u64 {
         self.inner.fresh.load(Ordering::Relaxed)
-    }
-
-    /// Buffers pre-allocated by [`warm`](BufferPool::warm).
-    pub fn warmed_allocations(&self) -> u64 {
-        self.inner.warmed.load(Ordering::Relaxed)
-    }
-
-    /// Checkouts served from the free list.
-    pub fn recycled_checkouts(&self) -> u64 {
-        self.inner.recycled.load(Ordering::Relaxed)
     }
 
     /// Check-ins dropped because the free list was already full.
     pub fn discarded_checkins(&self) -> u64 {
         self.inner.discarded.load(Ordering::Relaxed)
-    }
-
-    /// True if `other` is a handle to this same pool.
-    pub fn same_pool(&self, other: &BufferPool) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
@@ -251,16 +217,11 @@ pub struct PooledBuf {
 
 impl PooledBuf {
     /// A detached buffer wrapping `bytes` (no pool; dropping frees).
-    pub fn detached(bytes: Vec<u8>) -> Self {
+    fn detached(bytes: Vec<u8>) -> Self {
         PooledBuf {
             buf: bytes,
             pool: None,
         }
-    }
-
-    /// True when dropping this buffer returns it to a pool.
-    pub fn is_pooled(&self) -> bool {
-        self.pool.is_some()
     }
 
     /// Extract the bytes, detaching them from the pool (the pool simply
@@ -323,14 +284,13 @@ mod tests {
         assert_eq!(pool.free_count(), 0);
         let a = pool.checkout();
         assert_eq!(pool.fresh_allocations(), 1);
-        assert!(a.is_pooled());
         assert_eq!(a.len(), 0);
         assert!(a.capacity() >= 128);
         drop(a);
         assert_eq!(pool.free_count(), 1);
         let b = pool.checkout();
         assert_eq!(pool.fresh_allocations(), 1, "second checkout recycles");
-        assert_eq!(pool.recycled_checkouts(), 1);
+        assert_eq!(pool.free_count(), 0);
         drop(b);
     }
 
@@ -347,7 +307,7 @@ mod tests {
     #[test]
     fn checked_in_buffers_come_back_empty() {
         let pool = BufferPool::new(64, 4);
-        let mut a = pool.checkout_zeroed(48);
+        let mut a = pool.checkout_sized(48);
         a[0] = 0xAA;
         drop(a);
         let b = pool.checkout();
@@ -360,7 +320,6 @@ mod tests {
         let pool = BufferPool::new(64, 3);
         pool.warm(10);
         assert_eq!(pool.free_count(), 3);
-        assert_eq!(pool.warmed_allocations(), 3);
         assert_eq!(
             pool.fresh_allocations(),
             0,
@@ -378,10 +337,9 @@ mod tests {
     fn clones_share_the_free_list() {
         let pool = BufferPool::new(64, 4);
         let pool2 = pool.clone();
-        assert!(pool.same_pool(&pool2));
         drop(pool2.checkout());
         assert_eq!(pool.free_count(), 1);
-        assert!(!pool.same_pool(&BufferPool::default()));
+        assert_eq!(BufferPool::default().free_count(), 0);
     }
 
     #[test]
@@ -391,9 +349,8 @@ mod tests {
         let mut batch = Vec::new();
         pool.checkout_many(5, &mut batch);
         assert_eq!(batch.len(), 5);
-        assert_eq!(pool.recycled_checkouts(), 3, "warm buffers drained first");
+        assert_eq!(pool.free_count(), 0, "warm buffers drained first");
         assert_eq!(pool.fresh_allocations(), 2, "shortfall allocated");
-        assert!(batch.iter().all(PooledBuf::is_pooled));
         drop(batch);
         assert_eq!(pool.free_count(), 5, "batch checkouts still check in");
         // A zero-size batch is a no-op.
@@ -405,13 +362,10 @@ mod tests {
     #[test]
     fn detached_buffers_skip_the_pool() {
         let pool = BufferPool::new(64, 4);
-        let d = PooledBuf::detached(vec![1, 2, 3]);
-        assert!(!d.is_pooled());
+        let d: PooledBuf = vec![1, 2, 3].into();
+        assert_eq!(&d[..], [1, 2, 3]);
         drop(d);
         assert_eq!(pool.free_count(), 0);
-
-        let v: PooledBuf = vec![9u8; 8].into();
-        assert_eq!(v.into_vec(), vec![9u8; 8]);
     }
 
     #[test]
@@ -431,7 +385,7 @@ mod tests {
         a.extend_from_slice(b"xyz");
         let b = a.clone();
         assert_eq!(a, b);
-        assert!(!b.is_pooled(), "clones are detached");
-        assert_eq!(&b[..], b"xyz");
+        drop((a, b));
+        assert_eq!(pool.free_count(), 1, "clones are detached");
     }
 }

@@ -6,14 +6,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use blast_core::api::{Action, TimerToken};
 use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::config::RetxStrategy;
-use blast_core::control::{AdaptiveTimeout, PacerSnapshot, PacingConfig, ROUND0_FLOOR};
+use blast_core::control::{
+    AdaptiveTimeout, PacerSnapshot, PacingConfig, MAX_GRANT, PACE_TIMER, ROUND0_FLOOR,
+};
 use blast_core::harness::{Harness, LossPlan, ReceiverEngine};
 use blast_core::multiblast::MultiBlastSender;
 use blast_core::saw::{SawReceiver, SawSender};
 use blast_core::window::WindowSender;
 use blast_core::{Engine, ProtocolConfig};
+use blast_wire::Grant;
 
 fn data(n: usize) -> Arc<[u8]> {
     (0..n)
@@ -254,4 +258,157 @@ fn pacing_snapshot_is_some_iff_pacing_is_enabled() {
             assert_eq!(receiver, None, "{name} receiver under {pacing:?}");
         }
     }
+}
+
+/// A lan-paced sender of `payload` granted `grant`.
+fn granted_sender(payload: &Arc<[u8]>, cfg: &ProtocolConfig, grant: Grant) -> BlastSender<'static> {
+    let mut sender = BlastSender::new(1, payload.clone(), cfg);
+    sender.control_mut().unwrap().grant(grant);
+    sender
+}
+
+/// A grant that holds the transfer sends it as one burst, arming no
+/// pace timer; the tail's timer waits the RTO plus the receiver's time
+/// to drain that burst, so a lost tail is re-solicited at exactly
+/// `initial + 100 × Cr` and the data still arrives byte-exact.
+#[test]
+fn a_granted_sender_blasts_once_and_its_tail_waits_for_the_drain() {
+    let mut cfg = ProtocolConfig::lan();
+    cfg.max_retries = 10;
+    let payload = data(100 * 1024);
+    let grant = Grant {
+        queue: 4096,
+        drain_ns: 5_000,
+    };
+    let mut h = Harness::new(
+        granted_sender(&payload, &cfg, grant),
+        BlastReceiver::new(1, payload.len(), &cfg),
+        LossPlan::script(vec![99]),
+    );
+    let outcome = h.run().expect("recovers");
+    assert_eq!(h.received_data(), &payload[..]);
+    assert_eq!(outcome.sender.timeouts, 1);
+    let pacing = h.sender().pacing_snapshot().unwrap();
+    assert_eq!(pacing.initial_burst, 4096);
+    assert_eq!(pacing.min_burst_seen, 2048, "the timeout is a loss signal");
+    // No gap: the tail left at 0, its timer fired 25 ms + 100 × 5 µs
+    // later, and the re-sent tail and its ack took 10 µs each way.
+    let us = Duration::from_micros;
+    let tail = cfg.timeout.initial() + us(500);
+    assert_eq!(h.sender_elapsed(), Some(tail + us(20)));
+}
+
+/// A grant smaller than the transfer paces it in bursts of the grant,
+/// and a loss halves the burst below it.
+#[test]
+fn a_grant_caps_the_burst_and_loss_halves_below_it() {
+    let cfg = ProtocolConfig::lan();
+    let payload = data(40 * 1024);
+    let grant = Grant {
+        queue: 10,
+        drain_ns: 0,
+    };
+    let mut h = Harness::new(
+        granted_sender(&payload, &cfg, grant),
+        BlastReceiver::new(1, payload.len(), &cfg),
+        LossPlan::script(vec![3]),
+    );
+    h.run().expect("recovers");
+    assert_eq!(h.received_data(), &payload[..]);
+    let pacing = h.sender().pacing_snapshot().unwrap();
+    assert_eq!(pacing.initial_burst, 10);
+    assert_eq!(pacing.min_burst_seen, 5, "the NACK halved it");
+    assert_eq!(pacing.burst, 10, "a clean round grows it back, no further");
+}
+
+/// Hostile grants are clamped: a queue of 0 bursts one packet, one of
+/// `u32::MAX` bursts what is left to send (at most [`MAX_GRANT`]), and
+/// a drain of `u32::MAX` ns per datagram holds the tail timer at the
+/// policy's `max`.
+#[test]
+fn a_hostile_grant_is_clamped() {
+    let cfg = ProtocolConfig::lan();
+    let payload = data(8 * 1024);
+    let max = match cfg.timeout {
+        AdaptiveTimeout::Adaptive { max, .. } => max,
+        AdaptiveTimeout::Fixed(_) => unreachable!("lan is adaptive"),
+    };
+    for (queue, burst) in [(0, 1), (3, 3), (u32::MAX, 8)] {
+        for drain_ns in [0, u32::MAX] {
+            let mut sender = granted_sender(&payload, &cfg, Grant { queue, drain_ns });
+            let mut actions = Vec::new();
+            sender.start(&mut actions);
+            let sent = actions
+                .iter()
+                .filter(|a| matches!(a, Action::Transmit(_)))
+                .count();
+            assert_eq!(sent, burst, "queue {queue}");
+            for action in &actions {
+                if let Action::SetTimer { token, after } = action {
+                    assert!(*after <= max, "{token:?} {after:?}");
+                    if *token == TimerToken(0) && drain_ns == u32::MAX {
+                        assert_eq!(*after, max);
+                    }
+                }
+            }
+            let mut h = Harness::new(
+                granted_sender(&payload, &cfg, Grant { queue, drain_ns }),
+                BlastReceiver::new(1, payload.len(), &cfg),
+                LossPlan::perfect(),
+            );
+            h.run().expect("a clamped grant still completes");
+            assert_eq!(h.received_data(), &payload[..]);
+        }
+    }
+}
+
+/// The sender, not the grant, bounds an engine step: granted `u32::MAX`,
+/// a round of more than [`MAX_GRANT`] packets leaves in steps of at most
+/// `MAX_GRANT`, each arming the pace timer for the next.
+#[test]
+fn a_grant_bounds_what_one_step_emits() {
+    let cfg = ProtocolConfig::lan();
+    let payload = data((2 * MAX_GRANT as usize + 5) * cfg.packet_payload);
+    let grant = Grant {
+        queue: u32::MAX,
+        drain_ns: 0,
+    };
+    let mut sender = granted_sender(&payload, &cfg, grant);
+    let (mut steps, mut actions) = (Vec::new(), Vec::new());
+    sender.start(&mut actions);
+    loop {
+        let sent = actions
+            .iter()
+            .filter(|a| matches!(a, Action::Transmit(_)))
+            .count();
+        steps.push(sent);
+        let paced = actions
+            .iter()
+            .any(|a| matches!(a, Action::SetTimer { token, .. } if *token == PACE_TIMER));
+        if !paced {
+            break;
+        }
+        actions.clear();
+        sender.on_timer(PACE_TIMER, &mut actions);
+    }
+    let max = MAX_GRANT as usize;
+    assert_eq!(steps, [max, max, 5]);
+}
+
+/// A receiver times its round-0 arrivals: behind a 3 µs bottleneck the
+/// interval it reports is the bottleneck's, what its next grant sends.
+#[test]
+fn a_receiver_reports_its_round_zero_arrival_interval() {
+    let cfg = ProtocolConfig::default();
+    let payload = data(32 * 1024);
+    let mut h = Harness::new(
+        BlastSender::new(1, payload.clone(), &cfg),
+        BlastReceiver::new(1, payload.len(), &cfg),
+        LossPlan::perfect(),
+    )
+    .with_bottleneck(Duration::from_micros(3), 64);
+    h.run().expect("clean");
+    let control = h.receiver().control().unwrap();
+    assert_eq!(control.receive_interval(), Some(Duration::from_micros(3)));
+    assert_eq!(h.sender().control().unwrap().receive_interval(), None);
 }

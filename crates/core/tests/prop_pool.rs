@@ -59,9 +59,8 @@ proptest! {
     ) {
         let pool = BufferPool::new(1600, 8);
         for size in sizes {
-            let mut buf = pool.checkout_zeroed(size);
+            let mut buf = pool.checkout_sized(size);
             prop_assert_eq!(buf.len(), size);
-            prop_assert!(buf.iter().all(|&b| b == 0), "zeroed checkout");
             prop_assert!(buf.capacity() >= 1600);
             // Dirty the buffer, return it, and take it again: the pool
             // must clear it.

@@ -18,6 +18,16 @@
 //! sender reads the caller's slice in place, for the call's duration:
 //! nothing copies the blob before its first datagram.
 //!
+//! The receiver sets the blast ([`blast_udp::grant`]).  A pull's request
+//! grants the node the datagrams the client's socket queue holds (its
+//! `SO_RCVBUF` over the kernel's per-datagram charge: 3 640 of 1 444 B
+//! under a 4 MiB `rmem_max`, 184 under the default 212 992 B) and the
+//! client's measured receive interval per datagram, so a 4 MiB pull
+//! leaves the node as one burst where the queue holds it.  A push bursts
+//! what the node's echo grants the same way, starting lower when its
+//! last push ended on a burst that loss shrank (the node's queue is
+//! shared with every other client pushing to it).
+//!
 //! A client starts from [`ProtocolConfig::lan`]: an adaptive timeout
 //! seeded for LAN round trips, paced bursts, and selective
 //! retransmission, which the node adopts per transfer.  On a clean path
@@ -74,6 +84,7 @@ use blast_telemetry::Recorder;
 use blast_udp::channel::{Channel, UdpChannel, MAX_DATAGRAM};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
 use blast_udp::fcs::FcsChannel;
+use blast_udp::grant;
 use blast_udp::handshake::{Backoff, Request, MAX_TRANSFER_BYTES};
 use blast_udp::outbound::Outbound;
 use blast_udp::path::PathTable;
@@ -127,6 +138,9 @@ pub struct Client<C: Channel = UdpChannel> {
     /// The burst and round-trip estimate the last push ended at: the
     /// next operation starts there.
     path: PathTable<()>,
+    /// The client's measured receive interval per datagram (`Cr`),
+    /// smoothed over its pulls: what its grant reports.
+    drain: Option<Duration>,
     patience: Duration,
     recorder: Option<Recorder>,
     local: Option<SocketAddr>,
@@ -166,6 +180,7 @@ impl<C: Channel> Client<C> {
             channel: TimeWait::new(FcsChannel::new(channel)),
             cfg,
             path: PathTable::new(1),
+            drain: None,
             patience: DEFAULT_PATIENCE,
             recorder: None,
             local: None,
@@ -251,9 +266,10 @@ impl<C: Channel> Client<C> {
     /// packet's bytes are copied once, into the outgoing datagram, and
     /// nothing copies the whole blob first.
     ///
-    /// The sender starts at the AIMD burst and the round-trip estimate
-    /// the last push ended at (see [`blast_udp::path`]), and a push that
-    /// completes leaves its own for the next.
+    /// The sender bursts at most what the node's echo grants, and starts
+    /// at the burst and round-trip estimate the last push ended at,
+    /// within the grant (see [`blast_udp::path`]); a push that completes
+    /// leaves its own for the next.
     pub fn push(&mut self, name: &str, data: &[u8]) -> io::Result<TransferReport> {
         let id = self.alloc_id();
         let mut leg = Outbound::push(id, name, data, &self.cfg)?;
@@ -278,7 +294,8 @@ impl<C: Channel> Client<C> {
     /// Fetch the named blob `name` from the node.  The blob's size
     /// comes back in the handshake echo; the receive buffer is
     /// pre-allocated from it before the data phase (the paper's
-    /// premise).
+    /// premise).  The request grants the node the client's socket queue
+    /// and receive interval (see the [module docs](self)).
     ///
     /// Returns when the last byte is in, leaving a time-wait record to
     /// answer the node's tail during the *next* operation (see the
@@ -293,9 +310,16 @@ impl<C: Channel> Client<C> {
         let started = Instant::now();
         self.channel.reserve()?;
         let id = self.alloc_id();
-        let request = Request::pull(name, &self.cfg);
+        let mut request = Request::pull(name, &self.cfg);
+        request.grant = self
+            .channel
+            .recv_buffer()
+            .and_then(|rcvbuf| grant::grant(rcvbuf, self.cfg.packet_payload, 1, 0, 0, self.drain));
         let mut leg = Outbound::pull(id, &request, &self.cfg, MAX_TRANSFER_BYTES)?;
         let mut report = self.run(&mut leg, started)?;
+        if let Some(interval) = leg.engine().and_then(|e| e.control()?.receive_interval()) {
+            self.drain = Some(grant::smooth(self.drain, interval));
+        }
         if let Some((bytes, finished)) = leg.retire() {
             report.data = bytes;
             // Comfortably longer than the node's tail-retransmission
@@ -569,11 +593,11 @@ fn verify_replica(
 /// one burst of the whole transfer, which no warm count covers.
 const MIN_WARM: usize = 64;
 
-/// Pre-fill `cfg`'s pool with the first burst, so the first transfer's
-/// round does not allocate mid-flight.  A transfer that starts at a
-/// larger, carried burst warms the pool to it first
-/// ([`blast_udp::path::seed`]): only a path that uses 256-packet bursts
-/// holds 256 buffers.
+/// Pre-fill `cfg`'s pool with the configured first burst, so a small
+/// transfer's round does not allocate mid-flight.  A paced sender warms
+/// the pool further, to its own first burst, when it starts
+/// (`BlastSender`'s `start`): only a transfer that sends 256 packets at
+/// once holds 256 buffers, however large its grant.
 pub(crate) fn warm_pool(cfg: &ProtocolConfig) {
     cfg.pool.warm((cfg.pacing.burst as usize).max(MIN_WARM));
 }

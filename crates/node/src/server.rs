@@ -52,13 +52,27 @@
 //! leaves the same kind of record in a second table, answered through
 //! the egress socket, for `COPY_GRACE` (5 s).
 //!
-//! Each shard also remembers, per peer, the AIMD burst and the
-//! round-trip estimate that peer's last completed transfer ended at (a
+//! The receiving side of each handshake sets the blast
+//! ([`blast_udp::grant`]).  A push's echo grants the client this shard's
+//! socket queue, in datagrams of the push's size, divided among the
+//! sessions the shard holds, and the shard's measured receive interval
+//! per datagram (`Cr`, smoothed over its pushes); a pull's sender bursts
+//! what the client's request grants.  A copy leg does the same from the
+//! other side: a pull copy's request grants the egress socket's queue
+//! divided among the copies in flight, and a push copy bursts what the
+//! remote's echo grants.  A grant is never more than the grants still
+//! held by transfers receiving on the socket leave of its queue, so the
+//! grants in force never sum past it; a session admitted when less
+//! than the configured initial burst is left gets none and is paced as
+//! an ungranted sender is.
+//!
+//! Each shard also remembers, per peer, the burst and round-trip
+//! estimate that peer's last completed transfer ended at (a
 //! [`PathTable`] of `max_sessions` entries): a pull's sender, or a push
-//! copy's, starts there instead of re-probing the path from the
-//! configured burst, and arms its round-0 retransmission timer at the
-//! peer's measured RTO (floored) instead of the configured `initial`; a
-//! copy leg's request re-sends start at that RTO too.
+//! copy's, starts at that burst within the grant — lower than the grant
+//! once a loss shrank it — and arms its round-0 retransmission timer at
+//! the peer's measured RTO (floored) instead of the configured
+//! `initial`; a copy leg's request re-sends start at that RTO too.
 
 use std::collections::HashMap;
 use std::io;
@@ -76,6 +90,7 @@ use blast_core::{AdaptiveTimeout, Engine, PacingConfig};
 use blast_telemetry::{EventKind, Recorder, Telemetry};
 use blast_udp::copy::{errcode, BlobDigest, CopyMode, CopyMsg, CopyState, CopyStatus, CopySubmit};
 use blast_udp::fcs;
+use blast_udp::grant::{self, Grant};
 use blast_udp::handshake::{Direction, Request, MAX_TRANSFER_BYTES};
 use blast_udp::netio::NetIo;
 use blast_udp::outbound::Outbound;
@@ -226,6 +241,9 @@ struct Session {
     direction: Direction,
     /// The echo datagram, re-sent verbatim for duplicate requests.
     echo: Vec<u8>,
+    /// The datagrams of the main socket's queue the echo granted the
+    /// push (0 for a pull, or no grant), held until the session ends.
+    granted: u32,
 }
 
 /// One third-party copy: the node acts as a *client* toward another
@@ -249,6 +267,9 @@ struct CopyLeg {
     /// CRC-32; a pull's are fixed on completion).
     status: CopyStatus,
     outbound: Outbound<'static>,
+    /// The datagrams of the egress socket's queue a pull copy's request
+    /// granted (0 for a push copy, or no grant), held until it settles.
+    granted: u32,
 }
 
 impl CopyLeg {
@@ -295,6 +316,18 @@ impl Entry {
     }
 }
 
+/// The datagrams of `port`'s queue granted to the transfers still
+/// receiving on it: pushes in flight on the main socket, pull copies
+/// not yet settled on an egress one.
+fn granted(table: &HashMap<Key, Box<Entry>>, port: usize) -> usize {
+    let held = |entry: &Entry| match &entry.link {
+        Link::Inbound(session) if port == MAIN && entry.engine.is_some() => session.granted,
+        Link::Outbound(copy) if copy.port == port => copy.granted,
+        _ => 0,
+    };
+    table.values().map(|entry| held(entry) as usize).sum()
+}
+
 /// A status with nothing to report but a state and an error code.
 fn bare_status(state: CopyState, error: u8) -> CopyStatus {
     CopyStatus {
@@ -333,6 +366,10 @@ pub struct NodeServer {
 struct Port {
     socket: UdpSocket,
     io: NetIo,
+    /// The receive buffer the kernel reports for `socket`, which the
+    /// grants this port's transfers get divide up; `None` where it
+    /// cannot be read (no grant is sent then).
+    rcvbuf: Option<usize>,
 }
 
 impl Port {
@@ -342,8 +379,9 @@ impl Port {
         // SO_RCVBUF was the measured goodput ceiling), and batched
         // bursts submit whole rounds per sendmmsg.
         sockopt::grow_buffers(&socket);
+        let rcvbuf = sockopt::recv_buffer(&socket).ok();
         let io = NetIo::reactor(&socket);
-        Port { socket, io }
+        Port { socket, io, rcvbuf }
     }
 }
 
@@ -387,6 +425,10 @@ struct Shard {
     /// The burst and round-trip estimate each peer's last completed
     /// transfer ended at, which seed the next sender toward it.
     paths: PathTable,
+    /// The shard's measured receive interval per datagram (`Cr`),
+    /// smoothed over the pushes and pull copies it received: what its
+    /// grants report.
+    drain: Option<Duration>,
     /// Reused FCS framing scratch for outgoing datagrams.
     frame_buf: Vec<u8>,
     /// The blob the shard's last commit displaced, when no reader still
@@ -419,8 +461,8 @@ impl NodeServer {
         let main = Port::new(socket);
         // Every session's engine on this shard clones `config.protocol`,
         // so they all share this pool; pre-warm it so the first burst is
-        // already allocation free (a larger, carried one warms it
-        // further before its round: `path::seed`).
+        // already allocation free (a sender whose first burst is larger
+        // warms it further as it starts).
         crate::client::warm_pool(&config.protocol);
         let mut local = NodeMetrics::default();
         local.netio_backend = main.io.backend().name().to_string();
@@ -434,6 +476,7 @@ impl NodeServer {
                 tails: TailRecords::new(config.max_sessions),
                 copy_tails: TailRecords::new(config.max_sessions),
                 paths: PathTable::new(config.max_sessions),
+                drain: None,
                 config,
                 store,
                 local,
@@ -513,7 +556,7 @@ impl NodeServer {
         // Everything staged this tick goes out before any wait: one
         // sendmmsg per socket carries the coalesced acks/bursts of all
         // its sessions or copies.
-        for Port { socket, io } in &mut shard.ports {
+        for Port { socket, io, .. } in &mut shard.ports {
             // A refusal is its datagram's loss (see `tolerate`).
             shard.local.send_errors += u64::from(io.flush(socket).is_err());
         }
@@ -539,7 +582,7 @@ impl NodeServer {
         while drained < 128 {
             // Pop from the last recvmmsg batch; refill with one kernel
             // crossing when it runs dry.
-            let Port { socket, io } = &mut self.shard.ports[port];
+            let Port { socket, io, .. } = &mut self.shard.ports[port];
             let Some((n, peer)) = io.pop_into(buf) else {
                 if io.fill(socket)? == 0 {
                     break;
@@ -569,7 +612,7 @@ impl NodeServer {
         };
         let key = match dgram.kind {
             _ if port != MAIN => Key::Outbound(dgram.transfer_id),
-            PacketKind::Request => return self.on_request(&dgram, raw, peer),
+            PacketKind::Request => return self.on_request(&dgram, peer),
             PacketKind::Stats => return self.shard.on_stats(&dgram, peer),
             PacketKind::Copy => return self.on_copy(&dgram, peer),
             _ => Key::Inbound(dgram.transfer_id),
@@ -597,11 +640,11 @@ impl NodeServer {
         Ok(())
     }
 
-    fn on_request(&mut self, dgram: &Datagram<'_>, raw: &[u8], peer: SocketAddr) -> io::Result<()> {
+    fn on_request(&mut self, dgram: &Datagram<'_>, peer: SocketAddr) -> io::Result<()> {
         let id = dgram.transfer_id;
         let key = Key::Inbound(id);
         let shard = &mut self.shard;
-        let Some(mut request) = Request::decode(dgram.payload) else {
+        let Some(mut request) = Request::parse(dgram) else {
             shard.local.malformed += 1;
             return Ok(());
         };
@@ -638,9 +681,10 @@ impl NodeServer {
         request.apply_to(&mut engine_cfg);
         let (mut engine, echo): (Box<dyn Engine>, Vec<u8>) = match request.direction {
             // Set the whole receive buffer aside from the announced
-            // length — the paper's premise — and echo the request
-            // verbatim.  A spare of exactly that length is the buffer;
-            // any other length drops it and allocates.
+            // length — the paper's premise — and echo the request with
+            // this shard's grant: its queue shared with the sessions it
+            // already holds.  A spare of exactly that length is the
+            // buffer; any other length drops it and allocates.
             Direction::Push => {
                 let engine = match shard.spare.take() {
                     Some(buf) if buf.len() == request.len => {
@@ -648,7 +692,10 @@ impl NodeServer {
                     }
                     _ => BlastReceiver::new(id, request.len, &engine_cfg),
                 };
-                (Box::new(engine), raw.to_vec())
+                let sessions = shard.local.sessions_in_flight() as usize + 1;
+                let held = granted(&self.table, MAIN);
+                request.grant = shard.grant(MAIN, request.packet_payload, sessions, held);
+                (Box::new(engine), request.build_datagram(id))
             }
             Direction::Pull => {
                 let Some(blob) = shard.store.get(&request.name) else {
@@ -656,14 +703,21 @@ impl NodeServer {
                     return shard.send_cancel(id, peer);
                 };
                 // Fill the length in before echoing: the echo is the
-                // client's size announcement.
+                // client's size announcement.  The client's grant sets
+                // the sender's burst and tail timer; the echo carries
+                // none back.
                 request.len = blob.len();
+                let granted = request.grant.take();
                 let echo = request.build_datagram(id);
-                if request.multiblast_chunk > 0 {
-                    (Box::new(MultiBlastSender::new(id, blob, &engine_cfg)), echo)
+                let mut engine: Box<dyn Engine> = if request.multiblast_chunk > 0 {
+                    Box::new(MultiBlastSender::new(id, blob, &engine_cfg))
                 } else {
-                    (Box::new(BlastSender::new(id, blob, &engine_cfg)), echo)
+                    Box::new(BlastSender::new(id, blob, &engine_cfg))
+                };
+                if let (Some(granted), Some(control)) = (granted, engine.control_mut()) {
+                    control.grant(granted);
                 }
+                (engine, echo)
             }
         };
 
@@ -678,12 +732,19 @@ impl NodeServer {
         // (`NodeHandle::wait_idle`) must find this one.
         shard.publish_now();
         // Echo before starting the engine so that, in order-preserving
-        // conditions, the size announcement precedes round-0 data.
+        // conditions, the size announcement precedes round-0 data.  A
+        // pull's echo leaves at once: staged, it would wait for the
+        // first full batch of a granted round 0 (≈ 360 framed datagrams,
+        // ≈ 0.3 ms), and the client cannot take a byte before it.
         shard.send_framed(MAIN, peer, &echo)?;
+        if request.direction == Direction::Pull {
+            let Port { socket, io, .. } = &mut shard.ports[MAIN];
+            shard.local.send_errors += u64::from(io.flush(socket).is_err());
+        }
         // A sender starts where the peer's last transfer left the burst
-        // and the round-trip estimate.
+        // (within the grant) and the round-trip estimate.
         let carried = shard.paths.carried(Instant::now(), peer);
-        path::seed(engine.as_mut(), carried, &engine_cfg.pool);
+        path::seed(engine.as_mut(), carried);
         if let Some(rec) = &shard.recorder {
             engine.set_recorder(rec.clone());
             let pull = u64::from(request.direction == Direction::Pull);
@@ -701,6 +762,7 @@ impl NodeServer {
                     peer,
                     direction: request.direction,
                     echo,
+                    granted: request.grant.map_or(0, |g| g.queue),
                 }),
             })
         });
@@ -840,7 +902,9 @@ impl NodeServer {
             }
         }
         let key = Key::Outbound(id);
-        let link = match shard.open_copy(id, &submit) {
+        let table = &self.table;
+        let held = |port| granted(table, port);
+        let link = match shard.open_copy(id, &submit, self.copies, held) {
             Ok(copy) => {
                 shard
                     .timers
@@ -929,7 +993,7 @@ impl Shard {
     /// actually flushed count.
     fn send_framed(&mut self, port: usize, peer: SocketAddr, datagram: &[u8]) -> io::Result<()> {
         fcs::frame_into(datagram, &mut self.frame_buf);
-        let Port { socket, io } = &mut self.ports[port];
+        let Port { socket, io, .. } = &mut self.ports[port];
         let queued = io.queue_to(socket, &self.frame_buf, Some(peer));
         self.tolerate(queued);
         Ok(())
@@ -956,13 +1020,32 @@ impl Shard {
 
     /// Build the outbound leg of a copy order, or say (as an
     /// [`errcode`]) what stops the copy at submit time.
-    fn open_copy(&mut self, id: u32, submit: &CopySubmit) -> Result<CopyLeg, u8> {
+    fn open_copy(
+        &mut self,
+        id: u32,
+        submit: &CopySubmit,
+        copies: usize,
+        held: impl Fn(usize) -> usize,
+    ) -> Result<CopyLeg, u8> {
         let remote = submit.remote;
         // Nothing can be sent there (`sendto` refuses both): fail now,
         // not after a session timeout of retries.
         if remote.port() == 0 || remote.ip() == IpAddr::V4(Ipv4Addr::BROADCAST) {
             return Err(errcode::TRANSFER_FAILED);
         }
+        // A pull copy grants the egress socket's queue, shared with the
+        // copies the table already holds (an upper bound on those using
+        // the socket: it counts every copy, settled ones too) and less
+        // what the pull copies on it still hold, so it opens the socket
+        // first.
+        let grant = match submit.mode {
+            CopyMode::Pull => {
+                let port = self.egress(remote).map_err(|_| errcode::TRANSFER_FAILED)?;
+                let payload = self.config.protocol.packet_payload;
+                self.grant(port, payload, copies + 1, held(port))
+            }
+            CopyMode::Push => None,
+        };
         let protocol = &self.config.protocol;
         let mut status = bare_status(CopyState::Handshaking, errcode::NONE);
         let outbound = match submit.mode {
@@ -973,7 +1056,8 @@ impl Shard {
                 Outbound::push(id, &submit.name, blob, protocol)
             }
             CopyMode::Pull => {
-                let request = Request::pull(&submit.name, protocol);
+                let mut request = Request::pull(&submit.name, protocol);
+                request.grant = grant;
                 Outbound::pull(id, &request, protocol, self.config.max_transfer_bytes)
             }
         };
@@ -988,7 +1072,19 @@ impl Shard {
             port,
             status,
             outbound,
+            granted: grant.map_or(0, |g| g.queue),
         })
+    }
+
+    /// The grant for one of `sessions` transfers of `packet_payload`-byte
+    /// packets received on `port`, `held` datagrams of whose queue are
+    /// granted already: its share of what is left and this shard's
+    /// drain interval.  `None` where the queue cannot be read, or less
+    /// than the configured initial burst is left of it.
+    fn grant(&self, port: usize, payload: usize, sessions: usize, held: usize) -> Option<Grant> {
+        let rcvbuf = self.ports[port].rcvbuf?;
+        let floor = self.config.protocol.pacing.burst;
+        grant::grant(rcvbuf, payload, sessions, held, floor, self.drain)
     }
 
     /// The place in `ports` of the egress socket toward `remote`'s
@@ -1029,7 +1125,7 @@ impl Shard {
         let Some((port, peer)) = entry.link.peer() else {
             return Ok(false);
         };
-        let Port { socket, io } = &mut self.ports[port];
+        let Port { socket, io, .. } = &mut self.ports[port];
         let (frame, errors) = (&mut self.frame_buf, &mut self.local.send_errors);
         let transmit = |bytes: &[u8]| {
             fcs::frame_into(bytes, frame);
@@ -1094,8 +1190,12 @@ impl Shard {
         // The AIMD burst trajectory, for paced sender engines: how far
         // the burst grew (or shrank) by the end of the session.
         let pacing = engine.as_deref().and_then(Engine::pacing_snapshot);
-        let rtt = engine.as_deref().and_then(|e| e.control()?.rtt_estimate());
+        let control = engine.as_deref().and_then(Engine::control);
+        let rtt = control.and_then(|c| c.rtt_estimate());
         self.paths.record(Instant::now(), peer, info, pacing, rtt);
+        if let Some(interval) = control.and_then(|c| c.receive_interval()) {
+            self.drain = Some(grant::smooth(self.drain, interval));
+        }
         let ok = info.is_success();
         let bytes = *info.result.as_ref().unwrap_or(&0);
         if ok && direction == Direction::Push {
@@ -1182,11 +1282,14 @@ impl Shard {
         let Ok(bytes) = info.result else {
             return self.end_copy(key, entry, Err(errcode::TRANSFER_FAILED));
         };
-        let engine = copy.outbound.engine();
-        let pacing = engine.and_then(|e| e.pacing_snapshot());
-        let rtt = engine.and_then(|e| e.control()?.rtt_estimate());
+        let control = copy.outbound.engine().and_then(|e| e.control());
+        let rtt = control.and_then(|c| c.rtt_estimate());
+        let pacing = copy.outbound.engine().and_then(|e| e.pacing_snapshot());
         self.paths
             .record(Instant::now(), copy.remote, info, pacing, rtt);
+        if let Some(interval) = control.and_then(|c| c.receive_interval()) {
+            self.drain = Some(grant::smooth(self.drain, interval));
+        }
         if let Some((data, finished)) = copy.outbound.retire() {
             copy.status.crc32 = crc32(&data);
             copy.status.bytes_total = data.len() as u64;
@@ -1724,12 +1827,22 @@ mod tests {
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         // Ask twice, as an initiator whose first echo was lost would:
         // the session in progress answers the duplicate with the same
-        // echo and opens nothing new.
+        // echo and opens nothing new.  The echo is the request with the
+        // node's grant added.
         let mut echoes = [[0u8; 128]; 2];
         for echo in &mut echoes {
             sock.send_to(&fcs::frame(&dgram), node.addr()).unwrap();
             let n = sock.recv(echo).unwrap();
-            assert_eq!(fcs::unframe(&echo[..n]), Some(dgram.len()));
+            let body = fcs::unframe(&echo[..n]).expect("framed");
+            let echoed = Request::parse(&Datagram::parse(&echo[..body]).unwrap()).unwrap();
+            assert!(echoed.grant.is_some(), "the echo grants the queue");
+            assert_eq!(
+                Request {
+                    grant: None,
+                    ..echoed
+                },
+                req
+            );
         }
         assert_eq!(echoes[0], echoes[1]);
         // The reactor must fail and reap the abandoned session on its

@@ -291,3 +291,110 @@ fn push_times_out_at_patience_when_the_node_goes_silent_after_the_echo() {
     );
     assert!(took >= patience && took < patience + retry, "{took:?}");
 }
+
+// ---------------------------------------------------------------------
+// The extension area, garbled on every kind of datagram a node can be
+// sent.  One decoder validates every area, so each of these fails the
+// datagram before any verb sees it: no panic, no session, no copy, no
+// reply.
+
+use blast_node::server::NodeBuilder;
+use blast_udp::copy::{CopyMode, CopyMsg, CopySubmit};
+use blast_wire::header::{flags, BlastHeader, HEADER_LEN};
+
+/// A grant field: type 1, eight bytes.
+const GRANT_FIELD: [u8; 10] = [1, 8, 0, 0, 0, 64, 0, 0, 0, 9];
+
+/// A datagram of `kind` whose payload is `body` then `area` verbatim,
+/// with the extension flag set (and the checksum right).
+fn with_raw_area(kind: PacketKind, id: u32, body: &[u8], area: &[u8]) -> Vec<u8> {
+    let len = body.len() + area.len();
+    let mut buf = vec![0u8; HEADER_LEN + len];
+    BlastHeader::<&mut [u8]>::clear(&mut buf);
+    let mut h = BlastHeader::new_unchecked(&mut buf[..]);
+    h.set_kind(kind);
+    h.set_transfer_id(id);
+    h.set_total(1);
+    h.set_payload_len(len as u32);
+    if kind == PacketKind::Data {
+        h.set_flags(flags::EXT | flags::LAST | flags::RELIABLE);
+    } else {
+        h.set_flags(flags::EXT);
+    }
+    h.payload_mut()[..body.len()].copy_from_slice(body);
+    h.payload_mut()[body.len()..].copy_from_slice(area);
+    h.fill_checksum();
+    buf
+}
+
+/// Areas that must fail: cut short, overlong and duplicated.
+fn garbled_areas() -> Vec<(&'static str, Vec<u8>)> {
+    let mut truncated = GRANT_FIELD[..6].to_vec();
+    truncated.push(GRANT_FIELD.len() as u8);
+    let mut cut_field = GRANT_FIELD[..6].to_vec();
+    cut_field.push(6);
+    let mut overlong = vec![0u8; 70];
+    overlong.push(70);
+    let past_payload = vec![200u8];
+    let mut duplicated = [GRANT_FIELD, GRANT_FIELD].concat();
+    duplicated.push(20);
+    let mut wrong_length = vec![1, 4, 0, 0, 0, 1];
+    wrong_length.push(6);
+    vec![
+        ("truncated", truncated),
+        ("cut field", cut_field),
+        ("overlong", overlong),
+        ("past the payload", past_payload),
+        ("duplicated", duplicated),
+        ("wrong grant length", wrong_length),
+    ]
+}
+
+#[test]
+fn garbled_extension_areas_start_nothing_on_any_kind() {
+    let store = blast_node::shared_store();
+    store.put("there", vec![3u8; 5000].into());
+    let node = NodeBuilder::new().store(store).start().unwrap();
+    let cfg = blast_core::ProtocolConfig::lan();
+    let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let push = Request::push(5000, &cfg, false).with_name("new").encode();
+    let pull = Request::pull("there", &cfg).encode();
+    let submit = CopyMsg::Submit(CopySubmit {
+        mode: CopyMode::Push,
+        remote: node.addr(),
+        epoch_ns: 0,
+        name: "there".into(),
+    })
+    .encode();
+    let mut ack = [0u8; 5];
+    AckPayload::Positive { acked: 0 }.encode(&mut ack).unwrap();
+    let bodies: [(PacketKind, &[u8]); 7] = [
+        (PacketKind::Request, &push),
+        (PacketKind::Request, &pull),
+        (PacketKind::Copy, &submit),
+        (PacketKind::Stats, &[]),
+        (PacketKind::Data, &[9; 100]),
+        (PacketKind::Ack, &ack),
+        (PacketKind::Cancel, &[]),
+    ];
+    let mut sent = 0;
+    for (id, (kind, body)) in (1..).zip(bodies) {
+        for (what, area) in garbled_areas() {
+            let datagram = with_raw_area(kind, id, body, &area);
+            assert!(Datagram::parse(&datagram).is_err(), "{kind} {what}");
+            sock.send_to(&fcs::frame(&datagram), node.addr()).unwrap();
+            sent += 1;
+        }
+    }
+    // The node answered none of them, and is still serving.
+    sock.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    assert!(sock.recv(&mut [0u8; 64]).is_err(), "nothing is answered");
+    let mut client = Client::connect(node.addr()).unwrap();
+    assert_eq!(client.pull("there").unwrap().data, vec![3u8; 5000]);
+    assert!(node.wait_idle(Duration::from_secs(5)));
+    let m = node.metrics();
+    assert_eq!(m.malformed, sent);
+    assert_eq!((m.sessions_accepted, m.copies_requested), (1, 0));
+    node.shutdown().unwrap();
+}

@@ -1,8 +1,8 @@
-//! Path state that outlives a transfer, end to end on loopback: each
-//! sender starts at the AIMD burst its peer's last completed transfer
-//! ended at — a node's pull sessions keyed by the client's socket, a
-//! client's pushes by its one node — and nothing else moves it; and a
-//! carried round-trip estimate recovers a lost tail or a lost request.
+//! What a sender starts from, end to end on loopback: the burst its
+//! receiver grants in the handshake — a client's pull request, a node's
+//! push echo — or, within it, the burst a loss shrank on the last
+//! transfer to the same peer; and a carried round-trip estimate, which
+//! recovers a lost tail or a lost request.
 
 use std::collections::HashMap;
 use std::io;
@@ -13,13 +13,20 @@ use blast_core::{PacerSnapshot, PacingConfig};
 use blast_node::server::{NodeBuilder, NodeHandle};
 use blast_node::{shared_store, Client};
 use blast_udp::channel::{Channel, UdpChannel};
+use blast_udp::fault::{FaultConfig, FaultyChannel};
 use blast_udp::fcs::{self, FcsChannel};
 use blast_udp::handshake::{Direction, Request};
+use blast_udp::{grant, sockopt};
 use blast_wire::header::PacketKind;
 use blast_wire::packet::Datagram;
 
 const BIG: usize = 2 << 20;
 const WAIT: Duration = Duration::from_secs(10);
+
+/// A fixed retransmission timeout long enough that no clean transfer
+/// times out, however slow the build: a spurious timeout is a loss
+/// signal, and would shrink the burst the path carries.
+const CLEAN: Duration = Duration::from_secs(1);
 
 fn payload(seed: usize, n: usize) -> Vec<u8> {
     (0..n).map(|i| (i.wrapping_mul(31) ^ seed) as u8).collect()
@@ -42,33 +49,26 @@ fn session(node: &NodeHandle, id: u32) -> PacerSnapshot {
     report.pacing.expect("a pull's sender is paced")
 }
 
-/// Each transfer starts where the one before ended; on a clean path
-/// that is the cold start, then one growth step per transfer up to the
-/// ceiling.
-fn assert_ramp(trajectory: &[PacerSnapshot]) {
-    let lan = PacingConfig::lan();
-    assert_eq!(
-        trajectory[0].initial_burst, lan.burst,
-        "a new peer starts cold"
-    );
-    for pair in trajectory.windows(2) {
-        assert_eq!(pair[1].initial_burst, pair[0].burst, "{trajectory:?}");
-    }
-    if trajectory.iter().all(|p| p.loss_events == 0) {
-        let starts: Vec<u32> = trajectory.iter().map(|p| p.initial_burst).collect();
-        let expected: Vec<u32> = (0..trajectory.len() as u32)
-            .map(|k| (lan.burst + k * lan.growth).min(lan.max_burst))
-            .collect();
-        assert_eq!(starts, expected);
-    }
+/// The queue a default client's socket grants, or a node's one-shard
+/// socket with one session: the granted receive buffer over the
+/// per-datagram charge of `payload`-byte packets.  Where the buffer
+/// cannot be read, no grant is sent and the sender starts at the
+/// configured burst.
+fn granted(payload: usize) -> u32 {
+    let grant = sockopt::grown_recv_buffer().and_then(|b| grant::grant(b, payload, 1, 0, 0, None));
+    grant.map_or(PacingConfig::lan().burst, |g| g.queue)
 }
 
+/// Every clean pull starts at the client's grant: a clean transfer ends
+/// at its grant, so that is what the path carries to the next — from
+/// the same socket or another, big or small.
 #[test]
-fn pulls_ramp_per_client_socket_and_small_pulls_never_raise() {
-    let node = node(NodeBuilder::new());
+fn pulls_start_at_the_clients_grant() {
+    let node = node(NodeBuilder::new().timeout(CLEAN));
     let mut first = Client::connect(node.addr())
         .unwrap()
         .transfer_ids_from(1000);
+    let queue = granted(first.protocol().packet_payload);
     let mut finished = 0;
     let mut pull = |client: &mut Client, name: &str, id: u32| {
         let report = client.pull(name).unwrap();
@@ -80,45 +80,37 @@ fn pulls_ramp_per_client_socket_and_small_pulls_never_raise() {
         );
         session(&node, id)
     };
-    // Eight pulls: 64, 96, …, 224, then the ceiling, twice.
-    let ramp: Vec<_> = (1000..1008).map(|id| pull(&mut first, "big", id)).collect();
-    assert_ramp(&ramp);
-
-    // Another socket is another peer: it starts cold.
+    for id in 1000..1004 {
+        let big = pull(&mut first, "big", id);
+        assert_eq!((big.initial_burst, big.loss_events), (queue, 0), "{big:?}");
+        assert!(big.burst <= queue, "never above the grant");
+    }
+    // Another socket, small pulls, and the first client again.
     let mut second = Client::connect(node.addr())
         .unwrap()
         .transfer_ids_from(2000);
-    assert_eq!(pull(&mut second, "big", 2000).initial_burst, 64);
-
-    // Three-packet pulls grow their own pacers, never the entry.
-    let mut third = Client::connect(node.addr())
-        .unwrap()
-        .transfer_ids_from(3000);
-    for id in 3000..3004 {
-        let small = pull(&mut third, "small", id);
-        assert_eq!((small.initial_burst, small.burst), (64, 96));
+    for id in 2000..2003 {
+        assert_eq!(pull(&mut second, "small", id).initial_burst, queue);
     }
-    assert_eq!(pull(&mut third, "big", 3004).initial_burst, 64);
-
-    // And the first client's entry is still its own.
-    let last = ramp.last().unwrap().burst;
-    assert_eq!(pull(&mut first, "big", 1008).initial_burst, last);
+    assert_eq!(pull(&mut first, "big", 1004).initial_burst, queue);
     assert_eq!(node.shutdown().unwrap().sessions_failed, 0);
 }
 
+/// Every clean push starts at the node's grant: its one shard holds
+/// one session at a time, so each gets the whole queue, and a clean
+/// push carries the grant to the next.
 #[test]
-fn consecutive_pushes_ramp_the_clients_own_sender() {
+fn consecutive_pushes_start_at_the_nodes_grant() {
     let node = node(NodeBuilder::new());
-    let mut client = Client::connect(node.addr()).unwrap();
+    let mut client = Client::connect(node.addr()).unwrap().timeout(CLEAN);
+    let queue = granted(client.protocol().packet_payload);
     let data = payload(3, BIG);
-    let ramp: Vec<_> = (0..8)
-        .map(|k| {
-            let report = client.push(&format!("p{k}"), &data).unwrap();
-            report.pacing.expect("a push's sender is paced")
-        })
-        .collect();
-    assert_ramp(&ramp);
-    // Each push warmed the pool to its starting burst before round 0.
+    for k in 0..4 {
+        let report = client.push(&format!("p{k}"), &data).unwrap();
+        let pacing = report.pacing.expect("a push's sender is paced");
+        assert_eq!(pacing.initial_burst, queue, "{pacing:?}");
+    }
+    // Each push warmed the pool to its first burst before round 0.
     assert_eq!(client.protocol().pool.fresh_allocations(), 0);
     assert!(node.wait_idle(WAIT));
     assert_eq!(node.shutdown().unwrap().sessions_failed, 0);
@@ -126,7 +118,8 @@ fn consecutive_pushes_ramp_the_clients_own_sender() {
 
 /// A request that never completes — here, nobody ever acknowledges the
 /// blast it starts — writes nothing, although its sender shrank its
-/// burst on every timeout.
+/// burst on every timeout.  Sent raw, without a grant, it starts at the
+/// configured burst, as every sender did before grants.
 #[test]
 fn a_request_that_never_completes_leaves_its_entry_absent() {
     let node = node(NodeBuilder::new().max_retries(3));
@@ -137,17 +130,45 @@ fn a_request_that_never_completes_leaves_its_entry_absent() {
     assert!(node.wait_sessions(1, WAIT));
     let m = node.metrics();
     assert_eq!((m.sessions_completed, m.sessions_failed), (0, 1));
+    let failed = session(&node, 500);
+    assert_eq!(failed.initial_burst, PacingConfig::lan().burst);
     assert!(
-        session(&node, 500).burst < 64,
+        failed.burst < failed.initial_burst,
         "the failed sender did shrink"
     );
 
-    // The same socket, now a client that completes: it starts cold.
+    // The same socket, now a client that completes: it starts at its
+    // grant, nothing of the failed sender carried.
     let mut client = Client::over(raw.into_inner()).transfer_ids_from(600);
+    let queue = granted(client.protocol().packet_payload);
     assert_eq!(client.pull("big").unwrap().data.len(), BIG);
     assert!(node.wait_sessions(2, WAIT));
-    assert_eq!(session(&node, 600).initial_burst, 64);
+    assert_eq!(session(&node, 600).initial_burst, queue);
     node.shutdown().unwrap();
+}
+
+/// A push that loses packets halves its burst below the node's grant,
+/// and the client's next push starts there, not at the grant: the
+/// carried burst is what tells a sender that the queue its grant
+/// describes is shared.
+#[test]
+fn a_push_that_saw_loss_starts_the_next_below_the_grant() {
+    let node = NodeBuilder::new().start().unwrap();
+    let lossy = FaultyChannel::new(
+        UdpChannel::connect_to(node.addr()).unwrap(),
+        FaultConfig::loss(0.01),
+        7,
+    );
+    let mut client = Client::over(lossy);
+    let queue = granted(client.protocol().packet_payload);
+    let data = payload(5, BIG);
+    let first = client.push("p0", &data).unwrap().pacing.unwrap();
+    assert_eq!(first.initial_burst, queue);
+    assert!(first.loss_events > 0 && first.burst < queue, "{first:?}");
+    let next = client.push("p1", &data).unwrap().pacing.unwrap();
+    assert_eq!(next.initial_burst, first.burst, "{next:?}");
+    assert!(node.wait_idle(WAIT));
+    assert_eq!(node.shutdown().unwrap().sessions_failed, 0);
 }
 
 /// The first push of a fresh client takes its whole first burst from

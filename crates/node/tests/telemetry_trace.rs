@@ -119,9 +119,10 @@ fn four_shard_workload_produces_a_loadable_trace() {
         assert!(busy.len() >= 2, "6 sessions all hashed onto one shard");
     }
 
-    // Blast rounds bracket properly per session, and the node-side
-    // senders (the pulls, paced with the adaptive LAN preset) must show
-    // at least one AIMD burst transition.
+    // Blast rounds bracket properly per session.  The node-side
+    // senders (the pulls) start at the client's grant, their ceiling:
+    // a burst grows only back toward where a loss shrank it from, so a
+    // clean pull traces no transition at all.
     let starts = events
         .iter()
         .filter(|e| e.kind == EventKind::RoundStart)
@@ -132,11 +133,21 @@ fn four_shard_workload_produces_a_loadable_trace() {
         .count();
     assert!(starts >= 4, "each pull runs at least one blast round");
     assert_eq!(starts, ends, "round spans must balance");
-    let bursts = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::PacerGrow | EventKind::PacerShrink))
-        .count();
-    assert!(bursts >= 1, "AIMD must register at least one transition");
+    for admit in &admits {
+        let mut shrunk_from = None;
+        for e in events.iter().filter(|e| e.session == admit.session) {
+            match e.kind {
+                EventKind::PacerShrink => shrunk_from = shrunk_from.max(Some(e.a)),
+                EventKind::PacerGrow => assert!(
+                    Some(e.b) <= shrunk_from,
+                    "session {} grew to {} past its grant",
+                    admit.session,
+                    e.b
+                ),
+                _ => {}
+            }
+        }
+    }
 
     // Reactor-plane events rode along on the session-0 lane.
     assert!(events.iter().any(|e| e.kind == EventKind::ShardTick));
@@ -152,7 +163,16 @@ fn four_shard_workload_produces_a_loadable_trace() {
     assert_eq!(trace.matches('{').count(), trace.matches('}').count());
     assert!(trace.contains("\"name\":\"shard 0\""));
     assert!(trace.contains("\"ph\":\"B\"") && trace.contains("\"ph\":\"E\""));
-    assert!(trace.contains("\"ph\":\"C\""), "burst counter track");
+    // The burst counter track follows the pacer's transitions, which
+    // a clean granted run may not have.
+    let transitions = events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::PacerGrow | EventKind::PacerShrink));
+    assert_eq!(
+        trace.contains("\"ph\":\"C\""),
+        transitions,
+        "burst counter track"
+    );
 
     node.shutdown().unwrap();
 }

@@ -53,6 +53,19 @@ pub trait Channel {
     fn discarded(&self) -> u64 {
         0
     }
+
+    /// The receive-buffer size (`SO_RCVBUF`, as the kernel reports it)
+    /// of the socket under the channel, which a receiver's
+    /// [grant](crate::grant) divides into datagrams; `None` where it
+    /// cannot be read.  Wrappers should forward; the default is what a
+    /// socket grown by [`grow_buffers`](crate::sockopt::grow_buffers)
+    /// reports on this host, as every channel this crate opens is.  A
+    /// channel over a smaller queue that does not say so over-grants:
+    /// its sender loses the excess, halves its burst, and the path
+    /// carries the halved burst to the next transfer.
+    fn recv_buffer(&self) -> Option<usize> {
+        crate::sockopt::grown_recv_buffer()
+    }
 }
 
 /// A connected UDP socket as a [`Channel`], running on a pluggable
@@ -155,6 +168,10 @@ impl Channel for UdpChannel {
 
     fn set_recorder(&mut self, recorder: Recorder) {
         self.io.set_recorder(recorder);
+    }
+
+    fn recv_buffer(&self) -> Option<usize> {
+        crate::sockopt::recv_buffer(&self.socket).ok()
     }
 }
 

@@ -70,7 +70,9 @@ fn chance(rng: &mut SmallRng, p: f64) -> bool {
     p > 0.0 && rng.gen::<f64>() < p
 }
 
-/// A channel wrapper that injects faults on the **send** side.
+/// A channel wrapper that injects faults on the **send** side, on
+/// datagrams sent and staged alike (staged ones reach the inner
+/// channel's batch, flushed by [`flush`](Channel::flush)).
 ///
 /// Sending does not allocate: an untouched datagram goes straight
 /// through, a corrupted one is rebuilt in one reused scratch buffer,
@@ -128,8 +130,18 @@ impl<C: Channel> FaultyChannel<C> {
     }
 }
 
-impl<C: Channel> Channel for FaultyChannel<C> {
-    fn send(&mut self, buf: &[u8]) -> io::Result<()> {
+impl<C: Channel> FaultyChannel<C> {
+    /// Put one datagram through the fault draws, handing whatever comes
+    /// out to the inner channel's `send` or, with `staged`, its `stage`.
+    /// Both paths draw alike, so a seed drops the same packets by either.
+    fn inject(&mut self, buf: &[u8], staged: bool) -> io::Result<()> {
+        let emit = |inner: &mut C, packet: &[u8]| {
+            if staged {
+                inner.stage(packet)
+            } else {
+                inner.send(packet)
+            }
+        };
         // Release any held packet *after* this one (reorder complete).
         let release = std::mem::take(&mut self.holding);
 
@@ -138,7 +150,7 @@ impl<C: Channel> Channel for FaultyChannel<C> {
             // Still release the held packet, else it could be stuck
             // behind a dropped one forever.
             if release {
-                self.inner.send(&self.held)?;
+                emit(&mut self.inner, &self.held)?;
             }
             return Ok(());
         }
@@ -155,7 +167,7 @@ impl<C: Channel> Channel for FaultyChannel<C> {
         let packet = if corrupt { &self.scratch[..] } else { buf };
 
         if chance(&mut self.rng, self.config.reorder) && !release {
-            // Hold this packet; it goes out after the next send.
+            // Hold this packet; it goes out after the next one.
             self.held.clear();
             self.held.extend_from_slice(packet);
             self.holding = true;
@@ -163,15 +175,29 @@ impl<C: Channel> Channel for FaultyChannel<C> {
             return Ok(());
         }
 
-        self.inner.send(packet)?;
+        emit(&mut self.inner, packet)?;
         if chance(&mut self.rng, self.config.duplicate) {
-            self.inner.send(packet)?;
+            emit(&mut self.inner, packet)?;
             self.duplicated += 1;
         }
         if release {
-            self.inner.send(&self.held)?;
+            emit(&mut self.inner, &self.held)?;
         }
         Ok(())
+    }
+}
+
+impl<C: Channel> Channel for FaultyChannel<C> {
+    fn send(&mut self, buf: &[u8]) -> io::Result<()> {
+        self.inject(buf, false)
+    }
+
+    fn stage(&mut self, buf: &[u8]) -> io::Result<()> {
+        self.inject(buf, true)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
     }
 
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
@@ -180,6 +206,14 @@ impl<C: Channel> Channel for FaultyChannel<C> {
 
     fn set_recorder(&mut self, recorder: blast_telemetry::Recorder) {
         self.inner.set_recorder(recorder);
+    }
+
+    fn discarded(&self) -> u64 {
+        self.inner.discarded()
+    }
+
+    fn recv_buffer(&self) -> Option<usize> {
+        self.inner.recv_buffer()
     }
 }
 
@@ -226,6 +260,43 @@ mod tests {
         for (i, p) in inner.sent.iter().enumerate() {
             assert_eq!(p[0], i as u8, "order preserved");
         }
+    }
+
+    /// A seed drops, duplicates, corrupts and reorders the same packets
+    /// whether the caller sends them or stages and flushes them, and a
+    /// wrapped channel's discarded count shows through.
+    #[test]
+    fn staged_datagrams_draw_the_same_faults_as_sent_ones() {
+        struct Counting(MemChannel, u64);
+        impl Channel for Counting {
+            fn send(&mut self, buf: &[u8]) -> io::Result<()> {
+                self.0.send(buf)
+            }
+            fn recv_timeout(&mut self, buf: &mut [u8], t: Duration) -> io::Result<Option<usize>> {
+                self.0.recv_timeout(buf, t)
+            }
+            fn discarded(&self) -> u64 {
+                self.1
+            }
+        }
+        let run = |staged: bool| {
+            let inner = Counting(MemChannel::default(), 7);
+            let mut ch = FaultyChannel::new(inner, FaultConfig::chaos(0.2), 42);
+            for i in 0..200u8 {
+                if staged {
+                    ch.stage(&[i, 0, 0, 0]).unwrap();
+                } else {
+                    ch.send(&[i, 0, 0, 0]).unwrap();
+                }
+            }
+            ch.flush().unwrap();
+            assert_eq!(ch.discarded(), 7);
+            let counts = (ch.dropped, ch.duplicated, ch.reordered, ch.corrupted);
+            (counts, ch.into_inner().0.sent)
+        };
+        let (sent, staged) = (run(false), run(true));
+        assert!(sent.0 .0 > 0 && sent.0 .3 > 0, "{:?}", sent.0);
+        assert_eq!(sent, staged);
     }
 
     #[test]

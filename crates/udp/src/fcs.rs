@@ -22,6 +22,9 @@ use blast_wire::checksum::crc32;
 
 use crate::channel::Channel;
 
+/// Bytes the FCS trailer adds to every datagram.
+pub const FCS_LEN: usize = 4;
+
 /// Append the FCS trailer to `payload`, producing the wire frame.
 ///
 /// The building block behind [`FcsChannel::send`], exposed for drivers
@@ -29,7 +32,7 @@ use crate::channel::Channel;
 /// with `send_to` on an unconnected socket, which the connected
 /// [`Channel`] abstraction cannot express).
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(payload.len() + 4);
+    let mut framed = Vec::with_capacity(payload.len() + FCS_LEN);
     frame_into(payload, &mut framed);
     framed
 }
@@ -110,6 +113,10 @@ impl<C: Channel> Channel for FcsChannel<C> {
 
     fn discarded(&self) -> u64 {
         self.fcs_drops
+    }
+
+    fn recv_buffer(&self) -> Option<usize> {
+        self.inner.recv_buffer()
     }
 
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {

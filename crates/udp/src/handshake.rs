@@ -24,12 +24,19 @@
 //! the named blob").  For pulls the initiator does not know the length;
 //! the responder fills it in before echoing, so the echo doubles as the
 //! size announcement that lets the client pre-allocate.
+//!
+//! Whichever side will receive the data also states its [`Grant`]
+//! ([`crate::grant`]) in the datagram's extension area: the responder's
+//! push echo, the initiator's pull request.  [`Request::parse`] reads it
+//! back beside the payload, which [`Request::decode`] checks as strictly
+//! as before.
 
 use std::io;
 use std::time::Duration;
 
 use blast_core::config::{ProtocolConfig, RetxStrategy};
-use blast_wire::packet::DatagramBuilder;
+use blast_wire::packet::{Datagram, DatagramBuilder};
+use blast_wire::{Ext, Grant};
 
 use crate::channel::Channel;
 use crate::outbound::{Outbound, Then};
@@ -47,6 +54,9 @@ pub const MAX_TRANSFER_BYTES: usize = 256 * 1024 * 1024;
 
 /// Longest blob name a request can carry.
 pub const MAX_NAME_LEN: usize = 255;
+
+/// Longest request payload: every field and the longest name.
+const MAX_REQUEST_LEN: usize = MIN_REQUEST_LEN + MAX_NAME_LEN;
 
 /// The longest an initiator waits between re-sends of a request or a
 /// control query, the ceiling of its [`Backoff`]: the data phase's
@@ -133,6 +143,9 @@ pub struct Request {
     pub direction: Direction,
     /// Blob name (empty for anonymous peer-to-peer transfers).
     pub name: String,
+    /// The grant of the side that will receive the data, carried in the
+    /// datagram's extension area: a push's echo, a pull's request.
+    pub grant: Option<Grant>,
 }
 
 impl Request {
@@ -146,6 +159,7 @@ impl Request {
             multiblast_chunk: if multiblast { cfg.multiblast_chunk } else { 0 },
             direction: Direction::Push,
             name: String::new(),
+            grant: None,
         }
     }
 
@@ -159,6 +173,7 @@ impl Request {
             multiblast_chunk: 0,
             direction: Direction::Pull,
             name: name.to_string(),
+            grant: None,
         }
     }
 
@@ -191,22 +206,40 @@ impl Request {
     /// strategy u8 | `multiblast_chunk` u32 | direction u8 | name-len
     /// u16 | name bytes).
     pub fn encode(&self) -> Vec<u8> {
-        debug_assert!(self.name.len() <= MAX_NAME_LEN, "blob name too long");
-        let mut p = Vec::with_capacity(MIN_REQUEST_LEN + self.name.len());
-        p.extend_from_slice(&(self.len as u64).to_be_bytes());
-        p.extend_from_slice(&(self.packet_payload as u32).to_be_bytes());
-        p.push(strategy_to_u8(self.strategy));
-        p.extend_from_slice(&self.multiblast_chunk.to_be_bytes());
-        p.push(match self.direction {
-            Direction::Push => 0,
-            Direction::Pull => 1,
-        });
-        p.extend_from_slice(&(self.name.len() as u16).to_be_bytes());
-        p.extend_from_slice(self.name.as_bytes());
-        p
+        let mut p = [0u8; MAX_REQUEST_LEN];
+        let n = self.encode_into(&mut p);
+        p[..n].to_vec()
     }
 
-    /// Decode a request payload; `None` if malformed.
+    /// [`encode`](Request::encode) into `out`, returning the length.
+    fn encode_into(&self, out: &mut [u8; MAX_REQUEST_LEN]) -> usize {
+        debug_assert!(self.name.len() <= MAX_NAME_LEN, "blob name too long");
+        let name = &self.name.as_bytes()[..self.name.len().min(MAX_NAME_LEN)];
+        out[0..8].copy_from_slice(&(self.len as u64).to_be_bytes());
+        out[8..12].copy_from_slice(&(self.packet_payload as u32).to_be_bytes());
+        out[12] = strategy_to_u8(self.strategy);
+        out[13..17].copy_from_slice(&self.multiblast_chunk.to_be_bytes());
+        out[17] = match self.direction {
+            Direction::Push => 0,
+            Direction::Pull => 1,
+        };
+        out[18..20].copy_from_slice(&(name.len() as u16).to_be_bytes());
+        out[MIN_REQUEST_LEN..MIN_REQUEST_LEN + name.len()].copy_from_slice(name);
+        MIN_REQUEST_LEN + name.len()
+    }
+
+    /// The request a parsed `Request` datagram carries, its grant read
+    /// from the extension area; `None` if the payload is malformed.
+    pub fn parse(d: &Datagram<'_>) -> Option<Self> {
+        let request = Request::decode(d.payload)?;
+        Some(Request {
+            grant: d.ext.grant,
+            ..request
+        })
+    }
+
+    /// Decode a request payload (no grant: that rides beside it); `None`
+    /// if malformed.
     pub fn decode(p: &[u8]) -> Option<Self> {
         if p.len() < MIN_REQUEST_LEN {
             return None;
@@ -235,15 +268,22 @@ impl Request {
             multiblast_chunk,
             direction,
             name,
+            grant: None,
         })
     }
 
-    /// Build the complete `Request` datagram for `transfer_id`.
+    /// Build the complete `Request` datagram for `transfer_id`, its
+    /// grant (if any) in the extension area.
     pub fn build_datagram(&self, transfer_id: u32) -> Vec<u8> {
-        let payload = self.encode();
-        let mut buf = vec![0u8; blast_wire::HEADER_LEN + payload.len()];
+        // The payload is staged on the stack: the datagram is the one
+        // allocation.
+        let mut payload = [0u8; MAX_REQUEST_LEN];
+        let len = self.encode_into(&mut payload);
+        let ext = Ext { grant: self.grant };
+        let mut buf = vec![0u8; blast_wire::HEADER_LEN + len + ext.encoded_len()];
         let n = DatagramBuilder::new(transfer_id)
-            .build_request(&mut buf, self.total_packets(), &payload)
+            .ext(ext)
+            .build_request(&mut buf, self.total_packets(), &payload[..len])
             .expect("request fits");
         buf.truncate(n);
         buf
@@ -315,6 +355,7 @@ mod tests {
             multiblast_chunk: 32,
             direction: Direction::Pull,
             name: "models/weights.bin".to_string(),
+            grant: None,
         }
     }
 
@@ -425,5 +466,30 @@ mod tests {
         assert_eq!(d.kind, PacketKind::Request);
         assert_eq!(d.transfer_id, 42);
         assert_eq!(Request::decode(d.payload), Some(r));
+    }
+
+    /// A grant adds 11 bytes to the datagram, comes back from
+    /// [`Request::parse`], and leaves the payload [`Request::decode`]
+    /// checks exactly as it was.
+    #[test]
+    fn a_grant_rides_beside_the_payload() {
+        let bare = sample().build_datagram(42);
+        let grant = Grant {
+            queue: 3640,
+            drain_ns: 900,
+        };
+        let granted = Request {
+            grant: Some(grant),
+            ..sample()
+        };
+        let dgram = granted.build_datagram(42);
+        assert_eq!(dgram.len(), bare.len() + 11);
+        let d = Datagram::parse(&dgram).unwrap();
+        assert_eq!(Request::decode(d.payload), Some(sample()));
+        assert_eq!(Request::parse(&d), Some(granted));
+        assert_eq!(
+            Request::parse(&Datagram::parse(&bare).unwrap()),
+            Some(sample())
+        );
     }
 }

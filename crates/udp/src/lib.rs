@@ -23,11 +23,13 @@
 //! * [`outbound`] — the initiator's leg, sans I/O: one transfer from
 //!   request through echo to completion, and the blocking loop that runs
 //!   it over a channel (`blast_node::Client`; a node's copy legs);
-//! * [`path`] — per-peer path state that outlives a transfer: the AIMD
-//!   burst and the round-trip estimate each peer's last completed
-//!   transfer ended at, which seed the next one's pacer, round-0
-//!   retransmission timer and request re-sends, so a clean path is not
-//!   re-probed and a lost tail or request does not wait out the
+//! * [`grant`] — the receiver's grant, stated in the handshake: the
+//!   datagrams its socket queue holds for the transfer and its measured
+//!   drain interval, which set the sender's burst and tail timer;
+//! * [`path`] — per-peer path state that outlives a transfer: the
+//!   round-trip estimate each peer's last completed transfer ended at,
+//!   which seeds the next one's round-0 retransmission timer and
+//!   request re-sends, so a lost tail or request does not wait out the
 //!   configured initial timeout;
 //! * [`timers`] — the timer wheel behind both (and behind the
 //!   multi-session `blast-node` server);
@@ -98,6 +100,7 @@ pub mod channel;
 pub mod copy;
 pub mod fault;
 pub mod fcs;
+pub mod grant;
 pub mod gso;
 pub mod handshake;
 pub mod netio;

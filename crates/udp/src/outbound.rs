@@ -7,7 +7,8 @@
 //! re-sends the request on its own [`RETRY`] timer, first after the
 //! path's carried RTO and then backing off to the retry interval
 //! ([`Backoff`]); the echo makes it adopt the echoed parameters and
-//! build its engine, seeded with what the path carried; from then on it
+//! build its engine — for a push, granted what the echo grants
+//! ([`crate::grant`]) — seeded with what the path carried; from then on it
 //! hands the engine everything but handshake traffic and other
 //! transfers' datagrams (a receiver places data by sequence number
 //! alone, so a previous transfer's stale tail must never reach it).
@@ -130,9 +131,9 @@ impl<'a> Outbound<'a> {
     /// over from the peer's last transfer, before the first
     /// [`step`](Outbound::step): the request re-sends start at its RTO
     /// and back off to the retry interval ([`Backoff`]), and the engine
-    /// the echo builds starts at its burst and round-trip estimate
-    /// ([`path::seed`]).  `None` starts at the configured burst and
-    /// timeout.
+    /// the echo builds starts at its burst, within the echo's grant,
+    /// and its round-trip estimate ([`path::seed`]).  `None` starts at
+    /// the grant (or the configured burst) and the configured timeout.
     pub fn carry(&mut self, carried: Option<Carried>) {
         self.retry = Backoff::new(&self.cfg, carried.and_then(|c| c.rtt));
         self.carried = carried;
@@ -197,7 +198,7 @@ impl<'a> Outbound<'a> {
                 return Ok(None);
             }
             Input::Datagram(d) if d.transfer_id != self.id => return Ok(None),
-            Input::Datagram(d) => match (d.kind, Request::decode(d.payload)) {
+            Input::Datagram(d) => match (d.kind, Request::parse(d)) {
                 (PacketKind::Cancel, _) => {
                     let refusal = "responder cancelled the transfer";
                     return Err(io::Error::new(ErrorKind::NotFound, refusal));
@@ -212,11 +213,19 @@ impl<'a> Outbound<'a> {
         timers.cancel(key(RETRY));
         let mut cfg = self.cfg.clone();
         echoed.apply_to(&mut cfg);
-        let len = echoed.len;
+        let (len, grant) = (echoed.len, echoed.grant);
         self.echoed = Some(echoed);
         self.echoed_at = epoch.elapsed();
         let mut engine: Box<dyn Engine + 'a> = match std::mem::replace(&mut self.then, Then::Stop) {
-            Then::Send(blob) => Box::new(BlastSender::new(self.id, blob, &cfg)),
+            Then::Send(blob) => {
+                let mut sender = BlastSender::new(self.id, blob, &cfg);
+                // The echo is the receiver's side of a push: its grant
+                // sets the burst and the tail timer.
+                if let (Some(grant), Some(control)) = (grant, sender.control_mut()) {
+                    control.grant(grant);
+                }
+                Box::new(sender)
+            }
             // The echo is the size announcement, and the receive buffer
             // an eager allocation: bound it before trusting a 24-byte
             // datagram with a terabyte.
@@ -232,7 +241,7 @@ impl<'a> Outbound<'a> {
         if let Some(rec) = &self.recorder {
             engine.set_recorder(rec.clone());
         }
-        path::seed(engine.as_mut(), self.carried, &cfg.pool);
+        path::seed(engine.as_mut(), self.carried);
         let engine = self.engine.insert(engine);
         pump::step(engine.as_mut(), epoch, Input::Start, timers, key, transmit)
     }
@@ -325,6 +334,7 @@ mod tests {
     use crate::handshake::retry_interval;
     use blast_core::control::ROUND0_FLOOR;
     use blast_wire::packet::DatagramBuilder;
+    use blast_wire::Grant;
     use std::sync::Arc;
 
     const ID: u32 = 2;
@@ -474,23 +484,66 @@ mod tests {
         assert_eq!(sent, blob);
     }
 
+    /// The echo's grant sets the sender: a queue smaller than the
+    /// transfer is its first burst, drawn from buffers warmed before the
+    /// burst; one that holds the transfer sends it all at once, arms no
+    /// pace timer, and waits for the tail's answer the RTO plus the
+    /// receiver's time to drain the burst (`in flight × Cr`).
+    #[test]
+    fn a_push_echo_builds_a_sender_that_bursts_the_granted_queue() {
+        let cfg = ProtocolConfig::lan();
+        let blob: Arc<[u8]> = vec![5u8; 300 * PAYLOAD].into();
+        let granted = |queue| {
+            let mut script = Script::new(Outbound::push(ID, "blob", blob.clone(), &cfg).unwrap());
+            let mut echo =
+                Request::decode(Datagram::parse(&script.wire[0]).unwrap().payload).unwrap();
+            echo.grant = Some(Grant {
+                queue,
+                drain_ns: 2_000,
+            });
+            let before = Instant::now();
+            script.hear(&echo.build_datagram(ID)).unwrap();
+            (script, before, Instant::now())
+        };
+        let (script, ..) = granted(128);
+        let pacing = script.leg.engine().unwrap().pacing_snapshot().unwrap();
+        assert_eq!((pacing.initial_burst, pacing.burst), (128, 128));
+        assert_eq!(script.kinds_after(1), [PacketKind::Data; 128], "one burst");
+        assert_eq!(cfg.pool.fresh_allocations(), 0, "warmed before it");
+
+        let (mut script, before, after) = granted(4096);
+        assert_eq!(script.kinds_after(1), [PacketKind::Data; 300], "all of it");
+        let tail = cfg.timeout.initial() + 300 * Duration::from_micros(2);
+        let due = script.timers.next_deadline().expect("the tail's timer");
+        assert!(due >= before + tail && due <= after + tail);
+        assert_eq!(script.timers.pop_due(due), Some(TimerToken(0)));
+        assert!(script.timers.is_empty(), "no pace timer");
+    }
+
+    /// A carried burst starts the sender within the echo's grant: one
+    /// that loss shrank below the grant starts it there, one above the
+    /// grant at the grant.
     #[test]
     fn a_push_echo_builds_a_sender_seeded_with_the_carried_burst() {
-        let mut cfg = cfg();
-        cfg.pacing = PacingConfig::lan();
+        let cfg = ProtocolConfig::lan();
         let blob: Arc<[u8]> = vec![5u8; 300 * PAYLOAD].into();
-        let mut leg = Outbound::push(ID, "blob", blob, &cfg).unwrap();
-        leg.carry(Some(Carried {
-            burst: 128,
-            rtt: None,
-        }));
-        let mut script = Script::new(leg);
-        script.hear(&echo(&script, 300 * PAYLOAD)).unwrap();
-        let pacing = script.leg.engine().unwrap().pacing_snapshot().unwrap();
-        assert_eq!(pacing.initial_burst, 128);
-        assert_eq!(script.kinds_after(1), [PacketKind::Data; 128], "one burst");
-        // The burst came out of buffers warmed before it started.
-        assert_eq!(cfg.pool.fresh_allocations(), 0);
+        for (burst, queue, start) in [(128, 4096, 128), (1024, 200, 200)] {
+            let mut leg = Outbound::push(ID, "blob", blob.clone(), &cfg).unwrap();
+            leg.carry(Some(Carried { burst, rtt: None }));
+            let mut script = Script::new(leg);
+            let mut echo =
+                Request::decode(Datagram::parse(&script.wire[0]).unwrap().payload).unwrap();
+            echo.grant = Some(Grant { queue, drain_ns: 0 });
+            script.hear(&echo.build_datagram(ID)).unwrap();
+            let pacing = script.leg.engine().unwrap().pacing_snapshot().unwrap();
+            assert_eq!(
+                pacing.initial_burst, start,
+                "carried {burst}, granted {queue}"
+            );
+            let burst = vec![PacketKind::Data; start as usize];
+            assert_eq!(script.kinds_after(1), burst, "one burst");
+        }
+        assert_eq!(cfg.pool.fresh_allocations(), 0, "warmed before it");
     }
 
     /// A leg that carries a loopback estimate re-sends its request at the

@@ -315,6 +315,18 @@ pub fn grow_buffers(socket: &UdpSocket) {
     let _ = set_send_buffer(socket, BLAST_RECV_BUFFER);
 }
 
+/// The receive buffer a socket grown by [`grow_buffers`] reports on
+/// this host (`BLAST_RECV_BUFFER` doubled for bookkeeping and clamped
+/// to `net.core.rmem_max`), read once off a probe socket; `None` where
+/// it cannot be read.
+pub fn grown_recv_buffer() -> Option<usize> {
+    static GROWN: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *GROWN.get_or_init(|| {
+        let probe = UdpSocket::bind((std::net::Ipv4Addr::UNSPECIFIED, 0)).ok()?;
+        set_recv_buffer(&probe, BLAST_RECV_BUFFER).ok()
+    })
+}
+
 /// Whether this platform can bind `SO_REUSEPORT` socket groups.
 ///
 /// `false` means [`bind_reuseport`] always reports `Unsupported` and a

@@ -255,6 +255,10 @@ impl<C: Channel> Channel for TimeWait<C> {
         self.inner.discarded()
     }
 
+    fn recv_buffer(&self) -> Option<usize> {
+        self.inner.recv_buffer()
+    }
+
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
         let started = Instant::now();
         loop {

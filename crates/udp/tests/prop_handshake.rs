@@ -86,6 +86,7 @@ fn request_from(len: usize, strategy_byte: u8, chunk: u32, pull: bool, name_tag:
         } else {
             format!("blob-{name_tag}")
         },
+        grant: None,
     }
 }
 

@@ -6,10 +6,11 @@
 //! allocations — the syscall batching never buys throughput by hiding
 //! per-packet allocation.  The same holds for a warmed `FaultyChannel`
 //! (the benchmark's `lossy_push` client path) under every fault at once,
-//! and for the tail-record table once it has been filled to capacity:
-//! holding records and answering retransmitted tails reuses its space.
-//! So does the path table: once full, booking transfers for new and
-//! known peers and reading their bursts back displaces, never grows.
+//! sent or staged and flushed, and for the tail-record table once it has
+//! been filled to capacity: holding records and answering retransmitted
+//! tails reuses its space.  So does the path table: once full, booking
+//! transfers for new and known peers and reading their bursts back
+//! displaces, never grows.
 //!
 //! `harness = false` (see `Cargo.toml`): this file is a plain `fn main`,
 //! not a `#[test]`.  The allocation counter is process-global, and
@@ -102,14 +103,26 @@ fn faulty_send_path_is_allocation_free() {
     let frame = [0x5au8; FRAME];
 
     // Warm-up: the first corruption and the first reorder size the
-    // channel's two reused buffers.
+    // channel's two reused buffers, and a first staged burst faults in
+    // the backend's slots.
     while ch.corrupted == 0 || ch.reordered == 0 {
         ch.send(&frame).unwrap();
     }
+    for _ in 0..BURST {
+        ch.stage(&frame).unwrap();
+    }
+    ch.flush().unwrap();
 
     let before = allocations();
     for _ in 0..SENDS {
         ch.send(&frame).unwrap();
+    }
+    // The staged path, as a client's step uses it: a burst, one flush.
+    for _ in 0..SENDS / BURST {
+        for _ in 0..BURST {
+            ch.stage(&frame).unwrap();
+        }
+        ch.flush().unwrap();
     }
     let allocs = allocations() - before;
     assert!(
@@ -118,7 +131,7 @@ fn faulty_send_path_is_allocation_free() {
     );
     assert_eq!(
         allocs, 0,
-        "{SENDS} sends through FaultyChannel under chaos(0.2) must not allocate"
+        "{SENDS} sends and as many staged datagrams through FaultyChannel under chaos(0.2) must not allocate"
     );
 }
 

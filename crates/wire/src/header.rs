@@ -117,10 +117,12 @@ pub mod flags {
     /// (§3.1.3: "for such very large sizes, we suggest the use of
     /// multiple blasts").
     pub const MULTIBLAST: u16 = 1 << 3;
+    /// The payload ends with an extension area ([`crate::ext`]).
+    pub const EXT: u16 = 1 << 4;
 
     /// Mask of all bits this implementation defines; the rest must be
     /// zero (reserved for future revisions).
-    pub const KNOWN: u16 = LAST | RELIABLE | KERNEL | MULTIBLAST;
+    pub const KNOWN: u16 = LAST | RELIABLE | KERNEL | MULTIBLAST | EXT;
 }
 
 /// Field offsets.

@@ -25,6 +25,8 @@
 //!   transport header and an IEEE 802.3 CRC-32 for whole-frame checks,
 //!   standing in for the Ethernet FCS computed by the interface hardware
 //!   (a carry-less-multiply kernel where the CPU has one);
+//! * [`ext`] — the extension area any datagram may end with: bounded
+//!   type-length-value fields, the receiver's [`ext::Grant`] the first;
 //! * [`packet`] — a convenience builder/parser that assembles the above
 //!   into complete datagrams and decodes them back.
 //!
@@ -70,11 +72,13 @@
 pub mod ack;
 pub mod checksum;
 pub mod error;
+pub mod ext;
 pub mod header;
 pub mod packet;
 
 pub use ack::{AckPayload, Bitmap};
 pub use error::{WireError, WireResult};
+pub use ext::{Ext, Grant};
 pub use header::{BlastHeader, PacketKind, HEADER_LEN};
 pub use packet::{Datagram, DatagramBuilder};
 

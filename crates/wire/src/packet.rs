@@ -8,10 +8,12 @@
 //! * [`DatagramBuilder`] — writes well-formed datagrams into a caller
 //!   buffer with a single copy of the payload;
 //! * [`Datagram`] — a fully-validated parsed view, with the ack payload
-//!   already decoded when present.
+//!   and the extension area ([`crate::ext`]) already decoded when
+//!   present.
 
 use crate::ack::AckPayload;
 use crate::error::{WireError, WireResult};
+use crate::ext::Ext;
 use crate::header::{flags, BlastHeader, PacketKind, HEADER_LEN};
 
 /// A parsed, validated transport datagram.
@@ -36,10 +38,13 @@ pub struct Datagram<'a> {
     pub round: u16,
     /// Raw flag bits.
     pub flags: u16,
-    /// Payload bytes (data packets; empty for acks — see `ack`).
+    /// Payload bytes (data packets; empty for acks — see `ack`), the
+    /// extension area split off.
     pub payload: &'a [u8],
     /// Decoded acknowledgement, for `PacketKind::Ack` packets.
     pub ack: Option<AckPayload>,
+    /// The extension area's known fields ([`Ext::NONE`] without one).
+    pub ext: Ext,
 }
 
 impl<'a> Datagram<'a> {
@@ -48,7 +53,11 @@ impl<'a> Datagram<'a> {
         let view = BlastHeader::new_checked(buf)?;
         let kind = view.kind().expect("kind validated by new_checked");
         let payload_len = view.payload_len() as usize;
-        let payload = &buf[HEADER_LEN..HEADER_LEN + payload_len];
+        let mut payload = &buf[HEADER_LEN..HEADER_LEN + payload_len];
+        let mut ext = Ext::NONE;
+        if view.flags() & flags::EXT != 0 {
+            (payload, ext) = Ext::split(payload)?;
+        }
         let ack = match kind {
             PacketKind::Ack => Some(AckPayload::decode(payload)?),
             _ => None,
@@ -63,6 +72,7 @@ impl<'a> Datagram<'a> {
             flags: view.flags(),
             payload,
             ack,
+            ext,
         })
     }
 
@@ -98,6 +108,7 @@ pub struct DatagramBuilder {
     transfer_id: u32,
     kernel: bool,
     multiblast: bool,
+    ext: Ext,
 }
 
 impl DatagramBuilder {
@@ -107,6 +118,7 @@ impl DatagramBuilder {
             transfer_id,
             kernel: false,
             multiblast: false,
+            ext: Ext::NONE,
         }
     }
 
@@ -122,6 +134,13 @@ impl DatagramBuilder {
         self
     }
 
+    /// End every packet's payload with `ext`'s extension area (none
+    /// when it is empty), written in place after the body.
+    pub fn ext(mut self, ext: Ext) -> Self {
+        self.ext = ext;
+        self
+    }
+
     fn base_flags(&self) -> u16 {
         let mut f = 0;
         if self.kernel {
@@ -129,6 +148,9 @@ impl DatagramBuilder {
         }
         if self.multiblast {
             f |= flags::MULTIBLAST;
+        }
+        if !self.ext.is_empty() {
+            f |= flags::EXT;
         }
         f
     }
@@ -147,7 +169,8 @@ impl DatagramBuilder {
         round: u16,
         extra_flags: u16,
     ) -> WireResult<usize> {
-        let need = HEADER_LEN + payload.len();
+        let body = payload.len();
+        let need = HEADER_LEN + body + self.ext.encoded_len();
         if buf.len() < need {
             return Err(WireError::Truncated {
                 needed: need,
@@ -161,10 +184,12 @@ impl DatagramBuilder {
         h.set_seq(seq);
         h.set_total(total);
         h.set_offset(offset);
-        h.set_payload_len(payload.len() as u32);
+        h.set_payload_len((need - HEADER_LEN) as u32);
         h.set_round(round);
         h.set_flags(self.base_flags() | extra_flags);
-        h.payload_mut()[..payload.len()].copy_from_slice(payload);
+        let out = h.payload_mut();
+        out[..body].copy_from_slice(payload);
+        self.ext.write(&mut out[body..])?;
         h.fill_checksum();
         Ok(need)
     }

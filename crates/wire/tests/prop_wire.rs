@@ -6,8 +6,9 @@
 
 use blast_wire::ack::{AckPayload, Bitmap};
 use blast_wire::checksum;
-use blast_wire::header::{BlastHeader, PacketKind, HEADER_LEN};
+use blast_wire::header::{flags, BlastHeader, PacketKind, HEADER_LEN};
 use blast_wire::packet::{Datagram, DatagramBuilder};
+use blast_wire::{Ext, Grant};
 use proptest::prelude::*;
 
 proptest! {
@@ -123,5 +124,72 @@ proptest! {
         s.update(&data[..at.min(data.len())]);
         s.update(&data[at.min(data.len())..]);
         prop_assert_eq!(s.finish(), checksum::crc32(&data));
+    }
+}
+
+proptest! {
+    /// Every kind round-trips with and without an extension area: the
+    /// body, the header fields and the ack come back as built, and the
+    /// area's grant comes back beside them.
+    #[test]
+    fn every_kind_round_trips_with_and_without_an_area(
+        kind_index in 0usize..6,
+        transfer_id in any::<u32>(),
+        seq in any::<u32>(),
+        body in proptest::collection::vec(any::<u8>(), 0..300),
+        queue in any::<u32>(),
+        drain_ns in any::<u32>(),
+        with_area in any::<bool>(),
+        acked in any::<u32>(),
+    ) {
+        let ext = Ext {
+            grant: with_area.then_some(Grant { queue, drain_ns }),
+        };
+        let b = DatagramBuilder::new(transfer_id).ext(ext);
+        let mut buf = vec![0u8; HEADER_LEN + 2048];
+        let ack = AckPayload::Positive { acked };
+        let (n, kind) = match kind_index {
+            0 => (b.build_data(&mut buf, 0, 1, 0, &body, 0, true).unwrap(), PacketKind::Data),
+            1 => (b.build_ack(&mut buf, 1, &ack).unwrap(), PacketKind::Ack),
+            2 => (b.build_request(&mut buf, 1, &body).unwrap(), PacketKind::Request),
+            3 => (b.build_cancel(&mut buf).unwrap(), PacketKind::Cancel),
+            4 => (b.build_stats(&mut buf, seq, &body).unwrap(), PacketKind::Stats),
+            _ => (b.build_copy(&mut buf, seq, &body).unwrap(), PacketKind::Copy),
+        };
+        let d = Datagram::parse(&buf[..n]).unwrap();
+        prop_assert_eq!(d.kind, kind);
+        prop_assert_eq!(d.transfer_id, transfer_id);
+        prop_assert_eq!(d.ext, ext);
+        prop_assert_eq!(d.flags & flags::EXT != 0, with_area);
+        match kind {
+            PacketKind::Ack => prop_assert_eq!(d.ack, Some(ack)),
+            PacketKind::Cancel => prop_assert!(d.payload.is_empty()),
+            _ => prop_assert_eq!(d.payload, &body[..]),
+        }
+        if matches!(kind, PacketKind::Stats | PacketKind::Copy) {
+            prop_assert_eq!(d.seq, seq);
+        }
+        prop_assert_eq!(n, HEADER_LEN + d.payload.len() + ext.encoded_len());
+    }
+
+    /// Whatever follows a flagged body, parsing is total: an area cut
+    /// short, overlong or garbled fails the datagram or parses, never
+    /// panics.
+    #[test]
+    fn a_garbled_area_never_panics(
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+        area in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let mut payload = body.clone();
+        payload.extend_from_slice(&area);
+        let mut buf = vec![0u8; HEADER_LEN + payload.len()];
+        BlastHeader::<&mut [u8]>::clear(&mut buf);
+        let mut h = BlastHeader::new_unchecked(&mut buf[..]);
+        h.set_kind(PacketKind::Request);
+        h.set_flags(flags::EXT);
+        h.set_payload_len(payload.len() as u32);
+        h.payload_mut().copy_from_slice(&payload);
+        h.fill_checksum();
+        let _ = Datagram::parse(&buf);
     }
 }
