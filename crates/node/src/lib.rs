@@ -14,16 +14,17 @@
 //!   copies the node drives as a client, each entry owning its
 //!   sans-I/O engine (any of the four retransmission strategies, in
 //!   either direction); the wheel is keyed by `(entry, TimerToken)`;
-//!   and every engine call goes through the one `blast_udp::pump`; the
-//!   [`NodeHandle`] merges per-shard metrics on read;
+//!   and every engine call goes through the one `blast_udp::pump`; each
+//!   shard publishes its [`NodeMetrics`] at the end of every tick, and
+//!   the [`NodeHandle`] merges them on read;
 //! * [`store`] — the named-blob catalogue the node serves, the
 //!   in-memory [`MemStore`] (the `blast-vkernel` file-server semantics
 //!   at the page level), shared by every shard as a [`SharedStore`];
 //! * [`client`] — the [`Client`] handle: `push` / `pull` / `stats`
 //!   against a node, plus third-party `copy_to` / `copy_from` /
 //!   `fan_out` orchestration of node-to-node transfers;
-//! * [`metrics`] — per-session reports, aggregate `blast-stats`
-//!   accumulators, and the per-shard [`ShardReport`] breakdown.
+//! * [`metrics`] — per-session reports and [`NodeMetrics`], the one
+//!   type a shard, its published snapshot and the node's merge count in.
 //!
 //! ## Example (a sharded node + one client)
 //!
@@ -62,6 +63,6 @@ pub mod server;
 pub mod store;
 
 pub use client::{Client, CopyReport};
-pub use metrics::{NodeMetrics, SessionReport, ShardReport};
-pub use server::{NodeBuilder, NodeConfig, NodeHandle, NodeServer};
+pub use metrics::{NodeMetrics, SessionReport};
+pub use server::{NodeBuilder, NodeConfig, NodeHandle};
 pub use store::{shared_store, MemStore, SharedStore};

@@ -6,6 +6,13 @@
 //! elapsed time and goodput — and folds the latter two into
 //! [`OnlineStats`] accumulators so a long-lived node summarises
 //! millions of sessions in O(1) memory.
+//!
+//! [`NodeMetrics`] is the one type a node's counters live in: a shard
+//! counts into its own, [publishes](NodeMetrics::publish_into) it into
+//! a shared slot every tick, and readers [merge](NodeMetrics::merge_from)
+//! the slots.  A new counter goes in the struct and those two methods;
+//! the test `publish_and_merge_carry_every_field` will not compile
+//! until it is named there too.
 
 use std::ops::Deref;
 use std::time::Duration;
@@ -109,10 +116,10 @@ pub struct NodeMetrics {
     pub unroutable: u64,
     /// Which [`blast_udp::netio`] backend the node socket runs
     /// (`"batched"` or `"portable"`).
-    pub netio_backend: String,
+    pub netio_backend: &'static str,
     /// The backend's segmentation offloads (`"gso+gro"` or
     /// `"portable"` — see `blast_udp::netio::OffloadState`).
-    pub netio_offload: String,
+    pub netio_offload: &'static str,
     /// The node socket's syscall counters (batch amortisation, wait
     /// strategy: epoll wakeups vs timer expiries), snapshotted from the
     /// reactor's [`NetIoStats`] every tick.
@@ -204,10 +211,10 @@ impl NodeMetrics {
         self.malformed += other.malformed;
         self.unroutable += other.unroutable;
         if self.netio_backend.is_empty() {
-            self.netio_backend.clone_from(&other.netio_backend);
+            self.netio_backend = other.netio_backend;
         }
         if self.netio_offload.is_empty() {
-            self.netio_offload.clone_from(&other.netio_offload);
+            self.netio_offload = other.netio_offload;
         }
         self.io += other.io;
         self.burst_final.merge(&other.burst_final);
@@ -231,14 +238,14 @@ impl NodeMetrics {
     /// Publish this accumulator into `dst`, reusing `dst`'s
     /// allocations.
     ///
-    /// A reactor shard calls this once per tick to refresh its shared
-    /// snapshot slot.  Counters and distributions are copied; the
-    /// reports recorded since the last publish *move* — `dst` retains
-    /// them (it already holds the earlier ones), this accumulator keeps
-    /// only what it has yet to publish.  So the snapshot is the one
-    /// place a shard's [`MAX_REPORTS`] reports live, and a publish
-    /// allocates nothing, whether or not sessions finished, however
-    /// many reports are retained.
+    /// A reactor shard calls this at the end of every tick to refresh
+    /// its shared snapshot slot.  Counters and distributions are
+    /// copied; the reports recorded since the last publish *move* —
+    /// `dst` retains them (it already holds the earlier ones), this
+    /// accumulator keeps only what it has yet to publish.  So the
+    /// snapshot is the one place a shard's [`MAX_REPORTS`] reports
+    /// live, and a publish allocates nothing, whether or not sessions
+    /// finished, however many reports are retained.
     pub fn publish_into(&mut self, dst: &mut NodeMetrics) {
         dst.sessions_accepted = self.sessions_accepted;
         dst.sessions_completed = self.sessions_completed;
@@ -263,8 +270,8 @@ impl NodeMetrics {
         dst.fcs_drops = self.fcs_drops;
         dst.malformed = self.malformed;
         dst.unroutable = self.unroutable;
-        dst.netio_backend.clone_from(&self.netio_backend);
-        dst.netio_offload.clone_from(&self.netio_offload);
+        dst.netio_backend = self.netio_backend;
+        dst.netio_offload = self.netio_offload;
         dst.io = self.io;
         dst.burst_final = self.burst_final;
         dst.burst_mean = self.burst_mean;
@@ -306,7 +313,7 @@ impl NodeMetrics {
     }
 
     /// Third-party copies still driving their outbound leg.
-    pub fn copies_in_flight(&self) -> u64 {
+    fn copies_in_flight(&self) -> u64 {
         self.copies_requested - self.copies_completed - self.copies_failed
     }
 
@@ -367,65 +374,15 @@ impl NodeMetrics {
             self.retx_rounds.count(),
         )
     }
-}
 
-/// One reactor shard's slice of the node's aggregate metrics.
-///
-/// The merged [`NodeMetrics`] deliberately keeps its pre-sharding shape
-/// — one node, one set of counters — so this breakdown is how an
-/// operator sees whether the kernel's 4-tuple hash actually spread the
-/// load: per-shard session counts, byte counts and goodput, straight
-/// from each shard's published accumulator.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index, `0..shards`.
-    pub shard: usize,
-    /// Sessions this shard's socket accepted.
-    pub sessions_accepted: u64,
-    /// Sessions completed successfully on this shard.
-    pub sessions_completed: u64,
-    /// Sessions that failed on this shard.
-    pub sessions_failed: u64,
-    /// Payload bytes received in completed pushes.
-    pub bytes_received: u64,
-    /// Payload bytes sent in completed pulls.
-    pub bytes_sent: u64,
-    /// Datagrams this shard's reactor read off its socket.
-    pub datagrams_received: u64,
-    /// Datagrams this shard's reactor wrote to its socket.
-    pub datagrams_sent: u64,
-    /// Outgoing datagrams the kernel dropped at submission.
-    pub send_drops: u64,
-    /// Per-session goodput distribution on this shard, in Mbit/s.
-    pub goodput_mbps: OnlineStats,
-    /// The netio backend this shard's socket runs.
-    pub netio_backend: String,
-}
-
-impl ShardReport {
-    /// Extract the shard-level view from one shard's accumulator.
-    pub fn from_metrics(shard: usize, m: &NodeMetrics) -> Self {
-        ShardReport {
-            shard,
-            sessions_accepted: m.sessions_accepted,
-            sessions_completed: m.sessions_completed,
-            sessions_failed: m.sessions_failed,
-            bytes_received: m.bytes_received,
-            bytes_sent: m.bytes_sent,
-            datagrams_received: m.datagrams_received,
-            datagrams_sent: m.datagrams_sent,
-            send_drops: m.send_drops,
-            goodput_mbps: m.session_goodput_mbps,
-            netio_backend: m.netio_backend.clone(),
-        }
-    }
-
-    /// A one-line, human-readable summary.
-    pub fn summary(&self) -> String {
+    /// A one-line summary of this accumulator as shard `shard` of a
+    /// node: the breakdown that shows whether the kernel's 4-tuple hash
+    /// spread the sessions.
+    pub fn shard_summary(&self, shard: usize) -> String {
         format!(
             "shard {}: {} accepted, {} completed, {} failed; {} B in / {} B out; \
              {} dgrams in / {} out ({} send drops); goodput [Mbit/s]: {}",
-            self.shard,
+            shard,
             self.sessions_accepted,
             self.sessions_completed,
             self.sessions_failed,
@@ -434,7 +391,7 @@ impl ShardReport {
             self.datagrams_received,
             self.datagrams_sent,
             self.send_drops,
-            self.goodput_mbps,
+            self.session_goodput_mbps,
         )
     }
 }
@@ -565,7 +522,7 @@ mod tests {
         a.pushes = 2;
         a.pulls = 1;
         a.datagrams_received = 100;
-        a.netio_backend = "batched".into();
+        a.netio_backend = "batched";
         a.io.send_batches = 7;
         a.record(report(true, Direction::Push, 1000, 10));
         a.record(report(true, Direction::Pull, 500, 20));
@@ -575,7 +532,7 @@ mod tests {
         b.sessions_accepted = 1;
         b.pulls = 1;
         b.datagrams_received = 40;
-        b.netio_backend = "batched".into();
+        b.netio_backend = "batched";
         b.io.send_batches = 3;
         b.record(report(true, Direction::Pull, 2000, 40));
 
@@ -605,13 +562,13 @@ mod tests {
     #[test]
     fn merge_and_publish_carry_offload_state() {
         let mut a = NodeMetrics::default();
-        a.netio_offload = "gso+gro".into();
+        a.netio_offload = "gso+gro";
         a.io.gso_super_datagrams = 2;
         a.io.gso_segments = 40;
         a.io.gro_super_datagrams = 1;
         a.io.gro_segments = 16;
         let mut b = NodeMetrics::default();
-        b.netio_offload = "gso+gro".into();
+        b.netio_offload = "gso+gro";
         b.io.gso_super_datagrams = 1;
         b.io.gso_segments = 24;
 
@@ -652,7 +609,7 @@ mod tests {
         let mut local = NodeMetrics::default();
         local.sessions_accepted = 1;
         local.pushes = 1;
-        local.netio_backend = "portable".into();
+        local.netio_backend = "portable";
         local.datagrams_received = 5;
         let mut slot = NodeMetrics::default();
         local.publish_into(&mut slot);
@@ -715,16 +672,172 @@ mod tests {
         let mut m = NodeMetrics::default();
         m.sessions_accepted = 2;
         m.datagrams_received = 77;
-        m.netio_backend = "batched".into();
+        m.send_drops = 4;
+        m.netio_backend = "batched";
         m.record(report(true, Direction::Push, 1000, 10));
-        let r = ShardReport::from_metrics(3, &m);
-        assert_eq!(r.shard, 3);
-        assert_eq!(r.sessions_accepted, 2);
-        assert_eq!(r.sessions_completed, 1);
-        assert_eq!(r.datagrams_received, 77);
-        assert_eq!(r.bytes_received, 1000);
-        assert_eq!(r.goodput_mbps.count(), 1);
-        assert!(r.summary().starts_with("shard 3:"), "{}", r.summary());
+        let line = m.shard_summary(3);
+        assert!(
+            line.starts_with("shard 3: 2 accepted, 1 completed, 0 failed;"),
+            "{line}"
+        );
+        assert!(line.contains("1000 B in / 0 B out"), "{line}");
+        assert!(
+            line.contains("77 dgrams in / 0 out (4 send drops)"),
+            "{line}"
+        );
+        assert!(line.contains("goodput [Mbit/s]: "), "{line}");
+        assert!(!line.contains('\n'), "one line: {line}");
+    }
+
+    /// An accumulator with a distinct nonzero value, derived from
+    /// `seed`, in every field.  Naming every field, with no `..`, it
+    /// does not compile until a new one is given a value here.
+    fn filled(seed: u64, backend: &'static str) -> NodeMetrics {
+        let stats = |k: u64| {
+            let mut s = OnlineStats::new();
+            s.push((seed + k) as f64);
+            s
+        };
+        let mut retx_rounds = RetxHistogram::default();
+        retx_rounds.0.record((seed / 100) as f64);
+        let mut r = report(true, Direction::Push, 1, 1);
+        r.transfer_id = seed as u32;
+        NodeMetrics {
+            sessions_accepted: seed + 1,
+            sessions_completed: seed + 2,
+            sessions_failed: seed + 3,
+            pushes: seed + 4,
+            pulls: seed + 5,
+            pull_misses: seed + 6,
+            collisions: seed + 7,
+            rejected_busy: seed + 8,
+            rejected_oversize: seed + 9,
+            send_drops: seed + 10,
+            send_errors: seed + 11,
+            copies_requested: seed + 12,
+            copies_completed: seed + 13,
+            copies_failed: seed + 14,
+            copy_bytes_moved: seed + 15,
+            copy_handshake_retx: seed + 16,
+            bytes_received: seed + 17,
+            bytes_sent: seed + 18,
+            datagrams_received: seed + 19,
+            datagrams_sent: seed + 20,
+            fcs_drops: seed + 21,
+            malformed: seed + 22,
+            unroutable: seed + 23,
+            netio_backend: backend,
+            netio_offload: backend,
+            io: NetIoStats {
+                send_batches: seed + 24,
+                wakeups: seed + 25,
+                gro_segments: seed + 26,
+                ..NetIoStats::default()
+            },
+            burst_final: stats(27),
+            burst_mean: stats(28),
+            session_secs: stats(29),
+            session_goodput_mbps: stats(30),
+            retx_rounds,
+            reports: [r].into(),
+        }
+    }
+
+    /// One shard publishes into its slot and a reader merges that slot
+    /// with another shard's accumulator: every field arrives.  Counters
+    /// are copied, then summed; the first shard's names are kept;
+    /// distributions and the retransmission histogram merge; the
+    /// published reports move to the slot.  The destructuring below
+    /// names every field, so a new one does not compile until this test
+    /// checks it (and `publish_into` and `merge_from` carry it).
+    #[test]
+    fn publish_and_merge_carry_every_field() {
+        let (mut a, b) = (filled(100, "batched"), filled(200, "portable"));
+        let mut slot = NodeMetrics::default();
+        a.publish_into(&mut slot);
+        assert!(a.reports.is_empty(), "published reports move to the slot");
+        let mut merged = NodeMetrics::default();
+        merged.merge_from(&slot);
+        merged.merge_from(&b);
+        let NodeMetrics {
+            sessions_accepted,
+            sessions_completed,
+            sessions_failed,
+            pushes,
+            pulls,
+            pull_misses,
+            collisions,
+            rejected_busy,
+            rejected_oversize,
+            send_drops,
+            send_errors,
+            copies_requested,
+            copies_completed,
+            copies_failed,
+            copy_bytes_moved,
+            copy_handshake_retx,
+            bytes_received,
+            bytes_sent,
+            datagrams_received,
+            datagrams_sent,
+            fcs_drops,
+            malformed,
+            unroutable,
+            netio_backend,
+            netio_offload,
+            io,
+            burst_final,
+            burst_mean,
+            session_secs,
+            session_goodput_mbps,
+            retx_rounds,
+            reports,
+        } = merged;
+        let counters = [
+            sessions_accepted,
+            sessions_completed,
+            sessions_failed,
+            pushes,
+            pulls,
+            pull_misses,
+            collisions,
+            rejected_busy,
+            rejected_oversize,
+            send_drops,
+            send_errors,
+            copies_requested,
+            copies_completed,
+            copies_failed,
+            copy_bytes_moved,
+            copy_handshake_retx,
+            bytes_received,
+            bytes_sent,
+            datagrams_received,
+            datagrams_sent,
+            fcs_drops,
+            malformed,
+            unroutable,
+        ];
+        for (k, got) in (1..).zip(counters) {
+            assert_eq!(got, 300 + 2 * k, "counter {k} in declaration order");
+        }
+        assert_eq!((netio_backend, netio_offload), ("batched", "batched"));
+        let mut want = filled(100, "").io;
+        want += filled(200, "").io;
+        assert_eq!(io, want);
+        let distributions = [burst_final, burst_mean, session_secs, session_goodput_mbps];
+        for (k, s) in (27..).zip(distributions) {
+            let (lo, hi) = ((100 + k) as f64, (200 + k) as f64);
+            assert_eq!(
+                (s.count(), s.min(), s.max()),
+                (2, lo, hi),
+                "distribution {k}"
+            );
+        }
+        assert_eq!(retx_rounds.count(), 2);
+        assert_eq!(retx_rounds.buckets()[1..3], [1, 1]);
+        let ids: Vec<u32> = reports.iter().map(|r| r.transfer_id).collect();
+        assert_eq!(ids, [100, 200]);
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //! exactly one shard.  Shards share nothing on the packet path: each
 //! has its own [`NetIo`] backend, timer wheel, table, buffer pool, and
 //! a plain (unlocked) [`NodeMetrics`] accumulator that it publishes
-//! into a shared snapshot slot once per tick; the [`NodeHandle`] merges
-//! those snapshots on read.  Only the blob store is shared, and it is
-//! touched only at session boundaries.
+//! into a shared snapshot slot at the end of every tick (and before an
+//! admission's echo and a `Stats` reply); the [`NodeHandle`] and the
+//! `Stats` reply merge those snapshots on read.  Only the blob store is
+//! shared, and it is touched only at session boundaries.
 //!
 //! Sessions are created by the `Request` pre-allocation handshake from
 //! `blast-udp`: a push request sets a [`BlastReceiver`]'s buffer aside
@@ -103,7 +104,7 @@ use blast_wire::checksum::crc32;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::{Datagram, DatagramBuilder};
 
-use crate::metrics::{NodeMetrics, SessionReport, ShardReport};
+use crate::metrics::{NodeMetrics, SessionReport};
 use crate::store::{shared_store, SharedStore};
 
 /// Remove a terminal copy from the table after its status grace window.
@@ -117,11 +118,6 @@ const GIVE_UP: TimerToken = TimerToken(u64::MAX - 1);
 /// orchestrating client must be able to read the final status even if
 /// its first few polls are lost.  A pull copy's tail record lasts as long.
 const COPY_GRACE: Duration = Duration::from_secs(5);
-
-/// How long a shard may sit on counter-only metric changes before
-/// republishing its snapshot.  Session events (accept, finish, reject)
-/// publish immediately; pure datagram counters may lag by this much.
-const PUBLISH_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Tunables for one node.
 #[derive(Debug, Clone)]
@@ -343,20 +339,14 @@ fn bare_status(state: CopyState, error: u8) -> CopyStatus {
 /// transfers the kernel's 4-tuple hash (sessions) and orchestrating
 /// clients (copies) routed to it.
 ///
-/// A single-shard node *is* one of these.  Construct it through
-/// [`NodeBuilder`].
-pub struct NodeServer {
+/// A single-shard node *is* one of these; [`NodeBuilder`] builds them.
+struct NodeServer {
     shard: Shard,
     shutdown: Arc<AtomicBool>,
     /// Every transfer this shard is driving, sessions and copies alike.
     /// Boxed: the table doubles as it grows, and at thousands of short
     /// sessions a second most of its slots are empty.
     table: HashMap<Key, Box<Entry>>,
-    /// How many of the table's entries are copies, live or settled.
-    /// They are admitted against [`NodeConfig::max_sessions`] apart
-    /// from the sessions, whose unfinished count the shard's metrics
-    /// already keep (`sessions_in_flight`).
-    copies: usize,
 }
 
 /// A socket and the syscall backend that drives it: GRO-coalesced
@@ -406,8 +396,8 @@ struct Shard {
     /// integer increment.
     local: NodeMetrics,
     /// The published snapshot the owning [`NodeHandle`] reads.  Written
-    /// by [`publish_metrics`](Shard::publish_metrics) at most once per
-    /// tick — never from the per-datagram path.
+    /// by [`publish`](Shard::publish) at the end of every tick — never
+    /// from the per-datagram path.
     slot: Arc<Mutex<NodeMetrics>>,
     /// Engine timers of every entry, the copy legs' request retries,
     /// and the node-owned [`REAP`] and [`GIVE_UP`] tokens.
@@ -436,11 +426,6 @@ struct Shard {
     /// instead of a fresh zero-filled allocation (see
     /// [`commit`](Shard::commit)).
     spare: Option<Vec<u8>>,
-    /// Session-event count (accepts, finishes, rejects) at the last
-    /// publish: any change republishes immediately so waiters see
-    /// session state without polling lag.
-    published_events: u64,
-    last_publish: Instant,
     /// The shard's flight recorder, when the node was built with
     /// telemetry.  Handed to every engine on admission.
     recorder: Option<Recorder>,
@@ -465,8 +450,8 @@ impl NodeServer {
         // warms it further as it starts).
         crate::client::warm_pool(&config.protocol);
         let mut local = NodeMetrics::default();
-        local.netio_backend = main.io.backend().name().to_string();
-        local.netio_offload = main.io.offload().name().to_string();
+        local.netio_backend = main.io.backend().name();
+        local.netio_offload = main.io.offload().name();
         let slot = Arc::new(Mutex::new(local.clone()));
         let peer_slots = vec![Arc::clone(&slot)];
         Ok(NodeServer {
@@ -485,14 +470,11 @@ impl NodeServer {
                 epoch: Instant::now(),
                 frame_buf: Vec::new(),
                 spare: None,
-                published_events: 0,
-                last_publish: Instant::now(),
                 recorder: None,
                 peer_slots,
             },
             shutdown,
             table: HashMap::new(),
-            copies: 0,
         })
     }
 
@@ -507,12 +489,12 @@ impl NodeServer {
     }
 
     /// The bound address clients should talk to.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
+    fn local_addr(&self) -> io::Result<SocketAddr> {
         self.shard.ports[MAIN].socket.local_addr()
     }
 
     /// Run the event loop until the shutdown flag is set.
-    pub fn run(&mut self) -> io::Result<()> {
+    fn run(&mut self) -> io::Result<()> {
         // One receive buffer for the shard's lifetime, sized for the
         // largest per-datagram view the backend can pop: a
         // GRO-coalesced read's segments never exceed one framed
@@ -525,15 +507,16 @@ impl NodeServer {
         }
         // Whatever happened, leave the final state visible to the
         // handle before the thread exits.
-        self.shard.publish_now();
+        self.shard.publish();
         result
     }
 
     /// One reactor cycle: timers, then a drain of every socket, then a
-    /// flush of everything the engines queued, then (if idle) an
-    /// event-driven wait — epoll + timerfd wakes on the first datagram
-    /// or at the next timer deadline, whichever comes first (the
-    /// portable fallback degrades to a bounded sleep).
+    /// flush of everything the engines queued and a publish of the
+    /// shard's metrics, then (if idle) an event-driven wait — epoll +
+    /// timerfd wakes on the first datagram or at the next timer
+    /// deadline, whichever comes first (the portable fallback degrades
+    /// to a bounded sleep).
     fn tick(&mut self, buf: &mut [u8]) -> io::Result<()> {
         let now = Instant::now();
         let mut timers_fired = 0u64;
@@ -561,7 +544,7 @@ impl NodeServer {
             shard.local.send_errors += u64::from(io.flush(socket).is_err());
         }
         shard.sync_io_stats();
-        shard.publish_metrics();
+        shard.publish();
         let (now, next) = (Instant::now(), shard.timers.next_deadline());
         // A deadline that came due during this tick's own work (a pace
         // gap shorter than the bursts it separates) is taken at once,
@@ -730,7 +713,7 @@ impl NodeServer {
         // reach the wire: a client returns the moment its transfer
         // completes, and whoever then counts sessions in flight
         // (`NodeHandle::wait_idle`) must find this one.
-        shard.publish_now();
+        shard.publish();
         // Echo before starting the engine so that, in order-preserving
         // conditions, the size announcement precedes round-0 data.  A
         // pull's echo leaves at once: staged, it would wait for the
@@ -814,11 +797,7 @@ impl NodeServer {
 
     /// Drop `key`'s entry and whatever timers it still has armed.
     fn reap(&mut self, key: Key) {
-        if self.table.remove(&key).is_some() {
-            if let Key::Outbound(_) = key {
-                self.copies -= 1;
-            }
-        }
+        self.table.remove(&key);
         self.shard.forget_timers(key);
     }
 
@@ -876,8 +855,12 @@ impl NodeServer {
         if let Some(status) = self.copy_status(id) {
             return Ok(status);
         }
+        // Copies, live or settled, are admitted against `max_sessions`
+        // apart from the sessions.
+        let is_copy = |key: &&Key| matches!(key, Key::Outbound(_));
+        let copies = self.table.keys().filter(is_copy).count();
         let shard = &mut self.shard;
-        if self.copies >= shard.config.max_sessions {
+        if copies >= shard.config.max_sessions {
             shard.local.rejected_busy += 1;
             return Ok(bare_status(CopyState::Failed, errcode::BUSY));
         }
@@ -904,7 +887,7 @@ impl NodeServer {
         let key = Key::Outbound(id);
         let table = &self.table;
         let held = |port| granted(table, port);
-        let link = match shard.open_copy(id, &submit, self.copies, held) {
+        let link = match shard.open_copy(id, &submit, copies, held) {
             Ok(copy) => {
                 shard
                     .timers
@@ -926,7 +909,6 @@ impl NodeServer {
         shard.pump(key, &mut entry, Input::Start)?;
         let status = entry.copy_status().expect("a copy's entry");
         self.table.insert(key, entry);
-        self.copies += 1;
         Ok(status)
     }
 }
@@ -947,38 +929,12 @@ impl Shard {
         self.local.send_drops = io.send_drops;
     }
 
-    /// Session events since birth: any change means session state moved
-    /// and the snapshot must refresh immediately (waiters poll it).
-    fn session_events(&self) -> u64 {
-        self.local.sessions_accepted
-            + self.local.sessions_completed
-            + self.local.sessions_failed
-            + self.local.rejected_busy
-            + self.local.rejected_oversize
-            + self.local.pull_misses
-            + self.local.collisions
-            + self.local.copies_requested
-            + self.local.copies_completed
-            + self.local.copies_failed
-    }
-
-    /// Refresh the published snapshot: immediately on session events,
-    /// at most every [`PUBLISH_INTERVAL`] for counter-only drift.  Runs
-    /// once per tick, never per datagram, and in steady state (no new
-    /// finished sessions) the copy reuses the slot's allocations.
-    fn publish_metrics(&mut self) {
-        if self.session_events() != self.published_events
-            || self.last_publish.elapsed() >= PUBLISH_INTERVAL
-        {
-            self.publish_now();
-        }
-    }
-
-    fn publish_now(&mut self) {
+    /// Refresh the published snapshot: one uncontended lock and a copy
+    /// of the counters into the slot's own allocations, once per tick,
+    /// never per datagram.
+    fn publish(&mut self) {
         self.local
             .publish_into(&mut self.slot.lock().expect("metrics slot"));
-        self.published_events = self.session_events();
-        self.last_publish = Instant::now();
     }
 
     /// Frame one datagram into the shard's reused scratch and stage it
@@ -1242,18 +1198,13 @@ impl Shard {
         // Cap the reply comfortably inside one datagram.
         const MAX_STATS_PAYLOAD: usize = 8 * 1024;
         // Publish first so the reply reflects this very tick.
-        self.publish_now();
-        let mut merged = NodeMetrics::default();
-        let mut shard_lines = String::new();
-        for (i, slot) in self.peer_slots.iter().enumerate() {
-            let m = slot.lock().expect("metrics slot");
-            merged.merge_from(&m);
-            shard_lines.push_str(&ShardReport::from_metrics(i, &m).summary());
-            shard_lines.push('\n');
-        }
-        let mut text = merged.summary();
+        self.publish();
+        let mut text = merged(&self.peer_slots).summary();
         text.push('\n');
-        text.push_str(&shard_lines);
+        for (i, slot) in self.peer_slots.iter().enumerate() {
+            text.push_str(&slot.lock().expect("metrics slot").shard_summary(i));
+            text.push('\n');
+        }
         if text.len() > MAX_STATS_PAYLOAD {
             let mut cut = MAX_STATS_PAYLOAD;
             while !text.is_char_boundary(cut) {
@@ -1551,11 +1502,21 @@ fn bind_shard_sockets(bind: SocketAddr, shards: usize) -> io::Result<Vec<UdpSock
     Ok(sockets)
 }
 
+/// Every shard's published snapshot, merged into the node's one view:
+/// what [`NodeHandle::metrics`] returns and a `Stats` reply summarises.
+fn merged(slots: &[Arc<Mutex<NodeMetrics>>]) -> NodeMetrics {
+    let mut merged = NodeMetrics::default();
+    for slot in slots {
+        merged.merge_from(&slot.lock().expect("metrics slot"));
+    }
+    merged
+}
+
 /// A running node: the single control surface returned by
 /// [`NodeBuilder::start`].
 ///
 /// Reads merge the per-shard snapshots into one [`NodeMetrics`] (the
-/// pre-sharding shape), with [`shard_reports`](NodeHandle::shard_reports)
+/// pre-sharding shape), with [`shard_metrics`](NodeHandle::shard_metrics)
 /// exposing the per-shard breakdown.
 pub struct NodeHandle {
     addr: SocketAddr,
@@ -1585,11 +1546,7 @@ impl NodeHandle {
 
     /// The aggregate metrics: every shard's published snapshot, merged.
     pub fn metrics(&self) -> NodeMetrics {
-        let mut merged = NodeMetrics::default();
-        for slot in &self.slots {
-            merged.merge_from(&slot.lock().expect("metrics slot"));
-        }
-        merged
+        merged(&self.slots)
     }
 
     /// The flight-recorder handle, when the node was built with
@@ -1614,13 +1571,13 @@ impl NodeHandle {
         self.telemetry.as_ref().map(Telemetry::dropped).unwrap_or(0)
     }
 
-    /// The per-shard breakdown of the same snapshots: did the kernel's
-    /// hash actually spread the sessions?
-    pub fn shard_reports(&self) -> Vec<ShardReport> {
+    /// The same snapshots, one per shard in shard order: did the
+    /// kernel's hash actually spread the sessions?  (See
+    /// [`NodeMetrics::shard_summary`].)
+    pub fn shard_metrics(&self) -> Vec<NodeMetrics> {
         self.slots
             .iter()
-            .enumerate()
-            .map(|(i, slot)| ShardReport::from_metrics(i, &slot.lock().expect("metrics slot")))
+            .map(|slot| slot.lock().expect("metrics slot").clone())
             .collect()
     }
 
@@ -1932,7 +1889,6 @@ mod tests {
             );
         }
         workload.join().unwrap();
-        assert_eq!(server.copies, 0);
         assert_eq!(server.shard.local.sessions_in_flight(), 0);
         assert!(
             server.shard.timers.is_empty(),
@@ -2158,9 +2114,9 @@ mod tests {
         let pull = puller.pull("sharded").unwrap();
         assert_eq!(pull.data, data);
         assert!(node.wait_idle(Duration::from_secs(5)));
-        let reports = node.shard_reports();
-        assert_eq!(reports.len(), node.shards());
-        let accepted: u64 = reports.iter().map(|r| r.sessions_accepted).sum();
+        let per_shard = node.shard_metrics();
+        assert_eq!(per_shard.len(), node.shards());
+        let accepted: u64 = per_shard.iter().map(|s| s.sessions_accepted).sum();
         assert_eq!(accepted, 2);
         let m = node.shutdown().unwrap();
         assert_eq!(m.sessions_completed, 2);

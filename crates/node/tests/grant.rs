@@ -1,17 +1,20 @@
 //! The receiver's grant, end to end on loopback: a transfer its grant
 //! holds leaves as one burst and completes without a timeout, a shard
 //! shares its queue among the sessions it holds and never grants past
-//! it, and a hostile grant is clamped into something that still
-//! completes without holding up the shard.
+//! it, both receivers — a node's shard and a pulling client — report
+//! the receive interval they measured, and a hostile grant is clamped
+//! into something that still completes without holding up the shard.
 
+use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use blast_core::{ProtocolConfig, MAX_GRANT};
 use blast_node::server::NodeBuilder;
 use blast_node::{shared_store, Client};
-use blast_udp::channel::UdpChannel;
+use blast_udp::channel::{Channel, UdpChannel};
 use blast_udp::fcs::{self, FcsChannel};
 use blast_udp::grant::{self, Grant};
 use blast_udp::handshake::{Direction, Request, MAX_TRANSFER_BYTES};
@@ -152,6 +155,92 @@ fn a_shard_shares_its_queue_and_never_grants_past_it() {
         assert!(held <= queue, "the grants in force fit the queue");
     }
     assert_eq!(node.metrics().sessions_in_flight(), 7);
+    node.shutdown().unwrap();
+}
+
+/// A shard's grant reports the receive interval per datagram (`Cr`) it
+/// measured over the pushes it received: none on a fresh node, a
+/// nonzero one once a client's 64 KiB push has landed.  Each raw push
+/// is cancelled once echoed, so it gives its share of the queue back
+/// and the next echo carries a grant.
+#[test]
+fn a_push_echo_reports_the_drain_the_shard_measured() {
+    let node = NodeBuilder::new().start().unwrap();
+    let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.set_read_timeout(Some(WAIT)).unwrap();
+    let Some(fresh) = echoed_grant(&sock, node.addr(), 1) else {
+        return node.shutdown().map(drop).unwrap(); // no readable queue
+    };
+    assert_eq!(fresh.drain_ns, 0, "nothing received yet");
+    cancel(&sock, node.addr(), 1);
+    assert!(node.wait_idle(WAIT), "the cancel ends push 1");
+
+    client(node.addr())
+        .push("measured", &payload(2, 64 << 10))
+        .unwrap();
+    assert!(node.wait_idle(WAIT));
+    let measured = echoed_grant(&sock, node.addr(), 2).expect("a grant");
+    assert!(measured.drain_ns > 0, "{measured:?}");
+    cancel(&sock, node.addr(), 2);
+    assert_eq!(node.shutdown().unwrap().sessions_completed, 1);
+}
+
+/// A channel that keeps a copy of every frame it sends.
+struct Recording {
+    inner: UdpChannel,
+    sent: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl Channel for Recording {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.sent.lock().unwrap().push(frame.to_vec());
+        self.inner.send(frame)
+    }
+
+    fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+        self.inner.recv_timeout(buf, timeout)
+    }
+
+    fn recv_buffer(&self) -> Option<usize> {
+        self.inner.recv_buffer()
+    }
+}
+
+/// A pulling client's grant reports the receive interval it measured
+/// over its last pulls: its first pull request grants no drain, the
+/// next, after a 64 KiB pull, a nonzero one.
+#[test]
+fn a_pull_request_reports_the_drain_the_client_measured() {
+    let store = shared_store();
+    store.put("blob", payload(5, 64 << 10).into());
+    let node = NodeBuilder::new().store(store).start().unwrap();
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let channel = Recording {
+        inner: UdpChannel::connect_to(node.addr()).unwrap(),
+        sent: Arc::clone(&sent),
+    };
+    let mut client = Client::over(channel);
+    for _ in 0..2 {
+        client.pull("blob").unwrap();
+    }
+    // Each pull's request, once: a re-sent one is the same datagram.
+    let mut requests: Vec<(u32, Option<Grant>)> = sent
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|frame| {
+            let dgram = Datagram::parse(&frame[..fcs::unframe(frame)?]).ok()?;
+            let request = dgram.kind == PacketKind::Request;
+            request.then_some((dgram.transfer_id, dgram.ext.grant))
+        })
+        .collect();
+    requests.dedup_by_key(|(id, _)| *id);
+    assert_eq!(requests.len(), 2, "{requests:?}");
+    let (Some(first), Some(second)) = (requests[0].1, requests[1].1) else {
+        return node.shutdown().map(drop).unwrap(); // no readable queue
+    };
+    assert_eq!(first.drain_ns, 0, "nothing received yet");
+    assert!(second.drain_ns > 0, "{second:?}");
     node.shutdown().unwrap();
 }
 

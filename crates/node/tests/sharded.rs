@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use blast_core::config::{ProtocolConfig, RetxStrategy};
 use blast_node::server::{NodeBuilder, NodeHandle};
-use blast_node::{shared_store, Client};
+use blast_node::{shared_store, Client, NodeMetrics};
 use blast_udp::channel::UdpChannel;
 use blast_udp::fault::{FaultConfig, FaultyChannel};
 use blast_udp::sockopt;
@@ -129,7 +129,7 @@ fn thirty_two_mixed_transfers_across_four_shards() {
         "sessions drained\n{}",
         node.metrics().summary()
     );
-    let reports = node.shard_reports();
+    let shard_metrics = node.shard_metrics();
     let store = node.store();
     let shards = node.shards();
     let m = node.shutdown().unwrap();
@@ -145,24 +145,26 @@ fn thirty_two_mixed_transfers_across_four_shards() {
     assert_eq!(store.len(), 20, "4 seeds + 16 pushes");
 
     // The per-shard breakdown must reconcile exactly with the merge.
-    assert_eq!(reports.len(), shards);
+    assert_eq!(shard_metrics.len(), shards);
+    let sum = |field: fn(&NodeMetrics) -> u64| shard_metrics.iter().map(field).sum::<u64>();
+    assert_eq!(sum(|s| s.sessions_accepted), m.sessions_accepted);
+    assert_eq!(sum(|s| s.sessions_completed), m.sessions_completed);
+    assert_eq!(sum(|s| s.datagrams_received), m.datagrams_received);
+    assert_eq!(sum(|s| s.bytes_received), m.bytes_received);
     assert_eq!(
-        reports.iter().map(|r| r.sessions_accepted).sum::<u64>(),
-        m.sessions_accepted
+        sum(|s| s.session_goodput_mbps.count()),
+        m.session_goodput_mbps.count()
     );
-    assert_eq!(
-        reports.iter().map(|r| r.sessions_completed).sum::<u64>(),
-        m.sessions_completed
-    );
-    assert_eq!(
-        reports.iter().map(|r| r.datagrams_received).sum::<u64>(),
-        m.datagrams_received
-    );
-    if reports.len() == 4 {
+    assert_eq!(sum(|s| s.reports.len() as u64), m.reports.len() as u64);
+    if shard_metrics.len() == 4 {
         // 48 distinct ephemeral 4-tuples over 4 shards: the odds that
         // the kernel hashed them all onto one shard are ~4^-47.
-        let busy = reports.iter().filter(|r| r.sessions_accepted > 0).count();
-        assert!(busy >= 2, "sessions all landed on one shard: {reports:?}");
+        let lines: Vec<String> = (0..4).map(|i| shard_metrics[i].shard_summary(i)).collect();
+        let busy = shard_metrics.iter().filter(|s| s.sessions_accepted > 0);
+        assert!(
+            busy.count() >= 2,
+            "sessions all landed on one shard: {lines:#?}"
+        );
     }
 
     // Fault injection really happened: chaotic clients corrupted frames
@@ -188,14 +190,14 @@ const TURNS: usize = 16;
 /// Ids start at `first_id`, so no two clients share one.
 fn client_on(node: &NodeHandle, shard: usize, first_id: u32) -> Client<UdpChannel> {
     for attempt in 0..64 {
-        let before = node.shard_reports()[shard].sessions_accepted;
+        let before = node.shard_metrics()[shard].sessions_accepted;
         let mut client = Client::connect(node.addr())
             .unwrap()
             .timeout(Duration::from_millis(15))
             .patience(Duration::from_secs(10))
             .transfer_ids_from(first_id + attempt);
         client.pull(VERSIONED).unwrap();
-        if node.shard_reports()[shard].sessions_accepted > before {
+        if node.shard_metrics()[shard].sessions_accepted > before {
             return client;
         }
     }

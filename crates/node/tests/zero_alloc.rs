@@ -77,7 +77,7 @@ fn packet_accounting_and_steady_publish_allocate_zero() {
     // Seed non-trivial state — a backend name and a few finished
     // sessions — and publish once so the slot owns right-sized buffers
     // (the warm-up the reactor gets for free on its first tick).
-    local.netio_backend.push_str("batched");
+    local.netio_backend = "batched";
     for id in 0..8 {
         local.record(report(id));
     }
@@ -101,8 +101,8 @@ fn packet_accounting_and_steady_publish_allocate_zero() {
 
     // Tier 2 — the steady-state publish: counters drift between ticks
     // but the finished-session set is unchanged, so refreshing the
-    // snapshot reuses every slot allocation (histogram buckets, backend
-    // string, report deque).
+    // snapshot reuses every slot allocation (histogram buckets, report
+    // deque).
     let before = allocations();
     for _ in 0..1_000 {
         local.datagrams_received += 1;

@@ -64,12 +64,12 @@ fn main() -> std::io::Result<()> {
     }
 
     let store = node.store();
-    let reports = node.shard_reports();
+    let shard_metrics = node.shard_metrics();
     let metrics = node.shutdown()?;
     println!("\n{}", metrics.summary());
-    if reports.len() > 1 {
-        for r in &reports {
-            println!("{}", r.summary());
+    if shard_metrics.len() > 1 {
+        for (i, shard) in shard_metrics.iter().enumerate() {
+            println!("{}", shard.shard_summary(i));
         }
     }
     println!(
