@@ -96,6 +96,10 @@ pub struct BlastSender<'a> {
     /// Retransmission rounds consumed (timeouts + NACK rounds) in the
     /// current range.
     rounds_used: u32,
+    /// Packets the last staged round sent: what a status report's
+    /// losses are a share of.  A re-solicited tail leaves it alone, so
+    /// the report it draws is sized against the round it re-solicits.
+    round_sent: u32,
     /// When the current round's soliciting tail went out — `Some` only
     /// while an RTT sample off its acknowledgement would be unambiguous
     /// under Karn's rule (the tail transmitted exactly once, in a round
@@ -159,6 +163,7 @@ impl<'a> BlastSender<'a> {
             acked: false,
             reliable_seq: end - 1,
             rounds_used: 0,
+            round_sent: end,
             solicit_sent: None,
             pending: Pending::Idle,
             pending_set: Vec::new(),
@@ -317,10 +322,11 @@ impl<'a> BlastSender<'a> {
     /// when the tail finally goes out, so a paced round can never be
     /// interrupted by the old deadline.
     fn begin_round(&mut self, sink: &mut dyn ActionSink) {
+        self.round_sent = self.pending_len() as u32;
         self.control.trace(
             EventKind::RoundStart,
             u64::from(self.rounds_used),
-            self.pending_len() as u64,
+            u64::from(self.round_sent),
         );
         if self.pending_len() > self.control.pacer().burst_budget() as usize {
             sink.push_action(Action::CancelTimer { token: RETX_TIMER });
@@ -483,30 +489,29 @@ impl Engine for BlastSender<'_> {
                 // The status report answers our soliciting tail: a valid
                 // round-trip measurement even when it asks for more data.
                 self.sample_rtt();
-                // AIMD: any NACK means the receiver missed packets —
-                // shrink the burst before retransmitting.
-                self.control.on_loss();
+                let Some(resend) = self.resend_set(nack) else {
+                    return;
+                };
+                let missing = match &resend {
+                    Resend::Span { first } => self.end - *first,
+                    Resend::Set => self.pending_set.len() as u32,
+                    Resend::Resolicit => 0,
+                };
+                // The burst keeps the share of the answered round that
+                // arrived before any of it is retransmitted.
+                self.control.on_loss(self.round_sent, missing);
                 self.control
                     .trace(EventKind::RoundEnd, u64::from(self.rounds_used), 1);
-                if let Some(resend) = self.resend_set(nack) {
-                    if self.control.tracing() {
-                        let missing = match &resend {
-                            Resend::Span { first } => u64::from(self.end - *first),
-                            Resend::Set => self.pending_set.len() as u64,
-                            Resend::Resolicit => 0,
-                        };
-                        self.control.trace(
-                            EventKind::NackReceived,
-                            u64::from(self.rounds_used),
-                            missing,
-                        );
-                    }
-                    if self.charge_round(sink) {
-                        match resend {
-                            Resend::Span { first } => self.send_span(first, sink),
-                            Resend::Set => self.send_set_round(sink),
-                            Resend::Resolicit => self.resolicit(sink),
-                        }
+                self.control.trace(
+                    EventKind::NackReceived,
+                    u64::from(self.rounds_used),
+                    u64::from(missing),
+                );
+                if self.charge_round(sink) {
+                    match resend {
+                        Resend::Span { first } => self.send_span(first, sink),
+                        Resend::Set => self.send_set_round(sink),
+                        Resend::Resolicit => self.resolicit(sink),
                     }
                 }
             }
@@ -533,7 +538,7 @@ impl Engine for BlastSender<'_> {
         self.stats.timeouts += 1;
         // Karn: double the RTO and poison the sample window — whatever
         // answer eventually arrives is ambiguous.  The timeout is also
-        // the strongest loss signal the engine has: AIMD shrink.
+        // the strongest loss signal the engine has: the burst halves.
         self.control.on_timeout();
         self.control
             .trace(EventKind::RoundEnd, u64::from(self.rounds_used), 2);

@@ -299,9 +299,10 @@ fn a_granted_sender_blasts_once_and_its_tail_waits_for_the_drain() {
 }
 
 /// A grant smaller than the transfer paces it in bursts of the grant,
-/// and a loss halves the burst below it.
+/// and a loss trims the burst below it by the share of the round it
+/// lost.
 #[test]
-fn a_grant_caps_the_burst_and_loss_halves_below_it() {
+fn a_grant_caps_the_burst_and_loss_trims_below_it() {
     let cfg = ProtocolConfig::lan();
     let payload = data(40 * 1024);
     let grant = Grant {
@@ -317,8 +318,89 @@ fn a_grant_caps_the_burst_and_loss_halves_below_it() {
     assert_eq!(h.received_data(), &payload[..]);
     let pacing = h.sender().pacing_snapshot().unwrap();
     assert_eq!(pacing.initial_burst, 10);
-    assert_eq!(pacing.min_burst_seen, 5, "the NACK halved it");
+    assert_eq!(pacing.min_burst_seen, 9, "1 of 40 lost: ⌊10 · 39 / 40⌋");
     assert_eq!(pacing.burst, 10, "a clean round grows it back, no further");
+}
+
+/// A blast whose rounds all fit one burst: 100 packets, AIMD from 128
+/// (floor 4, ceiling 512, growth 32), so every round is one burst and
+/// the pacer's state after a run is exactly the loss rule's arithmetic.
+fn one_burst_run(drops: Vec<u64>) -> (PacerSnapshot, u64) {
+    let mut cfg = ProtocolConfig::lan().with_pacing(PacingConfig::aimd(
+        128,
+        Duration::from_micros(250),
+        4,
+        512,
+        32,
+    ));
+    cfg.max_retries = 10;
+    let payload = data(100 * 1024);
+    let mut h = Harness::new(
+        BlastSender::new(1, payload.clone(), &cfg),
+        BlastReceiver::new(1, payload.len(), &cfg),
+        LossPlan::script(drops),
+    );
+    let outcome = h.run().expect("recovers");
+    assert_eq!(h.received_data(), &payload[..]);
+    let pacing = h.sender().pacing_snapshot().unwrap();
+    (pacing, outcome.sender.timeouts)
+}
+
+/// Round 0 sends 100 packets in one burst of 128 and loses `k` of them
+/// (not the tail): the report trims the burst to `⌊128 · (100 − k) /
+/// 100⌋`, and the clean retransmission round then adds the growth step.
+#[test]
+fn a_report_trims_the_burst_by_the_share_of_its_round_lost() {
+    for k in [1u32, 3, 10, 50] {
+        let drops = (0..u64::from(k)).map(|i| 2 * i).collect();
+        let (pacing, timeouts) = one_burst_run(drops);
+        let trimmed = 128 * (100 - k) / 100;
+        assert_eq!(timeouts, 0, "{k}");
+        assert_eq!(pacing.min_burst_seen, trimmed, "{k} of 100 lost");
+        assert_eq!(
+            pacing.burst,
+            trimmed + 32,
+            "{k}: then a clean round grows it"
+        );
+        assert_eq!((pacing.loss_events, pacing.clean_rounds), (1, 1), "{k}");
+    }
+}
+
+/// Round 0 loses packets 10 and 20, trimming 128 to ⌊128 · 98 / 100⌋ =
+/// 125; the retransmission round sends those two and loses the first
+/// (wire index 101: 100 data packets, a NACK, then the two resends).
+/// One of two lost halves the burst, and no more: 62.
+#[test]
+fn a_one_of_two_loss_in_a_retransmission_round_halves_at_most() {
+    let (pacing, timeouts) = one_burst_run(vec![10, 20, 101]);
+    assert_eq!(timeouts, 0);
+    assert_eq!(pacing.min_burst_seen, 62);
+    assert_eq!(pacing.burst, 62 + 32);
+    assert_eq!(pacing.loss_events, 2);
+}
+
+/// Round 0 loses packet 10 and its tail: the timeout halves 128 to 64,
+/// and the report the re-solicited tail draws asks for one packet of
+/// the 100 round 0 sent — ⌊64 · 99 / 100⌋ = 63 — not for one of the
+/// one-packet re-solicit, which would floor the burst.
+#[test]
+fn a_resolicited_report_is_sized_against_the_round_it_resolicits() {
+    let (pacing, timeouts) = one_burst_run(vec![10, 99]);
+    assert_eq!(timeouts, 1);
+    assert_eq!(pacing.min_burst_seen, 63);
+    assert_eq!(pacing.burst, 63 + 32);
+    assert_eq!(pacing.loss_events, 2);
+}
+
+/// A lost round-0 tail and nothing else: the timeout halves the burst
+/// once, and the re-solicited tail's positive report is a clean round.
+#[test]
+fn a_timeout_halves_the_burst_once() {
+    let (pacing, timeouts) = one_burst_run(vec![99]);
+    assert_eq!(timeouts, 1);
+    assert_eq!(pacing.min_burst_seen, 64);
+    assert_eq!(pacing.burst, 64 + 32);
+    assert_eq!((pacing.loss_events, pacing.clean_rounds), (1, 1));
 }
 
 /// Hostile grants are clamped: a queue of 0 bursts one packet, one of

@@ -1,5 +1,6 @@
 //! Property tests for the AIMD-adaptive pacer: burst-size invariants
-//! over arbitrary signal sequences, strict monotonicity across lossy
+//! over arbitrary signal sequences (a report trims by at most its loss
+//! share, a timeout at most halves), strict monotonicity across lossy
 //! rounds at the engine level (where the signals actually originate),
 //! and bounded recovery — K clean rounds restore the burst from any
 //! shrunken state.
@@ -29,38 +30,65 @@ fn recovery_rounds(cfg: &PacingConfig) -> u32 {
 }
 
 proptest! {
-    /// Whatever signal sequence arrives, the burst stays inside
-    /// `[min_burst, max_burst]`, never grows on a loss, never shrinks
-    /// on a clean round — and afterwards, K clean rounds recover the
-    /// ceiling from wherever the sequence left it.
+    /// Whatever signal sequence arrives — clean rounds, timeouts, and
+    /// status reports asking again for `lost` of the `sent` packets
+    /// their round sent — the burst stays inside `[min_burst, bound]`,
+    /// `bound` being the ceiling or the receiver's grant; a clean round
+    /// never shrinks it; a timeout at most halves it; a report never
+    /// grows it nor trims it by more than its loss share.  Afterwards,
+    /// enough clean rounds recover the bound from wherever the sequence
+    /// left it.
     #[test]
     fn aimd_invariants_over_arbitrary_signals(
-        losses in proptest::collection::vec(any::<bool>(), 1..200),
+        signals in proptest::collection::vec((0u8..3, 0u32..300, 0u32..400), 1..200),
+        grant in proptest::option::of(0u32..120),
     ) {
         let cfg = aimd();
         let mut p = Pacer::new(cfg);
-        for &loss in &losses {
+        let mut bound = cfg.max_burst;
+        if let Some(queue) = grant {
+            p.grant(queue);
+            bound = queue.max(1);
+        }
+        let floor = cfg.min_burst.min(bound);
+        for &(kind, sent, lost) in &signals {
             let before = p.burst_budget();
-            if loss {
-                p.on_loss();
-                prop_assert!(p.burst_budget() <= before, "loss must not grow the burst");
-            } else {
-                p.on_clean_round();
-                prop_assert!(p.burst_budget() >= before, "clean must not shrink the burst");
+            match kind {
+                0 => {
+                    p.on_clean_round();
+                    prop_assert!(p.burst_budget() >= before, "clean must not shrink the burst");
+                }
+                1 => {
+                    p.on_timeout();
+                    prop_assert!(p.burst_budget() <= before, "a timeout must not grow the burst");
+                    prop_assert!(p.burst_budget() >= (before / 2).max(floor), "a timeout halves at most");
+                }
+                _ => {
+                    p.on_loss(sent, lost);
+                    let after = p.burst_budget();
+                    prop_assert!(after <= before, "a report must not grow the burst");
+                    let share = u64::from(sent.max(1));
+                    let kept = share - u64::from(lost).min(share);
+                    let least = (u64::from(before) * kept / share) as u32;
+                    prop_assert!(
+                        after >= least.max(floor),
+                        "{lost} of {sent} lost trimmed {before} to {after}, below {least}"
+                    );
+                }
             }
             let b = p.burst_budget();
-            prop_assert!(b >= cfg.min_burst && b <= cfg.max_burst, "burst {b} out of bounds");
+            prop_assert!(b >= floor && b <= bound, "burst {b} outside [{floor}, {bound}]");
         }
-        for _ in 0..recovery_rounds(&cfg) {
+        for _ in 0..(bound - floor).div_ceil(cfg.growth) {
             p.on_clean_round();
         }
         prop_assert_eq!(
             p.burst_budget(),
-            cfg.max_burst,
-            "K clean rounds must recover the ceiling"
+            bound,
+            "enough clean rounds must recover the bound"
         );
         let snap = p.snapshot();
-        prop_assert!(snap.min_burst_seen >= cfg.min_burst);
+        prop_assert!(snap.min_burst_seen >= floor);
         prop_assert!(snap.min_burst_seen <= snap.initial_burst);
     }
 }

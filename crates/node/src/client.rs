@@ -25,7 +25,7 @@
 //! client's measured receive interval per datagram, so a 4 MiB pull
 //! leaves the node as one burst where the queue holds it.  A push bursts
 //! what the node's echo grants the same way, starting lower when its
-//! last push ended on a burst that loss shrank (the node's queue is
+//! last push ended on a burst that loss trimmed (the node's queue is
 //! shared with every other client pushing to it).
 //!
 //! A client starts from [`ProtocolConfig::lan`]: an adaptive timeout

@@ -187,6 +187,17 @@ impl NodeMetrics {
     /// [`Histogram::merge`]; recent reports concatenate under the
     /// [`MAX_REPORTS`] cap.
     pub fn merge_from(&mut self, other: &NodeMetrics) {
+        self.merge_counters_from(other);
+        for report in &other.reports {
+            self.keep(report.clone());
+        }
+    }
+
+    /// [`merge_from`](NodeMetrics::merge_from) without the reports: for
+    /// a reader that looks only at counters and distributions (a
+    /// `Stats` reply, a wait for sessions to finish), which then clones
+    /// none of the up to [`MAX_REPORTS`] reports a slot holds.
+    pub fn merge_counters_from(&mut self, other: &NodeMetrics) {
         self.sessions_accepted += other.sessions_accepted;
         self.sessions_completed += other.sessions_completed;
         self.sessions_failed += other.sessions_failed;
@@ -222,9 +233,6 @@ impl NodeMetrics {
         self.session_secs.merge(&other.session_secs);
         self.session_goodput_mbps.merge(&other.session_goodput_mbps);
         self.retx_rounds.0.merge(&other.retx_rounds.0);
-        for report in &other.reports {
-            self.keep(report.clone());
-        }
     }
 
     /// Append `report`, evicting the oldest at the [`MAX_REPORTS`] cap.
@@ -838,6 +846,22 @@ mod tests {
         assert_eq!(retx_rounds.buckets()[1..3], [1, 1]);
         let ids: Vec<u32> = reports.iter().map(|r| r.transfer_id).collect();
         assert_eq!(ids, [100, 200]);
+    }
+
+    /// A counters-only merge carries every field a full merge does,
+    /// and no report.
+    #[test]
+    fn a_counters_merge_is_a_merge_without_the_reports() {
+        let (a, b) = (filled(100, "batched"), filled(200, "portable"));
+        let (mut full, mut counters) = (NodeMetrics::default(), NodeMetrics::default());
+        for m in [&a, &b] {
+            full.merge_from(m);
+            counters.merge_counters_from(m);
+        }
+        assert_eq!(full.reports.len(), 2);
+        assert!(counters.reports.is_empty());
+        full.reports.clear();
+        assert_eq!(format!("{full:?}"), format!("{counters:?}"));
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! estimate that peer's last completed transfer ended at (a
 //! [`PathTable`] of `max_sessions` entries): a pull's sender, or a push
 //! copy's, starts at that burst within the grant — lower than the grant
-//! once a loss shrank it — and arms its round-0 retransmission timer at
+//! once a loss trimmed it — and arms its round-0 retransmission timer at
 //! the peer's measured RTO (floored) instead of the configured
 //! `initial`; a copy leg's request re-sends start at that RTO too.
 
@@ -1199,7 +1199,7 @@ impl Shard {
         const MAX_STATS_PAYLOAD: usize = 8 * 1024;
         // Publish first so the reply reflects this very tick.
         self.publish();
-        let mut text = merged(&self.peer_slots).summary();
+        let mut text = merged(&self.peer_slots, NodeMetrics::merge_counters_from).summary();
         text.push('\n');
         for (i, slot) in self.peer_slots.iter().enumerate() {
             text.push_str(&slot.lock().expect("metrics slot").shard_summary(i));
@@ -1502,12 +1502,18 @@ fn bind_shard_sockets(bind: SocketAddr, shards: usize) -> io::Result<Vec<UdpSock
     Ok(sockets)
 }
 
-/// Every shard's published snapshot, merged into the node's one view:
-/// what [`NodeHandle::metrics`] returns and a `Stats` reply summarises.
-fn merged(slots: &[Arc<Mutex<NodeMetrics>>]) -> NodeMetrics {
+/// Every shard's published snapshot, merged by `merge` into the node's
+/// one view: what [`NodeHandle::metrics`] returns
+/// ([`NodeMetrics::merge_from`]), and what a `Stats` reply summarises
+/// and [`NodeHandle::wait_idle`] polls, which read no report
+/// ([`NodeMetrics::merge_counters_from`]).
+fn merged(
+    slots: &[Arc<Mutex<NodeMetrics>>],
+    merge: fn(&mut NodeMetrics, &NodeMetrics),
+) -> NodeMetrics {
     let mut merged = NodeMetrics::default();
     for slot in slots {
-        merged.merge_from(&slot.lock().expect("metrics slot"));
+        merge(&mut merged, &slot.lock().expect("metrics slot"));
     }
     merged
 }
@@ -1546,7 +1552,7 @@ impl NodeHandle {
 
     /// The aggregate metrics: every shard's published snapshot, merged.
     pub fn metrics(&self) -> NodeMetrics {
-        merged(&self.slots)
+        merged(&self.slots, NodeMetrics::merge_from)
     }
 
     /// The flight-recorder handle, when the node was built with
@@ -1606,7 +1612,7 @@ impl NodeHandle {
     fn wait_for(&self, timeout: Duration, done: impl Fn(&NodeMetrics) -> bool) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if done(&self.metrics()) {
+            if done(&merged(&self.slots, NodeMetrics::merge_counters_from)) {
                 return true;
             }
             if Instant::now() > deadline {

@@ -45,9 +45,8 @@ fn client(node: std::net::SocketAddr) -> Client {
 /// burst — no pace timer — with no timeout and no retransmission, and
 /// arrive byte-exact.  Both ends wait a fixed second for the tail's
 /// answer: how long a tail timer waits for a receiver to drain a burst
-/// is `pacing.rs`'s subject, and a debug build's sender takes tens of
-/// milliseconds to frame one, which a timer armed as the burst starts
-/// does not see (ROADMAP item 6); this test's is the burst.
+/// is `pacing.rs`'s subject, and a debug build's receiver takes tens of
+/// milliseconds to drain one; this test's is the burst.
 #[test]
 fn a_transfer_the_grant_holds_leaves_as_one_burst() {
     let Some(rcvbuf) = sockopt::grown_recv_buffer() else {

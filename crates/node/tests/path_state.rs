@@ -147,7 +147,7 @@ fn a_request_that_never_completes_leaves_its_entry_absent() {
     node.shutdown().unwrap();
 }
 
-/// A push that loses packets halves its burst below the node's grant,
+/// A push that loses packets trims its burst below the node's grant,
 /// and the client's next push starts there, not at the grant: the
 /// carried burst is what tells a sender that the queue its grant
 /// describes is shared.

@@ -36,8 +36,9 @@ pub enum EventKind {
     /// AIMD pacer grew the burst after a clean round: `a` = old burst,
     /// `b` = new burst.
     PacerGrow = 7,
-    /// AIMD pacer halved the burst on loss: `a` = old burst,
-    /// `b` = new burst.
+    /// AIMD pacer shrank the burst on loss (by the share of its round
+    /// a report asked for again, or by half on a timeout): `a` = old
+    /// burst, `b` = new burst.
     PacerShrink = 8,
     /// Retransmission timeout backed off: `a` = old RTO ns,
     /// `b` = new RTO ns.

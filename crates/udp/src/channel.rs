@@ -61,8 +61,8 @@ pub trait Channel {
     /// socket grown by [`grow_buffers`](crate::sockopt::grow_buffers)
     /// reports on this host, as every channel this crate opens is.  A
     /// channel over a smaller queue that does not say so over-grants:
-    /// its sender loses the excess, halves its burst, and the path
-    /// carries the halved burst to the next transfer.
+    /// its sender loses the excess, trims its burst by the share lost,
+    /// and the path carries the trimmed burst to the next transfer.
     fn recv_buffer(&self) -> Option<usize> {
         crate::sockopt::grown_recv_buffer()
     }

@@ -521,7 +521,7 @@ mod tests {
     }
 
     /// A carried burst starts the sender within the echo's grant: one
-    /// that loss shrank below the grant starts it there, one above the
+    /// that loss trimmed below the grant starts it there, one above the
     /// grant at the grant.
     #[test]
     fn a_push_echo_builds_a_sender_seeded_with_the_carried_burst() {

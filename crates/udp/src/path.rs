@@ -10,9 +10,15 @@
 //! that peer's last completed transfer ended at — its burst and its
 //! round-trip estimate, one [`Carried`] value — and [`seed`] starts the
 //! next transfer's sender there, within what its grant allows: a burst
-//! that loss shrank starts the next transfer low, from where AIMD's
-//! growth step raises it again, and a path that saw no loss starts at
-//! the grant.  A sender without a grant (a paced
+//! that loss trimmed starts the next transfer where the trim left it,
+//! from where AIMD's growth step raises it again, and a path that saw
+//! no loss starts at the grant.  A loss trims the burst by the share of
+//! its round the receiver asked for again, not by half, so iid loss
+//! leaves the carried burst near the grant: under `lossy_push`'s 1 %
+//! (256 KiB pushes, 188 packets a round, a 4 MiB `rmem_max` on a
+//! 2-vCPU x86-64 host) a traced run's `core.burst_final` read ≈ 73
+//! when every report halved it and ≈ 231 since, so a round leaves as
+//! one burst again.  A sender without a grant (a paced
 //! engine whose receiver could not read its queue, or admitted when
 //! the queue was granted away) starts at the carried burst within the
 //! configured bounds.  Only a peer that transfers again within
@@ -26,7 +32,12 @@
 //! retransmission rounds and 0.10–0.13 timeouts per transfer, against
 //! 0.19–0.22 and 0.03–0.04 when every sender was paced at 256 packets
 //! per 250 µs; starting at the carried burst reads 0.23 and 0.04, level
-//! with the paced senders.
+//! with the paced senders.  That was when every loss halved the burst.
+//! Trimmed by the share of its round lost, the carried burst stays
+//! higher under fan-in too: at 8 clients on one shard, 0.81–0.88
+//! rounds and 0.11–0.15 timeouts per transfer became 0.99–1.07 and
+//! 0.17–0.24 (five runs each side; 4 clients stayed within the old
+//! spread).
 //!
 //! Why carry the round trip: without a sample, round 0's
 //! retransmission timer runs on the configured `initial` RTO (25 ms on
@@ -47,7 +58,7 @@
 //! * only a transfer that *completed* writes, and only its own peer's
 //!   entry — a spoofed request never completes, so it seeds nothing;
 //! * only a paced sender writes: it is what has a burst to carry;
-//! * a burst that loss shrank is always written back;
+//! * a burst that loss trimmed is always written back;
 //! * a transfer raises its entry only if it sent more data packets than
 //!   the burst it started at: a three-packet transfer grows its pacer
 //!   without ever using the burst it grew to;
@@ -187,7 +198,8 @@ mod tests {
 
     /// A transfer of `sent` data packets under `cfg`, seeded with
     /// `start`, that saw `clean` clean rounds and then `losses` loss
-    /// signals: how it completed, and its final pacing state.
+    /// signals (timeouts, each halving the burst): how it completed,
+    /// and its final pacing state.
     fn transfer(
         cfg: PacingConfig,
         start: Option<u32>,
@@ -200,7 +212,7 @@ mod tests {
             pacer.seed(burst);
         }
         (0..clean).for_each(|_| pacer.on_clean_round());
-        (0..losses).for_each(|_| pacer.on_loss());
+        (0..losses).for_each(|_| pacer.on_timeout());
         let stats = EngineStats {
             data_packets_sent: sent,
             ..EngineStats::default()

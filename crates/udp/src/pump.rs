@@ -17,17 +17,22 @@
 //! order either way, and a transmitted packet's pooled buffer returns
 //! to the pool before the engine builds the next one.
 //!
-//! A timer counts from the engine's `now`, the instant the step began,
-//! as it does on the virtual-time substrates (`blast_core::harness`,
-//! `blast-sim`), not from the moment its action is applied: a paced
-//! burst's framing and staging, and the flush after the step, run
-//! inside the gap the burst asked for instead of in front of it, so
-//! burst / gap is the rate the sender actually keeps.
+//! The pace timer ([`PACE_TIMER`]) counts from the engine's `now`, the
+//! instant the step began, as every timer does on the virtual-time
+//! substrates (`blast_core::harness`, `blast-sim`): a paced burst's
+//! framing and staging, and the flush after the step, run inside the
+//! gap the burst asked for instead of in front of it, so burst / gap is
+//! the rate the sender actually keeps.  Every other timer counts from
+//! when its action is applied, one clock read per armed timer: a
+//! round's retransmission timer is armed after its tail is framed, and
+//! a one-burst round's own framing (≈ 2 ms for 2 979 datagrams in a
+//! release build, ≈ 45 ms in a debug one) is not spent from its RTO.
 
 use std::io;
 use std::time::Instant;
 
 use blast_core::api::{Action, ActionSink, CompletionInfo, TimerToken};
+use blast_core::control::PACE_TIMER;
 use blast_core::engine::Engine;
 use blast_wire::packet::Datagram;
 
@@ -47,8 +52,8 @@ pub enum Input<'a> {
 /// Applies actions as they are pushed.
 struct Apply<'a, K, F, T> {
     timers: &'a mut TimerWheel<K>,
-    /// The instant the step began: the engine's `now`, where its timers
-    /// count from.
+    /// The instant the step began: the engine's `now`, where its pace
+    /// timer counts from.
     at: Instant,
     key: F,
     transmit: T,
@@ -70,9 +75,10 @@ where
                     self.sent = (self.transmit)(&bytes);
                 }
             }
-            Action::SetTimer { token, after } => {
+            Action::SetTimer { token, after } if token == PACE_TIMER => {
                 self.timers.arm_at((self.key)(token), self.at + after)
             }
+            Action::SetTimer { token, after } => self.timers.arm((self.key)(token), after),
             Action::CancelTimer { token } => self.timers.cancel((self.key)(token)),
             Action::Complete(info) => self.done = Some(*info),
         }
@@ -83,9 +89,9 @@ where
 /// to that instant's distance from `epoch`, feed it `input`, hand each
 /// transmitted datagram to `transmit` (staging is the caller's
 /// business — flush after the call), arm and cancel its timers on
-/// `timers` under `key(token)`, each deadline counted from that same
-/// instant, and return the completion report if this call finished the
-/// transfer.
+/// `timers` under `key(token)`, the pace timer's deadline counted from
+/// that same instant and every other from when it is armed, and return
+/// the completion report if this call finished the transfer.
 pub fn step<K, F, T>(
     engine: &mut dyn Engine,
     epoch: Instant,

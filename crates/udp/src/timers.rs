@@ -57,10 +57,10 @@ impl<K: Copy + Ord> TimerWheel<K> {
     }
 
     /// Arm (or re-arm) `key` to fire `after` past the moment of this
-    /// call: for a driver's own timers (a session's give-up, a reap).
-    /// An engine's timers count from the instant its step began, not
-    /// from whenever the driver applies them, so [`crate::pump`] arms
-    /// those with [`arm_at`](TimerWheel::arm_at).
+    /// call: for a driver's own timers (a session's give-up, a reap)
+    /// and an engine's retransmission timers.  An engine's pace timer counts from the instant its step began,
+    /// not from whenever the driver applies it, so [`crate::pump`] arms
+    /// that one with [`arm_at`](TimerWheel::arm_at).
     pub fn arm(&mut self, key: K, after: Duration) {
         self.arm_at(key, Instant::now() + after);
     }
