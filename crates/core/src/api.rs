@@ -104,8 +104,19 @@ pub struct EngineStats {
     /// Retransmission rounds: how many times the sender reacted to a
     /// timeout or NACK by sending more data (0 for an error-free run).
     pub retransmission_rounds: u64,
-    /// Timer expirations the engine acted on.
+    /// Retransmission-timeout expiries the engine acted on (a tail
+    /// probe's expiry is not one).
     pub timeouts: u64,
+    /// Tail probes: a round's reliable tail re-sent once, before its
+    /// retransmission timeout, because no report answered it within the
+    /// probe timeout.  Each is also one of `data_packets_sent` and of
+    /// `data_packets_retransmitted`, and neither a timeout nor a
+    /// retransmission round.
+    pub probes: u64,
+    /// Status reports the sender ignored because they answer a round it
+    /// has left: the second report a probe or a re-solicited tail drew,
+    /// or a forged one.
+    pub stale_reports: u64,
 }
 
 /// Why and how an engine finished.

@@ -32,6 +32,22 @@
 //!   is what "the last packet is sent reliably" means; the re-solicited
 //!   NACK then directs the real retransmission.
 //!
+//! "Retransmitted periodically" makes every lost tail cost one
+//! retransmission timeout, and an RTO has to sit above the round trip's
+//! tail (10 ms in round 0 of a carried path, against a ≈ 0.2 ms loopback
+//! round trip).  So a granted sender with a round-trip estimate first
+//! re-sends a silent tail once as a probe (`Control::probe_timeout`:
+//! two round trips plus the receiver's drain, at least 1 ms): it backs
+//! off no RTO, cuts no burst, charges no round and takes no RTT sample,
+//! and the retransmission timeout still fires when it would have
+//! without the probe.  A fixed timeout (the paper's bins, the
+//! simulator), an engine never granted (the harness) and a multi-blast
+//! chunk sender never probe.  A probe can draw a second report for its
+//! round, so the receiver echoes the round a report answers in the
+//! header's round field, and the sender acts only on a NACK for its
+//! current round; a positive acknowledgement of its range completes it
+//! whatever round it names.
+//!
 //! The sender serves a sub-range of the transfer, which
 //! [`crate::multiblast`] rolls over in place chunk by chunk;
 //! acknowledgements use cumulative semantics (`Positive { acked: s }` ⇒
@@ -105,6 +121,11 @@ pub struct BlastSender<'a> {
     /// under Karn's rule (the tail transmitted exactly once, in a round
     /// that retransmitted nothing).
     solicit_sent: Option<Duration>,
+    /// While the armed retransmission timer is a tail probe: the rest
+    /// of the tail timeout, armed once the probe has gone out.
+    probe_rest: Option<Duration>,
+    /// Whether this sender probes at all (not for multi-blast chunks).
+    probing: bool,
     /// Paced-emission cursor for the round in flight.
     pending: Pending,
     /// Storage behind [`Pending::Set`], reused across rounds.
@@ -165,6 +186,8 @@ impl<'a> BlastSender<'a> {
             rounds_used: 0,
             round_sent: end,
             solicit_sent: None,
+            probe_rest: None,
+            probing: chunk.is_none(),
             pending: Pending::Idle,
             pending_set: Vec::new(),
             // Sized up front so steady-state bursts — and every later
@@ -217,6 +240,12 @@ impl<'a> BlastSender<'a> {
         self.control.pacing_snapshot()
     }
 
+    /// The round stamped on this round's data packets, and echoed by the
+    /// status reports that answer them.
+    fn round(&self) -> u16 {
+        self.rounds_used.min(u32::from(u16::MAX)) as u16
+    }
+
     fn transmit_one(&mut self, seq: u32, last: bool, sink: &mut dyn ActionSink) {
         let payload = self.tx.payload_of(seq);
         let len = blast_wire::HEADER_LEN + payload.len();
@@ -236,7 +265,7 @@ impl<'a> BlastSender<'a> {
                 self.tx.total_packets(),
                 self.tx.offset_of(seq) as u32,
                 payload,
-                self.rounds_used.min(u16::MAX as u32) as u16,
+                self.round(),
                 last,
             )
             .expect("buffer sized for payload");
@@ -259,10 +288,10 @@ impl<'a> BlastSender<'a> {
 
     /// Emit up to one pacer burst of the pending round.  Between bursts
     /// the engine arms [`PACE_TIMER`]; once the round's reliable tail
-    /// is on the wire it arms the retransmission timer at the current
-    /// RTO plus the receiver's time to drain the burst
-    /// ([`Control::tail_timeout`]) and records the Karn solicitation
-    /// timestamp.
+    /// is on the wire it arms the tail's timer ([`arm_tail`]) and
+    /// records the Karn solicitation timestamp.
+    ///
+    /// [`arm_tail`]: BlastSender::arm_tail
     fn emit_burst(&mut self, sink: &mut dyn ActionSink) {
         let remaining = self.pending_len();
         debug_assert!(remaining > 0, "emit_burst on an idle round");
@@ -304,10 +333,7 @@ impl<'a> BlastSender<'a> {
             // true round trip only if nothing in the round was a
             // retransmission.
             self.solicit_sent = (self.rounds_used == 0).then_some(self.control.now());
-            sink.push_action(Action::SetTimer {
-                token: RETX_TIMER,
-                after: self.control.tail_timeout(n),
-            });
+            self.arm_tail(n, sink);
         } else {
             sink.push_action(Action::SetTimer {
                 token: PACE_TIMER,
@@ -369,9 +395,47 @@ impl<'a> BlastSender<'a> {
         let seq = self.reliable_seq;
         self.solicit_sent = None;
         self.transmit_one(seq, true, sink);
+        self.arm_tail(1, sink);
+    }
+
+    /// Arm the retransmission timer for a reliable tail that closed a
+    /// burst of `in_flight` packets: at the RTO plus the receiver's time
+    /// to drain them ([`Control::tail_timeout`]), or first at the earlier
+    /// probe timeout ([`Control::probe_timeout`]), keeping the rest.
+    fn arm_tail(&mut self, in_flight: usize, sink: &mut dyn ActionSink) {
+        let full = self.control.tail_timeout(in_flight);
+        let pto = self
+            .probing
+            .then(|| self.control.probe_timeout(in_flight))
+            .flatten();
+        self.probe_rest = pto.map(|pto| full - pto);
         sink.push_action(Action::SetTimer {
             token: RETX_TIMER,
-            after: self.control.tail_timeout(1),
+            after: pto.unwrap_or(full),
+        });
+    }
+
+    /// The probe timeout expired with no report: re-send the reliable
+    /// tail once, then wait out the `rest` of the tail timeout.  No
+    /// backoff, burst cut or retransmission round; the answer it draws
+    /// is ambiguous (Karn), so the solicitation timestamp is cleared.
+    fn probe(&mut self, rest: Duration, sink: &mut dyn ActionSink) {
+        self.stats.probes += 1;
+        if self.rounds_used == 0 {
+            // A round-0 transmission counts as a retransmission only here.
+            self.stats.data_packets_retransmitted += 1;
+        }
+        self.control.trace(
+            EventKind::TailProbe,
+            u64::from(self.rounds_used),
+            u64::from(self.round_sent),
+        );
+        self.solicit_sent = None;
+        let seq = self.reliable_seq;
+        self.transmit_one(seq, true, sink);
+        sink.push_action(Action::SetTimer {
+            token: RETX_TIMER,
+            after: rest,
         });
     }
 
@@ -485,6 +549,10 @@ impl Engine for BlastSender<'_> {
                 // A positive ack below our range end is stale
                 // (an earlier chunk's ack); keep waiting.
             }
+            // A NACK for an earlier round is late: the round it answers
+            // was already re-solicited or resent, and a probe's second
+            // report for a round is answered by its first.
+            _ if dgram.round != self.round() => self.stats.stale_reports += 1,
             nack => {
                 // The status report answers our soliciting tail: a valid
                 // round-trip measurement even when it asks for more data.
@@ -533,6 +601,10 @@ impl Engine for BlastSender<'_> {
         if token != RETX_TIMER || self.pending != Pending::Idle {
             // `begin_round` cancels the retransmission deadline for any
             // multi-burst round, so an expiry mid-round is stale.
+            return;
+        }
+        if let Some(rest) = self.probe_rest.take() {
+            self.probe(rest, sink);
             return;
         }
         self.stats.timeouts += 1;
@@ -633,7 +705,9 @@ impl BlastReceiver {
         self.rx.received_packets()
     }
 
-    fn send_status(&mut self, sink: &mut dyn ActionSink) {
+    /// Report on everything up to the horizon, answering a reliable
+    /// packet of retransmission round `round`.
+    fn send_status(&mut self, round: u16, sink: &mut dyn ActionSink) {
         let upto = match self.horizon {
             Some(h) => h,
             None => return,
@@ -673,7 +747,7 @@ impl BlastReceiver {
             .checkout_sized(blast_wire::HEADER_LEN + report.encoded_len());
         let len = self
             .builder
-            .build_ack(&mut buf, total, &report)
+            .build_status(&mut buf, total, round, &report)
             .expect("ack fits");
         buf.truncate(len);
         self.stats.acks_sent += 1;
@@ -708,7 +782,10 @@ impl Engine for BlastReceiver {
         {
             Ok(true) => {
                 self.stats.data_packets_received += 1;
-                if dgram.round == 0 {
+                // Round 0's unreliable packets time the receiver.  Its
+                // tail may be a probe, sent a probe timeout after a lost
+                // original, so it is left out.
+                if dgram.round == 0 && !dgram.is_last() {
                     self.control.on_arrival();
                 }
             }
@@ -725,7 +802,7 @@ impl Engine for BlastReceiver {
         // that is the whole point of the blast protocol: one ack (or
         // NACK) per round instead of one per packet.
         if dgram.is_last() {
-            self.send_status(sink);
+            self.send_status(dgram.round, sink);
         }
         if self.rx.is_complete() {
             let stats = self.stats;
@@ -784,8 +861,8 @@ impl FinishedReceiver {
     /// If `dgram` is one the finished receiver would have answered — a
     /// data packet of this transfer, flagged as its round's last, that
     /// matches the transfer's geometry — write the final (positive)
-    /// status report into `out` and return its length.  Everything
-    /// else, `Cancel` included, gets no reply.
+    /// status report, echoing `dgram`'s round, into `out` and return its
+    /// length.  Everything else, `Cancel` included, gets no reply.
     pub fn reack(&self, dgram: &Datagram<'_>, out: &mut [u8; Self::STATUS_LEN]) -> Option<usize> {
         if dgram.kind != PacketKind::Data
             || dgram.transfer_id != self.transfer_id
@@ -799,7 +876,7 @@ impl FinishedReceiver {
         let total = self.geometry.total_packets();
         let acked = total - 1;
         self.builder
-            .build_ack(out, total, &AckPayload::Positive { acked })
+            .build_status(out, total, dgram.round, &AckPayload::Positive { acked })
             .ok()
     }
 }
@@ -1318,14 +1395,15 @@ mod tests {
         let out = feed(&mut s, &acks[0]);
         assert_eq!(transmits(&out).len(), 2, "paced Set round: first burst");
 
-        // A nonsense NACK (beyond the range) arrives in the gap and
-        // resolves to a re-solicitation.
+        // A nonsense NACK (beyond the range) for the round in flight
+        // arrives in the gap and resolves to a re-solicitation.
         let b = DatagramBuilder::new(1);
         let mut buf = vec![0u8; 64];
         let len = b
-            .build_ack(
+            .build_status(
                 &mut buf,
                 8,
+                1,
                 &AckPayload::NackFirstMissing { first_missing: 99 },
             )
             .unwrap();

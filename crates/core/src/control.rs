@@ -83,6 +83,22 @@
 //! samples, smoothing continues from the seed (no first-sample reset)
 //! and the usual `[min, max]` clamp applies to every later round.
 //!
+//! A floor that high would make every lost round-0 tail cost 10 ms, on
+//! a transfer whose round trip is ≈ 0.2 ms.  So a granted sender with an
+//! estimate, carried or sampled, first waits a probe timeout
+//! (`Control::probe_timeout`): `2 × srtt` plus the receiver's time to
+//! drain what is in flight, at least [`PROBE_FLOOR`], as RACK-TLP's tail
+//! loss probe (RFC 8985 §7) and QUIC's PTO (RFC 9002 §6.2) do.  When it
+//! expires the tail goes out once more, as a probe: no backoff, no burst
+//! cut, no retransmission round, and no RTT sample off whatever answers
+//! it.  The timer then waits out the rest of the tail timeout, so a
+//! genuine timeout fires when it would have without the probe.  A
+//! probe's answer is a second report for the round, which is why a
+//! receiver echoes the round it answers in the report's header and a
+//! sender ignores a NACK for any round but its current one.  A fixed
+//! timeout has no estimate, and an engine never granted does not know
+//! its receiver's drain time, so neither probes.
+//!
 //! Both knobs keep their paper-faithful degenerate modes:
 //! [`AdaptiveTimeout::Fixed`] is the fixed `Tr` every analytic-model
 //! test pins, and [`PacingConfig::off`] is the paper's full-speed blast.
@@ -108,9 +124,21 @@ use crate::api::TimerToken;
 /// estimator arms before its transfer's own first sample (lowered to
 /// the policy's `initial` when that is shorter, raised to its `min`):
 /// above the round-0 round-trip tail of a clean LAN path, where a
-/// carried, converged RTO would fire spuriously.  See the
+/// carried, converged RTO would fire spuriously.  A lost round-0 tail
+/// is re-sent first by a probe ([`PROBE_FLOOR`]); this floor bounds the
+/// timeout that follows when the probe goes unanswered too.  See the
 /// [module docs](self).
 pub const ROUND0_FLOOR: Duration = Duration::from_millis(10);
+
+/// The shortest probe timeout ([`AdaptiveTimeout::pto_of`],
+/// `Control::probe_timeout`): the 1 ms timer granularity QUIC's probe
+/// timeout assumes (RFC 9002 §6.1.2).  A loopback round trip is far
+/// shorter, so on loopback the floor is the probe timeout.  At a 100 µs
+/// floor, scheduling jitter alone drew probes on 0.1–0.6 % of 4 KiB
+/// transfers (`small_roundtrip`, 2-vCPU x86-64), and probes or re-sent
+/// requests on ≈ 0.03 % at this one; `lossy_push` read 867 MB/s there
+/// and 815 here (608 without probes).
+pub const PROBE_FLOOR: Duration = Duration::from_millis(1);
 
 /// The largest burst a [grant](Control::grant) sets, whatever queue it
 /// names.  A grant is the peer's word, and a request carrying one can
@@ -172,14 +200,12 @@ impl AdaptiveTimeout {
         }
     }
 
-    /// The RTO a round-trip estimate `(srtt, rttvar)` gives under this
-    /// policy: `srtt + 4 × rttvar`, clamped to `[min, max]`.  `None` in
-    /// the fixed mode, which no measurement moves.
-    pub fn rto_of(&self, srtt: Duration, rttvar: Duration) -> Option<Duration> {
-        let AdaptiveTimeout::Adaptive { min, max, .. } = *self else {
-            return None;
-        };
-        Some((srtt + 4 * rttvar.max(Duration::from_nanos(1))).clamp(min, max))
+    /// The probe timeout a smoothed round trip `srtt` gives under this
+    /// policy: `2 × srtt`, at least [`PROBE_FLOOR`].  `None` in the
+    /// fixed mode, which no measurement moves.
+    pub fn pto_of(&self, srtt: Duration) -> Option<Duration> {
+        self.is_adaptive()
+            .then(|| srtt.saturating_mul(2).max(PROBE_FLOOR))
     }
 
     /// True for the adaptive mode.
@@ -641,8 +667,8 @@ pub struct Control {
     rtt: RttEstimator,
     pacer: Pacer,
     /// The receiver's per-datagram drain interval (`Cr`) from its
-    /// [grant](Control::grant); zero without one.
-    drain: Duration,
+    /// [grant](Control::grant); `None` without one.
+    drain: Option<Duration>,
     /// Round-0 arrivals a receiver placed: (first, last, count).
     arrivals: (Duration, Duration, u32),
     recorder: Option<Recorder>,
@@ -655,7 +681,7 @@ impl Control {
             now: Duration::ZERO,
             rtt: RttEstimator::new(timeout),
             pacer: Pacer::new(pacing),
-            drain: Duration::ZERO,
+            drain: None,
             arrivals: (Duration::ZERO, Duration::ZERO, 0),
             recorder: None,
         }
@@ -772,7 +798,7 @@ impl Control {
     /// timer of the RTO.
     pub fn grant(&mut self, grant: Grant) {
         self.pacer.grant(grant.queue);
-        self.drain = grant.drain();
+        self.drain = Some(grant.drain());
     }
 
     /// How long a round's reliable tail waits for its answer when
@@ -780,10 +806,35 @@ impl Control {
     /// the time the receiver needs to drain them (`in_flight × Cr`), at
     /// most the policy's `max`.  The RTO alone without a grant.
     pub(crate) fn tail_timeout(&self, in_flight: usize) -> Duration {
-        let drain = self
-            .drain
-            .saturating_mul(in_flight.min(u32::MAX as usize) as u32);
+        let drain = self.drain_of(in_flight);
         self.rtt.rto().saturating_add(drain).min(self.rtt.max())
+    }
+
+    /// When a round's reliable tail is re-sent once as a probe, if it
+    /// is: `2 × srtt` plus the receiver's time to drain `in_flight`
+    /// packets, at least [`PROBE_FLOOR`], and only while that is
+    /// earlier than the [tail timeout](Control::tail_timeout).  `None`
+    /// without an estimate (so always in the fixed mode), and without a
+    /// [grant](Control::grant): a sender that does not know how long its
+    /// receiver takes to drain a round cannot tell two round trips of
+    /// silence from a receiver still at work, so it waits the RTO.
+    pub(crate) fn probe_timeout(&self, in_flight: usize) -> Option<Duration> {
+        let (Some(srtt), Some(_)) = (self.rtt.srtt(), self.drain) else {
+            return None;
+        };
+        let pto = srtt
+            .saturating_mul(2)
+            .saturating_add(self.drain_of(in_flight))
+            .max(PROBE_FLOOR);
+        (pto < self.tail_timeout(in_flight)).then_some(pto)
+    }
+
+    /// The receiver's time to drain `in_flight` packets at its granted
+    /// `Cr` (zero without a grant).
+    fn drain_of(&self, in_flight: usize) -> Duration {
+        self.drain
+            .unwrap_or_default()
+            .saturating_mul(in_flight.min(u32::MAX as usize) as u32)
     }
 
     /// A receiver placed a round-0 datagram now: note it, to time the
@@ -975,16 +1026,53 @@ mod tests {
     }
 
     #[test]
-    fn rto_of_an_estimate_clamps_like_a_sample() {
+    fn pto_of_an_estimate_is_twice_the_srtt_above_the_floor() {
         let lan = AdaptiveTimeout::lan();
         let us = Duration::from_micros;
-        assert_eq!(lan.rto_of(us(200), us(50)), Some(Duration::from_millis(2)));
-        assert_eq!(lan.rto_of(us(4_000), us(1_000)), Some(us(8_000)));
+        assert_eq!(lan.pto_of(us(2_000)), Some(us(4_000)));
+        assert_eq!(lan.pto_of(us(200)), Some(PROBE_FLOOR));
+        assert_eq!(lan.pto_of(Duration::MAX), Some(Duration::MAX));
+        assert_eq!(AdaptiveTimeout::Fixed(us(5)).pto_of(us(200)), None);
+    }
+
+    /// A seeded, granted control probes at `2 × srtt` plus the drain of
+    /// what is in flight, floored, and not at all once that reaches the
+    /// tail timeout; without a grant or an estimate it never probes.
+    #[test]
+    fn a_probe_timeout_comes_before_the_tail_timeout_or_not_at_all() {
+        let us = Duration::from_micros;
+        let mut c = Control::new(1, &AdaptiveTimeout::lan(), PacingConfig::off());
+        c.seed_rtt(us(2_000), us(500));
+        assert_eq!(c.probe_timeout(1), None, "no grant");
+        c.grant(Grant {
+            queue: 64,
+            drain_ns: 1_000,
+        });
+        assert_eq!(c.probe_timeout(1), Some(us(4_001)));
+        assert_eq!(c.probe_timeout(188), Some(us(4_188)));
+        assert_eq!(c.tail_timeout(188), ROUND0_FLOOR + us(188));
+        c.seed_rtt(us(200), us(50));
+        assert_eq!(c.probe_timeout(188), Some(PROBE_FLOOR));
+        // A slow path's 2 × 6 ms is no earlier than its 10 ms timeout.
+        c.seed_rtt(Duration::from_millis(6), us(0));
+        assert_eq!(c.probe_timeout(0), None, "12 ms is not before 10 ms");
+        let mut fixed = Control::new(1, &Duration::from_millis(5).into(), PacingConfig::off());
+        fixed.grant(Grant {
+            queue: 64,
+            drain_ns: 0,
+        });
+        fixed.seed_rtt(us(200), us(50));
         assert_eq!(
-            lan.rto_of(Duration::from_secs(1), us(500_000)),
-            Some(Duration::from_secs(2))
+            fixed.probe_timeout(1),
+            None,
+            "a fixed timeout has no estimate"
         );
-        assert_eq!(AdaptiveTimeout::Fixed(us(5)).rto_of(us(200), us(50)), None);
+        let mut fresh = Control::new(1, &AdaptiveTimeout::lan(), PacingConfig::off());
+        fresh.grant(Grant {
+            queue: 64,
+            drain_ns: 0,
+        });
+        assert_eq!(fresh.probe_timeout(1), None, "no estimate yet");
     }
 
     #[test]

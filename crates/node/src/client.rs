@@ -12,8 +12,9 @@
 //! [`Outbound`] leg — request, echo, engine — run to completion over the
 //! channel, and every operation has one time bound, its
 //! [`patience`](Client::patience).  A request, like a control query,
-//! is re-sent first after the path's RTO — from the round-trip estimate
-//! the last push carried over ([`blast_udp::path`]) — and then at
+//! is re-sent first after a probe timeout, twice the smoothed round trip
+//! the last transfer carried over ([`blast_udp::path`]) but at least
+//! 1 ms, and then at
 //! doubling waits up to the retry interval ([`Backoff`]).  A push's
 //! sender reads the caller's slice in place, for the call's duration:
 //! nothing copies the blob before its first datagram.
@@ -61,8 +62,13 @@
 //!
 //! Every operation returns when its engine completes; none waits out a
 //! timer.  A push's sender completes on hearing the node's final
-//! acknowledgement.  A pull's own final acknowledgement may be lost, and
-//! the node then retransmits its tail: the finished receiver goes into
+//! acknowledgement; if neither that nor any report arrives within a
+//! probe timeout of its tail (two round trips plus the node's drain of
+//! the burst, at least 1 ms), it re-sends the tail once as a probe
+//! before its retransmission timeout.  A pull's own final acknowledgement may be
+//! lost, and the node then probes with, or retransmits, its tail (each
+//! report echoes the round of the tail it answers, so the node acts on
+//! a late one at most once): the finished receiver goes into
 //! the tail table of the channel's [`TimeWait`] for a fixed window of a
 //! few retransmission intervals, and is answered from whichever receive
 //! loop the client runs next — the next handshake, transfer or query.

@@ -111,9 +111,10 @@ fn a_push_and_a_pull_behind_a_100_mbit_bottleneck_arrive_exact() {
         let mbps = 8.0 * data.len() as f64 / elapsed.as_secs_f64() / 1e6;
         println!(
             "1 MiB {leg} at 100 Mbit/s, 64 KB queue: sent/needed {:.2}, {} timeouts, \
-             {} retransmission rounds, {elapsed:?} ({mbps:.1} Mbit/s)",
+             {} probes, {} retransmission rounds, {elapsed:?} ({mbps:.1} Mbit/s)",
             stats.data_packets_sent as f64 / needed,
             stats.timeouts,
+            stats.probes,
             stats.retransmission_rounds,
         );
     }

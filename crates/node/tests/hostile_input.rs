@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 
 use blast_udp::channel::Channel;
 use blast_udp::timewait::MAX_RECORDS;
-use blast_wire::ack::AckPayload;
+use blast_wire::ack::{AckPayload, Bitmap};
 use blast_wire::header::PacketKind;
 use blast_wire::packet::DatagramBuilder;
 
@@ -397,4 +397,86 @@ fn garbled_extension_areas_start_nothing_on_any_kind() {
     assert_eq!(m.malformed, sent);
     assert_eq!((m.sessions_accepted, m.copies_requested), (1, 0));
     node.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Status reports for a round the sender never sent.  A blast receiver
+// echoes, in each report's header, the round of the data packet it
+// answers, and a sender acts only on a NACK for its current round.
+
+/// Echoes a push, and answers its reliable tail with four reports that
+/// echo round `u16::MAX` (three NACKs and a positive acknowledgement of
+/// packet 0 alone) before the genuine positive acknowledgement.
+#[derive(Default)]
+struct ReportsFromNowhere {
+    to_client: VecDeque<Vec<u8>>,
+    data_packets: u64,
+}
+
+impl ReportsFromNowhere {
+    fn report(&mut self, id: u32, round: u16, ack: AckPayload) {
+        let mut buf = [0u8; 64];
+        let n = DatagramBuilder::new(id)
+            .build_status(&mut buf, 3, round, &ack)
+            .unwrap();
+        self.to_client.push_back(fcs::frame(&buf[..n]));
+    }
+}
+
+impl Channel for ReportsFromNowhere {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        let body = fcs::unframe(frame).expect("framed");
+        let dgram = Datagram::parse(&frame[..body]).expect("well-formed");
+        let id = dgram.transfer_id;
+        match dgram.kind {
+            PacketKind::Request => {
+                let echo = Request::decode(dgram.payload).unwrap();
+                self.to_client
+                    .push_back(fcs::frame(&echo.build_datagram(id)));
+            }
+            PacketKind::Data => {
+                self.data_packets += 1;
+                if dgram.is_last() {
+                    let all = Bitmap::from_missing(0, 3, 0..3).unwrap();
+                    for ack in [
+                        AckPayload::NackFull,
+                        AckPayload::NackFirstMissing { first_missing: 0 },
+                        AckPayload::NackBitmap(all),
+                        AckPayload::Positive { acked: 0 },
+                    ] {
+                        self.report(id, u16::MAX, ack);
+                    }
+                    self.report(id, 0, AckPayload::Positive { acked: 2 });
+                }
+            }
+            other => panic!("client sent a {other:?}"),
+        }
+        Ok(())
+    }
+
+    fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+        let Some(frame) = self.to_client.pop_front() else {
+            std::thread::sleep(timeout);
+            return Ok(None);
+        };
+        buf[..frame.len()].copy_from_slice(&frame);
+        Ok(Some(frame.len()))
+    }
+}
+
+/// Reports echoing a round the sender never sent start no round, end
+/// none and trim nothing: the push sends its three packets once and
+/// completes on the genuine acknowledgement that follows them.
+#[test]
+fn reports_for_a_round_never_sent_start_end_and_trim_nothing() {
+    let mut client = Client::over(ReportsFromNowhere::default()).patience(Duration::from_secs(2));
+    let report = client.push("x", &[7; BLOB]).unwrap();
+    let stats = report.stats;
+    assert_eq!(stats.acks_received, 5, "{stats:?}");
+    assert_eq!(stats.stale_reports, 3, "the NACKs");
+    assert_eq!(stats.data_packets_sent, 3, "{stats:?}");
+    assert_eq!(stats.retransmission_rounds, 0);
+    let pacing = report.pacing.expect("a paced sender");
+    assert_eq!(pacing.loss_events, 0, "{pacing:?}");
+    assert_eq!(pacing.clean_rounds, 1);
 }

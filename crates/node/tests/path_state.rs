@@ -228,12 +228,13 @@ impl Channel for LosesOnCue {
 }
 
 /// On a path a clean push has measured, the next push loses its round-0
-/// tail and recovers through one retransmission timeout, and the push
-/// after it loses its request and recovers through one re-send: both
-/// store byte-exact.  (The timer and the re-send run on the carried
-/// estimate — round 0 at the floor, the request at the path's RTO — so
-/// neither waits the 25 ms `initial`; gated here on bytes and counts,
-/// the schedules themselves are pinned sans I/O.)
+/// tail and recovers through a tail probe, not a retransmission
+/// timeout, and the push after it loses its request and recovers
+/// through one re-send: both store byte-exact.  (The probe and the
+/// re-send run on the carried estimate, each after a probe timeout of
+/// at least 1 ms, so neither waits the 25 ms `initial` nor
+/// round 0's 10 ms floor; gated here on bytes and counts, the schedules
+/// themselves are pinned sans I/O.)
 #[test]
 fn a_carried_path_recovers_a_lost_tail_and_a_lost_request() {
     let store = shared_store();
@@ -250,7 +251,7 @@ fn a_carried_path_recovers_a_lost_tail_and_a_lost_request() {
 
     client.push("measured", &blobs[0]).unwrap();
     let lost_tail = client.push("lost-tail", &blobs[1]).unwrap();
-    assert!(lost_tail.stats.timeouts >= 1, "{:?}", lost_tail.stats);
+    assert!(lost_tail.stats.probes >= 1, "{:?}", lost_tail.stats);
     client.push("lost-request", &blobs[2]).unwrap();
 
     assert!(node.wait_idle(WAIT));

@@ -49,6 +49,10 @@ pub enum EventKind {
     /// A receiver emitted a status report: `a` = 1 if positive ack,
     /// `b` = packets still missing.
     StatusSend = 11,
+    /// A round's reliable tail was re-sent as a probe, before its
+    /// retransmission timeout: `a` = round number, `b` = packets the
+    /// round sent.
+    TailProbe = 12,
     /// A session entered the node's table: `a` = direction
     /// (0 push / 1 pull), `b` = total data packets.
     SessionAdmit = 16,
@@ -108,6 +112,7 @@ impl EventKind {
             9 => EventKind::RtoBackoff,
             10 => EventKind::PoolExhausted,
             11 => EventKind::StatusSend,
+            12 => EventKind::TailProbe,
             16 => EventKind::SessionAdmit,
             17 => EventKind::SessionReap,
             18 => EventKind::ShardTick,
@@ -140,6 +145,7 @@ impl EventKind {
             EventKind::RtoBackoff => "rto-backoff",
             EventKind::PoolExhausted => "pool-exhausted",
             EventKind::StatusSend => "status-send",
+            EventKind::TailProbe => "tail-probe",
             EventKind::SessionAdmit => "session-admit",
             EventKind::SessionReap => "session-reap",
             EventKind::ShardTick => "shard-tick",
@@ -158,7 +164,7 @@ impl EventKind {
     }
 
     /// Every defined kind, for exhaustive tests.
-    pub const ALL: [EventKind; 25] = [
+    pub const ALL: [EventKind; 26] = [
         EventKind::RoundStart,
         EventKind::RoundEnd,
         EventKind::NackReceived,
@@ -170,6 +176,7 @@ impl EventKind {
         EventKind::RtoBackoff,
         EventKind::PoolExhausted,
         EventKind::StatusSend,
+        EventKind::TailProbe,
         EventKind::SessionAdmit,
         EventKind::SessionReap,
         EventKind::ShardTick,

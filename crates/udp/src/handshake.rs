@@ -69,19 +69,21 @@ pub fn retry_interval(cfg: &ProtocolConfig) -> Duration {
 
 /// When an initiator re-sends a request (an [`Outbound`] leg) or a
 /// control query (`blast_node::Client`'s `Stats` and `Copy` RPCs): the
-/// first wait is the RTO the path's carried round-trip estimate gives
-/// ([`AdaptiveTimeout::rto_of`](blast_core::AdaptiveTimeout::rto_of),
-/// at most [`retry_interval`]), and each later wait doubles the last,
-/// up to [`retry_interval`].  Without an estimate, or under a fixed
+/// first wait is the probe timeout the path's carried smoothed round
+/// trip gives (`2 × srtt`, at least
+/// [`PROBE_FLOOR`](blast_core::control::PROBE_FLOOR):
+/// [`AdaptiveTimeout::pto_of`](blast_core::AdaptiveTimeout::pto_of), at
+/// most [`retry_interval`]), and each later wait doubles the last, up
+/// to [`retry_interval`].  Without an estimate, or under a fixed
 /// timeout, every wait is [`retry_interval`].
 ///
-/// The first wait has no round-0 floor
-/// ([`ROUND0_FLOOR`](blast_core::control::ROUND0_FLOOR)): a spurious
-/// re-send costs one duplicate request and one re-sent echo, not a
-/// retransmission round.  From the 2 ms `min` clamp to a 25 ms ceiling
-/// the ramp is four waits (2, 4, 8, 16 ms), so a responder that never
-/// answers hears at most four more requests over the leg's life than
-/// at the ceiling alone.
+/// A lost request then costs a probe timeout, as a lost data tail does
+/// ([`blast_core::blast`]), not an RTO: a spurious re-send costs one
+/// duplicate request and one re-sent echo, not a retransmission round.
+/// On loopback the floor is the first wait, and from its 1 ms to a
+/// 25 ms ceiling the ramp is five waits (1, 2, 4, 8, 16 ms), so a
+/// responder that never answers hears at most five more requests over
+/// the leg's life than at the ceiling alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     next: Duration,
@@ -93,9 +95,9 @@ impl Backoff {
     /// rttvar)`), under `cfg`.
     pub fn new(cfg: &ProtocolConfig, rtt: Option<(Duration, Duration)>) -> Self {
         let ceiling = retry_interval(cfg);
-        let first = rtt.and_then(|(srtt, rttvar)| cfg.timeout.rto_of(srtt, rttvar));
+        let first = rtt.and_then(|(srtt, _)| cfg.timeout.pto_of(srtt));
         Backoff {
-            next: first.map_or(ceiling, |rto| rto.min(ceiling)),
+            next: first.map_or(ceiling, |pto| pto.min(ceiling)),
             ceiling,
         }
     }

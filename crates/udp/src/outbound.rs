@@ -332,7 +332,7 @@ impl<'a> Outbound<'a> {
 mod tests {
     use super::*;
     use crate::handshake::retry_interval;
-    use blast_core::control::ROUND0_FLOOR;
+    use blast_core::control::{PROBE_FLOOR, ROUND0_FLOOR};
     use blast_wire::packet::DatagramBuilder;
     use blast_wire::Grant;
     use std::sync::Arc;
@@ -553,7 +553,7 @@ mod tests {
     /// alone.  The echo's sender then arms its round-0 retransmission
     /// timer at the floor, not at the 25 ms `initial`.
     #[test]
-    fn a_carried_estimate_starts_the_retries_and_round_zero_at_the_path_rto() {
+    fn a_carried_estimate_starts_the_retries_and_round_zero_at_the_probe_timeout() {
         let cfg = ProtocolConfig::lan();
         let retry = retry_interval(&cfg);
         let rtt = (Duration::from_micros(200), Duration::from_micros(50));
@@ -563,8 +563,11 @@ mod tests {
             burst: 64,
             rtt: Some(rtt),
         }));
-        let ms = Duration::from_millis;
-        let expected = [2, 4, 8, 16, 25, 25, 25, 25, 25, 25, 25, 25].map(ms);
+        // Twice the carried srtt, raised to the probe floor, doubling up
+        // to the retry interval.
+        let us = Duration::from_micros;
+        assert_eq!(PROBE_FLOOR, us(1_000));
+        let expected = [1_000, 2_000, 4_000, 8_000, 16_000, 25_000, 25_000, 25_000].map(us);
         assert_eq!(*expected.last().unwrap(), retry);
         let mut armed = (Instant::now(), Instant::now());
         let mut script = Script::new(leg);
@@ -585,17 +588,27 @@ mod tests {
             // A leg re-sending every retry interval from the start had
             // sent this many by then.
             let parents = 1 + (sent_at.as_nanos() / retry.as_nanos()) as u64;
-            assert!(requests <= parents + 4, "{requests} vs {parents}");
+            assert!(requests <= parents + 5, "{requests} vs {parents}");
         }
+        // The node's echo grants a queue and a 1 µs drain per datagram.
+        let mut granted = Request::parse(&Datagram::parse(&echo(&script, 3 * PAYLOAD)).unwrap())
+            .expect("an echo");
+        granted.grant = Some(Grant {
+            queue: 64,
+            drain_ns: 1_000,
+        });
         let before = Instant::now();
-        script.hear(&echo(&script, 3 * PAYLOAD)).unwrap();
+        script.hear(&granted.build_datagram(ID)).unwrap();
         let after = Instant::now();
-        assert_eq!(script.kinds_after(13), [PacketKind::Data; 3], "round 0");
+        assert_eq!(script.kinds_after(9), [PacketKind::Data; 3], "round 0");
         let control = script.leg.engine().unwrap().control().unwrap();
         assert_eq!(control.rtt_estimate(), Some(rtt), "seeded, not sampled");
         assert_eq!(control.rto(), ROUND0_FLOOR);
+        // The tail's timer first expires at the probe timeout: twice the
+        // srtt plus the three packets' drain, 403 µs, raised to the floor.
+        let pto = PROBE_FLOOR;
         let due = script.timers.next_deadline().expect("the tail's timer");
-        assert!(due >= before + ROUND0_FLOOR && due <= after + ROUND0_FLOOR);
+        assert!(due >= before + pto && due <= after + pto);
         assert_ne!(script.timers.pop_due(due), Some(RETRY), "the engine's");
         assert!(script.timers.is_empty(), "and nothing else");
     }

@@ -252,13 +252,27 @@ impl DatagramBuilder {
         )
     }
 
-    /// Build an acknowledgement packet carrying `ack`.
+    /// Build an acknowledgement packet carrying `ack`, answering round 0.
     pub fn build_ack(&self, buf: &mut [u8], total: u32, ack: &AckPayload) -> WireResult<usize> {
+        self.build_status(buf, total, 0, ack)
+    }
+
+    /// Build a blast status report carrying `ack` that answers a data
+    /// packet of retransmission round `round`: the header's round field
+    /// echoes it, so a sender can tell a report for its current round
+    /// from a late one for an earlier round.
+    pub fn build_status(
+        &self,
+        buf: &mut [u8],
+        total: u32,
+        round: u16,
+        ack: &AckPayload,
+    ) -> WireResult<usize> {
         // Stack staging: ack payloads are bounded, so encoding never
         // touches the heap.
         let mut payload = [0u8; AckPayload::MAX_ENCODED_LEN];
         let n = ack.encode(&mut payload)?;
-        self.emit(buf, PacketKind::Ack, 0, total, 0, &payload[..n], 0, 0)
+        self.emit(buf, PacketKind::Ack, 0, total, 0, &payload[..n], round, 0)
     }
 
     /// Build a transfer request packet (`MoveFrom`, session setup).
@@ -348,7 +362,24 @@ mod tests {
             assert_eq!(d.kind, PacketKind::Ack);
             assert_eq!(d.total, 64);
             assert_eq!(d.ack.as_ref(), Some(&ack));
+            assert_eq!(d.round, 0);
         }
+    }
+
+    /// A status report's round echo rides the header's round field: the
+    /// report is the plain ack's length, and only that field differs.
+    #[test]
+    fn a_status_report_echoes_its_round_in_the_header() {
+        let (mut plain, mut echo) = ([0u8; 64], [0u8; 64]);
+        let b = DatagramBuilder::new(5);
+        let ack = AckPayload::NackFirstMissing { first_missing: 7 };
+        let n = b.build_ack(&mut plain, 64, &ack).unwrap();
+        let m = b.build_status(&mut echo, 64, 3, &ack).unwrap();
+        assert_eq!(n, m);
+        let d = Datagram::parse(&echo[..m]).unwrap();
+        assert_eq!((d.round, d.ack), (3, Some(ack)));
+        let differ = (0..n).filter(|&i| plain[i] != echo[i]).count();
+        assert!(differ <= 2 + 4, "the round and the checksum only");
     }
 
     #[test]
