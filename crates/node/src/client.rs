@@ -152,6 +152,8 @@ pub struct Client<C: Channel = UdpChannel> {
     local: Option<SocketAddr>,
     next_id: u32,
     nonce: u32,
+    /// The receive buffer every operation borrows, allocated once.
+    buf: Vec<u8>,
 }
 
 impl Client<UdpChannel> {
@@ -192,6 +194,7 @@ impl<C: Channel> Client<C> {
             local: None,
             next_id: 1,
             nonce: 0,
+            buf: vec![0; MAX_DATAGRAM],
         }
     }
 
@@ -294,7 +297,7 @@ impl<C: Channel> Client<C> {
         leg.carry(self.path.carried(Instant::now(), ()));
         leg.recorder = self.recorder.clone();
         let patience = self.patience.saturating_sub(started.elapsed());
-        leg.run(&mut self.channel, patience)
+        leg.run(&mut self.channel, &mut self.buf, patience)
     }
 
     /// Fetch the named blob `name` from the node.  The blob's size
@@ -403,13 +406,13 @@ impl<C: Channel> Client<C> {
         .expect("control query fits a datagram");
         let rtt = self.path.carried(Instant::now(), ()).and_then(|c| c.rtt);
         let mut retry = Backoff::new(&self.cfg, rtt);
-        let mut buf = vec![0u8; MAX_DATAGRAM];
+        let buf = &mut self.buf;
         while Instant::now() < deadline {
             self.channel.send(&query[..n])?;
             // Drain replies until this query's, or the time to re-send.
             let resend_at = (Instant::now() + retry.next_wait()).min(deadline);
             while let Some(budget) = resend_at.checked_duration_since(Instant::now()) {
-                let Some(got) = self.channel.recv_timeout(&mut buf, budget)? else {
+                let Some(got) = self.channel.recv_timeout(buf, budget)? else {
                     break;
                 };
                 let reply = Datagram::parse(&buf[..got])

@@ -75,7 +75,7 @@
 //! the peer's measured RTO (floored) instead of the configured
 //! `initial`; a copy leg's request re-sends start at that RTO too.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -118,6 +118,36 @@ const GIVE_UP: TimerToken = TimerToken(u64::MAX - 1);
 /// orchestrating client must be able to read the final status even if
 /// its first few polls are lost.  A pull copy's tail record lasts as long.
 const COPY_GRACE: Duration = Duration::from_secs(5);
+
+/// How many finished pulls a shard remembers ([`FinishedPulls`]).
+const FINISHED_PULLS: usize = 256;
+
+/// The last [`FINISHED_PULLS`] pulls a shard finished, by transfer id
+/// and peer.  A pull's sender completes on its client's final ack, so a
+/// status report that client sends after it — the answer to a tail
+/// probe, or a second answer to a tail the first already acknowledged
+/// — finds no session; from the session's own peer it is a late answer,
+/// dropped uncounted, and from anyone else still unroutable.  Kept
+/// apart from the push tail table, whose places stay for live pushes;
+/// a lookup, made only for a datagram that missed every session and
+/// tail record, scans it.
+#[derive(Debug)]
+struct FinishedPulls(VecDeque<(u32, SocketAddr)>);
+
+impl FinishedPulls {
+    /// Remember pull `id` of `peer`, forgetting the oldest once full.
+    fn hold(&mut self, id: u32, peer: SocketAddr) {
+        if self.0.len() == FINISHED_PULLS {
+            self.0.pop_front();
+        }
+        self.0.push_back((id, peer));
+    }
+
+    /// Whether `peer` is one of the last pulls' peers, for pull `id`.
+    fn holds(&self, id: u32, peer: SocketAddr) -> bool {
+        self.0.contains(&(id, peer))
+    }
+}
 
 /// Tunables for one node.
 #[derive(Debug, Clone)]
@@ -412,6 +442,9 @@ struct Shard {
     /// The same for pull copies, answering their remotes' tails through
     /// the egress sockets.
     copy_tails: TailRecords,
+    /// The last pulls finished, whose clients' late status reports are
+    /// theirs, not unroutable.
+    pulled: FinishedPulls,
     /// The burst and round-trip estimate each peer's last completed
     /// transfer ended at, which seed the next sender toward it.
     paths: PathTable,
@@ -460,6 +493,7 @@ impl NodeServer {
                 egress: [None; 2],
                 tails: TailRecords::new(config.max_sessions),
                 copy_tails: TailRecords::new(config.max_sessions),
+                pulled: FinishedPulls(VecDeque::with_capacity(FINISHED_PULLS)),
                 paths: PathTable::new(config.max_sessions),
                 drain: None,
                 config,
@@ -616,6 +650,9 @@ impl NodeServer {
                 match tails.answer(now, &dgram, peer, &mut status) {
                     Some(Some(n)) => shard.send_framed(port, peer, &status[..n])?,
                     Some(None) => {}
+                    None if dgram.kind == PacketKind::Ack
+                        && key == Key::Inbound(dgram.transfer_id)
+                        && shard.pulled.holds(dgram.transfer_id, peer) => {}
                     None => shard.local.unroutable += 1,
                 }
             }
@@ -1077,7 +1114,7 @@ impl Shard {
     /// Returns whether the entry is spent — nothing left to do — for
     /// the caller, who owns the table, to reap.
     fn pump(&mut self, key: Key, entry: &mut Entry, input: Input<'_>) -> io::Result<bool> {
-        let (epoch, timer_key) = (self.epoch, |token| (key, token));
+        let (epoch, now, timer_key) = (self.epoch, Instant::now(), |token| (key, token));
         let Some((port, peer)) = entry.link.peer() else {
             return Ok(false);
         };
@@ -1094,14 +1131,22 @@ impl Shard {
                 let Some(engine) = entry.engine.as_deref_mut() else {
                     return Ok(false);
                 };
-                pump::step(engine, epoch, input, &mut self.timers, timer_key, transmit)?
+                pump::step(
+                    engine,
+                    epoch,
+                    now,
+                    input,
+                    &mut self.timers,
+                    timer_key,
+                    transmit,
+                )?
             }
             Link::Settled(_) => return Ok(false),
             Link::Outbound(copy) => {
                 let asked = copy.outbound.requests_sent;
                 let stepped =
                     copy.outbound
-                        .step(epoch, input, &mut self.timers, timer_key, transmit);
+                        .step(epoch, now, input, &mut self.timers, timer_key, transmit);
                 // Every request after the first is a retry.
                 let retries = copy.outbound.requests_sent.saturating_sub(asked.max(1));
                 self.local.copy_handshake_retx += retries;
@@ -1149,6 +1194,9 @@ impl Shard {
         let control = engine.as_deref().and_then(Engine::control);
         let rtt = control.and_then(|c| c.rtt_estimate());
         self.paths.record(Instant::now(), peer, info, pacing, rtt);
+        if direction == Direction::Pull {
+            self.pulled.hold(key.id(), peer);
+        }
         if let Some(interval) = control.and_then(|c| c.receive_interval()) {
             self.drain = Some(grant::smooth(self.drain, interval));
         }
@@ -2070,6 +2118,71 @@ mod tests {
         let ack = Datagram::parse(&reply[..fcs::unframe(&reply[..n]).unwrap()]).unwrap();
         assert_eq!((ack.transfer_id, ack.kind), (1, PacketKind::Ack));
         assert_eq!(server.shard.local.unroutable, 0);
+    }
+
+    /// A pull's sender completes on its client's final ack, so the same
+    /// ack again (the answer to a tail probe, say) finds no session:
+    /// from the pull's own client it is a late answer, not unroutable;
+    /// from any other address it still is.
+    #[test]
+    fn a_late_ack_for_a_finished_pull_is_not_unroutable() {
+        let (mut server, addr) = hand_ticked(4, Duration::from_secs(60));
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket.connect(addr).unwrap();
+        let replay = socket.try_clone().unwrap();
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let channel = Logged {
+            inner: UdpChannel::from_socket(socket),
+            sent: Arc::clone(&sent),
+        };
+        let data = payload(10_000);
+        let pushed = data.clone();
+        let pulled = tick_through(
+            &mut server,
+            std::thread::spawn(move || {
+                let mut client = Client::over(channel)
+                    .config(client_cfg())
+                    .transfer_ids_from(1);
+                client.push("blob", &pushed).unwrap();
+                client.pull("blob").unwrap().data
+            }),
+        );
+        assert_eq!(pulled, data);
+        let mut buf = vec![0u8; 64 * 1024];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !server.table.is_empty() {
+            server.tick(&mut buf).unwrap();
+            assert!(Instant::now() < deadline, "the pull's sender heard its ack");
+        }
+
+        // The client's final ack of pull 2, once more from the client and
+        // once from a stranger.
+        let ack = sent
+            .lock()
+            .unwrap()
+            .iter()
+            .rfind(|frame: &&Vec<u8>| {
+                let d = Datagram::parse(&frame[..fcs::unframe(frame).unwrap()]).unwrap();
+                d.transfer_id == 2 && d.kind == PacketKind::Ack
+            })
+            .cloned()
+            .expect("the client acked pull 2");
+        let before = server.shard.local.clone();
+        replay.send(&ack).unwrap();
+        UdpSocket::bind("127.0.0.1:0")
+            .unwrap()
+            .send_to(&ack, addr)
+            .unwrap();
+        while server.shard.local.datagrams_received < before.datagrams_received + 2 {
+            server.tick(&mut buf).unwrap();
+            assert!(Instant::now() < deadline, "both acks arrive");
+        }
+        let m = &server.shard.local;
+        assert_eq!(m.unroutable, before.unroutable + 1, "the stranger's alone");
+        assert_eq!(
+            m.datagrams_sent, before.datagrams_sent,
+            "neither is answered"
+        );
     }
 
     /// A channel that keeps a copy of every frame it sends.

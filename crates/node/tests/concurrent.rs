@@ -9,7 +9,7 @@ use std::time::Duration;
 use blast_core::config::{ProtocolConfig, RetxStrategy};
 use blast_node::server::NodeBuilder;
 use blast_node::{shared_store, Client};
-use blast_udp::channel::UdpChannel;
+use blast_udp::channel::{UdpChannel, MAX_DATAGRAM};
 use blast_udp::fault::{FaultConfig, FaultyChannel};
 
 fn client_cfg(strategy: RetxStrategy) -> ProtocolConfig {
@@ -228,7 +228,12 @@ fn multiblast_pull() {
         let mut request = Request::pull("big", &cfg);
         request.multiblast_chunk = 16;
         let mut leg = Outbound::pull(9, &request, &cfg, MAX_TRANSFER_BYTES).unwrap();
-        leg.run(&mut channel, Duration::from_secs(30)).unwrap();
+        leg.run(
+            &mut channel,
+            &mut vec![0; MAX_DATAGRAM],
+            Duration::from_secs(30),
+        )
+        .unwrap();
         assert_eq!(leg.echoed().unwrap().len, data.len());
         leg.retire().expect("complete").0
     };

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use blast_core::{ProtocolConfig, MAX_GRANT};
 use blast_node::server::NodeBuilder;
 use blast_node::{shared_store, Client};
-use blast_udp::channel::{Channel, UdpChannel};
+use blast_udp::channel::{Channel, UdpChannel, MAX_DATAGRAM};
 use blast_udp::fcs::{self, FcsChannel};
 use blast_udp::grant::{self, Grant};
 use blast_udp::handshake::{Direction, Request, MAX_TRANSFER_BYTES};
@@ -262,7 +262,8 @@ fn a_hostile_grant_is_clamped_and_the_pull_completes() {
         request.grant = Some(Grant { queue, drain_ns });
         let mut leg = Outbound::pull(id, &request, &cfg, MAX_TRANSFER_BYTES).unwrap();
         let mut channel = FcsChannel::new(UdpChannel::connect_to(node.addr()).unwrap());
-        leg.run(&mut channel, WAIT).unwrap();
+        leg.run(&mut channel, &mut vec![0; MAX_DATAGRAM], WAIT)
+            .unwrap();
         let (bytes, _) = leg.retire().expect("complete");
         assert_eq!(bytes, data, "grant {queue}, drain {drain_ns}");
         assert!(node.wait_sessions(u64::from(id), WAIT));

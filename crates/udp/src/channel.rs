@@ -2,7 +2,7 @@
 
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use blast_telemetry::Recorder;
 
@@ -23,6 +23,22 @@ pub trait Channel {
     /// Receive one datagram into `buf` within `timeout`.
     /// Returns `Ok(None)` on timeout.
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>>;
+
+    /// [`recv_timeout`](Channel::recv_timeout) for a caller that has
+    /// just read the clock: the wait ends `timeout` after `now`, and a
+    /// channel that would otherwise read the clock to keep that bound
+    /// (a [`TimeWait`](crate::timewait::TimeWait) that answers a
+    /// datagram and waits on) counts from `now` instead.  Wrappers
+    /// should forward; the default is `recv_timeout`.
+    fn recv_timeout_from(
+        &mut self,
+        buf: &mut [u8],
+        timeout: Duration,
+        now: Instant,
+    ) -> io::Result<Option<usize>> {
+        let _ = now;
+        self.recv_timeout(buf, timeout)
+    }
 
     /// Stage one datagram for a batched [`flush`](Channel::flush).
     ///

@@ -16,7 +16,7 @@
 //! it is ≈ 1 µs.
 
 use std::io;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use blast_wire::checksum::crc32;
 
@@ -120,18 +120,39 @@ impl<C: Channel> Channel for FcsChannel<C> {
     }
 
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+        self.unframed(buf, |inner, buf| inner.recv_timeout(buf, timeout))
+    }
+
+    fn recv_timeout_from(
+        &mut self,
+        buf: &mut [u8],
+        timeout: Duration,
+        now: Instant,
+    ) -> io::Result<Option<usize>> {
+        self.unframed(buf, |inner, buf| inner.recv_timeout_from(buf, timeout, now))
+    }
+}
+
+impl<C: Channel> FcsChannel<C> {
+    /// Receive through `recv` until a frame passes its check (its body's
+    /// length) or `recv` times out.
+    fn unframed(
+        &mut self,
+        buf: &mut [u8],
+        mut recv: impl FnMut(&mut C, &mut [u8]) -> io::Result<Option<usize>>,
+    ) -> io::Result<Option<usize>> {
         loop {
-            match self.inner.recv_timeout(buf, timeout)? {
-                None => return Ok(None),
-                Some(n) => match unframe(&buf[..n]) {
-                    Some(body) => return Ok(Some(body)),
-                    // Bad FCS (or a runt frame): the interface drops it
-                    // silently and the caller's timeout logic proceeds
-                    // as if it were lost.  Loop for another datagram
-                    // within the same call so a corrupted frame does
-                    // not consume the whole timeout budget.
-                    None => self.fcs_drops += 1,
-                },
+            let Some(n) = recv(&mut self.inner, buf)? else {
+                return Ok(None);
+            };
+            match unframe(&buf[..n]) {
+                Some(body) => return Ok(Some(body)),
+                // Bad FCS (or a runt frame): the interface drops it
+                // silently and the caller's timeout logic proceeds as if
+                // it were lost.  Loop for another datagram within the
+                // same call so a corrupted frame does not consume the
+                // whole timeout budget.
+                None => self.fcs_drops += 1,
             }
         }
     }

@@ -38,7 +38,7 @@ use blast_core::config::{ProtocolConfig, RetxStrategy};
 use blast_wire::packet::{Datagram, DatagramBuilder};
 use blast_wire::{Ext, Grant};
 
-use crate::channel::Channel;
+use crate::channel::{Channel, MAX_DATAGRAM};
 use crate::outbound::{Outbound, Then};
 
 /// Shortest well-formed request payload: every field but the name.
@@ -333,7 +333,7 @@ pub fn initiate<C: Channel>(
 ) -> io::Result<HandshakeReply> {
     let mut leg = Outbound::new(transfer_id, request, Then::Stop, &ProtocolConfig::default())?;
     leg.retry = Backoff::every(retry_interval);
-    leg.run(channel, deadline)?;
+    leg.run(channel, &mut vec![0; MAX_DATAGRAM], deadline)?;
     Ok(HandshakeReply {
         echoed: leg
             .echoed()

@@ -72,7 +72,7 @@
 //! let mut leg = Outbound::pull(7, &request, &cfg, 1 << 20)?;
 //! let (epoch, mut timers, mut sent) = (Instant::now(), TimerWheel::new(), 0);
 //! let mut step = |leg: &mut Outbound, input| {
-//!     leg.step(epoch, input, &mut timers, |t| t, |_: &[u8]| {
+//!     leg.step(epoch, Instant::now(), input, &mut timers, |t| t, |_: &[u8]| {
 //!         sent += 1;
 //!         Ok(())
 //!     })

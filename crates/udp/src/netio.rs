@@ -384,11 +384,14 @@ impl NetIo {
         let result = match &mut self.imp {
             #[cfg(netio_batched)]
             Impl::Batched(b) => {
-                let deadline = Instant::now() + timeout;
+                // A datagram already filled is returned before the
+                // deadline costs a clock read.
+                let mut deadline = None;
                 loop {
                     if let Some((n, _)) = b.pop_into(buf) {
                         break Ok(Some(n));
                     }
+                    let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
                     if b.fill(socket, &mut self.stats)? > 0 {
                         continue;
                     }

@@ -27,7 +27,7 @@ use blast_telemetry::Recorder;
 use blast_wire::header::PacketKind;
 use blast_wire::packet::Datagram;
 
-use crate::channel::{Channel, MAX_DATAGRAM};
+use crate::channel::Channel;
 use crate::handshake::{Backoff, Request, MAX_NAME_LEN};
 use crate::path::{self, Carried};
 use crate::peer::TransferReport;
@@ -59,8 +59,8 @@ pub struct Outbound<'a> {
     pub(crate) retry: Backoff,
     then: Then<'a>,
     echoed: Option<Request>,
-    /// When the promoting call began, on its clock: where the data
-    /// phase starts.
+    /// The promoting call's instant, on its clock: where the data phase
+    /// starts.
     echoed_at: Duration,
     engine: Option<Box<dyn Engine + 'a>>,
     /// Flight recorder handed to the engine the echo builds.
@@ -158,12 +158,13 @@ impl<'a> Outbound<'a> {
         self.engine.take()?.retire()
     }
 
-    /// One call, like [`pump::step`]: feed the leg `input` on a clock
-    /// that runs from `epoch`, hand each datagram it transmits to
+    /// One call, like [`pump::step`]: feed the leg `input` at the
+    /// caller's instant `now`, on a clock that runs from `epoch`, hand
+    /// each datagram it transmits to
     /// `transmit` (flushing is the caller's), arm and cancel its timers
-    /// on `timers` under `key(token)` (the engine's counted from the
-    /// instant its step began), and return the completion report if
-    /// this call finished the transfer.
+    /// on `timers` under `key(token)` (the engine's pace timer counted
+    /// from `now`), and return the completion report if this call
+    /// finished the transfer.
     ///
     /// Errors: `NotFound` when the responder cancels before echoing,
     /// `InvalidData` when a pull's echo announces more than the bound,
@@ -171,6 +172,7 @@ impl<'a> Outbound<'a> {
     pub fn step<K, F, T>(
         &mut self,
         epoch: Instant,
+        now: Instant,
         input: Input<'_>,
         timers: &mut TimerWheel<K>,
         key: F,
@@ -186,7 +188,7 @@ impl<'a> Outbound<'a> {
                 Input::Datagram(d) if d.transfer_id != self.id || d.kind == PacketKind::Request => {
                     Ok(None)
                 }
-                input => pump::step(engine, epoch, input, timers, key, transmit),
+                input => pump::step(engine, epoch, now, input, timers, key, transmit),
             };
         }
         let echoed = match input {
@@ -215,7 +217,7 @@ impl<'a> Outbound<'a> {
         echoed.apply_to(&mut cfg);
         let (len, grant) = (echoed.len, echoed.grant);
         self.echoed = Some(echoed);
-        self.echoed_at = epoch.elapsed();
+        self.echoed_at = now.saturating_duration_since(epoch);
         let mut engine: Box<dyn Engine + 'a> = match std::mem::replace(&mut self.then, Then::Stop) {
             Then::Send(blob) => {
                 let mut sender = BlastSender::new(self.id, blob, &cfg);
@@ -243,21 +245,41 @@ impl<'a> Outbound<'a> {
         }
         path::seed(engine.as_mut(), self.carried);
         let engine = self.engine.insert(engine);
-        pump::step(engine.as_mut(), epoch, Input::Start, timers, key, transmit)
+        pump::step(
+            engine.as_mut(),
+            epoch,
+            now,
+            Input::Start,
+            timers,
+            key,
+            transmit,
+        )
     }
 
     /// Run the leg over `channel` until it completes, blocking, or until
     /// `limit` — one bound on the whole transfer, handshake and data
-    /// phase alike — passes (`TimedOut`).  Each call stages what it
-    /// transmits and flushes once; between calls the loop waits for a
-    /// datagram until the next timer is due, within
-    /// [`PacingConfig::MIN_WAIT`] and 50 ms.  The report's `elapsed` and
-    /// receive counts run from the echo on (malformed includes the
-    /// channel's [`discarded`](Channel::discarded) frames); its sent
-    /// count includes the requests.
+    /// phase alike — passes (`TimedOut`), receiving into `buf` (at least
+    /// [`MAX_DATAGRAM`](crate::channel::MAX_DATAGRAM) bytes, so a caller
+    /// running one leg after another allocates it once).  A call that
+    /// transmits stages what it transmits and flushes once; one that
+    /// transmits nothing flushes nothing.  Between calls the loop waits
+    /// for a datagram until the next timer is due, within
+    /// [`PacingConfig::MIN_WAIT`] and 50 ms.
+    ///
+    /// The loop reads the clock once per received datagram, the read
+    /// its call runs at, and hands that instant on to the next wait
+    /// ([`Channel::recv_timeout_from`]) when the call staged nothing; a
+    /// call that staged datagrams reads it afresh, since framing a
+    /// one-burst round of 2 979 datagrams takes ≈ 2 ms.
+    ///
+    /// The report's `elapsed` and receive counts run from the echo on
+    /// (malformed includes the channel's
+    /// [`discarded`](Channel::discarded) frames); its sent count
+    /// includes the requests.
     pub fn run<C: Channel>(
         &mut self,
         channel: &mut C,
+        buf: &mut [u8],
         limit: Duration,
     ) -> io::Result<TransferReport> {
         let started = Instant::now();
@@ -266,12 +288,11 @@ impl<'a> Outbound<'a> {
         // engine and backend events land on one timeline.
         let clock = self.recorder.as_ref().map_or(started, Recorder::epoch);
         let mut timers = TimerWheel::new();
-        let mut buf = vec![0u8; MAX_DATAGRAM];
         let (mut sent, mut received, mut malformed) = (0, 0, 0);
         let mut at_echo = None; // (received, malformed) then
         let mut start = true;
+        let mut now = started;
         let info = loop {
-            let now = Instant::now();
             if now >= give_up {
                 return Err(io::Error::new(ErrorKind::TimedOut, "transfer timed out"));
             }
@@ -288,7 +309,9 @@ impl<'a> Outbound<'a> {
                     })
                     .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(50))
                     .min(give_up - now);
-                let Some(n) = channel.recv_timeout(&mut buf, wait)? else {
+                let got = channel.recv_timeout_from(buf, wait, now)?;
+                now = Instant::now();
+                let Some(n) = got else {
                     continue;
                 };
                 received += 1;
@@ -300,14 +323,18 @@ impl<'a> Outbound<'a> {
                 dgram = parsed;
                 Input::Datagram(&dgram)
             };
+            let staged = sent;
             let transmit = |bytes: &[u8]| {
                 sent += 1;
                 channel.stage(bytes)
             };
-            let done = self.step(clock, input, &mut timers, |token| token, transmit)?;
-            channel.flush()?;
-            if self.echoed.is_some() {
-                at_echo.get_or_insert((received, malformed + channel.discarded()));
+            let done = self.step(clock, now, input, &mut timers, |token| token, transmit)?;
+            if sent > staged {
+                channel.flush()?;
+                now = Instant::now();
+            }
+            if at_echo.is_none() && self.echoed.is_some() {
+                at_echo = Some((received, malformed + channel.discarded()));
             }
             if let Some(info) = done {
                 break info;
@@ -331,6 +358,7 @@ impl<'a> Outbound<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::MAX_DATAGRAM;
     use crate::handshake::retry_interval;
     use blast_core::control::{PROBE_FLOOR, ROUND0_FLOOR};
     use blast_wire::packet::DatagramBuilder;
@@ -361,9 +389,10 @@ mod tests {
         }
 
         fn feed(&mut self, input: Input<'_>) -> io::Result<Option<CompletionInfo>> {
-            let wire = &mut self.wire;
+            let (wire, now) = (&mut self.wire, Instant::now());
             self.leg.step(
-                Instant::now(),
+                now,
+                now,
                 input,
                 &mut self.timers,
                 |t| t,
@@ -431,6 +460,96 @@ mod tests {
         let n = DatagramBuilder::new(id).build_cancel(&mut buf).unwrap();
         buf.truncate(n);
         buf
+    }
+
+    /// A channel played from a script for [`Outbound::run`]: each
+    /// receive pops `incoming` (a timeout once it is empty), and every
+    /// call on the sending side is counted.
+    #[derive(Default)]
+    struct Counted {
+        incoming: std::collections::VecDeque<Vec<u8>>,
+        staged: Vec<Vec<u8>>,
+        flushes: usize,
+        receives: usize,
+    }
+
+    impl Channel for Counted {
+        fn send(&mut self, _: &[u8]) -> io::Result<()> {
+            unreachable!("a leg stages what it sends")
+        }
+
+        fn stage(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.staged.push(buf.to_vec());
+            Ok(())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+
+        fn recv_timeout(&mut self, buf: &mut [u8], _: Duration) -> io::Result<Option<usize>> {
+            self.receives += 1;
+            Ok(self.incoming.pop_front().map(|d| {
+                buf[..d.len()].copy_from_slice(&d);
+                d.len()
+            }))
+        }
+    }
+
+    /// A pull's receive loop flushes after the calls that sent
+    /// something — the request, the NACK for a hole, the final ack —
+    /// and after no other: eight data packets, the echo and a
+    /// retransmission cost one receive each and no flush.
+    #[test]
+    fn a_pull_flushes_once_per_call_that_sent_not_per_datagram() {
+        let cfg = cfg();
+        let request = Request::pull("blob", &cfg);
+        let mut leg = Outbound::pull(ID, &request, &cfg, 1 << 20).unwrap();
+        let mut channel = Counted::default();
+        let echo = Request {
+            len: 8 * PAYLOAD,
+            ..request
+        };
+        channel.incoming.push_back(echo.build_datagram(ID));
+        // Round 0 loses packet 3; round 1 re-sends it as its tail.
+        for seq in (0..8).filter(|&seq| seq != 3) {
+            channel.incoming.push_back(data(ID, seq, 8, seq as u8));
+        }
+        let mut resent = vec![0u8; 2048];
+        let n = DatagramBuilder::new(ID)
+            .build_data(
+                &mut resent,
+                3,
+                8,
+                3 * PAYLOAD as u32,
+                &[3; PAYLOAD],
+                1,
+                true,
+            )
+            .unwrap();
+        channel.incoming.push_back(resent[..n].to_vec());
+
+        let mut buf = vec![0u8; MAX_DATAGRAM];
+        let report = leg
+            .run(&mut channel, &mut buf, Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(report.stats.nacks_sent, 1, "the hole was reported");
+        let kinds: Vec<_> = channel
+            .staged
+            .iter()
+            .map(|d| Datagram::parse(d).unwrap().kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [PacketKind::Request, PacketKind::Ack, PacketKind::Ack]
+        );
+        assert_eq!(report.datagrams_sent, 3);
+        assert_eq!(channel.flushes, 3, "one per call that sent");
+        assert_eq!(channel.receives, 9, "the echo and eight data packets");
+        let (bytes, _) = leg.retire().expect("complete");
+        let expected: Vec<u8> = (0..8u8).flat_map(|seq| [seq; PAYLOAD]).collect();
+        assert_eq!(bytes, expected);
     }
 
     #[test]

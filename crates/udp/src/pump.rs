@@ -1,8 +1,8 @@
 //! The engine pump: the one place engine [`Action`]s meet the world.
 //!
 //! Every driver of a sans-I/O engine does the same four things around
-//! each engine call: read the clock once and advance the engine's to
-//! it, make the call, apply the actions it emitted (transmissions to
+//! each engine call: advance the engine's clock to the caller's
+//! instant, make the call, apply the actions it emitted (transmissions to
 //! the network, timers to a [`TimerWheel`]) and notice completion.
 //! [`step`] is that sequence, parameterised only by where transmissions
 //! go and how an engine's [`TimerToken`] becomes a key in the caller's
@@ -17,8 +17,13 @@
 //! order either way, and a transmitted packet's pooled buffer returns
 //! to the pool before the engine builds the next one.
 //!
+//! The caller reads the clock, not the step: a driver that has just
+//! read it (to pop a due timer, or to time a receive) passes that
+//! instant on, so a received datagram costs the one read its engine
+//! step uses.
+//!
 //! The pace timer ([`PACE_TIMER`]) counts from the engine's `now`, the
-//! instant the step began, as every timer does on the virtual-time
+//! caller's instant, as every timer does on the virtual-time
 //! substrates (`blast_core::harness`, `blast-sim`): a paced burst's
 //! framing and staging, and the flush after the step, run inside the
 //! gap the burst asked for instead of in front of it, so burst / gap is
@@ -52,8 +57,8 @@ pub enum Input<'a> {
 /// Applies actions as they are pushed.
 struct Apply<'a, K, F, T> {
     timers: &'a mut TimerWheel<K>,
-    /// The instant the step began: the engine's `now`, where its pace
-    /// timer counts from.
+    /// The caller's instant: the engine's `now`, where its pace timer
+    /// counts from.
     at: Instant,
     key: F,
     transmit: T,
@@ -85,16 +90,17 @@ where
     }
 }
 
-/// Run one engine call: read the clock once and set the engine's `now`
-/// to that instant's distance from `epoch`, feed it `input`, hand each
+/// Run one engine call at the caller's instant `now`: set the engine's
+/// `now` to its distance from `epoch`, feed it `input`, hand each
 /// transmitted datagram to `transmit` (staging is the caller's
 /// business — flush after the call), arm and cancel its timers on
 /// `timers` under `key(token)`, the pace timer's deadline counted from
-/// that same instant and every other from when it is armed, and return
-/// the completion report if this call finished the transfer.
+/// `now` and every other from when it is armed, and return the
+/// completion report if this call finished the transfer.
 pub fn step<K, F, T>(
     engine: &mut dyn Engine,
     epoch: Instant,
+    now: Instant,
     input: Input<'_>,
     timers: &mut TimerWheel<K>,
     key: F,
@@ -105,16 +111,15 @@ where
     F: Fn(TimerToken) -> K,
     T: FnMut(&[u8]) -> io::Result<()>,
 {
-    let at = Instant::now();
     let mut apply = Apply {
         timers,
-        at,
+        at: now,
         key,
         transmit,
         done: None,
         sent: Ok(()),
     };
-    engine.set_now(at.saturating_duration_since(epoch));
+    engine.set_now(now.saturating_duration_since(epoch));
     match input {
         Input::Start => engine.start(&mut apply),
         Input::Datagram(dgram) => engine.on_datagram(dgram, &mut apply),

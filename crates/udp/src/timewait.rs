@@ -12,6 +12,10 @@
 //! in [`TimeWait`], which answers from whatever receive loop runs on the
 //! channel next, inside [`recv_timeout`](Channel::recv_timeout).
 //! Nothing is answered while no loop runs, or once the channel is gone.
+//! A datagram for no held record costs the loop a table lookup and no
+//! clock read: a receive loop that passes the instant it has just read
+//! ([`recv_timeout_from`](Channel::recv_timeout_from)) pays one read per
+//! datagram it answers, and none for the rest.
 //!
 //! A channel's records are few ([`MAX_RECORDS`]) and each keeps its
 //! window, so a caller about to start a receiver first
@@ -215,7 +219,13 @@ impl<C: Channel> TimeWait<C> {
         }
         // Peek at the transfer id before paying for a parse: with
         // records held, nearly every datagram is still someone else's.
+        // And at the table before reading the clock: on a busy pull
+        // loop a few dozen records are always held, for ids that are
+        // not the one arriving.
         let id = BlastHeader::new_unchecked(datagram).transfer_id();
+        if !self.tails.records.contains_key(&id) {
+            return Ok(false);
+        }
         let now = Instant::now();
         if self.tails.peer(now, id).is_none() {
             return Ok(false);
@@ -260,18 +270,30 @@ impl<C: Channel> Channel for TimeWait<C> {
     }
 
     fn recv_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
-        let started = Instant::now();
+        self.recv_timeout_from(buf, timeout, Instant::now())
+    }
+
+    /// Reads the clock only after answering a datagram: the wait goes
+    /// on, within what is left of `timeout` after `now`.
+    fn recv_timeout_from(
+        &mut self,
+        buf: &mut [u8],
+        timeout: Duration,
+        now: Instant,
+    ) -> io::Result<Option<usize>> {
+        let (mut left, mut at) = (timeout, now);
         loop {
-            // Swallowed datagrams are not the caller's: keep waiting,
-            // within the same budget.  A zero budget is a poll and
-            // stays one.
-            let left = timeout.saturating_sub(started.elapsed());
-            let Some(n) = self.inner.recv_timeout(buf, left)? else {
+            let Some(n) = self.inner.recv_timeout_from(buf, left, at)? else {
                 return Ok(None);
             };
             if !self.swallow(&buf[..n])? {
                 return Ok(Some(n));
             }
+            // Swallowed datagrams are not the caller's: keep waiting,
+            // within the same budget.  A zero budget is a poll and
+            // stays one.
+            at = Instant::now();
+            left = timeout.saturating_sub(at.saturating_duration_since(now));
         }
     }
 }
@@ -501,6 +523,38 @@ mod tests {
             (7, Some(AckPayload::Positive { acked: 2 }))
         );
         assert_eq!(tw.reacks, 1);
+    }
+
+    /// A tail answered mid-wait does not restart the wait: silence after
+    /// it ends the call `timeout` after it began (a restarted wait would
+    /// end 100 ms later), whichever way the caller asks.
+    #[test]
+    fn an_answered_tail_does_not_stretch_the_wait() {
+        let (a, mut b) = crate::channel::UdpChannel::pair().unwrap();
+        let mut tw = TimeWait::new(a);
+        tw.hold(finished(5, 2), FOREVER, Instant::now() + FOREVER);
+        let ms = Duration::from_millis;
+        let (timeout, slack) = (ms(200), ms(60));
+        for (reacks, from_now) in [(1, false), (2, true)] {
+            let mut buf = [0u8; 2048];
+            let called = Instant::now();
+            let got = std::thread::scope(|scope| {
+                let b = &mut b;
+                scope.spawn(move || {
+                    std::thread::sleep(ms(100));
+                    b.send(&data(5, 1, 2)).unwrap();
+                });
+                match from_now {
+                    true => tw.recv_timeout_from(&mut buf, timeout, called),
+                    false => tw.recv_timeout(&mut buf, timeout),
+                }
+            });
+            let waited = called.elapsed();
+            assert_eq!(got.unwrap(), None, "the tail was answered, not returned");
+            assert_eq!(tw.reacks, reacks);
+            assert!(waited >= timeout, "{waited:?}");
+            assert!(waited < timeout + slack, "{waited:?}");
+        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 use std::io;
 use std::time::{Duration, Instant};
 
-use blast_core::api::TimerToken;
+use blast_core::api::{Action, ActionSink, EngineStats, TimerToken};
 use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::control::PACE_TIMER;
-use blast_core::{PacingConfig, ProtocolConfig};
+use blast_core::{Engine, PacingConfig, ProtocolConfig};
 use blast_udp::pump::{step, Input};
 use blast_udp::timers::TimerWheel;
 use blast_wire::packet::Datagram;
@@ -30,6 +30,7 @@ fn two_engines_share_one_wheel_and_finish() {
     let mut tx_done = step(
         &mut tx,
         epoch,
+        Instant::now(),
         Input::Start,
         &mut timers,
         |t| (true, t),
@@ -50,6 +51,7 @@ fn two_engines_share_one_wheel_and_finish() {
             let done = step(
                 &mut rx,
                 epoch,
+                Instant::now(),
                 Input::Datagram(&dgram),
                 &mut timers,
                 |t| (false, t),
@@ -66,6 +68,7 @@ fn two_engines_share_one_wheel_and_finish() {
             let done = step(
                 &mut tx,
                 epoch,
+                Instant::now(),
                 Input::Datagram(&dgram),
                 &mut timers,
                 |t| (true, t),
@@ -90,9 +93,11 @@ fn transmit_error_surfaces_and_stops_the_burst() {
     let mut tx = BlastSender::new(1, data, &cfg);
     let mut timers: TimerWheel<TimerToken> = TimerWheel::new();
     let mut calls = 0;
+    let now = Instant::now();
     let err = step(
         &mut tx,
-        Instant::now(),
+        now,
+        now,
         Input::Start,
         &mut timers,
         |t| t,
@@ -106,8 +111,8 @@ fn transmit_error_surfaces_and_stops_the_burst() {
     assert_eq!(calls, 1, "nothing is transmitted after the first failure");
 }
 
-/// A paced burst's gap counts from the instant its step began, not from
-/// when the last of its datagrams was handed over: a burst that takes
+/// A paced burst's gap counts from the step's instant, not from when
+/// the last of its datagrams was handed over: a burst that takes
 /// longer to transmit than its gap finds its next burst already due.
 #[test]
 fn timers_count_from_the_step() {
@@ -123,6 +128,7 @@ fn timers_count_from_the_step() {
     let before = Instant::now();
     step(
         &mut tx,
+        before,
         before,
         Input::Start,
         &mut timers,
@@ -143,7 +149,7 @@ fn timers_count_from_the_step() {
     assert!(due >= before + gap, "not before the gap");
     assert!(
         due <= before + gap + Duration::from_millis(5),
-        "the gap counts from the step, not after the burst: due {:?} after the step began",
+        "the gap counts from the step, not after the burst: due {:?} after the step's instant",
         due - before
     );
     assert_eq!(
@@ -180,6 +186,7 @@ fn the_tail_timer_counts_from_after_framing() {
     let mut done = step(
         &mut tx,
         epoch,
+        Instant::now(),
         Input::Start,
         &mut tx_timers,
         |t| t,
@@ -197,6 +204,7 @@ fn the_tail_timer_counts_from_after_framing() {
             done = step(
                 &mut tx,
                 epoch,
+                Instant::now(),
                 input,
                 &mut tx_timers,
                 |t| t,
@@ -211,6 +219,7 @@ fn the_tail_timer_counts_from_after_framing() {
             step(
                 &mut rx,
                 epoch,
+                Instant::now(),
                 input,
                 &mut rx_timers,
                 |t| t,
@@ -227,6 +236,7 @@ fn the_tail_timer_counts_from_after_framing() {
             let finished = step(
                 &mut tx,
                 epoch,
+                Instant::now(),
                 input,
                 &mut tx_timers,
                 |t| t,
@@ -240,4 +250,60 @@ fn the_tail_timer_counts_from_after_framing() {
     assert_eq!(info.result, Ok(data.len()));
     assert_eq!(info.stats.timeouts, 0, "the timer waited for the tail");
     assert_eq!(rx.into_data(), data.as_ref());
+}
+
+/// An engine that keeps the clock it is given and, at start, asks for
+/// the pace timer a millisecond on.
+struct Clocked(Duration);
+
+impl Engine for Clocked {
+    fn start(&mut self, sink: &mut dyn ActionSink) {
+        sink.push_action(Action::SetTimer {
+            token: PACE_TIMER,
+            after: Duration::from_millis(1),
+        });
+    }
+
+    fn set_now(&mut self, now: Duration) {
+        self.0 = now;
+    }
+
+    fn on_datagram(&mut self, _: &Datagram<'_>, _: &mut dyn ActionSink) {}
+
+    fn on_timer(&mut self, _: TimerToken, _: &mut dyn ActionSink) {}
+
+    fn is_finished(&self) -> bool {
+        false
+    }
+
+    fn stats(&self) -> EngineStats {
+        EngineStats::default()
+    }
+
+    fn transfer_id(&self) -> u32 {
+        1
+    }
+}
+
+/// The step reads no clock of its own: the engine's `now` and the pace
+/// timer both count from the instant the caller passed, an hour from
+/// the wall clock here.
+#[test]
+fn the_engine_runs_at_the_callers_instant() {
+    let epoch = Instant::now();
+    let now = epoch + Duration::from_secs(3600);
+    let (mut engine, mut timers) = (Clocked(Duration::ZERO), TimerWheel::new());
+    let done = step(
+        &mut engine,
+        epoch,
+        now,
+        Input::Start,
+        &mut timers,
+        |t| t,
+        |_| Ok(()),
+    );
+    assert_eq!(done.unwrap(), None);
+    assert_eq!(engine.0, Duration::from_secs(3600));
+    let pace = now + Duration::from_millis(1);
+    assert_eq!(timers.next_deadline(), Some(pace));
 }

@@ -12,7 +12,7 @@ use blastlan::core::config::{ProtocolConfig, RetxStrategy};
 use blastlan::core::harness::{Harness, LossPlan};
 use blastlan::core::multiblast::MultiBlastSender;
 use blastlan::sim::{LossModel, SimConfig, Simulator};
-use blastlan::udp::channel::UdpChannel;
+use blastlan::udp::channel::{UdpChannel, MAX_DATAGRAM};
 use blastlan::udp::fault::{FaultConfig, FaultyChannel};
 use blastlan::udp::{FcsChannel, Outbound, Request};
 use blastlan::vkernel::fileserver::{client_read, FileServer};
@@ -149,7 +149,12 @@ fn multiblast_over_udp_and_sim_agree_on_data() {
     let mut request = Request::pull("multi", &cfg);
     request.multiblast_chunk = 32;
     let mut leg = Outbound::pull(9, &request, &cfg, data.len()).unwrap();
-    leg.run(&mut channel, Duration::from_secs(30)).unwrap();
+    leg.run(
+        &mut channel,
+        &mut vec![0; MAX_DATAGRAM],
+        Duration::from_secs(30),
+    )
+    .unwrap();
     assert_eq!(leg.retire().expect("complete").0, data);
     node.shutdown().unwrap();
 }
