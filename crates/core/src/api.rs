@@ -5,7 +5,7 @@ use core::fmt;
 use std::time::Duration;
 
 use crate::error::CoreError;
-use crate::pool::PooledBuf;
+use crate::pool::{BufferPool, PooledBuf};
 
 /// Identifies a timer within one engine.
 ///
@@ -29,10 +29,14 @@ pub enum Action {
     /// Hand a complete transport datagram (header + payload, as produced
     /// by `blast_wire::DatagramBuilder`) to the network.
     ///
-    /// The bytes ride in a [`PooledBuf`]: engines build packets in
-    /// buffers checked out of the shared [`crate::pool::BufferPool`],
-    /// and the driver dropping the executed action checks the buffer
-    /// back in — the steady-state packet loop allocates nothing.
+    /// Engines emit it through [`ActionSink::transmit`], whose default
+    /// builds the datagram in a buffer checked out of the shared
+    /// [`crate::pool::BufferPool`] and pushes it here; the driver
+    /// dropping the executed action checks the buffer back in, so the
+    /// steady-state packet loop allocates nothing.  A sink that stages
+    /// datagrams itself (the UDP drivers' pump) overrides `transmit`,
+    /// and the datagram is built where it is staged instead, without
+    /// this action.
     Transmit(PooledBuf),
     /// Arm (or re-arm) the timer `token` to fire after `after`.
     SetTimer {
@@ -70,6 +74,21 @@ impl Action {
 pub trait ActionSink {
     /// Receive one action.
     fn push_action(&mut self, action: Action);
+
+    /// Transmit one datagram of exactly `len` bytes, which `write`
+    /// builds into the `len`-byte slice it is handed.  Every engine
+    /// transmits through this.
+    ///
+    /// The default checks a buffer out of `pool`, has `write` build the
+    /// datagram in it and pushes [`Action::Transmit`].  A sink that
+    /// stages datagrams for the network overrides it to hand `write`
+    /// the staging memory itself, so each payload byte is written once
+    /// between the engine's data and the kernel.
+    fn transmit(&mut self, pool: &BufferPool, len: usize, write: &mut dyn FnMut(&mut [u8])) {
+        let mut buf = pool.checkout_sized(len);
+        write(&mut buf);
+        self.push_action(Action::Transmit(buf));
+    }
 }
 
 impl ActionSink for Vec<Action> {
@@ -201,6 +220,21 @@ mod tests {
             after: Duration::from_millis(5),
         });
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn the_default_transmit_builds_in_a_pooled_buffer() {
+        let pool = BufferPool::new(64, 4);
+        let mut v: Vec<Action> = Vec::new();
+        v.transmit(&pool, 3, &mut |buf| buf.copy_from_slice(b"abc"));
+        assert_eq!(v[0].as_transmit(), Some(&b"abc"[..]));
+        assert_eq!(pool.fresh_allocations(), 1);
+        drop(v);
+        assert_eq!(
+            pool.free_count(),
+            1,
+            "the executed action checks it back in"
+        );
     }
 
     #[test]

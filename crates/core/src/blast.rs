@@ -63,20 +63,15 @@ use std::time::Duration;
 use crate::api::{Action, ActionSink, CompletionInfo, EngineStats, TimerToken};
 use crate::config::{ProtocolConfig, RetxStrategy};
 use crate::control::{Control, PacerSnapshot, PacingConfig, PACE_TIMER};
-use crate::engine::{control_in, Engine, Finish};
+use crate::engine::{control_in, send, Engine, Finish};
 use crate::error::CoreError;
-use crate::pool::{BufferPool, PooledBuf};
+use crate::pool::BufferPool;
 use crate::rxbuf::{Geometry, RxBuffer};
 use crate::txdata::{TxBytes, TxData};
 
 /// The retransmission timer a blast sender uses (pacing uses
 /// [`PACE_TIMER`]).
 const RETX_TIMER: TimerToken = TimerToken(0);
-
-/// Upper bound on the per-round buffer stash (and on one batched pool
-/// checkout) — matches the pool's default free-list bound, so a single
-/// giant round cannot drain the free list through one engine.
-const MAX_BATCH: usize = 256;
 
 /// Emission cursor of the round in flight: what remains to be put on
 /// the wire once the pacer's next burst budget opens.
@@ -130,9 +125,7 @@ pub struct BlastSender<'a> {
     pending: Pending,
     /// Storage behind [`Pending::Set`], reused across rounds.
     pending_set: Vec<u32>,
-    /// Batched pool checkouts for the burst being emitted (one pool
-    /// lock per burst instead of one per packet).
-    stash: Vec<PooledBuf>,
+    /// Where [`ActionSink::transmit`]'s default builds datagrams.
     pool: BufferPool,
     /// Counters over the whole transfer (every chunk of a multi-blast).
     stats: EngineStats,
@@ -190,10 +183,6 @@ impl<'a> BlastSender<'a> {
             probing: chunk.is_none(),
             pending: Pending::Idle,
             pending_set: Vec::new(),
-            // Sized up front so steady-state bursts — and every later
-            // chunk, none larger than the first — never grow it (the
-            // zero-allocation property of the packet loop).
-            stash: Vec::with_capacity((end as usize).min(MAX_BATCH)),
             pool: config.pool.clone(),
             stats: EngineStats::default(),
             finish: Finish::default(),
@@ -247,34 +236,17 @@ impl<'a> BlastSender<'a> {
     }
 
     fn transmit_one(&mut self, seq: u32, last: bool, sink: &mut dyn ActionSink) {
-        let payload = self.tx.payload_of(seq);
+        let (payload, total) = (self.tx.payload_of(seq), self.tx.total_packets());
+        let (offset, round) = (self.tx.offset_of(seq) as u32, self.round());
         let len = blast_wire::HEADER_LEN + payload.len();
-        // Bursts pre-checkout their buffers in one batch (`emit_burst`);
-        // stragglers — the re-solicited tail, oversized rounds — fall
-        // back to the per-packet path.
-        let mut buf = match self.stash.pop() {
-            Some(buf) => buf,
-            None => self.pool.checkout_sized(len),
-        };
-        buf.resize(len, 0);
-        let len = self
-            .builder
-            .build_data(
-                &mut buf,
-                seq,
-                self.tx.total_packets(),
-                self.tx.offset_of(seq) as u32,
-                payload,
-                self.round(),
-                last,
-            )
-            .expect("buffer sized for payload");
-        buf.truncate(len);
+        send(sink, &self.pool, len, |buf| {
+            self.builder
+                .build_data(buf, seq, total, offset, payload, round, last)
+        });
         self.stats.data_packets_sent += 1;
         if self.rounds_used > 0 {
             self.stats.data_packets_retransmitted += 1;
         }
-        sink.push_action(Action::Transmit(buf));
     }
 
     /// Packets of the round in flight not yet emitted.
@@ -296,19 +268,12 @@ impl<'a> BlastSender<'a> {
         let remaining = self.pending_len();
         debug_assert!(remaining > 0, "emit_burst on an idle round");
         let n = remaining.min(self.control.pacer().burst_budget() as usize);
-        // One pool lock covers the whole burst.
+        // A sink that builds in pooled buffers (`ActionSink::transmit`'s
+        // default) and ran the pool dry during the burst is traced.
         let fresh_before = self
             .control
             .tracing()
             .then(|| self.pool.fresh_allocations());
-        self.pool.checkout_many(n.min(MAX_BATCH), &mut self.stash);
-        if let Some(before) = fresh_before {
-            let fresh = self.pool.fresh_allocations();
-            if fresh > before {
-                self.control
-                    .trace(EventKind::PoolExhausted, fresh, n as u64);
-            }
-        }
         match self.pending {
             Pending::Idle => unreachable!("pending_len > 0"),
             Pending::Span { next } => {
@@ -325,6 +290,13 @@ impl<'a> BlastSender<'a> {
                     self.transmit_one(seq, seq == self.reliable_seq, sink);
                 }
                 self.pending = Pending::Set { next: next + n };
+            }
+        }
+        if let Some(before) = fresh_before {
+            let fresh = self.pool.fresh_allocations();
+            if fresh > before {
+                self.control
+                    .trace(EventKind::PoolExhausted, fresh, n as u64);
             }
         }
         if self.pending_len() == 0 {
@@ -507,15 +479,7 @@ impl Engine for BlastSender<'_> {
     control_in!(control);
 
     fn start(&mut self, sink: &mut dyn ActionSink) {
-        let first = self.first;
-        let pacer = self.control.pacer();
-        if pacer.enabled() {
-            // Warm the pool to the first burst's batch checkout: what
-            // this transfer sends, never the (larger) grant.
-            let burst = (self.end - first).min(pacer.burst_budget());
-            self.pool.warm((burst as usize).min(MAX_BATCH));
-        }
-        self.send_span(first, sink);
+        self.send_span(self.first, sink);
     }
 
     fn on_datagram(&mut self, dgram: &Datagram<'_>, sink: &mut dyn ActionSink) {
@@ -665,9 +629,15 @@ pub struct BlastReceiver {
 }
 
 impl BlastReceiver {
-    /// Create a receiver expecting `bytes` bytes on `transfer_id`.
+    /// Create a receiver expecting `bytes` bytes on `transfer_id`, into
+    /// a buffer reserved for them and written only as data arrives
+    /// ([`RxBuffer::new`]).
     pub fn new(transfer_id: u32, bytes: usize, config: &ProtocolConfig) -> Self {
-        Self::with_buffer(transfer_id, vec![0; bytes], config)
+        Self::over(
+            transfer_id,
+            RxBuffer::new(bytes, config.packet_payload),
+            config,
+        )
     }
 
     /// Create a receiver for a transfer of `buf.len()` bytes that lands
@@ -676,8 +646,13 @@ impl BlastReceiver {
     /// holes of [`data`](Self::data) until completion; [`Engine::retire`]
     /// hands out only a complete buffer.
     pub fn with_buffer(transfer_id: u32, buf: Vec<u8>, config: &ProtocolConfig) -> Self {
+        let rx = RxBuffer::with_buffer(buf, config.packet_payload);
+        Self::over(transfer_id, rx, config)
+    }
+
+    fn over(transfer_id: u32, rx: RxBuffer, config: &ProtocolConfig) -> Self {
         BlastReceiver {
-            rx: RxBuffer::with_buffer(buf, config.packet_payload),
+            rx,
             builder: DatagramBuilder::new(transfer_id).kernel(config.kernel_flag),
             strategy: config.strategy,
             horizon: None,
@@ -688,14 +663,17 @@ impl BlastReceiver {
         }
     }
 
-    /// The received bytes.  Until completion a hole holds zeros, or a
-    /// recycled buffer's old bytes ([`with_buffer`](Self::with_buffer)).
+    /// The received bytes: the whole transfer once complete.  Until
+    /// then a [`new`](Self::new) receiver's are the prefix up to the
+    /// furthest packet placed, holes zeroed, and a
+    /// [`with_buffer`](Self::with_buffer) receiver's the whole buffer,
+    /// its old bytes showing in the holes (see [`RxBuffer::data`]).
     pub fn data(&self) -> &[u8] {
         self.rx.data()
     }
 
-    /// Consume the engine, returning the received data, holes and all
-    /// (see [`data`](Self::data)).
+    /// Consume the engine, returning the received data, prefix and
+    /// holes as [`data`](Self::data) describes them.
     pub fn into_data(self) -> Vec<u8> {
         self.rx.into_data()
     }
@@ -742,19 +720,14 @@ impl BlastReceiver {
             self.control
                 .trace(EventKind::StatusSend, u64::from(!is_nack), missing);
         }
-        let mut buf = self
-            .pool
-            .checkout_sized(blast_wire::HEADER_LEN + report.encoded_len());
-        let len = self
-            .builder
-            .build_status(&mut buf, total, round, &report)
-            .expect("ack fits");
-        buf.truncate(len);
+        let len = blast_wire::HEADER_LEN + report.encoded_len();
+        send(sink, &self.pool, len, |buf| {
+            self.builder.build_status(buf, total, round, &report)
+        });
         self.stats.acks_sent += 1;
         if is_nack {
             self.stats.nacks_sent += 1;
         }
-        sink.push_action(Action::Transmit(buf));
     }
 }
 

@@ -133,12 +133,14 @@ pub struct ProtocolConfig {
     pub multiblast_chunk: u32,
     /// Set the KERNEL flag on all packets (V-kernel IPC traffic).
     pub kernel_flag: bool,
-    /// The packet-buffer pool engines built from this config share.
+    /// The packet-buffer pool engines built from this config share,
+    /// where a sink builds datagrams in pooled buffers
+    /// ([`ActionSink::transmit`](crate::api::ActionSink::transmit)'s
+    /// default: the simulator, the harness).
     ///
     /// Cloning a config clones the *handle*: every engine created from
-    /// the same config (or a clone of it, as the `blast-node` server
-    /// does per session) recycles one bounded set of buffers — the
-    /// zero-allocation hot path.  Excluded from equality: two configs
+    /// the same config (or a clone of it) recycles one bounded set of
+    /// buffers — the zero-allocation hot path.  Excluded from equality: two configs
     /// with the same parameters are the same configuration regardless of
     /// which pool instance they drain.
     pub pool: BufferPool,

@@ -2,10 +2,12 @@
 //! and their drivers.
 
 use blast_wire::packet::Datagram;
+use blast_wire::WireResult;
 
 use crate::api::{ActionSink, EngineStats, TimerToken};
 use crate::blast::FinishedReceiver;
 use crate::control::{Control, PacerSnapshot};
+use crate::pool::BufferPool;
 
 /// A sans-I/O protocol engine (one end of one transfer).
 ///
@@ -165,6 +167,21 @@ impl Finish {
             sink.push_action(crate::api::Action::Complete(Box::new(info)));
         }
     }
+}
+
+/// Transmit a `len`-byte datagram through `sink`, built by `build` — a
+/// `DatagramBuilder` call, which writes exactly `len` bytes when `len`
+/// was computed from its payload.
+pub(crate) fn send(
+    sink: &mut dyn ActionSink,
+    pool: &BufferPool,
+    len: usize,
+    build: impl Fn(&mut [u8]) -> WireResult<usize>,
+) {
+    sink.transmit(pool, len, &mut |buf| {
+        let built = build(buf).expect("buffer sized for the datagram");
+        debug_assert_eq!(built, len);
+    });
 }
 
 #[cfg(test)]

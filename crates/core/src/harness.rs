@@ -194,7 +194,9 @@ impl std::error::Error for HarnessError {}
 /// Receiver engines that expose the received bytes, so the harness can
 /// verify data integrity.
 pub trait ReceiverEngine: Engine {
-    /// The received bytes (zero-filled holes until complete).
+    /// The received bytes: the whole transfer once complete; until
+    /// then the prefix up to the furthest packet placed, holes zeroed
+    /// (see [`RxBuffer::data`](crate::rxbuf::RxBuffer::data)).
     fn received(&self) -> &[u8];
 }
 

@@ -4,12 +4,15 @@
 //! limited by *per-packet software overhead*, not by the wire.  The most
 //! gratuitous modern incarnation of that overhead is allocating a fresh
 //! `Vec<u8>` for every datagram an engine emits.  [`BufferPool`] removes
-//! it: engines check fixed-capacity buffers out, build packets in place,
-//! and the buffer returns to the pool automatically when the driver
-//! drops the executed [`crate::api::Action::Transmit`] — so a
-//! steady-state transfer recycles a small, bounded set of buffers and
+//! it: [`ActionSink::transmit`](crate::api::ActionSink::transmit)'s
+//! default checks a fixed-capacity buffer out, the engine builds its
+//! packet in it, and the buffer returns to the pool automatically when
+//! the driver drops the executed [`crate::api::Action::Transmit`] — so
+//! a steady-state transfer recycles a small, bounded set of buffers and
 //! performs **zero heap allocations per packet** (verified by the
-//! counting-allocator test in `tests/zero_alloc.rs`).
+//! counting-allocator test in `tests/zero_alloc.rs`).  The UDP drivers
+//! skip the pool altogether: their sink has the engine build each
+//! datagram where it is staged for the kernel.
 //!
 //! The pool is shared: [`crate::config::ProtocolConfig`] carries a
 //! handle, cloning a config (as the `blast-node` server does per
@@ -95,43 +98,6 @@ impl BufferPool {
         let mut b = self.checkout_raw();
         b.resize(len, 0);
         b
-    }
-
-    /// Check out `n` buffers with a **single** lock acquisition,
-    /// appending them to `into` — the per-round batch path.  A blast
-    /// round checking buffers out one at a time pays one pool lock per
-    /// packet (~20 ns each); batching the round's worth of checkouts
-    /// collapses that to one lock per round.  The buffers arrive with
-    /// unspecified length, exactly like
-    /// [`checkout_sized`](BufferPool::checkout_sized) before its
-    /// resize: callers that overwrite every byte just `resize` to their
-    /// packet length.
-    pub fn checkout_many(&self, n: usize, into: &mut Vec<PooledBuf>) {
-        if n == 0 {
-            return;
-        }
-        into.reserve(n);
-        let recycled = {
-            let mut free = self.inner.free.lock().expect("pool lock");
-            let take = n.min(free.len());
-            let from = free.len() - take;
-            for buf in free.drain(from..) {
-                into.push(PooledBuf {
-                    buf,
-                    pool: Some(Arc::clone(&self.inner)),
-                });
-            }
-            take
-        };
-        // Any shortfall is allocated outside the lock.
-        let fresh = n - recycled;
-        self.inner.fresh.fetch_add(fresh as u64, Ordering::Relaxed);
-        for _ in 0..fresh {
-            into.push(PooledBuf {
-                buf: Vec::with_capacity(self.inner.buf_capacity),
-                pool: Some(Arc::clone(&self.inner)),
-            });
-        }
     }
 
     /// Pop a recycled buffer (length as it was checked in) or allocate.
@@ -340,23 +306,6 @@ mod tests {
         drop(pool2.checkout());
         assert_eq!(pool.free_count(), 1);
         assert_eq!(BufferPool::default().free_count(), 0);
-    }
-
-    #[test]
-    fn checkout_many_recycles_then_allocates() {
-        let pool = BufferPool::new(64, 8);
-        pool.warm(3);
-        let mut batch = Vec::new();
-        pool.checkout_many(5, &mut batch);
-        assert_eq!(batch.len(), 5);
-        assert_eq!(pool.free_count(), 0, "warm buffers drained first");
-        assert_eq!(pool.fresh_allocations(), 2, "shortfall allocated");
-        drop(batch);
-        assert_eq!(pool.free_count(), 5, "batch checkouts still check in");
-        // A zero-size batch is a no-op.
-        let mut batch = Vec::new();
-        pool.checkout_many(0, &mut batch);
-        assert!(batch.is_empty());
     }
 
     #[test]

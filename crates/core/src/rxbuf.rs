@@ -8,6 +8,13 @@
 //! destination address space: data packets land at `offset` directly,
 //! and a bitmap tracks which packets have arrived — the same bitmap the
 //! selective-retransmission NACK reports (§3.2.3).
+//!
+//! A fresh buffer is reserved, not zero-filled: [`RxBuffer::new`] sets
+//! the whole transfer's capacity aside and the data grows into it, so
+//! each received byte is written once.  A packet that lands beyond the
+//! bytes written so far first zero-fills only the gap before it; an
+//! in-order transfer zero-fills nothing.  The buffer's pages are
+//! committed as the data arrives, not at the announcement.
 
 use blast_wire::ack::Bitmap;
 
@@ -54,6 +61,8 @@ impl Geometry {
 /// A pre-allocated receive buffer with per-packet arrival tracking.
 #[derive(Debug, Clone)]
 pub struct RxBuffer {
+    /// The transfer's bytes: written (or, in a gap, zeroed) up to its
+    /// length, reserved beyond it.  A complete transfer fills it.
     buf: Vec<u8>,
     received: Vec<bool>,
     received_count: u32,
@@ -62,13 +71,14 @@ pub struct RxBuffer {
 }
 
 impl RxBuffer {
-    /// Allocate a buffer for a transfer of `bytes` bytes carried in
-    /// `packet_payload`-byte packets.
+    /// Reserve a buffer for a transfer of `bytes` bytes carried in
+    /// `packet_payload`-byte packets: one allocation of the whole
+    /// transfer, none of it written until data arrives.
     ///
     /// # Panics
     /// Panics if `packet_payload` is zero.
     pub fn new(bytes: usize, packet_payload: usize) -> Self {
-        Self::with_buffer(vec![0; bytes], packet_payload)
+        Self::over(Vec::with_capacity(bytes), bytes, packet_payload)
     }
 
     /// Receive a transfer of `buf.len()` bytes into `buf` itself: a
@@ -78,9 +88,14 @@ impl RxBuffer {
     /// # Panics
     /// Panics if `packet_payload` is zero.
     pub fn with_buffer(buf: Vec<u8>, packet_payload: usize) -> Self {
+        let bytes = buf.len();
+        Self::over(buf, bytes, packet_payload)
+    }
+
+    fn over(buf: Vec<u8>, bytes: usize, packet_payload: usize) -> Self {
         assert!(packet_payload > 0, "packet_payload must be positive");
         let geometry = Geometry {
-            bytes: buf.len(),
+            bytes,
             packet_payload,
         };
         let total = geometry.total_packets();
@@ -110,12 +125,12 @@ impl RxBuffer {
 
     /// Total bytes the transfer will occupy.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.geometry.bytes
     }
 
     /// True if the transfer is zero bytes long.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.geometry.bytes == 0
     }
 
     /// True once every packet has arrived.
@@ -147,7 +162,15 @@ impl RxBuffer {
         if self.received[seq as usize] {
             return Ok(false);
         }
-        self.buf[offset..offset + payload.len()].copy_from_slice(payload);
+        // Below the bytes written so far the payload overwrites a hole;
+        // beyond them it extends the buffer, after zero-filling the gap
+        // (the holes before it) first.  Never past the reserved capacity.
+        if self.buf.len() < offset {
+            self.buf.resize(offset, 0);
+        }
+        let overwrite = (self.buf.len() - offset).min(payload.len());
+        self.buf[offset..offset + overwrite].copy_from_slice(&payload[..overwrite]);
+        self.buf.extend_from_slice(&payload[overwrite..]);
         self.received[seq as usize] = true;
         self.received_count += 1;
         Ok(true)
@@ -180,23 +203,25 @@ impl RxBuffer {
         Some(bm)
     }
 
-    /// Borrow the received data.  Only meaningful once
-    /// [`is_complete`](Self::is_complete): until then a hole holds
-    /// zeros, or whatever a buffer handed to
-    /// [`with_buffer`](Self::with_buffer) held before.
+    /// Borrow the received data: all [`len`](Self::len) bytes once
+    /// [`is_complete`](Self::is_complete).  Until then it is the prefix
+    /// up to the furthest packet placed so far, in which a hole holds
+    /// zeros; a buffer handed to [`with_buffer`](Self::with_buffer) is
+    /// whole from the start, its old bytes showing in every hole.
     pub fn data(&self) -> &[u8] {
         &self.buf
     }
 
-    /// Consume the buffer, returning the received data (holes as
-    /// [`data`](Self::data) describes them).
+    /// Consume the buffer, returning the received data (the prefix and
+    /// holes [`data`](Self::data) describes).
     pub fn into_data(self) -> Vec<u8> {
         self.buf
     }
 
     /// Move the data of a complete transfer out (`None` while packets
-    /// are missing).  What stays behind still knows every packet as
-    /// received, so late duplicates are recognised and never placed.
+    /// are missing), all [`len`](Self::len) bytes of it.  What stays
+    /// behind still knows every packet as received, so late duplicates
+    /// are recognised and never placed.
     pub fn take_data(&mut self) -> Option<Vec<u8>> {
         self.is_complete().then(|| std::mem::take(&mut self.buf))
     }
@@ -336,6 +361,62 @@ mod tests {
         let data = rx.take_data().unwrap();
         assert_eq!(data.as_ptr(), at, "received where it was handed in");
         assert!(data[2048..] == payload(2, 452)[..]);
+    }
+
+    #[test]
+    fn a_fresh_buffer_is_reserved_and_an_in_order_transfer_writes_each_byte_once() {
+        let mut rx = RxBuffer::new(2500, 1024);
+        assert_eq!(
+            (rx.len(), rx.data().len()),
+            (2500, 0),
+            "nothing written yet"
+        );
+        assert!(rx.buf.capacity() >= 2500);
+        let at = rx.buf.as_ptr();
+        for seq in 0..3u32 {
+            let p = payload(seq, rx.expected_len(seq));
+            rx.place(seq, seq as usize * 1024, &p).unwrap();
+            assert_eq!(rx.data().len(), seq as usize * 1024 + p.len());
+        }
+        let data = rx.take_data().unwrap();
+        assert_eq!(data.len(), 2500);
+        assert_eq!(data.as_ptr(), at, "grown within its one allocation");
+    }
+
+    #[test]
+    fn an_arrival_past_the_end_zero_fills_exactly_its_gap() {
+        let mut rx = RxBuffer::new(4 * 1024, 1024);
+        rx.place(0, 0, &payload(0, 1024)).unwrap();
+        rx.place(2, 2048, &payload(2, 1024)).unwrap();
+        // The gap before packet 2 is zeros, and the buffer ends at it.
+        assert_eq!(rx.data().len(), 3072);
+        assert!(rx.data()[1024..2048].iter().all(|&b| b == 0));
+        assert_eq!(&rx.data()[2048..], &payload(2, 1024)[..]);
+        // The late packet overwrites its hole; nothing else moves.
+        assert!(rx.place(1, 1024, &payload(1, 1024)).unwrap());
+        assert_eq!(rx.data().len(), 3072);
+        assert_eq!(&rx.data()[1024..2048], &payload(1, 1024)[..]);
+        assert_eq!(&rx.data()[2048..], &payload(2, 1024)[..]);
+        // Duplicates, below and at the end, are still refused.
+        assert!(!rx.place(1, 1024, &[0xEE; 1024]).unwrap());
+        assert!(!rx.place(2, 2048, &[0xEE; 1024]).unwrap());
+        assert_eq!(&rx.data()[1024..2048], &payload(1, 1024)[..]);
+        assert_eq!(rx.received_packets(), 3);
+        rx.place(3, 3072, &payload(3, 1024)).unwrap();
+        let data = rx.take_data().unwrap();
+        for seq in 0..4u32 {
+            let at = seq as usize * 1024;
+            assert_eq!(&data[at..at + 1024], &payload(seq, 1024)[..]);
+        }
+    }
+
+    #[test]
+    fn a_recycled_buffer_shows_its_old_bytes_in_a_hole() {
+        let mut rx = RxBuffer::with_buffer(vec![0xAA; 3 * 1024], 1024);
+        assert_eq!(rx.data().len(), 3 * 1024, "whole from the start");
+        rx.place(2, 2048, &payload(2, 1024)).unwrap();
+        assert!(rx.data()[..2048].iter().all(|&b| b == 0xAA), "no zero-fill");
+        assert_eq!(&rx.data()[2048..], &payload(2, 1024)[..]);
     }
 
     #[test]

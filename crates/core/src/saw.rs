@@ -22,7 +22,7 @@ use std::time::Duration;
 use crate::api::{Action, ActionSink, CompletionInfo, EngineStats, TimerToken};
 use crate::config::ProtocolConfig;
 use crate::control::Control;
-use crate::engine::{control_in, Engine, Finish};
+use crate::engine::{control_in, send, Engine, Finish};
 use crate::error::CoreError;
 use crate::pool::BufferPool;
 use crate::rxbuf::RxBuffer;
@@ -73,21 +73,13 @@ impl SawSender {
     fn send_current(&mut self, sink: &mut dyn ActionSink) {
         let seq = self.cur;
         let payload = self.tx.payload_of(seq);
-        let mut buf = self
-            .pool
-            .checkout_sized(blast_wire::HEADER_LEN + payload.len());
-        let len = self
-            .builder
-            .build_reliable_data(
-                &mut buf,
-                seq,
-                self.tx.total_packets(),
-                self.tx.offset_of(seq) as u32,
-                payload,
-                self.attempts as u16,
-            )
-            .expect("buffer sized for payload");
-        buf.truncate(len);
+        let (total, offset) = (self.tx.total_packets(), self.tx.offset_of(seq) as u32);
+        let len = blast_wire::HEADER_LEN + payload.len();
+        send(sink, &self.pool, len, |buf| {
+            let round = self.attempts as u16;
+            self.builder
+                .build_reliable_data(buf, seq, total, offset, payload, round)
+        });
         self.stats.data_packets_sent += 1;
         if self.attempts > 0 {
             self.stats.data_packets_retransmitted += 1;
@@ -96,7 +88,6 @@ impl SawSender {
             // retransmission, is an unambiguous RTT sample.
             self.sent_at = self.control.now();
         }
-        sink.push_action(Action::Transmit(buf));
         sink.push_action(Action::SetTimer {
             token: RETX_TIMER,
             after: self.control.rto(),
@@ -209,28 +200,26 @@ impl SawReceiver {
         }
     }
 
-    /// The received bytes (zero-filled holes until complete).
+    /// The received bytes: the whole transfer once complete; until
+    /// then the prefix up to the furthest packet placed, holes zeroed
+    /// (see [`RxBuffer::data`]).
     pub fn data(&self) -> &[u8] {
         self.rx.data()
     }
 
-    /// Consume the engine, returning the received data.
+    /// Consume the engine, returning the received data (as
+    /// [`data`](Self::data) describes it).
     pub fn into_data(self) -> Vec<u8> {
         self.rx.into_data()
     }
 
     fn send_ack(&mut self, seq: u32, sink: &mut dyn ActionSink) {
         let ack = AckPayload::Positive { acked: seq };
-        let mut buf = self
-            .pool
-            .checkout_sized(blast_wire::HEADER_LEN + ack.encoded_len());
-        let len = self
-            .builder
-            .build_ack(&mut buf, self.rx.total_packets(), &ack)
-            .expect("ack fits");
-        buf.truncate(len);
+        let len = blast_wire::HEADER_LEN + ack.encoded_len();
+        send(sink, &self.pool, len, |buf| {
+            self.builder.build_ack(buf, self.rx.total_packets(), &ack)
+        });
         self.stats.acks_sent += 1;
-        sink.push_action(Action::Transmit(buf));
     }
 }
 

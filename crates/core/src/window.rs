@@ -25,7 +25,7 @@ use std::time::Duration;
 use crate::api::{Action, ActionSink, CompletionInfo, EngineStats, TimerToken};
 use crate::config::ProtocolConfig;
 use crate::control::{Control, PACE_TIMER};
-use crate::engine::{control_in, Engine, Finish};
+use crate::engine::{control_in, send, Engine, Finish};
 use crate::error::CoreError;
 use crate::pool::BufferPool;
 use crate::txdata::TxData;
@@ -119,29 +119,19 @@ impl WindowSender {
 
     fn transmit(&mut self, seq: u32, sink: &mut dyn ActionSink) {
         let payload = self.tx.payload_of(seq);
-        let mut buf = self
-            .pool
-            .checkout_sized(blast_wire::HEADER_LEN + payload.len());
         let round = self.attempts[seq as usize] as u16;
-        let len = self
-            .builder
-            .build_reliable_data(
-                &mut buf,
-                seq,
-                self.tx.total_packets(),
-                self.tx.offset_of(seq) as u32,
-                payload,
-                round,
-            )
-            .expect("buffer sized for payload");
-        buf.truncate(len);
+        let (total, offset) = (self.tx.total_packets(), self.tx.offset_of(seq) as u32);
+        let len = blast_wire::HEADER_LEN + payload.len();
+        send(sink, &self.pool, len, |buf| {
+            self.builder
+                .build_reliable_data(buf, seq, total, offset, payload, round)
+        });
         self.stats.data_packets_sent += 1;
         if round > 0 {
             self.stats.data_packets_retransmitted += 1;
         } else {
             self.sent_at[seq as usize] = self.control.now();
         }
-        sink.push_action(Action::Transmit(buf));
         sink.push_action(Action::SetTimer {
             token: TimerToken(u64::from(seq)),
             after: self.control.rto(),

@@ -1,7 +1,7 @@
 //! The client handle: one connection to a node, every operation on it.
 //!
 //! [`Client`] owns a connected, FCS-framed channel plus the protocol
-//! configuration, warmed buffer pool and (optional) flight recorder
+//! configuration and (optional) flight recorder
 //! that every operation shares.  Construct with [`Client::connect`]
 //! (real UDP) or [`Client::over`] (any [`Channel`], e.g. a
 //! `FaultyChannel` in tests), tune with the fluent setters, then call
@@ -183,7 +183,6 @@ impl<C: Channel> Client<C> {
     /// collide with another client of the same node.
     pub fn over(channel: C) -> Self {
         let cfg = ProtocolConfig::lan();
-        warm_pool(&cfg);
         Client {
             channel: TimeWait::new(FcsChannel::new(channel)),
             cfg,
@@ -219,7 +218,6 @@ impl<C: Channel> Client<C> {
     /// Replace the whole protocol configuration (the fine-grained
     /// setters cover the common knobs; this covers the rest).
     pub fn config(mut self, cfg: ProtocolConfig) -> Self {
-        warm_pool(&cfg);
         self.cfg = cfg;
         self
     }
@@ -596,17 +594,4 @@ fn verify_replica(
     let mut probe = Client::connect(node)?.patience(patience);
     let digest = probe.digest(name)?;
     Ok(digest.found && digest.len == st.bytes_total && digest.crc32 == st.crc32)
-}
-
-/// The fewest buffers a pool is pre-filled with.  An unpaced round is
-/// one burst of the whole transfer, which no warm count covers.
-const MIN_WARM: usize = 64;
-
-/// Pre-fill `cfg`'s pool with the configured first burst, so a small
-/// transfer's round does not allocate mid-flight.  A paced sender warms
-/// the pool further, to its own first burst, when it starts
-/// (`BlastSender`'s `start`): only a transfer that sends 256 packets at
-/// once holds 256 buffers, however large its grant.
-pub(crate) fn warm_pool(cfg: &ProtocolConfig) {
-    cfg.pool.warm((cfg.pacing.burst as usize).max(MIN_WARM));
 }

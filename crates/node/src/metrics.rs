@@ -653,7 +653,7 @@ mod tests {
         let mut next = 0u32;
         for batch in [1usize, 3, MAX_REPORTS - 5, 1, 2, 7, MAX_REPORTS + 3, 1, 0] {
             for _ in 0..batch {
-                let mut r = report(next % 7 != 0, Direction::Push, 100, 1);
+                let mut r = report(!next.is_multiple_of(7), Direction::Push, 100, 1);
                 r.transfer_id = next;
                 r.name = format!("blob-{next}");
                 local.record(r);

@@ -342,6 +342,22 @@ impl Entry {
     }
 }
 
+/// Stage a `len`-byte datagram that `write` builds into `io`'s batch
+/// toward `peer`, FCS-framed ([`fcs::build`]) where the backend stages
+/// it — the batched backend's send arena — so its bytes are written
+/// once in user space.
+fn stage(
+    io: &mut NetIo,
+    socket: &UdpSocket,
+    peer: SocketAddr,
+    len: usize,
+    write: &mut dyn FnMut(&mut [u8]),
+) -> io::Result<()> {
+    io.queue_with(socket, len + fcs::FCS_LEN, Some(peer), &mut |frame| {
+        fcs::build(frame, write)
+    })
+}
+
 /// The datagrams of `port`'s queue granted to the transfers still
 /// receiving on it: pushes in flight on the main socket, pull copies
 /// not yet settled on an egress one.
@@ -452,8 +468,6 @@ struct Shard {
     /// smoothed over the pushes and pull copies it received: what its
     /// grants report.
     drain: Option<Duration>,
-    /// Reused FCS framing scratch for outgoing datagrams.
-    frame_buf: Vec<u8>,
     /// The blob the shard's last commit displaced, when no reader still
     /// held it: the next push of exactly its length receives into it
     /// instead of a fresh zero-filled allocation (see
@@ -477,11 +491,6 @@ impl NodeServer {
     ) -> io::Result<Self> {
         socket.set_nonblocking(true)?;
         let main = Port::new(socket);
-        // Every session's engine on this shard clones `config.protocol`,
-        // so they all share this pool; pre-warm it so the first burst is
-        // already allocation free (a sender whose first burst is larger
-        // warms it further as it starts).
-        crate::client::warm_pool(&config.protocol);
         let mut local = NodeMetrics::default();
         local.netio_backend = main.io.backend().name();
         local.netio_offload = main.io.offload().name();
@@ -502,7 +511,6 @@ impl NodeServer {
                 slot,
                 timers: TimerWheel::new(),
                 epoch: Instant::now(),
-                frame_buf: Vec::new(),
                 spare: None,
                 recorder: None,
                 peer_slots,
@@ -974,9 +982,9 @@ impl Shard {
             .publish_into(&mut self.slot.lock().expect("metrics slot"));
     }
 
-    /// Frame one datagram into the shard's reused scratch and stage it
-    /// into `port`'s batch: a whole engine burst goes out in one
-    /// sendmmsg when the queue fills or the tick flushes.  Loss-like
+    /// Frame a copy of one datagram into `port`'s batch ([`stage`]): a
+    /// whole burst goes out in one sendmmsg when the queue fills or the
+    /// tick flushes.  Loss-like
     /// submission failures (peer's ICMP unreachable, full send buffer)
     /// are counted as drops inside the backend, and so are refusals
     /// ([`tolerate`](Shard::tolerate)) — the protocols recover by
@@ -985,9 +993,9 @@ impl Shard {
     /// [`sync_io_stats`](Shard::sync_io_stats): only datagrams that
     /// actually flushed count.
     fn send_framed(&mut self, port: usize, peer: SocketAddr, datagram: &[u8]) -> io::Result<()> {
-        fcs::frame_into(datagram, &mut self.frame_buf);
         let Port { socket, io, .. } = &mut self.ports[port];
-        let queued = io.queue_to(socket, &self.frame_buf, Some(peer));
+        let copy = &mut |body: &mut [u8]| body.copy_from_slice(datagram);
+        let queued = stage(io, socket, peer, datagram.len(), copy);
         self.tolerate(queued);
         Ok(())
     }
@@ -1119,11 +1127,10 @@ impl Shard {
             return Ok(false);
         };
         let Port { socket, io, .. } = &mut self.ports[port];
-        let (frame, errors) = (&mut self.frame_buf, &mut self.local.send_errors);
-        let transmit = |bytes: &[u8]| {
-            fcs::frame_into(bytes, frame);
+        let errors = &mut self.local.send_errors;
+        let transmit = |len: usize, write: &mut dyn FnMut(&mut [u8])| {
             // A refusal is its datagram's loss (see `tolerate`).
-            *errors += u64::from(io.queue_to(socket, frame, Some(peer)).is_err());
+            *errors += u64::from(stage(io, socket, peer, len, write).is_err());
             Ok(())
         };
         let done = match &mut entry.link {

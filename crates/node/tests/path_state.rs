@@ -110,7 +110,7 @@ fn consecutive_pushes_start_at_the_nodes_grant() {
         let pacing = report.pacing.expect("a push's sender is paced");
         assert_eq!(pacing.initial_burst, queue, "{pacing:?}");
     }
-    // Each push warmed the pool to its first burst before round 0.
+    // Each datagram was built where it was staged, never in the pool.
     assert_eq!(client.protocol().pool.fresh_allocations(), 0);
     assert!(node.wait_idle(WAIT));
     assert_eq!(node.shutdown().unwrap().sessions_failed, 0);
@@ -171,8 +171,8 @@ fn a_push_that_saw_loss_starts_the_next_below_the_grant() {
     assert_eq!(node.shutdown().unwrap().sessions_failed, 0);
 }
 
-/// The first push of a fresh client takes its whole first burst from
-/// the buffers its pool was warmed with.
+/// The first push of a fresh client checks no buffer out of its pool:
+/// each datagram is built where its channel stages it.
 #[test]
 fn a_fresh_clients_first_push_does_not_allocate_buffers() {
     let node = NodeBuilder::new().start().unwrap();

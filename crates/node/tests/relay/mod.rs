@@ -32,13 +32,19 @@ use blast_udp::sockopt;
 /// datagram costs on the wire beyond its payload.
 pub const OVERHEAD: usize = 42;
 
-/// What one direction delivered and dropped, and when its last
-/// datagram left (from the first arrival).
+/// What one direction delivered and dropped, when its last datagram
+/// left, and over how long its own thread read what arrived (both from
+/// the first arrival).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Tally {
     pub delivered: u64,
     pub dropped: u64,
     pub last_departure: Option<Duration>,
+    /// From the first arrival's stamp to the last's.  Arrivals are
+    /// stamped when the relay's thread reads them, so a thread that
+    /// reads a burst late spreads it over a longer span than it was
+    /// sent in, and the model then drops less of it.
+    pub arrival_span: Duration,
 }
 
 #[derive(Default)]
@@ -47,6 +53,8 @@ struct Counters {
     dropped: AtomicU64,
     /// Nanoseconds from the first arrival to the last departure.
     last_ns: AtomicU64,
+    /// Nanoseconds from the first arrival to the last.
+    arrival_ns: AtomicU64,
 }
 
 impl Counters {
@@ -56,6 +64,7 @@ impl Counters {
             delivered: self.delivered.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
             last_departure: (last > 0).then(|| Duration::from_nanos(last)),
+            arrival_span: Duration::from_nanos(self.arrival_ns.load(Ordering::Relaxed)),
         }
     }
 }
@@ -203,7 +212,9 @@ impl Direction {
     /// link is idle, waits if the payload waiting behind the datagram
     /// on the wire leaves room for it, and is dropped otherwise.
     fn arrive(&mut self, bytes: &[u8], at: Instant) {
-        self.first_arrival.get_or_insert(at);
+        let first = *self.first_arrival.get_or_insert(at);
+        let span = (at - first).as_nanos() as u64;
+        self.counters.arrival_ns.store(span, Ordering::Relaxed);
         self.depart(at);
         // Every datagram that left by `at` is gone, so the head is the
         // one on the wire.

@@ -20,7 +20,13 @@
 //! under one payload for eight pushes.  Neither side may copy or
 //! allocate a whole blob per push — the client's sender reads the
 //! caller's slice in place, and the node receives into the blob the
-//! last push displaced.
+//! last push displaced.  It bounds their *count* too: a fixed set-up
+//! per transfer, nothing per datagram — each datagram is built where
+//! it is staged, with no pooled buffer in between.
+//!
+//! A third check does the same for steady pulls: nothing per datagram
+//! on either side, and one blob-sized allocation per pull, the
+//! client's receive buffer (reserved, never zero-filled or grown).
 //!
 //! `harness = false` (see `Cargo.toml`): this file is a plain `fn main`,
 //! not a `#[test]`.  The allocation counter is process-global, and
@@ -45,7 +51,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn report(id: u32) -> SessionReport {
     SessionReport {
         transfer_id: id,
-        direction: if id % 2 == 0 {
+        direction: if id.is_multiple_of(2) {
             Direction::Push
         } else {
             Direction::Pull
@@ -186,11 +192,17 @@ fn steady_pushes_allocate_less_than_one_payload() {
     }
     assert!(node.wait_idle(Duration::from_secs(5)), "warm-up booked");
 
-    let before = bytes_allocated();
+    let (before, allocs) = (bytes_allocated(), allocations());
     for _ in 0..8 {
         client.push(NAME, &data).unwrap();
     }
     let allocated = bytes_allocated() - before;
+    let allocs = allocations() - allocs;
+    println!("8 pushes of {PAYLOAD} B: {allocs} allocations, {allocated} bytes");
+    assert!(
+        allocs < 8 * ALLOCS_PER_TRANSFER,
+        "eight pushes made {allocs} allocations: one per datagram is back"
+    );
     assert!(
         allocated < PAYLOAD as u64,
         "eight pushes allocated {allocated} bytes: a whole-blob copy or \
@@ -201,6 +213,54 @@ fn steady_pushes_allocate_less_than_one_payload() {
     assert_eq!(node.metrics().sessions_failed, 0);
 }
 
+/// Allocations a steady 4 MiB transfer may make, client and node
+/// together: its per-transfer set-up (session entry, engine, arrival
+/// bitmap, report), ≈ 15 on one 2-vCPU x86-64 box.  The transfer is
+/// ≈ 3 000 datagrams, so this bound is ≈ 0.013 allocations per
+/// datagram; one per datagram anywhere on either side would be ≈ 3 000.
+const ALLOCS_PER_TRANSFER: u64 = 40;
+
+fn steady_pulls_allocate_one_receive_buffer_and_nothing_per_datagram() {
+    const PAYLOAD: usize = 4 << 20;
+    const PULLS: u64 = 8;
+    let node = NodeBuilder::new().shards(1).start().unwrap();
+    let mut client = Client::connect(node.addr())
+        .unwrap()
+        .patience(Duration::from_secs(10));
+    let data: Vec<u8> = (0..PAYLOAD).map(|i| (i % 241) as u8).collect();
+    client.push("pulled", &data).unwrap();
+    for _ in 0..4 {
+        assert_eq!(client.pull("pulled").unwrap().data.len(), PAYLOAD);
+    }
+    assert!(node.wait_idle(Duration::from_secs(5)), "warm-up booked");
+
+    let (allocs, bytes) = (allocations(), bytes_allocated());
+    let mut datagrams = 0;
+    for _ in 0..PULLS {
+        let pulled = client.pull("pulled").unwrap();
+        datagrams += pulled.datagrams_received;
+        assert!(pulled.data == data);
+    }
+    let (allocs, bytes) = (allocations() - allocs, bytes_allocated() - bytes);
+    println!(
+        "{PULLS} pulls of {PAYLOAD} B: {allocs} allocations ({:.4} per datagram), {bytes} bytes",
+        allocs as f64 / datagrams as f64
+    );
+    assert!(
+        allocs < PULLS * ALLOCS_PER_TRANSFER,
+        "{PULLS} pulls ({datagrams} datagrams) made {allocs} allocations: one per datagram is back"
+    );
+    // Each pull's receive buffer is one allocation of the blob's size
+    // (reserved, not zero-filled, and never grown), and nothing else
+    // comes near a blob.
+    assert!(
+        bytes >= PULLS * PAYLOAD as u64 && bytes < PULLS * (PAYLOAD + PAYLOAD / 8) as u64,
+        "{PULLS} pulls allocated {bytes} bytes, not one receive buffer apiece"
+    );
+    assert!(node.wait_idle(Duration::from_secs(5)), "pulls booked");
+    assert_eq!(node.metrics().sessions_failed, 0);
+}
+
 fn main() {
     packet_accounting_and_steady_publish_allocate_zero();
     // libtest's own line, so whatever reads `cargo test` output still
@@ -208,4 +268,6 @@ fn main() {
     println!("test packet_accounting_and_steady_publish_allocate_zero ... ok");
     steady_pushes_allocate_less_than_one_payload();
     println!("test steady_pushes_allocate_less_than_one_payload ... ok");
+    steady_pulls_allocate_one_receive_buffer_and_nothing_per_datagram();
+    println!("test steady_pulls_allocate_one_receive_buffer_and_nothing_per_datagram ... ok");
 }

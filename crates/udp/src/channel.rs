@@ -52,6 +52,22 @@ pub trait Channel {
         self.send(buf)
     }
 
+    /// Stage one datagram of `len` bytes that `write` builds in the
+    /// `len`-byte slice it is handed, as [`stage`](Channel::stage)
+    /// would stage it.
+    ///
+    /// A channel with its own staging memory overrides this to hand
+    /// `write` that memory, so the datagram is written once where it is
+    /// staged ([`UdpChannel`]: its backend's send arena;
+    /// [`FcsChannel`](crate::fcs::FcsChannel): its frame scratch, the
+    /// FCS computed over it there).  Wrappers should forward.  The
+    /// default builds the datagram in a fresh buffer and stages that.
+    fn stage_with(&mut self, len: usize, write: &mut dyn FnMut(&mut [u8])) -> io::Result<()> {
+        let mut datagram = vec![0; len];
+        write(&mut datagram);
+        self.stage(&datagram)
+    }
+
     /// Put every staged datagram on the wire.  Default: no-op (nothing
     /// queues).
     fn flush(&mut self) -> io::Result<()> {
@@ -172,6 +188,11 @@ impl Channel for UdpChannel {
     fn stage(&mut self, buf: &[u8]) -> io::Result<()> {
         debug_assert!(buf.len() <= MAX_DATAGRAM, "datagram too large");
         self.io.queue(&self.socket, buf)
+    }
+
+    fn stage_with(&mut self, len: usize, write: &mut dyn FnMut(&mut [u8])) -> io::Result<()> {
+        debug_assert!(len <= MAX_DATAGRAM, "datagram too large");
+        self.io.queue_with(&self.socket, len, None, write)
     }
 
     fn flush(&mut self) -> io::Result<()> {

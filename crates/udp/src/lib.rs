@@ -72,10 +72,11 @@
 //! let mut leg = Outbound::pull(7, &request, &cfg, 1 << 20)?;
 //! let (epoch, mut timers, mut sent) = (Instant::now(), TimerWheel::new(), 0);
 //! let mut step = |leg: &mut Outbound, input| {
-//!     leg.step(epoch, Instant::now(), input, &mut timers, |t| t, |_: &[u8]| {
+//!     let stage = |_len: usize, _build: &mut dyn FnMut(&mut [u8])| {
 //!         sent += 1;
 //!         Ok(())
-//!     })
+//!     };
+//!     leg.step(epoch, Instant::now(), input, &mut timers, |t| t, stage)
 //! };
 //! step(&mut leg, Input::Start)?; // the request, re-sent until echoed
 //!

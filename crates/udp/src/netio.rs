@@ -154,9 +154,13 @@ impl OffloadState {
 ///   callers use [`queue`](NetIo::queue)/[`flush`](NetIo::flush) and
 ///   the blocking [`recv`](NetIo::recv).
 /// * **reactor** ([`NetIo::reactor`]): the socket is unconnected and
-///   non-blocking; callers use [`queue_to`](NetIo::queue_to),
+///   non-blocking; callers use [`queue_with`](NetIo::queue_with) (or
+///   its copying form [`queue_to`](NetIo::queue_to)),
 ///   [`fill`](NetIo::fill)/[`pop_into`](NetIo::pop_into) and the
 ///   non-consuming [`wait`](NetIo::wait).
+///
+/// Every staging call is [`queue_with`](NetIo::queue_with): the caller
+/// builds the datagram in the memory it is staged in.
 #[derive(Debug)]
 pub struct NetIo {
     imp: Impl,
@@ -322,14 +326,34 @@ impl NetIo {
         self.queue_to(socket, frame, None)
     }
 
-    /// Stage one datagram, optionally addressed (reactor mode).  A
-    /// refusal from the flush a full batch makes first (see
-    /// [`flush`](NetIo::flush)) is returned once `frame` is staged.
+    /// Stage a copy of `frame`, optionally addressed (reactor mode):
+    /// [`queue_with`](NetIo::queue_with) with a writer that copies it.
     pub fn queue_to(
         &mut self,
         socket: &UdpSocket,
         frame: &[u8],
         to: Option<SocketAddr>,
+    ) -> io::Result<()> {
+        self.queue_with(socket, frame.len(), to, &mut |out| {
+            out.copy_from_slice(frame)
+        })
+    }
+
+    /// Stage one datagram of `len` bytes, optionally addressed (reactor
+    /// mode), which `write` builds in the `len`-byte slice it is handed:
+    /// the batched backend's send arena, where the flush's `sendmmsg`
+    /// reads it (the GSO run it joins is decided from `len`), or the
+    /// portable backend's reused scratch, sent at once.  A datagram
+    /// larger than an arena slot is dropped and counted in
+    /// [`send_drops`](NetIoStats::send_drops).  A refusal from the
+    /// flush a full batch makes first (see [`flush`](NetIo::flush)) is
+    /// returned once the datagram is staged.
+    pub fn queue_with(
+        &mut self,
+        socket: &UdpSocket,
+        len: usize,
+        to: Option<SocketAddr>,
+        write: &mut dyn FnMut(&mut [u8]),
     ) -> io::Result<()> {
         let before = self.stats;
         let result = match &mut self.imp {
@@ -340,10 +364,12 @@ impl NetIo {
                 } else {
                     Ok(())
                 };
-                b.stage(frame, to);
+                if !b.stage(len, to, write) {
+                    self.stats.send_drops += 1;
+                }
                 flushed
             }
-            Impl::Portable(p) => p.send_now(socket, frame, to, &mut self.stats),
+            Impl::Portable(p) => p.send_with(socket, len, to, write, &mut self.stats),
         };
         self.trace_delta(&before);
         result
@@ -506,6 +532,9 @@ struct PortableIo {
     /// One-datagram receive slot for [`fill`](PortableIo::fill);
     /// a connected instance grows it on first use.
     slot: Vec<u8>,
+    /// Where [`send_with`](PortableIo::send_with) builds a datagram;
+    /// grown to the largest one sent, never shrunk.
+    out: Vec<u8>,
     slot_len: usize,
     slot_addr: Option<SocketAddr>,
     slot_full: bool,
@@ -522,6 +551,7 @@ impl PortableIo {
             } else {
                 Vec::new()
             },
+            out: Vec::new(),
             slot_len: 0,
             slot_addr: None,
             slot_full: false,
@@ -529,13 +559,21 @@ impl PortableIo {
         }
     }
 
-    fn send_now(
+    /// Build a `len`-byte datagram with `write` in the reused scratch
+    /// and send it at once.
+    fn send_with(
         &mut self,
         socket: &UdpSocket,
-        frame: &[u8],
+        len: usize,
         to: Option<SocketAddr>,
+        write: &mut dyn FnMut(&mut [u8]),
         stats: &mut NetIoStats,
     ) -> io::Result<()> {
+        if self.out.len() < len {
+            self.out.resize(len, 0);
+        }
+        let frame = &mut self.out[..len];
+        write(frame);
         let result = match to {
             Some(addr) => socket.send_to(frame, addr).map(|_| ()),
             None => socket.send(frame).map(|_| ()),
@@ -1091,14 +1129,21 @@ mod batched {
             self.send.slots == BATCH || self.send.data.len() - self.send.used < SLOT_CAP
         }
 
-        /// Copy one datagram into the staging arena: appended to the
-        /// open [`gso::Run`] when coalescing applies (same
-        /// destination, equal size, within the kernel ceilings),
-        /// otherwise opening a new slot.
-        pub(super) fn stage(&mut self, frame: &[u8], to: Option<SocketAddr>) {
+        /// Have `write` build one `n`-byte datagram in the staging
+        /// arena: appended to the open [`gso::Run`] when coalescing
+        /// applies (same destination, equal size, within the kernel
+        /// ceilings), otherwise opening a new slot.  `false`, with
+        /// nothing staged, for a datagram larger than a slot.
+        pub(super) fn stage(
+            &mut self,
+            n: usize,
+            to: Option<SocketAddr>,
+            write: &mut dyn FnMut(&mut [u8]),
+        ) -> bool {
             debug_assert!(!self.send_full(), "flush before staging into a full batch");
-            debug_assert!(frame.len() <= SLOT_CAP, "datagram exceeds slot capacity");
-            let n = frame.len().min(SLOT_CAP);
+            if n > SLOT_CAP {
+                return false;
+            }
             let mut addr_buf = [0u8; SS_SIZE];
             let addr_len = match to {
                 Some(addr) => encode_addr(&addr, &mut addr_buf),
@@ -1112,17 +1157,17 @@ mod batched {
                 let budget = s.data.len() - s.offs[i];
                 if same_dest && s.run.try_append(n, budget) {
                     let at = s.offs[i] + s.lens[i];
-                    s.data[at..at + n].copy_from_slice(&frame[..n]);
+                    write(&mut s.data[at..at + n]);
                     s.lens[i] += n;
                     s.seg_counts[i] += 1;
                     s.used += n;
-                    return;
+                    return true;
                 }
             }
             let i = s.slots;
             let off = s.used;
             s.offs[i] = off;
-            s.data[off..off + n].copy_from_slice(&frame[..n]);
+            write(&mut s.data[off..off + n]);
             s.lens[i] = n;
             s.seg_sizes[i] = n;
             s.seg_counts[i] = 1;
@@ -1137,6 +1182,7 @@ mod batched {
             };
             s.slots += 1;
             s.used += n;
+            true
         }
 
         /// Submit every staged slot: one `sendmmsg` per `BATCH` slots,

@@ -160,8 +160,8 @@ impl<'a> Outbound<'a> {
 
     /// One call, like [`pump::step`]: feed the leg `input` at the
     /// caller's instant `now`, on a clock that runs from `epoch`, hand
-    /// each datagram it transmits to
-    /// `transmit` (flushing is the caller's), arm and cancel its timers
+    /// each datagram it transmits to `transmit` as a length and a writer
+    /// that builds it (flushing is the caller's), arm and cancel its timers
     /// on `timers` under `key(token)` (the engine's pace timer counted
     /// from `now`), and return the completion report if this call
     /// finished the transfer.
@@ -181,7 +181,7 @@ impl<'a> Outbound<'a> {
     where
         K: Copy + Ord,
         F: Fn(TimerToken) -> K,
-        T: FnMut(&[u8]) -> io::Result<()>,
+        T: FnMut(usize, &mut dyn FnMut(&mut [u8])) -> io::Result<()>,
     {
         if let Some(engine) = self.engine.as_deref_mut() {
             return match input {
@@ -194,7 +194,8 @@ impl<'a> Outbound<'a> {
         let echoed = match input {
             _ if self.echoed.is_some() => return Ok(None),
             Input::Start | Input::Timer(_) => {
-                transmit(&self.request)?;
+                let request = &self.request;
+                transmit(request.len(), &mut |out| out.copy_from_slice(request))?;
                 self.requests_sent += 1;
                 timers.arm(key(RETRY), self.retry.next_wait());
                 return Ok(None);
@@ -324,9 +325,9 @@ impl<'a> Outbound<'a> {
                 Input::Datagram(&dgram)
             };
             let staged = sent;
-            let transmit = |bytes: &[u8]| {
+            let transmit = |len: usize, write: &mut dyn FnMut(&mut [u8])| {
                 sent += 1;
-                channel.stage(bytes)
+                channel.stage_with(len, write)
             };
             let done = self.step(clock, now, input, &mut timers, |token| token, transmit)?;
             if sent > staged {
@@ -396,8 +397,10 @@ mod tests {
                 input,
                 &mut self.timers,
                 |t| t,
-                |bytes| {
-                    wire.push(bytes.to_vec());
+                |len, write| {
+                    let mut datagram = vec![0; len];
+                    write(&mut datagram);
+                    wire.push(datagram);
                     Ok(())
                 },
             )
@@ -604,8 +607,8 @@ mod tests {
     }
 
     /// The echo's grant sets the sender: a queue smaller than the
-    /// transfer is its first burst, drawn from buffers warmed before the
-    /// burst; one that holds the transfer sends it all at once, arms no
+    /// transfer is its first burst, each datagram built where it is
+    /// staged, not in a pooled buffer; one that holds the transfer sends it all at once, arms no
     /// pace timer, and waits for the tail's answer the RTO plus the
     /// receiver's time to drain the burst (`in flight × Cr`).
     #[test]
@@ -628,7 +631,11 @@ mod tests {
         let pacing = script.leg.engine().unwrap().pacing_snapshot().unwrap();
         assert_eq!((pacing.initial_burst, pacing.burst), (128, 128));
         assert_eq!(script.kinds_after(1), [PacketKind::Data; 128], "one burst");
-        assert_eq!(cfg.pool.fresh_allocations(), 0, "warmed before it");
+        assert_eq!(
+            cfg.pool.fresh_allocations(),
+            0,
+            "built in place, not pooled"
+        );
 
         let (mut script, before, after) = granted(4096);
         assert_eq!(script.kinds_after(1), [PacketKind::Data; 300], "all of it");
@@ -662,7 +669,11 @@ mod tests {
             let burst = vec![PacketKind::Data; start as usize];
             assert_eq!(script.kinds_after(1), burst, "one burst");
         }
-        assert_eq!(cfg.pool.fresh_allocations(), 0, "warmed before it");
+        assert_eq!(
+            cfg.pool.fresh_allocations(),
+            0,
+            "built in place, not pooled"
+        );
     }
 
     /// A leg that carries a loopback estimate re-sends its request at the

@@ -14,8 +14,11 @@
 //!
 //! Actions are applied as the engine emits them, through
 //! [`ActionSink`], not collected first: emission order is execution
-//! order either way, and a transmitted packet's pooled buffer returns
-//! to the pool before the engine builds the next one.
+//! order either way.  A transmission skips the buffer pool: the pump
+//! overrides [`ActionSink::transmit`] and hands the engine's writer to
+//! the caller's staging target, which has it build the datagram where
+//! the datagram is staged for the kernel (a node's send arena, a
+//! channel's frame scratch).
 //!
 //! The caller reads the clock, not the step: a driver that has just
 //! read it (to pop a due timer, or to time a receive) passes that
@@ -39,6 +42,7 @@ use std::time::Instant;
 use blast_core::api::{Action, ActionSink, CompletionInfo, TimerToken};
 use blast_core::control::PACE_TIMER;
 use blast_core::engine::Engine;
+use blast_core::pool::BufferPool;
 use blast_wire::packet::Datagram;
 
 use crate::timers::TimerWheel;
@@ -71,13 +75,23 @@ impl<K, F, T> ActionSink for Apply<'_, K, F, T>
 where
     K: Copy + Ord,
     F: Fn(TimerToken) -> K,
-    T: FnMut(&[u8]) -> io::Result<()>,
+    T: FnMut(usize, &mut dyn FnMut(&mut [u8])) -> io::Result<()>,
 {
+    fn transmit(&mut self, _pool: &BufferPool, len: usize, write: &mut dyn FnMut(&mut [u8])) {
+        if self.sent.is_ok() {
+            self.sent = (self.transmit)(len, write);
+        }
+    }
+
     fn push_action(&mut self, action: Action) {
         match action {
+            // No engine pushes this (each transmits through
+            // `transmit`), but a datagram built elsewhere is staged as
+            // a copy.
             Action::Transmit(bytes) => {
                 if self.sent.is_ok() {
-                    self.sent = (self.transmit)(&bytes);
+                    self.sent =
+                        (self.transmit)(bytes.len(), &mut |out| out.copy_from_slice(&bytes));
                 }
             }
             Action::SetTimer { token, after } if token == PACE_TIMER => {
@@ -92,8 +106,9 @@ where
 
 /// Run one engine call at the caller's instant `now`: set the engine's
 /// `now` to its distance from `epoch`, feed it `input`, hand each
-/// transmitted datagram to `transmit` (staging is the caller's
-/// business — flush after the call), arm and cancel its timers on
+/// transmitted datagram's length and writer to `transmit`, which stages
+/// a datagram of that length built by the writer (staging is the
+/// caller's business — flush after the call), arm and cancel its timers on
 /// `timers` under `key(token)`, the pace timer's deadline counted from
 /// `now` and every other from when it is armed, and return the
 /// completion report if this call finished the transfer.
@@ -109,7 +124,7 @@ pub fn step<K, F, T>(
 where
     K: Copy + Ord,
     F: Fn(TimerToken) -> K,
-    T: FnMut(&[u8]) -> io::Result<()>,
+    T: FnMut(usize, &mut dyn FnMut(&mut [u8])) -> io::Result<()>,
 {
     let mut apply = Apply {
         timers,

@@ -253,6 +253,10 @@ impl<C: Channel> Channel for TimeWait<C> {
         self.inner.stage(buf)
     }
 
+    fn stage_with(&mut self, len: usize, write: &mut dyn FnMut(&mut [u8])) -> io::Result<()> {
+        self.inner.stage_with(len, write)
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
     }

@@ -12,6 +12,13 @@ use blast_udp::pump::{step, Input};
 use blast_udp::timers::TimerWheel;
 use blast_wire::packet::Datagram;
 
+/// The datagram a transmission's writer builds.
+fn built(len: usize, write: &mut dyn FnMut(&mut [u8])) -> Vec<u8> {
+    let mut datagram = vec![0; len];
+    write(&mut datagram);
+    datagram
+}
+
 /// Two engines pumped against each other through in-memory queues:
 /// transmissions, keyed timers and completion all flow through
 /// `step`, and one wheel serves both engines without their tokens
@@ -34,8 +41,8 @@ fn two_engines_share_one_wheel_and_finish() {
         Input::Start,
         &mut timers,
         |t| (true, t),
-        |b| {
-            to_rx.push(b.to_vec());
+        |len, write| {
+            to_rx.push(built(len, write));
             Ok(())
         },
     )
@@ -55,8 +62,8 @@ fn two_engines_share_one_wheel_and_finish() {
                 Input::Datagram(&dgram),
                 &mut timers,
                 |t| (false, t),
-                |b| {
-                    to_tx.push(b.to_vec());
+                |len, write| {
+                    to_tx.push(built(len, write));
                     Ok(())
                 },
             )
@@ -72,8 +79,8 @@ fn two_engines_share_one_wheel_and_finish() {
                 Input::Datagram(&dgram),
                 &mut timers,
                 |t| (true, t),
-                |b| {
-                    to_rx.push(b.to_vec());
+                |len, write| {
+                    to_rx.push(built(len, write));
                     Ok(())
                 },
             )
@@ -101,7 +108,7 @@ fn transmit_error_surfaces_and_stops_the_burst() {
         Input::Start,
         &mut timers,
         |t| t,
-        |_| {
+        |_, _| {
             calls += 1;
             Err(io::Error::other("link down"))
         },
@@ -133,7 +140,7 @@ fn timers_count_from_the_step() {
         Input::Start,
         &mut timers,
         |t| t,
-        |_| {
+        |_, _| {
             // A slow link: the burst takes five gaps to hand over.
             if sent == 0 {
                 std::thread::sleep(Duration::from_millis(10));
@@ -160,9 +167,9 @@ fn timers_count_from_the_step() {
 }
 
 /// A slow link: each datagram takes 0.5 ms to hand over.
-fn slow_send(b: &[u8], to_rx: &mut Vec<Vec<u8>>) -> io::Result<()> {
+fn slow_send(datagram: Vec<u8>, to_rx: &mut Vec<Vec<u8>>) -> io::Result<()> {
     std::thread::sleep(Duration::from_micros(500));
-    to_rx.push(b.to_vec());
+    to_rx.push(datagram);
     Ok(())
 }
 
@@ -190,7 +197,7 @@ fn the_tail_timer_counts_from_after_framing() {
         Input::Start,
         &mut tx_timers,
         |t| t,
-        |b| slow_send(b, &mut to_rx),
+        |len, write| slow_send(built(len, write), &mut to_rx),
     )
     .unwrap();
     assert!(
@@ -208,7 +215,7 @@ fn the_tail_timer_counts_from_after_framing() {
                 input,
                 &mut tx_timers,
                 |t| t,
-                |b| slow_send(b, &mut to_rx),
+                |len, write| slow_send(built(len, write), &mut to_rx),
             )
             .unwrap();
         }
@@ -223,8 +230,8 @@ fn the_tail_timer_counts_from_after_framing() {
                 input,
                 &mut rx_timers,
                 |t| t,
-                |b| {
-                    to_tx.push(b.to_vec());
+                |len, write| {
+                    to_tx.push(built(len, write));
                     Ok(())
                 },
             )
@@ -240,7 +247,7 @@ fn the_tail_timer_counts_from_after_framing() {
                 input,
                 &mut tx_timers,
                 |t| t,
-                |b| slow_send(b, &mut to_rx),
+                |len, write| slow_send(built(len, write), &mut to_rx),
             )
             .unwrap();
             done = done.or(finished);
@@ -300,7 +307,7 @@ fn the_engine_runs_at_the_callers_instant() {
         Input::Start,
         &mut timers,
         |t| t,
-        |_| Ok(()),
+        |_, _| Ok(()),
     );
     assert_eq!(done.unwrap(), None);
     assert_eq!(engine.0, Duration::from_secs(3600));

@@ -4,7 +4,10 @@
 //! whole burst, flushing it as `sendmmsg` submissions, draining it with
 //! `recvmmsg` and popping every datagram performs **exactly zero** heap
 //! allocations — the syscall batching never buys throughput by hiding
-//! per-packet allocation.  The same holds for a warmed `FaultyChannel`
+//! per-packet allocation.  So does building each datagram where it is
+//! staged (`Channel::stage_with`: the send arena, or an `FcsChannel`'s
+//! frame scratch), the path every engine's datagrams take.  The same
+//! holds for a warmed `FaultyChannel`
 //! (the benchmark's `lossy_push` client path) under every fault at once,
 //! sent or staged and flushed, and for the tail-record table once it has
 //! been filled to capacity: holding records and answering retransmitted
@@ -93,6 +96,57 @@ fn batched_burst_path_is_allocation_free() {
             "equal-size bursts must coalesce when GSO is usable"
         );
     }
+}
+
+/// Stage a burst of data datagrams built in place by `stage_with`, flush
+/// it, and receive every one back intact.
+fn built_burst_roundtrip<C: Channel>(tx: &mut C, rx: &mut C, buf: &mut [u8]) {
+    let (builder, payload) = (DatagramBuilder::new(3), [0x3cu8; FRAME]);
+    let len = blast_wire::HEADER_LEN + FRAME;
+    for seq in 0..BURST as u32 {
+        let offset = seq * FRAME as u32;
+        let build = &mut |out: &mut [u8]| {
+            let total = BURST as u32;
+            let built = builder.build_data(out, seq, total, offset, &payload, 0, false);
+            assert_eq!(built.unwrap(), len);
+        };
+        tx.stage_with(len, build).unwrap();
+    }
+    tx.flush().unwrap();
+    for seq in 0..BURST as u32 {
+        let n = rx
+            .recv_timeout(buf, Duration::from_secs(2))
+            .unwrap()
+            .expect("burst datagram lost on loopback");
+        let d = Datagram::parse(&buf[..n]).unwrap();
+        assert_eq!((d.seq, d.payload), (seq, &payload[..]));
+    }
+}
+
+/// The send path a node and a `Client` take: each datagram built where
+/// it is staged — straight into the backend's send arena on a bare
+/// channel, into the frame scratch (FCS computed there) under an
+/// `FcsChannel` — allocates nothing once warm.
+fn in_place_staging_is_allocation_free() {
+    let mut buf = vec![0u8; 2048];
+    let (mut tx, mut rx) = UdpChannel::pair().unwrap();
+    let (a, b) = UdpChannel::pair().unwrap();
+    let (mut fcs_tx, mut fcs_rx) = (FcsChannel::new(a), FcsChannel::new(b));
+    built_burst_roundtrip(&mut tx, &mut rx, &mut buf);
+    built_burst_roundtrip(&mut fcs_tx, &mut fcs_rx, &mut buf);
+
+    let before = allocations();
+    for _ in 0..4 {
+        built_burst_roundtrip(&mut tx, &mut rx, &mut buf);
+        built_burst_roundtrip(&mut fcs_tx, &mut fcs_rx, &mut buf);
+    }
+    let allocs = allocations() - before;
+    assert_eq!(
+        allocs,
+        0,
+        "building {} datagrams where they are staged must not allocate",
+        8 * BURST
+    );
 }
 
 fn faulty_send_path_is_allocation_free() {
@@ -226,6 +280,8 @@ fn main() {
     // finds these checks by name.
     batched_burst_path_is_allocation_free();
     println!("test batched_burst_path_is_allocation_free ... ok");
+    in_place_staging_is_allocation_free();
+    println!("test in_place_staging_is_allocation_free ... ok");
     faulty_send_path_is_allocation_free();
     println!("test faulty_send_path_is_allocation_free ... ok");
     tail_records_are_allocation_free_once_full();

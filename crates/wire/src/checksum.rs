@@ -10,9 +10,11 @@
 //! dropped by the demultiplexer — converting corruption into loss exactly
 //! as real Ethernet hardware did.
 //!
-//! [`crc32`] takes a carry-less-multiply (PCLMULQDQ) kernel on x86-64
-//! CPUs that have one, and slicing-by-8 tables everywhere else; both
-//! compute the same bits, and [`Crc32`] streams through the same path.
+//! [`crc32`] takes a carry-less-multiply kernel on x86-64 CPUs that
+//! have one (512-bit VPCLMULQDQ for inputs of 256 bytes or more, where
+//! the CPU has AVX-512; 128-bit PCLMULQDQ otherwise), and slicing-by-8
+//! tables everywhere else; all compute the same bits, and [`Crc32`]
+//! streams through the same paths.
 
 /// Compute the 16-bit ones-complement Internet checksum (RFC 1071) of a
 /// byte slice.
@@ -71,12 +73,15 @@ pub fn verify(data: &[u8]) -> bool {
 ///
 /// The FCS is computed once per datagram on each side of every
 /// transfer, so its cost is part of the paper's "per-packet software
-/// overhead".  On x86-64 CPUs with PCLMULQDQ and SSE4.1 (detected at
-/// run time), inputs of 64 bytes or more go through a carry-less-multiply
-/// folding kernel: ≈ 50–60 ns per KB, 70–100 ns for a 1 436-byte
-/// datagram on a 2-vCPU Xeon.  Shorter inputs, other CPUs and the
-/// kernel's last < 16 bytes use slicing-by-8 tables, ≈ 700–800 ns per
-/// KB on the same box.  Both paths compute the same bits.
+/// overhead".  On x86-64 the kernel is chosen at run time: inputs of
+/// 256 bytes or more go through a 512-bit carry-less-multiply folding
+/// kernel where the CPU has VPCLMULQDQ and AVX-512F (≈ 40–50 ns for a
+/// 1 436-byte datagram on a 2-vCPU Xeon), and inputs of 64 bytes or
+/// more through a 128-bit one where it has PCLMULQDQ and SSE4.1
+/// (≈ 50–60 ns per KB, 75–105 ns for the same datagram).  Shorter
+/// inputs, other CPUs and the kernels' last < 16 bytes use slicing-by-8
+/// tables, ≈ 700–800 ns per KB on the same box.  Every path computes
+/// the same bits.
 pub fn crc32(data: &[u8]) -> u32 {
     !update(CRC32_INIT, data)
 }
@@ -122,7 +127,7 @@ impl Default for Crc32 {
 const CRC32_INIT: u32 = 0xffff_ffff;
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Advance the raw (un-inverted) CRC register over `data`: the kernel
+/// Advance the raw (un-inverted) CRC register over `data`: a kernel
 /// where the CPU has one, the tables everywhere else.
 fn update(state: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
@@ -189,56 +194,146 @@ fn table(mut crc: u32, data: &[u8]) -> u32 {
 
 /// CRC-32 by carry-less multiplication (Intel, "Fast CRC Computation
 /// for Generic Polynomials Using PCLMULQDQ Instruction", 2009), with the
-/// bit-reflected IEEE 802.3 constants.
+/// bit-reflected IEEE 802.3 constants, at two widths: a 512-bit kernel
+/// (VPCLMULQDQ on AVX-512) for inputs of 256 bytes or more, and a
+/// 128-bit one (PCLMULQDQ) for the rest of 64 bytes or more.  Both end
+/// in the same 128-bit tail ([`finish`](clmul::finish)).
 ///
-/// The crate's one `unsafe` surface: the kernel is a
-/// `#[target_feature]` function, which is `unsafe` to call, and
-/// [`update`](clmul::update) calls it only after detecting both
-/// features on the running CPU.  Loads go through `i64::from_le_bytes`,
-/// so no raw pointer is ever formed.
+/// Every fold constant is x^n mod P(x), bit-reflected and shifted left
+/// by one, for n = d + 32 (the low quadword's multiplier) and n = d − 32
+/// (the high one's), where d is the fold distance in bits
+/// (a test derives every one).
+///
+/// The crate's one `unsafe` surface: the kernels are
+/// `#[target_feature]` functions, which are `unsafe` to call, and
+/// [`update`](clmul::update) calls one only after detecting every
+/// feature it enables on the running CPU.  Loads go through
+/// `i64::from_le_bytes`, so no raw pointer is ever formed.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod clmul {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m128i, __m512i, _mm512_clmulepi64_epi128, _mm512_extracti32x4_epi32, _mm512_set_epi64,
+        _mm512_ternarylogic_epi64, _mm512_xor_si512, _mm_and_si128, _mm_clmulepi64_si128,
+        _mm_cvtsi32_si128, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128,
+        _mm_xor_si128,
     };
 
-    /// Shortest input the kernel takes: its first step loads four
-    /// 16-byte blocks.
-    const MIN_LEN: usize = 64;
+    /// Shortest input the 128-bit kernel takes: its first step loads
+    /// four 16-byte blocks.
+    pub(super) const MIN_LEN: usize = 64;
 
-    // x^n mod P(x), bit-reflected and shifted left by one, for the fold
-    // distances used below: 4×128 bits (K1, K2), 128 bits (K3, K4) and
-    // 64 bits (K5).
-    const K1: i64 = 0x1_5444_2bd4;
-    const K2: i64 = 0x1_c6e4_1596;
-    const K3: i64 = 0x1_7519_97d0;
-    const K4: i64 = 0x0_ccaa_009e;
-    const K5: i64 = 0x1_63cd_6124;
+    /// Shortest input the 512-bit kernel takes: its first step loads
+    /// four 64-byte blocks.
+    pub(super) const WIDE_MIN_LEN: usize = 256;
+
+    // The fold constants (see the module docs): distances of 4×512 bits
+    // (K1_WIDE, K2_WIDE), 4×128 bits (K1, K2), 128 bits (K3, K4) and
+    // 64 bits (K5, x^64 alone).
+    pub(super) const K1_WIDE: i64 = 0x1_1542_778a;
+    pub(super) const K2_WIDE: i64 = 0x1_322d_1430;
+    pub(super) const K1: i64 = 0x1_5444_2bd4;
+    pub(super) const K2: i64 = 0x1_c6e4_1596;
+    pub(super) const K3: i64 = 0x1_7519_97d0;
+    pub(super) const K4: i64 = 0x0_ccaa_009e;
+    pub(super) const K5: i64 = 0x1_63cd_6124;
     /// P(x), bit-reflected, and μ = ⌊x^64 / P(x)⌋ for the Barrett step.
     const P_X: i64 = 0x1_db71_0641;
     const MU: i64 = 0x1_f701_1641;
 
-    /// Advance the raw CRC register over `data` by carry-less
-    /// multiplication, or `None` when `data` is too short or this CPU
-    /// lacks PCLMULQDQ or SSE4.1.
-    pub(super) fn update(state: u32, data: &[u8]) -> Option<u32> {
-        if data.len() < MIN_LEN
-            || !is_x86_feature_detected!("pclmulqdq")
-            || !is_x86_feature_detected!("sse4.1")
-        {
-            return None;
-        }
-        // SAFETY: `fold` enables exactly `pclmulqdq` and `sse4.1`, and
-        // both were detected on this CPU just above.
-        Some(unsafe { fold(state, data) })
+    /// The code path [`crc32`](super::crc32) takes for an input, chosen
+    /// by its length and the running CPU.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Kernel {
+        /// 512-bit carry-less multiplication (VPCLMULQDQ, AVX-512F).
+        Wide,
+        /// 128-bit carry-less multiplication (PCLMULQDQ, SSE4.1).
+        Narrow,
+        /// Slicing-by-8 tables.
+        Table,
     }
 
-    /// Folds 4×128 bits at a time, then 128 bits at a time, then
-    /// 128 → 64 bits, and takes the last 64 → 32 bits with a Barrett
-    /// reduction; the < 16-byte tail goes to the tables.  Panics if
-    /// `data` is shorter than `MIN_LEN`.
+    /// The kernel an input of `len` bytes takes on this CPU.
+    pub(super) fn kernel(len: usize) -> Kernel {
+        let narrow = || is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        let wide = || is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("vpclmulqdq");
+        if len >= WIDE_MIN_LEN && narrow() && wide() {
+            Kernel::Wide
+        } else if len >= MIN_LEN && narrow() {
+            Kernel::Narrow
+        } else {
+            Kernel::Table
+        }
+    }
+
+    /// Advance the raw CRC register over `data` by carry-less
+    /// multiplication, or `None` when [`kernel`] sends `data` to the
+    /// tables.
+    pub(super) fn update(state: u32, data: &[u8]) -> Option<u32> {
+        match kernel(data.len()) {
+            // SAFETY: `kernel` returns `Wide` only after detecting
+            // `avx512f`, `vpclmulqdq`, `pclmulqdq` and `sse4.1` on this
+            // CPU — every feature `fold_wide` enables — and only for
+            // at least `WIDE_MIN_LEN` bytes.
+            Kernel::Wide => Some(unsafe { fold_wide(state, data) }),
+            // SAFETY: `kernel` returns `Narrow` only after detecting
+            // `pclmulqdq` and `sse4.1`, the features `fold` enables, and
+            // only for at least `MIN_LEN` bytes.
+            Kernel::Narrow => Some(unsafe { fold(state, data) }),
+            Kernel::Table => None,
+        }
+    }
+
+    /// Folds 4×512 bits at a time in four zmm accumulators, then those
+    /// four into one and 512 bits at a time, and hands its four 128-bit
+    /// lanes and the < 64-byte rest to [`finish`].  Panics if `data` is
+    /// shorter than `WIDE_MIN_LEN`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f`, `vpclmulqdq`, `pclmulqdq` and
+    /// `sse4.1`.
+    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.1")]
+    unsafe fn fold_wide(state: u32, data: &[u8]) -> u32 {
+        let mut blocks = data.chunks_exact(256);
+        let first = blocks.next().expect("at least WIDE_MIN_LEN bytes");
+        let state = _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, i64::from(state));
+        let mut z0 = _mm512_xor_si512(load_wide(first, 0), state);
+        let mut z1 = load_wide(first, 1);
+        let mut z2 = load_wide(first, 2);
+        let mut z3 = load_wide(first, 3);
+
+        let k_wide = wide_keys(K1_WIDE, K2_WIDE);
+        for block in &mut blocks {
+            z0 = fold_wide_into(z0, load_wide(block, 0), k_wide);
+            z1 = fold_wide_into(z1, load_wide(block, 1), k_wide);
+            z2 = fold_wide_into(z2, load_wide(block, 2), k_wide);
+            z3 = fold_wide_into(z3, load_wide(block, 3), k_wide);
+        }
+
+        // Each accumulator is 512 bits ahead of the one before it: the
+        // 128-bit kernel's 4×128-bit distance, lane by lane.
+        let k1k2 = wide_keys(K1, K2);
+        let mut z = fold_wide_into(z0, z1, k1k2);
+        z = fold_wide_into(z, z2, k1k2);
+        z = fold_wide_into(z, z3, k1k2);
+        let mut quads = blocks.remainder().chunks_exact(64);
+        for quad in &mut quads {
+            z = fold_wide_into(z, load_wide(quad, 0), k1k2);
+        }
+
+        let lanes = [
+            _mm512_extracti32x4_epi32(z, 0),
+            _mm512_extracti32x4_epi32(z, 1),
+            _mm512_extracti32x4_epi32(z, 2),
+            _mm512_extracti32x4_epi32(z, 3),
+        ];
+        finish(lanes, quads.remainder())
+    }
+
+    /// Folds 4×128 bits at a time, then hands the four accumulators and
+    /// the < 64-byte rest to [`finish`].  Panics if `data` is shorter
+    /// than `MIN_LEN`.
     ///
     /// # Safety
     ///
@@ -259,12 +354,25 @@ mod clmul {
             x2 = fold_into(x2, load(quad, 2), k1k2);
             x3 = fold_into(x3, load(quad, 3), k1k2);
         }
+        finish([x0, x1, x2, x3], quads.remainder())
+    }
 
+    /// The tail both kernels share: folds four accumulators, each
+    /// 128 bits ahead of the one before it, into one, then 128 bits at
+    /// a time over `rest`, then 128 → 64 bits, and takes the last
+    /// 64 → 32 bits with a Barrett reduction; the < 16-byte tail of
+    /// `rest` goes to the tables.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` and `sse4.1`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    unsafe fn finish(acc: [__m128i; 4], rest: &[u8]) -> u32 {
         let k3k4 = _mm_set_epi64x(K4, K3);
-        let mut x = fold_into(x0, x1, k3k4);
-        x = fold_into(x, x2, k3k4);
-        x = fold_into(x, x3, k3k4);
-        let mut blocks = quads.remainder().chunks_exact(16);
+        let mut x = fold_into(acc[0], acc[1], k3k4);
+        x = fold_into(x, acc[2], k3k4);
+        x = fold_into(x, acc[3], k3k4);
+        let mut blocks = rest.chunks_exact(16);
         for block in &mut blocks {
             x = fold_into(x, load(block, 0), k3k4);
         }
@@ -301,6 +409,33 @@ mod clmul {
         _mm_xor_si128(_mm_xor_si128(next, lo), hi)
     }
 
+    /// [`fold_into`] on each of the four 128-bit lanes at once, the
+    /// three-way XOR in one ternary-logic instruction.
+    ///
+    /// # Safety
+    ///
+    /// As for [`fold_wide`].
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    unsafe fn fold_wide_into(acc: __m512i, next: __m512i, keys: __m512i) -> __m512i {
+        let lo = _mm512_clmulepi64_epi128(acc, keys, 0x00);
+        let hi = _mm512_clmulepi64_epi128(acc, keys, 0x11);
+        // 0x96: a ^ b ^ c.
+        _mm512_ternarylogic_epi64(next, lo, hi, 0x96)
+    }
+
+    /// `lo` in the low and `hi` in the high quadword of every 128-bit
+    /// lane.
+    ///
+    /// # Safety
+    ///
+    /// As for [`fold_wide`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn wide_keys(lo: i64, hi: i64) -> __m512i {
+        _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo)
+    }
+
     /// The `i`-th 16-byte block of `bytes`, little-endian.
     ///
     /// # Safety
@@ -313,6 +448,19 @@ mod clmul {
         let lo = i64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
         let hi = i64::from_le_bytes(block[8..].try_into().expect("8 bytes"));
         _mm_set_epi64x(hi, lo)
+    }
+
+    /// The `i`-th 64-byte block of `bytes`, little-endian.
+    ///
+    /// # Safety
+    ///
+    /// As for [`fold_wide`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load_wide(bytes: &[u8], i: usize) -> __m512i {
+        let block: &[u8; 64] = bytes[64 * i..64 * i + 64].try_into().expect("64 bytes");
+        let q = |j: usize| i64::from_le_bytes(block[8 * j..8 * j + 8].try_into().expect("8 bytes"));
+        _mm512_set_epi64(q(7), q(6), q(5), q(4), q(3), q(2), q(1), q(0))
     }
 }
 
@@ -436,13 +584,65 @@ mod tests {
         }
     }
 
+    /// Which kernel each length reaches on the running CPU: the 512-bit
+    /// one from 256 bytes where the CPU has VPCLMULQDQ and AVX-512F, the
+    /// 128-bit one from 64 bytes where it has PCLMULQDQ and SSE4.1, the
+    /// tables below that.  Run with `--nocapture` to see this host's.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn kernel_takes_exactly_the_inputs_it_should() {
-        let data = [0x5a; 64];
-        let detected = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
-        assert_eq!(clmul::update(CRC32_INIT, &data).is_some(), detected);
-        assert_eq!(clmul::update(CRC32_INIT, &data[..63]), None);
+        use clmul::Kernel;
+        let narrow = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        let wide = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("vpclmulqdq");
+        let mut taken = Vec::new();
+        for len in [0, 15, 63, 64, 255, 256, 1436, 4096] {
+            let want = if len >= 256 && narrow && wide {
+                Kernel::Wide
+            } else if len >= 64 && narrow {
+                Kernel::Narrow
+            } else {
+                Kernel::Table
+            };
+            assert_eq!(clmul::kernel(len), want, "length {len}");
+            assert_eq!(
+                clmul::update(CRC32_INIT, &vec![0x5a; len]).is_some(),
+                want != Kernel::Table,
+                "length {len}"
+            );
+            taken.push(format!("{len} B: {want:?}"));
+        }
+        println!("CRC-32 kernel on this CPU: {}", taken.join(", "));
+    }
+
+    /// x^n mod P(x), bit-reflected and shifted left by one: the rule
+    /// every fold constant follows.
+    #[cfg(target_arch = "x86_64")]
+    fn fold_constant(n: u32) -> i64 {
+        const P_NORMAL: u64 = 0x1_04c1_1db7;
+        let mut r: u64 = 1;
+        for _ in 0..n {
+            r <<= 1;
+            if r & (1 << 32) != 0 {
+                r ^= P_NORMAL;
+            }
+        }
+        i64::from((r as u32).reverse_bits()) << 1
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_follow_their_rule() {
+        for (name, value, n) in [
+            ("K1_WIDE", clmul::K1_WIDE, 2048 + 32),
+            ("K2_WIDE", clmul::K2_WIDE, 2048 - 32),
+            ("K1", clmul::K1, 512 + 32),
+            ("K2", clmul::K2, 512 - 32),
+            ("K3", clmul::K3, 128 + 32),
+            ("K4", clmul::K4, 128 - 32),
+            ("K5", clmul::K5, 64),
+        ] {
+            assert_eq!(fold_constant(n), value, "{name} = x^{n} mod P");
+        }
     }
 
     proptest::proptest! {
