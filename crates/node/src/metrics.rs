@@ -121,7 +121,7 @@ pub struct NodeMetrics {
     /// `"portable"` — see `blast_udp::netio::OffloadState`).
     pub netio_offload: &'static str,
     /// The node socket's syscall counters (batch amortisation, wait
-    /// strategy: epoll wakeups vs timer expiries), snapshotted from the
+    /// strategy: readable wakeups vs timer expiries), snapshotted from the
     /// reactor's [`NetIoStats`] every tick.
     pub io: NetIoStats,
     /// Final AIMD burst size per completed paced (sender) session.

@@ -555,10 +555,10 @@ impl NodeServer {
 
     /// One reactor cycle: timers, then a drain of every socket, then a
     /// flush of everything the engines queued and a publish of the
-    /// shard's metrics, then (if idle) an event-driven wait — epoll +
-    /// timerfd wakes on the first datagram or at the next timer
-    /// deadline, whichever comes first (the portable fallback degrades
-    /// to a bounded sleep).
+    /// shard's metrics, then (if idle) an event-driven wait — one
+    /// `ppoll` over the shard's sockets wakes on the first datagram or
+    /// at the next timer deadline, whichever comes first (the portable
+    /// fallback degrades to a bounded sleep).
     fn tick(&mut self, buf: &mut [u8]) -> io::Result<()> {
         let now = Instant::now();
         let mut timers_fired = 0u64;

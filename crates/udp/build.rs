@@ -1,5 +1,5 @@
 //! Declares the `netio_batched` cfg: the batched syscall backend
-//! (`sendmmsg`/`recvmmsg` + epoll/timerfd in `src/netio.rs`) is
+//! (`sendmmsg`/`recvmmsg`/`ppoll` in `src/netio.rs`) is
 //! compiled only where its hardcoded kernel ABI constants and struct
 //! layouts are known-good — mainstream 64-bit Linux.  Everywhere else
 //! the portable single-syscall backend is the only one built.

@@ -102,7 +102,7 @@ pub trait Channel {
 
 /// A connected UDP socket as a [`Channel`], running on a pluggable
 /// [`NetIo`] backend: GSO/GRO-coalesced `sendmmsg`/`recvmmsg`
-/// submission with event-driven (epoll + timerfd) waits on Linux
+/// submission with event-driven (`ppoll`) waits on Linux
 /// kernels that accept both offloads, single-syscall portable I/O
 /// elsewhere (or when `BLAST_NETIO=portable` forces it).
 #[derive(Debug)]

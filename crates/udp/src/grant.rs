@@ -14,7 +14,7 @@
 //!
 //! * **The queue share** is what the socket holds: the `SO_RCVBUF` it
 //!   reports over what the kernel charges per datagram of the
-//!   transfer's size ([`datagram_charge`]), divided among the sessions
+//!   transfer's size (`datagram_charge`), divided among the sessions
 //!   on that socket and never more than the grants in force leave of
 //!   it ([`grant`]).  On Linux, a 4 MiB request (reported as 8 MiB)
 //!   holds 3 640 datagrams of 1 444 B; under the default
@@ -38,7 +38,7 @@ use crate::fcs::FCS_LEN;
 /// headers and shared info (at least 1 KiB), plus the 256-byte buffer
 /// head.  Measured on loopback: 1 280 B up to 500-byte datagrams,
 /// 2 304 B from 1 000 to 1 600 B, 4 352 B at 2 100 B — never above this.
-pub fn datagram_charge(len: usize) -> usize {
+fn datagram_charge(len: usize) -> usize {
     const OVERHEAD: usize = 448;
     const HEAD: usize = 256;
     (len + OVERHEAD).next_power_of_two().max(1024) + HEAD

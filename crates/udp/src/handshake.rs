@@ -293,7 +293,7 @@ impl Request {
 }
 
 /// Wire byte for a strategy (its index in [`RetxStrategy::ALL`]).
-pub fn strategy_to_u8(s: RetxStrategy) -> u8 {
+fn strategy_to_u8(s: RetxStrategy) -> u8 {
     RetxStrategy::ALL
         .iter()
         .position(|&x| x == s)

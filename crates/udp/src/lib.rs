@@ -41,7 +41,7 @@
 //!   copy's status, and digest-verifies the replica;
 //! * [`netio`] — the pluggable syscall backend: `UDP_SEGMENT`/`UDP_GRO`
 //!   segmentation offload under batched `sendmmsg`/`recvmmsg`
-//!   submission with event-driven epoll + timerfd waits, on Linux
+//!   submission with event-driven `ppoll` waits, on Linux
 //!   kernels that accept both options; a portable single-syscall
 //!   backend everywhere else (force it with `BLAST_NETIO=portable`);
 //! * [`gso`] — the sans-I/O coalescer/splitter arithmetic behind that

@@ -16,10 +16,13 @@
 //!   framed packet length, tail runt allowed — see [`crate::gso`]) and
 //!   submits a burst with one `sendmmsg(2)`; a drain pulls a batch of
 //!   GRO-coalesced buffers with one `recvmmsg(2)` and splits them back
-//!   into per-datagram views without copying or allocating; and waits
-//!   are event-driven — an `epoll(7)` instance watching the socket and
-//!   a `timerfd(2)` armed at the precise deadline, so a 500 µs pace gap
-//!   blocks for 500 µs, not a scheduler tick and not a spin.  The FFI
+//!   into per-datagram views without copying or allocating; and a
+//!   wait is one `ppoll(2)` over the socket (and at most two watched
+//!   ones) with the deadline as its timeout, so a 500 µs pace gap
+//!   blocks for 500 µs, not a scheduler tick and not a spin.  A thread
+//!   that waits sets its own timer slack to 1 ns (`prctl(2)`
+//!   `PR_SET_TIMERSLACK`, once per thread, that thread only): the
+//!   default 50 µs would stretch a 100 µs wait by half.  The FFI
 //!   is audited extern-C following the [`crate::sockopt`] precedent
 //!   (crate `deny(unsafe_code)`, module-level allow, hardcoded
 //!   asm-generic constants, so only the mainstream Linux targets take
@@ -111,7 +114,7 @@ impl std::ops::AddAssign for NetIoStats {
 /// Which backend a [`NetIo`] is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// `sendmmsg`/`recvmmsg` with epoll/timerfd waits.
+    /// `sendmmsg`/`recvmmsg` with `ppoll` waits.
     Batched,
     /// One syscall per datagram, `SO_RCVTIMEO` waits.
     Portable,
@@ -154,8 +157,7 @@ impl OffloadState {
 ///   callers use [`queue`](NetIo::queue)/[`flush`](NetIo::flush) and
 ///   the blocking [`recv`](NetIo::recv).
 /// * **reactor** ([`NetIo::reactor`]): the socket is unconnected and
-///   non-blocking; callers use [`queue_with`](NetIo::queue_with) (or
-///   its copying form [`queue_to`](NetIo::queue_to)),
+///   non-blocking; callers use [`queue_with`](NetIo::queue_with),
 ///   [`fill`](NetIo::fill)/[`pop_into`](NetIo::pop_into) and the
 ///   non-consuming [`wait`](NetIo::wait).
 ///
@@ -206,10 +208,10 @@ impl NetIo {
             }
         }
         if !reactor {
-            // A half-finished batched setup (epoll/timerfd creation can
-            // fail at the fd limit) leaves the socket non-blocking,
-            // which would turn the portable backend's SO_RCVTIMEO waits
-            // into a busy-poll; restore blocking mode for the connected
+            // A refused batched setup (a kernel without `UDP_SEGMENT`
+            // or `UDP_GRO`) leaves the socket non-blocking, which would
+            // turn the portable backend's SO_RCVTIMEO waits into a
+            // busy-poll; restore blocking mode for the connected
             // fallback.  Reactor sockets stay non-blocking by contract.
             let _ = socket.set_nonblocking(false);
         }
@@ -307,7 +309,7 @@ impl NetIo {
     }
 
     /// True when the batched backend is compiled in and selected.
-    pub fn is_batched(&self) -> bool {
+    fn is_batched(&self) -> bool {
         self.backend() == BackendKind::Batched
     }
 
@@ -328,7 +330,7 @@ impl NetIo {
 
     /// Stage a copy of `frame`, optionally addressed (reactor mode):
     /// [`queue_with`](NetIo::queue_with) with a writer that copies it.
-    pub fn queue_to(
+    fn queue_to(
         &mut self,
         socket: &UdpSocket,
         frame: &[u8],
@@ -395,7 +397,7 @@ impl NetIo {
     /// Receive one datagram on a connected socket within `timeout`
     /// (`Ok(None)` on expiry).  Batched mode drains a whole `recvmmsg`
     /// batch per kernel crossing and pops from it on subsequent calls;
-    /// waits block on epoll + timerfd at the exact deadline.  Portable
+    /// waits block in one `ppoll` until the exact deadline.  Portable
     /// mode is a classic `SO_RCVTIMEO` receive with the
     /// [`PacingConfig::MIN_WAIT`] floor.  A zero `timeout` polls: it
     /// returns what is already queued, or `Ok(None)`, without blocking
@@ -464,7 +466,9 @@ impl NetIo {
     /// readable, so a reactor that drains a second socket through its
     /// own backend still waits in one place.  A no-op on the portable
     /// backend, whose wait only sleeps, and never for more than a
-    /// millisecond.
+    /// millisecond.  The batched backend watches at most two sockets
+    /// beside its own (a node shard's two egress sockets); a third is
+    /// an error, and the ones watched already stay watched.
     pub fn watch(&mut self, socket: &UdpSocket) -> io::Result<()> {
         match &mut self.imp {
             #[cfg(netio_batched)]
@@ -474,7 +478,7 @@ impl NetIo {
     }
 
     /// Block until the socket is readable or `timeout` elapses; `true`
-    /// means readable.  Batched mode waits on epoll + timerfd with
+    /// means readable.  Batched mode waits in one `ppoll` with
     /// sub-millisecond fidelity.  Portable reactor mode can only sleep
     /// (clamped to a millisecond) and conservatively reports a timeout;
     /// the caller's next [`fill`](NetIo::fill) discovers any traffic.
@@ -705,20 +709,21 @@ impl PortableIo {
 #[allow(unsafe_code)]
 mod batched {
     //! The Linux batched backend: audited extern-C FFI over
-    //! `sendmmsg`/`recvmmsg`/`epoll`/`timerfd`, mirroring the
+    //! `sendmmsg`/`recvmmsg`/`ppoll`/`prctl`, mirroring the
     //! `sockopt` precedent.  Every pointer handed to the kernel points
     //! into storage owned by this module for the duration of the call
     //! (slot buffers, stack-local header arrays), and nothing returned
     //! by the kernel is interpreted beyond the documented out-fields.
 
+    use std::cell::Cell;
     use std::io;
     use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
     use std::os::fd::AsRawFd;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use super::{is_send_drop, NetIoStats, BATCH, SLOT_CAP};
     use crate::gso;
-    use crate::sockopt::imp::{close, encode_addr, setsockopt, AF_INET, AF_INET6};
+    use crate::sockopt::imp::{encode_addr, setsockopt, AF_INET, AF_INET6};
 
     // Linked via std's libc dependency; declared here because the
     // workspace builds offline with no `libc` crate available.
@@ -731,25 +736,17 @@ mod batched {
             flags: i32,
             timeout: *mut TimeSpec,
         ) -> i32;
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn timerfd_create(clockid: i32, flags: i32) -> i32;
-        fn timerfd_settime(
-            fd: i32,
-            flags: i32,
-            new_value: *const ITimerSpec,
-            old_value: *mut ITimerSpec,
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: u64,
+            timeout: *const TimeSpec,
+            sigmask: *const core::ffi::c_void,
         ) -> i32;
-        fn read(fd: i32, buf: *mut core::ffi::c_void, count: usize) -> isize;
+        fn prctl(option: i32, ...) -> i32;
     }
 
-    const EPOLL_CLOEXEC: i32 = 0x80000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLLIN: u32 = 0x001;
-    const CLOCK_MONOTONIC: i32 = 1;
-    const TFD_NONBLOCK: i32 = 0o4000;
-    const TFD_CLOEXEC: i32 = 0o2000000;
+    const POLLIN: i16 = 0x001;
+    const PR_SET_TIMERSLACK: i32 = 29;
     /// `sockaddr_storage` size: holds any address family.
     const SS_SIZE: usize = 128;
     const SOL_UDP: i32 = 17;
@@ -794,28 +791,16 @@ mod batched {
         len: u32,
     }
 
-    // `epoll_event` is packed on x86-64 (a kernel ABI quirk) and
-    // naturally aligned everywhere else.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
+    /// `struct pollfd`: descriptor, requested events, returned events.
+    #[repr(C)]
+    #[derive(Debug, Clone, Copy)]
+    struct PollFd(i32, i16, i16);
 
     #[repr(C)]
     #[derive(Clone, Copy)]
     struct TimeSpec {
         sec: i64,
         nsec: i64,
-    }
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct ITimerSpec {
-        interval: TimeSpec,
-        value: TimeSpec,
     }
 
     const ZERO_IOV: IoVec = IoVec {
@@ -835,20 +820,6 @@ mod batched {
         },
         len: 0,
     };
-
-    /// Owned raw descriptor, closed on drop.
-    #[derive(Debug)]
-    struct Fd(i32);
-
-    impl Drop for Fd {
-        fn drop(&mut self) {
-            // SAFETY: the descriptor was created by this module and is
-            // closed exactly once.
-            unsafe {
-                close(self.0);
-            }
-        }
-    }
 
     /// Staged outbound super-datagrams: one contiguous arena
     /// (`BATCH × SLOT_CAP` bytes) carved into up to `BATCH`
@@ -1035,38 +1006,31 @@ mod batched {
         }
     }
 
-    fn timespec(d: Duration) -> TimeSpec {
-        TimeSpec {
-            sec: d.as_secs() as i64,
-            nsec: i64::from(d.subsec_nanos()),
-        }
-    }
+    /// Sockets one wait watches: the backend's own, plus the two
+    /// egress sockets (one per address family) a node shard adds with
+    /// [`BatchedIo::watch`].
+    const WATCH_MAX: usize = 3;
 
-    /// Epoll tags: a watched socket has data, or the timer fired.
-    const READABLE: u64 = 0;
-    const EXPIRED: u64 = 1;
-
-    /// Have `epoll` report `fd` readable, tagged `tag`.
-    fn add_to_epoll(epoll: &Fd, fd: i32, tag: u64) -> io::Result<()> {
-        let mut ev = EpollEvent {
-            events: EPOLLIN,
-            data: tag,
-        };
-        // SAFETY: `epoll.0`, `fd` are live descriptors; `ev` is a
-        // stack-local the kernel only reads.
-        let rc = unsafe { epoll_ctl(epoll.0, EPOLL_CTL_ADD, fd, &mut ev) };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
+    /// Give the calling thread, and no other, 1 ns of timer slack,
+    /// once: the default 50 µs would stretch a 100 µs `ppoll` by half.
+    /// A refusal keeps the default, which only makes waits coarser.
+    fn tighten_timer_slack() {
+        thread_local!(static TIGHT: Cell<bool> = const { Cell::new(false) });
+        if !TIGHT.replace(true) {
+            // SAFETY: `PR_SET_TIMERSLACK` reads one unsigned long (the
+            // slack in ns) and touches no memory; the rest are zero.
+            unsafe { prctl(PR_SET_TIMERSLACK, 1u64, 0u64, 0u64, 0u64) };
         }
-        Ok(())
     }
 
     /// The batched backend for one socket.
     #[derive(Debug)]
     pub(super) struct BatchedIo {
-        epoll: Fd,
-        timer: Fd,
         sock_fd: i32,
+        /// What [`wait`](BatchedIo::wait) polls: `sock_fd` first, then
+        /// each watched socket; `watched` entries are live.
+        polls: [PollFd; WATCH_MAX],
+        watched: usize,
         send: SendRing,
         recv: RecvRing,
         recv_head: usize,
@@ -1090,25 +1054,11 @@ mod batched {
             socket.set_nonblocking(true)?;
             let sock_fd = socket.as_raw_fd();
             set_udp_option(sock_fd, UDP_SEGMENT, 0)?;
-            // SAFETY: plain descriptor-creating syscalls; results are
-            // checked and owned by `Fd` guards.
-            let ep = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if ep < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            let epoll = Fd(ep);
-            let tf = unsafe { timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC) };
-            if tf < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            let timer = Fd(tf);
-            add_to_epoll(&epoll, sock_fd, READABLE)?;
-            add_to_epoll(&epoll, timer.0, EXPIRED)?;
             set_udp_option(sock_fd, UDP_GRO, 1)?;
             Ok(BatchedIo {
-                epoll,
-                timer,
                 sock_fd,
+                polls: [PollFd(sock_fd, POLLIN, 0); WATCH_MAX],
+                watched: 1,
                 send: SendRing::new(),
                 recv: RecvRing::new(),
                 recv_head: 0,
@@ -1118,9 +1068,15 @@ mod batched {
             })
         }
 
-        /// Wake [`wait`](BatchedIo::wait) on `socket` too.
-        pub(super) fn watch(&self, socket: &UdpSocket) -> io::Result<()> {
-            add_to_epoll(&self.epoll, socket.as_raw_fd(), READABLE)
+        /// Wake [`wait`](BatchedIo::wait) on `socket` too; an error,
+        /// changing nothing, once [`WATCH_MAX`] sockets are watched.
+        pub(super) fn watch(&mut self, socket: &UdpSocket) -> io::Result<()> {
+            let Some(slot) = self.polls.get_mut(self.watched) else {
+                return Err(io::Error::other("a batched wait watches at most 3 sockets"));
+            };
+            *slot = PollFd(socket.as_raw_fd(), POLLIN, 0);
+            self.watched += 1;
+            Ok(())
         }
 
         pub(super) fn send_full(&self) -> bool {
@@ -1487,65 +1443,49 @@ mod batched {
             }
         }
 
-        /// Block until the socket is readable or `timeout` elapses.
-        /// The deadline rides a one-shot timerfd, so sub-millisecond
-        /// pace gaps wait exactly as long as they should — this is the
-        /// wait that replaced the driver's yield-spin.
+        /// Block until a watched socket is readable or `timeout`
+        /// elapses: one `ppoll` with the timeout as its deadline, so
+        /// sub-millisecond pace gaps wait exactly as long as they
+        /// should (the thread's timer slack is 1 ns) and a wait that
+        /// ends early leaves no timer armed.  An interrupted `ppoll`
+        /// resumes for the time left.
         pub(super) fn wait(
             &mut self,
             timeout: Duration,
             stats: &mut NetIoStats,
         ) -> io::Result<bool> {
-            // A zero it_value disarms the timer; clamp to one tick so a
-            // zero/near-zero timeout still fires immediately.
-            let spec = ITimerSpec {
-                interval: TimeSpec { sec: 0, nsec: 0 },
-                value: timespec(timeout.max(Duration::from_nanos(1))),
-            };
-            // SAFETY: `timer` is live; `spec` is stack-local and only
-            // read.  Re-arming also clears any stale expiration.
-            let rc = unsafe { timerfd_settime(self.timer.0, 0, &spec, std::ptr::null_mut()) };
-            if rc != 0 {
-                return Err(io::Error::last_os_error());
-            }
+            tighten_timer_slack();
+            let start = Instant::now();
+            let mut left = timeout;
             loop {
-                let mut events = [EpollEvent { events: 0, data: 0 }; 4];
-                // SAFETY: the kernel writes at most 4 events into the
-                // stack-local array.
-                let rc = unsafe { epoll_wait(self.epoll.0, events.as_mut_ptr(), 4, -1) };
-                if rc < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    return Err(err);
-                }
-                let mut readable = false;
-                let mut expired = false;
-                for ev in events.iter().take(rc as usize) {
-                    match ev.data {
-                        READABLE => readable = true,
-                        _ => expired = true,
-                    }
-                }
-                if expired {
-                    // Drain the expiration count so the timerfd goes
-                    // quiet until re-armed.
-                    let mut ticks = 0u64;
-                    // SAFETY: reads 8 bytes into a stack-local u64, the
-                    // timerfd read contract.
-                    unsafe {
-                        read(self.timer.0, (&mut ticks as *mut u64).cast(), 8);
-                    }
-                }
-                if readable {
+                let deadline = TimeSpec {
+                    sec: left.as_secs() as i64,
+                    nsec: i64::from(left.subsec_nanos()),
+                };
+                // SAFETY: the kernel reads `deadline` and writes only
+                // the `revents` of the first `watched` entries of
+                // `polls`, all owned by `self`; no signal mask.
+                let rc = unsafe {
+                    ppoll(
+                        self.polls.as_mut_ptr(),
+                        self.watched as u64,
+                        &deadline,
+                        std::ptr::null(),
+                    )
+                };
+                if rc > 0 {
                     stats.wakeups += 1;
                     return Ok(true);
                 }
-                if expired {
+                if rc == 0 {
                     stats.timeouts += 1;
                     return Ok(false);
                 }
+                let err = io::Error::last_os_error();
+                if err.kind() != io::ErrorKind::Interrupted {
+                    return Err(err);
+                }
+                left = timeout.saturating_sub(start.elapsed());
             }
         }
     }
@@ -1737,6 +1677,69 @@ mod tests {
         client.send_to(b"x", second.local_addr().unwrap()).unwrap();
         assert!(io.wait(Duration::from_secs(2)).unwrap());
         assert_eq!((io.stats.wakeups, io.stats.timeouts), (1, 0));
+    }
+
+    /// The calling thread's timer slack in nanoseconds.
+    #[cfg(netio_batched)]
+    #[allow(unsafe_code)]
+    fn timer_slack_ns() -> i32 {
+        extern "C" {
+            fn prctl(option: i32, ...) -> i32;
+        }
+        const PR_GET_TIMERSLACK: i32 = 30;
+        // SAFETY: `PR_GET_TIMERSLACK` reads the calling thread's slack
+        // and touches no memory; the unused arguments are zero.
+        unsafe { prctl(PR_GET_TIMERSLACK, 0u64, 0u64, 0u64, 0u64) }
+    }
+
+    /// A batched wait sets 1 ns of timer slack on the thread that
+    /// waits, and on no other: neither the thread that spawned it nor
+    /// a thread spawned afterwards, which both read the default.
+    #[cfg(netio_batched)]
+    #[test]
+    fn a_batched_wait_tightens_only_its_own_threads_timer_slack() {
+        let (a, _b) = pair();
+        let Some(mut io) = NetIo::try_batched(&a) else {
+            return; // the kernel refuses an offload
+        };
+        let default = timer_slack_ns();
+        assert!(default > 1, "the test thread starts at {default} ns");
+        let waiter = std::thread::spawn(move || {
+            let fresh = timer_slack_ns();
+            io.wait(Duration::ZERO).unwrap();
+            (fresh, timer_slack_ns())
+        });
+        assert_eq!(waiter.join().unwrap(), (default, 1));
+        assert_eq!(timer_slack_ns(), default);
+        let fresh = std::thread::spawn(timer_slack_ns).join().unwrap();
+        assert_eq!(fresh, default, "a thread that never waited");
+    }
+
+    /// The batched wait polls a fixed table: its own socket and two
+    /// watched ones.  A fourth socket is refused, and the three still
+    /// wake the wait.
+    #[cfg(netio_batched)]
+    #[test]
+    fn a_batched_wait_watches_at_most_three_sockets() {
+        let bind = || UdpSocket::bind("127.0.0.1:0").unwrap();
+        let main = bind();
+        let Some(mut io) = NetIo::try_batched(&main) else {
+            return; // the kernel refuses an offload
+        };
+        let (second, third, fourth) = (bind(), bind(), bind());
+        io.watch(&second).unwrap();
+        io.watch(&third).unwrap();
+        assert!(io.watch(&fourth).is_err(), "a fourth socket is refused");
+        let client = bind();
+        let mut buf = [0u8; 16];
+        for sock in [&main, &second, &third] {
+            client.send_to(b"x", sock.local_addr().unwrap()).unwrap();
+            assert!(io.wait(Duration::from_secs(2)).unwrap());
+            sock.recv(&mut buf).unwrap();
+        }
+        client.send_to(b"x", fourth.local_addr().unwrap()).unwrap();
+        assert!(!io.wait(Duration::from_millis(20)).unwrap());
+        assert_eq!((io.stats.wakeups, io.stats.timeouts), (3, 1));
     }
 
     #[test]

@@ -34,8 +34,8 @@ use std::net::{SocketAddr, UdpSocket};
 
 /// Receive-buffer request for blast workloads: 4 MiB comfortably holds
 /// several concurrent 256 KB rounds.  The kernel clamps the effective
-/// size to `net.core.rmem_max`; [`set_recv_buffer`] reports what was
-/// actually granted.
+/// size to `net.core.rmem_max`; [`grown_recv_buffer`] reports what
+/// it grants.
 pub const BLAST_RECV_BUFFER: usize = 4 * 1024 * 1024;
 
 // The hardcoded option constants below are the asm-generic values;
@@ -76,11 +76,11 @@ pub(crate) mod imp {
         ) -> i32;
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn bind(fd: i32, addr: *const core::ffi::c_void, len: u32) -> i32;
-        pub(crate) fn close(fd: i32) -> i32;
+        fn close(fd: i32) -> i32;
     }
 
     const SOL_SOCKET: i32 = 1;
-    const SO_SNDBUF: i32 = 7;
+    pub(super) const SO_SNDBUF: i32 = 7;
     const SO_RCVBUF: i32 = 8;
     const SO_REUSEPORT: i32 = 15;
     pub(crate) const AF_INET: u16 = 2;
@@ -109,7 +109,7 @@ pub(crate) mod imp {
         buffer(socket, option)
     }
 
-    fn buffer(socket: &UdpSocket, option: i32) -> io::Result<usize> {
+    pub(super) fn buffer(socket: &UdpSocket, option: i32) -> io::Result<usize> {
         let fd = socket.as_raw_fd();
         let mut granted: i32 = 0;
         let mut len = std::mem::size_of::<i32>() as u32;
@@ -140,10 +140,6 @@ pub(crate) mod imp {
 
     pub fn set_send_buffer(socket: &UdpSocket, bytes: usize) -> io::Result<usize> {
         set_buffer(socket, SO_SNDBUF, bytes)
-    }
-
-    pub fn send_buffer(socket: &UdpSocket) -> io::Result<usize> {
-        buffer(socket, SO_SNDBUF)
     }
 
     /// Encode a socket address as a kernel `sockaddr` into the front
@@ -262,13 +258,6 @@ mod imp {
         ))
     }
 
-    pub fn send_buffer(_socket: &UdpSocket) -> io::Result<usize> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_SNDBUF inspection is only implemented on Linux",
-        ))
-    }
-
     pub fn reuseport_supported() -> bool {
         false
     }
@@ -284,7 +273,7 @@ mod imp {
 /// Ask the kernel for a `bytes`-sized receive buffer and return what it
 /// granted (Linux doubles the request for bookkeeping and clamps it to
 /// `net.core.rmem_max`).  `Unsupported` on non-Linux platforms.
-pub fn set_recv_buffer(socket: &UdpSocket, bytes: usize) -> io::Result<usize> {
+fn set_recv_buffer(socket: &UdpSocket, bytes: usize) -> io::Result<usize> {
     imp::set_recv_buffer(socket, bytes)
 }
 
@@ -296,13 +285,8 @@ pub fn recv_buffer(socket: &UdpSocket) -> io::Result<usize> {
 /// Ask the kernel for a `bytes`-sized send buffer and return what it
 /// granted (clamped to `net.core.wmem_max`).  `Unsupported` on
 /// non-Linux platforms.
-pub fn set_send_buffer(socket: &UdpSocket, bytes: usize) -> io::Result<usize> {
+fn set_send_buffer(socket: &UdpSocket, bytes: usize) -> io::Result<usize> {
     imp::set_send_buffer(socket, bytes)
-}
-
-/// The socket's current send-buffer size, as the kernel reports it.
-pub fn send_buffer(socket: &UdpSocket) -> io::Result<usize> {
-    imp::send_buffer(socket)
 }
 
 /// Grow both socket buffers: the receive queue so a blast round does not
@@ -389,12 +373,13 @@ mod tests {
     ))]
     fn grow_and_read_back_send_buffer() {
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let before = send_buffer(&socket).unwrap();
+        let send_buffer = |s| imp::buffer(s, imp::SO_SNDBUF).unwrap();
+        let before = send_buffer(&socket);
         assert!(before > 0);
         let granted = set_send_buffer(&socket, BLAST_RECV_BUFFER).unwrap();
         assert!(granted > 0);
         assert!(granted >= before.min(BLAST_RECV_BUFFER));
-        assert_eq!(send_buffer(&socket).unwrap(), granted);
+        assert_eq!(send_buffer(&socket), granted);
     }
 
     #[test]
